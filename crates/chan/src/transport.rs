@@ -312,9 +312,9 @@ pub trait Transport<I, M>: Send + Sync {
     /// the calling thread never blocks on the rendezvous. An
     /// event-driven hub multiplexes thousands of in-flight sends onto
     /// one scheduler this way. Backends without a native nonblocking
-    /// core hand the message and callback straight back (the default),
-    /// telling the caller to fall back to a thread driving the blocking
-    /// path.
+    /// core decline by handing the message and callback straight back
+    /// (the default); what the caller then does with the operation is
+    /// its own policy.
     fn submit_send(
         self: Arc<Self>,
         from: &I,
@@ -403,19 +403,53 @@ struct EpState<I, M> {
     rdv_in_seqs: HashMap<I, u64>,
     /// My operation counter driving crash-at-step-*k*.
     chaos_steps: u64,
-    /// Asynchronous operations parked on this endpoint: single-shot
+    /// Submitted operations parked on this endpoint: single-shot
     /// `(op token, scheduler)` registrations drained — each token pushed
     /// onto its scheduler's ready queue — whenever the eventcount bumps.
     op_waiters: Vec<(u64, Arc<SchedShared<I, M>>)>,
+    /// `(issued, served)` tickets for *submitted* sends on each edge
+    /// into me. A submitted send takes a ticket at submission and
+    /// deposits only on its turn, so sends pipelined on one edge land in
+    /// submission order however the scheduler interleaves their steps.
+    /// Blocking senders are ordered by their own program order and take
+    /// none.
+    turns: HashMap<I, (u64, u64)>,
+}
+
+impl<I: Clone + Eq + Hash, M> EpState<I, M> {
+    /// Issues the next ticket on the edge `from → me` (see
+    /// [`EpState::turns`]).
+    fn take_turn(&mut self, from: &I) -> u64 {
+        match self.turns.get_mut(from) {
+            Some(edge) => {
+                edge.0 += 1;
+                edge.0 - 1
+            }
+            None => {
+                self.turns.insert(from.clone(), (1, 0));
+                0
+            }
+        }
+    }
+
+    /// Marks the served ticket on the edge `from → me` finished.
+    /// Returns whether a later send on the edge is waiting for the turn
+    /// and must be woken.
+    fn pass_turn(&mut self, from: &I) -> bool {
+        self.turns.get_mut(from).is_some_and(|edge| {
+            edge.1 += 1;
+            edge.1 < edge.0
+        })
+    }
 }
 
 impl<I, M> EpState<I, M> {
-    /// Bumps the eventcount and hands every parked asynchronous
-    /// operation to its scheduler. Every mutation a sleeper on the
-    /// endpoint's condvar could care about must go through here, so the
-    /// poll-based state machines observe exactly the wakeups the
-    /// blocking loops do. Lock order is endpoint → scheduler queue; the
-    /// scheduler never takes an endpoint lock while holding its queue.
+    /// Bumps the eventcount and hands every parked submitted operation
+    /// to its scheduler. Every mutation a sleeper on the endpoint's
+    /// condvar could care about must go through here, so both kinds of
+    /// waiter observe exactly the same wakeups. Lock order is endpoint
+    /// → scheduler queue; the scheduler never takes an endpoint lock
+    /// while holding its queue.
     fn bump_signal(&mut self) {
         self.signal += 1;
         for (token, sched) in self.op_waiters.drain(..) {
@@ -538,7 +572,7 @@ pub struct ShardedTransport<I, M> {
     /// Per-read synthetic progress ticks handed out while a lease is
     /// pending.
     lease_ticks: AtomicU64,
-    /// The lazily-started scheduler driving asynchronous operations
+    /// The lazily-started scheduler driving submitted operations
     /// ([`Transport::submit_send`]/[`Transport::submit_select`]): one
     /// thread for the whole transport, regardless of how many ops are
     /// in flight.
@@ -636,6 +670,7 @@ where
                 rdv_in_seqs: HashMap::new(),
                 chaos_steps: 0,
                 op_waiters: Vec::new(),
+                turns: HashMap::new(),
             }),
             cond: Condvar::new(),
         })
@@ -764,8 +799,8 @@ where
     }
 
     /// Takes the message from `from` out of `me`'s inbox (`st` is
-    /// `me`'s state), acking it. Every delivery path — blocking and
-    /// asynchronous receives, selections, and claimed send arms — funnels
+    /// `me`'s state), acking it. Every delivery path — non-blocking
+    /// receives, selections, and claimed send arms — funnels
     /// through here, so this is the single point where a completed
     /// rendezvous becomes observable.
     fn take_from(&self, st: &mut EpState<I, M>, me: &I, from: &I) -> Option<M> {
@@ -810,21 +845,6 @@ where
         self.registry()
             .iter()
             .any(|(id, ep)| id != me && ep.life.load(Ordering::SeqCst) != LIFE_DONE)
-    }
-
-    /// Waits on `ep`'s condvar. Returns `true` on deadline expiry.
-    fn wait_on(
-        ep: &Endpoint<I, M>,
-        st: &mut parking_lot::MutexGuard<'_, EpState<I, M>>,
-        deadline: Option<Instant>,
-    ) -> bool {
-        match deadline {
-            Some(d) => ep.cond.wait_until(st, d).timed_out(),
-            None => {
-                ep.cond.wait(st);
-                false
-            }
-        }
     }
 }
 
@@ -1027,11 +1047,9 @@ where
         msg: M,
         deadline: Option<Instant>,
     ) -> Result<(), ChanError<I>> {
-        let start = Instant::now();
-        let result = self.send_impl(from, to, msg, deadline);
-        if result.is_ok() {
-            self.latency.record(LatencyOp::Send, start.elapsed());
-        }
+        let started = Instant::now();
+        let result = self.send_parked(from, to, msg, deadline);
+        self.note_send(started, &result);
         result
     }
 
@@ -1050,17 +1068,16 @@ where
         arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
-        let start = Instant::now();
-        let result = self.select_impl(me, arms, deadline);
-        if matches!(
-            result,
-            Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
-        ) {
-            self.latency.record(LatencyOp::Select, start.elapsed());
-        }
+        let started = Instant::now();
+        let result = self.select_parked(me, arms, deadline);
+        self.note_select(started, &result);
         result
     }
 
+    /// Admission — validation and every chaos decision — happens here,
+    /// synchronously on the submitting thread, so fault records (and
+    /// any observer-driven push frames) always precede the operation's
+    /// completion; only the rendezvous itself runs on the scheduler.
     fn submit_send(
         self: Arc<Self>,
         from: &I,
@@ -1069,10 +1086,37 @@ where
         deadline: Option<Instant>,
         done: SendDone<I>,
     ) -> Result<(), (M, SendDone<I>)> {
-        self.submit_send_native(from, to, msg, deadline, done);
+        let started = Instant::now();
+        let result = match self.admit_send(from, to, msg) {
+            Err(e) => Err(e),
+            Ok(adm) if adm.dropped => self.dropped_result(to, &adm.to_ep),
+            Ok(mut adm) => {
+                adm.state.turn = Some(adm.to_ep.state.lock().take_turn(from));
+                // The scheduler arms a timer where a blocking caller
+                // would sleep the chaos delay.
+                let ready_at = adm.delay.map(|d| Instant::now() + d);
+                let op = AsyncOp::Send(SendOp {
+                    from: from.clone(),
+                    to: to.clone(),
+                    to_ep: adm.to_ep,
+                    state: adm.state,
+                    ready_at,
+                    deadline,
+                    started,
+                    done,
+                });
+                let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+                Self::enqueue_op(&self, token, op);
+                return Ok(());
+            }
+        };
+        self.note_send(started, &result);
+        done(result);
         Ok(())
     }
 
+    /// Validation, the crash step and watcher registration happen
+    /// synchronously at submission; the scan runs on the scheduler.
     fn submit_select(
         self: Arc<Self>,
         me: &I,
@@ -1080,143 +1124,231 @@ where
         deadline: Option<Instant>,
         done: SelectDone<I, M>,
     ) -> Result<(), (Vec<Arm<I, M>>, SelectDone<I, M>)> {
-        self.submit_select_native(me, arms, deadline, done);
+        let started = Instant::now();
+        match self.prepare_select(me, arms) {
+            Err(e) => done(Err(e)),
+            Ok((me_ep, reprs)) => {
+                let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+                let watched = Self::register_watchers(token, &me_ep, &reprs);
+                let op = AsyncOp::Select(SelectOp {
+                    me: me.clone(),
+                    me_ep,
+                    reprs,
+                    watched,
+                    deadline,
+                    started,
+                    done,
+                });
+                Self::enqueue_op(&self, token, op);
+            }
+        }
         Ok(())
     }
 }
+
+/// One selection arm in take-able form, paired with the endpoint of the
+/// peer it names (resolved once, at [`ShardedTransport::prepare_select`]).
+type ArmRepr<I, M> = (SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>);
+
+/// What [`ShardedTransport::admit_send`] decided for one send.
+struct Admission<I, M> {
+    to_ep: Arc<Endpoint<I, M>>,
+    /// Chaos delay the waiter serves before the first
+    /// [`ShardedTransport::send_step`].
+    delay: Option<Duration>,
+    /// Lost on the wire *after* transmission: nothing is deposited and
+    /// the operation completes with
+    /// [`ShardedTransport::dropped_result`].
+    dropped: bool,
+    state: SendState<M>,
+}
+
+/// The progress of one two-phase send: everything
+/// [`ShardedTransport::send_step`] carries from one wakeup to the next.
+struct SendState<M> {
+    /// Taken at deposit (the phase 1 → 2 transition).
+    msg: Option<M>,
+    /// Chaos duplicate, redelivered best-effort after pickup.
+    dup: Option<M>,
+    /// The `acks[from]` level that proves pickup; `Some` once deposited.
+    ack_target: Option<u64>,
+    /// A submitted send's ticket in `EpState::turns`; `None` on the
+    /// blocking path.
+    turn: Option<u64>,
+}
+
+/// What one [`ShardedTransport::select_step`] came to.
+enum SelectStep<'a, I, M> {
+    /// An arm fired, or the selection failed for good.
+    Done(Result<Outcome<I, M>, ChanError<I>>),
+    /// Nothing is ready. The offers are published and the eventcount has
+    /// not moved since the scan began, so whoever holds this guard can
+    /// register its wakeup without losing one.
+    Park(parking_lot::MutexGuard<'a, EpState<I, M>>),
+}
+
+// ---------------------------------------------------------------------
+// The rendezvous core. There is one implementation of send and one of
+// select; each is a *step* that either completes the operation or says
+// it must wait. A blocking call and a submitted operation run the same
+// steps and differ only in the waiter: the caller parks its own thread
+// on the endpoint's condvar, the scheduler parks a token in the
+// endpoint's `op_waiters` — both woken by the same eventcount bump.
+// ---------------------------------------------------------------------
 
 impl<I, M> ShardedTransport<I, M>
 where
     I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
     M: Send + 'static,
 {
-    /// [`Transport::send`] body; the trait method wraps it with latency
-    /// recording.
-    fn send_impl(
-        &self,
-        from: &I,
-        to: &I,
-        msg: M,
-        deadline: Option<Instant>,
-    ) -> Result<(), ChanError<I>> {
+    /// Admits one send: validates the edge, counts the crash step and
+    /// makes — and records — every chaos decision for the message, at
+    /// the sending edge. Two relaxed boolean loads on the fault-free
+    /// path.
+    fn admit_send(&self, from: &I, to: &I, msg: M) -> Result<Admission<I, M>, ChanError<I>> {
         if to == from {
             return Err(ChanError::Myself);
         }
         let to_ep = self.ensure(to)?;
         let from_ep = self.ensure(from)?;
-
-        // Chaos hooks — two relaxed boolean loads on the fault-free path.
         if self.faults.crashes.load(Ordering::Relaxed) {
             self.chaos_step(from, &from_ep)?;
         }
-        let mut dup_info: Option<M> = None;
-        if self.faults.msg_faults.load(Ordering::Relaxed) {
-            if let Some(cfg) = self.chaos_cfg() {
-                let has_msg = cfg.plan.has_message_faults();
-                if has_msg || cfg.plan.has_connection_faults() {
-                    let seq = self.chaos_edge_seq(from, &to_ep);
-                    // Connection faults decide (and record) here at the
-                    // sending edge like every other class — that is what
-                    // keeps fault logs identical across transports — but
-                    // are *enacted* only by connection-oriented hubs
-                    // observing the record. In-process they are no-ops.
-                    if cfg.plan.decide_partition(from, to, seq) {
-                        self.record_fault(FaultKind::Partition, from, to, seq);
-                    } else if cfg.plan.decide_sever(from, to, seq) {
-                        self.record_fault(FaultKind::Sever, from, to, seq);
-                    }
-                    if has_msg {
-                        let delayed = cfg.plan.decide_delay(from, to, seq);
-                        let dropped = cfg.plan.decide_drop(from, to, seq);
-                        if !dropped && cfg.plan.decide_duplicate(from, to, seq) {
-                            // Recorded here, at decision time, so the fault
-                            // log is a pure function of the plan; the
-                            // redelivery below stays best-effort.
-                            self.record_fault(FaultKind::Duplicate, from, to, seq);
-                            dup_info = Some((cfg.clone_fn)(&msg));
-                        }
-                        if delayed {
-                            self.record_fault(FaultKind::Delay, from, to, seq);
-                            std::thread::sleep(cfg.plan.delay());
-                        }
-                        if dropped {
-                            // Lost on the wire *after* transmission: the
-                            // sender observes success (unless the peer is
-                            // already gone); the receiver never sees it.
-                            self.record_fault(FaultKind::Drop, from, to, seq);
-                            if self.aborted.load(Ordering::SeqCst) {
-                                return Err(ChanError::Aborted);
-                            }
-                            return match life_of(to_ep.life.load(Ordering::SeqCst)) {
-                                PeerState::Done => Err(ChanError::Terminated(to.clone())),
-                                _ => Ok(()),
-                            };
-                        }
-                    }
+        let mut adm = Admission {
+            to_ep,
+            delay: None,
+            dropped: false,
+            state: SendState {
+                msg: Some(msg),
+                dup: None,
+                ack_target: None,
+                turn: None,
+            },
+        };
+        if !self.faults.msg_faults.load(Ordering::Relaxed) {
+            return Ok(adm);
+        }
+        let Some(cfg) = self.chaos_cfg() else {
+            return Ok(adm);
+        };
+        let has_msg = cfg.plan.has_message_faults();
+        if !(has_msg || cfg.plan.has_connection_faults()) {
+            return Ok(adm);
+        }
+        let seq = self.chaos_edge_seq(from, &adm.to_ep);
+        // Connection faults decide (and record) here at the sending
+        // edge like every other class — that is what keeps fault logs
+        // identical across transports — but are *enacted* only by
+        // connection-oriented hubs observing the record. In-process
+        // they are no-ops.
+        if cfg.plan.decide_partition(from, to, seq) {
+            self.record_fault(FaultKind::Partition, from, to, seq);
+        } else if cfg.plan.decide_sever(from, to, seq) {
+            self.record_fault(FaultKind::Sever, from, to, seq);
+        }
+        if has_msg {
+            let delayed = cfg.plan.decide_delay(from, to, seq);
+            adm.dropped = cfg.plan.decide_drop(from, to, seq);
+            if !adm.dropped && cfg.plan.decide_duplicate(from, to, seq) {
+                // Recorded at decision time, so the fault log is a pure
+                // function of the plan; the redelivery itself stays
+                // best-effort.
+                self.record_fault(FaultKind::Duplicate, from, to, seq);
+                adm.state.dup = adm.state.msg.as_ref().map(cfg.clone_fn);
+            }
+            if delayed {
+                self.record_fault(FaultKind::Delay, from, to, seq);
+                adm.delay = Some(cfg.plan.delay());
+            }
+            if adm.dropped {
+                self.record_fault(FaultKind::Drop, from, to, seq);
+            }
+        }
+        Ok(adm)
+    }
+
+    /// What the sender of a chaos-dropped message observes: success —
+    /// the receiver never sees it — unless the peer is already gone.
+    fn dropped_result(&self, to: &I, to_ep: &Endpoint<I, M>) -> Result<(), ChanError<I>> {
+        if self.aborted.load(Ordering::SeqCst) {
+            return Err(ChanError::Aborted);
+        }
+        match life_of(to_ep.life.load(Ordering::SeqCst)) {
+            PeerState::Done => Err(ChanError::Terminated(to.clone())),
+            _ => Ok(()),
+        }
+    }
+
+    /// One step of the two-phase send, under the *receiver's* lock
+    /// (`st` is `to_ep`'s state). Phase 1 deposits once the receiver is
+    /// active with a free slot; phase 2 awaits the pickup, which bumps
+    /// `acks[from]` and the eventcount. `Some(result)`: the send is
+    /// over. `None`: it must wait for the endpoint's next eventcount
+    /// bump (or `deadline`) and step again.
+    fn send_step(
+        &self,
+        st: &mut EpState<I, M>,
+        to_ep: &Endpoint<I, M>,
+        from: &I,
+        to: &I,
+        s: &mut SendState<M>,
+        deadline: Option<Instant>,
+    ) -> Option<Result<(), ChanError<I>>> {
+        let life = life_of(to_ep.life.load(Ordering::SeqCst));
+        if s.ack_target
+            .is_some_and(|target| st.acks.get(from).copied().unwrap_or(0) >= target)
+        {
+            // Rendezvous complete — even under a later abort, since the
+            // receiver already has the message. Deliver the chaos
+            // duplicate, if planned and the edge slot is free
+            // (best-effort redelivery).
+            if let Some(copy) = s.dup.take() {
+                if !st.inbox.contains_key(from) && life == PeerState::Active {
+                    st.inbox.insert(from.clone(), copy);
+                    st.bump_signal();
+                    self.activity.fetch_add(1, Ordering::Relaxed);
+                    to_ep.cond.notify_all();
                 }
             }
+            return Some(Ok(()));
         }
-
-        // Phase 1: wait for the receiver to be active with a free slot,
-        // then deposit. Everything happens under the *receiver's* lock.
-        let mut st = to_ep.state.lock();
-        loop {
-            if self.aborted.load(Ordering::SeqCst) {
-                return Err(ChanError::Aborted);
-            }
-            match life_of(to_ep.life.load(Ordering::SeqCst)) {
-                PeerState::Done => return Err(ChanError::Terminated(to.clone())),
-                PeerState::Expected => {}
-                PeerState::Active => {
-                    if !st.inbox.contains_key(from) {
-                        break;
-                    }
+        if self.aborted.load(Ordering::SeqCst) {
+            // An un-picked-up deposit stays put: abort fails every
+            // later operation, so nobody can take it.
+            return Some(Err(ChanError::Aborted));
+        }
+        match life {
+            PeerState::Done => {
+                // Receiver finished; reclaim a deposit it never took.
+                if s.ack_target.is_some() {
+                    st.inbox.remove(from);
                 }
+                return Some(Err(ChanError::Terminated(to.clone())));
             }
-            if Self::wait_on(&to_ep, &mut st, deadline) {
-                return Err(ChanError::Timeout);
-            }
-        }
-        st.inbox.insert(from.clone(), msg);
-        st.bump_signal();
-        self.activity.fetch_add(1, Ordering::Relaxed);
-        let target = st.acks.get(from).copied().unwrap_or(0) + 1;
-
-        // Phase 2: wait for pickup (still on the receiver's endpoint;
-        // the pickup bumps `acks[from]` and notifies this condvar).
-        to_ep.cond.notify_all();
-        loop {
-            if st.acks.get(from).copied().unwrap_or(0) >= target {
-                break;
-            }
-            if self.aborted.load(Ordering::SeqCst) {
-                return Err(ChanError::Aborted);
-            }
-            if to_ep.life.load(Ordering::SeqCst) == LIFE_DONE {
-                // Receiver finished without taking the message: reclaim.
-                st.inbox.remove(from);
-                return Err(ChanError::Terminated(to.clone()));
-            }
-            if Self::wait_on(&to_ep, &mut st, deadline) {
-                // Timed out waiting for pickup: reclaim the deposit so
-                // the message is not delivered after we report failure.
-                st.inbox.remove(from);
-                return Err(ChanError::Timeout);
-            }
-        }
-
-        // Rendezvous complete. Deliver the chaos duplicate, if planned
-        // and the edge slot is free (best-effort redelivery).
-        if let Some(copy) = dup_info {
-            if !st.inbox.contains_key(from) && to_ep.life.load(Ordering::SeqCst) == LIFE_ACTIVE {
-                st.inbox.insert(from.clone(), copy);
+            PeerState::Active
+                if s.ack_target.is_none()
+                    && !st.inbox.contains_key(from)
+                    && s.turn
+                        .is_none_or(|t| st.turns.get(from).is_some_and(|e| e.1 == t)) =>
+            {
+                let msg = s.msg.take().expect("message deposited once");
+                st.inbox.insert(from.clone(), msg);
                 st.bump_signal();
                 self.activity.fetch_add(1, Ordering::Relaxed);
-                drop(st);
+                s.ack_target = Some(st.acks.get(from).copied().unwrap_or(0) + 1);
                 to_ep.cond.notify_all();
             }
+            _ => {}
         }
-        Ok(())
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            // Reclaim an un-picked-up deposit so the message is not
+            // delivered after we report failure.
+            if s.ack_target.is_some() {
+                st.inbox.remove(from);
+            }
+            return Some(Err(ChanError::Timeout));
+        }
+        None
     }
 
     /// [`Transport::try_recv`] body; the trait method wraps it with
@@ -1250,44 +1382,20 @@ where
         Ok(None)
     }
 
-    /// [`Transport::select`] body; the trait method wraps it with
-    /// latency recording.
-    fn select_impl(
-        &self,
-        me: &I,
-        arms: Vec<Arm<I, M>>,
-        deadline: Option<Instant>,
-    ) -> Result<Outcome<I, M>, ChanError<I>> {
-        let (me_ep, mut reprs) = self.prepare_select(me, arms)?;
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let watched = Self::register_watchers(token, &me_ep, &reprs);
-        let result = self.select_loop(me, &me_ep, &mut reprs, deadline);
-        Self::deregister_watchers(token, watched);
-        result
-    }
-
     /// Validates and resolves a selection's arms: the internal
     /// representation makes send messages take-able and resolves every
     /// named peer's endpoint once up front. Also counts the selection
-    /// toward crash-at-step-*k*. Shared by the blocking and
-    /// asynchronous paths.
+    /// toward crash-at-step-*k*.
     #[allow(clippy::type_complexity)]
     fn prepare_select(
         &self,
         me: &I,
         arms: Vec<Arm<I, M>>,
-    ) -> Result<
-        (
-            Arc<Endpoint<I, M>>,
-            Vec<(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)>,
-        ),
-        ChanError<I>,
-    > {
+    ) -> Result<(Arc<Endpoint<I, M>>, Vec<ArmRepr<I, M>>), ChanError<I>> {
         if arms.is_empty() {
             return Err(ChanError::EmptySelect);
         }
         let me_ep = self.ensure(me)?;
-        type ArmRepr<I, M> = (SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>);
         let mut reprs: Vec<ArmRepr<I, M>> = Vec::with_capacity(arms.len());
         for arm in arms {
             let (repr, named) = match arm {
@@ -1324,11 +1432,10 @@ where
     /// their offer publications and slot releases wake us. Every
     /// selection exit path must pass the returned endpoints to
     /// [`Self::deregister_watchers`].
-    #[allow(clippy::type_complexity)]
     fn register_watchers(
         token: u64,
         me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &[(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
+        reprs: &[ArmRepr<I, M>],
     ) -> Vec<Arc<Endpoint<I, M>>> {
         let mut watched: Vec<Arc<Endpoint<I, M>>> = Vec::new();
         for (repr, ep) in reprs {
@@ -1348,52 +1455,42 @@ where
         }
     }
 
-    /// The selection loop body (watcher registration handled by the
-    /// caller). `reprs` pairs each arm with its resolved endpoint.
-    ///
-    /// The loop shares its machinery — [`Self::take_claim`],
-    /// [`Self::scan_arms`], [`Self::publish_offers`] — with the
-    /// poll-based asynchronous selection, so the two paths cannot drift.
-    #[allow(clippy::type_complexity)]
-    fn select_loop(
+    /// One step of a selection (watcher registration is the waiter's
+    /// job): honor a claim, else scan the arms, else publish the receive
+    /// offers and report that the selection must wait.
+    fn select_step<'a>(
         &self,
         me: &I,
-        me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &mut [(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
+        me_ep: &'a Arc<Endpoint<I, M>>,
+        reprs: &mut [ArmRepr<I, M>],
         deadline: Option<Instant>,
-    ) -> Result<Outcome<I, M>, ChanError<I>> {
+    ) -> SelectStep<'a, I, M> {
         loop {
             let (sig0, claimed) = self.take_claim(me, me_ep, reprs);
             if let Some(outcome) = claimed {
-                return Ok(outcome);
+                return SelectStep::Done(Ok(outcome));
             }
             if self.aborted.load(Ordering::SeqCst) {
-                return Err(ChanError::Aborted);
+                return SelectStep::Done(Err(ChanError::Aborted));
             }
-            if let Some(outcome) = self.scan_arms(me, me_ep, reprs)? {
-                return Ok(outcome);
+            match self.scan_arms(me, me_ep, reprs) {
+                Ok(Some(outcome)) => return SelectStep::Done(Ok(outcome)),
+                Ok(None) => {}
+                Err(e) => return SelectStep::Done(Err(e)),
             }
             self.publish_offers(me_ep, reprs);
-            // Sleep — unless the eventcount moved since the scan
-            // started, in which case something changed mid-scan and we
-            // rescan.
             let mut st = me_ep.state.lock();
             if st.signal != sig0 {
+                // Something changed mid-scan: rescan rather than wait.
                 continue;
             }
-            if Self::wait_on(me_ep, &mut st, deadline) {
-                // Deadline expired — unless a claim raced in, in which
-                // case the loop head will honor it.
-                let resolved = st
-                    .wait
-                    .as_ref()
-                    .map(|w| w.resolved.is_some())
-                    .unwrap_or(false);
-                if !resolved {
-                    st.wait = None;
-                    return Err(ChanError::Timeout);
-                }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                // The eventcount is unmoved, so no claim can have
+                // landed: withdraw the offers and time out.
+                st.wait = None;
+                return SelectStep::Done(Err(ChanError::Timeout));
             }
+            return SelectStep::Park(st);
         }
     }
 
@@ -1402,12 +1499,11 @@ where
     /// mid-scan, and honors a claim left by a sender while we slept
     /// (priority even over aborts — the claiming sender already
     /// returned success).
-    #[allow(clippy::type_complexity)]
     fn take_claim(
         &self,
         me: &I,
         me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &[(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
+        reprs: &[ArmRepr<I, M>],
     ) -> (u64, Option<Outcome<I, M>>) {
         let mut st = me_ep.state.lock();
         let sig0 = st.signal;
@@ -1436,12 +1532,7 @@ where
 
     /// Publishes `me`'s receive offers so send arms elsewhere can claim
     /// us, then wakes the selectors watching us.
-    #[allow(clippy::type_complexity)]
-    fn publish_offers(
-        &self,
-        me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &[(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
-    ) {
+    fn publish_offers(&self, me_ep: &Arc<Endpoint<I, M>>, reprs: &[ArmRepr<I, M>]) {
         let offers: Vec<Source<I>> = reprs
             .iter()
             .filter_map(|(r, _)| match r {
@@ -1465,12 +1556,11 @@ where
     /// endpoint each arm concerns (never two at once). `Ok(Some(..))`:
     /// an arm fired. `Ok(None)`: nothing ready, but something may yet
     /// fire. `Err(..)`: every arm is permanently unfireable.
-    #[allow(clippy::type_complexity)]
     fn scan_arms(
         &self,
         me: &I,
         me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &mut [(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
+        reprs: &mut [ArmRepr<I, M>],
     ) -> Result<Option<Outcome<I, M>>, ChanError<I>> {
         {
             let mut order: Vec<usize> = (0..reprs.len()).collect();
@@ -1621,27 +1711,199 @@ enum SelRepr<I, M> {
 }
 
 // ---------------------------------------------------------------------
-// Asynchronous operations: nonblocking state machines for send/select,
-// driven by one scheduler thread per transport.
-//
-// The blocking paths above park a caller thread on an endpoint condvar;
-// the machines below park a *token* on the endpoint instead
-// (`EpState::op_waiters`) and re-poll when the eventcount bumps. The
-// two paths share the same scan/claim/deposit code, so a hub serving
-// thousands of spokes multiplexes every blocked rendezvous onto a
-// single thread without any change in observable semantics.
+// The two waiters. A blocking call drives the steps on its own thread,
+// with borrowed ids, and sleeps on the endpoint's condvar; a submitted
+// operation is driven by the transport's one scheduler thread, which
+// parks the op's token on the endpoint (`EpState::op_waiters`) and
+// steps it again when the eventcount bumps — so a hub serving thousands
+// of spokes multiplexes every blocked rendezvous onto a single thread.
 // ---------------------------------------------------------------------
 
+impl<I, M> ShardedTransport<I, M>
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static,
+{
+    /// Sleeps on `ep`'s condvar until notified or `deadline`.
+    fn wait_on(
+        ep: &Endpoint<I, M>,
+        st: &mut parking_lot::MutexGuard<'_, EpState<I, M>>,
+        deadline: Option<Instant>,
+    ) {
+        match deadline {
+            Some(d) => {
+                ep.cond.wait_until(st, d);
+            }
+            None => ep.cond.wait(st),
+        }
+    }
+
+    /// [`Transport::send`] on the caller's thread.
+    fn send_parked(
+        &self,
+        from: &I,
+        to: &I,
+        msg: M,
+        deadline: Option<Instant>,
+    ) -> Result<(), ChanError<I>> {
+        let mut adm = self.admit_send(from, to, msg)?;
+        if let Some(delay) = adm.delay {
+            std::thread::sleep(delay);
+        }
+        if adm.dropped {
+            return self.dropped_result(to, &adm.to_ep);
+        }
+        let mut st = adm.to_ep.state.lock();
+        loop {
+            if let Some(result) =
+                self.send_step(&mut st, &adm.to_ep, from, to, &mut adm.state, deadline)
+            {
+                return result;
+            }
+            Self::wait_on(&adm.to_ep, &mut st, deadline);
+        }
+    }
+
+    /// [`Transport::select`] on the caller's thread.
+    fn select_parked(
+        &self,
+        me: &I,
+        arms: Vec<Arm<I, M>>,
+        deadline: Option<Instant>,
+    ) -> Result<Outcome<I, M>, ChanError<I>> {
+        let (me_ep, mut reprs) = self.prepare_select(me, arms)?;
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let watched = Self::register_watchers(token, &me_ep, &reprs);
+        let result = loop {
+            match self.select_step(me, &me_ep, &mut reprs, deadline) {
+                SelectStep::Done(result) => break result,
+                SelectStep::Park(mut st) => Self::wait_on(&me_ep, &mut st, deadline),
+            }
+        };
+        Self::deregister_watchers(token, watched);
+        result
+    }
+
+    /// Records a successful send's latency.
+    fn note_send(&self, started: Instant, result: &Result<(), ChanError<I>>) {
+        if result.is_ok() {
+            self.latency.record(LatencyOp::Send, started.elapsed());
+        }
+    }
+
+    /// Records a fired selection's latency.
+    fn note_select(&self, started: Instant, result: &Result<Outcome<I, M>, ChanError<I>>) {
+        if matches!(
+            result,
+            Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
+        ) {
+            self.latency.record(LatencyOp::Select, started.elapsed());
+        }
+    }
+
+    /// The transport's scheduler, started on first use. The thread
+    /// holds only a weak reference back, so it cannot keep the
+    /// transport alive; [`ShardedTransport`]'s `Drop` releases it.
+    fn scheduler(this: &Arc<Self>) -> Arc<SchedShared<I, M>> {
+        let mut guard = this.sched.lock();
+        if let Some(s) = guard.as_ref() {
+            return s.clone();
+        }
+        let sched = Arc::new(SchedShared {
+            queue: Mutex::new(SchedState {
+                ready: VecDeque::new(),
+                timers: BinaryHeap::new(),
+                ops: HashMap::new(),
+                shutdown: false,
+            }),
+            cond: Condvar::new(),
+        });
+        let weak = Arc::downgrade(this);
+        let handle = Arc::clone(&sched);
+        std::thread::Builder::new()
+            .name("chan-async-sched".into())
+            .spawn(move || scheduler_loop(weak, handle))
+            .expect("spawn async-op scheduler");
+        *guard = Some(Arc::clone(&sched));
+        sched
+    }
+
+    /// Parks a new op with the scheduler: arms its deadline (and
+    /// chaos-delay) timers and queues its first step.
+    fn enqueue_op(this: &Arc<Self>, token: u64, op: AsyncOp<I, M>) {
+        let (deadline, ready_at) = match &op {
+            AsyncOp::Send(s) => (s.deadline, s.ready_at),
+            AsyncOp::Select(s) => (s.deadline, None),
+        };
+        let sched = Self::scheduler(this);
+        let mut q = sched.queue.lock();
+        q.ops.insert(token, op);
+        if let Some(d) = deadline {
+            q.timers.push(Reverse((d, token)));
+        }
+        match ready_at {
+            Some(at) => q.timers.push(Reverse((at, token))),
+            None => q.ready.push_back(token),
+        }
+        drop(q);
+        sched.cond.notify_one();
+    }
+
+    /// Steps `op` once on the scheduler thread: on completion runs its
+    /// callback (with latency recording), otherwise leaves its token on
+    /// the endpoint it waits for and re-parks it.
+    fn drive_op(&self, token: u64, op: AsyncOp<I, M>, sched: &Arc<SchedShared<I, M>>) {
+        let parked = match op {
+            AsyncOp::Send(mut s) => {
+                if let Some(at) = s.ready_at.filter(|at| Instant::now() < *at) {
+                    // Woken early (the deadline timer): the chaos delay
+                    // is not served yet.
+                    sched.queue.lock().timers.push(Reverse((at, token)));
+                } else {
+                    let mut st = s.to_ep.state.lock();
+                    let step =
+                        self.send_step(&mut st, &s.to_ep, &s.from, &s.to, &mut s.state, s.deadline);
+                    match step {
+                        Some(result) => {
+                            if st.pass_turn(&s.from) {
+                                st.bump_signal();
+                            }
+                            drop(st);
+                            self.note_send(s.started, &result);
+                            (s.done)(result);
+                            return;
+                        }
+                        None => st.op_waiters.push((token, Arc::clone(sched))),
+                    }
+                }
+                AsyncOp::Send(s)
+            }
+            AsyncOp::Select(mut s) => {
+                match self.select_step(&s.me, &s.me_ep, &mut s.reprs, s.deadline) {
+                    SelectStep::Done(result) => {
+                        Self::deregister_watchers(token, s.watched);
+                        self.note_select(s.started, &result);
+                        (s.done)(result);
+                        return;
+                    }
+                    SelectStep::Park(mut st) => st.op_waiters.push((token, Arc::clone(sched))),
+                }
+                AsyncOp::Select(s)
+            }
+        };
+        sched.queue.lock().ops.insert(token, parked);
+    }
+}
+
 /// Shared handle between the transport, its scheduler thread, and the
-/// endpoints that park asynchronous operations.
+/// endpoints that park submitted operations.
 struct SchedShared<I, M> {
     queue: Mutex<SchedState<I, M>>,
     cond: Condvar,
 }
 
-/// The scheduler's run state: parked op state machines, tokens due for
-/// a poll, and the timer heap (deadlines and chaos-delay gates),
-/// earliest first.
+/// The scheduler's run state: parked ops, tokens due for a step, and
+/// the timer heap (deadlines and chaos-delay gates), earliest first.
 struct SchedState<I, M> {
     ready: VecDeque<u64>,
     timers: BinaryHeap<Reverse<(Instant, u64)>>,
@@ -1649,51 +1911,40 @@ struct SchedState<I, M> {
     shutdown: bool,
 }
 
-/// A parked asynchronous operation.
+/// A submitted operation: what a blocking caller keeps on its stack.
 enum AsyncOp<I, M> {
     Send(SendOp<I, M>),
     Select(SelectOp<I, M>),
 }
 
-/// The nonblocking counterpart of `send_impl`'s two-phase rendezvous.
 struct SendOp<I, M> {
     from: I,
     to: I,
     to_ep: Arc<Endpoint<I, M>>,
-    /// Taken at deposit (the phase 1 → 2 transition).
-    msg: Option<M>,
-    /// Chaos duplicate, redelivered best-effort after pickup.
-    dup: Option<M>,
-    /// The `acks[from]` level that proves pickup; `Some` once deposited.
-    ack_target: Option<u64>,
-    /// Chaos-delay gate: the machine does not run before this (the
-    /// blocking path sleeps here; the nonblocking one arms a timer).
+    state: SendState<M>,
+    /// Chaos-delay gate: the op is not stepped before this.
     ready_at: Option<Instant>,
     deadline: Option<Instant>,
     started: Instant,
-    done: Option<SendDone<I>>,
+    done: SendDone<I>,
 }
 
-/// The nonblocking counterpart of `select_loop`.
 struct SelectOp<I, M> {
     me: I,
     me_ep: Arc<Endpoint<I, M>>,
-    #[allow(clippy::type_complexity)]
-    reprs: Vec<(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)>,
-    /// Send-arm targets we registered as a watcher on.
+    reprs: Vec<ArmRepr<I, M>>,
+    /// Send-arm targets the op is registered on as a watcher, under its
+    /// scheduler token.
     watched: Vec<Arc<Endpoint<I, M>>>,
-    /// Watcher-registration token (also the op's scheduler token).
-    wtoken: u64,
     deadline: Option<Instant>,
     started: Instant,
-    done: Option<SelectDone<I, M>>,
+    done: SelectDone<I, M>,
 }
 
 /// The scheduler thread: pops runnable op tokens (readiness wakeups
-/// first, then due timers), polls each op's state machine outside the
-/// queue lock, and completes or re-parks it. One thread serves every
-/// in-flight asynchronous operation on the transport; it exits when
-/// the transport is dropped.
+/// first, then due timers), steps each op outside the queue lock, and
+/// completes or re-parks it. One thread serves every submitted
+/// operation on the transport; it exits when the transport is dropped.
 fn scheduler_loop<I, M>(transport: Weak<ShardedTransport<I, M>>, sched: Arc<SchedShared<I, M>>)
 where
     I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
@@ -1733,357 +1984,5 @@ where
             continue;
         };
         t.drive_op(token, op, &sched);
-    }
-}
-
-impl<I, M> ShardedTransport<I, M>
-where
-    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
-    M: Send + 'static,
-{
-    /// The transport's scheduler, started on first use. The thread
-    /// holds only a weak reference back, so it cannot keep the
-    /// transport alive; [`ShardedTransport`]'s `Drop` releases it.
-    fn scheduler(this: &Arc<Self>) -> Arc<SchedShared<I, M>> {
-        let mut guard = this.sched.lock();
-        if let Some(s) = guard.as_ref() {
-            return s.clone();
-        }
-        let sched = Arc::new(SchedShared {
-            queue: Mutex::new(SchedState {
-                ready: VecDeque::new(),
-                timers: BinaryHeap::new(),
-                ops: HashMap::new(),
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-        });
-        let weak = Arc::downgrade(this);
-        let handle = Arc::clone(&sched);
-        std::thread::Builder::new()
-            .name("chan-async-sched".into())
-            .spawn(move || scheduler_loop(weak, handle))
-            .expect("spawn async-op scheduler");
-        *guard = Some(Arc::clone(&sched));
-        sched
-    }
-
-    /// Parks a new op with the scheduler: arms its deadline (and
-    /// chaos-delay) timers and queues its first poll.
-    fn enqueue_op(this: &Arc<Self>, token: u64, op: AsyncOp<I, M>, ready_at: Option<Instant>) {
-        let deadline = match &op {
-            AsyncOp::Send(s) => s.deadline,
-            AsyncOp::Select(s) => s.deadline,
-        };
-        let sched = Self::scheduler(this);
-        let mut q = sched.queue.lock();
-        q.ops.insert(token, op);
-        if let Some(d) = deadline {
-            q.timers.push(Reverse((d, token)));
-        }
-        match ready_at {
-            Some(at) => q.timers.push(Reverse((at, token))),
-            None => q.ready.push_back(token),
-        }
-        drop(q);
-        sched.cond.notify_one();
-    }
-
-    /// Polls `op` once; on completion runs its callback (with latency
-    /// recording), otherwise re-parks it.
-    fn drive_op(&self, token: u64, mut op: AsyncOp<I, M>, sched: &Arc<SchedShared<I, M>>) {
-        match op {
-            AsyncOp::Send(ref mut s) => match self.poll_send(token, s, sched) {
-                Some(result) => {
-                    let started = s.started;
-                    let done = s.done.take().expect("send completes once");
-                    self.finish_send(done, started, result);
-                }
-                None => {
-                    sched.queue.lock().ops.insert(token, op);
-                }
-            },
-            AsyncOp::Select(ref mut s) => match self.poll_select(token, s, sched) {
-                Some(result) => {
-                    let wtoken = s.wtoken;
-                    Self::deregister_watchers(wtoken, std::mem::take(&mut s.watched));
-                    let started = s.started;
-                    let done = s.done.take().expect("select completes once");
-                    self.finish_select(done, started, result);
-                }
-                None => {
-                    sched.queue.lock().ops.insert(token, op);
-                }
-            },
-        }
-    }
-
-    /// Completes an asynchronous send: records latency on success, as
-    /// the blocking wrapper does, then fires the callback.
-    fn finish_send(&self, done: SendDone<I>, started: Instant, result: Result<(), ChanError<I>>) {
-        if result.is_ok() {
-            self.latency.record(LatencyOp::Send, started.elapsed());
-        }
-        done(result);
-    }
-
-    /// Completes an asynchronous selection, recording latency on a
-    /// fired arm as the blocking wrapper does.
-    fn finish_select(
-        &self,
-        done: SelectDone<I, M>,
-        started: Instant,
-        result: Result<Outcome<I, M>, ChanError<I>>,
-    ) {
-        if matches!(
-            result,
-            Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
-        ) {
-            self.latency.record(LatencyOp::Select, started.elapsed());
-        }
-        done(result);
-    }
-
-    /// [`Transport::submit_send`] body. Chaos decisions happen here,
-    /// synchronously at submission, exactly where the blocking path
-    /// makes them — so fault records (and any observer-driven push
-    /// frames) always precede the operation's completion.
-    fn submit_send_native(
-        self: Arc<Self>,
-        from: &I,
-        to: &I,
-        msg: M,
-        deadline: Option<Instant>,
-        done: SendDone<I>,
-    ) {
-        let started = Instant::now();
-        if to == from {
-            return self.finish_send(done, started, Err(ChanError::Myself));
-        }
-        let to_ep = match self.ensure(to) {
-            Ok(ep) => ep,
-            Err(e) => return self.finish_send(done, started, Err(e)),
-        };
-        let from_ep = match self.ensure(from) {
-            Ok(ep) => ep,
-            Err(e) => return self.finish_send(done, started, Err(e)),
-        };
-        if self.faults.crashes.load(Ordering::Relaxed) {
-            if let Err(e) = self.chaos_step(from, &from_ep) {
-                return self.finish_send(done, started, Err(e));
-            }
-        }
-        let mut dup: Option<M> = None;
-        let mut ready_at: Option<Instant> = None;
-        if self.faults.msg_faults.load(Ordering::Relaxed) {
-            if let Some(cfg) = self.chaos_cfg() {
-                let has_msg = cfg.plan.has_message_faults();
-                if has_msg || cfg.plan.has_connection_faults() {
-                    let seq = self.chaos_edge_seq(from, &to_ep);
-                    if cfg.plan.decide_partition(from, to, seq) {
-                        self.record_fault(FaultKind::Partition, from, to, seq);
-                    } else if cfg.plan.decide_sever(from, to, seq) {
-                        self.record_fault(FaultKind::Sever, from, to, seq);
-                    }
-                    if has_msg {
-                        let delayed = cfg.plan.decide_delay(from, to, seq);
-                        let dropped = cfg.plan.decide_drop(from, to, seq);
-                        if !dropped && cfg.plan.decide_duplicate(from, to, seq) {
-                            self.record_fault(FaultKind::Duplicate, from, to, seq);
-                            dup = Some((cfg.clone_fn)(&msg));
-                        }
-                        if delayed {
-                            self.record_fault(FaultKind::Delay, from, to, seq);
-                            ready_at = Some(Instant::now() + cfg.plan.delay());
-                        }
-                        if dropped {
-                            self.record_fault(FaultKind::Drop, from, to, seq);
-                            let result = if self.aborted.load(Ordering::SeqCst) {
-                                Err(ChanError::Aborted)
-                            } else {
-                                match life_of(to_ep.life.load(Ordering::SeqCst)) {
-                                    PeerState::Done => Err(ChanError::Terminated(to.clone())),
-                                    _ => Ok(()),
-                                }
-                            };
-                            return self.finish_send(done, started, result);
-                        }
-                    }
-                }
-            }
-        }
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let op = AsyncOp::Send(SendOp {
-            from: from.clone(),
-            to: to.clone(),
-            to_ep,
-            msg: Some(msg),
-            dup,
-            ack_target: None,
-            ready_at,
-            deadline,
-            started,
-            done: Some(done),
-        });
-        Self::enqueue_op(&self, token, op, ready_at);
-    }
-
-    /// [`Transport::submit_select`] body: validation, chaos, and
-    /// watcher registration happen synchronously at submission; the
-    /// scan runs on the scheduler.
-    fn submit_select_native(
-        self: Arc<Self>,
-        me: &I,
-        arms: Vec<Arm<I, M>>,
-        deadline: Option<Instant>,
-        done: SelectDone<I, M>,
-    ) {
-        let started = Instant::now();
-        match self.prepare_select(me, arms) {
-            Err(e) => self.finish_select(done, started, Err(e)),
-            Ok((me_ep, reprs)) => {
-                let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-                let watched = Self::register_watchers(token, &me_ep, &reprs);
-                let op = AsyncOp::Select(SelectOp {
-                    me: me.clone(),
-                    me_ep,
-                    reprs,
-                    watched,
-                    wtoken: token,
-                    deadline,
-                    started,
-                    done: Some(done),
-                });
-                Self::enqueue_op(&self, token, op, None);
-            }
-        }
-    }
-
-    /// One poll of an asynchronous send. `Some(result)`: complete.
-    /// `None`: parked (a waiter is registered on the receiver's
-    /// endpoint, or the chaos-delay timer was re-armed).
-    ///
-    /// Mirrors `send_impl`'s two blocking loops phase for phase; the
-    /// only divergence is that waiting registers the op token on the
-    /// receiver's endpoint instead of sleeping on its condvar.
-    fn poll_send(
-        &self,
-        token: u64,
-        op: &mut SendOp<I, M>,
-        sched: &Arc<SchedShared<I, M>>,
-    ) -> Option<Result<(), ChanError<I>>> {
-        let now = Instant::now();
-        if let Some(at) = op.ready_at {
-            if now < at {
-                sched.queue.lock().timers.push(Reverse((at, token)));
-                return None;
-            }
-            op.ready_at = None;
-        }
-        let to_ep = Arc::clone(&op.to_ep);
-        let mut st = to_ep.state.lock();
-        loop {
-            match op.ack_target {
-                None => {
-                    // Phase 1: deposit once the receiver is active with
-                    // a free slot.
-                    if self.aborted.load(Ordering::SeqCst) {
-                        return Some(Err(ChanError::Aborted));
-                    }
-                    match life_of(to_ep.life.load(Ordering::SeqCst)) {
-                        PeerState::Done => {
-                            return Some(Err(ChanError::Terminated(op.to.clone())));
-                        }
-                        PeerState::Active if !st.inbox.contains_key(&op.from) => {
-                            let msg = op.msg.take().expect("message deposited once");
-                            st.inbox.insert(op.from.clone(), msg);
-                            st.bump_signal();
-                            self.activity.fetch_add(1, Ordering::Relaxed);
-                            op.ack_target = Some(st.acks.get(&op.from).copied().unwrap_or(0) + 1);
-                            to_ep.cond.notify_all();
-                            continue;
-                        }
-                        _ => {}
-                    }
-                }
-                Some(target) => {
-                    // Phase 2: await pickup.
-                    if st.acks.get(&op.from).copied().unwrap_or(0) >= target {
-                        // Rendezvous complete; best-effort duplicate.
-                        if let Some(copy) = op.dup.take() {
-                            if !st.inbox.contains_key(&op.from)
-                                && to_ep.life.load(Ordering::SeqCst) == LIFE_ACTIVE
-                            {
-                                st.inbox.insert(op.from.clone(), copy);
-                                st.bump_signal();
-                                self.activity.fetch_add(1, Ordering::Relaxed);
-                                drop(st);
-                                to_ep.cond.notify_all();
-                                return Some(Ok(()));
-                            }
-                        }
-                        return Some(Ok(()));
-                    }
-                    if self.aborted.load(Ordering::SeqCst) {
-                        return Some(Err(ChanError::Aborted));
-                    }
-                    if to_ep.life.load(Ordering::SeqCst) == LIFE_DONE {
-                        // Receiver finished without taking it: reclaim.
-                        st.inbox.remove(&op.from);
-                        return Some(Err(ChanError::Terminated(op.to.clone())));
-                    }
-                }
-            }
-            // Not ready: past the deadline time out (reclaiming an
-            // un-picked-up deposit), else park on the receiver.
-            if op.deadline.is_some_and(|d| now >= d) {
-                if op.ack_target.is_some() {
-                    st.inbox.remove(&op.from);
-                }
-                return Some(Err(ChanError::Timeout));
-            }
-            st.op_waiters.push((token, Arc::clone(sched)));
-            return None;
-        }
-    }
-
-    /// One poll of an asynchronous selection, via the same
-    /// claim/scan/publish helpers the blocking loop uses. `Some`:
-    /// complete. `None`: parked on `me`'s endpoint with offers
-    /// published.
-    fn poll_select(
-        &self,
-        token: u64,
-        op: &mut SelectOp<I, M>,
-        sched: &Arc<SchedShared<I, M>>,
-    ) -> Option<Result<Outcome<I, M>, ChanError<I>>> {
-        loop {
-            let (sig0, claimed) = self.take_claim(&op.me, &op.me_ep, &op.reprs);
-            if let Some(outcome) = claimed {
-                return Some(Ok(outcome));
-            }
-            if self.aborted.load(Ordering::SeqCst) {
-                return Some(Err(ChanError::Aborted));
-            }
-            match self.scan_arms(&op.me, &op.me_ep, &mut op.reprs) {
-                Ok(Some(outcome)) => return Some(Ok(outcome)),
-                Ok(None) => {}
-                Err(e) => return Some(Err(e)),
-            }
-            self.publish_offers(&op.me_ep, &op.reprs);
-            let mut st = op.me_ep.state.lock();
-            if st.signal != sig0 {
-                continue;
-            }
-            if op.deadline.is_some_and(|d| Instant::now() >= d) {
-                // The eventcount is unmoved, so no claim can have
-                // landed: withdraw the offers and time out, exactly as
-                // the blocking loop does on a pure deadline expiry.
-                st.wait = None;
-                return Some(Err(ChanError::Timeout));
-            }
-            st.op_waiters.push((token, Arc::clone(sched)));
-            return None;
-        }
     }
 }

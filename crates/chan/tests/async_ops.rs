@@ -7,9 +7,9 @@
 //! reclaim deposits, termination errors, chaos determinism, and the
 //! one-scheduler-thread property the reactor refactor exists for.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use script_chan::{Arm, ChanError, FaultPlan, Outcome, ShardedTransport, Transport};
@@ -331,15 +331,17 @@ fn async_chaos_log_matches_blocking() {
 
 /// All in-flight async ops ride one scheduler thread, not one thread
 /// per op — the property that lets a hub serve 1k spokes with O(1)
-/// threads.
+/// threads: every completion reports the same thread, the transport's
+/// own scheduler.
 #[test]
 fn async_ops_share_one_scheduler_thread() {
     let t = fresh();
-    let before = count_threads();
     let completions = Arc::new(AtomicUsize::new(0));
+    let ran_on = Arc::new(Mutex::new(HashSet::new()));
     let n = 128usize;
     for i in 0..n {
         let c = Arc::clone(&completions);
+        let ran_on = Arc::clone(&ran_on);
         Arc::clone(&t)
             .submit_send(
                 &"a",
@@ -348,6 +350,7 @@ fn async_ops_share_one_scheduler_thread() {
                 far(),
                 Box::new(move |r| {
                     r.unwrap();
+                    ran_on.lock().unwrap().insert(std::thread::current().id());
                     c.fetch_add(1, Ordering::SeqCst);
                 }),
             )
@@ -356,23 +359,20 @@ fn async_ops_share_one_scheduler_thread() {
     }
     for j in 0..64 {
         let c = Arc::clone(&completions);
+        let ran_on = Arc::clone(&ran_on);
         Arc::clone(&t)
             .submit_select(
                 &"c",
                 vec![Arm::recv_from("b"), Arm::watch("b")],
                 Some(Instant::now() + Duration::from_millis(200 + j)),
                 Box::new(move |_| {
+                    ran_on.lock().unwrap().insert(std::thread::current().id());
                     c.fetch_add(1, Ordering::SeqCst);
                 }),
             )
             .ok()
             .unwrap();
     }
-    let during = count_threads();
-    assert!(
-        during <= before + 2,
-        "192 parked ops must not spawn per-op threads ({before} -> {during})"
-    );
     for _ in 0..n {
         recv(&t, "b", "a", far()).unwrap();
     }
@@ -381,14 +381,9 @@ fn async_ops_share_one_scheduler_thread() {
         assert!(Instant::now() < deadline, "ops never completed");
         std::thread::sleep(Duration::from_millis(5));
     }
-}
-
-/// Process thread count via /proc on Linux; generously assume 1
-/// elsewhere (the assertion then only checks we don't explode later).
-fn count_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|d| d.count())
-        .unwrap_or(1)
+    let ran_on = ran_on.lock().unwrap();
+    assert_eq!(ran_on.len(), 1, "192 ops completed on {ran_on:?}");
+    assert!(!ran_on.contains(&std::thread::current().id()));
 }
 
 /// Dropping the transport with ops still parked shuts the scheduler

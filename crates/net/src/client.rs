@@ -39,9 +39,7 @@
 //! one mechanism. A subscribed client resumes the sequenced event
 //! stream gaplessly from the last delivered sequence number
 //! ([`Req::SubscribeFrom`]); the missed tail arrives as one batched
-//! [`Event::SeqStream`] frame (the superseded [`Event::SeqFaults`]
-//! batch form is still *decoded* for compatibility with older hubs,
-//! but no longer emitted), with exactly-once dispatch enforced
+//! [`Event::SeqStream`] frame, with exactly-once dispatch enforced
 //! client-side by a monotonic high-water mark. Heartbeats flow both
 //! ways: the driver pings ([`Req::Heartbeat`]) every quarter-lease —
 //! which also prunes the hub's replay cache — and every hub answer
@@ -413,23 +411,10 @@ where
     /// resume replay races a stale delivery.
     fn process_event(&self, ev: &Event<I>) {
         match ev {
-            Event::Fault(rec) => self.dispatch_fault(rec),
             Event::SeqFault { seq, record } => {
                 let prev = self.last_event_seq.fetch_max(*seq, Ordering::SeqCst);
                 if *seq > prev {
                     self.dispatch_fault(record);
-                }
-            }
-            Event::SeqFaults { first_seq, records } => {
-                // A batched resume-replay tail: record `i` sits at
-                // stream position `first_seq + i`. Each record passes
-                // the same high-water dedup as a live push would.
-                for (i, record) in records.iter().enumerate() {
-                    let seq = first_seq + i as u64;
-                    let prev = self.last_event_seq.fetch_max(seq, Ordering::SeqCst);
-                    if seq > prev {
-                        self.dispatch_fault(record);
-                    }
                 }
             }
             Event::SeqRendezvous { seq, record } => {
@@ -439,8 +424,9 @@ where
                 }
             }
             Event::SeqStream { first_seq, items } => {
-                // The mixed-kind resume-replay tail: item `i` sits at
-                // stream position `first_seq + i`, same dedup as live.
+                // The resume-replay tail: item `i` sits at stream
+                // position `first_seq + i` and passes the same
+                // high-water dedup as a live push would.
                 for (i, item) in items.iter().enumerate() {
                     let seq = first_seq + i as u64;
                     let prev = self.last_event_seq.fetch_max(seq, Ordering::SeqCst);

@@ -406,15 +406,24 @@ impl Drop for HubFleet {
     }
 }
 
+/// Pause after a failed `accept(2)` before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 fn accept_loop(state: Arc<FleetState>, listener: TcpListener, me: usize) {
     loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => continue,
-        };
+        let accepted = listener.accept();
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        let stream = match accepted {
+            Ok((s, _)) => s,
+            Err(_) => {
+                // `EMFILE`/`ENFILE` fail at once and keep failing until
+                // descriptors free up: back off instead of spinning.
+                thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
         let state = Arc::clone(&state);
         let _ = thread::Builder::new()
             .name(String::from("fleet-conn"))

@@ -33,10 +33,14 @@
 //!
 //! # Peer loss
 //!
-//! The ids a connection activates are bound to it. When the connection
-//! drops — crash, kill, network partition — the hub finishes those ids,
-//! and every other participant observes the exact error a crashed
-//! in-process peer produces: pending messages drain first, then
+//! Every connection opens a hub *session*
+//! ([`Req::HelloNew`](proto::Req::HelloNew)), and the ids a spoke
+//! activates are bound to that session, not to the TCP connection. A
+//! dropped connection parks the session for its lease and a redial
+//! resumes it; only when the lease lapses un-resumed — crash, kill,
+//! lasting partition — does the hub finish those ids, and every other
+//! participant then observes the exact error a crashed in-process peer
+//! produces: pending messages drain first, then
 //! [`ChanError::Terminated`](script_chan::ChanError::Terminated).
 //! Spokes dial lazily and redial under a
 //! [`RetryPolicy`](script_core::RetryPolicy); a spoke whose retry
@@ -80,5 +84,5 @@ pub use descriptor::PerfDescriptor;
 pub use fleet::{FleetClient, HubFleet};
 pub use frame::{read_frame, write_frame, FrameDecoder, WriteBuf};
 pub use proto::EVENT_REQ_ID;
-pub use server::TransportServer;
+pub use server::{HubStats, TransportServer};
 pub use wire::{Reader, Wire, WireError, MAX_FRAME};

@@ -5,9 +5,15 @@
 //! Client → server frames carry `(req_id, Req)`; server → client frames
 //! carry `(req_id, Resp)`. Request ids start at 1; the reserved id
 //! [`EVENT_REQ_ID`] marks an unsolicited server push carrying a tagged
-//! [`Event`] envelope, streamed to clients that sent
-//! [`Req::Subscribe`]. Clients skip event frames they cannot decode, so
-//! the envelope can grow new event kinds without breaking older spokes.
+//! [`Event`] envelope, streamed to sessions that sent
+//! [`Req::SubscribeFrom`]. Clients skip event frames they cannot decode,
+//! so the envelope can grow new event kinds without breaking older
+//! spokes.
+//!
+//! Tag numbers are never reused. Three forms are retired — nothing
+//! emits or accepts them, and their numbers stay reserved: `Event` tags
+//! 0 (unsequenced fault push) and 3 (fault-only replay batch), `Req`
+//! tag 18 (sessionless subscribe).
 //!
 //! [`SocketTransport`]: crate::SocketTransport
 //! [`TransportServer`]: crate::TransportServer
@@ -25,12 +31,13 @@ use crate::wire::{Reader, Wire, WireError};
 pub const EVENT_REQ_ID: u64 = 0;
 
 /// One RPC request: a [`Transport`](script_chan::Transport) method call
-/// plus the connection-scoped `Bind`/`Subscribe` operations.
+/// plus the session-scoped handshake, `Bind` and subscription
+/// operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Req<I, M> {
-    /// Associates `I` with this connection: if the connection drops, the
-    /// server finishes the id, so remote process death surfaces to other
-    /// participants exactly like a crashed peer.
+    /// Associates `I` with this session: if the session's lease lapses,
+    /// the server finishes the id, so remote process death surfaces to
+    /// other participants exactly like a crashed peer.
     Bind(I),
     /// `Transport::declare`.
     Declare(I),
@@ -71,8 +78,6 @@ pub enum Req<I, M> {
     FaultLog,
     /// `Transport::take_fault_log`.
     TakeFaultLog,
-    /// Starts streaming fault-observer events to this connection.
-    Subscribe,
     /// `Transport::send`. Deadlines cross the wire as remaining
     /// milliseconds (clocks are not shared between processes).
     Send {
@@ -176,19 +181,15 @@ pub enum Resp<I, M> {
 }
 
 /// An unsolicited hub → client push, carried on [`EVENT_REQ_ID`]
-/// frames to connections that subscribed with [`Req::Subscribe`].
+/// frames to sessions that subscribed with [`Req::SubscribeFrom`].
 ///
 /// The envelope is tagged so new event kinds append without
-/// renumbering; a client that does not know a tag skips the frame
-/// (forward compatibility). The hub forwards these for performances
+/// renumbering; a client that does not know a tag — or meets one of the
+/// retired tags 0 and 3 — skips the frame (forward compatibility). The hub forwards these for performances
 /// placed remotely, letting the owning engine keep one merged,
 /// causally consistent telemetry stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event<I> {
-    /// The hub's chaos layer injected a fault (tag 0). Legacy
-    /// unsequenced form, kept for spokes that subscribed with a plain
-    /// [`Req::Subscribe`].
-    Fault(FaultRecord<I>),
     /// A sequenced fault push (tag 1): `seq` numbers the hub's event
     /// stream per session, strictly increasing from 1, so a resumed
     /// spoke can both detect gaps and discard replayed duplicates.
@@ -202,18 +203,6 @@ pub enum Event<I> {
     /// this fails fast — its session cannot be resumed, so redialing
     /// would only burn the retry budget against a dead address.
     Closing,
-    /// A batch of consecutive sequenced fault pushes (tag 3): record
-    /// `i` carries stream sequence `first_seq + i`. **Decode-only
-    /// legacy**: resume replay emits [`Event::SeqStream`] (tag 5, which
-    /// also carries rendezvous records) since the stream unified; this
-    /// form is retained so frames from older hubs still parse — never
-    /// emitted, never removed (append-only tag space).
-    SeqFaults {
-        /// Stream sequence of `records[0]`.
-        first_seq: u64,
-        /// The consecutive fault records.
-        records: Vec<FaultRecord<I>>,
-    },
     /// A sequenced rendezvous push (tag 4): a completed rendezvous on
     /// the hub, numbered in the *same* per-session stream as
     /// [`Event::SeqFault`] — faults and rendezvous share one gapless
@@ -225,9 +214,8 @@ pub enum Event<I> {
         record: RendezvousRecord<I>,
     },
     /// A batch of consecutive sequenced stream items (tag 5): item `i`
-    /// carries stream sequence `first_seq + i`. Supersedes
-    /// [`Event::SeqFaults`] for resume replay once rendezvous records
-    /// ride the stream; the older batch form stays decodable.
+    /// carries stream sequence `first_seq + i` — the resume-replay
+    /// tail, faults and rendezvous records alike.
     SeqStream {
         /// Stream sequence of `items[0]`.
         first_seq: u64,
@@ -486,23 +474,14 @@ impl<I: Wire> Wire for StreamItem<I> {
 
 impl<I: Wire> Wire for Event<I> {
     fn encode(&self, out: &mut Vec<u8>) {
-        // Append-only tag space: never renumber.
+        // Append-only tag space: never renumber (0 and 3 are retired).
         match self {
-            Event::Fault(record) => {
-                out.push(0);
-                record.encode(out);
-            }
             Event::SeqFault { seq, record } => {
                 out.push(1);
                 seq.encode(out);
                 record.encode(out);
             }
             Event::Closing => out.push(2),
-            Event::SeqFaults { first_seq, records } => {
-                out.push(3);
-                first_seq.encode(out);
-                records.encode(out);
-            }
             Event::SeqRendezvous { seq, record } => {
                 out.push(4);
                 seq.encode(out);
@@ -517,16 +496,11 @@ impl<I: Wire> Wire for Event<I> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
-            0 => Ok(Event::Fault(FaultRecord::decode(r)?)),
             1 => Ok(Event::SeqFault {
                 seq: u64::decode(r)?,
                 record: FaultRecord::decode(r)?,
             }),
             2 => Ok(Event::Closing),
-            3 => Ok(Event::SeqFaults {
-                first_seq: u64::decode(r)?,
-                records: Vec::<FaultRecord<I>>::decode(r)?,
-            }),
             4 => Ok(Event::SeqRendezvous {
                 seq: u64::decode(r)?,
                 record: RendezvousRecord::decode(r)?,
@@ -649,7 +623,7 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
             Req::GetFaultPlan => out.push(15),
             Req::FaultLog => out.push(16),
             Req::TakeFaultLog => out.push(17),
-            Req::Subscribe => out.push(18),
+            // 18 is retired.
             Req::Send {
                 from,
                 to,
@@ -715,7 +689,6 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
             15 => Req::GetFaultPlan,
             16 => Req::FaultLog,
             17 => Req::TakeFaultLog,
-            18 => Req::Subscribe,
             19 => Req::Send {
                 from: I::decode(r)?,
                 to: I::decode(r)?,
@@ -866,12 +839,6 @@ mod tests {
 
     #[test]
     fn event_envelope_roundtrips_and_rejects_unknown_tags() {
-        roundtrip(Event::Fault(FaultRecord {
-            kind: FaultKind::Drop,
-            from: String::from("a"),
-            to: String::from("b"),
-            seq: 3,
-        }));
         roundtrip(Event::SeqFault {
             seq: 42,
             record: FaultRecord {
@@ -914,50 +881,35 @@ mod tests {
     }
 
     #[test]
-    fn legacy_seq_faults_frames_still_parse() {
-        // `Event::SeqFaults` (tag 3) is retired from every emit path —
-        // resume replay rides `Event::SeqStream` — but frames recorded
-        // by older hubs must keep decoding. The bytes here are written
-        // out by hand against the frozen layout (tag, first_seq, record
-        // count, then each record as kind/from/to/seq) so a codec
-        // regression cannot hide behind a matching encoder change.
-        let mut frame = vec![3u8]; // tag 3: SeqFaults
-        frame.extend_from_slice(&41u64.to_be_bytes()); // first_seq
-        frame.extend_from_slice(&2u64.to_be_bytes()); // record count
-        for (kind, seq) in [(0u8, 7u64), (4u8, 8u64)] {
-            frame.push(kind); // FaultKind tag: Drop, then Sever
-            frame.extend_from_slice(&1u64.to_be_bytes()); // from: len 1
-            frame.push(b'a');
-            frame.extend_from_slice(&1u64.to_be_bytes()); // to: len 1
-            frame.push(b'b');
-            frame.extend_from_slice(&seq.to_be_bytes());
+    fn retired_tags_stay_reserved() {
+        // The frames are written out by hand against the layouts the
+        // retired forms had, so re-adding a decode arm — or reusing a
+        // number for something new — fails here.
+        let record = FaultRecord {
+            kind: FaultKind::Drop,
+            from: String::from("a"),
+            to: String::from("b"),
+            seq: 7,
+        };
+        // Event tag 0: a bare fault record.
+        let mut unsequenced = vec![0u8];
+        record.encode(&mut unsequenced);
+        // Event tag 3: first_seq, then a vector of fault records.
+        let mut batch = vec![3u8];
+        41u64.encode(&mut batch);
+        vec![record.clone(), record].encode(&mut batch);
+        // Both read as unknown tags, which a spoke skips.
+        for frame in [&unsequenced, &batch] {
+            assert!(matches!(
+                Event::<String>::from_bytes(frame),
+                Err(WireError::Invalid("event tag"))
+            ));
         }
-        let decoded = Event::<String>::from_bytes(&frame).unwrap();
-        assert_eq!(
-            decoded,
-            Event::SeqFaults {
-                first_seq: 41,
-                records: vec![
-                    FaultRecord {
-                        kind: FaultKind::Drop,
-                        from: String::from("a"),
-                        to: String::from("b"),
-                        seq: 7,
-                    },
-                    FaultRecord {
-                        kind: FaultKind::Sever,
-                        from: String::from("a"),
-                        to: String::from("b"),
-                        seq: 8,
-                    },
-                ],
-            }
-        );
-        // Truncating anywhere inside the batch is corruption, not a
-        // panic.
-        for cut in 1..frame.len() {
-            assert!(Event::<String>::from_bytes(&frame[..cut]).is_err());
-        }
+        // Req tag 18 took no payload; a hub severs on it.
+        assert!(matches!(
+            Req::<String, u64>::from_bytes(&[18]),
+            Err(WireError::Invalid("request tag"))
+        ));
     }
 
     #[test]

@@ -27,12 +27,16 @@
 //! [`Transport::submit_select`]) with a completion callback that
 //! encodes the response into the owning connection's output buffer and
 //! wakes the reactor to flush it — the hub answers out of order, as
-//! many requests deep as the spokes care to pipeline. An inner
-//! transport that does not support submission (the default trait
-//! methods decline) falls back to one worker thread per operation,
-//! counted in [`TransportServer::worker_threads`].
+//! many requests deep as the spokes care to pipeline. Submission is
+//! the only path: the reactor is the hub's one thread, and an inner
+//! transport that declines it (the default trait methods do) gets the
+//! operation failed closed with
+//! [`Aborted`](script_chan::ChanError::Aborted).
 //!
-//! **Sessions.** A spoke that opens with [`Req::HelloNew`] gets a
+//! **Sessions.** Every connection belongs to a session: its first
+//! frame must be [`Req::HelloNew`] or [`Req::HelloResume`], and a
+//! connection that opens with anything else is severed unanswered. A
+//! spoke that opens with [`Req::HelloNew`] gets a
 //! session id and a lease. The session — its bound ids, its replay
 //! answer cache, its sequenced event buffer — outlives any one TCP
 //! connection: when the connection drops, the hub parks the session
@@ -42,9 +46,7 @@
 //! is **never** applied twice; its recorded answer is rewritten
 //! verbatim), and resumes the sequenced event stream from wherever the
 //! spoke left off — the missed tail travels as one batched
-//! [`Event::SeqStream`] frame (the older [`Event::SeqFaults`] batch is
-//! decode-only legacy; no hub emits it since rendezvous records joined
-//! the stream). [`Req::Heartbeat`] renews the lease and
+//! [`Event::SeqStream`] frame. [`Req::Heartbeat`] renews the lease and
 //! prunes the cache; only lease expiry degrades to crashed-peer
 //! semantics: the reactor's sweep timer finishes every bound id, so
 //! remaining participants observe the standard
@@ -62,10 +64,6 @@
 //! log live in the inner transport, the fault log still replays
 //! bit-for-bit on any transport; only the enactment is hub-specific.
 //!
-//! **Peer loss (legacy connections).** A connection that never opens a
-//! session keeps the pre-session contract: the ids it bound are
-//! finished the moment the connection drops.
-//!
 //! **Shutdown** pushes [`Event::Closing`] to every connection before
 //! the sockets close, so spokes fail fast instead of burning their
 //! redial budget against a dead address.
@@ -82,7 +80,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use script_chan::{FaultKind, FaultRecord, RendezvousRecord, SessionEvent, Transport};
+use script_chan::{ChanError, FaultKind, FaultRecord, RendezvousRecord, SessionEvent, Transport};
 
 use crate::frame::{FrameDecoder, ReadStatus, WriteBuf};
 use crate::proto::{deadline_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
@@ -117,14 +115,11 @@ impl ConnTx {
     }
 }
 
-/// Cross-thread view of one registered client connection (the fault
-/// observer streams legacy events through it; shutdown pushes
-/// [`Event::Closing`]).
+/// Cross-thread view of one registered client connection (shutdown
+/// pushes [`Event::Closing`] through it).
 struct ConnEntry {
     id: u64,
     tx: Arc<ConnTx>,
-    /// Legacy (non-session) event subscription flag.
-    subscribed: Arc<AtomicBool>,
 }
 
 /// One spoke session: state that must survive connection loss.
@@ -185,9 +180,16 @@ struct ServerShared<I, M> {
     next_session: AtomicU64,
     lease: Duration,
     waker: Arc<Waker>,
-    /// Live fallback worker threads (inner transports without
-    /// submission support only).
-    workers: AtomicU64,
+}
+
+/// A point-in-time count of one hub's own tables (see
+/// [`TransportServer::stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HubStats {
+    /// TCP connections the reactor currently holds.
+    pub connections: usize,
+    /// Sessions alive on this hub, attached or awaiting a resume.
+    pub sessions: usize,
 }
 
 /// A TCP hub exposing an inner [`Transport`] to remote
@@ -200,10 +202,11 @@ pub struct TransportServer<I, M> {
 
 impl<I, M> fmt::Debug for TransportServer<I, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let stats = self.shared.stats();
         f.debug_struct("TransportServer")
             .field("addr", &self.addr)
-            .field("connections", &self.shared.conns.lock().len())
-            .field("sessions", &self.shared.sessions.lock().len())
+            .field("connections", &stats.connections)
+            .field("sessions", &stats.sessions)
             .finish()
     }
 }
@@ -217,6 +220,12 @@ where
     /// serving `inner` with the [`DEFAULT_LEASE`]. The hub registers
     /// itself as `inner`'s fault observer to stream fault events to
     /// subscribed clients and to enact connection faults.
+    ///
+    /// The hub's reactor is its only thread, so it serves blocking
+    /// operations solely through [`Transport::submit_send`] /
+    /// [`Transport::submit_select`]: an `inner` that declines them has
+    /// every remote `send` and `select` answered
+    /// [`ChanError::Aborted`].
     ///
     /// # Errors
     ///
@@ -250,7 +259,6 @@ where
             next_session: AtomicU64::new(0),
             lease,
             waker,
-            workers: AtomicU64::new(0),
         });
         // Weak: the inner transport must not keep the hub alive through
         // its own observer slot.
@@ -313,12 +321,11 @@ where
         );
     }
 
-    /// Live fallback worker threads: zero whenever the inner transport
-    /// supports asynchronous submission (as
-    /// [`ShardedTransport`](script_chan::ShardedTransport) does), in
-    /// which case the hub's only thread is its reactor.
-    pub fn worker_threads(&self) -> u64 {
-        self.shared.workers.load(Ordering::SeqCst)
+    /// This hub's live connections and sessions. Scoped to the
+    /// instance, so tests and soaks can audit one hub while others run
+    /// in the same process.
+    pub fn stats(&self) -> HubStats {
+        self.shared.stats()
     }
 
     /// Stops accepting, notifies every spoke with [`Event::Closing`],
@@ -338,6 +345,13 @@ impl<I, M> Drop for TransportServer<I, M> {
 }
 
 impl<I, M> ServerShared<I, M> {
+    fn stats(&self) -> HubStats {
+        HubStats {
+            connections: self.conns.lock().len(),
+            sessions: self.sessions.lock().len(),
+        }
+    }
+
     fn lease_ms(&self) -> u64 {
         self.lease.as_millis().min(u64::MAX as u128) as u64
     }
@@ -375,11 +389,8 @@ impl<I, M> ServerShared<I, M> {
 
 /// Per-connection routing state on the reactor.
 enum ConnMode<I> {
-    /// No frame seen yet: the first one routes to a session handshake
-    /// or the legacy contract.
+    /// No frame seen yet: the first one must be a session handshake.
     Fresh,
-    /// Pre-session contract: `bound` dies with the connection.
-    Legacy { bound: Vec<I> },
     /// Attached to a session at a given epoch.
     Session { sess: Arc<Session<I>>, epoch: u64 },
 }
@@ -389,7 +400,6 @@ struct Conn<I> {
     stream: TcpStream,
     dec: FrameDecoder,
     tx: Arc<ConnTx>,
-    subscribed: Arc<AtomicBool>,
     mode: ConnMode<I>,
     /// Close once the output buffer drains (rejected handshakes answer
     /// before the socket goes).
@@ -516,11 +526,9 @@ where
                         buf: Mutex::new(WriteBuf::new()),
                         waker: Arc::clone(&self.shared.waker),
                     });
-                    let subscribed = Arc::new(AtomicBool::new(false));
                     self.shared.conns.lock().push(ConnEntry {
                         id,
                         tx: Arc::clone(&tx),
-                        subscribed: Arc::clone(&subscribed),
                     });
                     let tok = self.poller.register(fd_of(&stream), true, false);
                     self.conns.insert(
@@ -529,7 +537,6 @@ where
                             stream,
                             dec: FrameDecoder::new(),
                             tx,
-                            subscribed,
                             mode: ConnMode::Fresh,
                             closing: false,
                             tok,
@@ -604,12 +611,12 @@ where
         }
         match &conn.mode {
             ConnMode::Fresh => self.handle_first(id, req_id, req),
-            ConnMode::Legacy { .. } => self.handle_legacy(id, req_id, req),
             ConnMode::Session { .. } => self.handle_session(id, req_id, req),
         }
     }
 
-    /// The connection's first frame: session handshake or legacy entry.
+    /// The connection's first frame: a session handshake, or the
+    /// connection is severed.
     fn handle_first(&mut self, id: u64, req_id: u64, req: Req<I, M>) -> bool {
         match req {
             Req::HelloNew => {
@@ -651,11 +658,9 @@ where
                 true
             }
             Req::HelloResume(sid) => self.handle_resume(id, req_id, sid),
-            first => {
-                let conn = self.conns.get_mut(&id).expect("routed conn");
-                conn.mode = ConnMode::Legacy { bound: Vec::new() };
-                self.handle_legacy(id, req_id, first)
-            }
+            // No session, no service: nothing is applied, nothing is
+            // answered.
+            _ => false,
         }
     }
 
@@ -802,14 +807,6 @@ where
                 Resp::<I, M>::Unit.encode(&mut payload);
                 write_to_session(&mut st, &payload);
             }
-            Req::Subscribe => {
-                {
-                    let mut st = sess.state.lock();
-                    st.subscribed = true;
-                    st.event_resync = false;
-                }
-                shared.session_respond(&sess, req_id, &Resp::Unit);
-            }
             Req::Bind(bid) => {
                 let mut st = sess.state.lock();
                 if !st.bound.contains(&bid) {
@@ -840,7 +837,6 @@ where
                 timeout_ms,
             } => {
                 sess.state.lock().in_flight.insert(req_id);
-                let shared = Arc::clone(&self.shared);
                 let done_shared = Arc::clone(&self.shared);
                 let done_sess = Arc::clone(&sess);
                 let done: script_chan::SendDone<I> = Box::new(move |result| {
@@ -850,16 +846,15 @@ where
                     };
                     done_shared.session_respond(&done_sess, req_id, &resp);
                 });
-                if let Err((msg, done)) = Arc::clone(&shared.inner).submit_send(
+                if let Err((_, done)) = Arc::clone(&shared.inner).submit_send(
                     &from,
                     &to,
                     msg,
                     deadline_of(timeout_ms),
                     done,
                 ) {
-                    shared.spawn_worker(move |sh| {
-                        done(sh.inner.send(&from, &to, msg, deadline_of(timeout_ms)));
-                    });
+                    // Declined: fail closed (see `bind`).
+                    done(Err(ChanError::Aborted));
                 }
             }
             Req::Select {
@@ -868,7 +863,6 @@ where
                 timeout_ms,
             } => {
                 sess.state.lock().in_flight.insert(req_id);
-                let shared = Arc::clone(&self.shared);
                 let done_shared = Arc::clone(&self.shared);
                 let done_sess = Arc::clone(&sess);
                 let done: script_chan::SelectDone<I, M> = Box::new(move |result| {
@@ -878,15 +872,13 @@ where
                     };
                     done_shared.session_respond(&done_sess, req_id, &resp);
                 });
-                if let Err((arms, done)) = Arc::clone(&shared.inner).submit_select(
+                if let Err((_, done)) = Arc::clone(&shared.inner).submit_select(
                     &me,
                     arms,
                     deadline_of(timeout_ms),
                     done,
                 ) {
-                    shared.spawn_worker(move |sh| {
-                        done(sh.inner.select(&me, arms, deadline_of(timeout_ms)));
-                    });
+                    done(Err(ChanError::Aborted));
                 }
             }
             other => {
@@ -897,121 +889,8 @@ where
         true
     }
 
-    /// One request on a pre-session connection — byte-for-byte the old
-    /// contract: the connection's bound ids are finished the moment it
-    /// drops.
-    fn handle_legacy(&mut self, id: u64, req_id: u64, req: Req<I, M>) -> bool {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return true;
-        };
-        let tx = Arc::clone(&conn.tx);
-        let subscribed = Arc::clone(&conn.subscribed);
-        let ConnMode::Legacy { bound } = &mut conn.mode else {
-            return true;
-        };
-        match req {
-            // A session handshake is only legal as the very first
-            // frame of a connection.
-            Req::HelloNew | Req::HelloResume(_) => return false,
-            Req::Heartbeat { .. } => {
-                // No session to renew: answer the null session so a
-                // confused spoke can tell.
-                self.shared.respond(
-                    &tx,
-                    req_id,
-                    &Resp::<I, M>::Session {
-                        session: 0,
-                        lease_ms: 0,
-                    },
-                );
-            }
-            Req::Subscribe | Req::SubscribeFrom { .. } => {
-                // No event buffer on a legacy connection: subscribe
-                // from now.
-                subscribed.store(true, Ordering::SeqCst);
-                self.shared.respond(&tx, req_id, &Resp::<I, M>::Unit);
-            }
-            Req::Bind(bid) => {
-                if !bound.contains(&bid) {
-                    bound.push(bid);
-                }
-                self.shared.respond(&tx, req_id, &Resp::<I, M>::Unit);
-            }
-            Req::Activate(bid) => {
-                // The connection that animates a participant is the one
-                // whose death must terminate it: activate binds.
-                if !bound.contains(&bid) {
-                    bound.push(bid.clone());
-                }
-                self.shared.inner.activate(bid);
-                self.shared.respond(&tx, req_id, &Resp::<I, M>::Unit);
-            }
-            Req::Finish(bid) => {
-                bound.retain(|b| b != &bid);
-                self.shared.inner.finish(bid);
-                self.shared.respond(&tx, req_id, &Resp::<I, M>::Unit);
-            }
-            Req::Send {
-                from,
-                to,
-                msg,
-                timeout_ms,
-            } => {
-                let done_shared = Arc::clone(&self.shared);
-                let done: script_chan::SendDone<I> = Box::new(move |result| {
-                    let resp = match result {
-                        Ok(()) => Resp::<I, M>::Unit,
-                        Err(e) => Resp::ChanErr(e),
-                    };
-                    done_shared.respond(&tx, req_id, &resp);
-                });
-                if let Err((msg, done)) = Arc::clone(&self.shared.inner).submit_send(
-                    &from,
-                    &to,
-                    msg,
-                    deadline_of(timeout_ms),
-                    done,
-                ) {
-                    self.shared.spawn_worker(move |sh| {
-                        done(sh.inner.send(&from, &to, msg, deadline_of(timeout_ms)));
-                    });
-                }
-            }
-            Req::Select {
-                me,
-                arms,
-                timeout_ms,
-            } => {
-                let done_shared = Arc::clone(&self.shared);
-                let done: script_chan::SelectDone<I, M> = Box::new(move |result| {
-                    let resp = match result {
-                        Ok(outcome) => Resp::Selected(outcome),
-                        Err(e) => Resp::ChanErr(e),
-                    };
-                    done_shared.respond(&tx, req_id, &resp);
-                });
-                if let Err((arms, done)) = Arc::clone(&self.shared.inner).submit_select(
-                    &me,
-                    arms,
-                    deadline_of(timeout_ms),
-                    done,
-                ) {
-                    self.shared.spawn_worker(move |sh| {
-                        done(sh.inner.select(&me, arms, deadline_of(timeout_ms)));
-                    });
-                }
-            }
-            other => {
-                let resp = self.shared.apply_simple(other);
-                self.shared.respond(&tx, req_id, &resp);
-            }
-        }
-        true
-    }
-
-    /// Removes a connection, applying its mode's death semantics:
-    /// legacy binds die with the connection; a session merely detaches
-    /// and awaits resume or lease expiry.
+    /// Removes a connection. Its session, if it opened one, merely
+    /// detaches and awaits resume or lease expiry.
     fn teardown(&mut self, id: u64) {
         let Some(conn) = self.conns.remove(&id) else {
             return;
@@ -1021,13 +900,6 @@ where
         let _ = conn.stream.shutdown(Shutdown::Both);
         match conn.mode {
             ConnMode::Fresh => {}
-            ConnMode::Legacy { bound } => {
-                // The connection is gone: every participant it animated
-                // is too.
-                for bid in bound {
-                    self.shared.inner.finish(bid);
-                }
-            }
             ConnMode::Session { sess, epoch } => {
                 // Detach, not death: the session (and its bound
                 // performances) stays alive until the lease expires or
@@ -1126,7 +998,6 @@ where
             Req::Bind(_)
             | Req::Activate(_)
             | Req::Finish(_)
-            | Req::Subscribe
             | Req::SubscribeFrom { .. }
             | Req::Send { .. }
             | Req::Select { .. }
@@ -1134,17 +1005,6 @@ where
             | Req::HelloResume(_)
             | Req::Heartbeat { .. } => unreachable!("request routed before apply_simple"),
         }
-    }
-
-    /// Fallback for inner transports without submission support: one
-    /// counted worker thread per blocking operation.
-    fn spawn_worker(self: &Arc<Self>, job: impl FnOnce(&Arc<Self>) + Send + 'static) {
-        let shared = Arc::clone(self);
-        shared.workers.fetch_add(1, Ordering::SeqCst);
-        thread::spawn(move || {
-            job(&shared);
-            shared.workers.fetch_sub(1, Ordering::SeqCst);
-        });
     }
 
     /// Queues one `(req_id, resp)` frame on a connection's output
@@ -1179,57 +1039,46 @@ where
         write_to_session(&mut st, &payload);
     }
 
-    /// The inner transport's fault observer: streams the record to
-    /// every subscriber (legacy and sequenced), then *enacts*
-    /// connection faults by severing the session carrying the faulted
-    /// edge. Runs on whatever thread injected the fault — the reactor
-    /// itself for spoke-submitted operations — so it only touches the
-    /// cross-thread state ([`ConnTx`], session state, raw stream
-    /// handles), never the reactor's own maps.
-    fn handle_fault(&self, rec: &FaultRecord<I>) {
-        // Legacy push: unsequenced, best-effort, to subscribed
-        // connections that never opened a session.
-        let legacy: Vec<Arc<ConnTx>> = self
-            .conns
-            .lock()
-            .iter()
-            .filter(|c| c.subscribed.load(Ordering::SeqCst))
-            .map(|c| Arc::clone(&c.tx))
-            .collect();
-        if !legacy.is_empty() {
-            let mut payload = Vec::new();
-            EVENT_REQ_ID.encode(&mut payload);
-            Event::Fault(rec.clone()).encode(&mut payload);
-            for tx in legacy {
-                tx.push(&payload);
-            }
-        }
-        // Sequenced push per subscribed session, buffered for gapless
-        // resume replay. Sequencing and queueing happen under the state
-        // lock so concurrent faults cannot reorder on the wire.
-        let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
-        for sess in &sessions {
+    /// Appends one item to every subscribed session's sequenced event
+    /// stream — buffered for gapless resume replay — and pushes it to
+    /// the attached connection. `item` builds an owned copy of the
+    /// record per use. Sequencing and queueing happen under the session
+    /// state lock, so concurrent events cannot reorder on the wire.
+    fn stream(&self, sessions: &[Arc<Session<I>>], item: impl Fn() -> StreamItem<I>) {
+        for sess in sessions {
             let mut st = sess.state.lock();
             if !st.subscribed {
                 continue;
             }
             st.next_event_seq += 1;
             let seq = st.next_event_seq;
-            let mut payload = Vec::new();
-            EVENT_REQ_ID.encode(&mut payload);
-            Event::SeqFault {
-                seq,
-                record: rec.clone(),
-            }
-            .encode(&mut payload);
-            st.events.push_back((seq, StreamItem::Fault(rec.clone())));
+            st.events.push_back((seq, item()));
             if st.events.len() > EVENT_BUFFER_CAP {
                 st.events.pop_front();
             }
             if !st.event_resync {
+                let mut payload = Vec::new();
+                EVENT_REQ_ID.encode(&mut payload);
+                match item() {
+                    StreamItem::Fault(record) => Event::SeqFault { seq, record },
+                    StreamItem::Rendezvous(record) => Event::SeqRendezvous { seq, record },
+                }
+                .encode(&mut payload);
                 write_to_session(&mut st, &payload);
             }
         }
+    }
+
+    /// The inner transport's fault observer: streams the record to
+    /// every subscriber, then *enacts* connection faults by severing
+    /// the session carrying the faulted edge. Runs on whatever thread
+    /// injected the fault — the reactor itself for spoke-submitted
+    /// operations — so it only touches the cross-thread state
+    /// ([`ConnTx`], session state, raw stream handles), never the
+    /// reactor's own maps.
+    fn handle_fault(&self, rec: &FaultRecord<I>) {
+        let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
+        self.stream(&sessions, || StreamItem::Fault(rec.clone()));
         // Enact connection faults: tear down the connection of the
         // session animating the faulted edge (sender side first; a
         // hub-local sender severs the remote receiver instead). The
@@ -1264,37 +1113,15 @@ where
         }
     }
 
-    /// The inner transport's rendezvous observer: streams the record,
-    /// sequenced, to every subscribed session, buffered alongside
-    /// faults for gapless resume replay. Runs on the delivering thread
-    /// *under the receiving endpoint's lock*, which is exactly what
-    /// guarantees the stream order matches pickup order; it must
-    /// therefore never call back into the inner transport.
+    /// The inner transport's rendezvous observer: streams the record to
+    /// every subscriber, in the same sequence space as faults. Runs on
+    /// the delivering thread *under the receiving endpoint's lock*,
+    /// which is exactly what guarantees the stream order matches pickup
+    /// order; it must therefore never call back into the inner
+    /// transport.
     fn handle_rendezvous(&self, rec: &RendezvousRecord<I>) {
         let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
-        for sess in &sessions {
-            let mut st = sess.state.lock();
-            if !st.subscribed {
-                continue;
-            }
-            st.next_event_seq += 1;
-            let seq = st.next_event_seq;
-            let mut payload = Vec::new();
-            EVENT_REQ_ID.encode(&mut payload);
-            Event::SeqRendezvous {
-                seq,
-                record: rec.clone(),
-            }
-            .encode(&mut payload);
-            st.events
-                .push_back((seq, StreamItem::Rendezvous(rec.clone())));
-            if st.events.len() > EVENT_BUFFER_CAP {
-                st.events.pop_front();
-            }
-            if !st.event_resync {
-                write_to_session(&mut st, &payload);
-            }
-        }
+        self.stream(&sessions, || StreamItem::Rendezvous(rec.clone()));
     }
 
     /// Expires sessions whose lease lapsed while severed: their bound

@@ -131,26 +131,20 @@ fn any_stream_item() -> impl Strategy<Value = StreamItem<String>> {
     ]
 }
 
-/// An event push covering every tag, including the hub-shutdown notice
-/// and both resume-replay batch forms.
+/// An event push covering every live tag, including the hub-shutdown
+/// notice and the resume-replay batch.
 fn any_event() -> impl Strategy<Value = Event<String>> {
     (
-        0u8..6,
+        0u8..4,
         any_record(),
-        vec(any_record(), 0..5),
         any::<u64>(),
         any_rendezvous(),
         vec(any_stream_item(), 0..5),
     )
-        .prop_map(|(pick, record, records, n, rendezvous, items)| match pick {
-            0 => Event::Fault(record),
-            1 => Event::SeqFault { seq: n, record },
-            2 => Event::Closing,
-            3 => Event::SeqFaults {
-                first_seq: n,
-                records,
-            },
-            4 => Event::SeqRendezvous {
+        .prop_map(|(pick, record, n, rendezvous, items)| match pick {
+            0 => Event::SeqFault { seq: n, record },
+            1 => Event::Closing,
+            2 => Event::SeqRendezvous {
                 seq: n,
                 record: rendezvous,
             },

@@ -228,3 +228,79 @@ fn lost_hub_degrades_like_a_crashed_peer() {
     // Activity freezes at the last observed value so watchdogs fire.
     assert_eq!(client.activity(), before.max(client.activity()));
 }
+
+/// The hub serves sessions only: a connection whose first frame is an
+/// ordinary request — here `Declare`, which the pre-session protocol
+/// would have applied — is closed unanswered, applies nothing, and
+/// costs the hub's real spokes nothing.
+#[test]
+fn connection_without_a_session_handshake_is_severed() {
+    use std::io::Read;
+    use std::net::TcpStream;
+
+    use script_net::proto::Req;
+    use script_net::{write_frame, Wire};
+
+    let server = hub();
+    let inner = server.inner();
+
+    let mut raw = TcpStream::connect(server.local_addr()).expect("raw dial");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut frame = Vec::new();
+    1u64.encode(&mut frame);
+    Req::<String, u64>::Declare("ghost".to_string()).encode(&mut frame);
+    write_frame(&mut raw, &frame).expect("write first frame");
+    let mut answer = Vec::new();
+    // EOF (or a reset) with no bytes before it: severed, not answered.
+    let _ = raw.read_to_end(&mut answer);
+    assert!(answer.is_empty(), "hub answered a sessionless request");
+    assert_eq!(inner.peer_state(&"ghost".to_string()), None);
+    assert_eq!(server.stats().sessions, 0);
+
+    let client = spoke(&server);
+    client.activate("a".to_string());
+    inner.activate("b".to_string());
+    let sender = thread::spawn(move || {
+        client
+            .send(&"a".to_string(), &"b".to_string(), 5, far())
+            .expect("send over a real session");
+        let got = client
+            .select(&"a".to_string(), vec![Arm::recv_any()], far())
+            .expect("select over a real session");
+        assert!(matches!(got, Outcome::Received { msg: 6, .. }));
+    });
+    let got = inner
+        .select(&"b".to_string(), vec![Arm::recv_any()], far())
+        .expect("receive hub-side");
+    assert!(matches!(got, Outcome::Received { msg: 5, .. }));
+    inner
+        .send(&"b".to_string(), &"a".to_string(), 6, far())
+        .expect("send hub-side");
+    sender.join().expect("spoke thread");
+    assert_eq!(server.stats().sessions, 1);
+}
+
+/// The hub has no thread to block on an inner transport's behalf: an
+/// inner that declines submission — here a spoke of another hub, which
+/// keeps the trait's declining defaults — has every remote send and
+/// select failed closed, while non-blocking requests still pass
+/// through.
+#[test]
+fn inner_transport_without_submission_fails_closed() {
+    let upstream = hub();
+    let inner: Arc<dyn Transport<String, u64>> = Arc::new(spoke(&upstream));
+    let chained = TransportServer::bind("127.0.0.1:0", inner).expect("bind");
+    let client = spoke(&chained);
+    let (a, b) = ("a".to_string(), "b".to_string());
+    client.activate(a.clone());
+    client.activate(b.clone());
+    assert!(upstream.inner().peer_state(&a).is_some());
+    assert!(matches!(
+        client.send(&a, &b, 1, far()),
+        Err(ChanError::Aborted)
+    ));
+    assert!(matches!(
+        client.select(&b, vec![Arm::recv_any()], far()),
+        Err(ChanError::Aborted)
+    ));
+}

@@ -593,35 +593,15 @@ fn membership_churn_soak() {
     membership_churn(500, ChurnMode::Federated, 0x6055);
 }
 
-/// Live threads in this process (0 when procfs is unavailable, in
-/// which case the thread-economy assertions are skipped).
-fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|d| d.count())
-        .unwrap_or(0)
-}
-
-/// Live threads whose command name is exactly `name`.
-fn threads_named(name: &str) -> usize {
-    let Ok(dir) = std::fs::read_dir("/proc/self/task") else {
-        return 0;
-    };
-    dir.filter_map(|e| e.ok())
-        .filter_map(|e| std::fs::read_to_string(e.path().join("comm")).ok())
-        .filter(|comm| comm.trim_end() == name)
-        .count()
-}
-
 /// The fan-in test: `spokes` concurrent TCP spokes each stream `per`
 /// values to one hub-local sink. Verified invariants:
 ///
 /// * **zero lost or duplicated rendezvous** — the sink receives every
 ///   sender's values exactly once, in per-sender order;
-/// * **O(1) hub threads** — the reactor architecture serves all spokes
-///   from one hub thread (asserted by name) with zero fallback
-///   workers, and the process-wide thread count stays ≤ 2·spokes + a
-///   constant (sender + driver per spoke; the old thread-per-connection
-///   hub would add at least one more per spoke);
+/// * **one hub, every spoke** — at peak topology the hub's own
+///   [`TransportServer::stats`] count exactly one connection and one
+///   session per spoke plus the observer's (that one reactor thread
+///   serves them all is structural: the hub has no other spawn site);
 /// * **gapless telemetry** — a certain delay fault plan stamps every
 ///   send with one fault record, and a spoke observer subscribed
 ///   before any traffic must collect a stream identical to the hub's
@@ -659,7 +639,7 @@ fn fan_in(spokes: usize, per: u64) {
     let total = spokes as u64 * per;
     let hold = Barrier::new(spokes + 1);
     let mut got: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    let mut audit: Option<(u64, usize, usize)> = None;
+    let mut audit = None;
 
     std::thread::scope(|s| {
         for i in 0..spokes {
@@ -678,7 +658,7 @@ fn fan_in(spokes: usize, per: u64) {
                     )
                     .expect("fan-in send");
                 }
-                // Stay connected until the thread audit has run.
+                // Stay connected until the hub audit has run.
                 hold.wait();
             });
         }
@@ -698,33 +678,13 @@ fn fan_in(spokes: usize, per: u64) {
         // Peak topology: every spoke still connected, every rendezvous
         // done. Measure now, assert after the scope so a failure can't
         // deadlock the parked senders.
-        audit = Some((
-            server.worker_threads(),
-            thread_count(),
-            threads_named("script-net-hub"),
-        ));
+        audit = Some(server.stats());
         hold.wait();
     });
 
-    let (workers, threads, hub_threads) = audit.expect("audit ran");
-    assert_eq!(workers, 0, "hub fell back to worker threads");
-    if threads > 0 {
-        // One sender + one driver per spoke is the client side's cost;
-        // the constant covers main, reactor, scheduler, the observer's
-        // driver and concurrently running tests. A thread-per-
-        // connection hub would blow through this at ≥ 3·spokes.
-        let budget = 2 * spokes + 48;
-        assert!(
-            threads <= budget,
-            "hub threads scale with spokes: {threads} > {budget}"
-        );
-        assert_eq!(hub_threads, 1, "expected exactly one reactor thread");
-    } else {
-        // Non-Linux dev machines have no procfs; the rendezvous and
-        // telemetry invariants above still ran, only the thread-economy
-        // audit is skipped. Linux CI keeps the strict asserts.
-        eprintln!("note: /proc/self/task unavailable; skipping the hub thread-economy audit");
-    }
+    let stats = audit.expect("audit ran");
+    assert_eq!(stats.connections, spokes + 1, "hub connections at peak");
+    assert_eq!(stats.sessions, spokes + 1, "hub sessions at peak");
 
     // Exactly-once, in-order delivery per sender.
     assert_eq!(got.len(), spokes, "a sender never reached the sink");
