@@ -34,13 +34,13 @@
 //! corresponding hot path is gated by a single relaxed boolean load,
 //! checked once per operation instead of consulting the plan per hop.
 
-use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -307,14 +307,15 @@ pub trait Transport<I, M>: Send + Sync {
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>>;
     /// Submits a send for *asynchronous* completion: the implementation
-    /// calls `done` exactly once — possibly before returning — with the
-    /// result the blocking [`Transport::send`] would have produced, and
-    /// the calling thread never blocks on the rendezvous. An
-    /// event-driven hub multiplexes thousands of in-flight sends onto
-    /// one scheduler this way. Backends without a native nonblocking
-    /// core decline by handing the message and callback straight back
-    /// (the default); what the caller then does with the operation is
-    /// its own policy.
+    /// calls `done` exactly once — possibly before returning, on the
+    /// calling thread — with the result the blocking
+    /// [`Transport::send`] would have produced, and the calling thread
+    /// never blocks on the rendezvous. An event-driven hub multiplexes
+    /// thousands of in-flight sends onto its one thread this way.
+    /// `done` may itself submit further operations; it must not block.
+    /// Backends without a native nonblocking core decline by handing
+    /// the message and callback straight back (the default); what the
+    /// caller then does with the operation is its own policy.
     fn submit_send(
         self: Arc<Self>,
         from: &I,
@@ -406,11 +407,13 @@ struct EpState<I, M> {
     /// Submitted operations parked on this endpoint: single-shot
     /// `(op token, scheduler)` registrations drained — each token pushed
     /// onto its scheduler's ready queue — whenever the eventcount bumps.
+    /// An op is registered here and published in its scheduler's `ops`
+    /// under one hold of this lock (see [`SchedShared::park`]).
     op_waiters: Vec<(u64, Arc<SchedShared<I, M>>)>,
     /// `(issued, served)` tickets for *submitted* sends on each edge
     /// into me. A submitted send takes a ticket at submission and
     /// deposits only on its turn, so sends pipelined on one edge land in
-    /// submission order however the scheduler interleaves their steps.
+    /// submission order however the drivers interleave their steps.
     /// Blocking senders are ordered by their own program order and take
     /// none.
     turns: HashMap<I, (u64, u64)>,
@@ -444,18 +447,22 @@ impl<I: Clone + Eq + Hash, M> EpState<I, M> {
 }
 
 impl<I, M> EpState<I, M> {
-    /// Bumps the eventcount and hands every parked submitted operation
-    /// to its scheduler. Every mutation a sleeper on the endpoint's
-    /// condvar could care about must go through here, so both kinds of
-    /// waiter observe exactly the same wakeups. Lock order is endpoint
-    /// → scheduler queue; the scheduler never takes an endpoint lock
-    /// while holding its queue.
+    /// Bumps the eventcount and readies every submitted operation
+    /// parked here. Every mutation a sleeper on the endpoint's condvar
+    /// could care about must go through here, so both kinds of waiter
+    /// observe exactly the same wakeups. The scheduler thread is
+    /// notified only when nobody is draining: a drainer leaves only
+    /// after finding the queue empty under the queue lock, so it cannot
+    /// miss this token. Lock order is endpoint → scheduler queue;
+    /// nobody takes an endpoint lock while holding a queue.
     fn bump_signal(&mut self) {
         self.signal += 1;
         for (token, sched) in self.op_waiters.drain(..) {
             let mut q = sched.queue.lock();
             q.ready.push_back(token);
-            sched.cond.notify_one();
+            if q.drainers.is_empty() {
+                sched.cond.notify_one();
+            }
         }
     }
 }
@@ -572,11 +579,10 @@ pub struct ShardedTransport<I, M> {
     /// Per-read synthetic progress ticks handed out while a lease is
     /// pending.
     lease_ticks: AtomicU64,
-    /// The lazily-started scheduler driving submitted operations
-    /// ([`Transport::submit_send`]/[`Transport::submit_select`]): one
-    /// thread for the whole transport, regardless of how many ops are
-    /// in flight.
-    sched: Mutex<Option<Arc<SchedShared<I, M>>>>,
+    /// The scheduler of submitted operations
+    /// ([`Transport::submit_send`]/[`Transport::submit_select`]),
+    /// created — with its one thread — by the first submission.
+    sched: OnceLock<Arc<SchedShared<I, M>>>,
     faults: FaultHooks<I, M>,
     rendezvous: RendezvousHooks<I, M>,
     latency: LatencyHooks,
@@ -587,7 +593,7 @@ impl<I, M> Drop for ShardedTransport<I, M> {
         // Release the scheduler thread (it holds only a weak reference
         // back to the transport, so this is the last liveness signal it
         // gets).
-        if let Some(sched) = self.sched.lock().take() {
+        if let Some(sched) = self.sched.get() {
             sched.queue.lock().shutdown = true;
             sched.cond.notify_all();
         }
@@ -634,7 +640,7 @@ where
             next_token: AtomicU64::new(0),
             suspended: Mutex::new(Vec::new()),
             lease_ticks: AtomicU64::new(0),
-            sched: Mutex::new(None),
+            sched: OnceLock::new(),
             faults: FaultHooks {
                 msg_faults: AtomicBool::new(false),
                 crashes: AtomicBool::new(false),
@@ -1074,10 +1080,10 @@ where
         result
     }
 
-    /// Admission — validation and every chaos decision — happens here,
-    /// synchronously on the submitting thread, so fault records (and
-    /// any observer-driven push frames) always precede the operation's
-    /// completion; only the rendezvous itself runs on the scheduler.
+    /// Admission — validation and every chaos decision — happens
+    /// first, so fault records (and any observer-driven push frames)
+    /// always precede the operation's completion. The rendezvous is
+    /// then stepped on this thread (see `enqueue_op`).
     fn submit_send(
         self: Arc<Self>,
         from: &I,
@@ -1092,21 +1098,20 @@ where
             Ok(adm) if adm.dropped => self.dropped_result(to, &adm.to_ep),
             Ok(mut adm) => {
                 adm.state.turn = Some(adm.to_ep.state.lock().take_turn(from));
-                // The scheduler arms a timer where a blocking caller
-                // would sleep the chaos delay.
+                // The scheduler thread arms a timer where a blocking
+                // caller would sleep the chaos delay.
                 let ready_at = adm.delay.map(|d| Instant::now() + d);
                 let op = AsyncOp::Send(SendOp {
                     from: from.clone(),
                     to: to.clone(),
                     to_ep: adm.to_ep,
                     state: adm.state,
-                    ready_at,
                     deadline,
                     started,
                     done,
                 });
                 let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-                Self::enqueue_op(&self, token, op);
+                Self::enqueue_op(&self, token, op, ready_at);
                 return Ok(());
             }
         };
@@ -1116,7 +1121,8 @@ where
     }
 
     /// Validation, the crash step and watcher registration happen
-    /// synchronously at submission; the scan runs on the scheduler.
+    /// first; the scan is then stepped on this thread (see
+    /// `enqueue_op`).
     fn submit_select(
         self: Arc<Self>,
         me: &I,
@@ -1139,7 +1145,7 @@ where
                     started,
                     done,
                 });
-                Self::enqueue_op(&self, token, op);
+                Self::enqueue_op(&self, token, op, None);
             }
         }
         Ok(())
@@ -1175,6 +1181,11 @@ struct SendState<M> {
     /// A submitted send's ticket in `EpState::turns`; `None` on the
     /// blocking path.
     turn: Option<u64>,
+    /// Set by a step that put something in the receiver's inbox: the
+    /// waiter owes the endpoint's condvar a `notify_all`. A driver pays
+    /// after letting go of the lock, so the receiver it wakes does not
+    /// run straight into it.
+    wake_receiver: bool,
 }
 
 /// What one [`ShardedTransport::select_step`] came to.
@@ -1192,7 +1203,7 @@ enum SelectStep<'a, I, M> {
 // select; each is a *step* that either completes the operation or says
 // it must wait. A blocking call and a submitted operation run the same
 // steps and differ only in the waiter: the caller parks its own thread
-// on the endpoint's condvar, the scheduler parks a token in the
+// on the endpoint's condvar, a submitted op parks a token in the
 // endpoint's `op_waiters` — both woken by the same eventcount bump.
 // ---------------------------------------------------------------------
 
@@ -1223,6 +1234,7 @@ where
                 dup: None,
                 ack_target: None,
                 turn: None,
+                wake_receiver: false,
             },
         };
         if !self.faults.msg_faults.load(Ordering::Relaxed) {
@@ -1307,7 +1319,7 @@ where
                     st.inbox.insert(from.clone(), copy);
                     st.bump_signal();
                     self.activity.fetch_add(1, Ordering::Relaxed);
-                    to_ep.cond.notify_all();
+                    s.wake_receiver = true;
                 }
             }
             return Some(Ok(()));
@@ -1336,7 +1348,7 @@ where
                 st.bump_signal();
                 self.activity.fetch_add(1, Ordering::Relaxed);
                 s.ack_target = Some(st.acks.get(from).copied().unwrap_or(0) + 1);
-                to_ep.cond.notify_all();
+                s.wake_receiver = true;
             }
             _ => {}
         }
@@ -1712,11 +1724,17 @@ enum SelRepr<I, M> {
 
 // ---------------------------------------------------------------------
 // The two waiters. A blocking call drives the steps on its own thread,
-// with borrowed ids, and sleeps on the endpoint's condvar; a submitted
-// operation is driven by the transport's one scheduler thread, which
-// parks the op's token on the endpoint (`EpState::op_waiters`) and
-// steps it again when the eventcount bumps — so a hub serving thousands
-// of spokes multiplexes every blocked rendezvous onto a single thread.
+// with borrowed ids, and sleeps on the endpoint's condvar. A submitted
+// operation runs on whichever thread makes it runnable: `submit_*`
+// queues the op and drains the scheduler's ready queue itself — its
+// own op plus every op that step readies, iteratively — so a hub's
+// reactor steps both sides of a remote rendezvous without a thread
+// hand-off. An op that must wait parks its token on the endpoint
+// (`EpState::op_waiters`) until the eventcount bumps. The one
+// "chan-async-sched" thread drains the same queue through the same
+// `drive_op`, for what no submitter is around to run: timers
+// (deadlines, chaos delays) and tokens readied by threads outside a
+// `submit_*` call. Parked rendezvous still cost O(1) threads.
 // ---------------------------------------------------------------------
 
 impl<I, M> ShardedTransport<I, M>
@@ -1748,16 +1766,18 @@ where
     ) -> Result<(), ChanError<I>> {
         let mut adm = self.admit_send(from, to, msg)?;
         if let Some(delay) = adm.delay {
-            std::thread::sleep(delay);
+            thread::sleep(delay);
         }
         if adm.dropped {
             return self.dropped_result(to, &adm.to_ep);
         }
         let mut st = adm.to_ep.state.lock();
         loop {
-            if let Some(result) =
-                self.send_step(&mut st, &adm.to_ep, from, to, &mut adm.state, deadline)
-            {
+            let step = self.send_step(&mut st, &adm.to_ep, from, to, &mut adm.state, deadline);
+            if std::mem::take(&mut adm.state.wake_receiver) {
+                adm.to_ep.cond.notify_all();
+            }
+            if let Some(result) = step {
                 return result;
             }
             Self::wait_on(&adm.to_ep, &mut st, deadline);
@@ -1804,94 +1824,121 @@ where
     /// The transport's scheduler, started on first use. The thread
     /// holds only a weak reference back, so it cannot keep the
     /// transport alive; [`ShardedTransport`]'s `Drop` releases it.
-    fn scheduler(this: &Arc<Self>) -> Arc<SchedShared<I, M>> {
-        let mut guard = this.sched.lock();
-        if let Some(s) = guard.as_ref() {
-            return s.clone();
-        }
-        let sched = Arc::new(SchedShared {
-            queue: Mutex::new(SchedState {
-                ready: VecDeque::new(),
-                timers: BinaryHeap::new(),
-                ops: HashMap::new(),
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-        });
-        let weak = Arc::downgrade(this);
-        let handle = Arc::clone(&sched);
-        std::thread::Builder::new()
-            .name("chan-async-sched".into())
-            .spawn(move || scheduler_loop(weak, handle))
-            .expect("spawn async-op scheduler");
-        *guard = Some(Arc::clone(&sched));
-        sched
+    fn scheduler(this: &Arc<Self>) -> &Arc<SchedShared<I, M>> {
+        this.sched.get_or_init(|| {
+            let sched = Arc::new(SchedShared {
+                queue: Mutex::new(SchedState {
+                    ready: VecDeque::new(),
+                    timers: BTreeSet::new(),
+                    ops: HashMap::new(),
+                    drainers: Vec::new(),
+                    shutdown: false,
+                }),
+                cond: Condvar::new(),
+            });
+            let weak = Arc::downgrade(this);
+            let handle = Arc::clone(&sched);
+            thread::Builder::new()
+                .name("chan-async-sched".into())
+                .spawn(move || scheduler_loop(weak, handle))
+                .expect("spawn async-op scheduler");
+            sched
+        })
     }
 
-    /// Parks a new op with the scheduler: arms its deadline (and
-    /// chaos-delay) timers and queues its first step.
-    fn enqueue_op(this: &Arc<Self>, token: u64, op: AsyncOp<I, M>) {
-        let (deadline, ready_at) = match &op {
-            AsyncOp::Send(s) => (s.deadline, s.ready_at),
-            AsyncOp::Select(s) => (s.deadline, None),
-        };
+    /// Queues a new op — behind its chaos-delay gate, if it has one —
+    /// and drains the ready queue on the calling thread, so the op's
+    /// first step, and every step that one makes runnable, has run
+    /// before `submit_*` returns. A submission from inside a completion
+    /// callback only queues: the drain already running on this thread
+    /// reaches it, so a chain of such callbacks iterates, not recurses.
+    fn enqueue_op(this: &Arc<Self>, token: u64, op: AsyncOp<I, M>, ready_at: Option<Instant>) {
         let sched = Self::scheduler(this);
-        let mut q = sched.queue.lock();
-        q.ops.insert(token, op);
-        if let Some(d) = deadline {
-            q.timers.push(Reverse((d, token)));
+        let me = thread::current().id();
+        {
+            let mut q = sched.queue.lock();
+            q.ops.insert(token, op);
+            match ready_at {
+                Some(at) => sched.arm(&mut q, at, token),
+                None => q.ready.push_back(token),
+            }
+            if q.drainers.contains(&me) {
+                return;
+            }
+            q.drainers.push(me);
         }
-        match ready_at {
-            Some(at) => q.timers.push(Reverse((at, token))),
-            None => q.ready.push_back(token),
-        }
-        drop(q);
-        sched.cond.notify_one();
+        this.drain(sched, me);
     }
 
-    /// Steps `op` once on the scheduler thread: on completion runs its
-    /// callback (with latency recording), otherwise leaves its token on
-    /// the endpoint it waits for and re-parks it.
-    fn drive_op(&self, token: u64, op: AsyncOp<I, M>, sched: &Arc<SchedShared<I, M>>) {
-        let parked = match op {
-            AsyncOp::Send(mut s) => {
-                if let Some(at) = s.ready_at.filter(|at| Instant::now() < *at) {
-                    // Woken early (the deadline timer): the chaos delay
-                    // is not served yet.
-                    sched.queue.lock().timers.push(Reverse((at, token)));
-                } else {
-                    let mut st = s.to_ep.state.lock();
-                    let step =
-                        self.send_step(&mut st, &s.to_ep, &s.from, &s.to, &mut s.state, s.deadline);
-                    match step {
-                        Some(result) => {
-                            if st.pass_turn(&s.from) {
-                                st.bump_signal();
-                            }
-                            drop(st);
-                            self.note_send(s.started, &result);
-                            (s.done)(result);
-                            return;
-                        }
-                        None => st.op_waiters.push((token, Arc::clone(sched))),
+    /// Steps every runnable op until the ready queue is empty, then
+    /// takes `me` — put in `drainers` by the caller — off the list.
+    /// Several threads may drain at once, each op stepped by whoever
+    /// popped it out of `ops`.
+    fn drain(&self, sched: &Arc<SchedShared<I, M>>, me: ThreadId) {
+        loop {
+            let (token, op) = {
+                let mut q = sched.queue.lock();
+                loop {
+                    let Some(token) = q.ready.pop_front() else {
+                        q.drainers.retain(|d| *d != me);
+                        return;
+                    };
+                    // A token may outlive its op (stale waiter or
+                    // timer): skip.
+                    if let Some(op) = q.ops.remove(&token) {
+                        break (token, op);
                     }
                 }
-                AsyncOp::Send(s)
+            };
+            self.drive_op(token, op, sched);
+        }
+    }
+
+    /// Steps `op` once: on completion runs its callback (with latency
+    /// recording), otherwise parks it on the endpoint it waits for.
+    fn drive_op(&self, token: u64, op: AsyncOp<I, M>, sched: &Arc<SchedShared<I, M>>) {
+        match op {
+            AsyncOp::Send(mut s) => {
+                let to_ep = Arc::clone(&s.to_ep);
+                let mut st = to_ep.state.lock();
+                let step =
+                    self.send_step(&mut st, &to_ep, &s.from, &s.to, &mut s.state, s.deadline);
+                let wake_receiver = std::mem::take(&mut s.state.wake_receiver);
+                let finished = match step {
+                    Some(result) => {
+                        if st.pass_turn(&s.from) {
+                            st.bump_signal();
+                        }
+                        Some((s, result))
+                    }
+                    None => {
+                        sched.park(&mut st, token, s.deadline, AsyncOp::Send(s));
+                        None
+                    }
+                };
+                drop(st);
+                if wake_receiver {
+                    to_ep.cond.notify_all();
+                }
+                if let Some((s, result)) = finished {
+                    self.note_send(s.started, &result);
+                    (s.done)(result);
+                }
             }
             AsyncOp::Select(mut s) => {
-                match self.select_step(&s.me, &s.me_ep, &mut s.reprs, s.deadline) {
+                let me_ep = Arc::clone(&s.me_ep);
+                match self.select_step(&s.me, &me_ep, &mut s.reprs, s.deadline) {
                     SelectStep::Done(result) => {
                         Self::deregister_watchers(token, s.watched);
                         self.note_select(s.started, &result);
                         (s.done)(result);
-                        return;
                     }
-                    SelectStep::Park(mut st) => st.op_waiters.push((token, Arc::clone(sched))),
-                }
-                AsyncOp::Select(s)
+                    SelectStep::Park(mut st) => {
+                        sched.park(&mut st, token, s.deadline, AsyncOp::Select(s));
+                    }
+                };
             }
-        };
-        sched.queue.lock().ops.insert(token, parked);
+        }
     }
 }
 
@@ -1899,16 +1946,66 @@ where
 /// endpoints that park submitted operations.
 struct SchedShared<I, M> {
     queue: Mutex<SchedState<I, M>>,
+    /// The scheduler thread's sleep.
     cond: Condvar,
 }
 
-/// The scheduler's run state: parked ops, tokens due for a step, and
-/// the timer heap (deadlines and chaos-delay gates), earliest first.
+/// The scheduler's run state.
 struct SchedState<I, M> {
+    /// Tokens due for a step, in wake order.
     ready: VecDeque<u64>,
-    timers: BinaryHeap<Reverse<(Instant, u64)>>,
+    /// `(due, token)` deadlines and chaos-delay gates, earliest first;
+    /// only the scheduler thread pops them. Re-arming an entry that is
+    /// still there changes nothing.
+    timers: BTreeSet<(Instant, u64)>,
+    /// Parked ops by token. An op being stepped is on its driver's
+    /// stack, in neither `ops` nor anywhere else.
     ops: HashMap<u64, AsyncOp<I, M>>,
+    /// Threads inside [`ShardedTransport::drain`] right now.
+    drainers: Vec<ThreadId>,
     shutdown: bool,
+}
+
+/// Timer entries tolerated beyond two per parked op before the dead
+/// ones (their op completed before they came due) are purged.
+const TIMER_SLACK: usize = 64;
+
+impl<I, M> SchedShared<I, M> {
+    /// Parks a stepped op: its token on the endpoint it waits for —
+    /// `st`, locked — and the op in `ops`, its deadline armed. Both
+    /// under that lock: the moment it drops, a bump may ready the token
+    /// and another driver pop it, and a token that finds no op is
+    /// skipped, its op parked forever. Arming on every park (not once
+    /// at submission) lets a timer lost while its op was on a driver's
+    /// stack — popped due, or purged as dead — still fire.
+    fn park(
+        self: &Arc<Self>,
+        st: &mut EpState<I, M>,
+        token: u64,
+        deadline: Option<Instant>,
+        op: AsyncOp<I, M>,
+    ) {
+        st.op_waiters.push((token, Arc::clone(self)));
+        let mut q = self.queue.lock();
+        q.ops.insert(token, op);
+        if let Some(at) = deadline {
+            self.arm(&mut q, at, token);
+        }
+    }
+
+    /// Arms a timer for `token`, which must already be in `ops`. Wakes
+    /// the scheduler thread when its sleep has to end sooner, and keeps
+    /// the set proportional to the parked ops.
+    fn arm(&self, q: &mut SchedState<I, M>, at: Instant, token: u64) {
+        if q.timers.first().is_none_or(|first| (at, token) < *first) {
+            self.cond.notify_one();
+        }
+        q.timers.insert((at, token));
+        if q.timers.len() > 2 * q.ops.len() + TIMER_SLACK {
+            let SchedState { timers, ops, .. } = q;
+            timers.retain(|(_, t)| ops.contains_key(t));
+        }
+    }
 }
 
 /// A submitted operation: what a blocking caller keeps on its stack.
@@ -1922,8 +2019,6 @@ struct SendOp<I, M> {
     to: I,
     to_ep: Arc<Endpoint<I, M>>,
     state: SendState<M>,
-    /// Chaos-delay gate: the op is not stepped before this.
-    ready_at: Option<Instant>,
     deadline: Option<Instant>,
     started: Instant,
     done: SendDone<I>,
@@ -1941,48 +2036,160 @@ struct SelectOp<I, M> {
     done: SelectDone<I, M>,
 }
 
-/// The scheduler thread: pops runnable op tokens (readiness wakeups
-/// first, then due timers), steps each op outside the queue lock, and
-/// completes or re-parks it. One thread serves every submitted
-/// operation on the transport; it exits when the transport is dropped.
+/// The scheduler thread: sleeps until a timer is due or a thread that
+/// is not draining readies a token, turns due timers into ready tokens,
+/// and drains them — unless a submitter is draining already, which will
+/// not leave before the queue is empty. Exits with the transport.
 fn scheduler_loop<I, M>(transport: Weak<ShardedTransport<I, M>>, sched: Arc<SchedShared<I, M>>)
 where
     I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
     M: Send + 'static,
 {
+    let me = thread::current().id();
     loop {
-        let token = {
+        {
             let mut q = sched.queue.lock();
             loop {
                 if q.shutdown {
                     q.ops.clear();
                     return;
                 }
-                if let Some(t) = q.ready.pop_front() {
-                    break t;
+                while let Some(&(at, token)) = q.timers.first() {
+                    if Instant::now() < at {
+                        break;
+                    }
+                    q.timers.pop_first();
+                    q.ready.push_back(token);
                 }
-                match q.timers.peek().copied() {
-                    Some(Reverse((at, t))) => {
-                        if at <= Instant::now() {
-                            q.timers.pop();
-                            break t;
-                        }
+                if !q.ready.is_empty() && q.drainers.is_empty() {
+                    break;
+                }
+                match q.timers.first().map(|(at, _)| *at) {
+                    Some(at) => {
                         sched.cond.wait_until(&mut q, at);
                     }
-                    None => {
-                        sched.cond.wait(&mut q);
-                    }
+                    None => sched.cond.wait(&mut q),
                 }
             }
-        };
+            q.drainers.push(me);
+        }
         let Some(t) = transport.upgrade() else {
             sched.queue.lock().ops.clear();
             return;
         };
-        // A token may outlive its op (stale waiter or timer): skip.
-        let Some(op) = sched.queue.lock().ops.remove(&token) else {
-            continue;
+        t.drain(&sched, me);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The park-publish order, with the interleaving forced by the two
+    /// locks themselves: a driver is let into the endpoint only once
+    /// the test holds the scheduler's queue, so it must stop inside its
+    /// park — holding the endpoint (registration not yet visible), or,
+    /// were the op published only after that lock dropped, in exactly
+    /// the window where a bump readies a token that has no op. There a
+    /// second driver would pop the token, skip it, and the op would be
+    /// parked forever; here the test looks into the window instead.
+    #[test]
+    fn park_publishes_the_op_with_its_waiter() {
+        let t: Arc<ShardedTransport<u8, u32>> = Arc::new(ShardedTransport::new(false, Some(1)));
+        for id in [0, 1] {
+            t.activate(id);
+        }
+        let sched = Arc::clone(ShardedTransport::scheduler(&t));
+        let ep = t.lookup(&1).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        // Deposits, finds nobody receiving, parks to await pickup.
+        Arc::clone(&t)
+            .submit_send(&0, &1, 9, None, Box::new(move |r| done_tx.send(r).unwrap()))
+            .ok()
+            .unwrap();
+        // A wakeup with nothing behind it: the scheduler thread takes
+        // the op off the table to step it, and stops at the gate.
+        let mut gate = ep.state.lock();
+        gate.bump_signal();
+        let q = loop {
+            let q = sched.queue.lock();
+            if q.ops.is_empty() && q.ready.is_empty() {
+                break q;
+            }
+            drop(q);
+            thread::yield_now();
         };
-        t.drive_op(token, op, &sched);
+        drop(gate);
+        // The step finds the send still unacknowledged and parks it
+        // again, which cannot finish while `q` is held. Whenever the
+        // endpoint can be had meanwhile, a waiter there has its op.
+        let until = Instant::now() + Duration::from_millis(100);
+        while Instant::now() < until {
+            if let Some(st) = ep.state.try_lock() {
+                for (token, _) in &st.op_waiters {
+                    assert!(
+                        q.ops.contains_key(token),
+                        "a bump now would ready token {token}, which has no op"
+                    );
+                }
+            }
+            thread::yield_now();
+        }
+        drop(q);
+        let got = t.select(&1, vec![Arm::Recv(Source::Of(0))], None).unwrap();
+        assert!(matches!(got, Outcome::Received { msg: 9, .. }));
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the parked send was readied and completed")
+            .unwrap();
+    }
+
+    /// A completed op's deadline stays in `timers` until it is due;
+    /// the purge keeps a long run of far-deadline ops from growing the
+    /// set by one dead entry per op.
+    #[test]
+    fn dead_timers_are_purged() {
+        let t: Arc<ShardedTransport<u8, u32>> = Arc::new(ShardedTransport::new(false, Some(1)));
+        for id in [0, 1] {
+            t.activate(id);
+        }
+        let far = Some(Instant::now() + Duration::from_secs(30));
+        let sched = Arc::clone(ShardedTransport::scheduler(&t));
+        let mut most = 0;
+        for v in 0..10_000 {
+            // Parks awaiting pickup, deadline armed.
+            Arc::clone(&t)
+                .submit_send(&0, &1, v, far, Box::new(|r| r.unwrap()))
+                .ok()
+                .unwrap();
+            let got = t.select(&1, vec![Arm::Recv(Source::Of(0))], far).unwrap();
+            assert!(matches!(got, Outcome::Received { msg, .. } if msg == v));
+            // The bound held when the entry went in, one op parked.
+            let q = sched.queue.lock();
+            assert!(
+                q.timers.len() <= 2 * (q.ops.len() + 1) + TIMER_SLACK,
+                "{} timers for {} parked ops",
+                q.timers.len(),
+                q.ops.len()
+            );
+            most = most.max(q.timers.len());
+        }
+        assert!(most > TIMER_SLACK, "dead entries did pile up to the slack");
+        // A purge never takes a live op's timer: this one still fires.
+        let (tx, rx) = std::sync::mpsc::channel();
+        Arc::clone(&t)
+            .submit_send(
+                &0,
+                &1,
+                0,
+                Some(Instant::now() + Duration::from_millis(30)),
+                Box::new(move |r| tx.send(r).unwrap()),
+            )
+            .ok()
+            .unwrap();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+            Err(ChanError::Timeout)
+        );
     }
 }

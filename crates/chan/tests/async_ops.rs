@@ -4,8 +4,10 @@
 //! API directly (the socket hub is its main consumer) and check that
 //! the callbacks observe exactly the results the blocking calls would
 //! have returned — rendezvous completion at pickup, timeouts that
-//! reclaim deposits, termination errors, chaos determinism, and the
-//! one-scheduler-thread property the reactor refactor exists for.
+//! reclaim deposits, termination errors, chaos determinism — and where
+//! completions run: on the submitting thread when it made the op
+//! runnable, on the transport's one scheduler thread otherwise, and
+//! nowhere else.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -329,12 +331,11 @@ fn async_chaos_log_matches_blocking() {
     assert_eq!(logs[0], logs[1], "chaos log must be schedule-independent");
 }
 
-/// All in-flight async ops ride one scheduler thread, not one thread
-/// per op — the property that lets a hub serve 1k spokes with O(1)
-/// threads: every completion reports the same thread, the transport's
-/// own scheduler.
+/// No completion runs on any thread other than a submitting thread or
+/// the transport's one scheduler thread, however many ops are in flight
+/// — the property that lets a hub serve 1k spokes with O(1) threads.
 #[test]
-fn async_ops_share_one_scheduler_thread() {
+fn async_ops_complete_on_a_submitter_or_the_scheduler_thread() {
     let t = fresh();
     let completions = Arc::new(AtomicUsize::new(0));
     let ran_on = Arc::new(Mutex::new(HashSet::new()));
@@ -373,17 +374,287 @@ fn async_ops_share_one_scheduler_thread() {
             .ok()
             .unwrap();
     }
-    for _ in 0..n {
-        recv(&t, "b", "a", far()).unwrap();
-    }
+    // A foreign thread — it submits nothing — picks the sends up: the
+    // tokens it readies go to the scheduler thread, never run on it.
+    let receiver = std::thread::spawn({
+        let t = Arc::clone(&t);
+        move || {
+            for _ in 0..n {
+                recv(&t, "b", "a", far()).unwrap();
+            }
+            std::thread::current().id()
+        }
+    });
+    let foreign = receiver.join().unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     while completions.load(Ordering::SeqCst) < n + 64 {
         assert!(Instant::now() < deadline, "ops never completed");
         std::thread::sleep(Duration::from_millis(5));
     }
-    let ran_on = ran_on.lock().unwrap();
+    let mut ran_on = ran_on.lock().unwrap().clone();
+    assert!(
+        !ran_on.contains(&foreign),
+        "a completion ran on the receiver"
+    );
+    // Whatever did not run here, on the one submitter, ran on one other
+    // thread: the scheduler.
+    ran_on.remove(&std::thread::current().id());
     assert_eq!(ran_on.len(), 1, "192 ops completed on {ran_on:?}");
-    assert!(!ran_on.contains(&std::thread::current().id()));
+}
+
+/// Run-to-completion: a `submit_send` that meets a selection already
+/// parked steps both sides itself — both callbacks have fired, on the
+/// submitting thread, before it returns.
+#[test]
+fn submit_completes_a_parked_partner_on_the_submitting_thread() {
+    let t = fresh();
+    let here = std::thread::current().id();
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let note = |what: &'static str| {
+        let fired = Arc::clone(&fired);
+        move || {
+            fired
+                .lock()
+                .unwrap()
+                .push((what, std::thread::current().id()))
+        }
+    };
+    let selected = note("select");
+    Arc::clone(&t)
+        .submit_select(
+            &"b",
+            vec![Arm::recv_any()],
+            None,
+            Box::new(move |r| {
+                assert!(matches!(r, Ok(Outcome::Received { msg: 11, .. })));
+                selected();
+            }),
+        )
+        .ok()
+        .unwrap();
+    assert!(fired.lock().unwrap().is_empty(), "nothing to receive yet");
+    let sent = note("send");
+    Arc::clone(&t)
+        .submit_send(
+            &"a",
+            &"b",
+            11,
+            None,
+            Box::new(move |r| {
+                r.unwrap();
+                sent();
+            }),
+        )
+        .ok()
+        .unwrap();
+    assert_eq!(
+        *fired.lock().unwrap(),
+        vec![("select", here), ("send", here)],
+        "both sides complete inside submit_send, pickup first"
+    );
+}
+
+/// A completion callback that submits the next op is iterated by the
+/// drain already running, not recursed into: a chain 10 000 long
+/// completes on a thread whose stack could not hold a fraction of it.
+#[test]
+fn done_submitting_the_next_op_does_not_recurse() {
+    const CHAIN: u32 = 10_000;
+    fn next(t: &T, v: u32, finished: mpsc::Sender<u32>) {
+        let again = Arc::clone(t);
+        Arc::clone(t)
+            .submit_select(
+                &"b",
+                vec![Arm::recv_from("a")],
+                None,
+                Box::new(move |r| {
+                    assert!(matches!(r, Ok(Outcome::Received { msg, .. }) if msg == v));
+                    if v + 1 == CHAIN {
+                        finished.send(v).unwrap();
+                    } else {
+                        next(&again, v + 1, finished);
+                    }
+                }),
+            )
+            .ok()
+            .unwrap();
+        Arc::clone(t)
+            .submit_send(&"a", &"b", v, None, Box::new(|r| r.unwrap()))
+            .ok()
+            .unwrap();
+    }
+    let t = fresh();
+    let (tx, rx) = mpsc::channel();
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || next(&t, 0, tx))
+        .unwrap()
+        .join()
+        .expect("the chain ran without overflowing its stack");
+    assert_eq!(rx.try_recv().unwrap(), CHAIN - 1, "ran to the end in place");
+}
+
+/// Timers stay with the scheduler thread: a deadline expiry and a
+/// chaos-delay gate both fire with no submitter around to drain.
+#[test]
+fn timers_fire_with_no_submitter_around() {
+    let t = fresh();
+    let delay = Duration::from_millis(60);
+    t.set_fault_plan(FaultPlan::new(1).with_delay(1.0, delay), Clone::clone);
+    let (tx, rx) = mpsc::channel();
+    let submitter = std::thread::spawn({
+        let (t, tx) = (Arc::clone(&t), tx.clone());
+        move || {
+            let started = Instant::now();
+            Arc::clone(&t)
+                .submit_send(
+                    &"a",
+                    &"b",
+                    5,
+                    far(),
+                    Box::new(move |r| tx.send(("send", r.map(|()| started.elapsed()))).unwrap()),
+                )
+                .ok()
+                .unwrap();
+            std::thread::current().id()
+        }
+    });
+    let submitter = submitter.join().unwrap();
+    let timed_out = Arc::new(Mutex::new(None));
+    Arc::clone(&t)
+        .submit_select(
+            &"c",
+            vec![Arm::recv_from("a")],
+            Some(Instant::now() + Duration::from_millis(40)),
+            Box::new({
+                let timed_out = Arc::clone(&timed_out);
+                move |r| {
+                    assert_eq!(r.unwrap_err(), ChanError::Timeout);
+                    *timed_out.lock().unwrap() = Some(std::thread::current().id());
+                    tx.send(("select", Ok(Duration::ZERO))).unwrap();
+                }
+            }),
+        )
+        .ok()
+        .unwrap();
+    // The delayed send deposits only once its gate opens, on the
+    // scheduler thread; this pickup just waits for it.
+    assert_eq!(recv(&t, "b", "a", far()).unwrap(), 5);
+    let mut seen = Vec::new();
+    for _ in 0..2 {
+        let (what, r) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        if what == "send" {
+            assert!(r.unwrap() >= delay, "the gate held the deposit back");
+        }
+        seen.push(what);
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, ["select", "send"]);
+    let expired_on = timed_out.lock().unwrap().expect("select timed out");
+    assert_ne!(expired_on, std::thread::current().id());
+    assert_ne!(expired_on, submitter);
+}
+
+/// Stress for the park-publish race a second driver exposes: an op
+/// must be back in the scheduler's table before its wakeup registration
+/// is visible, or a wakeup in between pops a token with no op behind it
+/// and the op is parked forever. One thread alternating `submit_send`
+/// with the blocking pickup keeps the scheduler thread (completing send
+/// *k*) and the submitter (parking send *k + 1* behind it) on the same
+/// endpoint. How often that lands in the window depends on the drivers'
+/// timing; `transport.rs`'s `park_publishes_the_op_with_its_waiter`
+/// forces the interleaving and is the test that fails without the fix.
+#[test]
+fn park_publishes_the_op_before_its_wakeup() {
+    let t = fresh();
+    let completed = Arc::new(AtomicUsize::new(0));
+    let n = 100_000usize;
+    for v in 0..n {
+        let completed = Arc::clone(&completed);
+        Arc::clone(&t)
+            .submit_send(
+                &"a",
+                &"b",
+                v as u32,
+                None,
+                Box::new(move |r| {
+                    r.unwrap();
+                    completed.fetch_add(1, Ordering::SeqCst);
+                }),
+            )
+            .ok()
+            .unwrap();
+        assert_eq!(recv(&t, "b", "a", far()).unwrap(), v as u32);
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while completed.load(Ordering::SeqCst) < n {
+        assert!(Instant::now() < deadline, "a send was never completed");
+        std::thread::yield_now();
+    }
+}
+
+/// Several drivers at once: two threads each pipeline sends 64 deep on
+/// their own edge into one blocking receiver, so either submitter (and
+/// the scheduler thread) may step the other's ops. Every callback
+/// fires, and each edge delivers in submission order (the tickets).
+#[test]
+fn two_submitters_pipeline_into_one_receiver() {
+    const ROUNDS: u32 = 40;
+    const DEPTH: u32 = 64;
+    let t = fresh();
+    let completed = Arc::new(AtomicUsize::new(0));
+    let submitters: Vec<_> = ["a", "c"]
+        .into_iter()
+        .map(|from| {
+            let (t, completed) = (Arc::clone(&t), Arc::clone(&completed));
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    let (tx, rx) = mpsc::channel();
+                    for i in 0..DEPTH {
+                        let (tx, completed) = (tx.clone(), Arc::clone(&completed));
+                        Arc::clone(&t)
+                            .submit_send(
+                                &from,
+                                &"b",
+                                round * DEPTH + i,
+                                far(),
+                                Box::new(move |r| {
+                                    r.unwrap();
+                                    completed.fetch_add(1, Ordering::SeqCst);
+                                    tx.send(()).unwrap();
+                                }),
+                            )
+                            .ok()
+                            .unwrap();
+                    }
+                    // One window at a time: the next 64 go out once
+                    // these have all completed.
+                    for _ in 0..DEPTH {
+                        rx.recv_timeout(Duration::from_secs(10))
+                            .expect("every callback fires");
+                    }
+                }
+            })
+        })
+        .collect();
+    let mut next = [0u32; 2];
+    for _ in 0..2 * ROUNDS * DEPTH {
+        match t.select(&"b", vec![Arm::recv_any()], far()).unwrap() {
+            Outcome::Received { from, msg, .. } => {
+                let edge = usize::from(from == "c");
+                assert_eq!(msg, next[edge], "edge {from} → b out of order");
+                next[edge] += 1;
+            }
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+    }
+    for s in submitters {
+        s.join().unwrap();
+    }
+    assert_eq!(
+        completed.load(Ordering::SeqCst),
+        (2 * ROUNDS * DEPTH) as usize
+    );
 }
 
 /// Dropping the transport with ops still parked shuts the scheduler

@@ -41,9 +41,12 @@
 //! ([`Req::SubscribeFrom`]); the missed tail arrives as one batched
 //! [`Event::SeqStream`] frame, with exactly-once dispatch enforced
 //! client-side by a monotonic high-water mark. Heartbeats flow both
-//! ways: the driver pings ([`Req::Heartbeat`]) every quarter-lease —
-//! which also prunes the hub's replay cache — and every hub answer
-//! carrying [`Resp::Session`] renews the client's view of the lease.
+//! ways: the driver pings ([`Req::Heartbeat`]) every quarter-lease, and
+//! earlier once [`ACK_EVERY`] answers have arrived since the last ping
+//! — each names the lowest request still unanswered, so the hub's
+//! replay cache is pruned by count, not by what a fast stream completes
+//! in a quarter-lease — and every hub answer carrying
+//! [`Resp::Session`] renews the client's view of the lease.
 //!
 //! During a blip, *fast* queries (lifecycle reads the engine's watchdog
 //! polls) do not queue: they answer degraded-but-live values, and
@@ -86,6 +89,11 @@ use script_core::RetryPolicy;
 use crate::frame::{read_frame, FrameDecoder, ReadStatus, WriteBuf};
 use crate::proto::{timeout_ms_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
 use crate::wire::{Reader, Wire};
+
+/// Answered frames after which the driver acknowledges early — a
+/// [`Req::Heartbeat`] ahead of the quarter-lease clock — so the hub's
+/// replay cache holds at most this many answers plus those in flight.
+pub const ACK_EVERY: usize = 256;
 
 /// How a spoke reaches its hub: a direct address plus an optional
 /// relay fallback through a control-fleet shard.
@@ -823,7 +831,8 @@ where
 
     /// Serves one connection until it dies: decodes frames, routes
     /// answers to their slots, dispatches event pushes, and emits the
-    /// quarter-lease heartbeat whenever the read timeout lapses. The
+    /// heartbeat — when the quarter-lease read timeout lapses, or as
+    /// soon as [`ACK_EVERY`] frames have been answered. The
     /// [`FrameDecoder`] keeps partial frames across timeouts, so the
     /// heartbeat clock cannot corrupt the stream.
     fn run_conn(self: &Arc<Self>, conn: &Arc<ConnShared>, mut rd: TcpStream) {
@@ -831,12 +840,13 @@ where
         let quarter =
             |s: &Self| Duration::from_millis((s.lease_ms.load(Ordering::SeqCst) / 4).max(25));
         let mut next_hb = Instant::now() + quarter(self);
+        let mut answered = 0usize;
         'conn: loop {
             if self.is_dead() || self.closed.load(Ordering::SeqCst) {
                 break;
             }
             let now = Instant::now();
-            if now >= next_hb {
+            if now >= next_hb || answered >= ACK_EVERY {
                 self.blip_ticks.fetch_add(1, Ordering::Relaxed);
                 // Fire-and-forget: the ack arrives as an unmatched
                 // `Resp::Session` and renews the lease; `acked` lets
@@ -854,6 +864,7 @@ where
                     break;
                 }
                 next_hb = now + quarter(self);
+                answered = 0;
             }
             let wait = next_hb
                 .saturating_duration_since(Instant::now())
@@ -869,6 +880,7 @@ where
                         if !self.on_frame(&frame) {
                             break 'conn;
                         }
+                        answered += 1;
                     }
                     Ok(None) => break,
                     Err(_) => break 'conn,

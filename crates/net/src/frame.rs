@@ -89,8 +89,8 @@ fn fill_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 
 /// Incremental frame decoder for nonblocking streams.
 ///
-/// Feed it bytes with [`FrameDecoder::read_from`] (which loops until
-/// the socket would block) or [`FrameDecoder::extend`], then drain
+/// Feed it bytes with [`FrameDecoder::read_from`] (which reads until
+/// the socket has no more to give) or [`FrameDecoder::extend`], then drain
 /// complete frames with [`FrameDecoder::next_frame`]. Partial frames —
 /// even a split length prefix — persist across calls, so a readiness
 /// loop can hand it arbitrary byte fragments.
@@ -104,7 +104,7 @@ pub struct FrameDecoder {
 /// What one [`FrameDecoder::read_from`] pass observed on the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadStatus {
-    /// The socket has no more bytes for now (`WouldBlock`).
+    /// The socket has no more bytes for now (short read, `WouldBlock`).
     Blocked,
     /// The peer closed the stream (EOF).
     Eof,
@@ -121,8 +121,11 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Reads from `r` until it would block or closes, buffering
-    /// everything received.
+    /// Reads from `r` until it runs dry or closes, buffering
+    /// everything received. A read that does not fill the chunk has
+    /// emptied the socket: the pass stops there, not a syscall later at
+    /// `WouldBlock`. Whatever arrives afterwards — an EOF included — a
+    /// level-triggered poller reports on its next turn.
     ///
     /// # Errors
     ///
@@ -132,7 +135,12 @@ impl FrameDecoder {
         loop {
             match r.read(&mut chunk) {
                 Ok(0) => return Ok(ReadStatus::Eof),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.buf.extend_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        return Ok(ReadStatus::Blocked);
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -381,6 +389,41 @@ mod tests {
         dec.extend(&bytes[..bytes.len() - 1]);
         assert!(dec.next_frame().unwrap().is_none());
         assert!(dec.mid_frame(), "truncated frame leaves residue");
+    }
+
+    /// A short read ends the pass: no second call to learn `WouldBlock`.
+    /// Only a chunk-filling read earns another.
+    #[test]
+    fn read_from_stops_at_a_short_read() {
+        struct Counted {
+            left: usize,
+            calls: usize,
+        }
+        impl Read for Counted {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.calls += 1;
+                if self.left == 0 {
+                    return Err(io::Error::from(io::ErrorKind::WouldBlock));
+                }
+                let n = buf.len().min(self.left);
+                buf[..n].fill(0);
+                self.left -= n;
+                Ok(n)
+            }
+        }
+        let mut dec = FrameDecoder::new();
+        let mut r = Counted {
+            left: 100,
+            calls: 0,
+        };
+        assert_eq!(dec.read_from(&mut r).unwrap(), ReadStatus::Blocked);
+        assert_eq!((r.calls, dec.buf.len()), (1, 100));
+        let mut r = Counted {
+            left: 16 * 1024 + 7,
+            calls: 0,
+        };
+        assert_eq!(dec.read_from(&mut r).unwrap(), ReadStatus::Blocked);
+        assert_eq!(r.calls, 2, "a full chunk may have left more behind");
     }
 
     #[test]

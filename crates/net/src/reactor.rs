@@ -13,7 +13,9 @@
 //! * [`Waker`] — a self-pipe (a `UnixStream` pair on Unix, an atomic
 //!   flag on the fallback) that lets completion callbacks running on
 //!   other threads interrupt a parked `poll` so freshly queued output
-//!   is flushed immediately.
+//!   is flushed immediately — and costs them nothing while the reactor
+//!   is awake, which is where most completions run: on the reactor
+//!   thread itself, mid-turn.
 //!
 //! The interest set is **persistent**: descriptors are registered once
 //! ([`Poller::register`]), their interests patched in place when they
@@ -26,13 +28,85 @@
 //! follow-on (the syscall itself stays O(n) until then).
 
 use std::io;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Duration;
 
 #[cfg(unix)]
-pub use unix_impl::{fd_of, Fd, Poller, Waker};
+use unix_impl::Pipe;
+#[cfg(unix)]
+pub use unix_impl::{fd_of, Fd, Poller};
 
 #[cfg(not(unix))]
-pub use fallback_impl::{fd_of, Fd, Poller, Waker};
+use fallback_impl::Pipe;
+#[cfg(not(unix))]
+pub use fallback_impl::{fd_of, Fd, Poller};
+
+/// Lets other threads interrupt a reactor parked in [`Poller::wait`],
+/// by a **parked / awake protocol**: producers queue output and then
+/// call [`Waker::wake`]; the reactor calls [`Waker::park`] and *then*
+/// flushes the queues. Whichever comes second sees the other — the
+/// producer finds the reactor parked and wakes it, or the flush finds
+/// the output — so nothing is stranded, and a wake costs a syscall only
+/// when the reactor is parked and no wake byte is already on its way.
+#[derive(Debug)]
+pub struct Waker {
+    state: AtomicU8,
+    /// The platform half: what carries the wakeup into `poll`.
+    pipe: Pipe,
+}
+
+const AWAKE: u8 = 0;
+const PARKED: u8 = 1;
+const NOTIFIED: u8 = 2;
+
+impl Waker {
+    /// A fresh waker, reactor awake.
+    ///
+    /// # Errors
+    ///
+    /// Pipe creation failure.
+    pub fn new() -> io::Result<Self> {
+        Ok(Self {
+            state: AtomicU8::new(AWAKE),
+            pipe: Pipe::new()?,
+        })
+    }
+
+    /// The descriptor the reactor registers for read interest.
+    pub fn read_fd(&self) -> Fd {
+        self.pipe.read_fd()
+    }
+
+    /// Reactor side: call before the last flush ahead of
+    /// [`Poller::wait`]; from here on the first [`Waker::wake`] must
+    /// interrupt it.
+    pub fn park(&self) {
+        self.state.store(PARKED, Ordering::SeqCst);
+    }
+
+    /// Reactor side: call when [`Poller::wait`] returns. The reactor
+    /// will look at every queue before it next parks.
+    pub fn unpark(&self) {
+        self.state.store(AWAKE, Ordering::SeqCst);
+    }
+
+    /// Interrupts the reactor if it is parked and no wake byte is
+    /// pending; otherwise does nothing.
+    pub fn wake(&self) {
+        let first =
+            self.state
+                .compare_exchange(PARKED, NOTIFIED, Ordering::SeqCst, Ordering::SeqCst);
+        if first.is_ok() {
+            self.pipe.signal();
+        }
+    }
+
+    /// Reactor side: empties the pipe; returns how many wake bytes
+    /// there were. The protocol leaves at most one per park.
+    pub fn drain(&self) -> usize {
+        self.pipe.drain()
+    }
+}
 
 /// Readiness observed for one registered descriptor.
 #[derive(Debug, Clone, Copy, Default)]
@@ -217,47 +291,41 @@ mod unix_impl {
         }
     }
 
-    /// A self-pipe waker: other threads call [`Waker::wake`] to
-    /// interrupt a reactor parked in [`Poller::wait`].
+    /// A self-pipe: a nonblocking `UnixStream` pair.
     #[derive(Debug)]
-    pub struct Waker {
+    pub struct Pipe {
         rx: UnixStream,
         tx: UnixStream,
     }
 
-    impl Waker {
-        /// A fresh waker pair.
-        ///
-        /// # Errors
-        ///
-        /// Socketpair creation failure.
-        pub fn new() -> io::Result<Self> {
+    impl Pipe {
+        pub(super) fn new() -> io::Result<Self> {
             let (tx, rx) = UnixStream::pair()?;
             rx.set_nonblocking(true)?;
             tx.set_nonblocking(true)?;
             Ok(Self { rx, tx })
         }
 
-        /// The descriptor the reactor registers for read interest.
-        pub fn read_fd(&self) -> Fd {
+        pub(super) fn read_fd(&self) -> Fd {
             self.rx.as_raw_fd()
         }
 
-        /// Interrupts the reactor. A full pipe means a wakeup is
-        /// already pending, which is all a wake needs to guarantee.
-        pub fn wake(&self) {
+        pub(super) fn signal(&self) {
             let _ = (&self.tx).write(&[1u8]);
         }
 
-        /// Drains pending wake tokens (reactor side).
-        pub fn drain(&self) {
+        /// One read; returns how many wake bytes were pending.
+        pub(super) fn drain(&self) -> usize {
             let mut sink = [0u8; 64];
-            while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+            (&self.rx).read(&mut sink).unwrap_or(0)
         }
     }
 }
 
-#[cfg(not(unix))]
+// Compiled into Unix test builds too, so the fallback waker's protocol
+// is tested where CI runs.
+#[cfg(any(not(unix), test))]
+#[cfg_attr(unix, allow(dead_code))]
 mod fallback_impl {
     use super::{io, Duration, Readiness};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -334,36 +402,27 @@ mod fallback_impl {
         }
     }
 
-    /// Flag waker: the bounded poll timeout guarantees the reactor
-    /// observes it within one slice.
+    /// A flag for a pipe: the bounded poll timeout guarantees the
+    /// reactor comes round within one slice, wake byte or not.
     #[derive(Debug, Default)]
-    pub struct Waker {
-        flagged: AtomicBool,
-    }
+    pub struct Pipe(AtomicBool);
 
-    impl Waker {
-        /// A fresh waker.
-        ///
-        /// # Errors
-        ///
-        /// None on this implementation.
-        pub fn new() -> io::Result<Self> {
+    impl Pipe {
+        pub(super) fn new() -> io::Result<Self> {
             Ok(Self::default())
         }
 
         /// A placeholder descriptor; never registered meaningfully.
-        pub fn read_fd(&self) -> Fd {
+        pub(super) fn read_fd(&self) -> Fd {
             -1
         }
 
-        /// Flags a pending wakeup.
-        pub fn wake(&self) {
-            self.flagged.store(true, Ordering::SeqCst);
+        pub(super) fn signal(&self) {
+            self.0.store(true, Ordering::SeqCst);
         }
 
-        /// Clears the flag.
-        pub fn drain(&self) {
-            self.flagged.store(false, Ordering::SeqCst);
+        pub(super) fn drain(&self) -> usize {
+            usize::from(self.0.swap(false, Ordering::SeqCst))
         }
     }
 }
@@ -375,24 +434,66 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::time::Instant;
 
+    /// A wake after parking interrupts the wait; the turn ends with
+    /// the pipe empty and the reactor awake. (The fallback poller never
+    /// blocks longer than its slice, so there is nothing to interrupt.)
+    #[cfg(unix)]
     #[test]
     fn waker_interrupts_wait() {
         let waker = std::sync::Arc::new(Waker::new().unwrap());
         let mut poller = Poller::new();
         let w2 = std::sync::Arc::clone(&waker);
+        let tok = poller.register(waker.read_fd(), true, false);
+        waker.park();
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
             w2.wake();
         });
-        let tok = poller.register(waker.read_fd(), true, false);
         let start = Instant::now();
         poller.wait(Some(Duration::from_secs(10))).unwrap();
-        // Unix: the wake lands well before the 10 s timeout. Fallback:
-        // the bounded slice returns immediately anyway.
+        waker.unpark();
         assert!(start.elapsed() < Duration::from_secs(5));
-        let _ = poller.readiness(tok);
-        waker.drain();
         h.join().unwrap();
+        assert!(poller.readiness(tok).readable);
+        assert_eq!(waker.drain(), 1);
+        assert_eq!(waker.drain(), 0);
+    }
+
+    /// The protocol: a wake while awake delivers nothing, any number of
+    /// wakes while parked deliver one.
+    #[test]
+    fn waker_wakes_only_a_parked_reactor_and_only_once() {
+        let waker = Waker::new().unwrap();
+        waker.wake();
+        assert_eq!(waker.drain(), 0, "awake: the wake is a no-op");
+        waker.park();
+        for _ in 0..5 {
+            waker.wake();
+        }
+        waker.unpark();
+        assert_eq!(waker.drain(), 1, "parked: five wakes, one byte");
+        waker.wake();
+        assert_eq!(waker.drain(), 0, "awake again");
+        // A park nobody interrupted leaves nothing behind.
+        waker.park();
+        waker.unpark();
+        waker.park();
+        waker.wake();
+        waker.wake();
+        assert_eq!(waker.drain(), 1);
+    }
+
+    /// The fallback's half of the same protocol (its `Waker` is the one
+    /// above, over this pipe): an empty pipe drains nothing, a signalled
+    /// one drains once.
+    #[cfg(unix)]
+    #[test]
+    fn fallback_pipe_holds_one_pending_wake() {
+        let pipe = super::fallback_impl::Pipe::new().unwrap();
+        assert_eq!(pipe.drain(), 0);
+        pipe.signal();
+        assert_eq!(pipe.drain(), 1);
+        assert_eq!(pipe.drain(), 0);
     }
 
     #[test]

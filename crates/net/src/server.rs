@@ -25,12 +25,15 @@
 //! awaited**: the reactor hands them to the inner transport's
 //! asynchronous entry points ([`Transport::submit_send`] /
 //! [`Transport::submit_select`]) with a completion callback that
-//! encodes the response into the owning connection's output buffer and
-//! wakes the reactor to flush it — the hub answers out of order, as
-//! many requests deep as the spokes care to pipeline. Submission is
-//! the only path: the reactor is the hub's one thread, and an inner
-//! transport that declines it (the default trait methods do) gets the
-//! operation failed closed with
+//! encodes the response into the owning connection's output buffer —
+//! the hub answers out of order, as many requests deep as the spokes
+//! care to pipeline. The inner transport steps a submitted operation on
+//! the submitting thread, so the usual turn is read → decode → step
+//! both sides of the rendezvous → one coalesced write, all on the
+//! reactor; a callback on another thread wakes it only while it is
+//! parked (see [`Waker`]). Submission is the only path: the reactor is
+//! the hub's one thread, and an inner transport that declines it (the
+//! default trait methods do) gets the operation failed closed with
 //! [`Aborted`](script_chan::ChanError::Aborted).
 //!
 //! **Sessions.** Every connection belongs to a session: its first
@@ -47,7 +50,9 @@
 //! verbatim), and resumes the sequenced event stream from wherever the
 //! spoke left off — the missed tail travels as one batched
 //! [`Event::SeqStream`] frame. [`Req::Heartbeat`] renews the lease and
-//! prunes the cache; only lease expiry degrades to crashed-peer
+//! prunes the cache (spokes send one every quarter-lease and every
+//! [`ACK_EVERY`](crate::client::ACK_EVERY) answers, whichever comes
+//! first); only lease expiry degrades to crashed-peer
 //! semantics: the reactor's sweep timer finishes every bound id, so
 //! remaining participants observe the standard
 //! [`Terminated`](script_chan::ChanError::Terminated) error exactly as
@@ -98,8 +103,8 @@ const EVENT_BUFFER_CAP: usize = 8192;
 
 /// A connection's shared output side: any thread — the reactor, an
 /// inner-transport completion callback, the fault observer — queues
-/// frames here; the reactor coalesces everything queued since its last
-/// wakeup into one flush.
+/// frames here; the reactor writes everything queued during a turn in
+/// one flush before it parks.
 struct ConnTx {
     buf: Mutex<WriteBuf>,
     waker: Arc<Waker>,
@@ -107,8 +112,8 @@ struct ConnTx {
 
 impl ConnTx {
     /// Queues one already-encoded `(req_id, payload)` frame and wakes
-    /// the reactor to flush it. Oversized payloads cannot occur (every
-    /// response is hub-built) and are dropped defensively.
+    /// the reactor if it is parked. Oversized payloads cannot occur
+    /// (every response is hub-built) and are dropped defensively.
     fn push(&self, payload: &[u8]) {
         let _ = self.buf.lock().push_frame(payload);
         self.waker.wake();
@@ -190,6 +195,10 @@ pub struct HubStats {
     pub connections: usize,
     /// Sessions alive on this hub, attached or awaiting a resume.
     pub sessions: usize,
+    /// Answers held for exactly-once replay, summed over the sessions;
+    /// per session at most [`ACK_EVERY`](crate::client::ACK_EVERY) plus
+    /// the spoke's pipeline depth, however fast operations complete.
+    pub cached_answers: usize,
 }
 
 /// A TCP hub exposing an inner [`Transport`] to remote
@@ -207,6 +216,7 @@ impl<I, M> fmt::Debug for TransportServer<I, M> {
             .field("addr", &self.addr)
             .field("connections", &stats.connections)
             .field("sessions", &stats.sessions)
+            .field("cached_answers", &stats.cached_answers)
             .finish()
     }
 }
@@ -321,9 +331,9 @@ where
         );
     }
 
-    /// This hub's live connections and sessions. Scoped to the
-    /// instance, so tests and soaks can audit one hub while others run
-    /// in the same process.
+    /// This hub's live connections, sessions and replay-cache size.
+    /// Scoped to the instance, so tests and soaks can audit one hub
+    /// while others run in the same process.
     pub fn stats(&self) -> HubStats {
         self.shared.stats()
     }
@@ -346,9 +356,11 @@ impl<I, M> Drop for TransportServer<I, M> {
 
 impl<I, M> ServerShared<I, M> {
     fn stats(&self) -> HubStats {
+        let sessions = self.sessions.lock();
         HubStats {
             connections: self.conns.lock().len(),
-            sessions: self.sessions.lock().len(),
+            sessions: sessions.len(),
+            cached_answers: sessions.values().map(|s| s.state.lock().done.len()).sum(),
         }
     }
 
@@ -452,20 +464,22 @@ where
     }
 
     fn run(mut self) {
+        // Scratch lists, reused turn after turn.
+        let mut readable: Vec<u64> = Vec::new();
+        let mut dead: Vec<u64> = Vec::new();
         loop {
+            // Park first, look second: a producer that queued output
+            // (or flagged shutdown) before this point is seen by the
+            // checks below, one that comes after finds the reactor
+            // parked and sends the wake byte.
+            self.shared.waker.park();
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 self.drain_and_close();
                 return;
             }
-            // Patch each connection's write interest in place, only
-            // when it changed since the last wake (read interest is
-            // constant for a connection's whole life).
-            for conn in self.conns.values_mut() {
-                let want_write = !conn.tx.buf.lock().is_empty();
-                if want_write != conn.want_write {
-                    self.poller.set_interest(conn.tok, true, want_write);
-                    conn.want_write = want_write;
-                }
+            self.flush_all(&mut dead);
+            for id in dead.drain(..) {
+                self.teardown(id);
             }
             let timeout = self.next_sweep.saturating_duration_since(Instant::now());
             if self.poller.wait(Some(timeout)).is_err() {
@@ -474,6 +488,10 @@ where
                 // on every supported platform).
                 thread::yield_now();
             }
+            // Awake: completions that run on this thread from here on —
+            // most of them, since submitted operations are stepped by
+            // their submitter — queue their answers without a wake.
+            self.shared.waker.unpark();
             if self.poller.readiness(self.waker_tok).readable {
                 self.shared.waker.drain();
             }
@@ -485,29 +503,41 @@ where
                 self.accept_ready();
             }
             // Reads: drain every readable connection and route its
-            // complete frames.
-            let slots: Vec<(u64, usize)> = self.conns.iter().map(|(id, c)| (*id, c.tok)).collect();
-            let mut dead: Vec<u64> = Vec::new();
-            for &(id, tok) in &slots {
-                let r = self.poller.readiness(tok);
-                if !(r.readable || r.hangup) {
-                    continue;
-                }
+            // complete frames. The answers are written by the next
+            // turn's flush, all of a connection's in one write.
+            readable.extend(self.conns.iter().filter_map(|(id, c)| {
+                let r = self.poller.readiness(c.tok);
+                (r.readable || r.hangup).then_some(*id)
+            }));
+            for id in readable.drain(..) {
                 if !self.service_read(id) {
                     dead.push(id);
                 }
             }
-            // Writes: one coalesced flush per connection with queued
-            // output (readiness is rechecked implicitly — a nonblocking
-            // partial write just leaves the rest for the next wakeup).
-            let flush_ids: Vec<u64> = self.conns.keys().copied().collect();
-            for id in flush_ids {
-                if !self.flush_conn(id) {
-                    dead.push(id);
+        }
+    }
+
+    /// The last thing before the reactor blocks: one coalesced write
+    /// per connection with queued output (a nonblocking partial write
+    /// leaves the rest, and write interest, for the next turn), and the
+    /// write-interest bit patched in place where it changed. Appends to
+    /// `dead` the connections to tear down: a failed write, or a
+    /// close-after-flush that drained.
+    fn flush_all(&mut self, dead: &mut Vec<u64>) {
+        for (id, conn) in &mut self.conns {
+            let drained = match conn.tx.buf.lock().flush_to(&mut conn.stream) {
+                Ok(drained) => drained,
+                Err(_) => {
+                    dead.push(*id);
+                    continue;
                 }
+            };
+            if conn.closing && drained {
+                dead.push(*id);
             }
-            for id in dead {
-                self.teardown(id);
+            if conn.want_write == drained {
+                conn.want_write = !drained;
+                self.poller.set_interest(conn.tok, true, conn.want_write);
             }
         }
     }
@@ -578,20 +608,6 @@ where
             }
         }
         status == ReadStatus::Blocked
-    }
-
-    /// Flushes a connection's queued output. Returns `false` if the
-    /// connection should be torn down (write failure, or a drained
-    /// close-after-flush).
-    fn flush_conn(&mut self, id: u64) -> bool {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return true;
-        };
-        let mut buf = conn.tx.buf.lock();
-        match buf.flush_to(&mut conn.stream) {
-            Ok(drained) => !(conn.closing && drained),
-            Err(_) => false,
-        }
     }
 
     /// Routes one decoded frame according to the connection's mode.
@@ -802,10 +818,7 @@ where
                     Event::SeqStream { first_seq, items }.encode(&mut payload);
                     write_to_session(&mut st, &payload);
                 }
-                let mut payload = Vec::new();
-                req_id.encode(&mut payload);
-                Resp::<I, M>::Unit.encode(&mut payload);
-                write_to_session(&mut st, &payload);
+                write_to_session(&mut st, &encode_answer(req_id, &Resp::<I, M>::Unit));
             }
             Req::Bind(bid) => {
                 let mut st = sess.state.lock();
@@ -1008,44 +1021,40 @@ where
     }
 
     /// Queues one `(req_id, resp)` frame on a connection's output
-    /// buffer; the reactor flushes it on its next wakeup.
+    /// buffer; the reactor flushes it before it next parks.
     fn respond(&self, tx: &ConnTx, req_id: u64, resp: &Resp<I, M>) {
-        let mut payload = Vec::new();
-        req_id.encode(&mut payload);
-        resp.encode(&mut payload);
-        tx.push(&payload);
+        tx.push(&encode_answer(req_id, resp));
     }
 
     /// Records `resp` in the session's replay cache, then queues it on
     /// the currently attached connection, if any. A severed session
     /// simply accumulates answers for the eventual replay.
     fn session_respond(&self, sess: &Session<I>, req_id: u64, resp: &Resp<I, M>) {
-        let mut payload = Vec::new();
-        req_id.encode(&mut payload);
-        resp.encode(&mut payload);
+        let payload = encode_answer(req_id, resp);
         let mut st = sess.state.lock();
         st.in_flight.remove(&req_id);
-        st.done.insert(req_id, payload.clone());
         write_to_session(&mut st, &payload);
+        st.done.insert(req_id, payload);
     }
 
     /// Writes a response without caching it (heartbeats: never
     /// replayed, pruned nowhere).
     fn session_write_uncached(&self, sess: &Session<I>, req_id: u64, resp: &Resp<I, M>) {
-        let mut payload = Vec::new();
-        req_id.encode(&mut payload);
-        resp.encode(&mut payload);
-        let mut st = sess.state.lock();
-        write_to_session(&mut st, &payload);
+        let payload = encode_answer(req_id, resp);
+        write_to_session(&mut sess.state.lock(), &payload);
     }
 
     /// Appends one item to every subscribed session's sequenced event
     /// stream — buffered for gapless resume replay — and pushes it to
     /// the attached connection. `item` builds an owned copy of the
     /// record per use. Sequencing and queueing happen under the session
-    /// state lock, so concurrent events cannot reorder on the wire.
-    fn stream(&self, sessions: &[Arc<Session<I>>], item: impl Fn() -> StreamItem<I>) {
-        for sess in sessions {
+    /// state lock, so concurrent events cannot reorder on the wire. The
+    /// session table is walked under its own lock (order: table →
+    /// session state, as in the lease sweep), so a hub nobody
+    /// subscribed to pays two uncontended locks per record and no
+    /// allocation.
+    fn stream(&self, item: impl Fn() -> StreamItem<I>) {
+        for sess in self.sessions.lock().values() {
             let mut st = sess.state.lock();
             if !st.subscribed {
                 continue;
@@ -1057,7 +1066,7 @@ where
                 st.events.pop_front();
             }
             if !st.event_resync {
-                let mut payload = Vec::new();
+                let mut payload = Vec::with_capacity(ANSWER_CAPACITY);
                 EVENT_REQ_ID.encode(&mut payload);
                 match item() {
                     StreamItem::Fault(record) => Event::SeqFault { seq, record },
@@ -1077,8 +1086,7 @@ where
     /// ([`ConnTx`], session state, raw stream handles), never the
     /// reactor's own maps.
     fn handle_fault(&self, rec: &FaultRecord<I>) {
-        let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
-        self.stream(&sessions, || StreamItem::Fault(rec.clone()));
+        self.stream(|| StreamItem::Fault(rec.clone()));
         // Enact connection faults: tear down the connection of the
         // session animating the faulted edge (sender side first; a
         // hub-local sender severs the remote receiver instead). The
@@ -1086,6 +1094,7 @@ where
         // chaos schedule replays identically on any transport — only
         // the enactment is connection-specific.
         if matches!(rec.kind, FaultKind::Sever | FaultKind::Partition) {
+            let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
             let target = sessions
                 .iter()
                 .find(|s| s.state.lock().bound.contains(&rec.from))
@@ -1120,8 +1129,7 @@ where
     /// order; it must therefore never call back into the inner
     /// transport.
     fn handle_rendezvous(&self, rec: &RendezvousRecord<I>) {
-        let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
-        self.stream(&sessions, || StreamItem::Rendezvous(rec.clone()));
+        self.stream(|| StreamItem::Rendezvous(rec.clone()));
     }
 
     /// Expires sessions whose lease lapsed while severed: their bound
@@ -1155,6 +1163,19 @@ where
             }
         }
     }
+}
+
+/// Bytes reserved for an encoded answer or event frame: covers the
+/// request id, the tag and a short payload, so the common answers are
+/// encoded without a regrowth.
+const ANSWER_CAPACITY: usize = 128;
+
+/// Encodes one `(req_id, resp)` answer frame.
+fn encode_answer<I: Wire, M: Wire>(req_id: u64, resp: &Resp<I, M>) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(ANSWER_CAPACITY);
+    req_id.encode(&mut payload);
+    resp.encode(&mut payload);
+    payload
 }
 
 /// Queues `payload` on the session's attached connection, if any.
