@@ -7,8 +7,8 @@
 //! * `noop_subscriber` — a subscriber that discards every event: the
 //!   full emit path (sequence lock, timestamp, dispatch) with a free
 //!   `on_event`. The gap to `disabled` is the price of *watching*.
-//! * `ring` — the built-in bounded [`RingObserver`] behind
-//!   `enable_event_log`, the legacy `take_events` surface.
+//! * `ring` — a bounded [`RingObserver`] installed through
+//!   `set_observer`.
 //! * `metrics` — a [`MetricsObserver`] folding the stream into
 //!   counters and latency histograms.
 //!
@@ -21,7 +21,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use script_core::{
-    Initiation, Instance, MetricsObserver, Observer, RoleId, Script, TelemetryEvent, Termination,
+    Initiation, Instance, MetricsObserver, Observer, RingObserver, RoleId, Script, TelemetryEvent,
+    Termination,
 };
 
 const ROUNDS: u64 = 8;
@@ -68,7 +69,7 @@ fn bench(c: &mut Criterion) {
             inst.set_observer(Arc::new(Noop));
         }),
         ("ring", |inst| {
-            inst.enable_event_log(4096);
+            inst.set_observer(Arc::new(RingObserver::new(4096)));
         }),
         ("metrics", |inst| {
             inst.set_observer(Arc::new(MetricsObserver::new()));
@@ -88,10 +89,6 @@ fn bench(c: &mut Criterion) {
                     h.join().unwrap().unwrap();
                 });
             });
-            // Keep the ring bounded-cost arm honest: drain so repeated
-            // Criterion runs in one process never measure a full ring's
-            // drop-counting fast path instead of the push path.
-            let _ = inst.take_telemetry();
         });
     }
     group.finish();

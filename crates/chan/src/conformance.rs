@@ -25,14 +25,16 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::fmt;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::{FaultKind, FaultPlan, FaultRecord};
 use crate::network::{Network, PeerState};
 use crate::select::{Arm, Outcome};
-use crate::transport::{LatencyOp, Transport};
+use crate::transport::{LatencyOp, LatencySample, Transport};
 use crate::ChanError;
 
 /// The concrete transport type the suite exercises.
@@ -48,6 +50,69 @@ fn net_of(t: ConformanceTransport) -> Network<String, u64> {
 
 fn s(x: &str) -> String {
     x.to_string()
+}
+
+/// Installs a fault observer on `net` that appends every pushed record
+/// to the returned vector. Records of an operation issued through `net`
+/// are in it when the operation returns: in process the faulting thread
+/// runs the observer, over a socket the hub writes an operation's fault
+/// push before its response and the spoke dispatches in frame order.
+pub(crate) fn collect_faults<I, M>(net: &Network<I, M>) -> Arc<Mutex<Vec<FaultRecord<I>>>>
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static,
+{
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    net.set_fault_observer(move |rec| sink.lock().unwrap().push(rec.clone()));
+    seen
+}
+
+/// Installs a latency observer on `net` that appends every pushed
+/// sample to the returned vector.
+fn collect_latency(net: &Network<String, u64>) -> Arc<Mutex<Vec<LatencySample>>> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    net.set_latency_observer(move |sample| sink.lock().unwrap().push(*sample));
+    seen
+}
+
+/// Installs both observers on `net`, merging what they are pushed into
+/// one stream in arrival order: `fault <record>` per injected fault,
+/// `send ok` per successful send (receiver-side samples race with the
+/// sender's and are left out).
+fn merged_log(net: &Network<String, u64>) -> Arc<Mutex<Vec<String>>> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&log);
+    net.set_fault_observer(move |rec| sink.lock().unwrap().push(format!("fault {rec}")));
+    let sink = Arc::clone(&log);
+    net.set_latency_observer(move |sample| {
+        if sample.op == LatencyOp::Send {
+            sink.lock().unwrap().push(s("send ok"));
+        }
+    });
+    log
+}
+
+/// The fault records of a [`merged_log`] stream.
+fn faults_of(stream: &[String]) -> Vec<String> {
+    let faults = stream.iter().filter(|e| e.starts_with("fault"));
+    faults.cloned().collect()
+}
+
+/// The successful sends of a [`merged_log`] stream.
+fn sends_of(stream: &[String]) -> usize {
+    stream.iter().filter(|e| *e == "send ok").count()
+}
+
+/// The collected fault records, rendered.
+fn rendered(faults: &Mutex<Vec<FaultRecord<String>>>) -> Vec<String> {
+    faults
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|r| r.to_string())
+        .collect()
 }
 
 /// A deadline generous enough that only a contract violation hits it.
@@ -104,8 +169,7 @@ pub fn check_lifecycle(factory: TransportFactory<'_>) {
         net.activity() > a0,
         "lifecycle transitions advance activity"
     );
-    let peers: Vec<String> = net.peers().into_iter().map(|(id, _)| id).collect();
-    assert!(peers.contains(&s("x")) && peers.contains(&s("y")));
+    assert_eq!(net.peer_state(&s("y")), Some(PeerState::Expected));
 }
 
 /// Rendezvous ordering: messages on one directed edge are delivered in
@@ -344,7 +408,7 @@ pub fn check_abort_unblocks(factory: TransportFactory<'_>) {
 
 /// Crash surfacing: a plan-selected victim fails its own operation with
 /// `Terminated(self)`, reads as `Done`, unblocks partners waiting on
-/// it, and leaves a `Crash` record in the fault log.
+/// it, and pushes a `Crash` record to the fault observer.
 pub fn check_crash_surfacing(factory: TransportFactory<'_>) {
     // Pick a seed whose victim set is exactly {a}. Decisions are pure
     // functions of (seed, peer), so this probe costs nothing.
@@ -359,6 +423,7 @@ pub fn check_crash_surfacing(factory: TransportFactory<'_>) {
     for id in ["a", "b", "w"] {
         net.activate(s(id));
     }
+    let faults = collect_faults(&net);
     net.set_fault_plan(probe(seed));
     let w = net.port(s("w")).unwrap();
     let wh = thread::spawn(move || w.recv_from_deadline(&s("a"), far()));
@@ -379,21 +444,24 @@ pub fn check_crash_surfacing(factory: TransportFactory<'_>) {
         "a partner blocked on the victim must unblock with Terminated"
     );
     assert!(
-        net.fault_log()
+        faults
+            .lock()
+            .unwrap()
             .iter()
             .any(|r| r.kind == FaultKind::Crash && r.from == s("a")),
-        "the crash must be recorded in the fault log"
+        "the crash must be pushed to the fault observer"
     );
 }
 
 /// Fault-plan plumbing: an attached plan reads back equal (all fault
-/// classes and probabilities survive the transport boundary), the log
-/// starts empty, and clearing detaches it.
+/// classes and probabilities survive the transport boundary), attaching
+/// injects nothing by itself, and clearing detaches it.
 pub fn check_fault_plan_roundtrip(factory: TransportFactory<'_>) {
     let net = net_of(factory(17));
     net.activate(s("a"));
     net.activate(s("b"));
     assert_eq!(net.fault_plan(), None);
+    let faults = collect_faults(&net);
     let plan = FaultPlan::new(21)
         .with_drop(0.25)
         .with_delay(0.5, Duration::from_micros(300))
@@ -405,13 +473,13 @@ pub fn check_fault_plan_roundtrip(factory: TransportFactory<'_>) {
         Some(plan),
         "an attached plan must read back unchanged"
     );
-    assert!(net.fault_log().is_empty());
+    assert!(faults.lock().unwrap().is_empty());
     net.clear_fault_plan();
     assert_eq!(net.fault_plan(), None);
 }
 
 /// Fault determinism: the same seed and communication schedule produce
-/// byte-identical fault logs on two independent runs.
+/// byte-identical fault record streams on two independent runs.
 pub fn check_fault_determinism(factory: TransportFactory<'_>) {
     let one = chaos_schedule_log(factory);
     let two = chaos_schedule_log(factory);
@@ -427,7 +495,7 @@ pub fn check_fault_determinism(factory: TransportFactory<'_>) {
 
 /// Runs the reference chaos schedule — 24 sequential sends on one edge
 /// under a fixed drop/delay/duplicate plan — and returns the rendered
-/// fault log.
+/// fault records, as pushed to the fault observer.
 ///
 /// Because injection decisions are made at the sending edge as pure
 /// functions of (seed, edge, sequence), the returned log is identical
@@ -437,6 +505,7 @@ pub fn chaos_schedule_log(factory: TransportFactory<'_>) -> Vec<String> {
     let net = net_of(factory(23));
     net.activate(s("a"));
     net.activate(s("b"));
+    let faults = collect_faults(&net);
     net.set_fault_plan(
         FaultPlan::new(29)
             .with_drop(0.35)
@@ -458,22 +527,23 @@ pub fn chaos_schedule_log(factory: TransportFactory<'_>) -> Vec<String> {
     }
     net.finish(s("a"));
     let _ = rx.join().unwrap();
-    net.fault_log().iter().map(|r| r.to_string()).collect()
+    rendered(&faults)
 }
 
 /// Session resumption: under a seeded sever schedule — where a
 /// connection-oriented transport's hub tears down the carrying
 /// connection mid-run and the spoke must reconnect, resume its session
 /// and replay un-acked requests — every message still arrives exactly
-/// once and in order, and the fault log is a deterministic function of
-/// the seed. On the in-process transport sever records are injected at
-/// the same points but enacting them is a no-op, so the check holds the
-/// two backends to the same observable contract.
+/// once and in order, and the fault record stream is a deterministic
+/// function of the seed. On the in-process transport sever records are
+/// injected at the same points but enacting them is a no-op, so the
+/// check holds the two backends to the same observable contract.
 pub fn check_session_resumption(factory: TransportFactory<'_>) {
     let run = || {
         let net = net_of(factory(53));
         net.activate(s("a"));
         net.activate(s("b"));
+        let faults = collect_faults(&net);
         net.set_fault_plan(FaultPlan::new(59).with_sever(0.25));
         let b = net.port(s("b")).unwrap();
         let rx = thread::spawn(move || {
@@ -490,8 +560,7 @@ pub fn check_session_resumption(factory: TransportFactory<'_>) {
         }
         net.finish(s("a"));
         let got = rx.join().unwrap();
-        let log: Vec<String> = net.fault_log().iter().map(|r| r.to_string()).collect();
-        (got, log)
+        (got, rendered(&faults))
     };
     let (got, log) = run();
     assert_eq!(
@@ -516,6 +585,7 @@ pub fn check_lease_expiry(factory: TransportFactory<'_>) {
     let net = net_of(factory(61));
     net.activate(s("a"));
     net.activate(s("b"));
+    let faults = collect_faults(&net);
     net.set_fault_plan(FaultPlan::new(67).with_sever(1.0));
     net.finish(s("b"));
     let a = net.port(s("a")).unwrap();
@@ -529,7 +599,11 @@ pub fn check_lease_expiry(factory: TransportFactory<'_>) {
         "termination must surface promptly, not wait out a lease"
     );
     assert!(
-        net.fault_log().iter().any(|r| r.kind == FaultKind::Sever),
+        faults
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|r| r.kind == FaultKind::Sever),
         "a certain sever plan must record the sever"
     );
 }
@@ -545,22 +619,10 @@ pub fn check_lease_expiry(factory: TransportFactory<'_>) {
 /// push-ordered and deduplicated by sequence number across resumes) and
 /// the count of successful sends.
 pub fn sever_resume_event_stream(factory: TransportFactory<'_>) -> Vec<String> {
-    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
     let net = net_of(factory(71));
     net.activate(s("a"));
     net.activate(s("b"));
-    {
-        let log = Arc::clone(&log);
-        net.set_fault_observer(move |rec| log.lock().unwrap().push(format!("fault {rec}")));
-    }
-    {
-        let log = Arc::clone(&log);
-        net.set_latency_observer(move |sample| {
-            if sample.op == LatencyOp::Send {
-                log.lock().unwrap().push(s("send ok"));
-            }
-        });
-    }
+    let log = merged_log(&net);
     net.set_fault_plan(
         FaultPlan::new(73)
             .with_delay(1.0, Duration::from_micros(50))
@@ -586,13 +648,6 @@ pub fn sever_resume_event_stream(factory: TransportFactory<'_>) -> Vec<String> {
 pub fn check_sever_stream_parity(one: TransportFactory<'_>, two: TransportFactory<'_>) {
     let a = sever_resume_event_stream(one);
     let b = sever_resume_event_stream(two);
-    let faults_of = |st: &[String]| -> Vec<String> {
-        st.iter()
-            .filter(|e| e.starts_with("fault"))
-            .cloned()
-            .collect()
-    };
-    let sends_of = |st: &[String]| st.iter().filter(|e| *e == "send ok").count();
     assert!(
         faults_of(&a).iter().any(|e| e.contains("sever")),
         "the reference sever schedule streams at least one sever record: {a:?}"
@@ -617,23 +672,11 @@ pub fn check_sever_stream_parity(one: TransportFactory<'_>, two: TransportFactor
 /// on the calling thread, so the stream is a deterministic function of
 /// the transport's seeded chaos schedule alone.
 pub fn open_family_churn_stream(factory: TransportFactory<'_>) -> Vec<String> {
-    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
     let net = net_of(factory(83));
     net.activate(s("seeder"));
     net.activate(s("member0"));
     net.declare(s("late"));
-    {
-        let log = Arc::clone(&log);
-        net.set_fault_observer(move |rec| log.lock().unwrap().push(format!("fault {rec}")));
-    }
-    {
-        let log = Arc::clone(&log);
-        net.set_latency_observer(move |sample| {
-            if sample.op == LatencyOp::Send {
-                log.lock().unwrap().push(s("send ok"));
-            }
-        });
-    }
+    let log = merged_log(&net);
     net.set_fault_plan(
         FaultPlan::new(89)
             .with_delay(1.0, Duration::from_micros(50))
@@ -697,12 +740,6 @@ pub fn open_family_churn_stream(factory: TransportFactory<'_>) -> Vec<String> {
 pub fn check_open_family_churn(one: TransportFactory<'_>, two: TransportFactory<'_>) {
     let a = open_family_churn_stream(one);
     let b = open_family_churn_stream(two);
-    let faults_of = |st: &[String]| -> Vec<String> {
-        st.iter()
-            .filter(|e| e.starts_with("fault"))
-            .cloned()
-            .collect()
-    };
     let markers_of = |st: &[String]| -> Vec<String> {
         st.iter()
             .filter(|e| !e.starts_with("fault") && *e != "send ok")
@@ -733,7 +770,6 @@ pub fn check_open_family_churn(one: TransportFactory<'_>, two: TransportFactory<
         markers_of(&b),
         "the enroll/depart lifecycle must be identical on both transports"
     );
-    let sends_of = |st: &[String]| st.iter().filter(|e| *e == "send ok").count();
     assert_eq!(
         sends_of(&a),
         sends_of(&b),
@@ -746,17 +782,18 @@ pub fn check_open_family_churn(one: TransportFactory<'_>, two: TransportFactory<
     );
 }
 
-/// Latency reporting: a fresh transport has no samples; successful
-/// rendezvous produce `Send` and `Select` samples; `take_latency_samples`
-/// drains; and a plan-injected delay is visible in the recorded
-/// elapsed times (the watchdog's adaptive-window contract).
+/// Latency reporting: lifecycle calls push no samples; successful
+/// rendezvous push `Send` and `Select` samples to the latency observer;
+/// and a plan-injected delay is visible in the reported elapsed times
+/// (the watchdog's adaptive-window contract).
 pub fn check_latency_reporting(factory: TransportFactory<'_>) {
     let net = net_of(factory(19));
+    let samples = collect_latency(&net);
     net.activate(s("a"));
     net.activate(s("b"));
     assert!(
-        net.latency_samples().is_empty(),
-        "a fresh transport must report no latency samples"
+        samples.lock().unwrap().is_empty(),
+        "lifecycle calls must report no latency samples"
     );
     let b = net.port(s("b")).unwrap();
     let rx = thread::spawn(move || {
@@ -770,9 +807,11 @@ pub fn check_latency_reporting(factory: TransportFactory<'_>) {
         a.send_deadline(&s("b"), k, far()).unwrap();
     }
     rx.join().unwrap();
-    let samples = net.latency_samples();
-    let sends = samples.iter().filter(|x| x.op == LatencyOp::Send).count();
-    let selects = samples.iter().filter(|x| x.op == LatencyOp::Select).count();
+    let count_of = |op| {
+        let seen = samples.lock().unwrap();
+        seen.iter().filter(|x| x.op == op).count()
+    };
+    let (sends, selects) = (count_of(LatencyOp::Send), count_of(LatencyOp::Select));
     assert!(
         sends >= 8,
         "8 successful sends must each leave a Send sample, got {sends}"
@@ -781,12 +820,7 @@ pub fn check_latency_reporting(factory: TransportFactory<'_>) {
         selects >= 8,
         "8 successful selections must each leave a Select sample, got {selects}"
     );
-    let drained = net.take_latency_samples();
-    assert_eq!(drained.len(), samples.len(), "take must drain every sample");
-    assert!(
-        net.latency_samples().is_empty(),
-        "after take, the sample log must be empty"
-    );
+    samples.lock().unwrap().clear();
     // A certain (probability-1) injected delay must show up in the
     // observed latency of the operation that paid for it.
     let delay = Duration::from_millis(20);
@@ -795,9 +829,10 @@ pub fn check_latency_reporting(factory: TransportFactory<'_>) {
     let rx = thread::spawn(move || b.recv_from_deadline(&s("a"), far()));
     a.send_deadline(&s("b"), 99, far()).unwrap();
     assert_eq!(rx.join().unwrap(), Ok(99));
-    let slow = net
-        .take_latency_samples()
-        .into_iter()
+    let slow = samples
+        .lock()
+        .unwrap()
+        .iter()
         .map(|x| x.elapsed)
         .max()
         .expect("the delayed rendezvous leaves samples");
@@ -823,6 +858,7 @@ pub fn latency_sample_profile(
 ) -> (Vec<(LatencyOp, usize)>, Duration) {
     let delay = Duration::from_millis(2);
     let net = net_of(factory(37));
+    let samples = collect_latency(&net);
     net.activate(s("a"));
     net.activate(s("b"));
     net.set_fault_plan(FaultPlan::new(41).with_drop(0.35).with_delay(1.0, delay));
@@ -841,7 +877,7 @@ pub fn latency_sample_profile(
     }
     net.finish(s("a"));
     let _ = rx.join().unwrap();
-    let samples = net.latency_samples();
+    let samples = samples.lock().unwrap().clone();
     let max = samples
         .iter()
         .map(|x| x.elapsed)
@@ -876,22 +912,10 @@ pub fn latency_sample_profile(
 /// sender's. The stream is therefore identical for any conforming
 /// transport.
 pub fn merged_event_stream(factory: TransportFactory<'_>) -> Vec<String> {
-    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
     let net = net_of(factory(43));
     net.activate(s("a"));
     net.activate(s("b"));
-    {
-        let log = Arc::clone(&log);
-        net.set_fault_observer(move |rec| log.lock().unwrap().push(format!("fault {rec}")));
-    }
-    {
-        let log = Arc::clone(&log);
-        net.set_latency_observer(move |sample| {
-            if sample.op == LatencyOp::Send {
-                log.lock().unwrap().push(s("send ok"));
-            }
-        });
-    }
+    let log = merged_log(&net);
     net.set_fault_plan(FaultPlan::new(47).with_delay(0.5, Duration::from_micros(200)));
     let b = net.port(s("b")).unwrap();
     let rx = thread::spawn(move || while b.recv_from_deadline(&s("a"), far()).is_ok() {});
@@ -1044,7 +1068,7 @@ pub fn monitored_rendezvous_trace(
     factory: TransportFactory<'_>,
     misbehavior: Misbehavior,
 ) -> Vec<String> {
-    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = Arc::new(Mutex::new(Vec::new()));
     let net = net_of(factory(79));
     for id in ["a", "b", "c"] {
         net.activate(s(id));

@@ -57,12 +57,11 @@ impl<I, M> Clone for Network<I, M> {
     }
 }
 
-impl<I: fmt::Debug + Clone + Eq + Hash, M> fmt::Debug for Network<I, M> {
+/// Prints no state: every question a transport answers may be a blocking
+/// round trip (a socket spoke), which formatting must never make.
+impl<I, M> fmt::Debug for Network<I, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Network")
-            .field("peers", &self.transport.peers())
-            .field("aborted", &self.transport.is_aborted())
-            .finish()
+        f.debug_struct("Network").finish_non_exhaustive()
     }
 }
 
@@ -176,11 +175,6 @@ where
         self.transport.peer_state(id)
     }
 
-    /// All declared participants and their states, in unspecified order.
-    pub fn peers(&self) -> Vec<(I, PeerState)> {
-        self.transport.peers()
-    }
-
     /// Monotone progress counter: increments on every deposit, pickup,
     /// and peer lifecycle transition. A watchdog that samples this
     /// across a quiescence window can distinguish a slow performance
@@ -199,7 +193,7 @@ where
     /// Attaches a deterministic [`FaultPlan`]. Subsequent sends consult
     /// the plan for drop/delay/duplicate decisions and every operation
     /// counts toward crash-at-step-*k*. Replaces any previous plan and
-    /// resets all fault counters and the fault log.
+    /// resets all fault counters.
     ///
     /// A plan with no enabled fault class short-circuits at attach time:
     /// the transport hoists the decision out of the per-message path, so
@@ -217,8 +211,7 @@ where
         self.transport.set_fault_plan(plan, clone_of::<M>);
     }
 
-    /// Detaches the fault plan (and discards its log), restoring the
-    /// no-op fast path.
+    /// Detaches the fault plan, restoring the no-op fast path.
     pub fn clear_fault_plan(&self) {
         self.transport.clear_fault_plan();
     }
@@ -230,8 +223,9 @@ where
 
     /// Registers a callback invoked synchronously, from the faulting
     /// thread, for every injected fault (it must not block on the
-    /// faulting operation). Used by the engine to surface faults as
-    /// script events.
+    /// faulting operation). The transport keeps no record of its own:
+    /// this is how faults are read. Used by the engine to surface them
+    /// as script events.
     pub fn set_fault_observer<F>(&self, observer: F)
     where
         F: Fn(&FaultRecord<I>) + Send + Sync + 'static,
@@ -251,17 +245,6 @@ where
     {
         self.transport
             .set_rendezvous_observer(Arc::new(observer), label_of);
-    }
-
-    /// A copy of the fault log: every fault injected so far, in
-    /// injection order.
-    pub fn fault_log(&self) -> Vec<FaultRecord<I>> {
-        self.transport.fault_log()
-    }
-
-    /// Drains and returns the fault log.
-    pub fn take_fault_log(&self) -> Vec<FaultRecord<I>> {
-        self.transport.take_fault_log()
     }
 
     /// Registers a callback invoked synchronously, from the operating
@@ -284,16 +267,6 @@ where
         F: Fn(&SessionEvent<I>) + Send + Sync + 'static,
     {
         self.transport.set_session_observer(Arc::new(observer));
-    }
-
-    /// A copy of the recent latency samples, oldest first (bounded).
-    pub fn latency_samples(&self) -> Vec<LatencySample> {
-        self.transport.latency_samples()
-    }
-
-    /// Drains and returns the recent latency samples.
-    pub fn take_latency_samples(&self) -> Vec<LatencySample> {
-        self.transport.take_latency_samples()
     }
 
     /// Obtains the communication capability for participant `me`.
@@ -840,7 +813,6 @@ mod tests {
         net.finish("x");
         assert_eq!(net.peer_state(&"x"), Some(PeerState::Done));
         assert_eq!(net.peer_state(&"y"), None);
-        assert_eq!(net.peers().len(), 1);
     }
 
     #[test]
@@ -1038,6 +1010,7 @@ mod try_recv_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::conformance::collect_faults;
     use crate::fault::{FaultKind, FaultPlan};
     use std::time::Duration;
 
@@ -1060,6 +1033,7 @@ mod fault_tests {
     #[test]
     fn disabled_plan_injects_nothing() {
         let net: Network<&'static str, u32> = Network::new();
+        let faults = collect_faults(&net);
         net.activate("a");
         net.activate("b");
         let a = net.port("a").unwrap();
@@ -1067,12 +1041,13 @@ mod fault_tests {
         let t = std::thread::spawn(move || b.recv_from(&"a"));
         a.send(&"b", 5).unwrap();
         assert_eq!(t.join().unwrap().unwrap(), 5);
-        assert!(net.fault_log().is_empty());
+        assert!(faults.lock().unwrap().is_empty());
     }
 
     #[test]
     fn certain_drop_starves_receiver() {
         let (net, a, b) = chaos_pair(FaultPlan::new(1).with_drop(1.0));
+        let faults = collect_faults(&net);
         // The sender believes the message went out...
         a.send(&"b", 5).unwrap();
         // ...but the receiver never sees it.
@@ -1080,7 +1055,7 @@ mod fault_tests {
             b.recv_from_deadline(&"a", Some(Instant::now() + Duration::from_millis(50))),
             Err(ChanError::Timeout)
         );
-        let log = net.fault_log();
+        let log = faults.lock().unwrap();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].kind, FaultKind::Drop);
         assert_eq!(log[0].from, "a");
@@ -1090,6 +1065,7 @@ mod fault_tests {
     #[test]
     fn certain_duplicate_delivers_twice() {
         let (net, a, b) = chaos_pair(FaultPlan::new(2).with_duplicate(1.0));
+        let faults = collect_faults(&net);
         let t = std::thread::spawn(move || b.recv_from(&"a"));
         a.send(&"b", 9).unwrap();
         assert_eq!(t.join().unwrap().unwrap(), 9);
@@ -1098,16 +1074,15 @@ mod fault_tests {
         let b2 = net.port("b").unwrap();
         let dup = b2.recv_from_deadline(&"a", Some(Instant::now() + Duration::from_secs(2)));
         assert_eq!(dup.unwrap(), 9);
-        assert!(net
-            .fault_log()
-            .iter()
-            .any(|r| r.kind == FaultKind::Duplicate));
+        let log = faults.lock().unwrap();
+        assert!(log.iter().any(|r| r.kind == FaultKind::Duplicate));
     }
 
     #[test]
     fn crash_marks_peer_done() {
         // Crash every peer on its second operation.
         let (net, a, b) = chaos_pair(FaultPlan::new(3).with_crash(1.0, 2));
+        let faults = collect_faults(&net);
         let t = std::thread::spawn(move || b.recv_from(&"a"));
         a.send(&"b", 1).unwrap();
         assert_eq!(t.join().unwrap().unwrap(), 1);
@@ -1115,7 +1090,7 @@ mod fault_tests {
         let err = a.send(&"b", 2);
         assert_eq!(err, Err(ChanError::Terminated("a")));
         assert_eq!(net.peer_state(&"a"), Some(PeerState::Done));
-        let log = net.fault_log();
+        let log = faults.lock().unwrap();
         assert!(log
             .iter()
             .any(|r| r.kind == FaultKind::Crash && r.from == "a"));
@@ -1124,18 +1099,21 @@ mod fault_tests {
     #[test]
     fn delay_still_delivers() {
         let (net, a, b) = chaos_pair(FaultPlan::new(4).with_delay(1.0, Duration::from_millis(20)));
+        let faults = collect_faults(&net);
         let t = std::thread::spawn(move || b.recv_from(&"a"));
         let before = Instant::now();
         a.send(&"b", 6).unwrap();
         assert_eq!(t.join().unwrap().unwrap(), 6);
         assert!(before.elapsed() >= Duration::from_millis(20));
-        assert!(net.fault_log().iter().any(|r| r.kind == FaultKind::Delay));
+        let log = faults.lock().unwrap();
+        assert!(log.iter().any(|r| r.kind == FaultKind::Delay));
     }
 
     #[test]
-    fn fault_log_is_deterministic_across_runs() {
+    fn fault_records_are_deterministic_across_runs() {
         let run = || {
             let (net, a, b) = chaos_pair(FaultPlan::new(11).with_drop(0.3).with_duplicate(0.3));
+            let faults = collect_faults(&net);
             for i in 0..20u32 {
                 let t = std::thread::spawn({
                     let b = net.port("b").unwrap();
@@ -1151,7 +1129,7 @@ mod fault_tests {
                 // Drain any duplicate redeliveries so runs line up.
                 while b.try_recv_from(&"a").ok().flatten().is_some() {}
             }
-            let mut log = net.take_fault_log();
+            let mut log = faults.lock().unwrap().clone();
             log.sort();
             log.iter().map(|r| r.to_string()).collect::<Vec<_>>()
         };

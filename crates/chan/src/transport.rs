@@ -209,15 +209,17 @@ pub struct LatencySample {
 ///   rendezvous still completes (the sender has already seen success).
 /// * **Faults.** With a [`FaultPlan`] attached, injection decisions are
 ///   pure functions of (seed, edge, per-edge sequence) made at the
-///   *sending* edge, so the fault log for a fixed communication
-///   schedule is identical across runs — and across transports. Remote
-///   peer loss (a disconnected process) surfaces as the same
-///   [`ChanError::Terminated`] a crashed peer produces.
-/// * **Latency.** Measuring backends record a [`LatencySample`] for
-///   every successful `send`, fired `select`, and non-empty `try_recv`
-///   — and only those — so the per-operation sample counts for a fixed
-///   communication schedule match across transports even though the
-///   elapsed times differ.
+///   *sending* edge and pushed to the fault observer as they are made
+///   — nothing is retained — so the record stream for a fixed
+///   communication schedule is identical across runs — and across
+///   transports. Remote peer loss (a disconnected process) surfaces as
+///   the same [`ChanError::Terminated`] a crashed peer produces.
+/// * **Latency.** While a latency observer is installed, measuring
+///   backends push it a [`LatencySample`] for every successful `send`,
+///   fired `select`, and non-empty `try_recv` — and only those — so the
+///   per-operation sample counts for a fixed communication schedule
+///   match across transports even though the elapsed times differ.
+///   With no observer the clock is not read.
 pub trait Transport<I, M>: Send + Sync {
     /// Declares `id` as expected (idempotent, never downgrades).
     fn declare(&self, id: I);
@@ -234,8 +236,6 @@ pub trait Transport<I, M>: Send + Sync {
     fn is_aborted(&self) -> bool;
     /// Lifecycle state of `id`, `None` if never declared.
     fn peer_state(&self, id: &I) -> Option<PeerState>;
-    /// All declared peers and their states, in unspecified order.
-    fn peers(&self) -> Vec<(I, PeerState)>;
     /// Monotone progress counter (see
     /// [`Network::activity`](crate::Network::activity)).
     fn activity(&self) -> u64;
@@ -247,11 +247,13 @@ pub trait Transport<I, M>: Send + Sync {
     fn has_pending_from(&self, to: &I, from: &I) -> bool;
     /// Attaches a fault plan; `clone_fn` materializes duplicates.
     fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&M) -> M);
-    /// Detaches the fault plan and discards its log.
+    /// Detaches the fault plan.
     fn clear_fault_plan(&self);
     /// The currently attached plan, if any.
     fn fault_plan(&self) -> Option<FaultPlan>;
-    /// Registers the fault observer callback.
+    /// Registers the callback every injected fault is pushed to, at
+    /// decision time. It is the only way fault records leave a
+    /// transport.
     fn set_fault_observer(&self, observer: FaultObserver<I>);
     /// Registers a callback invoked on every *completed* rendezvous —
     /// at message pickup, on the receiving side — with `label_of`
@@ -262,24 +264,11 @@ pub trait Transport<I, M>: Send + Sync {
     fn set_rendezvous_observer(&self, observer: RendezvousObserver<I>, label_of: LabelFn<M>) {
         let _ = (observer, label_of);
     }
-    /// A copy of the fault log.
-    fn fault_log(&self) -> Vec<FaultRecord<I>>;
-    /// Drains and returns the fault log.
-    fn take_fault_log(&self) -> Vec<FaultRecord<I>>;
     /// Registers a callback invoked after every successful blocking
     /// operation with its measured latency. Backends that do not
     /// measure may ignore it (the default does).
     fn set_latency_observer(&self, observer: LatencyObserver) {
         let _ = observer;
-    }
-    /// A copy of the recent latency samples, oldest first (bounded:
-    /// implementations retain a fixed number of recent samples).
-    fn latency_samples(&self) -> Vec<LatencySample> {
-        Vec::new()
-    }
-    /// Drains and returns the recent latency samples.
-    fn take_latency_samples(&self) -> Vec<LatencySample> {
-        Vec::new()
     }
     /// Registers a callback invoked on session-lifecycle transitions
     /// (disconnect, resume, lease expiry). Backends without a session
@@ -484,7 +473,6 @@ struct FaultHooks<I, M> {
     config: Mutex<Option<Arc<FaultConfig<M>>>>,
     observer: Mutex<Option<FaultObserver<I>>>,
     session_observer: Mutex<Option<SessionObserver<I>>>,
-    log: Mutex<Vec<FaultRecord<I>>>,
 }
 
 /// Cold-path rendezvous observation state: the no-observer pickup path
@@ -496,66 +484,51 @@ struct RendezvousHooks<I, M> {
     label_of: Mutex<Option<LabelFn<M>>>,
 }
 
-/// Latency recording shared by measuring transports: a bounded ring of
-/// recent samples plus an optional observer, both fed after every
-/// successful blocking operation. Embed one and delegate the three
-/// latency methods of [`Transport`] to it.
+/// Latency reporting shared by measuring transports: an optional
+/// observer behind a relaxed flag, so an operation nobody measures
+/// reads no clock. Embed one, bracket each measured operation with
+/// [`LatencyHooks::start`] / [`LatencyHooks::record`], and delegate
+/// [`Transport::set_latency_observer`] to it.
+#[derive(Default)]
 pub struct LatencyHooks {
-    log: Mutex<VecDeque<LatencySample>>,
+    /// Whether an observer is installed, readable without a lock.
+    enabled: AtomicBool,
     observer: Mutex<Option<LatencyObserver>>,
 }
-
-/// Most recent latency samples retained per transport.
-const LATENCY_LOG_CAP: usize = 1024;
 
 impl fmt::Debug for LatencyHooks {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LatencyHooks")
-            .field("samples", &self.log.lock().len())
+            .field("enabled", &self.enabled.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-impl Default for LatencyHooks {
-    fn default() -> Self {
-        Self {
-            log: Mutex::new(VecDeque::with_capacity(64)),
-            observer: Mutex::new(None),
-        }
-    }
-}
-
 impl LatencyHooks {
-    /// Appends a sample (evicting the oldest past the cap) and notifies
-    /// the observer, if any.
-    pub fn record(&self, op: LatencyOp, elapsed: Duration) {
-        let sample = LatencySample { op, elapsed };
-        {
-            let mut log = self.log.lock();
-            if log.len() == LATENCY_LOG_CAP {
-                log.pop_front();
-            }
-            log.push_back(sample);
-        }
+    /// The instant an operation issued now is measured from: `None` —
+    /// one relaxed load, no clock read — while no observer is installed.
+    pub fn start(&self) -> Option<Instant> {
+        self.enabled.load(Ordering::Relaxed).then(Instant::now)
+    }
+
+    /// Pushes the sample for a successful `op` issued at `started` to
+    /// the observer; a no-op for an operation that began unobserved.
+    pub fn record(&self, op: LatencyOp, started: Option<Instant>) {
+        let Some(started) = started else { return };
         let obs = self.observer.lock().clone();
         if let Some(obs) = obs {
-            obs(&sample);
+            obs(&LatencySample {
+                op,
+                elapsed: started.elapsed(),
+            });
         }
     }
 
     /// Installs (replacing) the observer callback.
     pub fn set_observer(&self, observer: LatencyObserver) {
         *self.observer.lock() = Some(observer);
-    }
-
-    /// A copy of the retained samples, oldest first.
-    pub fn samples(&self) -> Vec<LatencySample> {
-        self.log.lock().iter().copied().collect()
-    }
-
-    /// Drains and returns the retained samples.
-    pub fn take_samples(&self) -> Vec<LatencySample> {
-        self.log.lock().drain(..).collect()
+        // Flag last: an operation that sees it set finds the observer.
+        self.enabled.store(true, Ordering::SeqCst);
     }
 }
 
@@ -647,7 +620,6 @@ where
                 config: Mutex::new(None),
                 observer: Mutex::new(None),
                 session_observer: Mutex::new(None),
-                log: Mutex::new(Vec::new()),
             },
             rendezvous: RendezvousHooks {
                 enabled: AtomicBool::new(false),
@@ -756,7 +728,7 @@ where
         self.faults.config.lock().clone()
     }
 
-    /// Records an injected fault in the log and tells the observer.
+    /// Pushes an injected fault to the observer.
     fn record_fault(&self, kind: FaultKind, from: &I, to: &I, seq: u64) {
         let record = FaultRecord {
             kind,
@@ -768,7 +740,6 @@ where
         if let Some(obs) = obs {
             obs(&record);
         }
-        self.faults.log.lock().push(record);
     }
 
     /// Counts one operation by `me` toward crash-at-step-*k*; on a
@@ -908,13 +879,6 @@ where
             .map(|ep| life_of(ep.life.load(Ordering::SeqCst)))
     }
 
-    fn peers(&self) -> Vec<(I, PeerState)> {
-        self.registry()
-            .iter()
-            .map(|(id, ep)| (id.clone(), life_of(ep.life.load(Ordering::SeqCst))))
-            .collect()
-    }
-
     fn activity(&self) -> u64 {
         let base = self.activity.load(Ordering::Relaxed);
         // Lease-aware watchdog interaction: while any peer is severed
@@ -957,7 +921,6 @@ where
         let msg = plan.has_message_faults() || plan.has_connection_faults();
         let crashes = plan.has_crashes();
         *self.faults.config.lock() = Some(Arc::new(FaultConfig { plan, clone_fn }));
-        self.faults.log.lock().clear();
         // Reset all fault counters so the new plan starts from seq 0.
         let eps: Vec<Arc<Endpoint<I, M>>> = self.registry().values().cloned().collect();
         for ep in eps {
@@ -977,7 +940,6 @@ where
         self.faults.msg_faults.store(false, Ordering::SeqCst);
         self.faults.crashes.store(false, Ordering::SeqCst);
         *self.faults.config.lock() = None;
-        self.faults.log.lock().clear();
     }
 
     fn fault_plan(&self) -> Option<FaultPlan> {
@@ -1020,30 +982,8 @@ where
         }
     }
 
-    fn fault_log(&self) -> Vec<FaultRecord<I>> {
-        if self.faults.config.lock().is_none() {
-            return Vec::new();
-        }
-        self.faults.log.lock().clone()
-    }
-
-    fn take_fault_log(&self) -> Vec<FaultRecord<I>> {
-        if self.faults.config.lock().is_none() {
-            return Vec::new();
-        }
-        std::mem::take(&mut *self.faults.log.lock())
-    }
-
     fn set_latency_observer(&self, observer: LatencyObserver) {
         self.latency.set_observer(observer);
-    }
-
-    fn latency_samples(&self) -> Vec<LatencySample> {
-        self.latency.samples()
-    }
-
-    fn take_latency_samples(&self) -> Vec<LatencySample> {
-        self.latency.take_samples()
     }
 
     fn send(
@@ -1053,17 +993,17 @@ where
         msg: M,
         deadline: Option<Instant>,
     ) -> Result<(), ChanError<I>> {
-        let started = Instant::now();
+        let started = self.latency.start();
         let result = self.send_parked(from, to, msg, deadline);
         self.note_send(started, &result);
         result
     }
 
     fn try_recv(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>> {
-        let start = Instant::now();
+        let started = self.latency.start();
         let result = self.try_recv_impl(me, from);
         if matches!(result, Ok(Some(_))) {
-            self.latency.record(LatencyOp::TryRecv, start.elapsed());
+            self.latency.record(LatencyOp::TryRecv, started);
         }
         result
     }
@@ -1074,7 +1014,7 @@ where
         arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
-        let started = Instant::now();
+        let started = self.latency.start();
         let result = self.select_parked(me, arms, deadline);
         self.note_select(started, &result);
         result
@@ -1092,7 +1032,7 @@ where
         deadline: Option<Instant>,
         done: SendDone<I>,
     ) -> Result<(), (M, SendDone<I>)> {
-        let started = Instant::now();
+        let started = self.latency.start();
         let result = match self.admit_send(from, to, msg) {
             Err(e) => Err(e),
             Ok(adm) if adm.dropped => self.dropped_result(to, &adm.to_ep),
@@ -1130,7 +1070,7 @@ where
         deadline: Option<Instant>,
         done: SelectDone<I, M>,
     ) -> Result<(), (Vec<Arm<I, M>>, SelectDone<I, M>)> {
-        let started = Instant::now();
+        let started = self.latency.start();
         match self.prepare_select(me, arms) {
             Err(e) => done(Err(e)),
             Ok((me_ep, reprs)) => {
@@ -1603,7 +1543,13 @@ where
                     }
                     SelRepr::Recv(Source::Any) => {
                         let mut st = me_ep.state.lock();
-                        let senders: Vec<I> = st.inbox.keys().cloned().collect();
+                        let mut senders: Vec<I> = st.inbox.keys().cloned().collect();
+                        if senders.len() > 1 {
+                            // `inbox` iterates in `RandomState` order; a
+                            // seeded pick must not depend on it. (The
+                            // cached-key sort would allocate per scan.)
+                            senders.sort_unstable_by_key(|id| derive_seed(0, id));
+                        }
                         if let Some(from) = senders.choose(&mut st.rng).cloned() {
                             let msg = self
                                 .take_from(&mut st, me, &from)
@@ -1805,19 +1751,19 @@ where
     }
 
     /// Records a successful send's latency.
-    fn note_send(&self, started: Instant, result: &Result<(), ChanError<I>>) {
+    fn note_send(&self, started: Option<Instant>, result: &Result<(), ChanError<I>>) {
         if result.is_ok() {
-            self.latency.record(LatencyOp::Send, started.elapsed());
+            self.latency.record(LatencyOp::Send, started);
         }
     }
 
     /// Records a fired selection's latency.
-    fn note_select(&self, started: Instant, result: &Result<Outcome<I, M>, ChanError<I>>) {
+    fn note_select(&self, started: Option<Instant>, result: &Result<Outcome<I, M>, ChanError<I>>) {
         if matches!(
             result,
             Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
         ) {
-            self.latency.record(LatencyOp::Select, started.elapsed());
+            self.latency.record(LatencyOp::Select, started);
         }
     }
 
@@ -2020,7 +1966,7 @@ struct SendOp<I, M> {
     to_ep: Arc<Endpoint<I, M>>,
     state: SendState<M>,
     deadline: Option<Instant>,
-    started: Instant,
+    started: Option<Instant>,
     done: SendDone<I>,
 }
 
@@ -2032,7 +1978,7 @@ struct SelectOp<I, M> {
     /// scheduler token.
     watched: Vec<Arc<Endpoint<I, M>>>,
     deadline: Option<Instant>,
-    started: Instant,
+    started: Option<Instant>,
     done: SelectDone<I, M>,
 }
 

@@ -274,6 +274,9 @@ fn async_chaos_log_matches_blocking() {
         .into_iter()
         .map(|use_async| {
             let t = fresh();
+            let faults = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&faults);
+            t.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
             t.set_fault_plan(
                 FaultPlan::new(0xC0FFEE)
                     .with_drop(0.2)
@@ -325,7 +328,8 @@ fn async_chaos_log_matches_blocking() {
                     }
                 }
             }
-            t.fault_log()
+            let log = faults.lock().unwrap().clone();
+            log
         })
         .collect();
     assert_eq!(logs[0], logs[1], "chaos log must be schedule-independent");
@@ -683,4 +687,33 @@ fn drop_with_parked_ops_is_clean() {
         Err(mpsc::RecvTimeoutError::Disconnected) => {}
         other => panic!("expected dropped callback, got {other:?}"),
     }
+}
+
+/// A seeded `recv_any` is reproducible: the pick among several
+/// deposited senders is a function of the seed, not of the inbox map's
+/// per-instance iteration order. (Submitted sends hold the three
+/// deposits without a thread apiece.)
+#[test]
+fn seeded_recv_any_picks_the_same_sender_every_run() {
+    let first_pick = || {
+        let t = fresh();
+        t.activate("rx");
+        for from in ["a", "b", "c"] {
+            // Deposits, finds nobody receiving, parks.
+            Arc::clone(&t)
+                .submit_send(&from, &"rx", 0, None, Box::new(|_| {}))
+                .ok()
+                .unwrap();
+            assert!(t.has_pending_from(&"rx", &from));
+        }
+        match t.select(&"rx", vec![Arm::recv_any()], far()).unwrap() {
+            Outcome::Received { from, .. } => from,
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+    };
+    let picks: Vec<&str> = (0..8).map(|_| first_pick()).collect();
+    assert!(
+        picks.iter().all(|p| *p == picks[0]),
+        "one seed, one schedule, different first senders: {picks:?}"
+    );
 }

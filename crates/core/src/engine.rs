@@ -29,9 +29,9 @@
 //!
 //! Every engine decision is published through one [`TelemetrySink`]:
 //! an atomic `enabled` flag (loaded `Relaxed` on the hot path, exactly
-//! like the chaos layer's `FaultPlan` short-circuit) guards a composed
-//! [`Observer`] — the built-in ring log, a user subscriber, or a
-//! [`MultiObserver`] fan-out over both. Per-performance events are
+//! like the chaos layer's `FaultPlan` short-circuit) guards the one
+//! installed [`Observer`]; a caller that wants several passes a
+//! [`MultiObserver`](crate::MultiObserver). Per-performance events are
 //! numbered under the owning shard's sequence lock, which is held
 //! *across* delivery so each performance's stream reaches observers
 //! gapless, strictly increasing, and in order.
@@ -49,7 +49,7 @@ use script_chan::{FaultPlan, Network, SessionEvent};
 use crate::ctx::RoleCtx;
 use crate::estimator::{LatencyEstimator, WindowFloor};
 use crate::matcher::{admissible, match_performance, Candidate};
-use crate::observer::{MultiObserver, Observer, RingObserver, TelemetryEvent, TelemetryPayload};
+use crate::observer::{Observer, TelemetryEvent, TelemetryPayload};
 use crate::spec::{FamilySize, ScriptSpec};
 use crate::{
     Enrollment, Initiation, Partners, PerformanceId, ProcessId, RoleId, ScriptError, ScriptEvent,
@@ -111,11 +111,6 @@ pub(crate) struct PerfShard<M> {
     /// observer delivery so the per-performance event stream is gapless
     /// and arrives in sequence order (see [`TelemetrySink`]).
     telemetry_seq: Mutex<u64>,
-    /// Whether fault records stream onto the telemetry plane as they
-    /// are injected (telemetry was enabled when the performance
-    /// opened). When false, [`Engine::finalize_shard`] drains the
-    /// network's fault log at completion instead, as before.
-    live_faults: bool,
     state: Mutex<ShardState>,
     cond: Condvar,
 }
@@ -254,60 +249,29 @@ fn mix_seed(root: u64, seq: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Subscriber composition: the built-in ring, the user observer, and
-/// the currently active combination of the two.
-struct SinkState {
-    /// The ring behind `enable_event_log`/`take_events`.
-    ring: Option<Arc<RingObserver>>,
-    /// The user-installed subscriber ([`Engine::set_observer`]).
-    user: Option<Arc<dyn Observer>>,
-    /// Pre-composed delivery target: the ring, the user observer, or a
-    /// [`MultiObserver`] over both. Re-derived on every change so the
-    /// emit path does one clone, not a case analysis.
-    current: Option<Arc<dyn Observer>>,
-}
-
 /// The engine half of the observability plane (see
-/// [`crate::observer`]): one composed subscriber behind an atomic
-/// short-circuit, plus the instance-scoped sequence counter.
+/// [`crate::observer`]): one subscriber behind an atomic short-circuit,
+/// plus the instance-scoped sequence counter.
+#[derive(Default)]
 struct TelemetrySink {
     /// Whether any observer is installed. Stored `SeqCst` on change,
     /// loaded `Relaxed` on the emit path — the same short-circuit
     /// pattern the chaos layer uses for zero-probability fault plans,
     /// keeping disabled-telemetry cost to one atomic load.
     enabled: AtomicBool,
-    state: Mutex<SinkState>,
+    /// The installed subscriber ([`Engine::set_observer`]).
+    observer: Mutex<Option<Arc<dyn Observer>>>,
     /// Sequence counter for instance-scoped events (no performance).
     instance_seq: Mutex<u64>,
 }
 
 impl TelemetrySink {
-    fn new() -> Self {
-        Self {
-            enabled: AtomicBool::new(false),
-            state: Mutex::new(SinkState {
-                ring: None,
-                user: None,
-                current: None,
-            }),
-            instance_seq: Mutex::new(0),
-        }
-    }
-
-    /// Re-derives `current` from `ring` and `user`, then publishes the
+    /// Installs or removes the subscriber, then publishes the
     /// short-circuit flag.
-    fn recompose(&self, st: &mut SinkState) {
-        st.current = match (&st.ring, &st.user) {
-            (Some(ring), Some(user)) => {
-                let ring = Arc::clone(ring) as Arc<dyn Observer>;
-                Some(Arc::new(MultiObserver::with(vec![ring, Arc::clone(user)]))
-                    as Arc<dyn Observer>)
-            }
-            (Some(ring), None) => Some(Arc::clone(ring) as Arc<dyn Observer>),
-            (None, Some(user)) => Some(Arc::clone(user)),
-            (None, None) => None,
-        };
-        self.enabled.store(st.current.is_some(), Ordering::SeqCst);
+    fn subscribe(&self, observer: Option<Arc<dyn Observer>>) {
+        let mut slot = self.observer.lock();
+        *slot = observer;
+        self.enabled.store(slot.is_some(), Ordering::SeqCst);
     }
 }
 
@@ -348,7 +312,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 labeler: None,
             }),
             cond: Condvar::new(),
-            telemetry: TelemetrySink::new(),
+            telemetry: TelemetrySink::default(),
             epoch: Instant::now(),
             completed: AtomicU64::new(0),
             weak: weak.clone(),
@@ -362,7 +326,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
     }
 
     /// Numbers `payload` under `seq_lock` and delivers it to the
-    /// composed observer. The sequence lock is held across delivery so
+    /// observer. The sequence lock is held across delivery so
     /// events of one scope reach observers gapless and in order.
     fn deliver(
         &self,
@@ -373,7 +337,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
         if !self.telemetry_on() {
             return;
         }
-        let Some(observer) = self.telemetry.state.lock().current.clone() else {
+        let Some(observer) = self.telemetry.observer.lock().clone() else {
             return;
         };
         let mut seq = seq_lock.lock();
@@ -466,63 +430,14 @@ impl<M: Send + Clone + 'static> Engine<M> {
         self.completed.load(Ordering::SeqCst)
     }
 
-    /// Enables (or resizes, which clears) the bounded event log: a
-    /// fresh [`RingObserver`] on the telemetry plane. Resizing resets
-    /// the drop counters along with the buffer.
-    pub(crate) fn enable_event_log(&self, capacity: usize) {
-        let mut st = self.telemetry.state.lock();
-        st.ring = Some(Arc::new(RingObserver::new(capacity)));
-        self.telemetry.recompose(&mut st);
-    }
-
-    /// Drains the ring log and returns its lifecycle events
-    /// ([`ScriptEvent`]), preserving the pre-plane API. Latency
-    /// samples, watchdog arms, and loss markers are dropped here; use
-    /// [`Engine::take_telemetry`] for the full stream.
-    pub(crate) fn take_events(&self) -> Vec<ScriptEvent> {
-        self.take_telemetry()
-            .into_iter()
-            .filter_map(|e| match e.payload {
-                TelemetryPayload::Script(ev) => Some(ev),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Drains the ring log and returns the full telemetry stream,
-    /// including a [`TelemetryPayload::Lost`] marker if the ring
-    /// overflowed since the last drain.
-    pub(crate) fn take_telemetry(&self) -> Vec<TelemetryEvent> {
-        let ring = self.telemetry.state.lock().ring.clone();
-        match ring {
-            Some(ring) => ring.drain(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Installs (replacing any previous) the user telemetry observer.
+    /// Installs (replacing any previous) the telemetry observer.
     pub(crate) fn set_observer(&self, observer: Arc<dyn Observer>) {
-        let mut st = self.telemetry.state.lock();
-        st.user = Some(observer);
-        self.telemetry.recompose(&mut st);
+        self.telemetry.subscribe(Some(observer));
     }
 
-    /// Removes the user telemetry observer (the ring log, if enabled,
-    /// keeps receiving events).
+    /// Removes the telemetry observer.
     pub(crate) fn clear_observer(&self) {
-        let mut st = self.telemetry.state.lock();
-        st.user = None;
-        self.telemetry.recompose(&mut st);
-    }
-
-    /// Lifetime count of events the ring log dropped to overflow.
-    fn events_dropped(&self) -> u64 {
-        self.telemetry
-            .state
-            .lock()
-            .ring
-            .as_ref()
-            .map_or(0, |ring| ring.dropped())
+        self.telemetry.subscribe(None);
     }
 
     /// A diagnostic snapshot of the instance.
@@ -556,7 +471,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 .count(),
             current: performances.first().cloned(),
             performances,
-            events_dropped: self.events_dropped(),
         }
     }
 
@@ -890,21 +804,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
             ss.done = true;
             ss.aborted
         };
-        // Surface every fault the chaos layer injected, in schedule
-        // order, before the completion event — unless telemetry was
-        // live when the performance opened, in which case each record
-        // already streamed out at injection time.
-        if !shard.live_faults {
-            for record in shard.net.take_fault_log() {
-                self.emit_script(
-                    shard,
-                    ScriptEvent::FaultInjected {
-                        performance: PerformanceId(shard.seq),
-                        fault: record.to_string(),
-                    },
-                );
-            }
-        }
         self.emit_script(
             shard,
             ScriptEvent::PerformanceCompleted {
@@ -1078,7 +977,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
             net,
             latency: Arc::new(LatencyEstimator::new(estimator_capacity)),
             telemetry_seq: Mutex::new(0),
-            live_faults: telemetry_live,
             state: Mutex::new(ShardState {
                 cast: Vec::new(),
                 running: HashSet::new(),
@@ -1108,7 +1006,14 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 }
             });
         }
-        if telemetry_live {
+        // Faults stream out as they are injected; `emit_script` is a
+        // relaxed load while nobody is subscribed, and an observer
+        // installed mid-performance sees the rest of it live. A plan
+        // the engine did not attach (a factory's, a hub's own) is
+        // followed only if telemetry was on when the performance
+        // opened: finding out otherwise would cost a socket-backed
+        // network a round trip per performance.
+        if fe.fault_plan.is_some() || telemetry_live {
             let weak_engine = self.weak.clone();
             let weak_shard = Arc::downgrade(&shard);
             shard.net.set_fault_observer(move |record| {
@@ -1122,6 +1027,8 @@ impl<M: Send + Clone + 'static> Engine<M> {
                     );
                 }
             });
+        }
+        if telemetry_live {
             // Every completed rendezvous surfaces as a ScriptEvent on
             // the same per-performance sequence — the communication
             // trace a conformance monitor checks. The transport emits

@@ -29,7 +29,7 @@ pub enum ScriptError {
     Timeout,
     /// The instance watchdog aborted the performance because it made no
     /// communication progress within the configured quiescence window
-    /// (see `Instance::set_watchdog`).
+    /// (see `Instance::set_watchdog_policy`).
     Stalled,
     /// A non-blocking enrollment could not be admitted immediately
     /// (see `Enrollment::non_blocking` — "script enrollment as a

@@ -108,10 +108,11 @@ pub use spec::{FamilySize, ScriptBuilder};
 use engine::{Engine, RoleRef};
 use spec::ScriptSpec;
 
-/// One entry of the optional instance event log (see
-/// [`Instance::enable_event_log`]). Events record the engine's
-/// decisions in order: queueing, performance starts, admissions,
-/// freezes, finishes, completions.
+/// One lifecycle event on the instance's telemetry plane, delivered as
+/// [`TelemetryPayload::Script`] to the observer installed with
+/// [`Instance::set_observer`]. Events record the engine's decisions in
+/// order: queueing, performance starts, admissions, freezes, finishes,
+/// completions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ScriptEvent {
@@ -245,12 +246,6 @@ pub struct InstanceStatus {
     /// Every performance in progress, oldest first. Overlapping
     /// activations mean there can be more than one.
     pub performances: Vec<PerformanceStatus>,
-    /// Events the bounded event log has dropped to overflow over its
-    /// lifetime (see [`Instance::enable_event_log`]); 0 while no log
-    /// is enabled. Drops are also surfaced in-stream as a
-    /// [`TelemetryPayload::Lost`] marker on the next
-    /// [`Instance::take_telemetry`] drain.
-    pub events_dropped: u64,
 }
 
 /// An immutable, validated script declaration.
@@ -510,58 +505,33 @@ impl<M: Send + Clone + 'static> Instance<M> {
         self.engine.status()
     }
 
-    /// Enables a bounded in-memory event log — a built-in
-    /// [`RingObserver`] on the instance's telemetry plane. When full,
-    /// the oldest events are dropped, but no longer silently: the drop
-    /// count is surfaced via [`InstanceStatus::events_dropped`] and as
-    /// a [`TelemetryPayload::Lost`] marker on the next
-    /// [`Instance::take_telemetry`] drain. Calling it again resizes
-    /// and clears the log (including its drop counters).
-    pub fn enable_event_log(&self, capacity: usize) {
-        self.engine.enable_event_log(capacity);
-    }
-
-    /// Drains the event log and returns its lifecycle events
-    /// ([`ScriptEvent`]), in order. Latency samples, watchdog arms,
-    /// and loss markers also retained by the log are skipped here; use
-    /// [`Instance::take_telemetry`] for the full stream.
-    pub fn take_events(&self) -> Vec<ScriptEvent> {
-        self.engine.take_events()
-    }
-
-    /// Drains the event log and returns the full telemetry stream
-    /// ([`TelemetryEvent`]): lifecycle events, rendezvous latency
-    /// samples, watchdog window arms, and — if the log overflowed
-    /// since the last drain — a leading [`TelemetryPayload::Lost`]
-    /// marker.
-    pub fn take_telemetry(&self) -> Vec<TelemetryEvent> {
-        self.engine.take_telemetry()
-    }
-
     /// Subscribes `observer` to the instance's telemetry plane,
     /// replacing any previous subscriber. Every engine decision,
     /// rendezvous latency sample, watchdog arm, and injected fault is
     /// pushed to it as a [`TelemetryEvent`] at the moment it happens —
     /// including hub-side faults of performances placed on a remote
     /// transport, which arrive on the same per-performance sequence.
-    /// Composes with [`Instance::enable_event_log`]: when both are
-    /// installed the engine fans out to both (see [`MultiObserver`]).
+    /// It is the only way telemetry leaves an instance: for a bounded
+    /// in-memory log pass a [`RingObserver`] and keep the `Arc` to
+    /// [`drain`](RingObserver::drain) it; for several subscribers pass
+    /// a [`MultiObserver`].
     ///
     /// `on_event` runs synchronously on the producing thread, possibly
     /// with engine locks held: observers must not block and must not
     /// call back into this instance's API (see
     /// [`observer`] module docs). Events of one
     /// performance carry a gapless, strictly increasing `seq` and are
-    /// delivered in that order; fault streaming starts with the first
-    /// performance opened *after* an observer (or the event log) is
-    /// installed.
+    /// delivered in that order. An observer installed while a
+    /// performance runs sees that performance's lifecycle events and
+    /// injected faults from then on; latency samples (without a
+    /// watchdog), rendezvous records and session events start with the
+    /// first performance opened *after* it is installed.
     pub fn set_observer(&self, observer: std::sync::Arc<dyn Observer>) {
         self.engine.set_observer(observer);
     }
 
-    /// Unsubscribes the user observer installed by
-    /// [`Instance::set_observer`] (the event log, if enabled, keeps
-    /// receiving events).
+    /// Unsubscribes the observer installed by
+    /// [`Instance::set_observer`].
     pub fn clear_observer(&self) {
         self.engine.clear_observer();
     }
@@ -573,29 +543,16 @@ impl<M: Send + Clone + 'static> Instance<M> {
         self.engine.close();
     }
 
-    /// Arms a quiescence watchdog: any **future** performance whose
-    /// network makes no communication progress for `window` is aborted,
-    /// and its participants unblock with [`ScriptError::Stalled`].
+    /// Arms the quiescence watchdog: any **future** performance whose
+    /// network makes no communication progress for the policy's window
+    /// is aborted, and its participants unblock with
+    /// [`ScriptError::Stalled`].
     ///
     /// "Progress" means network activity — sends landing, receives
-    /// completing, roles joining or finishing. A performance of roles
-    /// that compute without communicating for longer than `window` will
-    /// be treated as hung; size the window accordingly — or let the
-    /// engine size it from observed latency with
-    /// [`Instance::set_watchdog_policy`] and
-    /// [`WatchdogPolicy::Adaptive`]. This method is shorthand for
-    /// [`WatchdogPolicy::Fixed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn set_watchdog(&self, window: Duration) {
-        self.engine
-            .set_watchdog_policy(WatchdogPolicy::Fixed(window));
-    }
-
-    /// Arms the quiescence watchdog of **future** performances with an
-    /// explicit [`WatchdogPolicy`]. Under [`WatchdogPolicy::Adaptive`]
+    /// completing, roles joining or finishing. Under
+    /// [`WatchdogPolicy::Fixed`] a performance of roles that compute
+    /// without communicating for longer than the window will be treated
+    /// as hung; size it accordingly. Under [`WatchdogPolicy::Adaptive`]
     /// each performance's window is re-derived on every watchdog poll
     /// from that performance's *own* observed rendezvous latency —
     /// `max(min_window, multiplier × p99)` — so in-process performances
@@ -726,6 +683,27 @@ mod tests {
 
     fn sender_id() -> RoleId {
         RoleId::new("sender")
+    }
+
+    /// Subscribes a fresh ring log of `capacity` events to `inst`.
+    fn ring_on<M: Send + Clone + 'static>(
+        inst: &Instance<M>,
+        capacity: usize,
+    ) -> StdArc<RingObserver> {
+        let ring = StdArc::new(RingObserver::new(capacity));
+        inst.set_observer(StdArc::clone(&ring) as StdArc<dyn Observer>);
+        ring
+    }
+
+    /// Drains `ring`, keeping the lifecycle events.
+    fn script_events(ring: &RingObserver) -> Vec<ScriptEvent> {
+        ring.drain()
+            .into_iter()
+            .filter_map(|e| match e.payload {
+                TelemetryPayload::Script(ev) => Some(ev),
+                _ => None,
+            })
+            .collect()
     }
 
     type StarScript = (
@@ -1220,8 +1198,8 @@ mod tests {
             .termination(Termination::Delayed);
         let script = b.build().unwrap();
         let inst = script.instance();
-        inst.set_watchdog(Duration::from_millis(60));
-        inst.enable_event_log(64);
+        inst.set_watchdog_policy(WatchdogPolicy::Fixed(Duration::from_millis(60)));
+        let ring = ring_on(&inst, 64);
         std::thread::scope(|s| {
             let i1 = inst.clone();
             let left = left.clone();
@@ -1229,7 +1207,7 @@ mod tests {
             assert_eq!(inst.enroll(&right, ()).unwrap_err(), ScriptError::Stalled);
             assert_eq!(h.join().unwrap().unwrap_err(), ScriptError::Stalled);
         });
-        let events = inst.take_events();
+        let events = script_events(&ring);
         assert!(events
             .iter()
             .any(|e| matches!(e, ScriptEvent::PerformanceStalled { .. })));
@@ -1294,8 +1272,8 @@ mod tests {
         let inst = script.instance();
         inst.set_chaos_seed(1);
         inst.set_fault_plan(FaultPlan::new(1).with_drop(1.0));
-        inst.set_watchdog(Duration::from_millis(60));
-        inst.enable_event_log(64);
+        inst.set_watchdog_policy(WatchdogPolicy::Fixed(Duration::from_millis(60)));
+        let ring = ring_on(&inst, 64);
         std::thread::scope(|s| {
             let i1 = inst.clone();
             let src = src.clone();
@@ -1307,7 +1285,7 @@ mod tests {
             // or observed the stall, depending on timing.
             let _ = h.join().unwrap();
         });
-        let events = inst.take_events();
+        let events = script_events(&ring);
         assert!(events.iter().any(
             |e| matches!(e, ScriptEvent::FaultInjected { fault, .. } if fault.contains("drop"))
         ));
@@ -1386,7 +1364,7 @@ mod tests {
         let inst = script.instance();
         // One broadcast emits far more than 4 events (2 queued, start,
         // 3 admissions, freeze, 3 finishes, completion, latency...).
-        inst.enable_event_log(4);
+        let ring = ring_on(&inst, 4);
         std::thread::scope(|s| {
             let mut handles = Vec::new();
             for i in 0..2 {
@@ -1399,22 +1377,19 @@ mod tests {
                 h.join().unwrap().unwrap();
             }
         });
-        let dropped = inst.status().events_dropped;
+        let dropped = ring.dropped();
         assert!(dropped > 0, "a 4-slot ring must overflow");
-        let telemetry = inst.take_telemetry();
+        let telemetry = ring.drain();
         assert_eq!(
             telemetry.first().map(|e| &e.payload),
             Some(&TelemetryPayload::Lost { count: dropped }),
             "the drain is prefixed with the loss marker"
         );
         assert_eq!(telemetry.len(), 5, "marker plus the 4 retained events");
-        // The marker is accounting, not history: `take_events` keeps
-        // returning only lifecycle events.
-        assert!(inst.take_events().is_empty());
-        // Lifetime counter survives the drain; re-enabling resets it.
-        assert_eq!(inst.status().events_dropped, dropped);
-        inst.enable_event_log(4);
-        assert_eq!(inst.status().events_dropped, 0);
+        // The marker is accounting, not history, and the lifetime
+        // counter survives the drain.
+        assert!(ring.drain().is_empty());
+        assert_eq!(ring.dropped(), dropped);
     }
 
     #[test]
@@ -1453,15 +1428,18 @@ mod tests {
         assert!(perf.latency.count() >= 2);
     }
 
-    /// Ring log and user observer see the same stream when both are
-    /// installed (the engine fans out through a `MultiObserver`).
+    /// Two subscribers behind a `MultiObserver` see the same gapless
+    /// stream; clearing the observer unsubscribes both.
     #[test]
-    fn event_log_and_observer_compose() {
+    fn multi_observer_delivers_one_gapless_stream() {
         let (script, sender, recipient) = star_script(1);
         let inst = script.instance();
+        let ring = StdArc::new(RingObserver::new(256));
         let mirror = StdArc::new(RingObserver::new(256));
-        inst.enable_event_log(256);
-        inst.set_observer(StdArc::clone(&mirror) as StdArc<dyn Observer>);
+        inst.set_observer(StdArc::new(MultiObserver::with(vec![
+            StdArc::clone(&ring) as StdArc<dyn Observer>,
+            StdArc::clone(&mirror) as StdArc<dyn Observer>,
+        ])));
         std::thread::scope(|s| {
             let i1 = inst.clone();
             let r = recipient.clone();
@@ -1469,7 +1447,7 @@ mod tests {
             inst.enroll(&sender, 2).unwrap();
             h.join().unwrap().unwrap();
         });
-        let built_in = inst.take_telemetry();
+        let built_in = ring.drain();
         assert!(!built_in.is_empty());
         assert_eq!(built_in, mirror.drain());
         // Per-performance sequence numbers are gapless from 0.
@@ -1485,7 +1463,6 @@ mod tests {
             .map(|e| e.seq)
             .collect();
         assert_eq!(inst_seqs, (0..inst_seqs.len() as u64).collect::<Vec<_>>());
-        // Clearing the user observer keeps the ring subscribed.
         inst.clear_observer();
         std::thread::scope(|s| {
             let i1 = inst.clone();
@@ -1494,7 +1471,7 @@ mod tests {
             inst.enroll(&sender, 3).unwrap();
             h.join().unwrap().unwrap();
         });
-        assert!(!inst.take_telemetry().is_empty());
+        assert!(ring.drain().is_empty());
         assert!(mirror.drain().is_empty());
     }
 

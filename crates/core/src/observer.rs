@@ -1,25 +1,22 @@
-//! The observability plane: a single subscriber seam through which the
-//! engine publishes everything it used to scatter across three
-//! poll-drained side-channels (the bounded [`ScriptEvent`] ring, the
-//! transport latency-sample log, and the chaos fault log).
+//! The observability plane: the single subscriber seam through which
+//! the engine publishes its lifecycle decisions, the transport's
+//! latency samples and the chaos layer's fault records. Nothing is
+//! retained for polling — not in the engine, not in the transport.
 //!
 //! An [`Observer`] is installed per instance
 //! ([`Instance::set_observer`](crate::Instance::set_observer)) and
 //! receives every [`TelemetryEvent`] *push-based*, at the moment the
-//! engine makes the corresponding decision — no draining, no loss
-//! window. The built-in subscribers cover the common consumption
-//! patterns:
+//! engine makes the corresponding decision. The built-in subscribers
+//! cover the common consumption patterns:
 //!
-//! * [`RingObserver`] — the bounded in-memory log behind
-//!   [`Instance::enable_event_log`](crate::Instance::enable_event_log)
-//!   and `take_events`; overflow is *counted* and surfaced as a
-//!   [`TelemetryPayload::Lost`] marker instead of vanishing;
+//! * [`RingObserver`] — a bounded in-memory log the caller drains;
+//!   overflow is *counted* ([`RingObserver::dropped`]) and surfaced as
+//!   a [`TelemetryPayload::Lost`] marker instead of vanishing;
 //! * [`MetricsObserver`] — folds the stream into an
 //!   [`InstanceMetrics`] snapshot (counters plus log-scale latency
 //!   histograms, per instance and per performance);
 //! * [`MultiObserver`] — fans one stream out to several subscribers
-//!   (the engine composes one automatically when both a ring log and a
-//!   user observer are installed).
+//!   (the instance holds one observer; pass one of these for more).
 //!
 //! # Ordering guarantees
 //!
@@ -76,8 +73,8 @@ pub struct TelemetryEvent {
     pub payload: TelemetryPayload,
 }
 
-/// The unified payload of a [`TelemetryEvent`]: everything the three
-/// pre-existing side-channels carried, on one plane.
+/// The unified payload of a [`TelemetryEvent`]: lifecycle decisions,
+/// latency samples, watchdog arms and session transitions on one plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TelemetryPayload {
@@ -161,12 +158,11 @@ struct RingState {
 /// The bounded in-memory event log, as a plane subscriber: retains the
 /// most recent `capacity` events, *counting* what overflow discards.
 ///
-/// [`Instance::enable_event_log`](crate::Instance::enable_event_log)
-/// installs one of these; `take_events`/`take_telemetry` drain it. A
-/// drain that lost events is prefixed with a synthesized
-/// [`TelemetryPayload::Lost`] marker, and the lifetime total is
-/// surfaced as
-/// [`InstanceStatus::events_dropped`](crate::InstanceStatus::events_dropped).
+/// Install one with
+/// [`Instance::set_observer`](crate::Instance::set_observer), keeping
+/// a clone of the `Arc` to drain. A drain that lost events is prefixed
+/// with a synthesized [`TelemetryPayload::Lost`] marker, and the
+/// lifetime total is [`RingObserver::dropped`].
 pub struct RingObserver {
     capacity: usize,
     state: Mutex<RingState>,

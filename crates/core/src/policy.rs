@@ -45,9 +45,9 @@ pub enum Termination {
 /// whenever it first arms or moves by ≥ 1/8 of its previous value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WatchdogPolicy {
-    /// A constant window for every performance — the pre-adaptive
-    /// behavior. [`Instance::set_watchdog`](crate::Instance::set_watchdog)
-    /// is a shim for this variant.
+    /// A constant window for every performance. A performance of roles
+    /// that compute without communicating for longer than the window
+    /// is treated as hung; size it accordingly.
     Fixed(Duration),
     /// A window derived from each performance's *own* observed
     /// rendezvous latency: `max(min_window, multiplier × p-quantile)`,

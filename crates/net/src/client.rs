@@ -61,7 +61,7 @@
 //! exhausted, or the client is closed. Then a send reports
 //! [`ChanError::Terminated`] for its target, a selection reports
 //! `Terminated`/`AllTerminated` for its arms, lifecycle queries degrade
-//! to "gone" answers (`is_aborted` → true, `peers` → empty), and
+//! to "gone" answers (`is_aborted` → true, `peer_state` → `None`), and
 //! `activity` freezes at its last observed value so an engine watchdog
 //! raises `Stalled`. Conversely the ids this client *activated* live in
 //! its hub-side session, so this process dying surfaces as `Terminated`
@@ -81,8 +81,8 @@ use parking_lot::{Condvar, Mutex};
 
 use script_chan::{
     Arm, ChanError, FaultObserver, FaultPlan, FaultRecord, LabelFn, LatencyHooks, LatencyObserver,
-    LatencyOp, LatencySample, Outcome, PeerState, RendezvousObserver, RendezvousRecord,
-    SessionEvent, SessionObserver, Transport,
+    LatencyOp, Outcome, PeerState, RendezvousObserver, RendezvousRecord, SessionEvent,
+    SessionObserver, Transport,
 };
 use script_core::RetryPolicy;
 
@@ -1176,13 +1176,6 @@ where
         }
     }
 
-    fn peers(&self) -> Vec<(I, PeerState)> {
-        match self.shared.fast_call(&Req::Peers) {
-            FastReply::Resp(Resp::PeerList(ps)) => ps,
-            _ => Vec::new(),
-        }
-    }
-
     fn activity(&self) -> u64 {
         match self.shared.fast_call(&Req::Activity) {
             FastReply::Resp(Resp::Counter(c)) => {
@@ -1271,30 +1264,8 @@ where
         }
     }
 
-    fn fault_log(&self) -> Vec<FaultRecord<I>> {
-        match self.shared.call(&Req::FaultLog) {
-            Some(Resp::Log(l)) => l,
-            _ => Vec::new(),
-        }
-    }
-
-    fn take_fault_log(&self) -> Vec<FaultRecord<I>> {
-        match self.shared.call(&Req::TakeFaultLog) {
-            Some(Resp::Log(l)) => l,
-            _ => Vec::new(),
-        }
-    }
-
     fn set_latency_observer(&self, observer: LatencyObserver) {
         self.latency.set_observer(observer);
-    }
-
-    fn latency_samples(&self) -> Vec<LatencySample> {
-        self.latency.samples()
-    }
-
-    fn take_latency_samples(&self) -> Vec<LatencySample> {
-        self.latency.take_samples()
     }
 
     fn send(
@@ -1312,7 +1283,7 @@ where
             // frame, so hub-side the clock restarts on reconnect.
             timeout_ms: timeout_ms_of(deadline),
         };
-        let start = Instant::now();
+        let started = self.latency.start();
         let result = match self.shared.call(&req) {
             Some(Resp::Unit) => Ok(()),
             Some(Resp::ChanErr(e)) => Err(e),
@@ -1321,13 +1292,13 @@ where
             _ => Err(ChanError::Terminated(to.clone())),
         };
         if result.is_ok() {
-            self.latency.record(LatencyOp::Send, start.elapsed());
+            self.latency.record(LatencyOp::Send, started);
         }
         result
     }
 
     fn try_recv(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>> {
-        let start = Instant::now();
+        let started = self.latency.start();
         let result = match self.shared.call(&Req::TryRecv {
             me: me.clone(),
             from: from.clone(),
@@ -1337,7 +1308,7 @@ where
             _ => Err(ChanError::Terminated(from.clone())),
         };
         if matches!(result, Ok(Some(_))) {
-            self.latency.record(LatencyOp::TryRecv, start.elapsed());
+            self.latency.record(LatencyOp::TryRecv, started);
         }
         result
     }
@@ -1360,7 +1331,7 @@ where
             arms,
             timeout_ms: timeout_ms_of(deadline),
         };
-        let start = Instant::now();
+        let started = self.latency.start();
         let result = match self.shared.call(&req) {
             Some(Resp::Selected(outcome)) => Ok(outcome),
             Some(Resp::ChanErr(e)) => Err(e),
@@ -1370,7 +1341,7 @@ where
             result,
             Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
         ) {
-            self.latency.record(LatencyOp::Select, start.elapsed());
+            self.latency.record(LatencyOp::Select, started);
         }
         result
     }

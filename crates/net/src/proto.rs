@@ -10,10 +10,15 @@
 //! so the envelope can grow new event kinds without breaking older
 //! spokes.
 //!
-//! Tag numbers are never reused. Three forms are retired — nothing
-//! emits or accepts them, and their numbers stay reserved: `Event` tags
-//! 0 (unsequenced fault push) and 3 (fault-only replay batch), `Req`
-//! tag 18 (sessionless subscribe).
+//! Telemetry crosses the wire one way only: fault and rendezvous
+//! records are pushed as sequenced [`Event`]s to subscribed sessions;
+//! no request reads a hub-side log back.
+//!
+//! Tag numbers are never reused. The retired forms — nothing emits or
+//! accepts them, and their numbers stay reserved — are `Event` tags 0
+//! (unsequenced fault push) and 3 (fault-only replay batch), `Req` tags
+//! 8 (peer list), 16 / 17 (fault-log read / drain) and 18 (sessionless
+//! subscribe), and `Resp` tags 3 (peer list) and 8 (fault log).
 //!
 //! [`SocketTransport`]: crate::SocketTransport
 //! [`TransportServer`]: crate::TransportServer
@@ -53,8 +58,6 @@ pub enum Req<I, M> {
     IsAborted,
     /// `Transport::peer_state`.
     PeerStateOf(I),
-    /// `Transport::peers`.
-    Peers,
     /// `Transport::activity`.
     Activity,
     /// `Transport::reseed`.
@@ -74,10 +77,6 @@ pub enum Req<I, M> {
     ClearFaultPlan,
     /// `Transport::fault_plan`.
     GetFaultPlan,
-    /// `Transport::fault_log`.
-    FaultLog,
-    /// `Transport::take_fault_log`.
-    TakeFaultLog,
     /// `Transport::send`. Deadlines cross the wire as remaining
     /// milliseconds (clocks are not shared between processes).
     Send {
@@ -144,8 +143,6 @@ pub enum Resp<I, M> {
     Bool(bool),
     /// A peer's lifecycle state.
     State(Option<PeerState>),
-    /// All peers and their states.
-    PeerList(Vec<(I, PeerState)>),
     /// The activity counter.
     Counter(u64),
     /// `try_recv`'s optional message.
@@ -154,8 +151,6 @@ pub enum Resp<I, M> {
     Selected(Outcome<I, M>),
     /// The attached fault plan, if any.
     Plan(Option<FaultPlan>),
-    /// A fault log snapshot.
-    Log(Vec<FaultRecord<I>>),
     /// The operation failed with a channel error.
     ChanErr(ChanError<I>),
     /// Session granted or renewed: the spoke's session id plus the
@@ -600,7 +595,7 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
                 out.push(7);
                 id.encode(out);
             }
-            Req::Peers => out.push(8),
+            // 8 is retired.
             Req::Activity => out.push(9),
             Req::Reseed(seed) => {
                 out.push(10);
@@ -621,9 +616,7 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
             }
             Req::ClearFaultPlan => out.push(14),
             Req::GetFaultPlan => out.push(15),
-            Req::FaultLog => out.push(16),
-            Req::TakeFaultLog => out.push(17),
-            // 18 is retired.
+            // 16, 17 and 18 are retired.
             Req::Send {
                 from,
                 to,
@@ -676,7 +669,6 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
             5 => Req::Abort,
             6 => Req::IsAborted,
             7 => Req::PeerStateOf(I::decode(r)?),
-            8 => Req::Peers,
             9 => Req::Activity,
             10 => Req::Reseed(u64::decode(r)?),
             11 => Req::EnsurePeer(I::decode(r)?),
@@ -687,8 +679,6 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
             13 => Req::SetFaultPlan(FaultPlan::decode(r)?),
             14 => Req::ClearFaultPlan,
             15 => Req::GetFaultPlan,
-            16 => Req::FaultLog,
-            17 => Req::TakeFaultLog,
             19 => Req::Send {
                 from: I::decode(r)?,
                 to: I::decode(r)?,
@@ -729,10 +719,7 @@ impl<I: Wire, M: Wire> Wire for Resp<I, M> {
                 out.push(2);
                 s.encode(out);
             }
-            Resp::PeerList(ps) => {
-                out.push(3);
-                ps.encode(out);
-            }
+            // 3 is retired.
             Resp::Counter(c) => {
                 out.push(4);
                 c.encode(out);
@@ -749,10 +736,7 @@ impl<I: Wire, M: Wire> Wire for Resp<I, M> {
                 out.push(7);
                 p.encode(out);
             }
-            Resp::Log(l) => {
-                out.push(8);
-                l.encode(out);
-            }
+            // 8 is retired.
             Resp::ChanErr(e) => {
                 out.push(9);
                 e.encode(out);
@@ -774,12 +758,10 @@ impl<I: Wire, M: Wire> Wire for Resp<I, M> {
             0 => Resp::Unit,
             1 => Resp::Bool(bool::decode(r)?),
             2 => Resp::State(Option::<PeerState>::decode(r)?),
-            3 => Resp::PeerList(Vec::<(I, PeerState)>::decode(r)?),
             4 => Resp::Counter(u64::decode(r)?),
             5 => Resp::Msg(Option::<M>::decode(r)?),
             6 => Resp::Selected(Outcome::decode(r)?),
             7 => Resp::Plan(Option::<FaultPlan>::decode(r)?),
-            8 => Resp::Log(Vec::<FaultRecord<I>>::decode(r)?),
             9 => Resp::ChanErr(ChanError::decode(r)?),
             10 => Resp::Session {
                 session: u64::decode(r)?,
@@ -897,7 +879,7 @@ mod tests {
         // Event tag 3: first_seq, then a vector of fault records.
         let mut batch = vec![3u8];
         41u64.encode(&mut batch);
-        vec![record.clone(), record].encode(&mut batch);
+        vec![record.clone(), record.clone()].encode(&mut batch);
         // Both read as unknown tags, which a spoke skips.
         for frame in [&unsequenced, &batch] {
             assert!(matches!(
@@ -905,11 +887,28 @@ mod tests {
                 Err(WireError::Invalid("event tag"))
             ));
         }
-        // Req tag 18 took no payload; a hub severs on it.
-        assert!(matches!(
-            Req::<String, u64>::from_bytes(&[18]),
-            Err(WireError::Invalid("request tag"))
-        ));
+        // Req tags 8, 16, 17 and 18 took no payload; a hub severs on
+        // them.
+        for tag in [8u8, 16, 17, 18] {
+            assert!(matches!(
+                Req::<String, u64>::from_bytes(&[tag]),
+                Err(WireError::Invalid("request tag"))
+            ));
+        }
+        // Resp tag 3: a vector of (id, state) pairs. Resp tag 8: a
+        // vector of fault records.
+        let mut peer_list = vec![3u8];
+        1u64.encode(&mut peer_list);
+        String::from("a").encode(&mut peer_list);
+        PeerState::Active.encode(&mut peer_list);
+        let mut log = vec![8u8];
+        vec![record].encode(&mut log);
+        for frame in [&peer_list, &log] {
+            assert!(matches!(
+                Resp::<String, u64>::from_bytes(frame),
+                Err(WireError::Invalid("response tag"))
+            ));
+        }
     }
 
     #[test]
@@ -995,10 +994,7 @@ mod tests {
     #[test]
     fn responses_roundtrip() {
         roundtrip(Resp::<String, u64>::Unit);
-        roundtrip(Resp::<String, u64>::PeerList(vec![
-            (String::from("a"), PeerState::Active),
-            (String::from("b"), PeerState::Done),
-        ]));
+        roundtrip(Resp::<String, u64>::State(Some(PeerState::Active)));
         roundtrip(Resp::<String, u64>::Selected(Outcome::Sent {
             arm: 1,
             to: String::from("b"),

@@ -65,9 +65,12 @@
 //! deterministically at the sending edge like every other fault class —
 //! are *enacted* here: the session carrying the faulted edge has its
 //! connection torn down, and a partition additionally embargoes resume
-//! attempts until the configured duration elapses. Because decision and
-//! log live in the inner transport, the fault log still replays
+//! attempts until the configured duration elapses. Because the decision
+//! lives in the inner transport, the fault record stream still replays
 //! bit-for-bit on any transport; only the enactment is hub-specific.
+//! The hub owns the inner transport's one fault-observer slot: fault
+//! records are read through a subscribed spoke, which gets them
+//! sequenced and gapless across resumes.
 //!
 //! **Shutdown** pushes [`Event::Closing`] to every connection before
 //! the sockets close, so spokes fail fast instead of burning their
@@ -980,7 +983,6 @@ where
             }
             Req::IsAborted => Resp::Bool(self.inner.is_aborted()),
             Req::PeerStateOf(id) => Resp::State(self.inner.peer_state(&id)),
-            Req::Peers => Resp::PeerList(self.inner.peers()),
             Req::Activity => Resp::Counter(self.inner.activity()),
             Req::Reseed(seed) => {
                 self.inner.reseed(seed);
@@ -1000,8 +1002,6 @@ where
                 Resp::Unit
             }
             Req::GetFaultPlan => Resp::Plan(self.inner.fault_plan()),
-            Req::FaultLog => Resp::Log(self.inner.fault_log()),
-            Req::TakeFaultLog => Resp::Log(self.inner.take_fault_log()),
             Req::TryRecv { me, from } => match self.inner.try_recv(&me, &from) {
                 Ok(msg) => Resp::Msg(msg),
                 Err(e) => Resp::ChanErr(e),
@@ -1090,9 +1090,9 @@ where
         // Enact connection faults: tear down the connection of the
         // session animating the faulted edge (sender side first; a
         // hub-local sender severs the remote receiver instead). The
-        // *decision* already lives in the inner transport's log, so the
-        // chaos schedule replays identically on any transport — only
-        // the enactment is connection-specific.
+        // *decision* was made by the inner transport, so the chaos
+        // schedule replays identically on any transport — only the
+        // enactment is connection-specific.
         if matches!(rec.kind, FaultKind::Sever | FaultKind::Partition) {
             let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
             let target = sessions

@@ -220,7 +220,7 @@ fn any_fleet_resp() -> impl Strategy<Value = FleetResp> {
 
 /// A response covering every variant, including error payloads.
 fn any_resp() -> impl Strategy<Value = Resp<String, u64>> {
-    (0u8..11, any_string(), any::<u64>(), any_record()).prop_map(|(pick, s, n, rec)| match pick {
+    (0u8..10, any_string(), any::<u64>()).prop_map(|(pick, s, n)| match pick {
         0 => Resp::Unit,
         1 => Resp::Bool(n % 2 == 0),
         2 => Resp::Counter(n),
@@ -231,13 +231,12 @@ fn any_resp() -> impl Strategy<Value = Resp<String, u64>> {
             msg: n,
         }),
         5 => Resp::ChanErr(ChanError::Terminated(s)),
-        6 => Resp::Log(vec![rec]),
-        7 => Resp::Session {
+        6 => Resp::Session {
             session: n,
             lease_ms: n.rotate_left(17),
         },
-        8 => Resp::SessionExpired,
-        9 => Resp::Partitioned { remaining_ms: n },
+        7 => Resp::SessionExpired,
+        8 => Resp::Partitioned { remaining_ms: n },
         _ => Resp::ChanErr(ChanError::AllTerminated),
     })
 }

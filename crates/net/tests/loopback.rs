@@ -3,11 +3,13 @@
 //! workspace-level conformance suite; these tests pin the basics close
 //! to the crate so codec or connection regressions fail fast.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use script_chan::{Arm, ChanError, FaultKind, FaultPlan, Outcome, ShardedTransport, Transport};
+use script_chan::{
+    Arm, ChanError, FaultKind, FaultPlan, Network, Outcome, ShardedTransport, Transport,
+};
 use script_net::{SocketTransport, TransportServer};
 
 type Hub = TransportServer<String, u64>;
@@ -120,6 +122,12 @@ fn write_applied_but_ack_severed_is_not_double_applied() {
     let client = spoke(&server);
     client.activate("g".to_string());
     inner.activate("h".to_string());
+    // The spoke subscribes to the hub's fault stream, which resumes
+    // gaplessly with the session: the push for an operation's faults
+    // reaches it before that operation's (replayed) answer.
+    let faults = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&faults);
+    client.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
 
     // Every send decision severs the sending edge's connection. The
     // rendezvous itself still completes hub-side; only the ack dies.
@@ -153,12 +161,42 @@ fn write_applied_but_ack_severed_is_not_double_applied() {
         .expect_err("no duplicate delivery");
     assert_eq!(err, ChanError::Timeout);
 
-    let log = inner.fault_log();
+    let log = faults.lock().unwrap();
     assert!(
         log.iter().any(|r| r.kind == FaultKind::Sever),
-        "the chaos layer recorded the sever: {log:?}"
+        "the chaos layer pushed the sever: {log:?}"
     );
     assert!(!client.is_lost(), "the session resumed within its lease");
+}
+
+/// `{:?}` on a [`Network`] asks its transport nothing: over a spoke it
+/// costs no round trip while the hub is up, and returns at once —
+/// instead of working through the reconnect budget — once it is gone.
+#[test]
+fn formatting_a_network_does_no_io() {
+    let server = hub();
+    let client = Arc::new(spoke(&server));
+    client.activate("f".to_string());
+    let net = Network::with_transport(Arc::clone(&client) as Arc<dyn Transport<String, u64>>);
+    // The driver's heartbeat may land between two counter reads, so
+    // take the best of three; a formatter that calls out moves the
+    // counter every time.
+    let quiet = (0..3).any(|_| {
+        let sent = client.bytes_sent();
+        assert!(format!("{net:?}").starts_with("Network"));
+        client.bytes_sent() == sent
+    });
+    assert!(quiet, "formatting a live network wrote to its hub");
+
+    drop(server);
+    let sent = client.bytes_sent();
+    let started = Instant::now();
+    assert!(format!("{net:?}").starts_with("Network"));
+    assert!(
+        started.elapsed() < Duration::from_millis(100),
+        "formatting must not wait on a dead hub"
+    );
+    assert_eq!(client.bytes_sent(), sent);
 }
 
 /// Satellite: shutdown paths are idempotent and panic-free — double

@@ -7,9 +7,13 @@
 //! cargo run --example chaos_broadcast
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use script::core::{FaultPlan, RetryPolicy, ScriptError, ScriptEvent};
+use script::core::{
+    FaultPlan, RetryPolicy, RingObserver, ScriptError, ScriptEvent, TelemetryPayload,
+    WatchdogPolicy,
+};
 use script::lib::broadcast::{self, Order};
 
 fn main() -> Result<(), ScriptError> {
@@ -21,8 +25,7 @@ fn main() -> Result<(), ScriptError> {
     let instance = b.script.instance();
     instance.set_chaos_seed(7);
     instance.set_fault_plan(FaultPlan::new(7).with_drop(1.0));
-    instance.set_watchdog(Duration::from_millis(60));
-    instance.enable_event_log(256);
+    instance.set_watchdog_policy(WatchdogPolicy::Fixed(Duration::from_millis(60)));
     let err = broadcast::run_on(&instance, &b, 1).unwrap_err();
     println!("total loss, no retry   → {err}");
 
@@ -40,8 +43,10 @@ fn main() -> Result<(), ScriptError> {
             .with_drop(0.15)
             .with_delay(0.2, Duration::from_micros(300)),
     );
-    instance.set_watchdog(Duration::from_millis(60));
-    instance.enable_event_log(256);
+    instance.set_watchdog_policy(WatchdogPolicy::Fixed(Duration::from_millis(60)));
+    // Telemetry is pushed: a bounded ring subscribes and is drained below.
+    let ring = Arc::new(RingObserver::new(256));
+    instance.set_observer(Arc::clone(&ring) as _);
     let policy = RetryPolicy::new(6)
         .with_base(Duration::from_millis(2))
         .with_seed(42);
@@ -50,12 +55,12 @@ fn main() -> Result<(), ScriptError> {
 
     // --- 3. Determinism: the injected fault schedule replays exactly. ---
     println!("fault schedule (seed 42):");
-    for event in instance.take_events() {
-        match event {
-            ScriptEvent::FaultInjected { performance, fault } => {
+    for event in ring.drain() {
+        match event.payload {
+            TelemetryPayload::Script(ScriptEvent::FaultInjected { performance, fault }) => {
                 println!("  {performance:?}: {fault}");
             }
-            ScriptEvent::PerformanceStalled { performance, .. } => {
+            TelemetryPayload::Script(ScriptEvent::PerformanceStalled { performance, .. }) => {
                 println!("  {performance:?}: stalled, watchdog abort");
             }
             _ => {}

@@ -20,7 +20,7 @@
 //! ```
 
 use std::process::Command;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use script::chan::{Arm, FaultKind, FaultPlan, Outcome, ShardedTransport, Transport};
@@ -75,6 +75,14 @@ fn main() {
     let server = TransportServer::bind("127.0.0.1:0", Arc::clone(&inner)).expect("bind hub");
     println!("parent: hub listening on {}", server.local_addr());
 
+    // Fault records leave a hub one way: pushed, sequenced, to the
+    // spokes that subscribed. This one animates no role — it watches.
+    let watcher =
+        SocketTransport::<String, u64>::connect(server.local_addr()).expect("resolve hub");
+    let faults = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&faults);
+    watcher.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
+
     // Every send decision severs the implicated session's connection;
     // half the decisions additionally impose a 100 ms partition embargo
     // the reconnect must wait out. Decisions are pure functions of
@@ -122,7 +130,10 @@ fn main() {
     let status = child.wait().expect("wait for child");
     assert!(status.success(), "child failed: {status:?}");
 
-    let log = inner.fault_log();
+    // Every fault was queued on the watcher's connection as it was
+    // injected, so the answer to any later request arrives behind them.
+    let _ = watcher.activity();
+    let log = faults.lock().unwrap();
     let severs = log.iter().filter(|r| r.kind == FaultKind::Sever).count();
     let partitions = log
         .iter()

@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 
 use script::chan::{FaultPlan, Network, ShardedTransport, Transport};
 use script::core::{
-    Initiation, NetworkFactory, PerformanceNet, RoleId, Script, ScriptError, ScriptEvent,
-    Termination, WatchdogPolicy,
+    Initiation, NetworkFactory, PerformanceNet, RingObserver, RoleId, Script, ScriptError,
+    ScriptEvent, TelemetryPayload, Termination, WatchdogPolicy,
 };
 use script::net::{SocketTransport, TransportServer};
 
@@ -78,7 +78,8 @@ fn run_performance(
 fn adaptive_policy_handles_both_transports_untuned() {
     let (script, ping, pong) = ping_pong_script("adaptive_e2e");
     let inst = script.instance();
-    inst.enable_event_log(256);
+    let ring = Arc::new(RingObserver::new(256));
+    inst.set_observer(Arc::clone(&ring) as _);
     // The one and only watchdog setting in this test: stock adaptive
     // defaults, never re-tuned as the transport changes underneath it.
     inst.set_watchdog_policy(WatchdogPolicy::adaptive());
@@ -138,15 +139,15 @@ fn adaptive_policy_handles_both_transports_untuned() {
     // Exactly the two deadlocked performances stalled — the slow
     // healthy one did not — and each stall event carries the estimator
     // evidence it was decided on.
-    let stalls: Vec<(Option<Duration>, Duration)> = inst
-        .take_events()
+    let stalls: Vec<(Option<Duration>, Duration)> = ring
+        .drain()
         .into_iter()
-        .filter_map(|e| match e {
-            ScriptEvent::PerformanceStalled {
+        .filter_map(|e| match e.payload {
+            TelemetryPayload::Script(ScriptEvent::PerformanceStalled {
                 observed_p99,
                 window,
                 ..
-            } => Some((observed_p99, window)),
+            }) => Some((observed_p99, window)),
             _ => None,
         })
         .collect();

@@ -17,16 +17,17 @@
 //! performance numbering, fault schedule, and event log — is identical
 //! across runs.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use script::core::{
-    FaultPlan, Initiation, Instance, RetryPolicy, RoleId, Script, ScriptError, ScriptEvent,
-    Termination,
+    FaultPlan, Initiation, Instance, RetryPolicy, RingObserver, RoleId, Script, ScriptError,
+    ScriptEvent, TelemetryPayload, Termination, WatchdogPolicy,
 };
 
 /// Builds the request/reply script and a fully chaos-instrumented
-/// instance of it.
-fn chaos_instance(seed: u64) -> (Instance<u8>, ChaosRoles) {
+/// instance of it, with the ring log subscribed to its telemetry.
+fn chaos_instance(seed: u64) -> (Instance<u8>, ChaosRoles, Arc<RingObserver>) {
     let mut b = Script::<u8>::builder("chaos_request_reply");
     let requester = b.role("requester", |ctx, v: u8| {
         ctx.send(&RoleId::new("replier"), v)?;
@@ -48,9 +49,10 @@ fn chaos_instance(seed: u64) -> (Instance<u8>, ChaosRoles) {
             .with_delay(0.2, Duration::from_micros(200))
             .with_duplicate(0.2),
     );
-    inst.set_watchdog(Duration::from_millis(60));
-    inst.enable_event_log(8192);
-    (inst, ChaosRoles { requester, replier })
+    inst.set_watchdog_policy(WatchdogPolicy::Fixed(Duration::from_millis(60)));
+    let ring = Arc::new(RingObserver::new(8192));
+    inst.set_observer(Arc::clone(&ring) as _);
+    (inst, ChaosRoles { requester, replier }, ring)
 }
 
 struct ChaosRoles {
@@ -80,7 +82,7 @@ fn run_round(inst: &Instance<u8>, roles: &ChaosRoles, value: u8) -> Result<u8, S
 /// (queueing, admission) are filtered out; fault injections, stalls,
 /// and completions are schedule-determined and must replay exactly.
 fn chaos_log(seed: u64, rounds: u8) -> (Vec<String>, u32) {
-    let (inst, roles) = chaos_instance(seed);
+    let (inst, roles, ring) = chaos_instance(seed);
     let policy = RetryPolicy::new(4)
         .with_base(Duration::from_millis(1))
         .with_cap(Duration::from_millis(4))
@@ -94,20 +96,20 @@ fn chaos_log(seed: u64, rounds: u8) -> (Vec<String>, u32) {
             Err(_) => failed_rounds += 1,
         }
     }
-    let log = inst
-        .take_events()
+    let log = ring
+        .drain()
         .into_iter()
-        .filter_map(|e| match e {
-            ScriptEvent::FaultInjected { performance, fault } => {
+        .filter_map(|e| match e.payload {
+            TelemetryPayload::Script(ScriptEvent::FaultInjected { performance, fault }) => {
                 Some(format!("{performance:?} fault {fault}"))
             }
-            ScriptEvent::PerformanceStalled { performance, .. } => {
+            TelemetryPayload::Script(ScriptEvent::PerformanceStalled { performance, .. }) => {
                 Some(format!("{performance:?} stalled"))
             }
-            ScriptEvent::PerformanceCompleted {
+            TelemetryPayload::Script(ScriptEvent::PerformanceCompleted {
                 performance,
                 aborted,
-            } => Some(format!("{performance:?} completed aborted={aborted}")),
+            }) => Some(format!("{performance:?} completed aborted={aborted}")),
             _ => None,
         })
         .collect();
@@ -169,7 +171,7 @@ fn chaos_crash_is_recoverable() {
     inst.set_chaos_seed(5);
     // Every peer crashes at its second network operation.
     inst.set_fault_plan(FaultPlan::new(5).with_crash(1.0, 2));
-    inst.set_watchdog(Duration::from_millis(60));
+    inst.set_watchdog_policy(WatchdogPolicy::Fixed(Duration::from_millis(60)));
     let roles = ChaosRoles { requester, replier };
     let err = run_round(&inst, &roles, 3).unwrap_err();
     assert!(

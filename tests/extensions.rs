@@ -6,8 +6,27 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use script::core::{
-    Enrollment, Initiation, Instance, RoleHandle, RoleId, Script, ScriptError, Termination,
+    Enrollment, Initiation, Instance, RingObserver, RoleHandle, RoleId, Script, ScriptError,
+    ScriptEvent, TelemetryPayload, Termination,
 };
+
+/// Subscribes a ring log of `capacity` events to `inst`.
+fn ring_on<M: Send + Clone + 'static>(inst: &Instance<M>, capacity: usize) -> Arc<RingObserver> {
+    let ring = Arc::new(RingObserver::new(capacity));
+    inst.set_observer(Arc::clone(&ring) as _);
+    ring
+}
+
+/// Drains `ring`, keeping the lifecycle events.
+fn script_events(ring: &RingObserver) -> Vec<ScriptEvent> {
+    ring.drain()
+        .into_iter()
+        .filter_map(|e| match e.payload {
+            TelemetryPayload::Script(ev) => Some(ev),
+            _ => None,
+        })
+        .collect()
+}
 
 /// §II: "This distinction is crucial if script enrollment is to be
 /// allowed to act as a guard." A non-blocking enrollment falls through
@@ -199,8 +218,6 @@ fn status_snapshots() {
 /// The event log records the engine's decisions in order.
 #[test]
 fn event_log_records_lifecycle() {
-    use script::core::ScriptEvent;
-
     let mut b = Script::<u8>::builder("logged");
     let ping = b.role("ping", |ctx, ()| ctx.send(&RoleId::new("pong"), 1));
     let pong = b.role("pong", |ctx, ()| {
@@ -211,7 +228,7 @@ fn event_log_records_lifecycle() {
         .termination(Termination::Delayed);
     let script = b.build().unwrap();
     let inst = script.instance();
-    inst.enable_event_log(64);
+    let ring = ring_on(&inst, 64);
 
     std::thread::scope(|s| {
         let i2 = inst.clone();
@@ -221,7 +238,7 @@ fn event_log_records_lifecycle() {
         h.join().unwrap().unwrap();
     });
 
-    let events = inst.take_events();
+    let events = script_events(&ring);
     let pos = |pred: &dyn Fn(&ScriptEvent) -> bool| events.iter().position(pred);
 
     let queued =
@@ -248,8 +265,8 @@ fn event_log_records_lifecycle() {
             .count(),
         2
     );
-    // Drained: a second take is empty.
-    assert!(inst.take_events().is_empty());
+    // Drained: a second drain is empty.
+    assert!(ring.drain().is_empty());
 }
 
 /// The log is bounded: old events fall off the front.
@@ -259,10 +276,11 @@ fn event_log_is_bounded() {
     let solo = b.role("solo", |_ctx, ()| Ok(()));
     let script = b.build().unwrap();
     let inst = script.instance();
-    inst.enable_event_log(3);
+    let ring = ring_on(&inst, 3);
     for _ in 0..10 {
         inst.enroll(&solo, ()).unwrap();
     }
-    let events = inst.take_events();
+    let events = script_events(&ring);
     assert_eq!(events.len(), 3, "capacity respected");
+    assert!(ring.dropped() > 0, "what fell off the front is counted");
 }

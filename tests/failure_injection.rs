@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use script::core::{
     CriticalSet, Enrollment, FaultPlan, Guard, Initiation, ProcessSel, RoleId, Script, ScriptError,
-    Termination,
+    Termination, WatchdogPolicy,
 };
 use script::lib::broadcast::{self, Order};
 
@@ -75,7 +75,7 @@ fn chaos_aborted_broadcast_leaves_instance_usable() {
     let inst = b.script.instance();
     inst.set_chaos_seed(11);
     inst.set_fault_plan(FaultPlan::new(11).with_drop(1.0));
-    inst.set_watchdog(Duration::from_millis(80));
+    inst.set_watchdog_policy(WatchdogPolicy::Fixed(Duration::from_millis(80)));
     let err = broadcast::run_on(&inst, &b, 7).unwrap_err();
     assert!(
         matches!(

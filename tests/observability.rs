@@ -7,12 +7,12 @@
 //! the wire — with gapless, strictly increasing per-performance
 //! sequence numbers (the acceptance criterion for the plane).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use script::chan::{Network, ShardedTransport, Transport};
 use script::core::{
-    FaultPlan, Initiation, NetworkFactory, Observer, PerformanceNet, RoleId, Script, ScriptEvent,
-    TelemetryEvent, TelemetryPayload, Termination, WatchdogPolicy,
+    FaultPlan, Initiation, MultiObserver, NetworkFactory, Observer, PerformanceNet, RingObserver,
+    RoleId, Script, ScriptEvent, TelemetryEvent, TelemetryPayload, Termination, WatchdogPolicy,
 };
 use script::net::{SocketTransport, TransportServer};
 
@@ -72,10 +72,14 @@ fn distributed_performance_yields_one_gapless_merged_stream() {
     // hub, and each injection must stream back to this process.
     inst.set_fault_plan(FaultPlan::new(13).with_delay(1.0, Duration::from_millis(2)));
     inst.set_watchdog_policy(WatchdogPolicy::adaptive());
-    // Both a user subscriber and the built-in ring: the engine fans out.
+    // Two subscribers on the one observer slot: a `MultiObserver` fans
+    // out.
     let collect = Arc::new(Collect::default());
-    inst.set_observer(Arc::clone(&collect) as _);
-    inst.enable_event_log(1024);
+    let ring = Arc::new(RingObserver::new(1024));
+    inst.set_observer(Arc::new(MultiObserver::with(vec![
+        Arc::clone(&collect) as _,
+        Arc::clone(&ring) as _,
+    ])));
 
     std::thread::scope(|s| {
         let h = s.spawn(|| inst.enroll(&pong, ()));
@@ -152,14 +156,109 @@ fn distributed_performance_yields_one_gapless_merged_stream() {
         "hub-side fault injections must stream back into the merged plane: {stream:?}"
     );
 
-    // The built-in ring saw the same traffic (fan-out), and the legacy
-    // lifecycle-only drain still works on top of the new plane.
-    let events = inst.take_events();
+    // The ring saw the same traffic (fan-out), through to completion.
     assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, ScriptEvent::PerformanceCompleted { .. })),
-        "take_events must still yield lifecycle events"
+        stream.iter().any(|e| matches!(
+            &e.payload,
+            TelemetryPayload::Script(ScriptEvent::PerformanceCompleted { .. })
+        )),
+        "the completion must be on the plane"
     );
-    assert_eq!(inst.status().events_dropped, 0);
+    assert_eq!(ring.dropped(), 0);
+    assert_eq!(ring.drain(), stream);
+}
+
+/// An observer installed *after* a chaos performance opened still
+/// receives that performance's fault injections — live, as the roles
+/// communicate, not in a batch at completion — and every one of them
+/// before `PerformanceCompleted`.
+fn late_observer_sees_faults_live(factory: Option<Arc<NetworkFactory<u64>>>) {
+    const ROUNDS: u64 = 4;
+    // The sender stops here twice: once to say its body is running
+    // (the performance is open), once to be let go.
+    let gate = Arc::new(Barrier::new(2));
+    let mut b = Script::<u64>::builder("obs_late");
+    let ping = b.role("ping", {
+        let gate = Arc::clone(&gate);
+        move |ctx, ()| {
+            gate.wait();
+            gate.wait();
+            for k in 0..ROUNDS {
+                ctx.send(&RoleId::new("pong"), k)?;
+                ctx.recv_from(&RoleId::new("pong"))?;
+            }
+            Ok(())
+        }
+    });
+    let pong = b.role("pong", |ctx, ()| {
+        for _ in 0..ROUNDS {
+            let v = ctx.recv_from(&RoleId::new("ping"))?;
+            ctx.send(&RoleId::new("ping"), v + 1)?;
+        }
+        Ok(())
+    });
+    b.initiation(Initiation::Delayed)
+        .termination(Termination::Delayed);
+    let script = b.build().unwrap();
+    let inst = script.instance();
+    if let Some(factory) = factory {
+        inst.set_network_factory(factory);
+    }
+    inst.set_chaos_seed(17);
+    // A certain delay: exactly one fault record per send.
+    inst.set_fault_plan(FaultPlan::new(19).with_delay(1.0, Duration::from_micros(200)));
+
+    let collect = Arc::new(Collect::default());
+    std::thread::scope(|s| {
+        let hp = s.spawn(|| inst.enroll(&pong, ()));
+        let hi = s.spawn(|| inst.enroll(&ping, ()));
+        gate.wait();
+        inst.set_observer(Arc::clone(&collect) as _);
+        gate.wait();
+        hi.join().unwrap().unwrap();
+        hp.join().unwrap().unwrap();
+    });
+
+    let stream = collect.0.lock().unwrap().clone();
+    let position = |want: &dyn Fn(&ScriptEvent) -> bool| {
+        stream
+            .iter()
+            .position(|e| matches!(&e.payload, TelemetryPayload::Script(ev) if want(ev)))
+    };
+    let faults: Vec<usize> = (0..stream.len())
+        .filter(|&i| {
+            matches!(
+                &stream[i].payload,
+                TelemetryPayload::Script(ScriptEvent::FaultInjected { .. })
+            )
+        })
+        .collect();
+    assert_eq!(
+        faults.len() as u64,
+        2 * ROUNDS,
+        "one delay record per send must reach the late observer: {stream:?}"
+    );
+    let finished = position(&|ev| matches!(ev, ScriptEvent::RoleFinished { .. }))
+        .expect("the roles finish after the observer is installed");
+    assert!(
+        faults[0] < finished,
+        "faults stream as they are injected, not once the roles are done: {stream:?}"
+    );
+    let completed = position(&|ev| matches!(ev, ScriptEvent::PerformanceCompleted { .. }))
+        .expect("the completion is on the plane");
+    assert!(
+        faults.iter().all(|&i| i < completed),
+        "every fault precedes the completion: {stream:?}"
+    );
+}
+
+#[test]
+fn late_observer_sees_in_process_faults_live() {
+    late_observer_sees_faults_live(None);
+}
+
+#[test]
+fn late_observer_sees_hub_side_faults_live() {
+    let (_server, factory) = hub();
+    late_observer_sees_faults_live(Some(factory));
 }

@@ -11,7 +11,8 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use script::core::{
-    Initiation, Instance, PerformanceId, RoleHandle, RoleId, Script, ScriptEvent, Termination,
+    Initiation, Instance, PerformanceId, RingObserver, RoleHandle, RoleId, Script, ScriptEvent,
+    TelemetryPayload, Termination, WatchdogPolicy,
 };
 
 const PERFS: usize = 8;
@@ -20,9 +21,20 @@ const PERFS: usize = 8;
 /// communicating.
 type BarrierRole = RoleHandle<u8, Arc<Barrier>, ()>;
 
+/// Drains `ring`, keeping the lifecycle events.
+fn script_events(ring: &RingObserver) -> Vec<ScriptEvent> {
+    ring.drain()
+        .into_iter()
+        .filter_map(|e| match e.payload {
+            TelemetryPayload::Script(ev) => Some(ev),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Builds the two-role ping/pong script whose bodies rendezvous on
-/// `barrier` before communicating.
-fn overlap_script() -> (Instance<u8>, BarrierRole, BarrierRole) {
+/// `barrier` before communicating, with a ring log subscribed.
+fn overlap_script() -> (Instance<u8>, BarrierRole, BarrierRole, Arc<RingObserver>) {
     let mut b = Script::<u8>::builder("overlap_stress");
     let ping = b.role("ping", |ctx, barrier: Arc<Barrier>| {
         barrier.wait();
@@ -40,9 +52,10 @@ fn overlap_script() -> (Instance<u8>, BarrierRole, BarrierRole) {
     let inst = script.instance();
     // A stuck run degrades to a clean `Stalled` failure instead of a
     // hang.
-    inst.set_watchdog(Duration::from_secs(5));
-    inst.enable_event_log(8192);
-    (inst, ping, pong)
+    inst.set_watchdog_policy(WatchdogPolicy::Fixed(Duration::from_secs(5)));
+    let ring = Arc::new(RingObserver::new(8192));
+    inst.set_observer(Arc::clone(&ring) as _);
+    (inst, ping, pong, ring)
 }
 
 /// Runs `PERFS` overlapping performances, with worker start order given
@@ -129,12 +142,12 @@ fn assert_event_order(events: &[ScriptEvent]) -> Vec<PerformanceId> {
 /// appear in the log before the first `PerformanceCompleted`.
 #[test]
 fn eight_overlapping_performances_complete_in_order() {
-    let (inst, ping, pong) = overlap_script();
+    let (inst, ping, pong, ring) = overlap_script();
     let order: Vec<usize> = (0..2 * PERFS).collect();
     run_overlap(&inst, &ping, &pong, &order);
     assert_eq!(inst.completed_performances(), PERFS as u64);
 
-    let events = inst.take_events();
+    let events = script_events(&ring);
     let perfs = assert_event_order(&events);
     assert_eq!(perfs.len(), PERFS, "eight distinct performance ids");
 
@@ -158,12 +171,12 @@ fn eight_overlapping_performances_complete_in_order() {
 #[test]
 fn overlap_stress_survives_seed_and_arrival_shuffle() {
     for seed in [11_u64, 42, 1983] {
-        let (inst, ping, pong) = overlap_script();
+        let (inst, ping, pong, ring) = overlap_script();
         inst.set_chaos_seed(seed);
         let order = shuffled(2 * PERFS, seed);
         run_overlap(&inst, &ping, &pong, &order);
         assert_eq!(inst.completed_performances(), PERFS as u64, "seed {seed}");
-        let perfs = assert_event_order(&inst.take_events());
+        let perfs = assert_event_order(&script_events(&ring));
         assert_eq!(perfs.len(), PERFS, "seed {seed}");
     }
 }

@@ -122,10 +122,10 @@ fn federated_transport_conforms() {
 }
 
 /// The acceptance criterion for chaos parity: one seed, one schedule,
-/// byte-identical fault logs whether the performance is in-process or
-/// crosses a socket.
+/// byte-identical fault record streams whether the performance is
+/// in-process or crosses a socket.
 #[test]
-fn chaos_seed_produces_identical_fault_log_on_both_transports() {
+fn chaos_seed_produces_identical_fault_records_on_both_transports() {
     let in_process = conformance::chaos_schedule_log(&sharded);
     let over_socket = conformance::chaos_schedule_log(&socket);
     assert!(
@@ -172,6 +172,11 @@ fn per_edge_decision_sequences_agree_across_all_three_transports() {
         for id in ["a", "b", "c"] {
             net.activate(id.to_string());
         }
+        // Every send below goes through this transport, and an
+        // operation's fault records are pushed before it returns.
+        let faults = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&faults);
+        net.set_fault_observer(move |rec| sink.lock().unwrap().push(rec.clone()));
         net.set_fault_plan(
             FaultPlan::new(73)
                 .with_drop(0.3)
@@ -195,7 +200,8 @@ fn per_edge_decision_sequences_agree_across_all_three_transports() {
         net.finish("a".to_string());
         rx_b.join().unwrap();
         rx_c.join().unwrap();
-        per_edge_fingerprints(&net.fault_log())
+        let log = faults.lock().unwrap();
+        per_edge_fingerprints(&log)
     }
     let in_process = edge_fingerprints(&sharded);
     let single_hub = edge_fingerprints(&socket);
@@ -265,7 +271,7 @@ fn relay_fallback_replays_the_same_chaos_schedule() {
 /// wherever the performance lives), and the certain injected delay must
 /// dominate the slowest sample on each.
 #[test]
-fn latency_samples_report_equivalently_on_both_transports() {
+fn latency_reports_equivalently_on_both_transports() {
     let (in_process, in_process_max) = conformance::latency_sample_profile(&sharded);
     let (over_socket, over_socket_max) = conformance::latency_sample_profile(&socket);
     assert!(
