@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use crate::fault::{FaultKind, FaultPlan, FaultRecord};
 use crate::network::{Network, PeerState};
 use crate::select::{Arm, Outcome};
-use crate::transport::{LatencyOp, LatencySample, Transport};
+use crate::transport::{CastStep, LatencyOp, LatencySample, Transport};
 use crate::ChanError;
 
 /// The concrete transport type the suite exercises.
@@ -388,6 +388,71 @@ pub fn check_seal_bars_expected_peers(factory: TransportFactory<'_>) {
         a.send_deadline(&s("ghost"), 1, far()),
         Err(ChanError::Terminated(s("ghost")))
     );
+}
+
+/// Batched lifecycle: a [`Network::cast`] run leaves exactly what the
+/// same steps issued one by one leave — every peer's state, with a
+/// `Declare` inside the run downgrading nothing, and `activity`
+/// advanced by one per step — and a participant blocked on a peer that
+/// a run finishes is woken by it.
+pub fn check_cast_matches_steps(factory: TransportFactory<'_>) {
+    let run = [
+        CastStep::Declare(s("a")),
+        CastStep::Declare(s("b")),
+        CastStep::Declare(s("c")),
+        CastStep::Declare(s("ghost")),
+        CastStep::Activate(s("a")),
+        CastStep::Activate(s("b")),
+        CastStep::Declare(s("a")),
+        CastStep::Finish(s("c")),
+        CastStep::Seal,
+    ];
+    let batched = net_of(factory(41));
+    let stepped = net_of(factory(41));
+    // A lazily connecting transport reads its counter from its hub only
+    // once something has made it connect.
+    batched.declare(s("a"));
+    stepped.declare(s("a"));
+    let (b0, s0) = (batched.activity(), stepped.activity());
+    batched.cast(&run);
+    for step in run.iter().cloned() {
+        match step {
+            CastStep::Declare(id) => stepped.declare(id),
+            CastStep::Activate(id) => stepped.activate(id),
+            CastStep::Finish(id) => stepped.finish(id),
+            CastStep::Seal => stepped.seal(),
+        }
+    }
+    for id in ["a", "b", "c", "ghost", "nobody"] {
+        assert_eq!(
+            batched.peer_state(&s(id)),
+            stepped.peer_state(&s(id)),
+            "a run and its steps must leave {id} in the same state"
+        );
+    }
+    assert_eq!(
+        batched.peer_state(&s("a")),
+        Some(PeerState::Active),
+        "a declare inside a run must not downgrade an active peer"
+    );
+    assert_eq!(batched.peer_state(&s("ghost")), Some(PeerState::Done));
+    assert_eq!(
+        batched.activity() - b0,
+        run.len() as u64,
+        "a run advances activity by one per step"
+    );
+    assert_eq!(batched.activity() - b0, stepped.activity() - s0);
+
+    let a = batched.port(s("a")).unwrap();
+    let h = thread::spawn(move || a.recv_from_deadline(&s("b"), far()));
+    thread::sleep(Duration::from_millis(30));
+    batched.cast(&[CastStep::Finish(s("b")), CastStep::Declare(s("b"))]);
+    assert_eq!(
+        h.join().unwrap(),
+        Err(ChanError::Terminated(s("b"))),
+        "a batched finish must wake the receiver blocked on that peer"
+    );
+    assert_eq!(batched.peer_state(&s("b")), Some(PeerState::Done));
 }
 
 /// Abort: blocked operations unblock with `Aborted` and future
@@ -1191,6 +1256,7 @@ pub fn run_all(factory: TransportFactory<'_>) {
     check_termination_surfacing(factory);
     check_watch_drains_before_firing(factory);
     check_seal_bars_expected_peers(factory);
+    check_cast_matches_steps(factory);
     check_abort_unblocks(factory);
     check_crash_surfacing(factory);
     check_fault_plan_roundtrip(factory);

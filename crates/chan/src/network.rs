@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use crate::fault::{FaultPlan, FaultRecord};
 use crate::select::{Arm, Outcome};
-use crate::transport::{LatencySample, SessionEvent, ShardedTransport, Transport};
+use crate::transport::{CastStep, LatencySample, SessionEvent, ShardedTransport, Transport};
 use crate::ChanError;
 
 /// Lifecycle state of a network participant.
@@ -157,6 +157,16 @@ where
     /// `seal_cast`), unfilled roles read as terminated.
     pub fn seal(&self) {
         self.transport.seal();
+    }
+
+    /// Applies a run of lifecycle transitions in order, as one act: the
+    /// steps take effect exactly as [`Network::declare`],
+    /// [`Network::activate`], [`Network::finish`] and [`Network::seal`]
+    /// would apply them one by one, but blocked participants are woken
+    /// once and a remote transport sends the run as one flight. This is
+    /// how an engine binds a performance's cast.
+    pub fn cast(&self, steps: &[CastStep<I>]) {
+        self.transport.cast(steps);
     }
 
     /// Aborts the whole network: every blocked and future operation fails

@@ -15,10 +15,12 @@
 //!   *t*'s offer publications and slot releases wake exactly the
 //!   selectors that care.
 //!
-//! Rare lifecycle transitions (declare/activate/finish/seal/abort) bump
-//! a per-endpoint event counter and broadcast to every endpoint — the
-//! only remaining thundering herd, and it fires once per role lifetime,
-//! not once per message.
+//! Rare lifecycle transitions (a [`Transport::cast`] run, abort) bump a
+//! per-endpoint event counter and broadcast to every endpoint — the
+//! only remaining thundering herd, and it fires once per run (a whole
+//! cast set up, or one role finishing), not once per message. An
+//! endpoint nobody sleeps on costs the pass a lock and a load: the
+//! condvar counts its waiters and notifies only when there are some.
 //!
 //! Lost wakeups are prevented by an eventcount: every change a sleeping
 //! selector could care about increments the endpoint's `signal` under
@@ -167,6 +169,20 @@ pub struct LatencySample {
     pub elapsed: Duration,
 }
 
+/// One lifecycle transition in a [`Transport::cast`] run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CastStep<I> {
+    /// Declares the id as expected (idempotent, never downgrades).
+    Declare(I),
+    /// Marks the id active, declaring it if necessary.
+    Activate(I),
+    /// Marks the id done (finished or permanently barred).
+    Finish(I),
+    /// Seals: expected peers become done; on implicitly-declaring
+    /// transports, future unknown peers are declared done.
+    Seal,
+}
+
 /// The blocking rendezvous substrate a [`Network`](crate::Network) runs
 /// on.
 ///
@@ -177,6 +193,17 @@ pub struct LatencySample {
 /// another engine rewrite. Message duplication support passes a
 /// `clone_fn` alongside the plan so the trait itself needs no
 /// `M: Clone` bound.
+///
+/// # Required and provided methods
+///
+/// A backend must implement 15 methods; 10 more are provided. The
+/// whole peer lifecycle is one required method, [`Transport::cast`]:
+/// [`Transport::declare`], [`Transport::activate`],
+/// [`Transport::finish`] and [`Transport::seal`] are provided one-step
+/// runs over it and are not meant to be overridden. The other provided
+/// methods are three observer setters with
+/// [`Transport::note_session_event`], whose defaults ignore, and the
+/// two submitted operations, whose defaults decline.
 ///
 /// # Contract
 ///
@@ -189,7 +216,11 @@ pub struct LatencySample {
 ///   per directed edge is in flight, so messages from one sender arrive
 ///   in send order (per-edge FIFO).
 /// * **Lifecycle.** Peers move `Expected → Active → Done`;
-///   [`Transport::declare`] never downgrades a state. Operations naming
+///   [`Transport::declare`] never downgrades a state. A
+///   [`Transport::cast`] run is applied in order and acknowledged as a
+///   whole: when it returns every step has taken effect, exactly as if
+///   each had been issued alone, and [`Transport::activity`] has
+///   advanced by one per step. Operations naming
 ///   an `Expected` peer block (the role may yet enroll); operations
 ///   naming a `Done` peer fail with [`ChanError::Terminated`] *after*
 ///   any already-deposited message from it has been drained. A
@@ -221,15 +252,28 @@ pub struct LatencySample {
 ///   match across transports even though the elapsed times differ.
 ///   With no observer the clock is not read.
 pub trait Transport<I, M>: Send + Sync {
+    /// Applies a run of lifecycle transitions, in order, and returns
+    /// once all of them have taken effect. Setting up a performance's
+    /// cast is one run — one wake-up pass in process, one flight of
+    /// frames over a socket — instead of a call per role.
+    fn cast(&self, steps: &[CastStep<I>]);
     /// Declares `id` as expected (idempotent, never downgrades).
-    fn declare(&self, id: I);
+    fn declare(&self, id: I) {
+        self.cast(&[CastStep::Declare(id)]);
+    }
     /// Marks `id` active, declaring it if necessary.
-    fn activate(&self, id: I);
+    fn activate(&self, id: I) {
+        self.cast(&[CastStep::Activate(id)]);
+    }
     /// Marks `id` done (finished or permanently barred).
-    fn finish(&self, id: I);
+    fn finish(&self, id: I) {
+        self.cast(&[CastStep::Finish(id)]);
+    }
     /// Seals: expected peers become done; on implicitly-declaring
     /// transports, future unknown peers are declared done.
-    fn seal(&self);
+    fn seal(&self) {
+        self.cast(&[CastStep::Seal]);
+    }
     /// Aborts every blocked and future operation.
     fn abort(&self);
     /// Whether the transport has been aborted.
@@ -830,38 +874,41 @@ where
     I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
     M: Send + 'static,
 {
-    fn declare(&self, id: I) {
-        self.get_or_create(&id, LIFE_EXPECTED);
-        self.activity.fetch_add(1, Ordering::Relaxed);
-        self.broadcast();
-    }
-
-    fn activate(&self, id: I) {
-        let ep = self.get_or_create(&id, LIFE_ACTIVE);
-        ep.life.store(LIFE_ACTIVE, Ordering::SeqCst);
-        self.activity.fetch_add(1, Ordering::Relaxed);
-        self.broadcast();
-    }
-
-    fn finish(&self, id: I) {
-        let ep = self.get_or_create(&id, LIFE_DONE);
-        ep.life.store(LIFE_DONE, Ordering::SeqCst);
-        self.activity.fetch_add(1, Ordering::Relaxed);
-        self.broadcast();
-    }
-
-    fn seal(&self) {
-        self.sealed.store(true, Ordering::SeqCst);
-        let eps: Vec<Arc<Endpoint<I, M>>> = self.registry().values().cloned().collect();
-        for ep in &eps {
-            let _ = ep.life.compare_exchange(
-                LIFE_EXPECTED,
-                LIFE_DONE,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
+    fn cast(&self, steps: &[CastStep<I>]) {
+        if steps.is_empty() {
+            return;
         }
-        self.activity.fetch_add(1, Ordering::Relaxed);
+        for step in steps {
+            match step {
+                CastStep::Declare(id) => {
+                    self.get_or_create(id, LIFE_EXPECTED);
+                }
+                CastStep::Activate(id) => self
+                    .get_or_create(id, LIFE_ACTIVE)
+                    .life
+                    .store(LIFE_ACTIVE, Ordering::SeqCst),
+                CastStep::Finish(id) => self
+                    .get_or_create(id, LIFE_DONE)
+                    .life
+                    .store(LIFE_DONE, Ordering::SeqCst),
+                CastStep::Seal => {
+                    self.sealed.store(true, Ordering::SeqCst);
+                    for ep in self.registry().values() {
+                        let _ = ep.life.compare_exchange(
+                            LIFE_EXPECTED,
+                            LIFE_DONE,
+                            Ordering::SeqCst,
+                            Ordering::SeqCst,
+                        );
+                    }
+                }
+            }
+        }
+        // One wake-up pass for the whole run: a sleeper re-reads every
+        // lifecycle word it cares about, so it needs to hear of the run,
+        // not of each step.
+        self.activity
+            .fetch_add(steps.len() as u64, Ordering::Relaxed);
         self.broadcast();
     }
 

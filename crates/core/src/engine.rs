@@ -44,7 +44,7 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use script_chan::{FaultPlan, Network, SessionEvent};
+use script_chan::{CastStep, FaultPlan, Network, SessionEvent};
 
 use crate::ctx::RoleCtx;
 use crate::estimator::{LatencyEstimator, WindowFloor};
@@ -325,14 +325,17 @@ impl<M: Send + Clone + 'static> Engine<M> {
         self.telemetry.enabled.load(Ordering::Relaxed)
     }
 
-    /// Numbers `payload` under `seq_lock` and delivers it to the
-    /// observer. The sequence lock is held across delivery so
-    /// events of one scope reach observers gapless and in order.
+    /// Builds the payload, numbers it under `seq_lock` and delivers it
+    /// to the observer — or, with nobody subscribed, returns on the
+    /// relaxed load without running `payload` at all, so an event's
+    /// clones and formatting are paid only when someone will read them.
+    /// The sequence lock is held across delivery so events of one scope
+    /// reach observers gapless and in order.
     fn deliver(
         &self,
         performance: Option<PerformanceId>,
         seq_lock: &Mutex<u64>,
-        payload: TelemetryPayload,
+        payload: impl FnOnce() -> TelemetryPayload,
     ) {
         if !self.telemetry_on() {
             return;
@@ -340,6 +343,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
         let Some(observer) = self.telemetry.observer.lock().clone() else {
             return;
         };
+        let payload = payload();
         let mut seq = seq_lock.lock();
         let event = TelemetryEvent {
             seq: *seq,
@@ -352,12 +356,12 @@ impl<M: Send + Clone + 'static> Engine<M> {
     }
 
     /// Emits an instance-scoped event (no owning performance).
-    fn emit_instance(&self, payload: TelemetryPayload) {
+    fn emit_instance(&self, payload: impl FnOnce() -> TelemetryPayload) {
         self.deliver(None, &self.telemetry.instance_seq, payload);
     }
 
     /// Emits an event attributed to `shard`'s performance.
-    fn emit_shard(&self, shard: &PerfShard<M>, payload: TelemetryPayload) {
+    fn emit_shard(&self, shard: &PerfShard<M>, payload: impl FnOnce() -> TelemetryPayload) {
         self.deliver(
             Some(PerformanceId(shard.seq)),
             &shard.telemetry_seq,
@@ -366,8 +370,8 @@ impl<M: Send + Clone + 'static> Engine<M> {
     }
 
     /// [`Engine::emit_shard`] for plain lifecycle events.
-    fn emit_script(&self, shard: &PerfShard<M>, event: ScriptEvent) {
-        self.emit_shard(shard, TelemetryPayload::Script(event));
+    fn emit_script(&self, shard: &PerfShard<M>, event: impl FnOnce() -> ScriptEvent) {
+        self.emit_shard(shard, || TelemetryPayload::Script(event()));
     }
 
     /// Arms (or re-arms) the quiescence watchdog for future
@@ -489,7 +493,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
     pub(crate) fn close(&self) {
         let mut fe = self.front.lock();
         fe.closed = true;
-        self.emit_instance(TelemetryPayload::Script(ScriptEvent::InstanceClosed));
+        self.emit_instance(|| TelemetryPayload::Script(ScriptEvent::InstanceClosed));
         for slot in &mut fe.pending {
             if matches!(slot.outcome, Outcome::Waiting) {
                 slot.outcome = Outcome::Rejected(ScriptError::InstanceClosed);
@@ -503,12 +507,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
             if !ss.aborted {
                 ss.aborted = true;
                 shard.net.abort();
-                self.emit_script(
-                    &shard,
-                    ScriptEvent::PerformanceAborted {
-                        performance: PerformanceId(shard.seq),
-                    },
-                );
+                self.emit_script(&shard, || ScriptEvent::PerformanceAborted {
+                    performance: PerformanceId(shard.seq),
+                });
             }
             let finalize = ss.is_ready() && !ss.completing;
             if finalize {
@@ -553,13 +554,12 @@ impl<M: Send + Clone + 'static> Engine<M> {
         if ss.frozen || ss.done {
             return;
         }
-        Self::freeze(&self.spec, &shard.net, &mut ss);
-        self.emit_script(
-            shard,
-            ScriptEvent::CastFrozen {
-                performance: PerformanceId(shard.seq),
-            },
-        );
+        let mut steps = Vec::new();
+        Self::freeze(&self.spec, &mut ss, &mut steps);
+        shard.net.cast(&steps);
+        self.emit_script(shard, || ScriptEvent::CastFrozen {
+            performance: PerformanceId(shard.seq),
+        });
         if let Some(g) = fe.gathering.as_ref() {
             if Arc::ptr_eq(g, shard) {
                 fe.gathering = None;
@@ -600,13 +600,15 @@ impl<M: Send + Clone + 'static> Engine<M> {
             }
             ticket = fe.next_ticket;
             fe.next_ticket += 1;
-            self.emit_instance(TelemetryPayload::Script(ScriptEvent::EnrollmentQueued {
-                role: match &role {
-                    RoleRef::Concrete(id) => id.clone(),
-                    RoleRef::NextOf(family) => RoleId::new(family.clone()),
-                },
-                process: process.clone(),
-            }));
+            self.emit_instance(|| {
+                TelemetryPayload::Script(ScriptEvent::EnrollmentQueued {
+                    role: match &role {
+                        RoleRef::Concrete(id) => id.clone(),
+                        RoleRef::NextOf(family) => RoleId::new(family.clone()),
+                    },
+                    process: process.clone(),
+                })
+            });
             fe.pending.push(PendingSlot {
                 ticket,
                 role,
@@ -715,20 +717,14 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 ss.aborted = true;
                 shard.net.abort();
             }
-            self.emit_script(
-                &shard,
-                ScriptEvent::RoleFinished {
-                    performance: PerformanceId(seq),
-                    role: role_id.clone(),
-                },
-            );
+            self.emit_script(&shard, || ScriptEvent::RoleFinished {
+                performance: PerformanceId(seq),
+                role: role_id.clone(),
+            });
             if panicked {
-                self.emit_script(
-                    &shard,
-                    ScriptEvent::PerformanceAborted {
-                        performance: PerformanceId(seq),
-                    },
-                );
+                self.emit_script(&shard, || ScriptEvent::PerformanceAborted {
+                    performance: PerformanceId(seq),
+                });
             }
             let f = ss.is_ready() && !ss.completing;
             if f {
@@ -804,13 +800,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
             ss.done = true;
             ss.aborted
         };
-        self.emit_script(
-            shard,
-            ScriptEvent::PerformanceCompleted {
-                performance: PerformanceId(shard.seq),
-                aborted,
-            },
-        );
+        self.emit_script(shard, || ScriptEvent::PerformanceCompleted {
+            performance: PerformanceId(shard.seq),
+            aborted,
+        });
         fe.live.retain(|s| !Arc::ptr_eq(s, shard));
         if let Some(g) = fe.gathering.as_ref() {
             if Arc::ptr_eq(g, shard) {
@@ -848,33 +841,29 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 let shard = Arc::clone(fe.gathering.as_ref().expect("just ensured"));
                 let seq = shard.seq;
                 let mut ss = shard.state.lock();
-                let newly_admitted =
-                    Self::admit_pending(&self.spec, &shard, &mut ss, &mut fe.pending);
-                let froze = if Self::covers_critical(&self.spec, &ss) {
-                    Self::freeze(&self.spec, &shard.net, &mut ss);
-                    true
-                } else {
-                    false
-                };
-                for (role, process) in newly_admitted {
-                    self.emit_script(
-                        &shard,
-                        ScriptEvent::RoleAdmitted {
-                            performance: PerformanceId(seq),
-                            role,
-                            process,
-                        },
-                    );
+                // Whatever this pass admits and, if that completes a
+                // critical set, the freeze: one run.
+                let mut steps = Vec::new();
+                let first_new = ss.cast.len();
+                Self::admit_pending(&self.spec, &shard, &mut ss, &mut fe.pending, &mut steps);
+                let froze = Self::covers_critical(&self.spec, &ss);
+                if froze {
+                    Self::freeze(&self.spec, &mut ss, &mut steps);
+                }
+                shard.net.cast(&steps);
+                for (role, process, _) in &ss.cast[first_new..] {
+                    self.emit_script(&shard, || ScriptEvent::RoleAdmitted {
+                        performance: PerformanceId(seq),
+                        role: role.clone(),
+                        process: process.clone(),
+                    });
                 }
                 if !froze {
                     return;
                 }
-                self.emit_script(
-                    &shard,
-                    ScriptEvent::CastFrozen {
-                        performance: PerformanceId(seq),
-                    },
-                );
+                self.emit_script(&shard, || ScriptEvent::CastFrozen {
+                    performance: PerformanceId(seq),
+                });
                 // Detach: the frozen performance runs on its shard while
                 // the next enrollment gathers into a fresh one (overlap).
                 fe.gathering = None;
@@ -910,13 +899,8 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 RoleRef::NextOf(_) => None,
             })
             .collect();
-        let critical: Vec<_> = self
-            .spec
-            .expanded_critical()
-            .into_iter()
-            .map(|(exact, _)| exact)
-            .collect();
-        let Some(assignment) = match_performance(&candidates, &critical) else {
+        let critical = self.spec.expanded_critical().iter().map(|(exact, _)| exact);
+        let Some(assignment) = match_performance(&candidates, critical) else {
             return false;
         };
         let admitted: Vec<(u64, RoleId)> = assignment
@@ -961,9 +945,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
         if let Some(plan) = &fe.fault_plan {
             net.set_fault_plan(plan.reseeded(mix_seed(plan.seed(), seq)));
         }
-        for role in self.spec.fixed_role_ids() {
-            net.declare(role);
-        }
         // Per-performance latency estimator: sized by the adaptive
         // policy when one is armed, and attached whenever *any* policy
         // is (so Fixed-policy stall events still carry an observed p99).
@@ -1000,9 +981,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             shard.net.set_latency_observer(move |sample| {
                 est.record(sample.elapsed);
                 if let (Some(engine), Some(shard)) = (weak_engine.upgrade(), weak_shard.upgrade()) {
-                    if engine.telemetry_on() {
-                        engine.emit_shard(&shard, TelemetryPayload::Latency(*sample));
-                    }
+                    engine.emit_shard(&shard, || TelemetryPayload::Latency(*sample));
                 }
             });
         }
@@ -1018,13 +997,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
             let weak_shard = Arc::downgrade(&shard);
             shard.net.set_fault_observer(move |record| {
                 if let (Some(engine), Some(shard)) = (weak_engine.upgrade(), weak_shard.upgrade()) {
-                    engine.emit_script(
-                        &shard,
-                        ScriptEvent::FaultInjected {
-                            performance: PerformanceId(shard.seq),
-                            fault: record.to_string(),
-                        },
-                    );
+                    engine.emit_script(&shard, || ScriptEvent::FaultInjected {
+                        performance: PerformanceId(shard.seq),
+                        fault: record.to_string(),
+                    });
                 }
             });
         }
@@ -1041,16 +1017,13 @@ impl<M: Send + Clone + 'static> Engine<M> {
                     if let (Some(engine), Some(shard)) =
                         (weak_engine.upgrade(), weak_shard.upgrade())
                     {
-                        engine.emit_script(
-                            &shard,
-                            ScriptEvent::Rendezvous {
-                                performance: PerformanceId(shard.seq),
-                                from: rec.from.clone(),
-                                to: rec.to.clone(),
-                                label: rec.label.clone(),
-                                seq: rec.seq,
-                            },
-                        );
+                        engine.emit_script(&shard, || ScriptEvent::Rendezvous {
+                            performance: PerformanceId(shard.seq),
+                            from: rec.from.clone(),
+                            to: rec.to.clone(),
+                            label: rec.label.clone(),
+                            seq: rec.seq,
+                        });
                     }
                 },
                 fe.labeler.unwrap_or(unlabeled::<M>),
@@ -1062,7 +1035,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             let weak_shard = Arc::downgrade(&shard);
             shard.net.set_session_observer(move |event| {
                 if let (Some(engine), Some(shard)) = (weak_engine.upgrade(), weak_shard.upgrade()) {
-                    let payload = match event {
+                    engine.emit_shard(&shard, || match event {
                         SessionEvent::PeerDisconnected(peer) => {
                             TelemetryPayload::PeerDisconnected { peer: peer.clone() }
                         }
@@ -1072,52 +1045,52 @@ impl<M: Send + Clone + 'static> Engine<M> {
                         SessionEvent::LeaseExpired(peer) => {
                             TelemetryPayload::LeaseExpired { peer: peer.clone() }
                         }
-                    };
-                    engine.emit_shard(&shard, payload);
+                    });
                 }
             });
         }
-        self.emit_script(
-            &shard,
-            ScriptEvent::PerformanceStarted {
-                performance: PerformanceId(seq),
-            },
-        );
+        self.emit_script(&shard, || ScriptEvent::PerformanceStarted {
+            performance: PerformanceId(seq),
+        });
         let delayed = !admitted.is_empty();
         {
             let mut ss = shard.state.lock();
+            // The whole cast is bound in one run: declare the script's
+            // roles, activate the admitted ones, and — delayed
+            // initiation admits its cast complete — freeze.
+            let fixed = self.spec.fixed_role_ids();
+            let mut steps = Vec::with_capacity(2 * fixed.len() + 1);
+            steps.extend(fixed.iter().cloned().map(CastStep::Declare));
             for (ticket, role) in admitted {
                 let slot = fe
                     .pending
                     .iter_mut()
                     .find(|s| s.ticket == ticket)
                     .expect("admitted ticket pending");
-                shard.net.activate(role.clone());
+                steps.push(CastStep::Activate(role.clone()));
                 ss.cast
                     .push((role.clone(), slot.process.clone(), slot.partners.clone()));
                 ss.running.insert(role.clone());
-                let process = slot.process.clone();
                 slot.outcome = Outcome::Admitted {
                     shard: Arc::clone(&shard),
-                    role: role.clone(),
+                    role,
                 };
-                self.emit_script(
-                    &shard,
-                    ScriptEvent::RoleAdmitted {
-                        performance: PerformanceId(seq),
-                        role,
-                        process,
-                    },
-                );
             }
             if delayed {
-                Self::freeze(&self.spec, &shard.net, &mut ss);
-                self.emit_script(
-                    &shard,
-                    ScriptEvent::CastFrozen {
-                        performance: PerformanceId(seq),
-                    },
-                );
+                Self::freeze(&self.spec, &mut ss, &mut steps);
+            }
+            shard.net.cast(&steps);
+            for (role, process, _) in &ss.cast {
+                self.emit_script(&shard, || ScriptEvent::RoleAdmitted {
+                    performance: PerformanceId(seq),
+                    role: role.clone(),
+                    process: process.clone(),
+                });
+            }
+            if delayed {
+                self.emit_script(&shard, || ScriptEvent::CastFrozen {
+                    performance: PerformanceId(seq),
+                });
             }
         }
         if let Some(policy) = fe.watchdog.clone() {
@@ -1170,13 +1143,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
                         let moved = announced.is_none_or(|prev| window.abs_diff(prev) * 8 >= prev);
                         if moved {
                             announced = Some(window);
-                            engine.emit_shard(
-                                &shard,
-                                TelemetryPayload::WatchdogArmed {
-                                    window,
-                                    observed_p99,
-                                },
-                            );
+                            engine.emit_shard(&shard, || TelemetryPayload::WatchdogArmed {
+                                window,
+                                observed_p99,
+                            });
                         }
                     }
                 }
@@ -1208,20 +1178,14 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 ss.aborted = true;
                 ss.stalled = true;
                 shard.net.abort();
-                engine.emit_script(
-                    &shard,
-                    ScriptEvent::PerformanceStalled {
-                        performance: PerformanceId(shard.seq),
-                        observed_p99,
-                        window,
-                    },
-                );
-                engine.emit_script(
-                    &shard,
-                    ScriptEvent::PerformanceAborted {
-                        performance: PerformanceId(shard.seq),
-                    },
-                );
+                engine.emit_script(&shard, || ScriptEvent::PerformanceStalled {
+                    performance: PerformanceId(shard.seq),
+                    observed_p99,
+                    window,
+                });
+                engine.emit_script(&shard, || ScriptEvent::PerformanceAborted {
+                    performance: PerformanceId(shard.seq),
+                });
                 let finalize = ss.is_ready() && !ss.completing;
                 if finalize {
                     ss.completing = true;
@@ -1241,14 +1205,15 @@ impl<M: Send + Clone + 'static> Engine<M> {
 
     /// Admits every currently-admissible pending enrollment, in ticket
     /// order, repeating until a fixed point (an admission may enable
-    /// another). Returns the admitted `(role, process)` pairs.
+    /// another). The admitted join the end of `ss.cast`; their
+    /// activations are pushed onto `steps` for the caller to apply.
     fn admit_pending(
         spec: &ScriptSpec<M>,
         shard: &Arc<PerfShard<M>>,
         ss: &mut ShardState,
         pending: &mut [PendingSlot<M>],
-    ) -> Vec<(RoleId, ProcessId)> {
-        let mut admitted = Vec::new();
+        steps: &mut Vec<CastStep<RoleId>>,
+    ) {
         let now = Instant::now();
         let mut progress = true;
         while progress {
@@ -1301,11 +1266,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
                         ss.next_open_index
                             .insert(family.clone(), role.index().expect("indexed") + 1);
                     }
-                    shard.net.activate(role.clone());
+                    steps.push(CastStep::Activate(role.clone()));
                     ss.cast
                         .push((role.clone(), slot.process.clone(), slot.partners.clone()));
                     ss.running.insert(role.clone());
-                    admitted.push((role.clone(), slot.process.clone()));
                     slot.outcome = Outcome::Admitted {
                         shard: Arc::clone(shard),
                         role,
@@ -1314,7 +1278,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 }
             }
         }
-        admitted
     }
 
     /// Does the cast cover any critical role set?
@@ -1333,15 +1296,16 @@ impl<M: Send + Clone + 'static> Engine<M> {
     }
 
     /// Freezes the cast: unfilled roles become permanently terminated.
-    fn freeze(spec: &ScriptSpec<M>, net: &Network<RoleId, M>, ss: &mut ShardState) {
+    /// Pushes the transitions onto `steps` for the caller to apply.
+    fn freeze(spec: &ScriptSpec<M>, ss: &mut ShardState, steps: &mut Vec<CastStep<RoleId>>) {
         ss.frozen = true;
         for role in spec.fixed_role_ids() {
-            if !ss.cast_has(&role) {
-                net.finish(role);
+            if !ss.cast_has(role) {
+                steps.push(CastStep::Finish(role.clone()));
             }
         }
         // Bars implicitly-declared (open family) stragglers.
-        net.seal();
+        steps.push(CastStep::Seal);
     }
 }
 
@@ -1355,5 +1319,34 @@ impl<M> std::fmt::Debug for Engine<M> {
             .field("completed", &self.completed.load(Ordering::SeqCst))
             .field("closed", &fe.closed)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+    use crate::{RingObserver, Script};
+
+    /// The nobody-subscribed path is the relaxed load and nothing else:
+    /// an event's payload is a closure the gate never runs.
+    #[test]
+    fn unsubscribed_instance_builds_no_event() {
+        let mut b = Script::<u8>::builder("quiet");
+        b.role("only", |_ctx, ()| Ok(()));
+        let instance = b.build().unwrap().instance();
+        let engine = &instance.engine;
+        engine.emit_instance(|| panic!("built an event nobody subscribed to"));
+
+        let ring = Arc::new(RingObserver::new(64));
+        engine.set_observer(ring.clone());
+        let built = Cell::new(false);
+        engine.emit_instance(|| {
+            built.set(true);
+            TelemetryPayload::Script(ScriptEvent::InstanceClosed)
+        });
+        assert!(built.get(), "a subscribed instance builds the event");
+        assert_eq!(ring.drain().len(), 1);
     }
 }

@@ -1,6 +1,7 @@
 //! Identifiers for roles, processes, and performances.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,9 +23,12 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(third.to_string(), "recipient[3]");
 /// assert_eq!(third.index(), Some(3));
 /// ```
+///
+/// The name is shared, so a clone — the engine makes several per role
+/// per performance — is a reference-count bump, not a string copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RoleId {
-    name: String,
+    name: Arc<str>,
     index: Option<usize>,
 }
 
@@ -32,7 +36,7 @@ impl RoleId {
     /// A singleton role (no index).
     pub fn new(name: impl Into<String>) -> Self {
         Self {
-            name: name.into(),
+            name: name.into().into(),
             index: None,
         }
     }
@@ -40,7 +44,7 @@ impl RoleId {
     /// Member `index` of the role family `name`.
     pub fn indexed(name: impl Into<String>, index: usize) -> Self {
         Self {
-            name: name.into(),
+            name: name.into().into(),
             index: Some(index),
         }
     }
@@ -57,7 +61,7 @@ impl RoleId {
 
     /// Returns `true` if this id belongs to family `family`.
     pub fn in_family(&self, family: &str) -> bool {
-        self.index.is_some() && self.name == family
+        self.index.is_some() && &*self.name == family
     }
 }
 
@@ -70,15 +74,24 @@ impl fmt::Display for RoleId {
     }
 }
 
+// The two borrowed-name conversions copy the name once, straight into
+// the shared buffer (the constructors take `Into<String>` and copy it
+// twice when handed a `&str`).
 impl From<&str> for RoleId {
     fn from(name: &str) -> Self {
-        RoleId::new(name)
+        Self {
+            name: name.into(),
+            index: None,
+        }
     }
 }
 
 impl From<(&str, usize)> for RoleId {
     fn from((name, index): (&str, usize)) -> Self {
-        RoleId::indexed(name, index)
+        Self {
+            name: name.into(),
+            index: Some(index),
+        }
     }
 }
 
@@ -96,20 +109,22 @@ impl From<(&str, usize)> for RoleId {
 /// let p = ProcessId::new("T");
 /// assert_eq!(p.to_string(), "T");
 /// ```
+///
+/// Like [`RoleId`], a clone shares the name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct ProcessId(String);
+pub struct ProcessId(Arc<str>);
 
 impl ProcessId {
     /// A named process identity.
     pub fn new(name: impl Into<String>) -> Self {
-        Self(name.into())
+        Self(name.into().into())
     }
 
     /// A fresh anonymous identity, unequal to every named identity.
     pub fn anonymous() -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT: AtomicU64 = AtomicU64::new(0);
-        Self(format!("<anon-{}>", NEXT.fetch_add(1, Ordering::Relaxed)))
+        Self(format!("<anon-{}>", NEXT.fetch_add(1, Ordering::Relaxed)).into())
     }
 
     /// The process name.

@@ -44,9 +44,9 @@ fn compatible_with_all(cand: &Candidate<'_>, chosen: &[&Candidate<'_>]) -> bool 
 /// with further compatible candidates for still-unfilled roles.
 ///
 /// Returns `role → candidate index` on success.
-pub(crate) fn match_performance(
+pub(crate) fn match_performance<'c>(
     candidates: &[Candidate<'_>],
-    critical: &[BTreeSet<RoleId>],
+    critical: impl IntoIterator<Item = &'c BTreeSet<RoleId>>,
 ) -> Option<HashMap<RoleId, usize>> {
     for cover in critical {
         if let Some(assignment) = cover_critical_set(candidates, cover) {

@@ -64,6 +64,10 @@ pub(crate) struct ScriptSpec<M> {
     /// open families with no explicit critical set, in which case the
     /// cast freezes solely via `seal_cast`.
     pub(crate) critical: Vec<CriticalSet>,
+    /// [`ScriptSpec::fixed_role_ids`], computed at build.
+    fixed_ids: Vec<RoleId>,
+    /// [`ScriptSpec::expanded_critical`], computed at build.
+    expanded: Vec<ExpandedCritical>,
 }
 
 impl<M> ScriptSpec<M> {
@@ -73,18 +77,8 @@ impl<M> ScriptSpec<M> {
 
     /// All concrete role ids of fixed roles and families (open families
     /// contribute none).
-    pub(crate) fn fixed_role_ids(&self) -> Vec<RoleId> {
-        let mut out = Vec::new();
-        for def in &self.roles {
-            match def.family {
-                None => out.push(RoleId::new(def.name.clone())),
-                Some(FamilySize::Fixed(n)) => {
-                    out.extend((0..n).map(|i| RoleId::indexed(def.name.clone(), i)))
-                }
-                Some(FamilySize::Open { .. }) => {}
-            }
-        }
-        out
+    pub(crate) fn fixed_role_ids(&self) -> &[RoleId] {
+        &self.fixed_ids
     }
 
     pub(crate) fn has_open_family(&self) -> bool {
@@ -106,13 +100,9 @@ impl<M> ScriptSpec<M> {
         }
     }
 
-    /// Expands each critical set against this spec's family sizes.
-    pub(crate) fn expanded_critical(&self) -> Vec<ExpandedCritical> {
-        let sizes = |name: &str| match self.role_def(name).and_then(|d| d.family) {
-            Some(FamilySize::Fixed(n)) => Some(n),
-            _ => None,
-        };
-        self.critical.iter().map(|cs| cs.expand(&sizes)).collect()
+    /// Each critical set expanded against this spec's family sizes.
+    pub(crate) fn expanded_critical(&self) -> &[ExpandedCritical] {
+        &self.expanded
     }
 }
 
@@ -392,12 +382,31 @@ impl<M: Send + Clone + 'static> ScriptBuilder<M> {
             }
             critical.push(cs);
         }
+        // Every enrollment consults both tables; they depend on the
+        // declaration alone, so they are built here, once.
+        let mut fixed_ids = Vec::new();
+        for def in &self.roles {
+            match def.family {
+                None => fixed_ids.push(RoleId::new(def.name.clone())),
+                Some(FamilySize::Fixed(n)) => {
+                    fixed_ids.extend((0..n).map(|i| RoleId::indexed(def.name.clone(), i)))
+                }
+                Some(FamilySize::Open { .. }) => {}
+            }
+        }
+        let sizes = |name: &str| match find(name).and_then(|d| d.family) {
+            Some(FamilySize::Fixed(n)) => Some(n),
+            _ => None,
+        };
+        let expanded = critical.iter().map(|cs| cs.expand(&sizes)).collect();
         Ok(crate::Script::from_spec(ScriptSpec {
             name: self.name,
             roles: self.roles,
             initiation: self.initiation,
             termination: self.termination,
             critical,
+            fixed_ids,
+            expanded,
         }))
     }
 }

@@ -80,9 +80,9 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use script_chan::{
-    Arm, ChanError, FaultObserver, FaultPlan, FaultRecord, LabelFn, LatencyHooks, LatencyObserver,
-    LatencyOp, Outcome, PeerState, RendezvousObserver, RendezvousRecord, SessionEvent,
-    SessionObserver, Transport,
+    Arm, CastStep, ChanError, FaultObserver, FaultPlan, FaultRecord, LabelFn, LatencyHooks,
+    LatencyObserver, LatencyOp, Outcome, PeerState, RendezvousObserver, RendezvousRecord,
+    SessionEvent, SessionObserver, Transport,
 };
 use script_core::RetryPolicy;
 
@@ -185,6 +185,16 @@ impl<I, M> Slot<I, M> {
     }
 }
 
+/// Bytes reserved for an encoded request frame: covers the request id,
+/// the tag and the ids or short payload of the common requests, so they
+/// are encoded without a regrowth (the hub reserves the same for its
+/// answers).
+const REQ_CAPACITY: usize = 128;
+
+/// A registered request: its id in `pending` and the slot its answer
+/// lands in.
+type Ticket<I, M> = (u64, Arc<Slot<I, M>>);
+
 /// One queued request: the encoded frame is retained so a reconnect can
 /// replay it verbatim (same request id → hub-side replay cache dedups).
 struct PendingEntry<I, M> {
@@ -215,15 +225,24 @@ struct ConnTx {
 }
 
 impl ConnTx {
-    /// Queues one encoded `(req_id, req)` frame and flushes whatever
-    /// the buffer holds. Returns `false` on write failure — the
-    /// connection is done for.
-    fn send_payload(&self, payload: &[u8]) -> bool {
-        if self.buf.lock().push_frame(payload).is_err() {
-            return false;
+    /// Queues encoded `(req_id, req)` frames, in order, under one hold
+    /// of the buffer lock, so no other producer's frame lands between
+    /// them. Returns `false` for a frame no connection could carry.
+    fn queue<'a>(&self, payloads: impl IntoIterator<Item = &'a [u8]>) -> bool {
+        let mut b = self.buf.lock();
+        for payload in payloads {
+            if b.push_frame(payload).is_err() {
+                return false;
+            }
+            self.bytes_out
+                .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
         }
-        self.bytes_out
-            .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
+        true
+    }
+
+    /// Flushes whatever the buffer holds. Returns `false` on write
+    /// failure — the connection is done for.
+    fn flush(&self) -> bool {
         let _g = self.flush.lock();
         loop {
             let mut local = {
@@ -309,8 +328,11 @@ struct Shared<I, M> {
     observer: Mutex<Option<FaultObserver<I>>>,
     rendezvous_observer: Mutex<Option<RendezvousObserver<I>>>,
     session_observer: Mutex<Option<SessionObserver<I>>>,
-    /// Ids to re-bind if the session (not just the connection) is new.
-    bound: Mutex<Vec<I>>,
+    /// Ids to re-bind if the session (not just the connection) is new,
+    /// each with whether the hub has acknowledged its activation — from
+    /// then on the hub's registry, which only grows, holds the id, and
+    /// [`Transport::ensure_peer`] for it needs no round trip.
+    bound: Mutex<Vec<(I, bool)>>,
     /// Snapshot of `bound` taken when the connection died, so the
     /// matching `PeerResumed`/`LeaseExpired` events announce exactly
     /// the ids whose `PeerDisconnected` was announced — even if roles
@@ -374,7 +396,7 @@ impl<I, M> Shared<I, M> {
     where
         I: Clone,
     {
-        let snapshot = self.bound.lock().clone();
+        let snapshot: Vec<I> = self.bound.lock().iter().map(|(id, _)| id.clone()).collect();
         *self.severed.lock() = snapshot.clone();
         let obs = self.session_observer.lock().clone();
         let Some(obs) = obs else { return };
@@ -458,7 +480,7 @@ where
     /// Allocates a request id and encodes one `(req_id, req)` frame.
     fn encode_req(&self, req: &Req<I, M>) -> (u64, Vec<u8>) {
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let mut payload = Vec::new();
+        let mut payload = Vec::with_capacity(REQ_CAPACITY);
         req_id.encode(&mut payload);
         req.encode(&mut payload);
         (req_id, payload)
@@ -507,46 +529,107 @@ where
         }
     }
 
-    /// One queued ("durable") RPC. The request survives connection loss:
-    /// it is replayed on reconnect and answered at most once by the hub
-    /// (replay-cache idempotence), so there is no separate retry loop —
-    /// session replay *is* the retry path. `None` only on session death.
-    fn call(self: &Arc<Self>, req: &Req<I, M>) -> Option<Resp<I, M>> {
-        if self.is_dead() {
-            return None;
-        }
+    /// Encodes `req` and parks it in `pending`, which keeps the only
+    /// copy of the frame: transmission and replay both write from there.
+    fn register(&self, req: &Req<I, M>, fast: bool) -> Ticket<I, M> {
         let (req_id, payload) = self.encode_req(req);
         let slot = Arc::new(Slot::new());
         self.pending.lock().insert(
             req_id,
             PendingEntry {
-                payload: payload.clone(),
+                payload,
                 slot: Arc::clone(&slot),
-                fast: false,
+                fast,
             },
         );
-        // Death may have drained `pending` between the check above and
-        // the insert; re-checking after the insert closes the race.
-        if self.is_dead() {
-            self.pending.lock().remove(&req_id);
-            return None;
+        (req_id, slot)
+    }
+
+    /// Takes `tickets` back out of `pending`: nobody will answer them.
+    fn withdraw(&self, tickets: &[Ticket<I, M>]) {
+        let mut p = self.pending.lock();
+        for (req_id, _) in tickets {
+            p.remove(req_id);
         }
-        match self.ensure_conn() {
+    }
+
+    /// Writes the frames of `tickets` to `conn`, in order and as one
+    /// write, from the copies `pending` holds. A ticket no longer
+    /// pending was answered already (a handshake replays everything
+    /// pending, which may include these) and is skipped. On a failed
+    /// write the connection is shut, which kicks the driver into its
+    /// redial-and-replay path; returns whether the write succeeded.
+    fn transmit(&self, conn: &ConnShared, tickets: &[Ticket<I, M>]) -> bool {
+        let queued = {
+            let p = self.pending.lock();
+            conn.tx.queue(
+                tickets
+                    .iter()
+                    .filter_map(|(req_id, _)| p.get(req_id))
+                    .map(|e| e.payload.as_slice()),
+            )
+        };
+        let sent = queued && conn.tx.flush();
+        if !sent {
+            conn.alive.store(false, Ordering::SeqCst);
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        sent
+    }
+
+    /// Sends registered durable requests as one pipelined flight. They
+    /// survive connection loss: each is replayed on reconnect and
+    /// answered at most once by the hub (replay-cache idempotence), so
+    /// there is no separate retry loop — session replay *is* the retry
+    /// path. `false` only on session death, with the tickets withdrawn.
+    fn launch(self: &Arc<Self>, tickets: &[Ticket<I, M>]) -> bool {
+        // Death may have drained `pending` before the tickets went in;
+        // checking after the insert closes the race.
+        let conn = if self.is_dead() {
+            None
+        } else {
+            self.ensure_conn()
+        };
+        match conn {
             Some(conn) => {
-                // A failed write is not a failed request: the entry
-                // stays queued, and shutting the socket kicks the
-                // driver into its redial-and-replay path.
-                if !conn.tx.send_payload(&payload) {
-                    conn.alive.store(false, Ordering::SeqCst);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                }
+                // A failed write is not a failed request: the entries
+                // stay queued for the replay.
+                self.transmit(&conn, tickets);
+                true
             }
             None => {
-                self.pending.lock().remove(&req_id);
-                return None;
+                self.withdraw(tickets);
+                false
             }
         }
-        slot.wait()
+    }
+
+    /// One durable RPC (see [`Shared::launch`]). `None` only on session
+    /// death.
+    fn call(self: &Arc<Self>, req: &Req<I, M>) -> Option<Resp<I, M>> {
+        if self.is_dead() {
+            return None;
+        }
+        let ticket = self.register(req, false);
+        if !self.launch(std::slice::from_ref(&ticket)) {
+            return None;
+        }
+        ticket.1.wait()
+    }
+
+    /// A run of durable RPCs as one flight: every frame queued under
+    /// one hold of the write-buffer lock and written at once, so the
+    /// hub reads, applies and answers them in order in one turn; then
+    /// every answer awaited. Each request keeps its own id, `pending`
+    /// entry and replay-cache answer, so a connection lost mid-flight
+    /// replays exactly the unanswered ones. Answers are in request
+    /// order; all `None` on session death.
+    fn flight(self: &Arc<Self>, reqs: &[Req<I, M>]) -> Vec<Option<Resp<I, M>>> {
+        let tickets: Vec<Ticket<I, M>> = reqs.iter().map(|r| self.register(r, false)).collect();
+        if !self.launch(&tickets) {
+            return reqs.iter().map(|_| None).collect();
+        }
+        tickets.iter().map(|(_, slot)| slot.wait()).collect()
     }
 
     /// One non-queued RPC for cheap lifecycle reads: never blocks on a
@@ -564,33 +647,23 @@ where
                 _ => return FastReply::Blip,
             }
         };
-        let (req_id, payload) = self.encode_req(req);
-        let slot = Arc::new(Slot::new());
-        self.pending.lock().insert(
-            req_id,
-            PendingEntry {
-                payload: payload.clone(),
-                slot: Arc::clone(&slot),
-                fast: true,
-            },
-        );
+        let ticket = self.register(req, true);
+        let tickets = std::slice::from_ref(&ticket);
         // The driver drains fast entries *after* flipping `alive`;
         // re-checking after the insert guarantees ours is seen.
         if !conn.alive.load(Ordering::SeqCst) || self.is_dead() {
-            self.pending.lock().remove(&req_id);
+            self.withdraw(tickets);
             return if self.is_dead() {
                 FastReply::Dead
             } else {
                 FastReply::Blip
             };
         }
-        if !conn.tx.send_payload(&payload) {
-            self.pending.lock().remove(&req_id);
-            conn.alive.store(false, Ordering::SeqCst);
-            let _ = conn.stream.shutdown(Shutdown::Both);
+        if !self.transmit(&conn, tickets) {
+            self.withdraw(tickets);
             return FastReply::Blip;
         }
-        match slot.wait() {
+        match ticket.1.wait() {
             Some(resp) => FastReply::Resp(resp),
             None if self.is_dead() => FastReply::Dead,
             None => FastReply::Blip,
@@ -731,7 +804,8 @@ where
         // A resumed session already holds its binds hub-side; only a
         // brand-new session needs them installed.
         if sid == 0 {
-            for id in self.bound.lock().clone() {
+            let bound: Vec<I> = self.bound.lock().iter().map(|(id, _)| id.clone()).collect();
+            for id in bound {
                 let Some(bind_id) = self.write_req(&mut w, &Req::Bind(id)) else {
                     return Handshake::Failed;
                 };
@@ -860,7 +934,7 @@ where
                         .unwrap_or_else(|| self.next_req.load(Ordering::Relaxed))
                 };
                 let (_, payload) = self.encode_req(&Req::Heartbeat { acked });
-                if !conn.tx.send_payload(&payload) {
+                if !(conn.tx.queue([payload.as_slice()]) && conn.tx.flush()) {
                     break;
                 }
                 next_hb = now + quarter(self);
@@ -1128,27 +1202,39 @@ where
     I: Wire + Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
     M: Wire + Send + Sync + 'static,
 {
-    fn declare(&self, id: I) {
-        let _ = self.shared.call(&Req::Declare(id));
-    }
-
-    fn activate(&self, id: I) {
-        {
-            let mut b = self.shared.bound.lock();
-            if !b.contains(&id) {
-                b.push(id.clone());
+    fn cast(&self, steps: &[CastStep<I>]) {
+        if steps.is_empty() {
+            return;
+        }
+        let reqs: Vec<Req<I, M>> = {
+            let mut bound = self.shared.bound.lock();
+            steps
+                .iter()
+                .map(|step| match step {
+                    CastStep::Declare(id) => Req::Declare(id.clone()),
+                    CastStep::Activate(id) => {
+                        if !bound.iter().any(|(b, _)| b == id) {
+                            bound.push((id.clone(), false));
+                        }
+                        Req::Activate(id.clone())
+                    }
+                    CastStep::Finish(id) => {
+                        bound.retain(|(b, _)| b != id);
+                        Req::Finish(id.clone())
+                    }
+                    CastStep::Seal => Req::Seal,
+                })
+                .collect()
+        };
+        let answers = self.shared.flight(&reqs);
+        let mut bound = self.shared.bound.lock();
+        for (step, answer) in steps.iter().zip(&answers) {
+            if let (CastStep::Activate(id), Some(Resp::Unit)) = (step, answer) {
+                if let Some(entry) = bound.iter_mut().find(|(b, _)| b == id) {
+                    entry.1 = true;
+                }
             }
         }
-        let _ = self.shared.call(&Req::Activate(id));
-    }
-
-    fn finish(&self, id: I) {
-        self.shared.bound.lock().retain(|b| b != &id);
-        let _ = self.shared.call(&Req::Finish(id));
-    }
-
-    fn seal(&self) {
-        let _ = self.shared.call(&Req::Seal);
     }
 
     fn abort(&self) {
@@ -1202,6 +1288,18 @@ where
     }
 
     fn ensure_peer(&self, id: &I) -> Result<(), ChanError<I>> {
+        // An id whose activation the hub acknowledged is in the hub's
+        // registry for good: a live session answers for it locally.
+        if !self.shared.is_dead()
+            && self
+                .shared
+                .bound
+                .lock()
+                .iter()
+                .any(|(b, acked)| *acked && b == id)
+        {
+            return Ok(());
+        }
         match self.shared.call(&Req::EnsurePeer(id.clone())) {
             Some(Resp::Unit) => Ok(()),
             Some(Resp::ChanErr(e)) => Err(e),

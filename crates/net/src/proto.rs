@@ -30,7 +30,7 @@ use script_chan::{
 };
 use script_core::RoleId;
 
-use crate::wire::{Reader, Wire, WireError};
+use crate::wire::{decode_str, encode_str, Reader, Wire, WireError};
 
 /// Request id reserved for unsolicited server → client event frames.
 pub const EVENT_REQ_ID: u64 = 0;
@@ -557,14 +557,16 @@ impl Wire for FaultPlan {
 
 impl Wire for RoleId {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.name().to_string().encode(out);
+        encode_str(self.name(), out);
         self.index().encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let name = String::decode(r)?;
+        // From the borrowed name: the id's shared buffer is the one
+        // allocation.
+        let name = decode_str(r)?;
         Ok(match Option::<usize>::decode(r)? {
-            Some(i) => RoleId::indexed(name, i),
-            None => RoleId::new(name),
+            Some(i) => RoleId::from((name, i)),
+            None => RoleId::from(name),
         })
     }
 }

@@ -179,18 +179,28 @@ impl Wire for Duration {
     }
 }
 
+/// Encodes a string slice: a `u64` length, then the bytes.
+pub(crate) fn encode_str(s: &str, out: &mut Vec<u8>) {
+    (s.len() as u64).encode(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Decodes a string in place, borrowing the frame, so a type that keeps
+/// its text in some other owner than `String` copies it once.
+pub(crate) fn decode_str<'a>(r: &mut Reader<'a>) -> Result<&'a str, WireError> {
+    let len = u64::decode(r)?;
+    if len > MAX_FRAME as u64 {
+        return Err(WireError::Oversized(len));
+    }
+    std::str::from_utf8(r.take(len as usize)?).map_err(|_| WireError::Invalid("non-UTF-8 string"))
+}
+
 impl Wire for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        out.extend_from_slice(self.as_bytes());
+        encode_str(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = u64::decode(r)?;
-        if len > MAX_FRAME as u64 {
-            return Err(WireError::Oversized(len));
-        }
-        let bytes = r.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Invalid("non-UTF-8 string"))
+        decode_str(r).map(str::to_owned)
     }
 }
 

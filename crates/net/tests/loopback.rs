@@ -8,7 +8,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use script_chan::{
-    Arm, ChanError, FaultKind, FaultPlan, Network, Outcome, ShardedTransport, Transport,
+    Arm, CastStep, ChanError, FaultKind, FaultPlan, Network, Outcome, PeerState, ShardedTransport,
+    Transport,
 };
 use script_net::{SocketTransport, TransportServer};
 
@@ -417,4 +418,155 @@ fn replay_cache_stays_bounded_on_a_long_stream() {
         most = most.max(cached);
     }
     assert!(most >= ACK_EVERY / 2, "the cache did fill between acks");
+}
+
+/// Nine lifecycle steps over ids tagged `tag`, every one of which lands
+/// somewhere else if two neighbours swap: `x` ends done only if its
+/// finish follows its activation, `y` active only if its activation
+/// follows its finish, and the seal must fall between the declarations
+/// of `z` and `w`.
+fn order_sensitive_run(tag: usize) -> (Vec<CastStep<String>>, [(String, PeerState); 4]) {
+    let id = |name: &str| format!("{name}{tag}");
+    let run = vec![
+        CastStep::Declare(id("x")),
+        CastStep::Activate(id("x")),
+        CastStep::Finish(id("x")),
+        CastStep::Declare(id("x")),
+        CastStep::Finish(id("y")),
+        CastStep::Activate(id("y")),
+        CastStep::Declare(id("z")),
+        CastStep::Seal,
+        CastStep::Declare(id("w")),
+    ];
+    let left = [
+        (id("x"), PeerState::Done),
+        (id("y"), PeerState::Active),
+        (id("z"), PeerState::Done),
+        (id("w"), PeerState::Expected),
+    ];
+    (run, left)
+}
+
+/// A `cast` run crosses the socket as one flight of the frames the
+/// single calls send, and the hub applies it step by step, in order.
+#[test]
+fn cast_run_reaches_the_inner_transport_in_order() {
+    let server = hub();
+    let inner = server.inner();
+    let client = spoke(&server);
+    let (run, left) = order_sensitive_run(0);
+    let before = inner.activity();
+    client.cast(&run);
+    assert_eq!(
+        inner.activity() - before,
+        9,
+        "nine steps, nine applications"
+    );
+    for (id, state) in left {
+        assert_eq!(inner.peer_state(&id), Some(state), "{id}");
+    }
+}
+
+/// A connection cut while a flight is on the wire loses no step and
+/// repeats none: whatever the hub had applied is answered from the
+/// replay cache when the session resumes, the rest is applied then,
+/// still in order. Every round a hub-side send — its sever decision cuts
+/// the spoke that animates `g` — races a fresh nine-step run, at a
+/// different offset each time; the run must come out the same wherever
+/// the cut falls.
+#[test]
+fn cast_run_severed_mid_flight_applies_each_step_once() {
+    const ROUNDS: usize = 30;
+    let server = hub();
+    let inner = server.inner();
+    let client = Arc::new(spoke(&server));
+    let (g, h) = ("g".to_string(), "h".to_string());
+    inner.declare(h.clone());
+    client.activate(g.clone());
+    let faults = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&faults);
+    inner.set_fault_plan(FaultPlan::new(9).with_sever(1.0), |m| *m);
+    client.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
+
+    for round in 0..ROUNDS {
+        let (run, left) = order_sensitive_run(round);
+        let before = inner.activity();
+        let cutter = {
+            let (inner, g, h) = (Arc::clone(&inner), g.clone(), h.clone());
+            thread::spawn(move || {
+                thread::sleep(Duration::from_micros(10 * round as u64));
+                // `h` never activates, so nothing is deposited and the
+                // counter below moves for the run alone.
+                let deadline = Some(Instant::now() + Duration::from_millis(5));
+                inner
+                    .send(&g, &h, 0, deadline)
+                    .expect_err("h never receives");
+            })
+        };
+        client.cast(&run);
+        cutter.join().expect("cutter thread");
+        // A durable round trip: once it is answered the session is
+        // attached again, and the hub's counter reads real progress.
+        assert_eq!(client.ensure_peer(&h), Ok(()));
+        assert_eq!(
+            inner.activity() - before,
+            9,
+            "round {round}: each step applied exactly once"
+        );
+        for (id, state) in left {
+            assert_eq!(inner.peer_state(&id), Some(state), "round {round}: {id}");
+        }
+    }
+    assert!(!client.is_lost(), "every cut resumed within the lease");
+    let severs = faults
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|r| r.kind == FaultKind::Sever)
+        .count();
+    assert!(severs >= ROUNDS / 2, "the cuts did happen: {severs}");
+}
+
+/// `Network::port` asks whether its id exists. For an id this session
+/// activated — and the hub acknowledged — the spoke knows the answer:
+/// no frame is sent. Any other id still asks the hub.
+#[test]
+fn port_for_an_activated_id_sends_no_frame() {
+    let server = hub();
+    let client = Arc::new(spoke(&server));
+    let net = Network::with_transport(Arc::clone(&client) as Arc<dyn Transport<String, u64>>);
+    net.activate("mine".to_string());
+    // The driver's heartbeat may land between two counter reads, so
+    // take the best of three.
+    let quiet = (0..3).any(|_| {
+        let sent = client.bytes_sent();
+        net.port("mine".to_string()).expect("activated id");
+        client.bytes_sent() == sent
+    });
+    assert!(quiet, "port() for an activated id wrote to the hub");
+
+    let sent = client.bytes_sent();
+    assert_eq!(
+        net.port("nobody".to_string()).map(|_| ()),
+        Err(ChanError::Unknown("nobody".to_string()))
+    );
+    assert!(
+        client.bytes_sent() > sent,
+        "an unknown id is the hub's call"
+    );
+
+    // Finishing evicts the id: the next question goes to the hub, which
+    // still knows it.
+    net.finish("mine".to_string());
+    let sent = client.bytes_sent();
+    net.port("mine".to_string())
+        .expect("finished ids stay declared");
+    assert!(client.bytes_sent() > sent);
+
+    // A dead session answers as it always did.
+    client.close();
+    assert_eq!(
+        net.port("mine".to_string()).map(|_| ()),
+        Err(ChanError::Terminated("mine".to_string()))
+    );
 }
