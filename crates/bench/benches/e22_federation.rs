@@ -6,9 +6,9 @@
 //! * `direct` — the federated happy path: the spoke dials the home
 //!   address from its signed [`PerfDescriptor`] and frames go
 //!   spoke-to-home in one hop;
-//! * `hub_relay` — the fallback path: every frame is spliced through a
-//!   matcher-fleet shard ([`FleetReq::RelayConnect`]), the route a
-//!   spoke takes when the home node is not directly dialable.
+//! * `hub_relay` — the fallback path: every frame is spliced through
+//!   the placement fleet (`FleetReq::RelayConnect`), the route a spoke
+//!   takes when the home node is not directly dialable.
 //!
 //! Arms at n ∈ {2, 8, 32} fan-in peers: each iteration has every peer
 //! send a fixed burst to a sink animated on the home node's inner
@@ -16,7 +16,7 @@
 //! burst. Expected shape (recorded in EXPERIMENTS.md E22): the two
 //! routes are comparable at n = 2 where setup noise dominates, and
 //! direct pulls ahead from n = 8 up — the relay pays an extra
-//! loopback hop plus the shard's splice thread for every frame, so
+//! loopback hop plus the fleet's splice thread for every frame, so
 //! its deficit grows with fan-in.
 
 use std::sync::Arc;
@@ -40,7 +40,7 @@ fn s(x: &str) -> String {
     x.to_string()
 }
 
-/// One federated deployment: a two-shard matcher fleet, a home data
+/// One federated deployment: a fleet behind two addresses, a home data
 /// node, and `n` spokes whose dial plans either go direct or are
 /// forced through the fleet's relay.
 struct Rig {

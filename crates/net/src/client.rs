@@ -96,7 +96,7 @@ use crate::wire::{Reader, Wire};
 pub const ACK_EVERY: usize = 256;
 
 /// How a spoke reaches its hub: a direct address plus an optional
-/// relay fallback through a control-fleet shard.
+/// relay fallback through a fleet address.
 ///
 /// Federation hands each participant a
 /// [`PerfDescriptor`](crate::PerfDescriptor) naming the performance's
@@ -109,7 +109,7 @@ pub const ACK_EVERY: usize = 256;
 pub struct DialPlan {
     /// The hub (home node) to reach.
     pub direct: SocketAddr,
-    /// A fleet shard to relay through when the direct dial fails.
+    /// A fleet address to relay through when the direct dial fails.
     pub relay_via: Option<SocketAddr>,
     /// Skip the direct dial entirely and go straight to the relay —
     /// the NAT-less test environment's stand-in for an unreachable
@@ -127,7 +127,7 @@ impl DialPlan {
         }
     }
 
-    /// Adds a relay fallback through the fleet shard at `via`.
+    /// Adds a relay fallback through the fleet address `via`.
     #[must_use]
     pub fn with_relay(mut self, via: SocketAddr) -> Self {
         self.relay_via = Some(via);
@@ -328,10 +328,11 @@ struct Shared<I, M> {
     observer: Mutex<Option<FaultObserver<I>>>,
     rendezvous_observer: Mutex<Option<RendezvousObserver<I>>>,
     session_observer: Mutex<Option<SessionObserver<I>>>,
-    /// Ids to re-bind if the session (not just the connection) is new,
-    /// each with whether the hub has acknowledged its activation — from
-    /// then on the hub's registry, which only grows, holds the id, and
-    /// [`Transport::ensure_peer`] for it needs no round trip.
+    /// Ids this spoke has activated and not finished — the ids the
+    /// session events announce — each with whether the hub has
+    /// acknowledged its activation: from then on the hub's registry,
+    /// which only grows, holds the id, and [`Transport::ensure_peer`]
+    /// for it needs no round trip.
     bound: Mutex<Vec<(I, bool)>>,
     /// Snapshot of `bound` taken when the connection died, so the
     /// matching `PeerResumed`/`LeaseExpired` events announce exactly
@@ -591,10 +592,14 @@ where
             self.ensure_conn()
         };
         match conn {
-            Some(conn) => {
-                // A failed write is not a failed request: the entries
-                // stay queued for the replay.
-                self.transmit(&conn, tickets);
+            Some((conn, dialed)) => {
+                // A handshake this call ran has replayed everything
+                // pending, these tickets included. And a failed write
+                // is not a failed request: the entries stay queued for
+                // the next replay.
+                if !dialed {
+                    self.transmit(&conn, tickets);
+                }
                 true
             }
             None => {
@@ -670,16 +675,16 @@ where
         }
     }
 
-    /// Returns the live connection, (re)dialing + resuming if needed.
-    /// `None` means the session is dead.
-    fn ensure_conn(self: &Arc<Self>) -> Option<Arc<ConnShared>> {
+    /// Returns the live connection, (re)dialing + resuming if needed,
+    /// and whether this call did. `None` means the session is dead.
+    fn ensure_conn(self: &Arc<Self>) -> Option<(Arc<ConnShared>, bool)> {
         if self.is_dead() {
             return None;
         }
         let mut guard = self.state.lock();
         if let Some(c) = guard.as_ref() {
             if c.alive.load(Ordering::SeqCst) {
-                return Some(Arc::clone(c));
+                return Some((Arc::clone(c), false));
             }
         }
         if self.is_dead() {
@@ -690,7 +695,7 @@ where
                 self.lost.store(false, Ordering::SeqCst);
                 *guard = Some(Arc::clone(&conn));
                 self.start_driver();
-                Some(conn)
+                Some((conn, true))
             }
             None => {
                 *guard = None;
@@ -800,19 +805,6 @@ where
                 return Handshake::Partitioned(Duration::from_millis(remaining_ms));
             }
             _ => return Handshake::Failed,
-        }
-        // A resumed session already holds its binds hub-side; only a
-        // brand-new session needs them installed.
-        if sid == 0 {
-            let bound: Vec<I> = self.bound.lock().iter().map(|(id, _)| id.clone()).collect();
-            for id in bound {
-                let Some(bind_id) = self.write_req(&mut w, &Req::Bind(id)) else {
-                    return Handshake::Failed;
-                };
-                if self.await_resp(&mut rd, bind_id).is_none() {
-                    return Handshake::Failed;
-                }
-            }
         }
         if self.subscribed.load(Ordering::SeqCst) {
             // Resume the sequenced event stream from the last delivered
@@ -1069,7 +1061,7 @@ where
 
     /// A client dialing under `plan` — the federated entry point: the
     /// plan's direct address is a descriptor's home node, its relay a
-    /// fleet shard. No I/O happens here.
+    /// fleet address. No I/O happens here.
     pub fn with_plan(plan: DialPlan, retry: RetryPolicy) -> Self {
         Self {
             shared: Arc::new(Shared {

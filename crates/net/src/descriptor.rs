@@ -1,14 +1,14 @@
 //! Signed performance descriptors: the hand-off from control plane to
 //! data plane.
 //!
-//! When the matcher fleet places a performance, the owning control hub
-//! issues every participant one [`PerfDescriptor`]: the performance id,
-//! the epoch of the placement, the chaos seed the data plane must
-//! replay, the address of the performance's *home node* (the data hub
-//! that hosts its rendezvous state), and the per-role peer address
-//! table. Spokes then dial the home node directly — the matcher is out
-//! of the data path — falling back to a relay through a control hub
-//! when the direct dial fails (see [`crate::fleet`]).
+//! When the fleet places a performance it issues every participant one
+//! [`PerfDescriptor`]: the performance id, the epoch of the placement,
+//! the chaos seed the data plane must replay, the address of the
+//! performance's *home node* (the data hub that hosts its rendezvous
+//! state), and the per-role peer address table. Spokes then dial the
+//! home node directly — the fleet is out of the data path — falling
+//! back to a relay through the fleet when the direct dial fails (see
+//! [`crate::fleet`]).
 //!
 //! Descriptors are authenticated with a keyed MAC over their canonical
 //! wire encoding so a spoke can reject a descriptor that was not minted
@@ -21,14 +21,15 @@
 
 use crate::wire::{Reader, Wire, WireError};
 
-/// One signed data-plane placement, minted by the owning control hub at
-/// initiation time.
+/// One signed data-plane placement, minted by the fleet at initiation
+/// time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PerfDescriptor {
     /// The performance this descriptor places.
     pub perf: u64,
-    /// Placement epoch: bumped each time the fleet re-places the
-    /// performance, so stale descriptors are detectable.
+    /// Placement epoch: higher for every placement the fleet mints, so
+    /// when it re-places a performance whose placement it had evicted,
+    /// the descriptor a participant still holds is detectably stale.
     pub epoch: u64,
     /// The chaos seed the home node's fault plan must replay, `None`
     /// for a fault-free performance. Carrying the seed in the

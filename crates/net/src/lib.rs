@@ -50,19 +50,21 @@
 //! # Federation: control plane and data plane
 //!
 //! A single hub caps total throughput, so the transport also federates
-//! into two planes. The **control plane** is a [`HubFleet`] of matcher
-//! hubs sharded by role-family hash: spokes dial any shard and are
-//! redirected to the owning one, which registers data nodes, places
-//! each performance on a *home node*, and mints a signed
+//! into two planes. The **control plane** is a [`HubFleet`]: a
+//! placement service — one table behind a set of listening addresses,
+//! any of which serves every request — that registers data nodes,
+//! places each performance on a *home node*, and mints a signed
 //! [`PerfDescriptor`] (performance id, epoch, chaos seed, home-node
-//! address, per-role peer table). The **data plane** is the ordinary
-//! hub/spoke machinery above, hosted on the home node: participants
-//! dial the descriptor's address directly — peer-to-peer with respect
-//! to the matcher — under a [`client::DialPlan`] that falls back to a
-//! byte-splicing relay through a fleet shard ([`fleet::relay_connect`])
-//! when the direct dial fails. Because each performance's semantics
-//! still live in exactly one inner transport, every conformance
-//! invariant and chaos-replay guarantee carries over unchanged.
+//! address, per-role peer table). It places; enrollment and matching
+//! stay in the engine. The **data plane** is the ordinary hub/spoke
+//! machinery above, hosted on the home node: participants dial the
+//! descriptor's address directly — peer-to-peer with respect to the
+//! fleet — under a [`client::DialPlan`] that falls back to a
+//! byte-splicing relay through any fleet address
+//! ([`fleet::relay_connect`]) when the direct dial fails. Because each
+//! performance's semantics still live in exactly one inner transport,
+//! every conformance invariant and chaos-replay guarantee carries over
+//! unchanged.
 
 // `deny`, not `forbid`: the reactor's `sys` module carries the one
 // scoped `#[allow(unsafe_code)]` in the crate — the hand-written FFI

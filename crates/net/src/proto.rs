@@ -17,8 +17,9 @@
 //! Tag numbers are never reused. The retired forms — nothing emits or
 //! accepts them, and their numbers stay reserved — are `Event` tags 0
 //! (unsequenced fault push) and 3 (fault-only replay batch), `Req` tags
-//! 8 (peer list), 16 / 17 (fault-log read / drain) and 18 (sessionless
-//! subscribe), and `Resp` tags 3 (peer list) and 8 (fault log).
+//! 0 (bind an id without activating it), 8 (peer list), 16 / 17
+//! (fault-log read / drain) and 18 (sessionless subscribe), and `Resp`
+//! tags 3 (peer list) and 8 (fault log).
 //!
 //! [`SocketTransport`]: crate::SocketTransport
 //! [`TransportServer`]: crate::TransportServer
@@ -36,17 +37,15 @@ use crate::wire::{decode_str, encode_str, Reader, Wire, WireError};
 pub const EVENT_REQ_ID: u64 = 0;
 
 /// One RPC request: a [`Transport`](script_chan::Transport) method call
-/// plus the session-scoped handshake, `Bind` and subscription
-/// operations.
+/// plus the session-scoped handshake and subscription operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Req<I, M> {
-    /// Associates `I` with this session: if the session's lease lapses,
-    /// the server finishes the id, so remote process death surfaces to
-    /// other participants exactly like a crashed peer.
-    Bind(I),
     /// `Transport::declare`.
     Declare(I),
-    /// `Transport::activate` (also binds, like [`Req::Bind`]).
+    /// `Transport::activate`. Also binds `I` to this session: if the
+    /// session's lease lapses, the server finishes the id, so remote
+    /// process death surfaces to other participants exactly like a
+    /// crashed peer.
     Activate(I),
     /// `Transport::finish`.
     Finish(I),
@@ -574,10 +573,7 @@ impl Wire for RoleId {
 impl<I: Wire, M: Wire> Wire for Req<I, M> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Req::Bind(id) => {
-                out.push(0);
-                id.encode(out);
-            }
+            // 0 is retired.
             Req::Declare(id) => {
                 out.push(1);
                 id.encode(out);
@@ -663,7 +659,6 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match u8::decode(r)? {
-            0 => Req::Bind(I::decode(r)?),
             1 => Req::Declare(I::decode(r)?),
             2 => Req::Activate(I::decode(r)?),
             3 => Req::Finish(I::decode(r)?),
@@ -889,11 +884,13 @@ mod tests {
                 Err(WireError::Invalid("event tag"))
             ));
         }
-        // Req tags 8, 16, 17 and 18 took no payload; a hub severs on
-        // them.
-        for tag in [8u8, 16, 17, 18] {
+        // Req tag 0 (`Bind`) carried an id; tags 8, 16, 17 and 18 took
+        // no payload. A hub severs on them.
+        let mut bind = vec![0u8];
+        String::from("a").encode(&mut bind);
+        for frame in [bind, vec![8u8], vec![16], vec![17], vec![18]] {
             assert!(matches!(
-                Req::<String, u64>::from_bytes(&[tag]),
+                Req::<String, u64>::from_bytes(&frame),
                 Err(WireError::Invalid("request tag"))
             ));
         }
@@ -974,7 +971,7 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip(Req::<String, u64>::Bind(String::from("a")));
+        roundtrip(Req::<String, u64>::Activate(String::from("a")));
         roundtrip(Req::<String, u64>::Seal);
         roundtrip(Req::<String, u64>::Send {
             from: String::from("a"),

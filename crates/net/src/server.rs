@@ -823,14 +823,6 @@ where
                 }
                 write_to_session(&mut st, &encode_answer(req_id, &Resp::<I, M>::Unit));
             }
-            Req::Bind(bid) => {
-                let mut st = sess.state.lock();
-                if !st.bound.contains(&bid) {
-                    st.bound.push(bid);
-                }
-                drop(st);
-                shared.session_respond(&sess, req_id, &Resp::Unit);
-            }
             Req::Activate(bid) => {
                 {
                     let mut st = sess.state.lock();
@@ -1008,8 +1000,7 @@ where
             },
             // Routed before apply_simple; answering Unit would be a
             // protocol lie, so make the bug loud.
-            Req::Bind(_)
-            | Req::Activate(_)
+            Req::Activate(_)
             | Req::Finish(_)
             | Req::SubscribeFrom { .. }
             | Req::Send { .. }

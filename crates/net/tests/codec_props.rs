@@ -81,7 +81,7 @@ fn any_req() -> impl Strategy<Value = Req<String, u64>> {
         any_plan(),
     )
         .prop_map(|(pick, a, b, n, timeout_ms, plan)| match pick {
-            0 => Req::Bind(a),
+            0 => Req::Declare(a),
             1 => Req::Activate(a),
             2 => Req::Send {
                 from: a,
@@ -177,7 +177,7 @@ fn any_descriptor() -> impl Strategy<Value = PerfDescriptor> {
 /// A control-plane request covering every fleet tag.
 fn any_fleet_req() -> impl Strategy<Value = FleetReq> {
     (
-        0u8..6,
+        0u8..3,
         any_string(),
         any::<u64>(),
         vec((any_string(), any_string()), 0..5),
@@ -191,31 +191,18 @@ fn any_fleet_req() -> impl Strategy<Value = FleetReq> {
                 roles,
                 chaos_seed,
             },
-            2 => FleetReq::DescriptorOf { family: s, perf: n },
-            3 => FleetReq::RelayConnect { addr: s },
-            4 => FleetReq::Shards,
-            _ => FleetReq::RelayedBytes,
+            _ => FleetReq::RelayConnect { addr: s },
         })
 }
 
 /// A control-plane response covering every fleet tag.
 fn any_fleet_resp() -> impl Strategy<Value = FleetResp> {
-    (
-        0u8..7,
-        any_string(),
-        any::<u64>(),
-        vec(any_string(), 0..5),
-        any_descriptor(),
-    )
-        .prop_map(|(pick, s, n, addrs, desc)| match pick {
-            0 => FleetResp::Unit,
-            1 => FleetResp::Redirect { addr: s },
-            2 => FleetResp::Descriptor(desc),
-            3 => FleetResp::NotFound,
-            4 => FleetResp::RelayOk,
-            5 => FleetResp::ShardList(addrs),
-            _ => FleetResp::Bytes(n),
-        })
+    (0u8..4, any_descriptor()).prop_map(|(pick, desc)| match pick {
+        0 => FleetResp::Unit,
+        1 => FleetResp::Descriptor(desc),
+        2 => FleetResp::NotFound,
+        _ => FleetResp::RelayOk,
+    })
 }
 
 /// A response covering every variant, including error payloads.

@@ -11,7 +11,8 @@ use script_chan::{
     Arm, CastStep, ChanError, FaultKind, FaultPlan, Network, Outcome, PeerState, ShardedTransport,
     Transport,
 };
-use script_net::{SocketTransport, TransportServer};
+use script_net::proto::Req;
+use script_net::{SocketTransport, TransportServer, Wire};
 
 type Hub = TransportServer<String, u64>;
 
@@ -464,6 +465,52 @@ fn cast_run_reaches_the_inner_transport_in_order() {
     );
     for (id, state) in left {
         assert_eq!(inner.peer_state(&id), Some(state), "{id}");
+    }
+}
+
+/// A spoke's first flight is the hello and the cast's own frames,
+/// nothing else: `Activate` is what binds an id to the session, so no
+/// frame goes ahead of it to do that. Sever the spoke, let the lease
+/// lapse, and every activated id surfaces `Terminated`.
+#[test]
+fn first_cast_puts_only_the_hello_and_its_own_frames_on_the_wire() {
+    let ids = ["p", "q", "r"].map(String::from);
+    let mut run: Vec<CastStep<String>> = ids.iter().cloned().map(CastStep::Declare).collect();
+    run.extend(ids.iter().cloned().map(CastStep::Activate));
+    run.push(CastStep::Seal);
+    let mut reqs: Vec<Req<String, u64>> = vec![Req::HelloNew];
+    reqs.extend(ids.iter().cloned().map(Req::Declare));
+    reqs.extend(ids.iter().cloned().map(Req::Activate));
+    reqs.push(Req::Seal);
+    // A frame is a 4-byte length, an 8-byte request id, the request.
+    let expected: u64 = reqs.iter().map(|r| 12 + r.to_bytes().len() as u64).sum();
+
+    // The driver's heartbeat may land before the counter is read, so
+    // take the best of three.
+    let mut last = None;
+    let exact = (0..3).any(|_| {
+        let server = hub();
+        let client = spoke(&server);
+        client.cast(&run);
+        let sent = client.bytes_sent();
+        last = Some((server, client));
+        sent == expected
+    });
+    assert!(exact, "the first flight carried more than hello + cast");
+
+    let (server, client) = last.expect("at least one round");
+    let inner = server.inner();
+    inner.activate("watcher".to_string());
+    client.close();
+    for id in ids {
+        let err = inner
+            .select(
+                &"watcher".to_string(),
+                vec![Arm::recv_from(id.clone())],
+                Some(Instant::now() + Duration::from_secs(5)),
+            )
+            .expect_err("peer is gone");
+        assert_eq!(err, ChanError::Terminated(id));
     }
 }
 

@@ -1,9 +1,10 @@
 //! A federated performance spanning **three OS processes** — and two
 //! *planes*.
 //!
-//! The parent process is the **matcher**: it launches a two-shard
-//! [`HubFleet`] (the control plane) and never touches a data frame.
-//! It re-executes itself twice:
+//! The parent process is the **fleet**: it launches a [`HubFleet`] —
+//! the control plane, a placement service behind two listening
+//! addresses — and never touches a data frame. It re-executes itself
+//! twice:
 //!
 //! * the **home spoke** hosts the performance's data node — an
 //!   ordinary [`TransportServer`] — registers it with the fleet, and
@@ -11,11 +12,11 @@
 //! * the **peer spoke** asks the fleet to place the performance,
 //!   receives a *signed* [`PerfDescriptor`], and dials the home spoke
 //!   **directly**: its data-plane bytes flow spoke-to-spoke, never
-//!   through the matcher.
+//!   through the fleet.
 //!
 //! Each process asserts its own byte counters: the peer proves it
 //! moved real frames (`bytes_sent`/`bytes_received` > 0) without a
-//! relay dial, and the matcher proves its fleet relayed **zero**
+//! relay dial, and the fleet process proves it relayed **zero**
 //! data-plane bytes. A final phase forces the relay fallback — the
 //! NAT-less stand-in for an undialable home — and the counters flip:
 //! the relay peer records relay dials, the fleet records relayed
@@ -37,7 +38,7 @@ use script::net::{DialPlan, FleetClient, HubFleet, SocketTransport, TransportSer
 
 /// Shared secret under which the fleet signs placement descriptors.
 const SECRET: u64 = 0xFEDE_7A7E;
-/// The role family the control plane shards on.
+/// The role family the performance is placed under.
 const FAMILY: &str = "broadcast";
 /// The performance id every process places/joins.
 const PERF: u64 = 1;
@@ -90,7 +91,7 @@ fn run_home(fleet_addr: &str) {
         desc.epoch
     );
 
-    // One broadcast phase per peer, in the order the matcher runs them.
+    // One broadcast phase per peer, in the order the fleet process runs them.
     for peer in ["direct-peer", "relay-peer"] {
         for v in ROUNDS {
             inner
@@ -190,12 +191,12 @@ fn main() {
         }
     }
 
-    // The matcher process: control plane only.
+    // The fleet process: control plane only.
     let fleet = HubFleet::launch(2, SECRET).expect("launch fleet");
     let fleet_addr = fleet.any_addr().to_string();
     println!(
-        "matcher: {}-shard fleet at {fleet_addr}",
-        fleet.shard_addrs().len()
+        "fleet: {} listening addresses, dialed at {fleet_addr}",
+        fleet.addrs().len()
     );
 
     let exe = std::env::current_exe().expect("own executable path");
@@ -213,12 +214,12 @@ fn main() {
     assert_eq!(
         fleet.relayed_bytes(),
         0,
-        "matcher: the fleet must carry zero data-plane bytes for a direct peer"
+        "fleet: the fleet must carry zero data-plane bytes for a direct peer"
     );
-    println!("matcher: direct phase relayed 0 bytes through the fleet");
+    println!("fleet: direct phase relayed 0 bytes through the fleet");
 
-    // Phase 2: the relay fallback. The same traffic, forced through a
-    // fleet shard — the NAT-less stand-in for an undialable home.
+    // Phase 2: the relay fallback. The same traffic, forced through
+    // the fleet — the NAT-less stand-in for an undialable home.
     let status = Command::new(&exe)
         .args(["--relay-peer", &fleet_addr])
         .status()
@@ -227,11 +228,11 @@ fn main() {
     let relayed = fleet.relayed_bytes();
     assert!(
         relayed > 0,
-        "matcher: a forced-relay peer must route bytes through the fleet"
+        "fleet: a forced-relay peer must route bytes through the fleet"
     );
-    println!("matcher: relay phase spliced {relayed} bytes through the fleet");
+    println!("fleet: relay phase spliced {relayed} bytes through the fleet");
 
     let status = home.wait().expect("wait for home spoke");
     assert!(status.success(), "home spoke failed: {status:?}");
-    println!("matcher: 3 processes, 2 planes, direct + relay phases — ok");
+    println!("fleet: 3 processes, 2 planes, direct + relay phases — ok");
 }

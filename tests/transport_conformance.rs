@@ -5,10 +5,11 @@
 //!   implementation),
 //! * the socket-backed [`SocketTransport`] speaking framed RPC to a
 //!   [`TransportServer`] hub over real TCP, and
-//! * the **federated** transport: a sharded [`HubFleet`] control plane
-//!   places the performance, mints a signed [`PerfDescriptor`], and
-//!   the spoke dials the descriptor's home data node directly — the
-//!   matcher fleet never carries data-plane traffic.
+//! * the **federated** transport: a [`HubFleet`] — the control plane,
+//!   a placement service behind several listening addresses — places
+//!   the performance, mints a signed [`PerfDescriptor`], and the spoke
+//!   dials the descriptor's home data node directly — the fleet never
+//!   carries data-plane traffic.
 //!
 //! All must satisfy the identical contract (ordering, fairness,
 //! deadlines, termination, chaos determinism) — and a chaos seed must
@@ -62,15 +63,15 @@ fn socket(seed: u64) -> ConformanceTransport {
     client
 }
 
-/// Matcher fleets likewise outlive their spokes (dropping a
-/// [`HubFleet`] shuts its shards down).
+/// Fleets likewise outlive their spokes (dropping a [`HubFleet`] stops
+/// its listeners).
 static FLEETS: Mutex<Vec<HubFleet>> = Mutex::new(Vec::new());
 
 /// Shared secret for the conformance fleet's descriptor signatures.
 const FLEET_SECRET: u64 = 0xC0DE;
 
 /// The federated factory: control plane and data plane are separate
-/// machinery. A three-shard matcher fleet owns placement; the
+/// machinery. A fleet behind three addresses owns placement; the
 /// performance's rendezvous state lives on a home data node (an
 /// ordinary hub); the spoke learns the home address from the fleet's
 /// *signed* descriptor and dials it directly, keeping the fleet as
@@ -220,7 +221,7 @@ fn per_edge_decision_sequences_agree_across_all_three_transports() {
     );
 }
 
-/// Relay fallback: with the dial plan forced through the matcher fleet
+/// Relay fallback: with the dial plan forced through the fleet
 /// (the NAT-less stand-in for an undialable home node), the same chaos
 /// seed still replays bit-for-bit — the relay is a transparent byte
 /// splice — and the fleet's relay counter proves the data actually
