@@ -254,8 +254,8 @@ pub enum CastStep<I> {
 pub trait Transport<I, M>: Send + Sync {
     /// Applies a run of lifecycle transitions, in order, and returns
     /// once all of them have taken effect. Setting up a performance's
-    /// cast is one run — one wake-up pass in process, one flight of
-    /// frames over a socket — instead of a call per role.
+    /// cast is one run — one wake-up pass in process, one frame and one
+    /// answer over a socket — instead of a call per role.
     fn cast(&self, steps: &[CastStep<I>]);
     /// Declares `id` as expected (idempotent, never downgrades).
     fn declare(&self, id: I) {

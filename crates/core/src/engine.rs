@@ -194,10 +194,6 @@ struct FrontEnd<M> {
     /// Custom network constructor for future performances (distribution
     /// seam); `None` builds the default in-process network.
     net_factory: Option<Arc<NetworkFactory<M>>>,
-    /// Placement hint forwarded verbatim to the network factory (e.g.
-    /// the role-family key a federated control plane shards on);
-    /// `None` lets the factory place freely.
-    placement_hint: Option<String>,
     /// Message labeler attached to every future performance's
     /// rendezvous observer; `None` leaves rendezvous events unlabeled.
     labeler: Option<script_chan::LabelFn<M>>,
@@ -217,12 +213,6 @@ pub struct PerformanceNet {
     /// provided so factories building *remote* transports can forward
     /// it to the process that owns the rendezvous state.
     pub seed: Option<u64>,
-    /// The instance's placement hint ([`crate::Instance::set_placement_hint`]),
-    /// passed through verbatim. Factories building federated transports
-    /// use it as the role-family key the control plane shards on —
-    /// performances sharing a hint land on the same matcher shard;
-    /// in-process factories are free to ignore it.
-    pub placement: Option<String>,
 }
 
 /// Builds the network for each new performance — the seam through which
@@ -308,7 +298,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 chaos_seed: None,
                 fault_plan: None,
                 net_factory: None,
-                placement_hint: None,
                 labeler: None,
             }),
             cond: Condvar::new(),
@@ -416,17 +405,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
     /// Future performances build the default in-process network again.
     pub(crate) fn clear_network_factory(&self) {
         self.front.lock().net_factory = None;
-    }
-
-    /// Attaches a placement hint to every future performance's
-    /// [`PerformanceNet`].
-    pub(crate) fn set_placement_hint(&self, hint: String) {
-        self.front.lock().placement_hint = Some(hint);
-    }
-
-    /// Future performances carry no placement hint.
-    pub(crate) fn clear_placement_hint(&self) {
-        self.front.lock().placement_hint = None;
     }
 
     /// Number of performances that have fully terminated.
@@ -926,7 +904,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
                     performance: PerformanceId(seq),
                     open,
                     seed,
-                    placement: fe.placement_hint.clone(),
                 });
                 // Reseed so factory-built networks draw the same
                 // per-performance schedule as default ones.

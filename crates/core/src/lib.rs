@@ -632,22 +632,6 @@ impl<M: Send + Clone + 'static> Instance<M> {
         self.engine.clear_network_factory();
     }
 
-    /// Attaches a placement hint to every **future** performance's
-    /// [`PerformanceNet`]: an opaque string the network factory may use
-    /// to decide *where* the performance's rendezvous state lives. A
-    /// federated `script-net` deployment treats it as the role-family
-    /// key its control plane shards on, so performances sharing a hint
-    /// are matched by the same hub shard; the default in-process
-    /// network ignores it entirely.
-    pub fn set_placement_hint(&self, hint: impl Into<String>) {
-        self.engine.set_placement_hint(hint.into());
-    }
-
-    /// Future performances carry no placement hint.
-    pub fn clear_placement_hint(&self) {
-        self.engine.clear_placement_hint();
-    }
-
     /// [`Instance::enroll_with`] under a [`RetryPolicy`]: transient
     /// failures ([`ScriptError::is_transient`]) are retried with
     /// exponential backoff until the policy's attempts are exhausted;

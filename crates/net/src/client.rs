@@ -16,6 +16,11 @@
 //! queued since the last flush as a single syscall, so N threads
 //! pipelining N requests cost far fewer writes than N.
 //!
+//! **Lifecycle.** [`Transport::cast`] is one request like any other: the
+//! whole run travels as one [`Req::Cast`] frame, the hub applies it in
+//! order and answers once. The provided one-step methods (`declare`,
+//! `activate`, `finish`, `seal`) are one-step runs, so one-step frames.
+//!
 //! **One background thread.** A single *driver* thread per transport
 //! owns the read side: it decodes answer frames through a
 //! [`FrameDecoder`] (partial frames survive across read timeouts),
@@ -33,7 +38,7 @@
 //! and records its id + lease. From then on a dropped connection is a
 //! *blip*, not a death: every durable request stays queued, the driver
 //! redials, presents [`Req::HelloResume`], and replays the queue in
-//! request-id order. The hub answers anything it already applied from
+//! request-id order, as one write. The hub answers anything it already applied from
 //! its replay cache, so a write whose ack was lost to the sever is
 //! **never applied twice** — the retry path and the reconnect path are
 //! one mechanism. A subscribed client resumes the sequenced event
@@ -88,7 +93,7 @@ use script_core::RetryPolicy;
 
 use crate::frame::{read_frame, FrameDecoder, ReadStatus, WriteBuf};
 use crate::proto::{timeout_ms_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
-use crate::wire::{Reader, Wire};
+use crate::wire::{Reader, Wire, MAX_FRAME};
 
 /// Answered frames after which the driver acknowledges early — a
 /// [`Req::Heartbeat`] ahead of the quarter-lease clock — so the hub's
@@ -191,6 +196,10 @@ impl<I, M> Slot<I, M> {
 /// answers).
 const REQ_CAPACITY: usize = 128;
 
+/// Largest encoded [`Req::Cast`] frame a spoke sends; a longer run is
+/// cut into several (see [`Shared::cast`]).
+const CAST_FRAME_MAX: usize = MAX_FRAME;
+
 /// A registered request: its id in `pending` and the slot its answer
 /// lands in.
 type Ticket<I, M> = (u64, Arc<Slot<I, M>>);
@@ -225,18 +234,14 @@ struct ConnTx {
 }
 
 impl ConnTx {
-    /// Queues encoded `(req_id, req)` frames, in order, under one hold
-    /// of the buffer lock, so no other producer's frame lands between
-    /// them. Returns `false` for a frame no connection could carry.
-    fn queue<'a>(&self, payloads: impl IntoIterator<Item = &'a [u8]>) -> bool {
-        let mut b = self.buf.lock();
-        for payload in payloads {
-            if b.push_frame(payload).is_err() {
-                return false;
-            }
-            self.bytes_out
-                .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
+    /// Queues one encoded `(req_id, req)` frame. Returns `false` for a
+    /// frame no connection could carry.
+    fn queue(&self, payload: &[u8]) -> bool {
+        if self.buf.lock().push_frame(payload).is_err() {
+            return false;
         }
+        self.bytes_out
+            .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
         true
     }
 
@@ -442,22 +447,10 @@ where
     /// resume replay races a stale delivery.
     fn process_event(&self, ev: &Event<I>) {
         match ev {
-            Event::SeqFault { seq, record } => {
-                let prev = self.last_event_seq.fetch_max(*seq, Ordering::SeqCst);
-                if *seq > prev {
-                    self.dispatch_fault(record);
-                }
-            }
-            Event::SeqRendezvous { seq, record } => {
-                let prev = self.last_event_seq.fetch_max(*seq, Ordering::SeqCst);
-                if *seq > prev {
-                    self.dispatch_rendezvous(record);
-                }
-            }
             Event::SeqStream { first_seq, items } => {
-                // The resume-replay tail: item `i` sits at stream
-                // position `first_seq + i` and passes the same
-                // high-water dedup as a live push would.
+                // A live push or the resume-replay tail: item `i` sits
+                // at stream position `first_seq + i`, and only an item
+                // past the high-water mark is dispatched.
                 for (i, item) in items.iter().enumerate() {
                     let seq = first_seq + i as u64;
                     let prev = self.last_event_seq.fetch_max(seq, Ordering::SeqCst);
@@ -487,14 +480,11 @@ where
         (req_id, payload)
     }
 
-    /// Writes one `(req_id, req)` frame directly to a handshake-time
-    /// stream (no connection object exists yet).
-    fn write_req(&self, w: &mut TcpStream, req: &Req<I, M>) -> Option<u64> {
+    /// Writes one `(req_id, req)` frame on a handshake-time connection
+    /// (nothing else is queueing on it yet).
+    fn write_req(&self, tx: &ConnTx, req: &Req<I, M>) -> Option<u64> {
         let (req_id, payload) = self.encode_req(req);
-        crate::frame::write_frame(w, &payload).ok()?;
-        self.bytes_out
-            .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
-        Some(req_id)
+        (tx.queue(&payload) && tx.flush()).then_some(req_id)
     }
 
     /// Reads frames until the answer for `want` arrives (used during
@@ -530,10 +520,9 @@ where
         }
     }
 
-    /// Encodes `req` and parks it in `pending`, which keeps the only
-    /// copy of the frame: transmission and replay both write from there.
-    fn register(&self, req: &Req<I, M>, fast: bool) -> Ticket<I, M> {
-        let (req_id, payload) = self.encode_req(req);
+    /// Parks one encoded frame in `pending`, which keeps the only copy:
+    /// transmission and replay both write from there.
+    fn register(&self, (req_id, payload): (u64, Vec<u8>), fast: bool) -> Ticket<I, M> {
         let slot = Arc::new(Slot::new());
         self.pending.lock().insert(
             req_id,
@@ -546,29 +535,21 @@ where
         (req_id, slot)
     }
 
-    /// Takes `tickets` back out of `pending`: nobody will answer them.
-    fn withdraw(&self, tickets: &[Ticket<I, M>]) {
-        let mut p = self.pending.lock();
-        for (req_id, _) in tickets {
-            p.remove(req_id);
-        }
+    /// Takes a request back out of `pending`: nobody will answer it.
+    fn withdraw(&self, req_id: u64) {
+        self.pending.lock().remove(&req_id);
     }
 
-    /// Writes the frames of `tickets` to `conn`, in order and as one
-    /// write, from the copies `pending` holds. A ticket no longer
-    /// pending was answered already (a handshake replays everything
-    /// pending, which may include these) and is skipped. On a failed
-    /// write the connection is shut, which kicks the driver into its
+    /// Writes a registered request's frame to `conn` from the copy
+    /// `pending` holds. A request no longer pending was answered
+    /// already (a handshake replays everything pending, which may
+    /// include this one) and is skipped. On a failed write the
+    /// connection is shut, which kicks the driver into its
     /// redial-and-replay path; returns whether the write succeeded.
-    fn transmit(&self, conn: &ConnShared, tickets: &[Ticket<I, M>]) -> bool {
-        let queued = {
-            let p = self.pending.lock();
-            conn.tx.queue(
-                tickets
-                    .iter()
-                    .filter_map(|(req_id, _)| p.get(req_id))
-                    .map(|e| e.payload.as_slice()),
-            )
+    fn transmit(&self, conn: &ConnShared, req_id: u64) -> bool {
+        let queued = match self.pending.lock().get(&req_id) {
+            Some(e) => conn.tx.queue(&e.payload),
+            None => true,
         };
         let sent = queued && conn.tx.flush();
         if !sent {
@@ -578,13 +559,13 @@ where
         sent
     }
 
-    /// Sends registered durable requests as one pipelined flight. They
-    /// survive connection loss: each is replayed on reconnect and
-    /// answered at most once by the hub (replay-cache idempotence), so
-    /// there is no separate retry loop — session replay *is* the retry
-    /// path. `false` only on session death, with the tickets withdrawn.
-    fn launch(self: &Arc<Self>, tickets: &[Ticket<I, M>]) -> bool {
-        // Death may have drained `pending` before the tickets went in;
+    /// Sends a registered durable request. It survives connection
+    /// loss: it is replayed on reconnect and answered at most once by
+    /// the hub (replay-cache idempotence), so there is no separate
+    /// retry loop — session replay *is* the retry path. `false` only on
+    /// session death, with the request withdrawn.
+    fn launch(self: &Arc<Self>, req_id: u64) -> bool {
+        // Death may have drained `pending` before the request went in;
         // checking after the insert closes the race.
         let conn = if self.is_dead() {
             None
@@ -594,16 +575,16 @@ where
         match conn {
             Some((conn, dialed)) => {
                 // A handshake this call ran has replayed everything
-                // pending, these tickets included. And a failed write
-                // is not a failed request: the entries stay queued for
+                // pending, this request included. And a failed write
+                // is not a failed request: the entry stays queued for
                 // the next replay.
                 if !dialed {
-                    self.transmit(&conn, tickets);
+                    self.transmit(&conn, req_id);
                 }
                 true
             }
             None => {
-                self.withdraw(tickets);
+                self.withdraw(req_id);
                 false
             }
         }
@@ -615,26 +596,43 @@ where
         if self.is_dead() {
             return None;
         }
-        let ticket = self.register(req, false);
-        if !self.launch(std::slice::from_ref(&ticket)) {
-            return None;
-        }
-        ticket.1.wait()
+        self.call_frame(self.encode_req(req))
     }
 
-    /// A run of durable RPCs as one flight: every frame queued under
-    /// one hold of the write-buffer lock and written at once, so the
-    /// hub reads, applies and answers them in order in one turn; then
-    /// every answer awaited. Each request keeps its own id, `pending`
-    /// entry and replay-cache answer, so a connection lost mid-flight
-    /// replays exactly the unanswered ones. Answers are in request
-    /// order; all `None` on session death.
-    fn flight(self: &Arc<Self>, reqs: &[Req<I, M>]) -> Vec<Option<Resp<I, M>>> {
-        let tickets: Vec<Ticket<I, M>> = reqs.iter().map(|r| self.register(r, false)).collect();
-        if !self.launch(&tickets) {
-            return reqs.iter().map(|_| None).collect();
+    /// [`Shared::call`] for a request that is already encoded.
+    fn call_frame(self: &Arc<Self>, frame: (u64, Vec<u8>)) -> Option<Resp<I, M>> {
+        let (req_id, slot) = self.register(frame, false);
+        if !self.launch(req_id) {
+            return None;
         }
-        tickets.iter().map(|(_, slot)| slot.wait()).collect()
+        slot.wait()
+    }
+
+    /// One [`Req::Cast`] frame for the run, answered by one
+    /// [`Resp::Unit`]: one request id, one `pending` entry, one cached
+    /// answer hub-side, so a run severed before its answer is replayed
+    /// whole and applied exactly once. A run too long for one frame is
+    /// halved at a step boundary until each part fits, the parts sent
+    /// in order, each awaited before the next. Returns whether the hub
+    /// acknowledged all of it.
+    fn cast(self: &Arc<Self>, steps: &[CastStep<I>]) -> bool {
+        let frame = self.encode_req(&Req::Cast(steps.to_vec()));
+        if frame.1.len() > CAST_FRAME_MAX && steps.len() > 1 {
+            let (head, tail) = steps.split_at(steps.len() / 2);
+            return self.cast(head) && self.cast(tail);
+        }
+        matches!(self.call_frame(frame), Some(Resp::Unit))
+    }
+
+    /// Subscribes the session to the hub's sequenced event stream, on
+    /// the first observer only: one subscription feeds both the fault
+    /// and the rendezvous observer, and a resumed connection renews it
+    /// in the handshake.
+    fn subscribe(self: &Arc<Self>) {
+        if !self.subscribed.swap(true, Ordering::SeqCst) {
+            let seq = self.last_event_seq.load(Ordering::SeqCst);
+            let _ = self.call(&Req::SubscribeFrom { seq });
+        }
     }
 
     /// One non-queued RPC for cheap lifecycle reads: never blocks on a
@@ -652,23 +650,22 @@ where
                 _ => return FastReply::Blip,
             }
         };
-        let ticket = self.register(req, true);
-        let tickets = std::slice::from_ref(&ticket);
+        let (req_id, slot) = self.register(self.encode_req(req), true);
         // The driver drains fast entries *after* flipping `alive`;
         // re-checking after the insert guarantees ours is seen.
         if !conn.alive.load(Ordering::SeqCst) || self.is_dead() {
-            self.withdraw(tickets);
+            self.withdraw(req_id);
             return if self.is_dead() {
                 FastReply::Dead
             } else {
                 FastReply::Blip
             };
         }
-        if !self.transmit(&conn, tickets) {
-            self.withdraw(tickets);
+        if !self.transmit(&conn, req_id) {
+            self.withdraw(req_id);
             return FastReply::Blip;
         }
-        match ticket.1.wait() {
+        match slot.wait() {
             Some(resp) => FastReply::Resp(resp),
             None if self.is_dead() => FastReply::Dead,
             None => FastReply::Blip,
@@ -771,9 +768,15 @@ where
     /// resume, connection-scoped re-setup, and the pending replay. On
     /// success the read stream is deposited for the driver to serve.
     fn handshake(self: &Arc<Self>, stream: TcpStream) -> Handshake {
-        let (mut rd, mut w) = match (stream.try_clone(), stream.try_clone()) {
+        let (mut rd, w) = match (stream.try_clone(), stream.try_clone()) {
             (Ok(r), Ok(w)) => (r, w),
             _ => return Handshake::Failed,
+        };
+        let tx = ConnTx {
+            stream: w,
+            buf: Mutex::new(WriteBuf::new()),
+            flush: Mutex::new(()),
+            bytes_out: Arc::clone(&self.bytes_out),
         };
         // Bounded handshake: a hub that accepts but never answers must
         // not wedge the dial loop. The driver sets its own timeout once
@@ -785,7 +788,7 @@ where
         } else {
             Req::HelloResume(sid)
         };
-        let Some(hello_id) = self.write_req(&mut w, &hello) else {
+        let Some(hello_id) = self.write_req(&tx, &hello) else {
             return Handshake::Failed;
         };
         match self.await_resp(&mut rd, hello_id) {
@@ -806,47 +809,41 @@ where
             }
             _ => return Handshake::Failed,
         }
-        if self.subscribed.load(Ordering::SeqCst) {
+        if sid != 0 && self.subscribed.load(Ordering::SeqCst) {
             // Resume the sequenced event stream from the last delivered
             // seq; the hub replays the missed tail before acking, and
-            // `process_event`'s high-water mark dedups any overlap.
+            // `process_event`'s high-water mark dedups any overlap. (A
+            // new session has nothing to resume: the subscription that
+            // set the flag is itself pending, and replayed below.)
             let sub = Req::SubscribeFrom {
                 seq: self.last_event_seq.load(Ordering::SeqCst),
             };
-            let Some(sub_id) = self.write_req(&mut w, &sub) else {
+            let Some(sub_id) = self.write_req(&tx, &sub) else {
                 return Handshake::Failed;
             };
             if self.await_resp(&mut rd, sub_id).is_none() {
                 return Handshake::Failed;
             }
         }
-        // Replay every queued request in id order. The hub answers
-        // anything it already applied from its replay cache, so a write
-        // whose ack was severed is never applied twice.
-        let replay: Vec<Vec<u8>> = {
+        // Replay every queued request in id order, as one write. The
+        // hub answers anything it already applied from its replay
+        // cache, so a write whose ack was severed is never applied
+        // twice.
+        let queued = {
             let p = self.pending.lock();
-            let mut items: Vec<(u64, Vec<u8>)> = p
+            let mut ids: Vec<u64> = p
                 .iter()
                 .filter(|(_, e)| !e.fast)
-                .map(|(id, e)| (*id, e.payload.clone()))
+                .map(|(id, _)| *id)
                 .collect();
-            items.sort_unstable_by_key(|(id, _)| *id);
-            items.into_iter().map(|(_, payload)| payload).collect()
+            ids.sort_unstable();
+            ids.iter().all(|id| tx.queue(&p[id].payload))
         };
-        for payload in &replay {
-            if crate::frame::write_frame(&mut w, payload).is_err() {
-                return Handshake::Failed;
-            }
-            self.bytes_out
-                .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
+        if !(queued && tx.flush()) {
+            return Handshake::Failed;
         }
         let conn = Arc::new(ConnShared {
-            tx: ConnTx {
-                stream: w,
-                buf: Mutex::new(WriteBuf::new()),
-                flush: Mutex::new(()),
-                bytes_out: Arc::clone(&self.bytes_out),
-            },
+            tx,
             stream,
             alive: AtomicBool::new(true),
         });
@@ -926,7 +923,7 @@ where
                         .unwrap_or_else(|| self.next_req.load(Ordering::Relaxed))
                 };
                 let (_, payload) = self.encode_req(&Req::Heartbeat { acked });
-                if !(conn.tx.queue([payload.as_slice()]) && conn.tx.flush()) {
+                if !(conn.tx.queue(&payload) && conn.tx.flush()) {
                     break;
                 }
                 next_hb = now + quarter(self);
@@ -1198,30 +1195,26 @@ where
         if steps.is_empty() {
             return;
         }
-        let reqs: Vec<Req<I, M>> = {
+        {
             let mut bound = self.shared.bound.lock();
-            steps
-                .iter()
-                .map(|step| match step {
-                    CastStep::Declare(id) => Req::Declare(id.clone()),
+            for step in steps {
+                match step {
                     CastStep::Activate(id) => {
                         if !bound.iter().any(|(b, _)| b == id) {
                             bound.push((id.clone(), false));
                         }
-                        Req::Activate(id.clone())
                     }
-                    CastStep::Finish(id) => {
-                        bound.retain(|(b, _)| b != id);
-                        Req::Finish(id.clone())
-                    }
-                    CastStep::Seal => Req::Seal,
-                })
-                .collect()
-        };
-        let answers = self.shared.flight(&reqs);
+                    CastStep::Finish(id) => bound.retain(|(b, _)| b != id),
+                    CastStep::Declare(_) | CastStep::Seal => {}
+                }
+            }
+        }
+        if !self.shared.cast(steps) {
+            return;
+        }
         let mut bound = self.shared.bound.lock();
-        for (step, answer) in steps.iter().zip(&answers) {
-            if let (CastStep::Activate(id), Some(Resp::Unit)) = (step, answer) {
+        for step in steps {
+            if let CastStep::Activate(id) = step {
                 if let Some(entry) = bound.iter_mut().find(|(b, _)| b == id) {
                     entry.1 = true;
                 }
@@ -1327,9 +1320,7 @@ where
 
     fn set_fault_observer(&self, observer: FaultObserver<I>) {
         *self.shared.observer.lock() = Some(observer);
-        self.shared.subscribed.store(true, Ordering::SeqCst);
-        let seq = self.shared.last_event_seq.load(Ordering::SeqCst);
-        let _ = self.shared.call(&Req::SubscribeFrom { seq });
+        self.shared.subscribe();
     }
 
     fn set_rendezvous_observer(&self, observer: RendezvousObserver<I>, label_of: LabelFn<M>) {
@@ -1338,9 +1329,7 @@ where
         // a spoke-supplied labeler has nothing local to label.
         let _ = label_of;
         *self.shared.rendezvous_observer.lock() = Some(observer);
-        self.shared.subscribed.store(true, Ordering::SeqCst);
-        let seq = self.shared.last_event_seq.load(Ordering::SeqCst);
-        let _ = self.shared.call(&Req::SubscribeFrom { seq });
+        self.shared.subscribe();
     }
 
     fn set_session_observer(&self, observer: SessionObserver<I>) {

@@ -16,10 +16,12 @@
 //!
 //! Tag numbers are never reused. The retired forms — nothing emits or
 //! accepts them, and their numbers stay reserved — are `Event` tags 0
-//! (unsequenced fault push) and 3 (fault-only replay batch), `Req` tags
-//! 0 (bind an id without activating it), 8 (peer list), 16 / 17
-//! (fault-log read / drain) and 18 (sessionless subscribe), and `Resp`
-//! tags 3 (peer list) and 8 (fault log).
+//! (unsequenced fault push), 1 / 4 (single sequenced fault / rendezvous
+//! push: a one-item [`Event::SeqStream`] now) and 3 (fault-only replay
+//! batch), `Req` tags 0 (bind an id without activating it), 1 – 4 (one
+//! lifecycle step per frame: [`Req::Cast`] carries the run), 8 (peer
+//! list), 16 / 17 (fault-log read / drain) and 18 (sessionless
+//! subscribe), and `Resp` tags 3 (peer list) and 8 (fault log).
 //!
 //! [`SocketTransport`]: crate::SocketTransport
 //! [`TransportServer`]: crate::TransportServer
@@ -27,7 +29,8 @@
 use std::time::{Duration, Instant};
 
 use script_chan::{
-    Arm, ChanError, FaultKind, FaultPlan, FaultRecord, Outcome, PeerState, RendezvousRecord, Source,
+    Arm, CastStep, ChanError, FaultKind, FaultPlan, FaultRecord, Outcome, PeerState,
+    RendezvousRecord, Source,
 };
 use script_core::RoleId;
 
@@ -36,21 +39,12 @@ use crate::wire::{decode_str, encode_str, Reader, Wire, WireError};
 /// Request id reserved for unsolicited server → client event frames.
 pub const EVENT_REQ_ID: u64 = 0;
 
-/// One RPC request: a [`Transport`](script_chan::Transport) method call
-/// plus the session-scoped handshake and subscription operations.
+/// One RPC request: a [`Transport`](script_chan::Transport) *required*
+/// method per tag — the provided methods are runs of those and have no
+/// tag of their own — plus the session-scoped handshake and
+/// subscription operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Req<I, M> {
-    /// `Transport::declare`.
-    Declare(I),
-    /// `Transport::activate`. Also binds `I` to this session: if the
-    /// session's lease lapses, the server finishes the id, so remote
-    /// process death surfaces to other participants exactly like a
-    /// crashed peer.
-    Activate(I),
-    /// `Transport::finish`.
-    Finish(I),
-    /// `Transport::seal`.
-    Seal,
     /// `Transport::abort`.
     Abort,
     /// `Transport::is_aborted`.
@@ -131,6 +125,13 @@ pub enum Req<I, M> {
         /// Last event sequence number already delivered to this spoke.
         seq: u64,
     },
+    /// `Transport::cast`: the run in one frame, applied in order by one
+    /// run of the hub's transport, answered by one [`Resp::Unit`]. An
+    /// `Activate` step also binds its id to this session and a `Finish`
+    /// step unbinds it: if the session's lease lapses, the server
+    /// finishes the bound ids, so remote process death surfaces to
+    /// other participants exactly like a crashed peer.
+    Cast(Vec<CastStep<I>>),
 }
 
 /// One RPC response.
@@ -179,37 +180,22 @@ pub enum Resp<I, M> {
 ///
 /// The envelope is tagged so new event kinds append without
 /// renumbering; a client that does not know a tag — or meets one of the
-/// retired tags 0 and 3 — skips the frame (forward compatibility). The hub forwards these for performances
-/// placed remotely, letting the owning engine keep one merged,
-/// causally consistent telemetry stream.
+/// retired tags 0, 1, 3 and 4 — skips the frame (forward
+/// compatibility). The hub forwards these for performances placed
+/// remotely, letting the owning engine keep one merged, causally
+/// consistent telemetry stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event<I> {
-    /// A sequenced fault push (tag 1): `seq` numbers the hub's event
-    /// stream per session, strictly increasing from 1, so a resumed
-    /// spoke can both detect gaps and discard replayed duplicates.
-    SeqFault {
-        /// Position in the session's event stream.
-        seq: u64,
-        /// The injected fault.
-        record: FaultRecord<I>,
-    },
     /// The hub is shutting down for good (tag 2). A spoke receiving
     /// this fails fast — its session cannot be resumed, so redialing
     /// would only burn the retry budget against a dead address.
     Closing,
-    /// A sequenced rendezvous push (tag 4): a completed rendezvous on
-    /// the hub, numbered in the *same* per-session stream as
-    /// [`Event::SeqFault`] — faults and rendezvous share one gapless
-    /// sequence so a single high-water mark dedups both.
-    SeqRendezvous {
-        /// Position in the session's event stream.
-        seq: u64,
-        /// The completed rendezvous.
-        record: RendezvousRecord<I>,
-    },
-    /// A batch of consecutive sequenced stream items (tag 5): item `i`
-    /// carries stream sequence `first_seq + i` — the resume-replay
-    /// tail, faults and rendezvous records alike.
+    /// A run of consecutive sequenced stream items (tag 5), faults and
+    /// rendezvous alike: item `i` carries sequence `first_seq + i` of
+    /// the session's event stream, which counts up from 1, so one
+    /// high-water mark lets a resumed spoke detect gaps and discard
+    /// replayed duplicates. A live push is a run of one; the
+    /// resume-replay tail is a run of everything missed.
     SeqStream {
         /// Stream sequence of `items[0]`.
         first_seq: u64,
@@ -444,6 +430,35 @@ impl<I: Wire> Wire for RendezvousRecord<I> {
     }
 }
 
+impl<I: Wire> Wire for CastStep<I> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CastStep::Declare(id) => {
+                out.push(0);
+                id.encode(out);
+            }
+            CastStep::Activate(id) => {
+                out.push(1);
+                id.encode(out);
+            }
+            CastStep::Finish(id) => {
+                out.push(2);
+                id.encode(out);
+            }
+            CastStep::Seal => out.push(3),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::decode(r)? {
+            0 => Ok(CastStep::Declare(I::decode(r)?)),
+            1 => Ok(CastStep::Activate(I::decode(r)?)),
+            2 => Ok(CastStep::Finish(I::decode(r)?)),
+            3 => Ok(CastStep::Seal),
+            _ => Err(WireError::Invalid("cast-step tag")),
+        }
+    }
+}
+
 impl<I: Wire> Wire for StreamItem<I> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -466,39 +481,38 @@ impl<I: Wire> Wire for StreamItem<I> {
     }
 }
 
+impl<I: Wire> Event<I> {
+    /// Encodes [`Event::SeqStream`] from borrowed items, so the hub
+    /// pushes straight out of a session's replay buffer.
+    pub(crate) fn encode_stream<'a>(
+        first_seq: u64,
+        items: impl ExactSizeIterator<Item = &'a StreamItem<I>>,
+        out: &mut Vec<u8>,
+    ) where
+        I: 'a,
+    {
+        out.push(5);
+        first_seq.encode(out);
+        (items.len() as u64).encode(out);
+        for item in items {
+            item.encode(out);
+        }
+    }
+}
+
 impl<I: Wire> Wire for Event<I> {
     fn encode(&self, out: &mut Vec<u8>) {
-        // Append-only tag space: never renumber (0 and 3 are retired).
+        // Append-only tag space: never renumber (0, 1, 3, 4 retired).
         match self {
-            Event::SeqFault { seq, record } => {
-                out.push(1);
-                seq.encode(out);
-                record.encode(out);
-            }
             Event::Closing => out.push(2),
-            Event::SeqRendezvous { seq, record } => {
-                out.push(4);
-                seq.encode(out);
-                record.encode(out);
-            }
             Event::SeqStream { first_seq, items } => {
-                out.push(5);
-                first_seq.encode(out);
-                items.encode(out);
+                Self::encode_stream(*first_seq, items.iter(), out);
             }
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
-            1 => Ok(Event::SeqFault {
-                seq: u64::decode(r)?,
-                record: FaultRecord::decode(r)?,
-            }),
             2 => Ok(Event::Closing),
-            4 => Ok(Event::SeqRendezvous {
-                seq: u64::decode(r)?,
-                record: RendezvousRecord::decode(r)?,
-            }),
             5 => Ok(Event::SeqStream {
                 first_seq: u64::decode(r)?,
                 items: Vec::<StreamItem<I>>::decode(r)?,
@@ -573,20 +587,7 @@ impl Wire for RoleId {
 impl<I: Wire, M: Wire> Wire for Req<I, M> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            // 0 is retired.
-            Req::Declare(id) => {
-                out.push(1);
-                id.encode(out);
-            }
-            Req::Activate(id) => {
-                out.push(2);
-                id.encode(out);
-            }
-            Req::Finish(id) => {
-                out.push(3);
-                id.encode(out);
-            }
-            Req::Seal => out.push(4),
+            // 0 to 4 are retired.
             Req::Abort => out.push(5),
             Req::IsAborted => out.push(6),
             Req::PeerStateOf(id) => {
@@ -655,14 +656,14 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
                 out.push(25);
                 seq.encode(out);
             }
+            Req::Cast(steps) => {
+                out.push(26);
+                steps.encode(out);
+            }
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match u8::decode(r)? {
-            1 => Req::Declare(I::decode(r)?),
-            2 => Req::Activate(I::decode(r)?),
-            3 => Req::Finish(I::decode(r)?),
-            4 => Req::Seal,
             5 => Req::Abort,
             6 => Req::IsAborted,
             7 => Req::PeerStateOf(I::decode(r)?),
@@ -699,6 +700,7 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
             25 => Req::SubscribeFrom {
                 seq: u64::decode(r)?,
             },
+            26 => Req::Cast(Vec::<CastStep<I>>::decode(r)?),
             _ => return Err(WireError::Invalid("request tag")),
         })
     }
@@ -818,24 +820,7 @@ mod tests {
 
     #[test]
     fn event_envelope_roundtrips_and_rejects_unknown_tags() {
-        roundtrip(Event::SeqFault {
-            seq: 42,
-            record: FaultRecord {
-                kind: FaultKind::Sever,
-                from: String::from("a"),
-                to: String::from("b"),
-                seq: 3,
-            },
-        });
-        roundtrip(Event::SeqRendezvous {
-            seq: 7,
-            record: RendezvousRecord {
-                from: String::from("a"),
-                to: String::from("b"),
-                label: Some(String::from("ping")),
-                seq: 2,
-            },
-        });
+        roundtrip(Event::<String>::Closing);
         roundtrip(Event::SeqStream {
             first_seq: 11,
             items: vec![
@@ -848,7 +833,7 @@ mod tests {
                 StreamItem::Rendezvous(RendezvousRecord {
                     from: String::from("b"),
                     to: String::from("a"),
-                    label: None,
+                    label: Some(String::from("ping")),
                     seq: 1,
                 }),
             ],
@@ -877,18 +862,37 @@ mod tests {
         let mut batch = vec![3u8];
         41u64.encode(&mut batch);
         vec![record.clone(), record.clone()].encode(&mut batch);
-        // Both read as unknown tags, which a spoke skips.
-        for frame in [&unsequenced, &batch] {
+        // Event tags 1 and 4: a sequence number, then one fault /
+        // rendezvous record.
+        let mut seq_fault = vec![1u8];
+        42u64.encode(&mut seq_fault);
+        record.encode(&mut seq_fault);
+        let mut seq_rendezvous = vec![4u8];
+        7u64.encode(&mut seq_rendezvous);
+        RendezvousRecord {
+            from: String::from("a"),
+            to: String::from("b"),
+            label: None,
+            seq: 2,
+        }
+        .encode(&mut seq_rendezvous);
+        // All read as unknown tags, which a spoke skips.
+        for frame in [&unsequenced, &batch, &seq_fault, &seq_rendezvous] {
             assert!(matches!(
                 Event::<String>::from_bytes(frame),
                 Err(WireError::Invalid("event tag"))
             ));
         }
-        // Req tag 0 (`Bind`) carried an id; tags 8, 16, 17 and 18 took
-        // no payload. A hub severs on them.
-        let mut bind = vec![0u8];
-        String::from("a").encode(&mut bind);
-        for frame in [bind, vec![8u8], vec![16], vec![17], vec![18]] {
+        // Req tags 0 to 3 (`Bind`, `Declare`, `Activate`, `Finish`)
+        // carried an id; tags 4 (`Seal`), 8, 16, 17 and 18 took no
+        // payload. A hub severs on them.
+        let with_id = (0u8..=3).map(|tag| {
+            let mut frame = vec![tag];
+            String::from("a").encode(&mut frame);
+            frame
+        });
+        let bare = [4u8, 8, 16, 17, 18].map(|tag| vec![tag]);
+        for frame in with_id.chain(bare) {
             assert!(matches!(
                 Req::<String, u64>::from_bytes(&frame),
                 Err(WireError::Invalid("request tag"))
@@ -971,8 +975,14 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip(Req::<String, u64>::Activate(String::from("a")));
-        roundtrip(Req::<String, u64>::Seal);
+        roundtrip(Req::<String, u64>::Cast(Vec::new()));
+        roundtrip(Req::<String, u64>::Cast(vec![
+            CastStep::Declare(String::from("a")),
+            CastStep::Activate(String::from("a")),
+            CastStep::Seal,
+            CastStep::Finish(String::from("a")),
+        ]));
+        assert!(CastStep::<String>::from_bytes(&[4]).is_err());
         roundtrip(Req::<String, u64>::Send {
             from: String::from("a"),
             to: String::from("b"),

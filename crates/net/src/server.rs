@@ -88,7 +88,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use script_chan::{ChanError, FaultKind, FaultRecord, RendezvousRecord, SessionEvent, Transport};
+use script_chan::{
+    CastStep, ChanError, FaultKind, FaultRecord, RendezvousRecord, SessionEvent, Transport,
+};
 
 use crate::frame::{FrameDecoder, ReadStatus, WriteBuf};
 use crate::proto::{deadline_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
@@ -809,33 +811,35 @@ where
                 let mut st = sess.state.lock();
                 st.subscribed = true;
                 st.event_resync = false;
-                let items: Vec<StreamItem<I>> = st
-                    .events
-                    .iter()
-                    .filter(|(s, _)| *s > seq)
-                    .map(|(_, item)| item.clone())
-                    .collect();
-                if let Some(first_seq) = st.events.iter().find(|(s, _)| *s > seq).map(|(s, _)| *s) {
+                // The buffer is in sequence order: the tail is a suffix.
+                let skip = st.events.partition_point(|(s, _)| *s <= seq);
+                if let Some(&(first_seq, _)) = st.events.get(skip) {
                     let mut payload = Vec::new();
                     EVENT_REQ_ID.encode(&mut payload);
-                    Event::SeqStream { first_seq, items }.encode(&mut payload);
+                    let tail = st.events.range(skip..).map(|(_, item)| item);
+                    Event::encode_stream(first_seq, tail, &mut payload);
                     write_to_session(&mut st, &payload);
                 }
                 write_to_session(&mut st, &encode_answer(req_id, &Resp::<I, M>::Unit));
             }
-            Req::Activate(bid) => {
+            Req::Cast(steps) => {
                 {
+                    // The ids a run activates are this session's to
+                    // finish if its lease lapses.
                     let mut st = sess.state.lock();
-                    if !st.bound.contains(&bid) {
-                        st.bound.push(bid.clone());
+                    for step in &steps {
+                        match step {
+                            CastStep::Activate(bid) => {
+                                if !st.bound.contains(bid) {
+                                    st.bound.push(bid.clone());
+                                }
+                            }
+                            CastStep::Finish(bid) => st.bound.retain(|b| b != bid),
+                            CastStep::Declare(_) | CastStep::Seal => {}
+                        }
                     }
                 }
-                shared.inner.activate(bid);
-                shared.session_respond(&sess, req_id, &Resp::Unit);
-            }
-            Req::Finish(bid) => {
-                sess.state.lock().bound.retain(|b| b != &bid);
-                shared.inner.finish(bid);
+                shared.inner.cast(&steps);
                 shared.session_respond(&sess, req_id, &Resp::Unit);
             }
             Req::Send {
@@ -961,14 +965,6 @@ where
     /// reach here.
     fn apply_simple(&self, req: Req<I, M>) -> Resp<I, M> {
         match req {
-            Req::Declare(id) => {
-                self.inner.declare(id);
-                Resp::Unit
-            }
-            Req::Seal => {
-                self.inner.seal();
-                Resp::Unit
-            }
             Req::Abort => {
                 self.inner.abort();
                 Resp::Unit
@@ -1000,8 +996,7 @@ where
             },
             // Routed before apply_simple; answering Unit would be a
             // protocol lie, so make the bug loud.
-            Req::Activate(_)
-            | Req::Finish(_)
+            Req::Cast(_)
             | Req::SubscribeFrom { .. }
             | Req::Send { .. }
             | Req::Select { .. }
@@ -1037,8 +1032,9 @@ where
 
     /// Appends one item to every subscribed session's sequenced event
     /// stream — buffered for gapless resume replay — and pushes it to
-    /// the attached connection. `item` builds an owned copy of the
-    /// record per use. Sequencing and queueing happen under the session
+    /// the attached connection as a run of one, encoded from the
+    /// buffered copy. `item` builds that owned copy of the record, once
+    /// per subscriber. Sequencing and queueing happen under the session
     /// state lock, so concurrent events cannot reorder on the wire. The
     /// session table is walked under its own lock (order: table →
     /// session state, as in the lease sweep), so a hub nobody
@@ -1059,11 +1055,8 @@ where
             if !st.event_resync {
                 let mut payload = Vec::with_capacity(ANSWER_CAPACITY);
                 EVENT_REQ_ID.encode(&mut payload);
-                match item() {
-                    StreamItem::Fault(record) => Event::SeqFault { seq, record },
-                    StreamItem::Rendezvous(record) => Event::SeqRendezvous { seq, record },
-                }
-                .encode(&mut payload);
+                let pushed = st.events.back().map(|(_, item)| item);
+                Event::encode_stream(seq, pushed.into_iter(), &mut payload);
                 write_to_session(&mut st, &payload);
             }
         }

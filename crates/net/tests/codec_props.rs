@@ -17,7 +17,9 @@ use std::time::Duration;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use script_chan::{Arm, ChanError, FaultKind, FaultPlan, FaultRecord, Outcome, RendezvousRecord};
+use script_chan::{
+    Arm, CastStep, ChanError, FaultKind, FaultPlan, FaultRecord, Outcome, RendezvousRecord,
+};
 use script_net::fleet::{FleetReq, FleetResp};
 use script_net::proto::{Event, Req, Resp, StreamItem};
 use script_net::{read_frame, write_frame, PerfDescriptor, Wire, MAX_FRAME};
@@ -70,19 +72,33 @@ fn any_record() -> impl Strategy<Value = FaultRecord<String>> {
     })
 }
 
+fn any_cast_step() -> impl Strategy<Value = CastStep<String>> {
+    (0u8..4, any_string()).prop_map(|(pick, id)| match pick {
+        0 => CastStep::Declare(id),
+        1 => CastStep::Activate(id),
+        2 => CastStep::Finish(id),
+        _ => CastStep::Seal,
+    })
+}
+
 /// A request covering every payload-bearing shape of the protocol.
 fn any_req() -> impl Strategy<Value = Req<String, u64>> {
     (
-        0u8..11,
-        any_string(),
-        any_string(),
+        0u8..12,
+        (any_string(), any_string()),
         any::<u64>(),
         proptest::option::of(0u64..100_000),
         any_plan(),
+        vec(any_cast_step(), 0..6),
     )
-        .prop_map(|(pick, a, b, n, timeout_ms, plan)| match pick {
-            0 => Req::Declare(a),
-            1 => Req::Activate(a),
+        .prop_map(|(pick, (a, b), n, timeout_ms, plan, steps)| match pick {
+            0 => Req::Cast(steps),
+            1 => Req::Cast(Vec::new()),
+            11 => Req::Cast(vec![
+                CastStep::Declare(a),
+                CastStep::Seal,
+                CastStep::Activate(b),
+            ]),
             2 => Req::Send {
                 from: a,
                 to: b,
@@ -131,28 +147,16 @@ fn any_stream_item() -> impl Strategy<Value = StreamItem<String>> {
     ]
 }
 
-/// An event push covering every live tag, including the hub-shutdown
-/// notice and the resume-replay batch.
+/// An event push covering both live tags: the hub-shutdown notice and
+/// a run of stream items — empty, a live push of one, a replay batch.
 fn any_event() -> impl Strategy<Value = Event<String>> {
-    (
-        0u8..4,
-        any_record(),
-        any::<u64>(),
-        any_rendezvous(),
-        vec(any_stream_item(), 0..5),
-    )
-        .prop_map(|(pick, record, n, rendezvous, items)| match pick {
-            0 => Event::SeqFault { seq: n, record },
-            1 => Event::Closing,
-            2 => Event::SeqRendezvous {
-                seq: n,
-                record: rendezvous,
-            },
-            _ => Event::SeqStream {
-                first_seq: n,
-                items,
-            },
-        })
+    (0u8..4, any::<u64>(), vec(any_stream_item(), 0..5)).prop_map(|(pick, n, items)| match pick {
+        0 => Event::Closing,
+        _ => Event::SeqStream {
+            first_seq: n,
+            items,
+        },
+    })
 }
 
 /// A signed placement descriptor with arbitrary contents (including

@@ -270,16 +270,15 @@ fn lost_hub_degrades_like_a_crashed_peer() {
 }
 
 /// The hub serves sessions only: a connection whose first frame is an
-/// ordinary request — here `Declare`, which the pre-session protocol
-/// would have applied — is closed unanswered, applies nothing, and
-/// costs the hub's real spokes nothing.
+/// ordinary request — here a one-step `Cast`, which the pre-session
+/// protocol would have applied — is closed unanswered, applies nothing,
+/// and costs the hub's real spokes nothing.
 #[test]
 fn connection_without_a_session_handshake_is_severed() {
     use std::io::Read;
     use std::net::TcpStream;
 
-    use script_net::proto::Req;
-    use script_net::{write_frame, Wire};
+    use script_net::write_frame;
 
     let server = hub();
     let inner = server.inner();
@@ -288,7 +287,7 @@ fn connection_without_a_session_handshake_is_severed() {
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut frame = Vec::new();
     1u64.encode(&mut frame);
-    Req::<String, u64>::Declare("ghost".to_string()).encode(&mut frame);
+    Req::<String, u64>::Cast(vec![CastStep::Declare("ghost".to_string())]).encode(&mut frame);
     write_frame(&mut raw, &frame).expect("write first frame");
     let mut answer = Vec::new();
     // EOF (or a reset) with no bytes before it: severed, not answered.
@@ -421,12 +420,20 @@ fn replay_cache_stays_bounded_on_a_long_stream() {
     assert!(most >= ACK_EVERY / 2, "the cache did fill between acks");
 }
 
+/// On-the-wire size of `req` as a spoke sends it: a 4-byte length, an
+/// 8-byte request id, the request.
+fn frame_bytes(req: &Req<String, u64>) -> u64 {
+    12 + req.to_bytes().len() as u64
+}
+
 /// Nine lifecycle steps over ids tagged `tag`, every one of which lands
 /// somewhere else if two neighbours swap: `x` ends done only if its
 /// finish follows its activation, `y` active only if its activation
 /// follows its finish, and the seal must fall between the declarations
 /// of `z` and `w`.
-fn order_sensitive_run(tag: usize) -> (Vec<CastStep<String>>, [(String, PeerState); 4]) {
+fn order_sensitive_run(
+    tag: impl std::fmt::Display,
+) -> (Vec<CastStep<String>>, [(String, PeerState); 4]) {
     let id = |name: &str| format!("{name}{tag}");
     let run = vec![
         CastStep::Declare(id("x")),
@@ -448,8 +455,8 @@ fn order_sensitive_run(tag: usize) -> (Vec<CastStep<String>>, [(String, PeerStat
     (run, left)
 }
 
-/// A `cast` run crosses the socket as one flight of the frames the
-/// single calls send, and the hub applies it step by step, in order.
+/// A `cast` run crosses the socket as one frame, and the hub applies
+/// it step by step, in order.
 #[test]
 fn cast_run_reaches_the_inner_transport_in_order() {
     let server = hub();
@@ -468,22 +475,17 @@ fn cast_run_reaches_the_inner_transport_in_order() {
     }
 }
 
-/// A spoke's first flight is the hello and the cast's own frames,
-/// nothing else: `Activate` is what binds an id to the session, so no
-/// frame goes ahead of it to do that. Sever the spoke, let the lease
-/// lapse, and every activated id surfaces `Terminated`.
+/// A spoke's first write is the hello and the cast's one frame,
+/// nothing else: an `Activate` step is what binds an id to the session,
+/// so no frame goes ahead of the run to do that. Sever the spoke, let
+/// the lease lapse, and every activated id surfaces `Terminated`.
 #[test]
 fn first_cast_puts_only_the_hello_and_its_own_frames_on_the_wire() {
     let ids = ["p", "q", "r"].map(String::from);
     let mut run: Vec<CastStep<String>> = ids.iter().cloned().map(CastStep::Declare).collect();
     run.extend(ids.iter().cloned().map(CastStep::Activate));
     run.push(CastStep::Seal);
-    let mut reqs: Vec<Req<String, u64>> = vec![Req::HelloNew];
-    reqs.extend(ids.iter().cloned().map(Req::Declare));
-    reqs.extend(ids.iter().cloned().map(Req::Activate));
-    reqs.push(Req::Seal);
-    // A frame is a 4-byte length, an 8-byte request id, the request.
-    let expected: u64 = reqs.iter().map(|r| 12 + r.to_bytes().len() as u64).sum();
+    let expected = frame_bytes(&Req::HelloNew) + frame_bytes(&Req::Cast(run.clone()));
 
     // The driver's heartbeat may land before the counter is read, so
     // take the best of three.
@@ -496,7 +498,7 @@ fn first_cast_puts_only_the_hello_and_its_own_frames_on_the_wire() {
         last = Some((server, client));
         sent == expected
     });
-    assert!(exact, "the first flight carried more than hello + cast");
+    assert!(exact, "the spoke wrote more than hello + one cast frame");
 
     let (server, client) = last.expect("at least one round");
     let inner = server.inner();
@@ -514,15 +516,15 @@ fn first_cast_puts_only_the_hello_and_its_own_frames_on_the_wire() {
     }
 }
 
-/// A connection cut while a flight is on the wire loses no step and
-/// repeats none: whatever the hub had applied is answered from the
-/// replay cache when the session resumes, the rest is applied then,
-/// still in order. Every round a hub-side send — its sever decision cuts
-/// the spoke that animates `g` — races a fresh nine-step run, at a
-/// different offset each time; the run must come out the same wherever
-/// the cut falls.
+/// A connection cut while a cast is on the wire loses no step and
+/// repeats none: the run is one request, so either the hub applied it
+/// and answers the replay from its cache when the session resumes, or
+/// it applies it then, still in order. Every round a hub-side send —
+/// its sever decision cuts the spoke that animates `g` — races a fresh
+/// nine-step run, at a different offset each time; the run must come
+/// out the same wherever the cut falls.
 #[test]
-fn cast_run_severed_mid_flight_applies_each_step_once() {
+fn cast_run_severed_mid_cast_applies_each_step_once() {
     const ROUNDS: usize = 30;
     let server = hub();
     let inner = server.inner();
@@ -572,6 +574,131 @@ fn cast_run_severed_mid_flight_applies_each_step_once() {
         .filter(|r| r.kind == FaultKind::Sever)
         .count();
     assert!(severs >= ROUNDS / 2, "the cuts did happen: {severs}");
+}
+
+/// A run too long for one frame still applies completely and in order:
+/// the spoke cuts it at step boundaries into several `Cast` frames, each
+/// small enough to send, and the session stays up.
+#[test]
+fn oversized_cast_is_cut_at_step_boundaries() {
+    let server = hub();
+    let inner = server.inner();
+    let client = spoke(&server);
+    // Nine order-sensitive steps over ids of 200 KiB each: 1.6 MB where
+    // a frame holds 1 MiB.
+    let (run, left) = order_sensitive_run("#".repeat(200 * 1024));
+    assert!(Req::<String, u64>::Cast(run.clone()).to_bytes().len() > script_net::MAX_FRAME);
+    let before = inner.activity();
+    client.cast(&run);
+    assert_eq!(inner.activity() - before, 9, "every step, once");
+    for (id, state) in &left {
+        assert_eq!(inner.peer_state(id), Some(*state), "{}", &id[..1]);
+    }
+    assert!(!client.is_lost(), "the session survived the long run");
+    assert_eq!(client.ensure_peer(&left[3].0), Ok(()));
+}
+
+/// A frame with one of the retired one-step lifecycle tags is not a
+/// request any more: on a live session the hub severs the connection
+/// and applies nothing.
+#[test]
+fn retired_lifecycle_frame_severs_the_connection() {
+    use std::io::Read;
+    use std::net::TcpStream;
+
+    use script_net::{read_frame, write_frame};
+
+    let server = hub();
+    let mut raw = TcpStream::connect(server.local_addr()).expect("raw dial");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut hello = Vec::new();
+    1u64.encode(&mut hello);
+    Req::<String, u64>::HelloNew.encode(&mut hello);
+    write_frame(&mut raw, &hello).expect("write hello");
+    read_frame(&mut raw)
+        .expect("read")
+        .expect("session granted");
+    // Tag 1 was `Declare(id)`.
+    let mut frame = Vec::new();
+    2u64.encode(&mut frame);
+    frame.push(1u8);
+    "ghost".to_string().encode(&mut frame);
+    write_frame(&mut raw, &frame).expect("write retired frame");
+    let mut answer = Vec::new();
+    let _ = raw.read_to_end(&mut answer);
+    assert!(answer.is_empty(), "hub answered a retired tag");
+    assert_eq!(server.inner().peer_state(&"ghost".to_string()), None);
+}
+
+/// The engine installs a fault observer and a rendezvous observer on
+/// every traced performance; one subscription feeds both, so the second
+/// setter costs no round trip.
+#[test]
+fn installing_both_observers_subscribes_once() {
+    let expected = frame_bytes(&Req::HelloNew) + frame_bytes(&Req::SubscribeFrom { seq: 0 });
+    // The driver's heartbeat may land before the counter is read, so
+    // take the best of three.
+    let mut last = None;
+    let exact = (0..3).any(|_| {
+        let server = hub();
+        let client = spoke(&server);
+        let faults = Arc::new(Mutex::new(Vec::new()));
+        let rendezvous = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&faults);
+        client.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
+        let sink = Arc::clone(&rendezvous);
+        client.set_rendezvous_observer(
+            Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())),
+            |_| None,
+        );
+        let sent = client.bytes_sent();
+        last = Some((server, client, faults, rendezvous));
+        sent == expected
+    });
+    assert!(
+        exact,
+        "two observers cost more than hello + one subscription"
+    );
+
+    // Both observers are fed: a delayed (so faulted) send from the
+    // spoke, picked up hub-side.
+    let (server, client, faults, rendezvous) = last.expect("at least one round");
+    let inner = server.inner();
+    let (a, b) = ("a".to_string(), "b".to_string());
+    client.activate(a.clone());
+    inner.activate(b.clone());
+    inner.set_fault_plan(
+        FaultPlan::new(3).with_delay(1.0, Duration::from_micros(50)),
+        |m| *m,
+    );
+    let receiver = thread::spawn({
+        let (inner, b) = (Arc::clone(&inner), b.clone());
+        move || inner.select(&b, vec![Arm::recv_any()], far())
+    });
+    client.send(&a, &b, 7, far()).expect("send over socket");
+    assert!(matches!(
+        receiver.join().expect("receiver thread"),
+        Ok(Outcome::Received { msg: 7, .. })
+    ));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while (faults.lock().unwrap().is_empty() || rendezvous.lock().unwrap().is_empty())
+        && Instant::now() < deadline
+    {
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        faults
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|r| r.kind == FaultKind::Delay),
+        "the injected fault reached the fault observer"
+    );
+    let seen = rendezvous.lock().unwrap();
+    assert!(
+        seen.iter().any(|r| r.from == a && r.to == b),
+        "the hub-side rendezvous reached the rendezvous observer: {seen:?}"
+    );
 }
 
 /// `Network::port` asks whether its id exists. For an id this session

@@ -345,7 +345,7 @@ fn membership_churn(performances: u64, mode: ChurnMode, seed: u64) -> Vec<String
             let plan = plan.clone();
             let servers = Arc::clone(&servers);
             let fleets = Arc::clone(&fleets);
-            inst.set_placement_hint("churn");
+            let family = "churn";
             let factory: Arc<NetworkFactory<u64>> = Arc::new(move |ctx: &PerformanceNet| {
                 // One matcher shard + one home node per performance
                 // (role ids repeat across performances, so homes cannot
@@ -361,7 +361,6 @@ fn membership_churn(performances: u64, mode: ChurnMode, seed: u64) -> Vec<String
                     .expect("fleet connect");
                 ctl.register_node(&hub.local_addr().to_string())
                     .expect("register home");
-                let family = ctx.placement.as_deref().unwrap_or("churn");
                 let desc = ctl
                     .place(family, ctx.performance.0, &[], ctx.seed)
                     .expect("place performance");
