@@ -479,21 +479,27 @@ impl<I: Clone + Eq + Hash, M> EpState<I, M> {
     }
 }
 
-impl<I, M> EpState<I, M> {
+impl<I, M> EpState<I, M>
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static,
+{
     /// Bumps the eventcount and readies every submitted operation
     /// parked here. Every mutation a sleeper on the endpoint's condvar
     /// could care about must go through here, so both kinds of waiter
     /// observe exactly the same wakeups. The scheduler thread is
-    /// notified only when nobody is draining: a drainer leaves only
-    /// after finding the queue empty under the queue lock, so it cannot
-    /// miss this token. Lock order is endpoint → scheduler queue;
-    /// nobody takes an endpoint lock while holding a queue.
+    /// notified — started, if this is the first token orphaned so —
+    /// only when nobody is draining: a drainer leaves only after
+    /// finding the queue empty under the queue lock, so it cannot miss
+    /// this token. Lock order is endpoint → scheduler queue; nobody
+    /// takes an endpoint lock while holding a queue.
     fn bump_signal(&mut self) {
         self.signal += 1;
         for (token, sched) in self.op_waiters.drain(..) {
             let mut q = sched.queue.lock();
             q.ready.push_back(token);
             if q.drainers.is_empty() {
+                sched.start_thread(&mut q);
                 sched.cond.notify_one();
             }
         }
@@ -598,7 +604,8 @@ pub struct ShardedTransport<I, M> {
     lease_ticks: AtomicU64,
     /// The scheduler of submitted operations
     /// ([`Transport::submit_send`]/[`Transport::submit_select`]),
-    /// created — with its one thread — by the first submission.
+    /// created by the first submission; its one thread starts later, if
+    /// ever (see [`SchedShared::start_thread`]).
     sched: OnceLock<Arc<SchedShared<I, M>>>,
     faults: FaultHooks<I, M>,
     rendezvous: RendezvousHooks<I, M>,
@@ -607,12 +614,19 @@ pub struct ShardedTransport<I, M> {
 
 impl<I, M> Drop for ShardedTransport<I, M> {
     fn drop(&mut self) {
-        // Release the scheduler thread (it holds only a weak reference
-        // back to the transport, so this is the last liveness signal it
-        // gets).
+        // Release the scheduler thread, if it ever started (it holds
+        // only a weak reference back to the transport, so this is the
+        // last liveness signal it gets), and drop the parked ops
+        // unfired: each holds its endpoint, whose waiter list holds the
+        // scheduler back.
         if let Some(sched) = self.sched.get() {
-            sched.queue.lock().shutdown = true;
+            let parked = {
+                let mut q = sched.queue.lock();
+                q.shutdown = true;
+                std::mem::take(&mut q.ops)
+            };
             sched.cond.notify_all();
+            drop(parked);
         }
     }
 }
@@ -749,13 +763,16 @@ where
 
     /// Bumps every endpoint's eventcount and wakes all sleepers. Used by
     /// the rare lifecycle transitions (and abort/seal), whose effects
-    /// any blocked operation anywhere may be waiting on.
+    /// any blocked operation anywhere may be waiting on. The submitted
+    /// operations it readies are stepped here, on the way out.
     fn broadcast(&self) {
-        let eps: Vec<Arc<Endpoint<I, M>>> = self.registry().values().cloned().collect();
-        for ep in eps {
-            ep.state.lock().bump_signal();
-            ep.cond.notify_all();
-        }
+        self.draining(|| {
+            let eps: Vec<Arc<Endpoint<I, M>>> = self.registry().values().cloned().collect();
+            for ep in eps {
+                ep.state.lock().bump_signal();
+                ep.cond.notify_all();
+            }
+        });
     }
 
     /// Wakes the selectors registered as send watchers on `ep`. Call
@@ -1048,7 +1065,8 @@ where
 
     fn try_recv(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>> {
         let started = self.latency.start();
-        let result = self.try_recv_impl(me, from);
+        // A pickup readies the sender's parked submitted send.
+        let result = self.draining(|| self.try_recv_impl(me, from));
         if matches!(result, Ok(Some(_))) {
             self.latency.record(LatencyOp::TryRecv, started);
         }
@@ -1723,11 +1741,15 @@ enum SelRepr<I, M> {
 // own op plus every op that step readies, iteratively — so a hub's
 // reactor steps both sides of a remote rendezvous without a thread
 // hand-off. An op that must wait parks its token on the endpoint
-// (`EpState::op_waiters`) until the eventcount bumps. The one
+// (`EpState::op_waiters`) until the eventcount bumps. The non-blocking
+// entry points that bump from outside a submission (`cast`, `abort`,
+// `try_recv`) drain the same way on their way out. The one
 // "chan-async-sched" thread drains the same queue through the same
-// `drive_op`, for what no submitter is around to run: timers
-// (deadlines, chaos delays) and tokens readied by threads outside a
-// `submit_*` call. Parked rendezvous still cost O(1) threads.
+// `drive_op`, for what nobody is around to run — timers (deadlines,
+// chaos delays) and tokens readied by blocking callers — and starts
+// only when there first is such a thing: a transport whose submitted
+// ops carry no deadline and meet only other submitted ops never has
+// one. Parked rendezvous cost at most one thread.
 // ---------------------------------------------------------------------
 
 impl<I, M> ShardedTransport<I, M>
@@ -1814,29 +1836,60 @@ where
         }
     }
 
-    /// The transport's scheduler, started on first use. The thread
-    /// holds only a weak reference back, so it cannot keep the
-    /// transport alive; [`ShardedTransport`]'s `Drop` releases it.
+    /// The transport's scheduler, created on first use — without its
+    /// thread, which holds only a weak reference back when it does
+    /// start, so it cannot keep the transport alive;
+    /// [`ShardedTransport`]'s `Drop` releases it.
     fn scheduler(this: &Arc<Self>) -> &Arc<SchedShared<I, M>> {
         this.sched.get_or_init(|| {
-            let sched = Arc::new(SchedShared {
+            Arc::new(SchedShared {
                 queue: Mutex::new(SchedState {
                     ready: VecDeque::new(),
                     timers: BTreeSet::new(),
                     ops: HashMap::new(),
                     drainers: Vec::new(),
+                    thread_started: false,
                     shutdown: false,
                 }),
                 cond: Condvar::new(),
-            });
-            let weak = Arc::downgrade(this);
-            let handle = Arc::clone(&sched);
-            thread::Builder::new()
-                .name("chan-async-sched".into())
-                .spawn(move || scheduler_loop(weak, handle))
-                .expect("spawn async-op scheduler");
-            sched
+                transport: Arc::downgrade(this),
+            })
         })
+    }
+
+    /// Whether the "chan-async-sched" thread was ever started: not by
+    /// submitted operations that carry no deadline and are readied by
+    /// other submissions, `cast`, `abort` or `try_recv`.
+    #[doc(hidden)]
+    pub fn scheduler_thread_started(&self) -> bool {
+        self.sched
+            .get()
+            .is_some_and(|sched| sched.queue.lock().thread_started)
+    }
+
+    /// Runs `wake` — which may ready parked submitted operations — with
+    /// the calling thread registered as a drainer, and steps what it
+    /// readied on the way out: nothing is left for the scheduler
+    /// thread. Inside a drain already running on this thread (a
+    /// completion callback) `wake` just runs, and that drain reaches
+    /// what it readies. A transport nobody ever submitted to has no
+    /// scheduler, and pays one load.
+    fn draining<R>(&self, wake: impl FnOnce() -> R) -> R {
+        let Some(sched) = self.sched.get() else {
+            return wake();
+        };
+        let me = thread::current().id();
+        {
+            let mut q = sched.queue.lock();
+            if q.drainers.contains(&me) {
+                drop(q);
+                return wake();
+            }
+            q.drainers.push(me);
+        }
+        let result = wake();
+        self.drain(sched, me);
+        result
     }
 
     /// Queues a new op — behind its chaos-delay gate, if it has one —
@@ -1847,20 +1900,14 @@ where
     /// reaches it, so a chain of such callbacks iterates, not recurses.
     fn enqueue_op(this: &Arc<Self>, token: u64, op: AsyncOp<I, M>, ready_at: Option<Instant>) {
         let sched = Self::scheduler(this);
-        let me = thread::current().id();
-        {
+        this.draining(|| {
             let mut q = sched.queue.lock();
             q.ops.insert(token, op);
             match ready_at {
                 Some(at) => sched.arm(&mut q, at, token),
                 None => q.ready.push_back(token),
             }
-            if q.drainers.contains(&me) {
-                return;
-            }
-            q.drainers.push(me);
-        }
-        this.drain(sched, me);
+        });
     }
 
     /// Steps every runnable op until the ready queue is empty, then
@@ -1941,6 +1988,8 @@ struct SchedShared<I, M> {
     queue: Mutex<SchedState<I, M>>,
     /// The scheduler thread's sleep.
     cond: Condvar,
+    /// What the scheduler thread, once started, drains for.
+    transport: Weak<ShardedTransport<I, M>>,
 }
 
 /// The scheduler's run state.
@@ -1956,6 +2005,9 @@ struct SchedState<I, M> {
     ops: HashMap<u64, AsyncOp<I, M>>,
     /// Threads inside [`ShardedTransport::drain`] right now.
     drainers: Vec<ThreadId>,
+    /// Whether the scheduler thread exists (see
+    /// [`SchedShared::start_thread`]).
+    thread_started: bool,
     shutdown: bool,
 }
 
@@ -1963,7 +2015,27 @@ struct SchedState<I, M> {
 /// ones (their op completed before they came due) are purged.
 const TIMER_SLACK: usize = 64;
 
-impl<I, M> SchedShared<I, M> {
+impl<I, M> SchedShared<I, M>
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static,
+{
+    /// Starts the "chan-async-sched" thread unless it runs already.
+    /// Called, under the queue lock, at the two moments something is
+    /// first left for it: a timer is armed, or a token is readied while
+    /// nobody drains. Detached: it ends with the transport.
+    fn start_thread(self: &Arc<Self>, q: &mut SchedState<I, M>) {
+        if q.thread_started {
+            return;
+        }
+        q.thread_started = true;
+        let (transport, sched) = (self.transport.clone(), Arc::clone(self));
+        thread::Builder::new()
+            .name("chan-async-sched".into())
+            .spawn(move || scheduler_loop(transport, sched))
+            .expect("spawn async-op scheduler");
+    }
+
     /// Parks a stepped op: its token on the endpoint it waits for —
     /// `st`, locked — and the op in `ops`, its deadline armed. Both
     /// under that lock: the moment it drops, a bump may ready the token
@@ -1986,10 +2058,12 @@ impl<I, M> SchedShared<I, M> {
         }
     }
 
-    /// Arms a timer for `token`, which must already be in `ops`. Wakes
-    /// the scheduler thread when its sleep has to end sooner, and keeps
-    /// the set proportional to the parked ops.
-    fn arm(&self, q: &mut SchedState<I, M>, at: Instant, token: u64) {
+    /// Arms a timer for `token`, which must already be in `ops`. Starts
+    /// the scheduler thread if this is the first timer, wakes it when
+    /// its sleep has to end sooner, and keeps the set proportional to
+    /// the parked ops.
+    fn arm(self: &Arc<Self>, q: &mut SchedState<I, M>, at: Instant, token: u64) {
+        self.start_thread(q);
         if q.timers.first().is_none_or(|first| (at, token) < *first) {
             self.cond.notify_one();
         }

@@ -5,9 +5,11 @@
 //! the callbacks observe exactly the results the blocking calls would
 //! have returned — rendezvous completion at pickup, timeouts that
 //! reclaim deposits, termination errors, chaos determinism — and where
-//! completions run: on the submitting thread when it made the op
-//! runnable, on the transport's one scheduler thread otherwise, and
-//! nowhere else.
+//! completions run: on the thread that made the op runnable when that
+//! is a submission, a `cast`, an `abort` or a `try_recv`; on the
+//! transport's one scheduler thread — which starts only when there
+//! first is a timer or such an orphaned op — otherwise, and nowhere
+//! else.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -716,4 +718,117 @@ fn seeded_recv_any_picks_the_same_sender_every_run() {
         picks.iter().all(|p| *p == picks[0]),
         "one seed, one schedule, different first senders: {picks:?}"
     );
+}
+
+/// The scheduler thread is born for a reason, not with the scheduler.
+/// Submitted pairs without a deadline, and a parked watcher released by
+/// a `cast`, complete on the calling thread and start nothing; the first
+/// deadline starts the thread, and its timeout fires; a blocking send
+/// that readies a parked submitted op from a thread that drains nothing
+/// starts it too (shown on a second transport), and the op completes.
+#[test]
+fn scheduler_thread_starts_only_for_a_timer_or_an_orphaned_op() {
+    let t = fresh();
+    let me = std::thread::current().id();
+    let ran_on = Arc::new(Mutex::new(Vec::new()));
+    let note = |ran_on: &Arc<Mutex<Vec<std::thread::ThreadId>>>| {
+        let ran_on = Arc::clone(ran_on);
+        move || ran_on.lock().unwrap().push(std::thread::current().id())
+    };
+    for v in 0..16u32 {
+        let sent = note(&ran_on);
+        Arc::clone(&t)
+            .submit_send(
+                &"a",
+                &"b",
+                v,
+                None,
+                Box::new(move |r| {
+                    r.unwrap();
+                    sent();
+                }),
+            )
+            .ok()
+            .unwrap();
+        let received = note(&ran_on);
+        Arc::clone(&t)
+            .submit_select(
+                &"b",
+                vec![Arm::recv_from("a")],
+                None,
+                Box::new(move |r| {
+                    assert!(matches!(r, Ok(Outcome::Received { msg, .. }) if msg == v));
+                    received();
+                }),
+            )
+            .ok()
+            .unwrap();
+    }
+    // A watcher with nothing to receive parks until its peer finishes.
+    let released = note(&ran_on);
+    Arc::clone(&t)
+        .submit_select(
+            &"c",
+            vec![Arm::recv_from("a"), Arm::watch("b")],
+            None,
+            Box::new(move |r| {
+                assert!(
+                    matches!(r, Ok(Outcome::Terminated { peer: "b", .. })),
+                    "{r:?}"
+                );
+                released();
+            }),
+        )
+        .ok()
+        .unwrap();
+    assert_eq!(ran_on.lock().unwrap().len(), 32, "the watcher is parked");
+    t.finish("b");
+    let ran_on = std::mem::take(&mut *ran_on.lock().unwrap());
+    assert_eq!(ran_on.len(), 33);
+    assert!(
+        ran_on.iter().all(|id| *id == me),
+        "a completion left the thread"
+    );
+    assert!(!t.scheduler_thread_started());
+
+    // The first timer needs someone to wait for it.
+    let (tx, rx) = mpsc::channel();
+    Arc::clone(&t)
+        .submit_send(
+            &"a",
+            &"c",
+            0,
+            Some(Instant::now() + Duration::from_millis(30)),
+            Box::new(move |r| tx.send(r).unwrap()),
+        )
+        .ok()
+        .unwrap();
+    assert!(t.scheduler_thread_started());
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+        Err(ChanError::Timeout)
+    );
+
+    // So does an op readied where nobody drains: a blocking send meets
+    // a parked submitted receive, and returns once that has taken it.
+    let t = fresh();
+    let (tx, rx) = mpsc::channel();
+    Arc::clone(&t)
+        .submit_select(
+            &"b",
+            vec![Arm::recv_from("a")],
+            None,
+            Box::new(move |r| tx.send(r).unwrap()),
+        )
+        .ok()
+        .unwrap();
+    assert!(!t.scheduler_thread_started());
+    t.send(&"a", &"b", 5, far())
+        .expect("the orphaned receive picks it up");
+    let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert!(
+        matches!(got, Ok(Outcome::Received { msg: 5, .. })),
+        "{got:?}"
+    );
+    assert!(t.scheduler_thread_started());
 }

@@ -21,13 +21,27 @@
 //! order and answers once. The provided one-step methods (`declare`,
 //! `activate`, `finish`, `seal`) are one-step runs, so one-step frames.
 //!
-//! **One background thread.** A single *driver* thread per transport
-//! owns the read side: it decodes answer frames through a
-//! [`FrameDecoder`] (partial frames survive across read timeouts),
-//! emits the quarter-lease heartbeat whenever its read timeout lapses,
-//! and — when the connection dies — redials, resumes, and replays
-//! itself, so parked callers never have to. The keeper thread of the
-//! previous design is gone; its duties folded into the reader loop.
+//! **No thread of its own.** A connection's read side is a source on
+//! the process's one `script-net-io` thread
+//! ([`reactor`]): when the socket is readable the
+//! thread decodes answer frames through a [`FrameDecoder`] (partial
+//! frames survive between turns), routes them to their waiting callers,
+//! and emits the quarter-lease heartbeat when that deadline is due. The
+//! socket is nonblocking — callers still write on their own threads,
+//! and wait there for room if the kernel's buffer is full. Dialing, the
+//! hello exchange and back-off are blocking and never run on the I/O
+//! thread: callers dial as they always did, and when a connection dies
+//! without the spoke being closed or the hub saying goodbye, one
+//! short-lived `script-net-redial` thread redials, resumes, and replays
+//! on behalf of parked callers, so they never have to.
+//!
+//! **Observers must not block.** The fault, rendezvous and session
+//! observers run on `script-net-io`, where every spoke and hub of the
+//! process waits its turn: an observer that calls back into *any*
+//! socket transport of the process waits for an answer only its own
+//! thread can read. One that panics kills its spoke only — the session
+//! dies ([`SocketTransport::is_lost`]), the thread goes on serving the
+//! others.
 //!
 //! Blocking semantics cross the wire unchanged: a `send` or `select`
 //! RPC simply does not answer until the rendezvous fires server-side,
@@ -46,7 +60,7 @@
 //! ([`Req::SubscribeFrom`]); the missed tail arrives as one batched
 //! [`Event::SeqStream`] frame, with exactly-once dispatch enforced
 //! client-side by a monotonic high-water mark. Heartbeats flow both
-//! ways: the driver pings ([`Req::Heartbeat`]) every quarter-lease, and
+//! ways: the spoke pings ([`Req::Heartbeat`]) every quarter-lease, and
 //! earlier once [`ACK_EVERY`] answers have arrived since the last ping
 //! — each names the lowest request still unanswered, so the hub's
 //! replay cache is pruned by count, not by what a fast stream completes
@@ -78,7 +92,7 @@ use std::hash::Hash;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -93,9 +107,10 @@ use script_core::RetryPolicy;
 
 use crate::frame::{read_frame, FrameDecoder, ReadStatus, WriteBuf};
 use crate::proto::{timeout_ms_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
+use crate::reactor::{self, fd_of, Cause, Io, Source, Turn};
 use crate::wire::{Reader, Wire, MAX_FRAME};
 
-/// Answered frames after which the driver acknowledges early — a
+/// Answered frames after which the spoke acknowledges early — a
 /// [`Req::Heartbeat`] ahead of the quarter-lease clock — so the hub's
 /// replay cache holds at most this many answers plus those in flight.
 pub const ACK_EVERY: usize = 256;
@@ -173,6 +188,10 @@ impl<I, M> Slot<I, M> {
         let mut st = self.state.lock();
         if matches!(*st, SlotState::Waiting) {
             *st = value;
+            // Unlock, then notify: the waiter usually preempts the I/O
+            // thread the moment it is woken, and must find the lock
+            // free.
+            drop(st);
             self.cond.notify_all();
         }
     }
@@ -220,13 +239,16 @@ struct PendingEntry<I, M> {
 /// one syscall. Losers of the flush race find the buffer already empty
 /// and return without writing at all.
 struct ConnTx {
-    /// Write handle (blocking mode); reads use a separate clone.
+    /// Write handle; reads use a separate clone. Blocking through the
+    /// handshake, nonblocking once the read side is on the I/O thread
+    /// (the mode belongs to the socket, not the handle).
     stream: TcpStream,
     buf: Mutex<WriteBuf>,
     /// Serializes actual socket writes; deliberately distinct from
     /// `buf` so producers can keep queueing while a flush is on the
-    /// wire.
-    flush: Mutex<()>,
+    /// wire. Holds the buffer being written — empty between flushes,
+    /// its allocation kept: a flush swaps it with `buf`.
+    flush: Mutex<WriteBuf>,
     /// The transport's outbound byte counter (frame bytes including
     /// the length prefix) — the data-plane evidence federation tests
     /// audit.
@@ -248,38 +270,56 @@ impl ConnTx {
     /// Flushes whatever the buffer holds. Returns `false` on write
     /// failure — the connection is done for.
     fn flush(&self) -> bool {
-        let _g = self.flush.lock();
+        let mut out = self.flush.lock();
         loop {
-            let mut local = {
+            {
                 let mut b = self.buf.lock();
                 if b.is_empty() {
                     // A racing producer flushed our frame along with
                     // its own: one combined write covered both.
                     return true;
                 }
-                std::mem::take(&mut *b)
-            };
+                std::mem::swap(&mut *b, &mut *out);
+            }
             let mut w = &self.stream;
             loop {
-                match local.flush_to(&mut w) {
+                match out.flush_to(&mut w) {
                     Ok(true) => break,
-                    // Blocking socket: a spurious WouldBlock just means
-                    // go around again; bytes stay queued in `local`.
-                    Ok(false) => {}
+                    // The kernel's buffer is full: wait for room here,
+                    // on the caller's thread; bytes stay queued in
+                    // `out`.
+                    Ok(false) => reactor::wait_writable(fd_of(&self.stream)),
                     Err(_) => return false,
                 }
             }
         }
+    }
+
+    /// The I/O thread's write: queues one frame and hands the socket
+    /// what it takes right now, never waiting. Whatever stays behind —
+    /// a caller is mid-flush, or the kernel's buffer is full — rides
+    /// the next flush. Returns `false` on write failure.
+    fn push_now(&self, payload: &[u8]) -> bool {
+        if !self.queue(payload) {
+            return false;
+        }
+        let Some(_g) = self.flush.try_lock() else {
+            return true;
+        };
+        self.buf.lock().flush_to(&mut &self.stream).is_ok()
     }
 }
 
 /// One live connection; all durable state lives in [`Shared`].
 struct ConnShared {
     tx: ConnTx,
-    /// Kept to sever the socket on close/drop (and to kick the driver
-    /// out of its read when a writer discovers the death first).
+    /// Kept to sever the socket on close/drop (and to make the I/O
+    /// thread see the end when a writer discovers the death first).
     stream: TcpStream,
     alive: AtomicBool,
+    /// Which of the session's connections this is, counting from 1 (see
+    /// [`Shared::conn_epoch`]).
+    epoch: u64,
 }
 
 /// What a fast (non-queued) query observed.
@@ -291,7 +331,8 @@ enum FastReply<I, M> {
     Dead,
 }
 
-/// State shared between the transport facade and its driver thread.
+/// State shared between the transport facade, its connection's source
+/// on the I/O thread, and a redial thread.
 struct Shared<I, M> {
     plan: DialPlan,
     retry: RetryPolicy,
@@ -306,7 +347,7 @@ struct Shared<I, M> {
     lost: AtomicBool,
     /// Terminal: session expired, redial budget exhausted, or closed.
     dead: AtomicBool,
-    /// Set by `close`/drop so the driver stops redialing.
+    /// Set by `close`/drop so nobody redials.
     closed: AtomicBool,
     /// The hub announced shutdown ([`Event::Closing`]): terminal once
     /// the connection drains — no redial storm against a dead address.
@@ -345,15 +386,18 @@ struct Shared<I, M> {
     /// finish (or activate) while severed.
     severed: Mutex<Vec<I>>,
     subscribed: AtomicBool,
-    driver_started: AtomicBool,
-    /// A fresh handshake deposits the connection + its read stream
-    /// here; the driver picks them up and serves the connection.
-    reader_slot: Mutex<Option<(Arc<ConnShared>, TcpStream)>>,
+    /// Connections handshaken so far. A connection whose epoch is
+    /// behind was replaced already: its end is old news and announces
+    /// no disconnect — read without the `state` lock, which a dial
+    /// holds for as long as it takes and the I/O thread must not wait
+    /// for.
+    conn_epoch: AtomicU64,
 }
 
 /// How a handshake attempt ended.
 enum Handshake {
-    Ready(Arc<ConnShared>),
+    /// The connection and its read handle, for the I/O thread.
+    Ready(Arc<ConnShared>, TcpStream),
     /// The hub no longer knows our session: terminal.
     Expired,
     /// Resume refused while a partition embargo holds: stand off.
@@ -464,7 +508,7 @@ where
             }
             Event::Closing => {
                 // Fail fast: the hub is gone for good, so once the
-                // connection drains the driver dies instead of
+                // connection drains the session dies instead of
                 // redialing.
                 self.closing.store(true, Ordering::SeqCst);
             }
@@ -488,7 +532,7 @@ where
     }
 
     /// Reads frames until the answer for `want` arrives (used during
-    /// the handshake, before the driver owns the stream). Events and
+    /// the handshake, before the I/O thread owns the stream). Events and
     /// answers to replayed requests that completed hub-side during the
     /// outage are delivered along the way.
     fn await_resp(&self, rd: &mut TcpStream, want: u64) -> Option<Resp<I, M>> {
@@ -544,8 +588,8 @@ where
     /// `pending` holds. A request no longer pending was answered
     /// already (a handshake replays everything pending, which may
     /// include this one) and is skipped. On a failed write the
-    /// connection is shut, which kicks the driver into its
-    /// redial-and-replay path; returns whether the write succeeded.
+    /// connection is shut, which the I/O thread sees and answers with
+    /// the redial-and-replay path; returns whether the write succeeded.
     fn transmit(&self, conn: &ConnShared, req_id: u64) -> bool {
         let queued = match self.pending.lock().get(&req_id) {
             Some(e) => conn.tx.queue(&e.payload),
@@ -651,8 +695,8 @@ where
             }
         };
         let (req_id, slot) = self.register(self.encode_req(req), true);
-        // The driver drains fast entries *after* flipping `alive`;
-        // re-checking after the insert guarantees ours is seen.
+        // The connection's end drains fast entries *after* flipping
+        // `alive`; re-checking after the insert guarantees ours is seen.
         if !conn.alive.load(Ordering::SeqCst) || self.is_dead() {
             self.withdraw(req_id);
             return if self.is_dead() {
@@ -688,10 +732,20 @@ where
             return None;
         }
         match self.dial_and_handshake() {
-            Some(conn) => {
+            Some((conn, rd)) => {
                 self.lost.store(false, Ordering::SeqCst);
                 *guard = Some(Arc::clone(&conn));
-                self.start_driver();
+                reactor::register(
+                    Box::new(SpokeIo {
+                        shared: Arc::clone(self),
+                        conn: Arc::clone(&conn),
+                        rd,
+                        dec: FrameDecoder::new(),
+                        next_hb: Instant::now() + self.quarter_lease(),
+                        answered: 0,
+                    }),
+                    Arc::default(),
+                );
                 Some((conn, true))
             }
             None => {
@@ -732,7 +786,7 @@ where
     /// handshake, standing off and retrying while the hub reports a
     /// partition embargo. Called with the `state` lock held — fast
     /// queries observe the held lock as a blip.
-    fn dial_and_handshake(self: &Arc<Self>) -> Option<Arc<ConnShared>> {
+    fn dial_and_handshake(self: &Arc<Self>) -> Option<(Arc<ConnShared>, TcpStream)> {
         for _ in 0..64 {
             if self.closed.load(Ordering::SeqCst)
                 || self.closing.load(Ordering::SeqCst)
@@ -746,7 +800,7 @@ where
                 .ok()?;
             let _ = stream.set_nodelay(true);
             match self.handshake(stream) {
-                Handshake::Ready(conn) => return Some(conn),
+                Handshake::Ready(conn, rd) => return Some((conn, rd)),
                 Handshake::Expired => {
                     self.die_expired();
                     return None;
@@ -766,7 +820,8 @@ where
 
     /// Runs the hello exchange on a fresh stream: new session or
     /// resume, connection-scoped re-setup, and the pending replay. On
-    /// success the read stream is deposited for the driver to serve.
+    /// success the socket goes nonblocking and its read handle is
+    /// returned for the I/O thread to serve.
     fn handshake(self: &Arc<Self>, stream: TcpStream) -> Handshake {
         let (mut rd, w) = match (stream.try_clone(), stream.try_clone()) {
             (Ok(r), Ok(w)) => (r, w),
@@ -775,12 +830,11 @@ where
         let tx = ConnTx {
             stream: w,
             buf: Mutex::new(WriteBuf::new()),
-            flush: Mutex::new(()),
+            flush: Mutex::new(WriteBuf::new()),
             bytes_out: Arc::clone(&self.bytes_out),
         };
         // Bounded handshake: a hub that accepts but never answers must
-        // not wedge the dial loop. The driver sets its own timeout once
-        // it takes over.
+        // not wedge the dial loop.
         let _ = rd.set_read_timeout(Some(Duration::from_secs(5)));
         let sid = self.session.load(Ordering::SeqCst);
         let hello = if sid == 0 {
@@ -839,153 +893,25 @@ where
             ids.sort_unstable();
             ids.iter().all(|id| tx.queue(&p[id].payload))
         };
-        if !(queued && tx.flush()) {
+        // From here on the I/O thread reads, and it never waits.
+        if !(queued && tx.flush()) || stream.set_nonblocking(true).is_err() {
             return Handshake::Failed;
         }
         let conn = Arc::new(ConnShared {
             tx,
             stream,
             alive: AtomicBool::new(true),
+            epoch: self.conn_epoch.fetch_add(1, Ordering::SeqCst) + 1,
         });
-        *self.reader_slot.lock() = Some((Arc::clone(&conn), rd));
         if sid != 0 {
             self.emit_healed(SessionEvent::PeerResumed);
         }
-        Handshake::Ready(conn)
+        Handshake::Ready(conn, rd)
     }
 
-    /// Spawns the driver: the transport's one background thread. It
-    /// serves the current connection's read side (decoding answers,
-    /// heartbeating every quarter-lease) and, when the connection dies,
-    /// redials + resumes + replays itself — parked durable callers
-    /// never have to. Holds only a weak reference between connections
-    /// so it cannot outlive the transport's death.
-    fn start_driver(self: &Arc<Self>) {
-        if self.driver_started.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let weak: Weak<Self> = Arc::downgrade(self);
-        let spawned = thread::Builder::new()
-            .name("script-net-spoke".into())
-            .spawn(move || loop {
-                let Some(shared) = weak.upgrade() else { return };
-                if shared.is_dead() || shared.closed.load(Ordering::SeqCst) {
-                    return;
-                }
-                let taken = shared.reader_slot.lock().take();
-                match taken {
-                    Some((conn, rd)) => shared.run_conn(&conn, rd),
-                    None => {
-                        if shared.closing.load(Ordering::SeqCst) {
-                            shared.die();
-                            return;
-                        }
-                        // Redial on behalf of parked callers; a fresh
-                        // handshake deposits the next reader for the
-                        // loop to take. `None` = die() already ran.
-                        if shared.ensure_conn().is_none() {
-                            return;
-                        }
-                    }
-                }
-            });
-        spawned.expect("spawn spoke driver");
-    }
-
-    /// Serves one connection until it dies: decodes frames, routes
-    /// answers to their slots, dispatches event pushes, and emits the
-    /// heartbeat — when the quarter-lease read timeout lapses, or as
-    /// soon as [`ACK_EVERY`] frames have been answered. The
-    /// [`FrameDecoder`] keeps partial frames across timeouts, so the
-    /// heartbeat clock cannot corrupt the stream.
-    fn run_conn(self: &Arc<Self>, conn: &Arc<ConnShared>, mut rd: TcpStream) {
-        let mut dec = FrameDecoder::new();
-        let quarter =
-            |s: &Self| Duration::from_millis((s.lease_ms.load(Ordering::SeqCst) / 4).max(25));
-        let mut next_hb = Instant::now() + quarter(self);
-        let mut answered = 0usize;
-        'conn: loop {
-            if self.is_dead() || self.closed.load(Ordering::SeqCst) {
-                break;
-            }
-            let now = Instant::now();
-            if now >= next_hb || answered >= ACK_EVERY {
-                self.blip_ticks.fetch_add(1, Ordering::Relaxed);
-                // Fire-and-forget: the ack arrives as an unmatched
-                // `Resp::Session` and renews the lease; `acked` lets
-                // the hub prune replay answers below our lowest
-                // still-pending request.
-                let acked = {
-                    let p = self.pending.lock();
-                    p.keys()
-                        .min()
-                        .copied()
-                        .unwrap_or_else(|| self.next_req.load(Ordering::Relaxed))
-                };
-                let (_, payload) = self.encode_req(&Req::Heartbeat { acked });
-                if !(conn.tx.queue(&payload) && conn.tx.flush()) {
-                    break;
-                }
-                next_hb = now + quarter(self);
-                answered = 0;
-            }
-            let wait = next_hb
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(5));
-            let _ = rd.set_read_timeout(Some(wait));
-            let status = match dec.read_once_from(&mut rd) {
-                Ok(s) => s,
-                Err(_) => break,
-            };
-            loop {
-                match dec.next_frame() {
-                    Ok(Some(frame)) => {
-                        if !self.on_frame(&frame) {
-                            break 'conn;
-                        }
-                        answered += 1;
-                    }
-                    Ok(None) => break,
-                    Err(_) => break 'conn,
-                }
-            }
-            if status == ReadStatus::Eof {
-                break;
-            }
-        }
-        // Connection over. Fast queries parked on it get a degraded
-        // answer now; durable requests stay queued for the replay.
-        conn.alive.store(false, Ordering::SeqCst);
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        let drained: Vec<PendingEntry<I, M>> = {
-            let mut p = self.pending.lock();
-            let ids: Vec<u64> = p
-                .iter()
-                .filter(|(_, e)| e.fast)
-                .map(|(id, _)| *id)
-                .collect();
-            ids.into_iter().filter_map(|id| p.remove(&id)).collect()
-        };
-        for e in drained {
-            e.slot.fill(SlotState::Lost);
-        }
-        if !self.is_dead() && !self.closed.load(Ordering::SeqCst) {
-            // Only the *current* connection's server announces the
-            // disconnect: a stale connection outliving a completed
-            // resume must not emit out of order after PeerResumed.
-            let is_current = self
-                .state
-                .lock()
-                .as_ref()
-                .is_some_and(|c| Arc::ptr_eq(c, conn));
-            if is_current {
-                self.emit_severed();
-            }
-        }
-        if self.closing.load(Ordering::SeqCst) {
-            // The hub said goodbye before the socket closed: terminal.
-            self.die();
-        }
+    /// The heartbeat period: a quarter of the lease the hub granted.
+    fn quarter_lease(&self) -> Duration {
+        Duration::from_millis((self.lease_ms.load(Ordering::SeqCst) / 4).max(25))
     }
 
     /// Routes one inbound frame: an event push or a pending answer.
@@ -1010,8 +936,8 @@ where
         let Ok(resp) = Resp::<I, M>::decode(&mut r) else {
             return false;
         };
-        // Any session answer — including the driver's unmatched
-        // heartbeat acks — renews the lease view.
+        // Any session answer — including the unmatched heartbeat
+        // acks — renews the lease view.
         if let Resp::Session { lease_ms, .. } = &resp {
             if *lease_ms > 0 {
                 self.lease_ms.store(*lease_ms, Ordering::SeqCst);
@@ -1022,6 +948,148 @@ where
             e.slot.fill(SlotState::Filled(resp));
         }
         true
+    }
+}
+
+/// One connection's read side as the I/O thread turns it: decodes
+/// frames, routes answers to their slots, dispatches event pushes, and
+/// emits the heartbeat — when the quarter-lease deadline is due, or as
+/// soon as [`ACK_EVERY`] frames have been answered. The
+/// [`FrameDecoder`] keeps partial frames between turns.
+struct SpokeIo<I, M> {
+    shared: Arc<Shared<I, M>>,
+    conn: Arc<ConnShared>,
+    rd: TcpStream,
+    dec: FrameDecoder,
+    next_hb: Instant,
+    /// Frames answered since the last heartbeat.
+    answered: usize,
+}
+
+impl<I, M> SpokeIo<I, M>
+where
+    I: Wire + Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Wire + Send + Sync + 'static,
+{
+    /// Reads what the socket has and routes every complete frame.
+    /// Returns `false` once the connection is over (EOF, I/O error, or
+    /// protocol corruption).
+    fn read(&mut self) -> bool {
+        let Ok(status) = self.dec.read_from(&mut self.rd) else {
+            return false;
+        };
+        loop {
+            match self.dec.next_frame() {
+                Ok(Some(frame)) => {
+                    if !self.shared.on_frame(&frame) {
+                        return false;
+                    }
+                    self.answered += 1;
+                }
+                Ok(None) => return status == ReadStatus::Blocked,
+                Err(_) => return false,
+            }
+        }
+    }
+
+    /// Fire-and-forget: the ack arrives as an unmatched `Resp::Session`
+    /// and renews the lease; `acked` lets the hub prune replay answers
+    /// below our lowest still-pending request.
+    fn heartbeat(&mut self) -> bool {
+        let shared = &self.shared;
+        shared.blip_ticks.fetch_add(1, Ordering::Relaxed);
+        let acked = {
+            let p = shared.pending.lock();
+            p.keys()
+                .min()
+                .copied()
+                .unwrap_or_else(|| shared.next_req.load(Ordering::Relaxed))
+        };
+        let (_, payload) = shared.encode_req(&Req::Heartbeat { acked });
+        self.next_hb = Instant::now() + shared.quarter_lease();
+        self.answered = 0;
+        self.conn.tx.push_now(&payload)
+    }
+}
+
+impl<I, M> Source for SpokeIo<I, M>
+where
+    I: Wire + Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Wire + Send + Sync + 'static,
+{
+    fn turn(&mut self, io: &mut Io<'_>, cause: Cause) -> Turn {
+        if self.shared.is_dead() || self.shared.closed.load(Ordering::SeqCst) {
+            return Turn::Done;
+        }
+        match cause {
+            Cause::Attached => {
+                io.register(fd_of(&self.rd), 0, true, false);
+            }
+            Cause::Ready { readiness, .. } if readiness.readable || readiness.hangup => {
+                if !self.read() {
+                    return Turn::Done;
+                }
+            }
+            Cause::Ready { .. } | Cause::Woken | Cause::Due => {}
+        }
+        if (self.answered >= ACK_EVERY || Instant::now() >= self.next_hb) && !self.heartbeat() {
+            return Turn::Done;
+        }
+        Turn::Until(Some(self.next_hb))
+    }
+
+    /// Connection over. Fast queries parked on it get a degraded answer
+    /// now; durable requests stay queued for the replay, which a redial
+    /// thread runs on behalf of their parked callers — unless the
+    /// session is over too.
+    fn close(&mut self, _io: &mut Io<'_>, panicked: bool) {
+        let (shared, conn) = (&self.shared, &self.conn);
+        conn.alive.store(false, Ordering::SeqCst);
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        if panicked {
+            // An observer panicked mid-dispatch: the event stream has a
+            // hole no resume can fill.
+            shared.die();
+            return;
+        }
+        let drained: Vec<PendingEntry<I, M>> = {
+            let mut p = shared.pending.lock();
+            let ids: Vec<u64> = p
+                .iter()
+                .filter(|(_, e)| e.fast)
+                .map(|(id, _)| *id)
+                .collect();
+            ids.into_iter().filter_map(|id| p.remove(&id)).collect()
+        };
+        for e in drained {
+            e.slot.fill(SlotState::Lost);
+        }
+        if shared.is_dead() || shared.closed.load(Ordering::SeqCst) {
+            return;
+        }
+        // Only the *current* connection announces the disconnect: a
+        // stale connection outliving a completed resume must not emit
+        // out of order after PeerResumed.
+        if conn.epoch == shared.conn_epoch.load(Ordering::SeqCst) {
+            shared.emit_severed();
+        }
+        if shared.closing.load(Ordering::SeqCst) {
+            // The hub said goodbye before the socket closed: terminal.
+            shared.die();
+            return;
+        }
+        // Dial, hello and back-off block, so not here. Detached: it
+        // ends with the redial, or with the session when that fails.
+        let redial = Arc::clone(shared);
+        let spawned = thread::Builder::new()
+            .name("script-net-redial".into())
+            .spawn(move || {
+                let _ = redial.ensure_conn();
+            });
+        match spawned {
+            Ok(_) => reactor::note_redial_thread(),
+            Err(_) => shared.die(),
+        }
     }
 }
 
@@ -1086,8 +1154,7 @@ where
                 bound: Mutex::new(Vec::new()),
                 severed: Mutex::new(Vec::new()),
                 subscribed: AtomicBool::new(false),
-                driver_started: AtomicBool::new(false),
-                reader_slot: Mutex::new(None),
+                conn_epoch: AtomicU64::new(0),
             }),
             latency: LatencyHooks::default(),
         }
@@ -1165,15 +1232,11 @@ where
 fn close_shared<I, M>(shared: &Arc<Shared<I, M>>) {
     shared.closed.store(true, Ordering::SeqCst);
     shared.die();
+    // Shutting the socket is also what tells the I/O thread: the
+    // connection's source sees the end and releases its handles.
     if let Some(conn) = shared.state.lock().take() {
         conn.alive.store(false, Ordering::SeqCst);
         let _ = conn.stream.shutdown(Shutdown::Both);
-    }
-    // A handshake that deposited its reader before anyone served it
-    // still owns a socket; release it.
-    if let Some((conn, rd)) = shared.reader_slot.lock().take() {
-        conn.alive.store(false, Ordering::SeqCst);
-        let _ = rd.shutdown(Shutdown::Both);
     }
 }
 

@@ -153,36 +153,6 @@ impl FrameDecoder {
         }
     }
 
-    /// One read call from `r`, buffering whatever arrives. For
-    /// *blocking* sockets with a read timeout: unlike
-    /// [`FrameDecoder::read_from`], this returns as soon as any bytes
-    /// land instead of issuing another read that would sleep out the
-    /// rest of the timeout.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error other than `WouldBlock`/`TimedOut`/`Interrupted`.
-    pub fn read_once_from(&mut self, r: &mut impl Read) -> io::Result<ReadStatus> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match r.read(&mut chunk) {
-                Ok(0) => return Ok(ReadStatus::Eof),
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    return Ok(ReadStatus::Blocked);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(ReadStatus::Blocked);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Extracts the next complete frame, if one is buffered.
     ///
     /// # Errors

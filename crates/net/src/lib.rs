@@ -66,7 +66,7 @@
 //! every conformance invariant and chaos-replay guarantee carries over
 //! unchanged.
 
-// `deny`, not `forbid`: the reactor's `sys` module carries the one
+// `deny`, not `forbid`: the `reactor` module's `sys` carries the one
 // scoped `#[allow(unsafe_code)]` in the crate — the hand-written FFI
 // prototype of poll(2).
 #![deny(unsafe_code)]
@@ -86,5 +86,6 @@ pub use descriptor::PerfDescriptor;
 pub use fleet::{FleetClient, HubFleet};
 pub use frame::{read_frame, write_frame, FrameDecoder, WriteBuf};
 pub use proto::EVENT_REQ_ID;
+pub use reactor::{io_stats, IoStats};
 pub use server::{HubStats, TransportServer};
 pub use wire::{Reader, Wire, WireError, MAX_FRAME};

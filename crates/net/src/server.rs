@@ -10,31 +10,40 @@
 //! chaos seed replay the identical fault log whether the participants
 //! are threads or processes.
 //!
-//! # The reactor
+//! # The I/O thread
 //!
-//! The hub is a single **event loop** ([`reactor`](crate::reactor)):
-//! one thread owns the nonblocking listener, every spoke connection's
-//! read buffer ([`FrameDecoder`]), every connection's coalescing output
-//! buffer ([`WriteBuf`] behind a `ConnTx`), and the lease-sweep
-//! timer. Accepts, request decoding, and response flushing all happen
-//! on that one thread — the hub's thread count is O(1) in the number
-//! of connected spokes, where the previous design spent a thread per
-//! connection plus a thread per parked rendezvous plus a sweeper.
+//! The hub owns **no thread**: it is a source on the process's one
+//! `script-net-io` thread ([`reactor`]), which turns it
+//! when its nonblocking listener or a spoke connection is ready, when
+//! answers were queued for it, and when its lease sweep is due. The
+//! hub's side of a turn owns every spoke connection's read buffer
+//! ([`FrameDecoder`]) and coalescing output buffer ([`WriteBuf`] behind
+//! a `ConnTx`). Accepts, request decoding, and response flushing all
+//! happen there — a hub costs no thread however many spokes connect,
+//! and hubs co-hosted in one process take turns on the one thread.
 //!
 //! Blocking operations (`Send`, `Select`) are **submitted, not
-//! awaited**: the reactor hands them to the inner transport's
+//! awaited**: the hub hands them to the inner transport's
 //! asynchronous entry points ([`Transport::submit_send`] /
 //! [`Transport::submit_select`]) with a completion callback that
 //! encodes the response into the owning connection's output buffer —
 //! the hub answers out of order, as many requests deep as the spokes
 //! care to pipeline. The inner transport steps a submitted operation on
 //! the submitting thread, so the usual turn is read → decode → step
-//! both sides of the rendezvous → one coalesced write, all on the
-//! reactor; a callback on another thread wakes it only while it is
-//! parked (see [`Waker`]). Submission is the only path: the reactor is
-//! the hub's one thread, and an inner transport that declines it (the
-//! default trait methods do) gets the operation failed closed with
-//! [`Aborted`](script_chan::ChanError::Aborted).
+//! both sides of the rendezvous → one coalesced write, all on the I/O
+//! thread; a callback on another thread wakes it only while it is
+//! parked (see [`Waker`](crate::reactor::Waker)). Submission is the
+//! only path: nothing here may block, and an inner transport that
+//! declines it (the default trait methods do) gets the operation failed
+//! closed with [`Aborted`](script_chan::ChanError::Aborted).
+//!
+//! **What runs on that thread must not block.** Completion callbacks,
+//! the inner transport's observers and the message labeler
+//! ([`TransportServer::set_message_labeler`]) all run on
+//! `script-net-io`, where every hub and spoke in the process waits its
+//! turn. One that panics takes down its hub only: the turn is wrapped in
+//! `catch_unwind`, the hub shuts down as if dropped, and the other
+//! sources keep being served.
 //!
 //! **Sessions.** Every connection belongs to a session: its first
 //! frame must be [`Req::HelloNew`] or [`Req::HelloResume`], and a
@@ -53,7 +62,7 @@
 //! prunes the cache (spokes send one every quarter-lease and every
 //! [`ACK_EVERY`](crate::client::ACK_EVERY) answers, whichever comes
 //! first); only lease expiry degrades to crashed-peer
-//! semantics: the reactor's sweep timer finishes every bound id, so
+//! semantics: the hub's sweep timer finishes every bound id, so
 //! remaining participants observe the standard
 //! [`Terminated`](script_chan::ChanError::Terminated) error exactly as
 //! before sessions existed.
@@ -81,9 +90,8 @@ use std::fmt;
 use std::hash::Hash;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -94,7 +102,7 @@ use script_chan::{
 
 use crate::frame::{FrameDecoder, ReadStatus, WriteBuf};
 use crate::proto::{deadline_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
-use crate::reactor::{fd_of, Poller, Waker};
+use crate::reactor::{self, fd_of, Cause, Io, Notify, Source, Turn};
 use crate::wire::{Reader, Wire};
 
 /// Default session lease: how long a severed session's bound
@@ -106,30 +114,25 @@ pub const DEFAULT_LEASE: Duration = Duration::from_secs(1);
 /// behind would gap anyway).
 const EVENT_BUFFER_CAP: usize = 8192;
 
-/// A connection's shared output side: any thread — the reactor, an
+/// A connection's shared output side: any thread — the I/O thread, an
 /// inner-transport completion callback, the fault observer — queues
-/// frames here; the reactor writes everything queued during a turn in
-/// one flush before it parks.
+/// frames here; the I/O thread writes everything queued during a turn
+/// in one flush before it parks.
 struct ConnTx {
     buf: Mutex<WriteBuf>,
-    waker: Arc<Waker>,
+    /// The hub's doorbell on the I/O thread.
+    hub: Arc<Notify>,
 }
 
 impl ConnTx {
-    /// Queues one already-encoded `(req_id, payload)` frame and wakes
-    /// the reactor if it is parked. Oversized payloads cannot occur
-    /// (every response is hub-built) and are dropped defensively.
+    /// Queues one already-encoded `(req_id, payload)` frame and asks
+    /// the I/O thread for a flush, waking it if it is parked. Oversized
+    /// payloads cannot occur (every response is hub-built) and are
+    /// dropped defensively.
     fn push(&self, payload: &[u8]) {
         let _ = self.buf.lock().push_frame(payload);
-        self.waker.wake();
+        self.hub.wake();
     }
-}
-
-/// Cross-thread view of one registered client connection (shutdown
-/// pushes [`Event::Closing`] through it).
-struct ConnEntry {
-    id: u64,
-    tx: Arc<ConnTx>,
 }
 
 /// One spoke session: state that must survive connection loss.
@@ -183,20 +186,22 @@ struct SessionState<I> {
 
 struct ServerShared<I, M> {
     inner: Arc<dyn Transport<I, M>>,
-    conns: Mutex<Vec<ConnEntry>>,
+    /// Connections the hub's source holds, for [`HubStats`].
+    connections: AtomicUsize,
     sessions: Mutex<HashMap<u64, Arc<Session<I>>>>,
     shutdown: AtomicBool,
     next_conn: AtomicU64,
     next_session: AtomicU64,
     lease: Duration,
-    waker: Arc<Waker>,
+    /// Rung whenever the hub has output to flush or has shut down.
+    notify: Arc<Notify>,
 }
 
 /// A point-in-time count of one hub's own tables (see
 /// [`TransportServer::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HubStats {
-    /// TCP connections the reactor currently holds.
+    /// TCP connections the hub currently holds.
     pub connections: usize,
     /// Sessions alive on this hub, attached or awaiting a resume.
     pub sessions: usize,
@@ -236,11 +241,15 @@ where
     /// itself as `inner`'s fault observer to stream fault events to
     /// subscribed clients and to enact connection faults.
     ///
-    /// The hub's reactor is its only thread, so it serves blocking
-    /// operations solely through [`Transport::submit_send`] /
-    /// [`Transport::submit_select`]: an `inner` that declines them has
-    /// every remote `send` and `select` answered
-    /// [`ChanError::Aborted`].
+    /// The hub runs on the process's I/O thread, which must not block,
+    /// so it serves blocking operations solely through
+    /// [`Transport::submit_send`] / [`Transport::submit_select`]: an
+    /// `inner` that declines them has every remote `send` and `select`
+    /// answered [`ChanError::Aborted`]. For the same reason `inner` must
+    /// not itself be a [`SocketTransport`](crate::SocketTransport) of
+    /// this process: its calls would wait, on the I/O thread, for
+    /// answers only the I/O thread can read (no in-repo caller stacks
+    /// them so).
     ///
     /// # Errors
     ///
@@ -264,16 +273,15 @@ where
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let waker = Arc::new(Waker::new()?);
         let shared = Arc::new(ServerShared {
             inner,
-            conns: Mutex::new(Vec::new()),
+            connections: AtomicUsize::new(0),
             sessions: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
             lease,
-            waker,
+            notify: Arc::default(),
         });
         // Weak: the inner transport must not keep the hub alive through
         // its own observer slot.
@@ -295,11 +303,10 @@ where
             }),
             no_label::<M>,
         );
-        let reactor_shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("script-net-hub".into())
-            .spawn(move || Reactor::new(reactor_shared, listener).run())
-            .expect("spawn hub reactor");
+        reactor::register(
+            Box::new(HubIo::new(Arc::clone(&shared), listener)),
+            Arc::clone(&shared.notify),
+        );
         Ok(Self { shared, addr })
     }
 
@@ -363,7 +370,7 @@ impl<I, M> ServerShared<I, M> {
     fn stats(&self) -> HubStats {
         let sessions = self.sessions.lock();
         HubStats {
-            connections: self.conns.lock().len(),
+            connections: self.connections.load(Ordering::Relaxed),
             sessions: sessions.len(),
             cached_answers: sessions.values().map(|s| s.state.lock().done.len()).sum(),
         }
@@ -377,16 +384,9 @@ impl<I, M> ServerShared<I, M> {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Best-effort shutdown notice: the reactor flushes these before
-        // it closes the sockets, so spokes fail fast instead of
-        // entering their redial loops.
-        let mut closing = Vec::new();
-        EVENT_REQ_ID.encode(&mut closing);
-        Event::<u64>::Closing.encode(&mut closing);
-        for conn in self.conns.lock().iter() {
-            conn.tx.push(&closing);
-        }
-        self.waker.wake();
+        // The hub's source sees the flag on its next turn, says goodbye
+        // to every spoke and closes the sockets.
+        self.notify.wake();
         // Hub death is final for every session: finish the bound ids so
         // hub-local participants observe crashed peers, not a hang.
         let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().drain().map(|(_, s)| s).collect();
@@ -404,7 +404,7 @@ impl<I, M> ServerShared<I, M> {
     }
 }
 
-/// Per-connection routing state on the reactor.
+/// Per-connection routing state on the I/O thread.
 enum ConnMode<I> {
     /// No frame seen yet: the first one must be a session handshake.
     Fresh,
@@ -412,7 +412,7 @@ enum ConnMode<I> {
     Session { sess: Arc<Session<I>>, epoch: u64 },
 }
 
-/// One connection owned by the reactor.
+/// One connection owned by the hub's source.
 struct Conn<I> {
     stream: TcpStream,
     dec: FrameDecoder,
@@ -423,26 +423,95 @@ struct Conn<I> {
     closing: bool,
     /// This connection's slot in the persistent poll set.
     tok: usize,
-    /// The write-interest bit currently registered for `tok`; the loop
+    /// The write-interest bit currently registered for `tok`; a flush
     /// patches the poller only when the desired bit differs.
     want_write: bool,
 }
 
-/// The hub's event loop (see the module docs).
-struct Reactor<I, M> {
+/// The listener's key in the poll set; connections use their ids, which
+/// count up from 0.
+const LISTENER: u64 = u64::MAX;
+
+/// The hub as the I/O thread turns it (see the module docs).
+struct HubIo<I, M> {
     shared: Arc<ServerShared<I, M>>,
     listener: TcpListener,
     conns: HashMap<u64, Conn<I>>,
-    poller: Poller,
-    /// The listener's permanent slot in the poll set.
-    listener_tok: usize,
-    /// The waker's permanent slot in the poll set.
-    waker_tok: usize,
     next_sweep: Instant,
     sweep_tick: Duration,
+    /// Scratch list of connections to tear down, reused turn after turn.
+    dead: Vec<u64>,
 }
 
-impl<I, M> Reactor<I, M>
+impl<I, M> Source for HubIo<I, M>
+where
+    I: Wire + Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Wire + Clone + Send + Sync + 'static,
+{
+    fn turn(&mut self, io: &mut Io<'_>, cause: Cause) -> Turn {
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            return Turn::Done;
+        }
+        match cause {
+            // The poll set is persistent: the listener registers once
+            // here, connections register on accept and tombstone on
+            // teardown.
+            Cause::Attached => {
+                io.register(fd_of(&self.listener), LISTENER, true, false);
+            }
+            Cause::Woken => self.flush_all(io),
+            Cause::Ready { key: LISTENER, .. } => self.accept_ready(io),
+            Cause::Ready { key: id, readiness } => {
+                // Reads: drain the connection and route its complete
+                // frames. The answers are written by the flush their
+                // doorbell asks for, all of a connection's in one write.
+                if (readiness.readable || readiness.hangup) && !self.service_read(id) {
+                    self.teardown(io, id);
+                } else if readiness.writable {
+                    // A partial write's remainder can go now.
+                    self.shared.notify.wake();
+                }
+            }
+            Cause::Due => {
+                self.shared.sweep_expired();
+                self.next_sweep = Instant::now() + self.sweep_tick;
+            }
+        }
+        Turn::Until(Some(self.next_sweep))
+    }
+
+    /// Shutdown — or a panicked turn, which shuts the hub down the same
+    /// way: behind whatever answers are still queued, every connection
+    /// gets an [`Event::Closing`] — best effort, so spokes fail fast
+    /// instead of entering their redial loops — and then everything is
+    /// closed. Queued here, by the owner of the connections, so no
+    /// connection can close before its goodbye is in its buffer. The
+    /// one place the I/O thread lets a write wait: up to 100 ms for a
+    /// spoke whose receive buffer is full.
+    fn close(&mut self, io: &mut Io<'_>, _panicked: bool) {
+        self.shared.shutdown_hub();
+        let mut closing = Vec::new();
+        EVENT_REQ_ID.encode(&mut closing);
+        Event::<u64>::Closing.encode(&mut closing);
+        let ids: Vec<u64> = self.conns.keys().copied().collect();
+        for id in &ids {
+            if let Some(conn) = self.conns.get_mut(id) {
+                let _ = conn.stream.set_nonblocking(false);
+                let _ = conn
+                    .stream
+                    .set_write_timeout(Some(Duration::from_millis(100)));
+                let mut buf = conn.tx.buf.lock();
+                let _ = buf.push_frame(&closing);
+                let _ = buf.flush_to(&mut conn.stream);
+            }
+        }
+        for id in ids {
+            self.teardown(io, id);
+        }
+    }
+}
+
+impl<I, M> HubIo<I, M>
 where
     I: Wire + Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
     M: Wire + Clone + Send + Sync + 'static,
@@ -450,85 +519,24 @@ where
     fn new(shared: Arc<ServerShared<I, M>>, listener: TcpListener) -> Self {
         let sweep_tick =
             (shared.lease / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
-        // The poll set is persistent: the listener and waker register
-        // once here, connections register on accept and tombstone on
-        // teardown — no per-wake rebuild.
-        let mut poller = Poller::new();
-        let listener_tok = poller.register(fd_of(&listener), true, false);
-        let waker_tok = poller.register(shared.waker.read_fd(), true, false);
         Self {
             shared,
             listener,
             conns: HashMap::new(),
-            poller,
-            listener_tok,
-            waker_tok,
             next_sweep: Instant::now() + sweep_tick,
             sweep_tick,
+            dead: Vec::new(),
         }
     }
 
-    fn run(mut self) {
-        // Scratch lists, reused turn after turn.
-        let mut readable: Vec<u64> = Vec::new();
-        let mut dead: Vec<u64> = Vec::new();
-        loop {
-            // Park first, look second: a producer that queued output
-            // (or flagged shutdown) before this point is seen by the
-            // checks below, one that comes after finds the reactor
-            // parked and sends the wake byte.
-            self.shared.waker.park();
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                self.drain_and_close();
-                return;
-            }
-            self.flush_all(&mut dead);
-            for id in dead.drain(..) {
-                self.teardown(id);
-            }
-            let timeout = self.next_sweep.saturating_duration_since(Instant::now());
-            if self.poller.wait(Some(timeout)).is_err() {
-                // A torn-down fd raced into the set; retry next turn
-                // (poll reports it as POLLNVAL readiness, not an error,
-                // on every supported platform).
-                thread::yield_now();
-            }
-            // Awake: completions that run on this thread from here on —
-            // most of them, since submitted operations are stepped by
-            // their submitter — queue their answers without a wake.
-            self.shared.waker.unpark();
-            if self.poller.readiness(self.waker_tok).readable {
-                self.shared.waker.drain();
-            }
-            if Instant::now() >= self.next_sweep {
-                self.shared.sweep_expired();
-                self.next_sweep = Instant::now() + self.sweep_tick;
-            }
-            if self.poller.readiness(self.listener_tok).readable {
-                self.accept_ready();
-            }
-            // Reads: drain every readable connection and route its
-            // complete frames. The answers are written by the next
-            // turn's flush, all of a connection's in one write.
-            readable.extend(self.conns.iter().filter_map(|(id, c)| {
-                let r = self.poller.readiness(c.tok);
-                (r.readable || r.hangup).then_some(*id)
-            }));
-            for id in readable.drain(..) {
-                if !self.service_read(id) {
-                    dead.push(id);
-                }
-            }
-        }
-    }
-
-    /// The last thing before the reactor blocks: one coalesced write
+    /// The last thing before the I/O thread blocks: one coalesced write
     /// per connection with queued output (a nonblocking partial write
-    /// leaves the rest, and write interest, for the next turn), and the
-    /// write-interest bit patched in place where it changed. Appends to
-    /// `dead` the connections to tear down: a failed write, or a
-    /// close-after-flush that drained.
-    fn flush_all(&mut self, dead: &mut Vec<u64>) {
+    /// leaves the rest, and write interest, for a later turn), and the
+    /// write-interest bit patched in place where it changed. Tears down
+    /// the connections whose write failed, or whose close-after-flush
+    /// drained.
+    fn flush_all(&mut self, io: &mut Io<'_>) {
+        let mut dead = std::mem::take(&mut self.dead);
         for (id, conn) in &mut self.conns {
             let drained = match conn.tx.buf.lock().flush_to(&mut conn.stream) {
                 Ok(drained) => drained,
@@ -542,13 +550,17 @@ where
             }
             if conn.want_write == drained {
                 conn.want_write = !drained;
-                self.poller.set_interest(conn.tok, true, conn.want_write);
+                io.set_interest(conn.tok, true, conn.want_write);
             }
         }
+        for id in dead.drain(..) {
+            self.teardown(io, id);
+        }
+        self.dead = dead;
     }
 
     /// Accepts every pending connection.
-    fn accept_ready(&mut self) {
+    fn accept_ready(&mut self, io: &mut Io<'_>) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -559,13 +571,10 @@ where
                     let id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
                     let tx = Arc::new(ConnTx {
                         buf: Mutex::new(WriteBuf::new()),
-                        waker: Arc::clone(&self.shared.waker),
+                        hub: Arc::clone(&self.shared.notify),
                     });
-                    self.shared.conns.lock().push(ConnEntry {
-                        id,
-                        tx: Arc::clone(&tx),
-                    });
-                    let tok = self.poller.register(fd_of(&stream), true, false);
+                    self.shared.connections.fetch_add(1, Ordering::Relaxed);
+                    let tok = io.register(fd_of(&stream), id, true, false);
                     self.conns.insert(
                         id,
                         Conn {
@@ -903,12 +912,12 @@ where
 
     /// Removes a connection. Its session, if it opened one, merely
     /// detaches and awaits resume or lease expiry.
-    fn teardown(&mut self, id: u64) {
+    fn teardown(&mut self, io: &mut Io<'_>, id: u64) {
         let Some(conn) = self.conns.remove(&id) else {
             return;
         };
-        self.poller.deregister(conn.tok);
-        self.shared.conns.lock().retain(|c| c.id != id);
+        io.deregister(conn.tok);
+        self.shared.connections.fetch_sub(1, Ordering::Relaxed);
         let _ = conn.stream.shutdown(Shutdown::Both);
         match conn.mode {
             ConnMode::Fresh => {}
@@ -932,25 +941,6 @@ where
                     }
                 }
             }
-        }
-    }
-
-    /// Shutdown path: briefly re-enable blocking writes to deliver the
-    /// queued [`Event::Closing`] notices, then close everything.
-    fn drain_and_close(&mut self) {
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in &ids {
-            if let Some(conn) = self.conns.get_mut(id) {
-                let _ = conn.stream.set_nonblocking(false);
-                let _ = conn
-                    .stream
-                    .set_write_timeout(Some(Duration::from_millis(100)));
-                let mut buf = conn.tx.buf.lock();
-                let _ = buf.flush_to(&mut conn.stream);
-            }
-        }
-        for id in ids {
-            self.teardown(id);
         }
     }
 }
@@ -1007,7 +997,7 @@ where
     }
 
     /// Queues one `(req_id, resp)` frame on a connection's output
-    /// buffer; the reactor flushes it before it next parks.
+    /// buffer; the I/O thread flushes it before it next parks.
     fn respond(&self, tx: &ConnTx, req_id: u64, resp: &Resp<I, M>) {
         tx.push(&encode_answer(req_id, resp));
     }
@@ -1065,10 +1055,10 @@ where
     /// The inner transport's fault observer: streams the record to
     /// every subscriber, then *enacts* connection faults by severing
     /// the session carrying the faulted edge. Runs on whatever thread
-    /// injected the fault — the reactor itself for spoke-submitted
+    /// injected the fault — the I/O thread itself for spoke-submitted
     /// operations — so it only touches the cross-thread state
     /// ([`ConnTx`], session state, raw stream handles), never the
-    /// reactor's own maps.
+    /// hub source's own maps.
     fn handle_fault(&self, rec: &FaultRecord<I>) {
         self.stream(|| StreamItem::Fault(rec.clone()));
         // Enact connection faults: tear down the connection of the

@@ -124,6 +124,7 @@ fn write_applied_but_ack_severed_is_not_double_applied() {
     let client = spoke(&server);
     client.activate("g".to_string());
     inner.activate("h".to_string());
+    let redials_before = script_net::io_stats().redial_threads;
     // The spoke subscribes to the hub's fault stream, which resumes
     // gaplessly with the session: the push for an operation's faults
     // reaches it before that operation's (replayed) answer.
@@ -169,6 +170,9 @@ fn write_applied_but_ack_severed_is_not_double_applied() {
         "the chaos layer pushed the sever: {log:?}"
     );
     assert!(!client.is_lost(), "the session resumed within its lease");
+    // The caller was parked on its answer the whole time: the resume
+    // ran on a redial thread, started when the connection died.
+    assert!(script_net::io_stats().redial_threads > redials_before);
 }
 
 /// `{:?}` on a [`Network`] asks its transport nothing: over a spoke it
@@ -319,21 +323,86 @@ fn connection_without_a_session_handshake_is_severed() {
     assert_eq!(server.stats().sessions, 1);
 }
 
+/// An in-process transport that keeps the trait's declining
+/// `submit_send` / `submit_select` defaults: everything else passes
+/// through to a [`ShardedTransport`].
+struct Declining(ShardedTransport<String, u64>);
+
+impl Transport<String, u64> for Declining {
+    fn cast(&self, steps: &[CastStep<String>]) {
+        self.0.cast(steps);
+    }
+    fn abort(&self) {
+        self.0.abort();
+    }
+    fn is_aborted(&self) -> bool {
+        self.0.is_aborted()
+    }
+    fn peer_state(&self, id: &String) -> Option<PeerState> {
+        self.0.peer_state(id)
+    }
+    fn activity(&self) -> u64 {
+        self.0.activity()
+    }
+    fn reseed(&self, seed: u64) {
+        self.0.reseed(seed);
+    }
+    fn ensure_peer(&self, id: &String) -> Result<(), ChanError<String>> {
+        self.0.ensure_peer(id)
+    }
+    fn has_pending_from(&self, to: &String, from: &String) -> bool {
+        self.0.has_pending_from(to, from)
+    }
+    fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&u64) -> u64) {
+        self.0.set_fault_plan(plan, clone_fn);
+    }
+    fn clear_fault_plan(&self) {
+        self.0.clear_fault_plan();
+    }
+    fn fault_plan(&self) -> Option<FaultPlan> {
+        self.0.fault_plan()
+    }
+    fn set_fault_observer(&self, observer: script_chan::FaultObserver<String>) {
+        self.0.set_fault_observer(observer);
+    }
+    fn send(
+        &self,
+        from: &String,
+        to: &String,
+        msg: u64,
+        deadline: Option<Instant>,
+    ) -> Result<(), ChanError<String>> {
+        self.0.send(from, to, msg, deadline)
+    }
+    fn try_recv(&self, me: &String, from: &String) -> Result<Option<u64>, ChanError<String>> {
+        self.0.try_recv(me, from)
+    }
+    fn select(
+        &self,
+        me: &String,
+        arms: Vec<Arm<String, u64>>,
+        deadline: Option<Instant>,
+    ) -> Result<Outcome<String, u64>, ChanError<String>> {
+        self.0.select(me, arms, deadline)
+    }
+}
+
 /// The hub has no thread to block on an inner transport's behalf: an
-/// inner that declines submission — here a spoke of another hub, which
-/// keeps the trait's declining defaults — has every remote send and
-/// select failed closed, while non-blocking requests still pass
-/// through.
+/// inner that declines submission has every remote send and select
+/// failed closed, while non-blocking requests still pass through. (The
+/// inner is not a spoke of another hub of this process, which declines
+/// too: the hub's calls into it would wait on the I/O thread for
+/// answers only the I/O thread reads.)
 #[test]
 fn inner_transport_without_submission_fails_closed() {
-    let upstream = hub();
-    let inner: Arc<dyn Transport<String, u64>> = Arc::new(spoke(&upstream));
+    let declining = Arc::new(Declining(ShardedTransport::new(false, Some(7))));
+    let inner: Arc<dyn Transport<String, u64>> = declining.clone();
     let chained = TransportServer::bind("127.0.0.1:0", inner).expect("bind");
     let client = spoke(&chained);
     let (a, b) = ("a".to_string(), "b".to_string());
     client.activate(a.clone());
     client.activate(b.clone());
-    assert!(upstream.inner().peer_state(&a).is_some());
+    assert!(declining.peer_state(&a).is_some());
     assert!(matches!(
         client.send(&a, &b, 1, far()),
         Err(ChanError::Aborted)
@@ -743,4 +812,92 @@ fn port_for_an_activated_id_sends_no_frame() {
         net.port("mine".to_string()).map(|_| ()),
         Err(ChanError::Terminated("mine".to_string()))
     );
+}
+
+/// Spoke observers run on the process's I/O thread, next to every other
+/// hub and spoke: one that panics kills its own spoke — the session
+/// dies, parked callers are released — and nothing else. A second hub
+/// and spoke in the same process keep serving.
+#[test]
+fn panicking_observer_kills_its_spoke_only() {
+    let (a, b) = ("a".to_string(), "b".to_string());
+    let server = hub();
+    let doomed = Arc::new(spoke(&server));
+    doomed.set_rendezvous_observer(Arc::new(|_| panic!("observer bug")), |_| None);
+    doomed.activate(a.clone());
+    doomed.activate(b.clone());
+    let other_server = hub();
+    let other = Arc::new(spoke(&other_server));
+    other.activate(a.clone());
+    other.activate(b.clone());
+
+    let pair = |t: &Arc<SocketTransport<String, u64>>| {
+        let (sender, to, from) = (Arc::clone(t), b.clone(), a.clone());
+        let send = thread::spawn(move || sender.send(&from, &to, 9, far()));
+        let got = t.select(&b, vec![Arm::recv_any()], far());
+        (send.join().expect("sender thread"), got)
+    };
+    // The rendezvous completes hub-side; its record reaches the
+    // observer before either answer is routed, and the panic takes the
+    // session with it: both callers are released with a loss.
+    let (sent, got) = pair(&doomed);
+    assert!(sent.is_err() && got.is_err(), "{sent:?} {got:?}");
+    assert!(doomed.is_lost());
+
+    let (sent, got) = pair(&other);
+    sent.expect("the other spoke still sends");
+    assert!(
+        matches!(got, Ok(Outcome::Received { msg: 9, .. })),
+        "{got:?}"
+    );
+    assert!(!other.is_lost());
+}
+
+/// A hub dropped with answers still on their way out says goodbye
+/// first: whatever it answered precedes [`Event::Closing`], which is the
+/// last frame before the socket closes — so a spoke fails fast instead
+/// of redialing a dead address.
+#[test]
+fn dropped_hub_flushes_closing_before_its_sockets_close() {
+    use script_net::proto::{Event, Resp};
+    use script_net::{read_frame, write_frame, Reader, EVENT_REQ_ID};
+
+    let server = hub();
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw dial");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let frame_of = |req_id: u64, req: &Req<String, u64>| {
+        let mut frame = Vec::new();
+        req_id.encode(&mut frame);
+        req.encode(&mut frame);
+        frame
+    };
+    write_frame(&mut raw, &frame_of(1, &Req::HelloNew)).expect("hello");
+    let hello = read_frame(&mut raw).expect("read").expect("session answer");
+    assert_eq!(u64::decode(&mut Reader::new(&hello)).unwrap(), 1);
+
+    // A pipelined burst, and the hub goes while it is being answered.
+    const BURST: u64 = 64;
+    for req_id in 2..2 + BURST {
+        write_frame(&mut raw, &frame_of(req_id, &Req::Activity)).expect("burst");
+    }
+    drop(server);
+
+    let mut next_answer = 2;
+    let mut closing_seen = false;
+    while let Some(frame) = read_frame(&mut raw).expect("a clean close, on a frame boundary") {
+        assert!(!closing_seen, "a frame after the goodbye");
+        let mut r = Reader::new(&frame);
+        let req_id = u64::decode(&mut r).expect("frame id");
+        if req_id == EVENT_REQ_ID {
+            let event = Event::<String>::decode(&mut r).expect("event");
+            assert!(matches!(event, Event::Closing), "{event:?}");
+            closing_seen = true;
+        } else {
+            assert_eq!(req_id, next_answer, "answers in request order");
+            let resp = Resp::<String, u64>::decode(&mut r).expect("answer");
+            assert!(matches!(resp, Resp::Counter(_)));
+            next_answer += 1;
+        }
+    }
+    assert!(closing_seen, "the socket closed without a goodbye");
 }

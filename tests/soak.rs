@@ -606,8 +606,9 @@ fn membership_churn_soak() {
 ///   sender's values exactly once, in per-sender order;
 /// * **one hub, every spoke** — at peak topology the hub's own
 ///   [`TransportServer::stats`] count exactly one connection and one
-///   session per spoke plus the observer's (that one reactor thread
-///   serves them all is structural: the hub has no other spawn site);
+///   session per spoke plus the observer's (that one I/O thread
+///   serves them all, and every spoke's read side too, is structural:
+///   neither the hub nor a connected spoke has a spawn site);
 /// * **gapless telemetry** — a certain delay fault plan stamps every
 ///   send with one fault record, and a spoke observer subscribed
 ///   before any traffic must collect exactly one record per send,
@@ -734,7 +735,7 @@ fn fan_in(spokes: usize, per: u64) {
     drop(server);
 }
 
-/// CI-sized fan-in: 64 spokes, one reactor thread, gapless telemetry.
+/// CI-sized fan-in: 64 spokes, one I/O thread, gapless telemetry.
 #[test]
 fn fan_in_smoke() {
     fan_in(64, 4);
@@ -742,8 +743,9 @@ fn fan_in_smoke() {
 
 /// The 1024-spoke fan-in soak from the scalability acceptance criteria
 /// (see the ROADMAP triage table): the hub must hold ≥ 1k concurrent
-/// sessions on O(1) reactor threads. Needs ~7k file descriptors and
-/// ~2k client-side threads; run explicitly.
+/// sessions on the process's one I/O thread. Needs ~7k file descriptors
+/// and ~1k client-side threads (one sender per spoke; the spokes
+/// themselves have none since PR 19); run explicitly.
 #[test]
 #[ignore = "soak test: run explicitly"]
 fn fan_in_soak() {
