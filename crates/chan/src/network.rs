@@ -163,8 +163,10 @@ where
     /// steps take effect exactly as [`Network::declare`],
     /// [`Network::activate`], [`Network::finish`] and [`Network::seal`]
     /// would apply them one by one, but blocked participants are woken
-    /// once and a remote transport sends the run as one frame. This is
-    /// how an engine binds a performance's cast.
+    /// once and a remote transport sends the run as one frame, without
+    /// waiting for the answer (see the ordering rule on
+    /// [`Transport::cast`]). This is how an engine binds a
+    /// performance's cast.
     pub fn cast(&self, steps: &[CastStep<I>]) {
         self.transport.cast(steps);
     }

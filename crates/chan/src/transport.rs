@@ -217,10 +217,18 @@ pub enum CastStep<I> {
 ///   in send order (per-edge FIFO).
 /// * **Lifecycle.** Peers move `Expected → Active → Done`;
 ///   [`Transport::declare`] never downgrades a state. A
-///   [`Transport::cast`] run is applied in order and acknowledged as a
-///   whole: when it returns every step has taken effect, exactly as if
-///   each had been issued alone, and [`Transport::activity`] has
-///   advanced by one per step. Operations naming
+///   [`Transport::cast`] run is applied in order and as a whole,
+///   exactly as if each step had been issued alone, and ordered before
+///   every later operation *on this transport*: whatever is asked of
+///   this handle after `cast` returns sees every step in effect and
+///   [`Transport::activity`] advanced by one per step. The same holds
+///   for the other commands — [`Transport::abort`],
+///   [`Transport::reseed`], [`Transport::set_fault_plan`],
+///   [`Transport::clear_fault_plan`]. A remote transport may return
+///   from a command before the far side has applied it; an observer
+///   elsewhere (another handle onto the same far side) needs a query on
+///   *this* handle first, whose answer is behind the command.
+///   Operations naming
 ///   an `Expected` peer block (the role may yet enroll); operations
 ///   naming a `Done` peer fail with [`ChanError::Terminated`] *after*
 ///   any already-deposited message from it has been drained. A
@@ -252,10 +260,12 @@ pub enum CastStep<I> {
 ///   match across transports even though the elapsed times differ.
 ///   With no observer the clock is not read.
 pub trait Transport<I, M>: Send + Sync {
-    /// Applies a run of lifecycle transitions, in order, and returns
-    /// once all of them have taken effect. Setting up a performance's
-    /// cast is one run — one wake-up pass in process, one frame and one
-    /// answer over a socket — instead of a call per role.
+    /// Applies a run of lifecycle transitions, in order, ahead of every
+    /// later operation on this transport (a remote transport may return
+    /// before the far side has applied the run; an observer elsewhere
+    /// needs a query on this handle first — see the trait docs). Setting
+    /// up a performance's cast is one run — one wake-up pass in process,
+    /// one frame over a socket — instead of a call per role.
     fn cast(&self, steps: &[CastStep<I>]);
     /// Declares `id` as expected (idempotent, never downgrades).
     fn declare(&self, id: I) {
@@ -274,7 +284,9 @@ pub trait Transport<I, M>: Send + Sync {
     fn seal(&self) {
         self.cast(&[CastStep::Seal]);
     }
-    /// Aborts every blocked and future operation.
+    /// Aborts every blocked and future operation. Ordered as
+    /// [`Transport::cast`] is: ahead of every later operation on this
+    /// transport, possibly not yet applied on a remote one's far side.
     fn abort(&self);
     /// Whether the transport has been aborted.
     fn is_aborted(&self) -> bool;
@@ -283,15 +295,17 @@ pub trait Transport<I, M>: Send + Sync {
     /// Monotone progress counter (see
     /// [`Network::activity`](crate::Network::activity)).
     fn activity(&self) -> u64;
-    /// Re-seeds the per-endpoint selection RNGs from `seed`.
+    /// Re-seeds the per-endpoint selection RNGs from `seed`. Ordered as
+    /// [`Transport::cast`] is.
     fn reseed(&self, seed: u64);
     /// Ensures `id` exists (implicit declaration if supported).
     fn ensure_peer(&self, id: &I) -> Result<(), ChanError<I>>;
     /// Whether a message from `from` is deposited at `to` (diagnostic).
     fn has_pending_from(&self, to: &I, from: &I) -> bool;
     /// Attaches a fault plan; `clone_fn` materializes duplicates.
+    /// Ordered as [`Transport::cast`] is.
     fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&M) -> M);
-    /// Detaches the fault plan.
+    /// Detaches the fault plan. Ordered as [`Transport::cast`] is.
     fn clear_fault_plan(&self);
     /// The currently attached plan, if any.
     fn fault_plan(&self) -> Option<FaultPlan>;

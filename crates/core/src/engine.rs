@@ -25,6 +25,15 @@
 //! sequence locks and observer internals are leaves); never two shards
 //! at once.
 //!
+//! The lifecycle commands the engine gives a performance's network —
+//! `cast`, `finish`, `abort`, `reseed`, the fault-plan setters — are
+//! given with those locks held, so that the network sees them in the
+//! order the engine decided them. That is cheap because a command is
+//! not a conversation: the in-process transport applies it in place,
+//! and a socket-backed one *posts* it — a nonblocking write, ordered
+//! ahead of whatever that network is asked next — so no lock is held
+//! across a network round trip, except a spoke's first dial.
+//!
 //! # Telemetry
 //!
 //! Every engine decision is published through one [`TelemetrySink`]:
@@ -484,6 +493,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             }
             if !ss.aborted {
                 ss.aborted = true;
+                // Under both locks: a write, not a wait (module docs).
                 shard.net.abort();
                 self.emit_script(&shard, || ScriptEvent::PerformanceAborted {
                     performance: PerformanceId(shard.seq),
@@ -534,6 +544,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
         }
         let mut steps = Vec::new();
         Self::freeze(&self.spec, &mut ss, &mut steps);
+        // Under both locks: a write, not a wait (module docs).
         shard.net.cast(&steps);
         self.emit_script(shard, || ScriptEvent::CastFrozen {
             performance: PerformanceId(shard.seq),
@@ -690,6 +701,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             let mut ss = shard.state.lock();
             ss.running.remove(&role_id);
             ss.finished.insert(role_id.clone());
+            // Under the shard lock: a write, not a wait (module docs).
             shard.net.finish(role_id.clone());
             if panicked && !ss.aborted {
                 ss.aborted = true;
@@ -828,6 +840,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 if froze {
                     Self::freeze(&self.spec, &mut ss, &mut steps);
                 }
+                // Under both locks: a write, not a wait (module docs).
                 shard.net.cast(&steps);
                 for (role, process, _) in &ss.cast[first_new..] {
                     self.emit_script(&shard, || ScriptEvent::RoleAdmitted {
@@ -1056,6 +1069,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
             if delayed {
                 Self::freeze(&self.spec, &mut ss, &mut steps);
             }
+            // Under both locks, like the reseed, the fault plan and the
+            // observers' subscription above: writes, not waits — beyond
+            // a socket-backed network's first dial (module docs).
             shard.net.cast(&steps);
             for (role, process, _) in &ss.cast {
                 self.emit_script(&shard, || ScriptEvent::RoleAdmitted {

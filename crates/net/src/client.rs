@@ -16,10 +16,32 @@
 //! queued since the last flush as a single syscall, so N threads
 //! pipelining N requests cost far fewer writes than N.
 //!
-//! **Lifecycle.** [`Transport::cast`] is one request like any other: the
-//! whole run travels as one [`Req::Cast`] frame, the hub applies it in
-//! order and answers once. The provided one-step methods (`declare`,
-//! `activate`, `finish`, `seal`) are one-step runs, so one-step frames.
+//! **Posted and called.** A *command* — its only answer is
+//! [`Resp::Unit`], which its caller has no use for — is **posted**:
+//! written, parked in `pending` without a waiter, and the caller goes
+//! on. A query or a blocking operation is **called**: the caller waits.
+//!
+//! | posted | called | called, fast (never queued) |
+//! |---|---|---|
+//! | `Cast`, `Abort`, `Reseed`, `SetFaultPlan`, `ClearFaultPlan`, the first `SubscribeFrom` | `Send`, `Select`, `TryRecv`, `EnsurePeer`, `GetFaultPlan` | `IsAborted`, `PeerStateOf`, `Activity`, `HasPendingFrom` |
+//!
+//! The hub handles a connection's frames in arrival order and applies a
+//! command as it reads it, and a post returns only once its frame is on
+//! the socket: whatever this spoke sends afterwards, from any thread
+//! that synchronised with the poster, is applied after it. Otherwise a
+//! posted frame is a called one — it dials, a resume replays it in id
+//! order, the hub answers it once — but someone who reaches the hub
+//! another way (a second spoke, the hub's inner transport) must first
+//! make a query on the posting spoke, whose answer is behind every
+//! earlier post. The hello is *not* pipelined with the first requests:
+//! a connection lost before the [`Resp::Session`] answer was read would
+//! redial as a new session and replay its sends into it, while the
+//! first may have applied them.
+//!
+//! **Lifecycle.** [`Transport::cast`] is one posted request: the run
+//! travels as one [`Req::Cast`] frame, applied in order, answered once.
+//! The provided one-step methods (`declare`, `activate`, `finish`,
+//! `seal`) are one-step runs, so one-step frames.
 //!
 //! **No thread of its own.** A connection's read side is a source on
 //! the process's one `script-net-io` thread
@@ -91,7 +113,7 @@ use std::fmt;
 use std::hash::Hash;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -219,15 +241,16 @@ const REQ_CAPACITY: usize = 128;
 /// cut into several (see [`Shared::cast`]).
 const CAST_FRAME_MAX: usize = MAX_FRAME;
 
-/// A registered request: its id in `pending` and the slot its answer
-/// lands in.
-type Ticket<I, M> = (u64, Arc<Slot<I, M>>);
+/// Posts a spoke lets go unanswered before the next one waits for its
+/// own answer, which the hub sends behind theirs: `pending` is bounded.
+const POSTED_MAX: usize = 64;
 
 /// One queued request: the encoded frame is retained so a reconnect can
 /// replay it verbatim (same request id → hub-side replay cache dedups).
 struct PendingEntry<I, M> {
     payload: Vec<u8>,
-    slot: Arc<Slot<I, M>>,
+    /// Where a caller waits for the answer; a posted request has none.
+    slot: Option<Arc<Slot<I, M>>>,
     /// Fast queries are failed on connection loss instead of queued for
     /// replay — their callers want a degraded answer *now*.
     fast: bool,
@@ -364,6 +387,8 @@ struct Shared<I, M> {
     next_req: AtomicU64,
     /// Every un-acked request, keyed by id, replayed on reconnect.
     pending: Mutex<HashMap<u64, PendingEntry<I, M>>>,
+    /// Entries of `pending` that were posted; at most [`POSTED_MAX`].
+    posted: AtomicUsize,
     /// Hub-issued session id; 0 until the first handshake completes.
     session: AtomicU64,
     /// Hub-granted lease in milliseconds; paces the heartbeat.
@@ -375,11 +400,11 @@ struct Shared<I, M> {
     rendezvous_observer: Mutex<Option<RendezvousObserver<I>>>,
     session_observer: Mutex<Option<SessionObserver<I>>>,
     /// Ids this spoke has activated and not finished — the ids the
-    /// session events announce — each with whether the hub has
-    /// acknowledged its activation: from then on the hub's registry,
-    /// which only grows, holds the id, and [`Transport::ensure_peer`]
-    /// for it needs no round trip.
-    bound: Mutex<Vec<(I, bool)>>,
+    /// session events announce. An id enters once its `Activate` is on
+    /// the socket: whatever the spoke sends next is behind it, and the
+    /// hub's registry only grows, so [`Transport::ensure_peer`] for it
+    /// needs no round trip.
+    bound: Mutex<Vec<I>>,
     /// Snapshot of `bound` taken when the connection died, so the
     /// matching `PeerResumed`/`LeaseExpired` events announce exactly
     /// the ids whose `PeerDisconnected` was announced — even if roles
@@ -418,7 +443,16 @@ impl<I, M> Shared<I, M> {
         let drained: Vec<PendingEntry<I, M>> =
             self.pending.lock().drain().map(|(_, e)| e).collect();
         for e in drained {
-            e.slot.fill(SlotState::Lost);
+            self.settle(e, SlotState::Lost);
+        }
+    }
+
+    /// Disposes of an entry that has left `pending`: its waiter gets
+    /// `state`; a posted one has none, and is counted out.
+    fn settle(&self, entry: PendingEntry<I, M>, state: SlotState<I, M>) {
+        match entry.slot {
+            Some(slot) => slot.fill(state),
+            None => drop(self.posted.fetch_sub(1, Ordering::SeqCst)),
         }
     }
 
@@ -446,7 +480,7 @@ impl<I, M> Shared<I, M> {
     where
         I: Clone,
     {
-        let snapshot: Vec<I> = self.bound.lock().iter().map(|(id, _)| id.clone()).collect();
+        let snapshot = self.bound.lock().clone();
         *self.severed.lock() = snapshot.clone();
         let obs = self.session_observer.lock().clone();
         let Some(obs) = obs else { return };
@@ -557,31 +591,34 @@ where
             if req_id == want {
                 return Some(resp);
             }
-            let entry = self.pending.lock().remove(&req_id);
-            if let Some(e) = entry {
-                e.slot.fill(SlotState::Filled(resp));
-            }
+            self.retire(req_id, SlotState::Filled(resp));
         }
     }
 
     /// Parks one encoded frame in `pending`, which keeps the only copy:
-    /// transmission and replay both write from there.
-    fn register(&self, (req_id, payload): (u64, Vec<u8>), fast: bool) -> Ticket<I, M> {
-        let slot = Arc::new(Slot::new());
-        self.pending.lock().insert(
-            req_id,
-            PendingEntry {
-                payload,
-                slot: Arc::clone(&slot),
-                fast,
-            },
-        );
-        (req_id, slot)
+    /// transmission and replay both write from there. `slot` is where a
+    /// caller will wait for the answer; a posted frame has none.
+    fn register(
+        &self,
+        (req_id, payload): (u64, Vec<u8>),
+        slot: Option<Arc<Slot<I, M>>>,
+        fast: bool,
+    ) -> u64 {
+        let entry = PendingEntry {
+            payload,
+            slot,
+            fast,
+        };
+        self.pending.lock().insert(req_id, entry);
+        req_id
     }
 
-    /// Takes a request back out of `pending`: nobody will answer it.
-    fn withdraw(&self, req_id: u64) {
-        self.pending.lock().remove(&req_id);
+    /// Takes a request out of `pending`, if still there, and settles it.
+    fn retire(&self, req_id: u64, state: SlotState<I, M>) {
+        let entry = self.pending.lock().remove(&req_id);
+        if let Some(e) = entry {
+            self.settle(e, state);
+        }
     }
 
     /// Writes a registered request's frame to `conn` from the copy
@@ -607,7 +644,7 @@ where
     /// loss: it is replayed on reconnect and answered at most once by
     /// the hub (replay-cache idempotence), so there is no separate
     /// retry loop — session replay *is* the retry path. `false` only on
-    /// session death, with the request withdrawn.
+    /// session death, with the request retired.
     fn launch(self: &Arc<Self>, req_id: u64) -> bool {
         // Death may have drained `pending` before the request went in;
         // checking after the insert closes the race.
@@ -628,7 +665,7 @@ where
                 true
             }
             None => {
-                self.withdraw(req_id);
+                self.retire(req_id, SlotState::Lost);
                 false
             }
         }
@@ -645,27 +682,46 @@ where
 
     /// [`Shared::call`] for a request that is already encoded.
     fn call_frame(self: &Arc<Self>, frame: (u64, Vec<u8>)) -> Option<Resp<I, M>> {
-        let (req_id, slot) = self.register(frame, false);
+        let slot = Arc::new(Slot::new());
+        let req_id = self.register(frame, Some(Arc::clone(&slot)), false);
         if !self.launch(req_id) {
             return None;
         }
         slot.wait()
     }
 
-    /// One [`Req::Cast`] frame for the run, answered by one
-    /// [`Resp::Unit`]: one request id, one `pending` entry, one cached
-    /// answer hub-side, so a run severed before its answer is replayed
-    /// whole and applied exactly once. A run too long for one frame is
-    /// halved at a step boundary until each part fits, the parts sent
-    /// in order, each awaited before the next. Returns whether the hub
-    /// acknowledged all of it.
-    fn cast(self: &Arc<Self>, steps: &[CastStep<I>]) -> bool {
+    /// Sends a command without waiting for its answer (module docs):
+    /// parked with no slot, launched exactly as a call's frame is, and
+    /// on the socket when this returns ([`ConnTx::flush`] writes before
+    /// it returns). With [`POSTED_MAX`] posts unanswered it is a call.
+    fn post_frame(self: &Arc<Self>, frame: (u64, Vec<u8>)) {
+        if self.posted.fetch_add(1, Ordering::SeqCst) >= POSTED_MAX {
+            self.posted.fetch_sub(1, Ordering::SeqCst);
+            self.call_frame(frame);
+        } else {
+            self.launch(self.register(frame, None, false));
+        }
+    }
+
+    /// [`Shared::post_frame`] for a request not yet encoded.
+    fn post(self: &Arc<Self>, req: &Req<I, M>) {
+        self.post_frame(self.encode_req(req));
+    }
+
+    /// One posted [`Req::Cast`] frame for the run: one request id, one
+    /// `pending` entry, one cached answer hub-side, so a run severed
+    /// before its answer is replayed whole and applied exactly once. A
+    /// run too long for one frame is halved at a step boundary until
+    /// each part fits, the parts posted in order.
+    fn cast(self: &Arc<Self>, steps: &[CastStep<I>]) {
         let frame = self.encode_req(&Req::Cast(steps.to_vec()));
         if frame.1.len() > CAST_FRAME_MAX && steps.len() > 1 {
             let (head, tail) = steps.split_at(steps.len() / 2);
-            return self.cast(head) && self.cast(tail);
+            self.cast(head);
+            self.cast(tail);
+            return;
         }
-        matches!(self.call_frame(frame), Some(Resp::Unit))
+        self.post_frame(frame);
     }
 
     /// Subscribes the session to the hub's sequenced event stream, on
@@ -675,7 +731,7 @@ where
     fn subscribe(self: &Arc<Self>) {
         if !self.subscribed.swap(true, Ordering::SeqCst) {
             let seq = self.last_event_seq.load(Ordering::SeqCst);
-            let _ = self.call(&Req::SubscribeFrom { seq });
+            self.post(&Req::SubscribeFrom { seq });
         }
     }
 
@@ -694,11 +750,12 @@ where
                 _ => return FastReply::Blip,
             }
         };
-        let (req_id, slot) = self.register(self.encode_req(req), true);
+        let slot = Arc::new(Slot::new());
+        let req_id = self.register(self.encode_req(req), Some(Arc::clone(&slot)), true);
         // The connection's end drains fast entries *after* flipping
         // `alive`; re-checking after the insert guarantees ours is seen.
         if !conn.alive.load(Ordering::SeqCst) || self.is_dead() {
-            self.withdraw(req_id);
+            self.retire(req_id, SlotState::Lost);
             return if self.is_dead() {
                 FastReply::Dead
             } else {
@@ -706,7 +763,7 @@ where
             };
         }
         if !self.transmit(&conn, req_id) {
-            self.withdraw(req_id);
+            self.retire(req_id, SlotState::Lost);
             return FastReply::Blip;
         }
         match slot.wait() {
@@ -943,10 +1000,7 @@ where
                 self.lease_ms.store(*lease_ms, Ordering::SeqCst);
             }
         }
-        let entry = self.pending.lock().remove(&req_id);
-        if let Some(e) = entry {
-            e.slot.fill(SlotState::Filled(resp));
-        }
+        self.retire(req_id, SlotState::Filled(resp));
         true
     }
 }
@@ -1062,7 +1116,7 @@ where
             ids.into_iter().filter_map(|id| p.remove(&id)).collect()
         };
         for e in drained {
-            e.slot.fill(SlotState::Lost);
+            shared.settle(e, SlotState::Lost);
         }
         if shared.is_dead() || shared.closed.load(Ordering::SeqCst) {
             return;
@@ -1145,6 +1199,7 @@ where
                 cached_aborted: AtomicBool::new(false),
                 next_req: AtomicU64::new(EVENT_REQ_ID + 1),
                 pending: Mutex::new(HashMap::new()),
+                posted: AtomicUsize::new(0),
                 session: AtomicU64::new(0),
                 lease_ms: AtomicU64::new(1000),
                 last_event_seq: AtomicU64::new(0),
@@ -1209,6 +1264,13 @@ where
         self.shared.relay_dials.load(Ordering::Relaxed)
     }
 
+    /// Requests still awaiting their answer, and how many of those were
+    /// posted (sent without a waiter): `(0, 0)` on an idle spoke.
+    pub fn unanswered(&self) -> (usize, usize) {
+        let pending = self.shared.pending.lock().len();
+        (pending, self.shared.posted.load(Ordering::SeqCst))
+    }
+
     /// Whether the session is dead (expired, redial budget exhausted,
     /// hub shut down, or closed). A mere connection blip mid-resume
     /// does not count.
@@ -1258,35 +1320,19 @@ where
         if steps.is_empty() {
             return;
         }
-        {
-            let mut bound = self.shared.bound.lock();
-            for step in steps {
-                match step {
-                    CastStep::Activate(id) => {
-                        if !bound.iter().any(|(b, _)| b == id) {
-                            bound.push((id.clone(), false));
-                        }
-                    }
-                    CastStep::Finish(id) => bound.retain(|(b, _)| b != id),
-                    CastStep::Declare(_) | CastStep::Seal => {}
-                }
-            }
-        }
-        if !self.shared.cast(steps) {
-            return;
-        }
+        self.shared.cast(steps);
         let mut bound = self.shared.bound.lock();
         for step in steps {
-            if let CastStep::Activate(id) = step {
-                if let Some(entry) = bound.iter_mut().find(|(b, _)| b == id) {
-                    entry.1 = true;
-                }
+            match step {
+                CastStep::Activate(id) if !bound.contains(id) => bound.push(id.clone()),
+                CastStep::Finish(id) => bound.retain(|b| b != id),
+                CastStep::Activate(_) | CastStep::Declare(_) | CastStep::Seal => {}
             }
         }
     }
 
     fn abort(&self) {
-        let _ = self.shared.call(&Req::Abort);
+        self.shared.post(&Req::Abort);
     }
 
     fn is_aborted(&self) -> bool {
@@ -1332,20 +1378,13 @@ where
     }
 
     fn reseed(&self, seed: u64) {
-        let _ = self.shared.call(&Req::Reseed(seed));
+        self.shared.post(&Req::Reseed(seed));
     }
 
     fn ensure_peer(&self, id: &I) -> Result<(), ChanError<I>> {
-        // An id whose activation the hub acknowledged is in the hub's
-        // registry for good: a live session answers for it locally.
-        if !self.shared.is_dead()
-            && self
-                .shared
-                .bound
-                .lock()
-                .iter()
-                .any(|(b, acked)| *acked && b == id)
-        {
+        // An id whose activation is on the socket is in the hub's
+        // registry before anything sent after this: answer locally.
+        if !self.shared.is_dead() && self.shared.bound.lock().contains(id) {
             return Ok(());
         }
         match self.shared.call(&Req::EnsurePeer(id.clone())) {
@@ -1367,11 +1406,11 @@ where
 
     fn set_fault_plan(&self, plan: FaultPlan, _clone_fn: fn(&M) -> M) {
         // Duplicates are materialized hub-side with the hub's clone.
-        let _ = self.shared.call(&Req::SetFaultPlan(plan));
+        self.shared.post(&Req::SetFaultPlan(plan));
     }
 
     fn clear_fault_plan(&self) {
-        let _ = self.shared.call(&Req::ClearFaultPlan);
+        self.shared.post(&Req::ClearFaultPlan);
     }
 
     fn fault_plan(&self) -> Option<FaultPlan> {

@@ -302,6 +302,9 @@ fn connection_without_a_session_handshake_is_severed() {
 
     let client = spoke(&server);
     client.activate("a".to_string());
+    // The documented barrier: the activation is posted, and the hub's
+    // own receive below must find `a` declared.
+    assert!(client.peer_state(&"a".to_string()).is_some());
     inner.activate("b".to_string());
     let sender = thread::spawn(move || {
         client
@@ -402,6 +405,10 @@ fn inner_transport_without_submission_fails_closed() {
     let (a, b) = ("a".to_string(), "b".to_string());
     client.activate(a.clone());
     client.activate(b.clone());
+    // The documented barrier: a cast is posted, so an observer that
+    // reaches the hub another way first makes a query on the posting
+    // spoke, whose answer is behind every earlier post.
+    assert!(client.peer_state(&b).is_some());
     assert!(declining.peer_state(&a).is_some());
     assert!(matches!(
         client.send(&a, &b, 1, far()),
@@ -434,6 +441,9 @@ fn pipelined_answers_from_a_foreign_thread_are_never_stranded() {
             let client = Arc::new(spoke(&server));
             let me = format!("src{i}");
             client.activate(me.clone());
+            // The documented barrier: the hub's own receive below must
+            // find a sender declared.
+            assert!(client.peer_state(&me).is_some());
             (0..DEPTH).map(move |_| {
                 let (client, me) = (Arc::clone(&client), me.clone());
                 thread::Builder::new()
@@ -534,6 +544,9 @@ fn cast_run_reaches_the_inner_transport_in_order() {
     let (run, left) = order_sensitive_run(0);
     let before = inner.activity();
     client.cast(&run);
+    // The documented barrier: the cast is posted, and a query on the
+    // same spoke is answered behind it.
+    assert!(!client.is_aborted());
     assert_eq!(
         inner.activity() - before,
         9,
@@ -564,6 +577,9 @@ fn first_cast_puts_only_the_hello_and_its_own_frames_on_the_wire() {
         let client = spoke(&server);
         client.cast(&run);
         let sent = client.bytes_sent();
+        // The documented barrier, after the count: the cast is posted,
+        // and the hub is read directly below.
+        assert!(!client.is_aborted());
         last = Some((server, client));
         sent == expected
     });
@@ -605,6 +621,9 @@ fn cast_run_severed_mid_cast_applies_each_step_once() {
     let sink = Arc::clone(&faults);
     inner.set_fault_plan(FaultPlan::new(9).with_sever(1.0), |m| *m);
     client.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
+    // The documented barrier: the activation and the subscription are
+    // posted, and round 0 reads the hub's counter directly.
+    assert_eq!(client.ensure_peer(&h), Ok(()));
 
     for round in 0..ROUNDS {
         let (run, left) = order_sensitive_run(round);
@@ -659,6 +678,9 @@ fn oversized_cast_is_cut_at_step_boundaries() {
     assert!(Req::<String, u64>::Cast(run.clone()).to_bytes().len() > script_net::MAX_FRAME);
     let before = inner.activity();
     client.cast(&run);
+    // The documented barrier: every part of the run is posted, and a
+    // query on the same spoke is answered behind them all.
+    assert!(!client.is_aborted());
     assert_eq!(inner.activity() - before, 9, "every step, once");
     for (id, state) in &left {
         assert_eq!(inner.peer_state(id), Some(*state), "{}", &id[..1]);
@@ -735,6 +757,9 @@ fn installing_both_observers_subscribes_once() {
     let inner = server.inner();
     let (a, b) = ("a".to_string(), "b".to_string());
     client.activate(a.clone());
+    // The documented barrier: the hub's own receive below must find `a`
+    // declared.
+    assert!(client.peer_state(&a).is_some());
     inner.activate(b.clone());
     inner.set_fault_plan(
         FaultPlan::new(3).with_delay(1.0, Duration::from_micros(50)),

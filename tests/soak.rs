@@ -194,10 +194,15 @@ fn reconnect_storm(performances: u64) {
             .with_partition(0.15, Duration::from_millis(40)),
         |m| *m,
     );
-    let factory: Arc<NetworkFactory<u64>> = Arc::new(move |_ctx: &PerformanceNet| {
-        let spoke: Arc<dyn Transport<RoleId, u64>> =
-            Arc::new(SocketTransport::<RoleId, u64>::connect(addr).expect("spoke connect"));
-        Network::with_transport(spoke)
+    type Spoke = SocketTransport<RoleId, u64>;
+    let latest: Arc<Mutex<Option<Arc<Spoke>>>> = Arc::default();
+    let factory: Arc<NetworkFactory<u64>> = Arc::new({
+        let latest = Arc::clone(&latest);
+        move |_ctx: &PerformanceNet| {
+            let spoke = Arc::new(Spoke::connect(addr).expect("spoke connect"));
+            *latest.lock().unwrap() = Some(Arc::clone(&spoke));
+            Network::with_transport(spoke)
+        }
     });
     inst.set_network_factory(factory);
 
@@ -212,6 +217,16 @@ fn reconnect_storm(performances: u64) {
         });
         a.unwrap_or_else(|e| panic!("performance {seq} lost (ping): {e:?}"));
         b.unwrap_or_else(|e| panic!("performance {seq} lost (pong): {e:?}"));
+        // Nothing is left in flight: behind one durable query — the hub
+        // answers a connection in order, across any resume — every
+        // lifecycle command the performance posted has been answered.
+        let spoke = latest
+            .lock()
+            .unwrap()
+            .take()
+            .expect("placed by the factory");
+        assert_eq!(spoke.ensure_peer(&RoleId::new("ping")), Ok(()));
+        assert_eq!(spoke.unanswered(), (0, 0), "performance {seq}");
     }
     assert_eq!(inst.completed_performances(), performances);
 
