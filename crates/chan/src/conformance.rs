@@ -252,9 +252,11 @@ pub fn check_select_fairness(factory: TransportFactory<'_>) {
     }
 }
 
-/// Send-arm claiming: a send arm fires only against a peer already
-/// committed to a matching receive (so firing proves delivery), and
-/// times out when no such commitment exists.
+/// Claiming: a send arm fires only against a peer already committed
+/// to a matching receive (so firing proves delivery), and times out
+/// when no such commitment exists. A plain send may return at the same
+/// commitment: what it sent is delivered whatever happens next, and
+/// rendezvous records follow the sender's program order.
 pub fn check_send_claim(factory: TransportFactory<'_>) {
     let net = net_of(factory(3));
     net.activate(s("a"));
@@ -275,6 +277,44 @@ pub fn check_send_claim(factory: TransportFactory<'_>) {
         "committed receiver must be claimable: {out:?}"
     );
     assert_eq!(h.join().unwrap(), Ok((s("a"), 21)));
+
+    // A commitment cannot be seen from outside: give each receiver a
+    // moment to make it. Either order of arrival must pass.
+    let committed = |who: &str| {
+        let p = net.port(s(who)).unwrap();
+        let h = thread::spawn(move || p.recv_any_deadline(far()));
+        thread::sleep(Duration::from_millis(20));
+        h
+    };
+    net.activate(s("c"));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    net.set_rendezvous_observer(
+        move |rec| sink.lock().unwrap().push(rec.to.clone()),
+        |_| None,
+    );
+    let (hb, hc) = (committed("b"), committed("c"));
+    a.send_deadline(&s("b"), 22, far()).unwrap();
+    a.send_deadline(&s("c"), 23, far()).unwrap();
+    assert_eq!(hb.join().unwrap(), Ok((s("a"), 22)));
+    assert_eq!(hc.join().unwrap(), Ok((s("a"), 23)));
+    await_cond("both rendezvous records", || {
+        seen.lock().unwrap().len() == 2
+    });
+    assert_eq!(
+        *seen.lock().unwrap(),
+        [s("b"), s("c")],
+        "records of one sender arrive in its program order"
+    );
+
+    let hb = committed("b");
+    a.send_deadline(&s("b"), 24, far()).unwrap();
+    net.abort();
+    assert_eq!(
+        hb.join().unwrap(),
+        Ok((s("a"), 24)),
+        "a send that returned is delivered, abort or not"
+    );
 }
 
 /// Deadlines: expiry surfaces `Timeout` and leaves no partial effect —
@@ -1123,9 +1163,9 @@ pub const REFERENCE_TRACE: [&str; 6] = [
 /// record stream in observation order.
 ///
 /// The schedule is serial (role `a` never starts an exchange before
-/// the previous one completed) and records are emitted at pickup,
-/// under the receiving endpoint's lock, *before* the sender's blocked
-/// operation returns — so the global observation order is a pure
+/// the previous one completed) and records are emitted at delivery
+/// (the claim, or else the pickup), under the receiving endpoint's
+/// lock, *before* the sender's blocked operation returns — so the global observation order is a pure
 /// function of the schedule: identical across runs and across
 /// conforming transports. That is what lets a conformance monitor
 /// report the same first-divergence position everywhere.

@@ -12,7 +12,8 @@
 //! Send arms in a selection fire only by *claiming* a peer that is
 //! already committed to a matching receive (the standard two-phase
 //! trick for CSP output guards), which makes a fired send arm a proof
-//! of delivery.
+//! of delivery. A plain send that finds its peer so committed claims it
+//! the same way and returns at once.
 
 use std::fmt;
 use std::hash::Hash;
@@ -197,7 +198,9 @@ where
 
     /// Diagnostic: is a message from `from` currently deposited at `to`
     /// awaiting pickup? Useful in tests that need to observe the
-    /// rendezvous mid-flight; not part of the protocol surface.
+    /// rendezvous mid-flight; not part of the protocol surface. May
+    /// still be true just after a blocking send returned: a committed
+    /// receiver was claimed and has not run yet.
     pub fn has_pending_from(&self, to: &I, from: &I) -> bool {
         self.transport.has_pending_from(to, from)
     }
@@ -245,8 +248,9 @@ where
         self.transport.set_fault_observer(Arc::new(observer));
     }
 
-    /// Registers a callback invoked synchronously, from the receiving
-    /// thread, for every *completed* rendezvous (message pickup), with
+    /// Registers a callback invoked synchronously, from the thread that
+    /// completes it, for every *completed* rendezvous (the claim of a
+    /// committed receiver, or else the message pickup), with
     /// `label_of` extracting each message's protocol label. The
     /// callback runs inside the delivery path and must not call back
     /// into this network. Used by the engine to surface rendezvous as
@@ -326,9 +330,10 @@ where
         &self.net
     }
 
-    /// Synchronously sends `msg` to `to`: blocks until the message has
-    /// been picked up by the receiver (rendezvous), waiting for `to` to
-    /// become active first if it is still expected.
+    /// Synchronously sends `msg` to `to`: blocks until the receiver has
+    /// picked the message up or is committed to picking it up
+    /// (rendezvous), waiting for `to` to become active first if it is
+    /// still expected.
     ///
     /// # Errors
     ///

@@ -8,7 +8,10 @@
 //! condvar per endpoint** instead of one per network. Hot-path
 //! operations touch only the endpoints they name:
 //!
-//! * `send(a → b)` deposits into, and awaits pickup on, *b*'s endpoint;
+//! * `send(a → b)` deposits into *b*'s endpoint and is over there and
+//!   then if *b* has published an offer that takes it (a *claim*: the
+//!   commitment is the event, so a rendezvous parks one thread, *b*'s);
+//!   otherwise it awaits the pickup on *b*'s condvar;
 //! * a selection by *s* sleeps on *s*'s own condvar; deposits to *s* and
 //!   claims of *s*'s published offers land under *s*'s lock;
 //! * a send arm `s → t` registers *s* as a *send watcher* on *t*, so
@@ -26,7 +29,10 @@
 //! selector could care about increments the endpoint's `signal` under
 //! its lock; selectors re-read the counter before parking and rescan if
 //! it moved. Locks are never nested endpoint-to-endpoint, so the
-//! implementation is deadlock-free by construction.
+//! implementation is deadlock-free by construction. A sleeper on an
+//! endpoint's condvar is notified *after* that endpoint's lock is let
+//! go — it takes the lock the moment it wakes — except by a sender
+//! about to wait on the same condvar, whose wait is the unlock.
 //!
 //! Fault decisions are routed at the edge: per-edge sequence counters
 //! live in the *receiver's* endpoint and crash-step counters in the
@@ -59,8 +65,8 @@ use crate::ChanError;
 /// [`Network::set_fault_observer`](crate::Network::set_fault_observer)).
 pub type FaultObserver<I> = Arc<dyn Fn(&FaultRecord<I>) + Send + Sync>;
 
-/// One completed rendezvous, observed at pickup on the receiving
-/// endpoint (see
+/// One completed rendezvous, observed at delivery — the claim, or else
+/// the pickup — under the receiving endpoint's lock (see
 /// [`Network::set_rendezvous_observer`](crate::Network::set_rendezvous_observer)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RendezvousRecord<I> {
@@ -212,9 +218,12 @@ pub enum CastStep<I> {
 /// must pass for any new backend.
 ///
 /// * **Rendezvous.** [`Transport::send`] completes only when the
-///   receiver has picked the message up (or fails); at most one message
-///   per directed edge is in flight, so messages from one sender arrive
-///   in send order (per-edge FIFO).
+///   receiver has picked the message up or is *committed* to picking it
+///   up — it had published a receive that takes the message and the
+///   sender claimed it — or fails; a committed receiver gets the
+///   message whatever happens next. At most one message per directed
+///   edge is in flight, so messages from one sender arrive in send
+///   order (per-edge FIFO).
 /// * **Lifecycle.** Peers move `Expected → Active → Done`;
 ///   [`Transport::declare`] never downgrades a state. A
 ///   [`Transport::cast`] run is applied in order and as a whole,
@@ -238,8 +247,9 @@ pub enum CastStep<I> {
 ///   fairly among ready alternatives (seeded by
 ///   [`Transport::reseed`] for reproducibility); a send arm fires only
 ///   by claiming a peer already committed to a matching receive, so a
-///   fired send arm proves delivery. Watch arms fire only once nothing
-///   from the watched peer remains undelivered.
+///   fired send arm — like a returned `send` — proves delivery. Watch
+///   arms fire only once nothing from the watched peer remains
+///   undelivered.
 /// * **Deadlines.** An expired deadline surfaces
 ///   [`ChanError::Timeout`] and leaves no partial effect: a send that
 ///   timed out awaiting pickup reclaims its deposit.
@@ -314,9 +324,11 @@ pub trait Transport<I, M>: Send + Sync {
     /// transport.
     fn set_fault_observer(&self, observer: FaultObserver<I>);
     /// Registers a callback invoked on every *completed* rendezvous —
-    /// at message pickup, on the receiving side — with `label_of`
-    /// extracting each message's protocol label. Observers run inside
-    /// the delivery path and must not call back into the transport.
+    /// at the claim, on the sender's thread, or else at the pickup, on
+    /// the receiver's; before the sender's operation returns either way
+    /// — with `label_of` extracting each message's protocol label.
+    /// Observers run inside the delivery path and must not call back
+    /// into the transport.
     /// Backends that do not observe rendezvous may ignore it (the
     /// default does).
     fn set_rendezvous_observer(&self, observer: RendezvousObserver<I>, label_of: LabelFn<M>) {
@@ -341,7 +353,10 @@ pub trait Transport<I, M>: Send + Sync {
     fn note_session_event(&self, event: &SessionEvent<I>) {
         let _ = event;
     }
-    /// Synchronous send `from → to` (two-phase rendezvous).
+    /// Synchronous send `from → to`: returns once `to` has taken the
+    /// message or is committed to taking it (see the contract's
+    /// *Rendezvous* clause), so [`Transport::has_pending_from`] may
+    /// still be true for a moment afterwards.
     fn send(&self, from: &I, to: &I, msg: M, deadline: Option<Instant>)
         -> Result<(), ChanError<I>>;
     /// Non-blocking receive of a deposited message.
@@ -356,8 +371,9 @@ pub trait Transport<I, M>: Send + Sync {
     /// Submits a send for *asynchronous* completion: the implementation
     /// calls `done` exactly once — possibly before returning, on the
     /// calling thread — with the result the blocking
-    /// [`Transport::send`] would have produced, and the calling thread
-    /// never blocks on the rendezvous. An event-driven hub multiplexes
+    /// [`Transport::send`] would have produced, always *after* the
+    /// pickup (a submitted send claims nobody: no thread is parked for
+    /// it), and the calling thread never blocks on the rendezvous. An event-driven hub multiplexes
     /// thousands of in-flight sends onto its one thread this way.
     /// `done` may itself submit further operations; it must not block.
     /// Backends without a native nonblocking core decline by handing
@@ -467,6 +483,16 @@ struct EpState<I, M> {
 }
 
 impl<I: Clone + Eq + Hash, M> EpState<I, M> {
+    /// Whether `sender` may *claim* me (seen `Active` by the caller): I
+    /// have published offers that take its message, nobody has claimed
+    /// them yet, and the edge's slot is free.
+    fn claimable(&self, sender: &I) -> bool {
+        self.wait
+            .as_ref()
+            .is_some_and(|w| w.resolved.is_none() && w.offers_from(sender))
+            && !self.inbox.contains_key(sender)
+    }
+
     /// Issues the next ticket on the edge `from → me` (see
     /// [`EpState::turns`]).
     fn take_turn(&mut self, from: &I) -> u64 {
@@ -850,25 +876,45 @@ where
         s
     }
 
-    /// Takes the message from `from` out of `me`'s inbox (`st` is
-    /// `me`'s state), acking it. Every delivery path — non-blocking
-    /// receives, selections, and claimed send arms — funnels
-    /// through here, so this is the single point where a completed
-    /// rendezvous becomes observable.
+    /// Picks up and records the rendezvous (`st` is `me`'s state): for
+    /// a message that was not claimed (see [`Self::claim`]).
     fn take_from(&self, st: &mut EpState<I, M>, me: &I, from: &I) -> Option<M> {
-        let msg = st.inbox.remove(from)?;
-        *st.acks.entry(from.clone()).or_insert(0) += 1;
-        st.bump_signal();
-        self.activity.fetch_add(1, Ordering::Relaxed);
+        let msg = self.pick_up(st, from)?;
         if self.rendezvous.enabled.load(Ordering::Relaxed) {
             self.record_rendezvous(st, me, from, &msg);
         }
         Some(msg)
     }
 
+    /// Takes the message from `from` out of the inbox, acking it. Every
+    /// delivery path funnels through here.
+    fn pick_up(&self, st: &mut EpState<I, M>, from: &I) -> Option<M> {
+        let msg = st.inbox.remove(from)?;
+        *st.acks.entry(from.clone()).or_insert(0) += 1;
+        st.bump_signal();
+        self.activity.fetch_add(1, Ordering::Relaxed);
+        Some(msg)
+    }
+
+    /// Claims the receiver `to` (`ts`, its state, is
+    /// [`EpState::claimable`] for `from`): it is committed to taking
+    /// `msg`, so the communication has happened and the sender need not
+    /// await the pickup. Recorded here, not in [`Self::take_claim`]: a
+    /// sender claiming two receivers in turn would otherwise have its
+    /// records observed in whichever order the receivers woke.
+    fn claim(&self, ts: &mut EpState<I, M>, from: &I, to: &I, msg: M) {
+        if self.rendezvous.enabled.load(Ordering::Relaxed) {
+            self.record_rendezvous(ts, to, from, &msg);
+        }
+        ts.inbox.insert(from.clone(), msg);
+        ts.wait.as_mut().expect("claimable").resolved = Some(from.clone());
+        ts.bump_signal();
+        self.activity.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one completed rendezvous: assigns the per-edge delivery
     /// seq and invokes the observer, all under the receiver's endpoint
-    /// lock — so observer call order can never invert against pickup
+    /// lock — so observer call order can never invert against delivery
     /// order on any edge into this endpoint (a sequencing hub relies on
     /// that for gapless replay). The lock order is endpoint → observer
     /// internals; observers must therefore never call back into the
@@ -1224,6 +1270,7 @@ enum SelectStep<'a, I, M> {
 // steps and differ only in the waiter: the caller parks its own thread
 // on the endpoint's condvar, a submitted op parks a token in the
 // endpoint's `op_waiters` — both woken by the same eventcount bump.
+// (And in one thing more: only a blocking send claims, see `send_step`.)
 // ---------------------------------------------------------------------
 
 impl<I, M> ShardedTransport<I, M>
@@ -1310,12 +1357,13 @@ where
         }
     }
 
-    /// One step of the two-phase send, under the *receiver's* lock
-    /// (`st` is `to_ep`'s state). Phase 1 deposits once the receiver is
-    /// active with a free slot; phase 2 awaits the pickup, which bumps
-    /// `acks[from]` and the eventcount. `Some(result)`: the send is
-    /// over. `None`: it must wait for the endpoint's next eventcount
-    /// bump (or `deadline`) and step again.
+    /// One step of a send, under the *receiver's* lock (`st` is
+    /// `to_ep`'s state). Phase 1 deposits once the receiver is active
+    /// with a free slot — and is the whole of a blocking send whose
+    /// receiver is already committed to it ([`Self::claim`]); phase 2
+    /// awaits the pickup, which bumps `acks[from]` and the eventcount.
+    /// `Some(result)`: the send is over. `None`: it must wait for the
+    /// endpoint's next eventcount bump (or `deadline`) and step again.
     fn send_step(
         &self,
         st: &mut EpState<I, M>,
@@ -1358,16 +1406,27 @@ where
             }
             PeerState::Active
                 if s.ack_target.is_none()
-                    && !st.inbox.contains_key(from)
                     && s.turn
                         .is_none_or(|t| st.turns.get(from).is_some_and(|e| e.1 == t)) =>
             {
-                let msg = s.msg.take().expect("message deposited once");
-                st.inbox.insert(from.clone(), msg);
-                st.bump_signal();
-                self.activity.fetch_add(1, Ordering::Relaxed);
-                s.ack_target = Some(st.acks.get(from).copied().unwrap_or(0) + 1);
-                s.wake_receiver = true;
+                // A blocking send whose receiver is committed is over at
+                // the claim: one park, the receiver's. A submitted send
+                // parks no thread and its hub answers pickup first; a
+                // planned duplicate is redelivered after the pickup.
+                if s.turn.is_none() && s.dup.is_none() && st.claimable(from) {
+                    let msg = s.msg.take().expect("message deposited once");
+                    self.claim(st, from, to, msg);
+                    s.wake_receiver = true;
+                    return Some(Ok(()));
+                }
+                if !st.inbox.contains_key(from) {
+                    let msg = s.msg.take().expect("message deposited once");
+                    st.inbox.insert(from.clone(), msg);
+                    st.bump_signal();
+                    self.activity.fetch_add(1, Ordering::Relaxed);
+                    s.ack_target = Some(st.acks.get(from).copied().unwrap_or(0) + 1);
+                    s.wake_receiver = true;
+                }
             }
             _ => {}
         }
@@ -1497,7 +1556,7 @@ where
         deadline: Option<Instant>,
     ) -> SelectStep<'a, I, M> {
         loop {
-            let (sig0, claimed) = self.take_claim(me, me_ep, reprs);
+            let (sig0, claimed) = self.take_claim(me_ep, reprs);
             if let Some(outcome) = claimed {
                 return SelectStep::Done(Ok(outcome));
             }
@@ -1532,7 +1591,6 @@ where
     /// returned success).
     fn take_claim(
         &self,
-        me: &I,
         me_ep: &Arc<Endpoint<I, M>>,
         reprs: &[ArmRepr<I, M>],
     ) -> (u64, Option<Outcome<I, M>>) {
@@ -1540,8 +1598,9 @@ where
         let sig0 = st.signal;
         if let Some(entry) = st.wait.take() {
             if let Some(from) = entry.resolved {
+                // Recorded at the claim.
                 let msg = self
-                    .take_from(&mut st, me, &from)
+                    .pick_up(&mut st, &from)
                     .expect("claim implies a deposited message");
                 let watchers = st.watchers.clone();
                 drop(st);
@@ -1657,14 +1716,7 @@ where
                             PeerState::Active => {
                                 any_live = true;
                                 let mut ts = t_ep.state.lock();
-                                let slot_free = !ts.inbox.contains_key(me);
-                                let claimable = slot_free
-                                    && ts
-                                        .wait
-                                        .as_ref()
-                                        .map(|w| w.resolved.is_none() && w.offers_from(me))
-                                        .unwrap_or(false);
-                                if claimable {
+                                if ts.claimable(me) {
                                     let m = msg.take().expect("send arm fires at most once");
                                     // Chaos: a dropped send arm still
                                     // fires (the sender saw delivery) but
@@ -1692,11 +1744,7 @@ where
                                             }
                                         }
                                     }
-                                    ts.inbox.insert(me.clone(), m);
-                                    ts.wait.as_mut().expect("checked above").resolved =
-                                        Some(me.clone());
-                                    ts.bump_signal();
-                                    self.activity.fetch_add(1, Ordering::Relaxed);
+                                    self.claim(&mut ts, me, &to, m);
                                     drop(ts);
                                     t_ep.cond.notify_all();
                                     return Ok(Some(Outcome::Sent { arm: idx, to }));
@@ -1803,11 +1851,19 @@ where
         let mut st = adm.to_ep.state.lock();
         loop {
             let step = self.send_step(&mut st, &adm.to_ep, from, to, &mut adm.state, deadline);
-            if std::mem::take(&mut adm.state.wake_receiver) {
-                adm.to_ep.cond.notify_all();
-            }
+            let wake_receiver = std::mem::take(&mut adm.state.wake_receiver);
             if let Some(result) = step {
+                // The receiver takes this lock the moment it wakes.
+                drop(st);
+                if wake_receiver {
+                    adm.to_ep.state.assert_not_held();
+                    adm.to_ep.cond.notify_all();
+                }
                 return result;
+            }
+            // Under the lock: the wait below is the unlock.
+            if wake_receiver {
+                adm.to_ep.cond.notify_all();
             }
             Self::wait_on(&adm.to_ep, &mut st, deadline);
         }
@@ -1901,6 +1957,7 @@ where
             }
             q.drainers.push(me);
         }
+        let _listed = Drainer(sched, me);
         let result = wake();
         self.drain(sched, me);
         result
@@ -2023,6 +2080,33 @@ struct SchedState<I, M> {
     /// [`SchedShared::start_thread`]).
     thread_started: bool,
     shutdown: bool,
+}
+
+/// Unlists a thread from [`SchedState::drainers`] when a panic — a
+/// completion callback's — unwinds through its drain (`drain` unlists
+/// it otherwise, on finding the queue empty) and leaves what it had
+/// promised to step to the scheduler thread: a stale id would keep
+/// `bump_signal` from ever waking anybody.
+struct Drainer<'a, I, M>(&'a Arc<SchedShared<I, M>>, ThreadId)
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static;
+
+impl<I, M> Drop for Drainer<'_, I, M>
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static,
+{
+    fn drop(&mut self) {
+        if thread::panicking() {
+            let mut q = self.0.queue.lock();
+            q.drainers.retain(|d| *d != self.1);
+            if !q.ready.is_empty() && q.drainers.is_empty() {
+                self.0.start_thread(&mut q);
+                self.0.cond.notify_one();
+            }
+        }
+    }
 }
 
 /// Timer entries tolerated beyond two per parked op before the dead
@@ -2223,6 +2307,57 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("the parked send was readied and completed")
             .unwrap();
+    }
+
+    /// The claim, hand-driven: `b`'s offers are published by no thread
+    /// at all, so nothing can pick the message up, and a blocking send
+    /// still returns — the commitment is the event. The record is made
+    /// there, and `b`'s next step honors the claim over an abort. A send
+    /// with a chaos duplicate planned keeps both phases.
+    #[test]
+    fn blocking_send_claims_a_committed_receiver() {
+        let soon = || Some(Instant::now() + Duration::from_millis(200));
+        let committed = |plan: Option<FaultPlan>| {
+            let t: ShardedTransport<u8, u32> = ShardedTransport::new(false, Some(1));
+            for id in [0, 1] {
+                t.activate(id);
+            }
+            if let Some(plan) = plan {
+                t.set_fault_plan(plan, |m| *m);
+            }
+            let records = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let sink = Arc::clone(&records);
+            t.set_rendezvous_observer(
+                Arc::new(move |rec: &RendezvousRecord<u8>| sink.lock().unwrap().push(rec.clone())),
+                |_| None,
+            );
+            let (ep, reprs) = t.prepare_select(&1, vec![Arm::Recv(Source::Any)]).unwrap();
+            t.publish_offers(&ep, &reprs);
+            (t, ep, reprs, records)
+        };
+
+        let (t, ep, mut reprs, records) = committed(None);
+        assert_eq!(t.send(&0, &1, 9, soon()), Ok(()));
+        assert!(t.has_pending_from(&1, &0), "claimed, not yet picked up");
+        assert_eq!(records.lock().unwrap().len(), 1, "recorded at the claim");
+        t.abort();
+        let SelectStep::Done(got) = t.select_step(&1, &ep, &mut reprs, None) else {
+            panic!("a claimed receiver has a message to take");
+        };
+        assert!(matches!(
+            got,
+            Ok(Outcome::Received {
+                from: 0,
+                msg: 9,
+                ..
+            })
+        ));
+        assert_eq!(records.lock().unwrap().len(), 1, "and not at the pickup");
+
+        let (t, _ep, _reprs, records) = committed(Some(FaultPlan::new(1).with_duplicate(1.0)));
+        assert_eq!(t.send(&0, &1, 9, soon()), Err(ChanError::Timeout));
+        assert!(!t.has_pending_from(&1, &0), "the deposit is reclaimed");
+        assert!(records.lock().unwrap().is_empty());
     }
 
     /// A completed op's deadline stays in `timers` until it is due;

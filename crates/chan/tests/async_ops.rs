@@ -832,3 +832,76 @@ fn scheduler_thread_starts_only_for_a_timer_or_an_orphaned_op() {
     );
     assert!(t.scheduler_thread_started());
 }
+
+/// A completion callback that panics unwinds through the drain that ran
+/// it. The thread must not stay listed as a drainer: tokens readied
+/// afterwards would be left for it — by its own submissions, which
+/// would only queue, and by `bump_signal`, which would notify nobody —
+/// and it may be a hub's one I/O thread.
+#[test]
+fn a_panicking_callback_leaves_no_drainer_behind() {
+    let t = fresh();
+    let me = std::thread::current().id();
+    Arc::clone(&t)
+        .submit_send(&"a", &"b", 1, None, Box::new(|_| panic!("done panicked")))
+        .ok()
+        .unwrap();
+    // The pickup readies the parked send; its callback runs in the
+    // drain on the way out of `try_recv`, on this thread.
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.try_recv(&"b", &"a")));
+    assert!(unwound.is_err(), "the callback's panic reaches the caller");
+
+    // A parked submitted receive readied by a thread that drains
+    // nothing: its token must reach the scheduler thread.
+    let (tx, rx) = mpsc::channel();
+    Arc::clone(&t)
+        .submit_select(
+            &"c",
+            vec![Arm::recv_from("a")],
+            None,
+            Box::new(move |r| tx.send(r).unwrap()),
+        )
+        .ok()
+        .unwrap();
+    let t2 = Arc::clone(&t);
+    std::thread::spawn(move || t2.send(&"a", &"c", 9, far()))
+        .join()
+        .unwrap()
+        .expect("the parked receive takes it");
+    let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert!(
+        matches!(got, Ok(Outcome::Received { msg: 9, .. })),
+        "{got:?}"
+    );
+
+    // And this thread still steps what it submits before returning.
+    let ran_on = Arc::new(Mutex::new(Vec::new()));
+    let sent = Arc::clone(&ran_on);
+    Arc::clone(&t)
+        .submit_send(
+            &"a",
+            &"b",
+            2,
+            None,
+            Box::new(move |r| {
+                r.unwrap();
+                sent.lock().unwrap().push(std::thread::current().id());
+            }),
+        )
+        .ok()
+        .unwrap();
+    let received = Arc::clone(&ran_on);
+    Arc::clone(&t)
+        .submit_select(
+            &"b",
+            vec![Arm::recv_from("a")],
+            None,
+            Box::new(move |r| {
+                assert!(matches!(r, Ok(Outcome::Received { msg: 2, .. })));
+                received.lock().unwrap().push(std::thread::current().id());
+            }),
+        )
+        .ok()
+        .unwrap();
+    assert_eq!(*ran_on.lock().unwrap(), vec![me, me]);
+}

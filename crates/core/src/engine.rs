@@ -25,6 +25,16 @@
 //! sequence locks and observer internals are leaves); never two shards
 //! at once.
 //!
+//! Who wakes whom: enrollers wait on the engine condvar for their slot
+//! to leave `Waiting`; roles that finished under delayed termination
+//! wait on their shard's condvar for `done`. Both predicates change
+//! under the front lock only (`done` with the shard lock too), and
+//! every section that can change them ends in [`Engine::release`],
+//! which drops the front lock and *then* notifies — the finalized
+//! shards, and the engine condvar if a slot's outcome awaits its owner.
+//! No wake-up is issued into a lock the woken thread takes next, and a
+//! finish that is not a performance's last wakes nobody.
+//!
 //! The lifecycle commands the engine gives a performance's network —
 //! `cast`, `finish`, `abort`, `reseed`, the fault-plan setters — are
 //! given with those locks held, so that the network sees them in the
@@ -190,6 +200,9 @@ struct FrontEnd<M> {
     /// Every performance started and not yet completed, oldest first.
     live: Vec<Arc<PerfShard<M>>>,
     pending: Vec<PendingSlot<M>>,
+    /// Performances retired since the front lock was taken, whose
+    /// phase-4 waiters [`Engine::release`] wakes once it is let go.
+    finalized: Vec<Arc<PerfShard<M>>>,
     closed: bool,
     /// Quiescence policy: performances making no communication progress
     /// for the (fixed or adaptively derived) window are aborted by a
@@ -302,6 +315,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 gathering: None,
                 live: Vec::new(),
                 pending: Vec::new(),
+                finalized: Vec::new(),
                 closed: false,
                 watchdog: None,
                 chaos_seed: None,
@@ -506,12 +520,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
             drop(ss);
             if finalize {
                 self.finalize_shard(&mut fe, &shard);
-            } else {
-                shard.cond.notify_all();
             }
         }
-        drop(fe);
-        self.cond.notify_all();
+        self.release(fe);
     }
 
     /// Manually freezes the gathering performance's cast (open-ended
@@ -523,8 +534,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
         };
         self.seal_shard_inner(&mut fe, &shard);
         self.try_advance(&mut fe);
-        drop(fe);
-        self.cond.notify_all();
+        self.release(fe);
     }
 
     /// Freezes one specific performance's cast (used by
@@ -533,8 +543,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
         let mut fe = self.front.lock();
         self.seal_shard_inner(&mut fe, shard);
         self.try_advance(&mut fe);
-        drop(fe);
-        self.cond.notify_all();
+        self.release(fe);
     }
 
     fn seal_shard_inner(&self, fe: &mut FrontEnd<M>, shard: &Arc<PerfShard<M>>) {
@@ -561,8 +570,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
         drop(ss);
         if finalize {
             self.finalize_shard(fe, shard);
-        } else {
-            shard.cond.notify_all();
         }
     }
 
@@ -615,11 +622,11 @@ impl<M: Send + Clone + 'static> Engine<M> {
                     .expect("just pushed");
                 if matches!(fe.pending[idx].outcome, Outcome::Waiting) {
                     fe.pending.remove(idx);
+                    self.release(fe);
                     return Err(ScriptError::WouldBlock);
                 }
             }
-            drop(fe);
-            self.cond.notify_all();
+            self.release(fe);
         }
         let (shard, role_id) = {
             let mut fe = self.front.lock();
@@ -660,8 +667,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                             if matches!(fe.pending[idx].outcome, Outcome::Waiting) {
                                 fe.pending.remove(idx);
                                 self.try_advance(&mut fe);
-                                drop(fe);
-                                self.cond.notify_all();
+                                self.release(fe);
                                 return Err(ScriptError::Timeout);
                             }
                         }
@@ -722,14 +728,13 @@ impl<M: Send + Clone + 'static> Engine<M> {
             }
             f
         };
+        // A finish that is not the last wakes nobody: phase 4 below
+        // waits for `done`, which only `finalize_shard` sets.
         if finalize {
             let mut fe = self.front.lock();
             self.finalize_shard(&mut fe, &shard);
             self.try_advance(&mut fe);
-            drop(fe);
-            self.cond.notify_all();
-        } else {
-            shard.cond.notify_all();
+            self.release(fe);
         }
 
         if panicked {
@@ -782,7 +787,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
 
     /// Retires a completed shard. The caller has claimed completion (set
     /// `completing` under the shard lock, then released it) and holds the
-    /// front-end lock.
+    /// front-end lock; [`Engine::release`] wakes the phase-4 waiters.
     fn finalize_shard(&self, fe: &mut FrontEnd<M>, shard: &Arc<PerfShard<M>>) {
         let aborted = {
             let mut ss = shard.state.lock();
@@ -801,7 +806,31 @@ impl<M: Send + Clone + 'static> Engine<M> {
             }
         }
         self.completed.fetch_add(1, Ordering::SeqCst);
-        shard.cond.notify_all();
+        fe.finalized.push(Arc::clone(shard));
+    }
+
+    /// Lets the front lock go and wakes whom the section that held it
+    /// made due; nothing else in this file notifies. After the unlock,
+    /// because a role released from phase 4 re-enrolls through the front
+    /// lock and an admitted enroller takes it to read its slot: woken
+    /// under it, either would run straight into it. Enrollers are woken
+    /// only if some slot has an outcome its owner has not collected.
+    fn release(&self, mut fe: parking_lot::MutexGuard<'_, FrontEnd<M>>) {
+        // One at most, outside `close`: popped, the list keeps its buffer.
+        let last = fe.finalized.pop();
+        let rest: Vec<_> = fe.finalized.drain(..).collect();
+        let resolved = fe
+            .pending
+            .iter()
+            .any(|s| !matches!(s.outcome, Outcome::Waiting));
+        drop(fe);
+        self.front.assert_not_held();
+        for shard in rest.into_iter().chain(last) {
+            shard.cond.notify_all();
+        }
+        if resolved {
+            self.cond.notify_all();
+        }
     }
 
     /// Advances the front end: starts performances and admits pending
@@ -999,7 +1028,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             // the same per-performance sequence — the communication
             // trace a conformance monitor checks. The transport emits
             // under the receiving endpoint's lock, so observation
-            // order here cannot invert against pickup order.
+            // order here cannot invert against delivery order.
             let weak_engine = self.weak.clone();
             let weak_shard = Arc::downgrade(&shard);
             shard.net.set_rendezvous_observer(
@@ -1188,9 +1217,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                     engine.finalize_shard(&mut fe, &shard);
                     engine.try_advance(&mut fe);
                 }
-                drop(fe);
-                shard.cond.notify_all();
-                engine.cond.notify_all();
+                engine.release(fe);
                 return;
             }
         });

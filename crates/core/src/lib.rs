@@ -179,7 +179,8 @@ pub enum ScriptEvent {
         /// Human-readable fault record (`kind from->to #seq`).
         fault: String,
     },
-    /// A rendezvous completed: `from`'s message was picked up by `to`.
+    /// A rendezvous completed: `from`'s message was picked up by `to`,
+    /// or `to` was committed to picking it up and `from` claimed it.
     /// Observed at delivery on the performance's transport, so the
     /// stream of these events *is* the performance's communication
     /// trace — the input a protocol conformance monitor checks against

@@ -4,12 +4,12 @@
 //! families around cast-freeze.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use script::core::{
-    CriticalSet, Enrollment, FamilyHandle, Guard, Initiation, RoleHandle, RoleId, Script,
-    ScriptError, Termination,
+    CriticalSet, Enrollment, FamilyHandle, Guard, Initiation, Observer, RoleHandle, RoleId, Script,
+    ScriptError, ScriptEvent, TelemetryEvent, TelemetryPayload, Termination,
 };
 
 /// "No process may enroll in more than one role in one activation":
@@ -530,4 +530,127 @@ fn chaos_many_concurrent_enrollments() {
     let n = (PER_SIDE * ROUNDS) as u64;
     assert_eq!(total, n * (n - 1) / 2);
     assert_eq!(inst.completed_performances(), n);
+}
+
+/// Finishes and the completion of a performance, in observation order,
+/// in a log the enrolling threads also write their returns to.
+struct FinishOrder(Arc<Mutex<Vec<String>>>);
+
+impl Observer for FinishOrder {
+    fn on_event(&self, event: TelemetryEvent) {
+        let TelemetryPayload::Script(event) = event.payload else {
+            return;
+        };
+        match event {
+            ScriptEvent::RoleFinished { role, .. } => self
+                .0
+                .lock()
+                .unwrap()
+                .push(format!("finished {}", role.name())),
+            ScriptEvent::PerformanceCompleted { .. } => {
+                self.0.lock().unwrap().push("completed".to_string())
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Delayed termination is a barrier on the *last* finish: a sibling's
+/// finish that is not the last wakes nobody, and the last one releases
+/// every role that finished early — none is left asleep.
+#[test]
+fn delayed_termination_releases_early_finishers_on_the_last_finish() {
+    let mut b = Script::<u8>::builder("barrier");
+    let early = b.role("early", |_ctx, ()| Ok(()));
+    let mid = b.role("mid", |_ctx, ()| Ok(()));
+    let late = b.role("late", |_ctx, hold: Arc<AtomicBool>| {
+        await_flag(&hold);
+        Ok(())
+    });
+    b.initiation(Initiation::Delayed)
+        .termination(Termination::Delayed);
+    let inst = b.build().unwrap().instance();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    inst.set_observer(Arc::new(FinishOrder(Arc::clone(&log))));
+    let hold = Arc::new(AtomicBool::new(false));
+    let has = |entry: &str| log.lock().unwrap().iter().any(|e| e == entry);
+    std::thread::scope(|s| {
+        let returned = |name: &'static str| {
+            let log = Arc::clone(&log);
+            move || log.lock().unwrap().push(format!("returned {name}"))
+        };
+        for (role, done) in [(&early, returned("early")), (&mid, returned("mid"))] {
+            let inst = inst.clone();
+            s.spawn(move || {
+                inst.enroll(role, ()).unwrap();
+                done();
+            });
+        }
+        let (inst, hold2, done) = (inst.clone(), Arc::clone(&hold), returned("late"));
+        s.spawn(move || {
+            inst.enroll(&late, hold2).unwrap();
+            done();
+        });
+        let t0 = Instant::now();
+        while !(has("finished early") && has("finished mid")) {
+            assert!(t0.elapsed() < Duration::from_secs(5), "roles never ran");
+            std::thread::yield_now();
+        }
+        // Time for a role released by a sibling's finish to show itself.
+        std::thread::sleep(Duration::from_millis(50));
+        let so_far = log.lock().unwrap().clone();
+        assert_eq!(so_far.len(), 2, "two finishes and no return: {so_far:?}");
+        hold.store(true, Ordering::SeqCst);
+    });
+    let log = log.lock().unwrap();
+    assert_eq!(log[2], "finished late");
+    assert_eq!(log[3], "completed");
+    let mut returns = log[4..].to_vec();
+    returns.sort();
+    assert_eq!(
+        returns,
+        ["returned early", "returned late", "returned mid"],
+        "every role is released, and only after the completion: {log:?}"
+    );
+}
+
+/// An enrollment that admits nobody wakes nobody: an enroller already
+/// waiting still times out at its own deadline, not at the newcomer's.
+#[test]
+fn an_enrollment_admitting_nobody_leaves_a_waiters_deadline_alone() {
+    let mut b = Script::<u8>::builder("three");
+    let a = b.role("a", |_ctx, ()| Ok(()));
+    let c = b.role("c", |_ctx, ()| Ok(()));
+    b.role("d", |_ctx, ()| Ok(()));
+    b.initiation(Initiation::Delayed)
+        .termination(Termination::Delayed);
+    let inst = b.build().unwrap().instance();
+    std::thread::scope(|s| {
+        let waiter = {
+            let inst = inst.clone();
+            s.spawn(move || {
+                let t0 = Instant::now();
+                let r = inst.enroll_with(
+                    &a,
+                    (),
+                    Enrollment::new().timeout(Duration::from_millis(150)),
+                );
+                (r, t0.elapsed())
+            })
+        };
+        let t0 = Instant::now();
+        while inst.pending_enrollments() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "a never queued");
+            std::thread::yield_now();
+        }
+        let newcomer = inst.enroll_with(&c, (), Enrollment::new().timeout(Duration::from_secs(1)));
+        let (r, waited) = waiter.join().unwrap();
+        assert_eq!(r.unwrap_err(), ScriptError::Timeout);
+        assert!(
+            waited < Duration::from_millis(600),
+            "a waited {waited:?}: out at its own deadline, not c's"
+        );
+        assert_eq!(newcomer.unwrap_err(), ScriptError::Timeout);
+    });
+    assert_eq!(inst.completed_performances(), 0);
 }
