@@ -16,7 +16,8 @@
 //! burst. Expected shape (recorded in EXPERIMENTS.md E22): the two
 //! routes are comparable at n = 2 where setup noise dominates, and
 //! direct pulls ahead from n = 8 up — the relay pays an extra
-//! loopback hop plus the fleet's splice thread for every frame, so
+//! loopback hop plus the fleet's splice (a source on the I/O thread
+//! since PR 23; two threads when E22 was recorded) for every frame, so
 //! its deficit grows with fan-in.
 
 use std::sync::Arc;

@@ -19,9 +19,37 @@
 //!
 //! The fleet speaks its own append-only tag space ([`FleetReq`] /
 //! [`FleetResp`]) over the same 4-byte length-prefixed framing as the
-//! data plane. A control connection is one frame in (read under
-//! `CONTROL_READ_DEADLINE`), one frame out, then close; only
+//! data plane. A control connection is one frame in, one frame out,
+//! then close, all within `CONTROL_READ_DEADLINE` of the accept; only
 //! `RelayConnect` keeps its connection, as the splice.
+//!
+//! # Who owns a connection
+//!
+//! The fleet owns no thread. Like a hub it is a source on the process's
+//! one `script-net-io` thread ([`reactor`]), and a
+//! connection has at most three owners in turn:
+//!
+//! 1. **The fleet's source** holds the `n` nonblocking listeners and
+//!    every control connection not answered yet — at most `CONTROL_CAP`,
+//!    the oldest closed for one more. `Place` and `RegisterNode` are
+//!    table work: answered on the turn that completes their frame,
+//!    closed once the answer has flushed.
+//! 2. **A `fleet-dial` thread**, short-lived, takes a `RelayConnect`
+//!    connection out of the poll set: dialing the target (bounded by
+//!    `RELAY_DIAL_DEADLINE`) is the one thing here that blocks. It
+//!    answers `RelayOk` / `NotFound` and ends.
+//! 3. **A splice source**, one per relayed connection, carries the
+//!    bytes: both streams nonblocking, a `QUEUE`-byte buffer per
+//!    direction, read interest on an end only while the buffer toward
+//!    the other is empty, write interest only while its own is not; what
+//!    the client pipelined behind its preamble goes first. A process's
+//!    relays share the I/O thread with its hubs and spokes, and outlive
+//!    the [`HubFleet`] that made them.
+//!
+//! Nothing running on the I/O thread — an observer, a completion
+//! callback — may call [`FleetClient`] or [`relay_connect`] on a fleet
+//! of its own process: they block on an answer that thread would have
+//! to write.
 //!
 //! Both tables are bounded. At `NODE_CAP` the oldest registration is
 //! evicted (registering a node again refreshes it); at `PLACEMENT_CAP`
@@ -35,16 +63,18 @@
 //! `FleetResp` tags 1 (redirect to another address), 5 (address list)
 //! and 6 (byte count).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::descriptor::PerfDescriptor;
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, write_frame, FrameDecoder, ReadStatus, WriteBuf};
+use crate::reactor::{self, fd_of, Cause, Io, Notify, Source, Turn};
 use crate::wire::{Reader, Wire, WireError};
 
 /// Most placements the fleet remembers; one more evicts the oldest
@@ -55,10 +85,22 @@ const PLACEMENT_CAP: usize = 4096;
 /// registration.
 const NODE_CAP: usize = 256;
 
-/// How long the fleet waits on a read for a control connection's one
-/// request frame before closing it. Relay mode clears it: a spliced
-/// stream may idle for as long as its session does.
+/// How long after the accept a control connection may take to send its
+/// one request frame and read its answer before the fleet closes it. A
+/// splice has none: it may idle for as long as its session does.
 const CONTROL_READ_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Most control connections the fleet holds unanswered; one more closes
+/// the oldest.
+const CONTROL_CAP: usize = 256;
+
+/// How long a `fleet-dial` thread waits for a relay target to accept,
+/// and for the client to take the answer.
+const RELAY_DIAL_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Most bytes a splice holds per direction (beyond whatever one read
+/// pass took behind a preamble).
+const QUEUE: usize = 16 * 1024;
 
 /// One control-plane request. Append-only tag space: never renumber.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,6 +253,8 @@ struct FleetState {
     tables: Mutex<Tables>,
     relayed: AtomicU64,
     shutdown: AtomicBool,
+    /// The fleet source's doorbell, rung once `shutdown` is set.
+    notify: Arc<Notify>,
 }
 
 impl FleetState {
@@ -220,6 +264,7 @@ impl FleetState {
             tables: Mutex::default(),
             relayed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            notify: Arc::default(),
         }
     }
 
@@ -287,8 +332,8 @@ impl FleetState {
 /// behind a set of listening addresses.
 ///
 /// The addresses are loopback ports; every one serves every request
-/// against the same state, a thread per connection (control traffic is
-/// sparse). Dropping the fleet stops them all.
+/// against the same state, all of them as one source on the process's
+/// I/O thread (see the module docs). Dropping the fleet stops them all.
 #[derive(Debug)]
 pub struct HubFleet {
     state: Arc<FleetState>,
@@ -310,14 +355,17 @@ impl HubFleet {
             .iter()
             .map(TcpListener::local_addr)
             .collect::<io::Result<Vec<_>>>()?;
-        let state = Arc::new(FleetState::new(secret));
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let state = Arc::clone(&state);
-            thread::Builder::new()
-                .name(format!("fleet-hub-{i}"))
-                .spawn(move || accept_loop(state, listener))
-                .expect("spawn fleet listener");
+        for listener in &listeners {
+            listener.set_nonblocking(true)?;
         }
+        let state = Arc::new(FleetState::new(secret));
+        let source = FleetIo {
+            state: Arc::clone(&state),
+            next_id: listeners.len() as u64,
+            listeners,
+            conns: BTreeMap::new(),
+        };
+        reactor::register(Box::new(source), Arc::clone(&state.notify));
         Ok(Self { state, addrs })
     }
 
@@ -343,15 +391,12 @@ impl HubFleet {
         self.state.tables.lock().unwrap().placements.len()
     }
 
-    /// Stops every accept loop. Existing relay splices keep running
-    /// until their endpoints close.
+    /// Stops serving: the listeners and the unanswered control
+    /// connections close on the fleet source's next turn. Existing
+    /// relay splices keep running until their endpoints close.
     pub fn shutdown(&self) {
-        if self.state.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock each accept(2) with a throwaway dial.
-        for addr in &self.addrs {
-            let _ = TcpStream::connect_timeout(addr, Duration::from_millis(100));
+        if !self.state.shutdown.swap(true, Ordering::SeqCst) {
+            self.state.notify.wake();
         }
     }
 }
@@ -362,84 +407,278 @@ impl Drop for HubFleet {
     }
 }
 
-/// Pause after a failed `accept(2)` before trying again.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// One control connection not finished yet. Once `out` holds its answer
+/// it only flushes.
+struct Control {
+    stream: TcpStream,
+    dec: FrameDecoder,
+    out: WriteBuf,
+    deadline: Instant,
+    tok: usize,
+}
 
-fn accept_loop(state: Arc<FleetState>, listener: TcpListener) {
-    loop {
-        let accepted = listener.accept();
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
+/// The fleet as the I/O thread turns it (see the module docs). Poll
+/// keys below `listeners.len()` are the listeners; connection ids count
+/// up from there, so the map's first entry is the oldest connection and
+/// the earliest deadline.
+struct FleetIo {
+    state: Arc<FleetState>,
+    listeners: Vec<TcpListener>,
+    conns: BTreeMap<u64, Control>,
+    next_id: u64,
+}
+
+impl Source for FleetIo {
+    fn turn(&mut self, io: &mut Io<'_>, cause: Cause) -> Turn {
+        if self.state.shutdown.load(Ordering::SeqCst) {
+            return Turn::Done;
         }
-        let stream = match accepted {
-            Ok((s, _)) => s,
-            Err(_) => {
-                // `EMFILE`/`ENFILE` fail at once and keep failing until
-                // descriptors free up: back off instead of spinning.
-                thread::sleep(ACCEPT_BACKOFF);
-                continue;
+        match cause {
+            Cause::Attached => {
+                for (i, listener) in self.listeners.iter().enumerate() {
+                    io.register(fd_of(listener), i as u64, true, false);
+                }
             }
-        };
-        let state = Arc::clone(&state);
-        let _ = thread::Builder::new()
-            .name(String::from("fleet-conn"))
-            .spawn(move || serve_conn(&state, stream));
+            Cause::Ready { key, .. } if key < self.listeners.len() as u64 => {
+                self.accept_ready(io, key as usize);
+            }
+            Cause::Ready { key, .. } => self.serve(io, key),
+            Cause::Due => {
+                let now = Instant::now();
+                while self.oldest_deadline().is_some_and(|at| at <= now) {
+                    self.hang_up_oldest(io);
+                }
+            }
+            Cause::Woken => {}
+        }
+        Turn::Until(self.oldest_deadline())
     }
+
+    /// The listeners and connections close as the source is dropped.
+    fn close(&mut self, _io: &mut Io<'_>, _panicked: bool) {}
 }
 
-/// Serves one control connection: one request frame, one answer, close
-/// — or, for `RelayConnect`, the splice. An error closes it unanswered.
-fn serve_conn(state: &Arc<FleetState>, mut stream: TcpStream) -> io::Result<()> {
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(CONTROL_READ_DEADLINE))?;
-    let Some(frame) = read_frame(&mut stream)? else {
-        return Ok(());
-    };
-    // Protocol corruption: sever, like the data plane does.
-    let req =
-        FleetReq::from_bytes(&frame).map_err(|_| protocol_err("undecodable fleet request"))?;
-    match req {
-        FleetReq::RelayConnect { addr } => relay(state, stream, &addr),
-        req => write_frame(&mut stream, &state.handle(req).to_bytes()),
+impl FleetIo {
+    fn oldest_deadline(&self) -> Option<Instant> {
+        self.conns.values().next().map(|conn| conn.deadline)
     }
-}
 
-/// Dials `addr` and splices `client` ↔ target until either side
-/// closes, counting every byte into the fleet's relay counter.
-fn relay(state: &Arc<FleetState>, mut client: TcpStream, addr: &str) -> io::Result<()> {
-    let Ok(upstream) = TcpStream::connect(addr) else {
-        return write_frame(&mut client, &FleetResp::NotFound.to_bytes());
-    };
-    let _ = upstream.set_nodelay(true);
-    // The control deadline ends here; clones share the setting.
-    client.set_read_timeout(None)?;
-    write_frame(&mut client, &FleetResp::RelayOk.to_bytes())?;
-    let (client_r, upstream_r) = (client.try_clone()?, upstream.try_clone()?);
-    let back = Arc::clone(state);
-    thread::Builder::new()
-        .name(String::from("fleet-relay"))
-        .spawn(move || splice(upstream_r, client, &back.relayed))?;
-    splice(client_r, upstream, &state.relayed);
-    Ok(())
-}
+    fn hang_up_oldest(&mut self, io: &mut Io<'_>) {
+        if let Some((_, conn)) = self.conns.pop_first() {
+            io.deregister(conn.tok);
+        }
+    }
 
-/// Copies bytes `from` → `to` until EOF or error, then propagates the
-/// shutdown so the opposite splice direction unblocks too.
-fn splice(mut from: TcpStream, mut to: TcpStream, counter: &AtomicU64) {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        match from.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => {
-                counter.fetch_add(n as u64, Ordering::Relaxed);
-                if to.write_all(&buf[..n]).is_err() {
-                    break;
+    /// Accepts every pending connection on listener `i`.
+    fn accept_ready(&mut self, io: &mut Io<'_>, i: usize) {
+        loop {
+            match self.listeners[i].accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    if self.conns.len() == CONTROL_CAP {
+                        self.hang_up_oldest(io);
+                    }
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    let control = Control {
+                        tok: io.register(fd_of(&stream), id, true, false),
+                        stream,
+                        dec: FrameDecoder::new(),
+                        out: WriteBuf::new(),
+                        deadline: Instant::now() + CONTROL_READ_DEADLINE,
+                    };
+                    self.conns.insert(id, control);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    // Out of descriptors, most likely, with the listener
+                    // still readable: give one back rather than spin.
+                    if e.kind() != io::ErrorKind::WouldBlock {
+                        self.hang_up_oldest(io);
+                    }
+                    return;
                 }
             }
         }
     }
-    let _ = to.shutdown(Shutdown::Both);
-    let _ = from.shutdown(Shutdown::Both);
+
+    /// One ready control connection: reads toward its one request frame,
+    /// answers it and flushes the answer. Finished — answered, closed, or
+    /// corrupt and severed unanswered, as the data plane does — it leaves
+    /// the poll set and closes as it drops; a `RelayConnect` leaves for
+    /// its dial thread instead.
+    fn serve(&mut self, io: &mut Io<'_>, id: u64) {
+        let Some(mut conn) = self.conns.remove(&id) else {
+            return;
+        };
+        if conn.out.is_empty() {
+            let status = conn.dec.read_from(&mut conn.stream);
+            let frame = conn.dec.next_frame();
+            match frame.map(|f| f.map(|f| FleetReq::from_bytes(&f))) {
+                Ok(Some(Ok(FleetReq::RelayConnect { addr }))) => {
+                    io.deregister(conn.tok);
+                    let state = Arc::clone(&self.state);
+                    let (client, first) = (conn.stream, conn.dec.into_remainder());
+                    // A failed spawn drops the closure, and the
+                    // connection with it.
+                    let _ = thread::Builder::new()
+                        .name(String::from("fleet-dial"))
+                        .spawn(move || dial(state, client, first, &addr));
+                    return;
+                }
+                Ok(Some(Ok(req))) => {
+                    let _ = conn.out.push_frame(&self.state.handle(req).to_bytes());
+                }
+                Ok(None) if matches!(status, Ok(ReadStatus::Blocked)) => {
+                    self.conns.insert(id, conn);
+                    return;
+                }
+                _ => return io.deregister(conn.tok),
+            }
+        }
+        match conn.out.flush_to(&mut conn.stream) {
+            Ok(false) => {
+                io.set_interest(conn.tok, false, true);
+                self.conns.insert(id, conn);
+            }
+            Ok(true) | Err(_) => io.deregister(conn.tok),
+        }
+    }
+}
+
+/// The `fleet-dial` thread: dials the relay target, answers the client,
+/// and hands both streams to the I/O thread as a [`Splice`]. `first` is
+/// what the client sent behind its preamble: counted, and sent on first.
+fn dial(
+    state: Arc<FleetState>,
+    mut client: TcpStream,
+    mut first: Vec<u8>,
+    addr: &str,
+) -> io::Result<()> {
+    client.set_nonblocking(false)?;
+    client.set_write_timeout(Some(RELAY_DIAL_DEADLINE))?;
+    let upstream = addr
+        .to_socket_addrs()
+        .ok()
+        .and_then(|mut resolved| resolved.next())
+        .and_then(|target| TcpStream::connect_timeout(&target, RELAY_DIAL_DEADLINE).ok());
+    let Some(upstream) = upstream else {
+        return write_frame(&mut client, &FleetResp::NotFound.to_bytes());
+    };
+    let _ = upstream.set_nodelay(true);
+    write_frame(&mut client, &FleetResp::RelayOk.to_bytes())?;
+    client.set_nonblocking(true)?;
+    upstream.set_nonblocking(true)?;
+    let held = first.len();
+    state.relayed.fetch_add(held as u64, Ordering::Relaxed);
+    first.resize(held.max(QUEUE), 0);
+    let splice = Splice {
+        state,
+        ends: [client, upstream],
+        bufs: [first, vec![0; QUEUE]],
+        live: [0..held, 0..0],
+        toks: [None; 2],
+    };
+    reactor::register(Box::new(splice), Arc::default());
+    Ok(())
+}
+
+/// One relayed connection as the I/O thread turns it: the client is
+/// end 0, the target end 1, and `bufs[i][live[i]]` is what was read from
+/// end `i` and not yet written to the other. Every byte read is counted
+/// into the fleet's relay counter. The splice is over when either end
+/// closes or fails — once what was read before that has been written —
+/// and then both ends are shut.
+struct Splice {
+    state: Arc<FleetState>,
+    ends: [TcpStream; 2],
+    bufs: [Vec<u8>; 2],
+    live: [Range<usize>; 2],
+    /// Poll tokens by end; `None` once the end has hung up.
+    toks: [Option<usize>; 2],
+}
+
+impl Splice {
+    /// Moves bytes from end `from` to the other for as long as neither
+    /// would block: writes what is queued, then reads straight into the
+    /// empty queue. A short read has emptied the socket and ends the
+    /// pass, as [`FrameDecoder::read_from`] does — except on an end that
+    /// has hung up, which poll will not report again: that one is read
+    /// to its EOF. Returns `true` when the splice is over.
+    fn pump(&mut self, from: usize) -> bool {
+        let polled = self.toks[from].is_some();
+        let (buf, live) = (&mut self.bufs[from], &mut self.live[from]);
+        let mut dry = false;
+        loop {
+            if live.start == live.end {
+                if dry {
+                    return false;
+                }
+                match (&self.ends[from]).read(buf) {
+                    Ok(0) => return true,
+                    Ok(n) => {
+                        self.state.relayed.fetch_add(n as u64, Ordering::Relaxed);
+                        *live = 0..n;
+                        dry = polled && n < buf.len();
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock && polled => return false,
+                    Err(_) => return true,
+                }
+            }
+            match (&self.ends[1 - from]).write(&buf[live.clone()]) {
+                Ok(0) => return true,
+                Ok(n) => live.start += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(_) => return true,
+            }
+        }
+    }
+}
+
+impl Source for Splice {
+    fn turn(&mut self, io: &mut Io<'_>, cause: Cause) -> Turn {
+        let over = match cause {
+            Cause::Attached => {
+                for end in 0..2 {
+                    let fd = fd_of(&self.ends[end]);
+                    self.toks[end] = Some(io.register(fd, end as u64, true, false));
+                }
+                // What came in behind the preamble goes first.
+                !self.live[0].is_empty() && self.pump(0)
+            }
+            Cause::Ready { key, readiness } => {
+                let end = key as usize;
+                // poll(2) reports a hangup whatever the interest bits:
+                // left in the set while the queue toward a slow peer is
+                // full, this end would bring the I/O thread out of
+                // `poll` in a loop.
+                if let Some(tok) = self.toks[end].take_if(|_| readiness.hangup) {
+                    io.deregister(tok);
+                }
+                ((readiness.readable || readiness.hangup) && self.pump(end))
+                    || (readiness.writable && self.pump(1 - end))
+            }
+            Cause::Woken | Cause::Due => false,
+        };
+        if over {
+            return Turn::Done;
+        }
+        for end in 0..2 {
+            if let Some(tok) = self.toks[end] {
+                let (read, write) = (self.live[end].is_empty(), !self.live[1 - end].is_empty());
+                io.set_interest(tok, read, write);
+            }
+        }
+        Turn::Until(None)
+    }
+
+    /// Both ends close as the source is dropped: nobody else holds them.
+    fn close(&mut self, _io: &mut Io<'_>, _panicked: bool) {}
 }
 
 /// A control-plane client: one fleet address, and the secret to verify
@@ -848,5 +1087,168 @@ mod tests {
         drop(dead);
         let err = relay_connect(&fleet.any_addr().to_string(), &dead_addr).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    /// A one-connection echo server standing in for a home node.
+    fn echo_server() -> (String, thread::JoinHandle<()>) {
+        let echo = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = echo.local_addr().unwrap().to_string();
+        let echoer = thread::spawn(move || {
+            let (mut s, _) = echo.accept().unwrap();
+            let _ = io::copy(&mut s.try_clone().unwrap(), &mut s);
+        });
+        (addr, echoer)
+    }
+
+    fn ping(relayed: &mut TcpStream) {
+        relayed.write_all(b"ping-through-the-hub").unwrap();
+        let mut got = [0u8; 20];
+        relayed.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"ping-through-the-hub");
+    }
+
+    /// The byte a pattern stream carries at `offset`: a reader that
+    /// knows its own offset checks content and order at once.
+    fn pattern(offset: usize) -> u8 {
+        (offset ^ (offset >> 8) ^ (offset >> 16)) as u8
+    }
+
+    /// Writes the pattern stream from `*offset` on into a nonblocking
+    /// `stream` until it has taken nothing for `patience`, or `upto` is
+    /// reached.
+    fn push_pattern(stream: &mut TcpStream, offset: &mut usize, upto: usize, patience: Duration) {
+        let mut progress = Instant::now();
+        while *offset < upto && progress.elapsed() < patience {
+            let chunk: Vec<u8> = (*offset..upto.min(*offset + 8192)).map(pattern).collect();
+            match stream.write(&chunk) {
+                Ok(n) => {
+                    *offset += n;
+                    progress = Instant::now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("pattern write: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_pipelined_behind_the_preamble_are_relayed() {
+        let fleet = HubFleet::launch(1, 1).unwrap();
+        let (echo_addr, echoer) = echo_server();
+        let mut stream = TcpStream::connect(fleet.any_addr()).unwrap();
+        // The preamble and the first data bytes in one segment: the
+        // fleet's read of the one takes the other off the socket too.
+        let mut bytes = Vec::new();
+        let preamble = FleetReq::RelayConnect { addr: echo_addr };
+        write_frame(&mut bytes, &preamble.to_bytes()).unwrap();
+        bytes.extend_from_slice(b"ping-through-the-hub");
+        stream.write_all(&bytes).unwrap();
+        let answer = read_frame(&mut stream).unwrap().unwrap();
+        assert_eq!(FleetResp::from_bytes(&answer), Ok(FleetResp::RelayOk));
+        let mut got = [0u8; 20];
+        stream.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"ping-through-the-hub");
+        drop(stream);
+        echoer.join().unwrap();
+        assert_eq!(fleet.relayed_bytes(), 40);
+    }
+
+    #[test]
+    fn silent_connections_are_bounded_and_meet_the_deadline() {
+        let fleet = HubFleet::launch(2, 1).unwrap();
+        let t0 = Instant::now();
+        let silent: Vec<TcpStream> = (0..300)
+            .map(|i| TcpStream::connect(fleet.addrs()[i % 2]).unwrap())
+            .collect();
+        // Held or not, none of them is in the way of a request.
+        let client = FleetClient::connect(&fleet.any_addr().to_string(), 1).unwrap();
+        client.register_node("127.0.0.1:7007").unwrap();
+        let asked = Instant::now();
+        client.place("fam", 1, &[], None).unwrap();
+        assert!(asked.elapsed() < Duration::from_millis(100));
+        assert_eq!(crate::io_stats().io_threads, 1, "no thread per connection");
+        // The ones over `CONTROL_CAP` were closed to make room, the rest
+        // at their deadline: all of them have met EOF by twice that.
+        for mut stream in silent {
+            let left = (CONTROL_READ_DEADLINE * 2).saturating_sub(t0.elapsed());
+            let patience = left.max(Duration::from_millis(1));
+            stream.set_read_timeout(Some(patience)).unwrap();
+            assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0);
+        }
+    }
+
+    /// Sharing a thread is fair: a relay whose far end stalls holds one
+    /// queue and no more, and holds nobody else up.
+    #[test]
+    fn a_stalled_relay_backs_up_into_its_writer_alone() {
+        use script_chan::{Arm, Outcome, ShardedTransport, Transport};
+        const MIB: usize = 1 << 20;
+
+        let fleet = HubFleet::launch(1, 1).unwrap();
+        let fleet_addr = fleet.any_addr().to_string();
+        let sink = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sink_addr = sink.local_addr().unwrap().to_string();
+        let mut stalled = relay_connect(&fleet_addr, &sink_addr).unwrap();
+        let (mut sunk, _) = sink.accept().unwrap();
+        stalled.set_nonblocking(true).unwrap();
+
+        // The writer pushes until nothing has moved for a while: the
+        // socket buffers on both hops and one queue are full.
+        let mut written = 0;
+        let patience = Duration::from_millis(200);
+        push_pattern(&mut stalled, &mut written, 256 * MIB, patience);
+        assert!(written < 256 * MIB, "the relay never pushed back");
+        let held = fleet.relayed_bytes();
+        assert!(held <= written as u64);
+
+        // Meanwhile a hub and a spoke, and a second relay, take their
+        // turns on the same thread.
+        let inner: Arc<dyn Transport<String, u64>> =
+            Arc::new(ShardedTransport::new(false, Some(7)));
+        let server = crate::TransportServer::bind("127.0.0.1:0", inner).unwrap();
+        let spoke = crate::SocketTransport::<String, u64>::connect(server.local_addr()).unwrap();
+        let (a, b) = ("a".to_string(), "b".to_string());
+        spoke.activate(a.clone());
+        spoke.activate(b.clone());
+        let (echo_addr, echoer) = echo_server();
+        let mut second = relay_connect(&fleet_addr, &echo_addr).unwrap();
+        for round in 0..20u64 {
+            let asked = Instant::now();
+            let far = Some(asked + Duration::from_secs(10));
+            thread::scope(|s| {
+                s.spawn(|| spoke.send(&a, &b, round, far).unwrap());
+                let got = spoke.select(&b, vec![Arm::recv_any()], far);
+                assert!(matches!(got, Ok(Outcome::Received { msg, .. }) if msg == round));
+            });
+            ping(&mut second);
+            assert!(asked.elapsed() < Duration::from_secs(1));
+        }
+        // Twenty echoed pings, both directions; not a byte of the
+        // stalled stream.
+        assert_eq!(fleet.relayed_bytes(), held + 20 * 40);
+
+        // The far end resumes: everything offered arrives, in order.
+        let total = (4 * MIB).max(written + MIB);
+        let reader = thread::spawn(move || {
+            let (mut seen, mut buf) = (0usize, vec![0u8; 64 * 1024]);
+            loop {
+                let n = sunk.read(&mut buf).unwrap();
+                if n == 0 {
+                    return seen;
+                }
+                for (i, byte) in buf[..n].iter().enumerate() {
+                    assert_eq!(*byte, pattern(seen + i), "at offset {}", seen + i);
+                }
+                seen += n;
+            }
+        });
+        push_pattern(&mut stalled, &mut written, total, Duration::from_secs(10));
+        assert_eq!(written, total);
+        drop(stalled);
+        assert_eq!(reader.join().unwrap(), total);
+        drop(second);
+        echoer.join().unwrap();
     }
 }

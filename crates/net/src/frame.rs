@@ -188,6 +188,14 @@ impl FrameDecoder {
         self.buf.len() > self.pos
     }
 
+    /// The bytes buffered past the last frame taken, for a caller that
+    /// stops decoding mid-stream and owes them to whoever reads the
+    /// stream next.
+    pub fn into_remainder(mut self) -> Vec<u8> {
+        self.buf.drain(..self.pos);
+        self.buf
+    }
+
     fn compact(&mut self) {
         if self.pos > 0 && self.pos >= self.buf.len() / 2 {
             self.buf.drain(..self.pos);

@@ -1,25 +1,33 @@
 //! The process's one I/O thread: `poll(2)`, a cross-thread waker, and
 //! every socket `script-net` serves.
 //!
-//! Hubs ([`TransportServer`](crate::TransportServer)) and spokes
-//! ([`SocketTransport`](crate::SocketTransport)) own no thread. Each
-//! registers with the lazily started **`script-net-io`** thread as a
-//! type-erased source with a turn function: a hub brings its listener
-//! and connections, a spoke its connection's read side. The thread owns
+//! Hubs ([`TransportServer`](crate::TransportServer)), spokes
+//! ([`SocketTransport`](crate::SocketTransport)) and fleets
+//! ([`HubFleet`](crate::HubFleet)) own no thread. Each registers with
+//! the lazily started **`script-net-io`** thread as a type-erased
+//! source with a turn function, of which there are four kinds: a hub
+//! brings its listener and connections, a spoke its connection's read
+//! side, a fleet its listeners and unanswered control connections, a
+//! relayed connection its two ends. The thread owns
 //! the process's one [`Poller`] and one [`Waker`] and gives a source a
 //! turn when it is attached, when a producer queued output for it and
 //! rang its doorbell, when one of its descriptors is ready — dispatched
 //! by poll token, no per-wake list of sources is built — and when the
 //! deadline its last turn asked for is due (a hub's lease sweep, a
-//! spoke's heartbeat; the poll timeout is the earliest of them). It
-//! never makes a blocking call on a socket: every descriptor it serves
-//! is nonblocking, and dialing, handshakes and back-off run on their
-//! callers' threads. Hubs co-hosted in one process take turns on it;
-//! [`io_stats`] counts what it does.
+//! spoke's heartbeat, a fleet's control deadline; the poll timeout is
+//! the earliest of them). It never makes a blocking call on a socket:
+//! every descriptor it serves is nonblocking, and dialing, handshakes
+//! and back-off run on their callers' threads or a short-lived thread
+//! of their own. Hubs and relays co-hosted in one process take turns on
+//! it; [`io_stats`] counts what it does.
 //!
 //! A source's turn — which runs completion callbacks and user
-//! observers — is wrapped in `catch_unwind`: a panic closes that source
-//! alone. New sources reach the thread through one queue, drained after
+//! observers — must not block, and so must not wait on anything only
+//! this thread can do: a call on a spoke of the same process, or
+//! [`FleetClient`](crate::FleetClient) /
+//! [`relay_connect`](crate::fleet::relay_connect) against a fleet of the
+//! same process, whose answer this thread would have to write. It is
+//! wrapped in `catch_unwind`: a panic closes that source alone. New sources reach the thread through one queue, drained after
 //! [`Waker::park`], so the park-then-look protocol below holds with
 //! any number of producers; a source leaves by saying it is done, and
 //! whatever it left registered goes with it.
@@ -171,8 +179,9 @@ pub(crate) enum Turn {
     Done,
 }
 
-/// One hub or one spoke connection, as the I/O thread sees it. Both
-/// methods run on that thread only, inside `catch_unwind`.
+/// One hub, spoke connection, fleet or relayed connection, as the I/O
+/// thread sees it. Both methods run on that thread only, inside
+/// `catch_unwind`.
 pub(crate) trait Source: Send {
     /// One turn (see [`Cause`]). Must not block: every other source in
     /// the process waits for it.
@@ -260,8 +269,8 @@ static REDIAL_THREADS: AtomicU64 = AtomicU64::new(0);
 /// What the process's I/O thread has done so far (see [`io_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoStats {
-    /// Sources registered right now: one per live hub, one per live
-    /// spoke connection.
+    /// Sources registered right now: one per live hub, spoke connection,
+    /// fleet and relayed connection.
     pub sources: usize,
     /// Times the thread came out of `poll`.
     pub wakes: u64,

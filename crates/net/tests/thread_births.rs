@@ -8,7 +8,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use script_chan::{Arm, CastStep, Outcome, ShardedTransport, Transport};
-use script_net::{io_stats, SocketTransport, TransportServer};
+use script_core::RetryPolicy;
+use script_net::{io_stats, DialPlan, FleetClient, HubFleet, SocketTransport, TransportServer};
 
 type Hub = TransportServer<String, u64>;
 type Spoke = SocketTransport<String, u64>;
@@ -84,6 +85,57 @@ fn sessions_come_and_go_on_one_io_thread() {
     assert_eq!(io_stats().sources, 65);
     drop(spokes);
     drop(server);
+    wait_for_sources(0);
+
+    // The fleet: its doors and every control connection are one source,
+    // a relayed connection is one more — and no thread outlives a dial.
+    let fleet = HubFleet::launch(2, 9).expect("launch");
+    let ctl = FleetClient::connect(&fleet.any_addr().to_string(), 9).expect("resolve");
+    let server = hub();
+    ctl.register_node(&server.local_addr().to_string())
+        .expect("register");
+    for perf in 0..200 {
+        ctl.place("births", perf, &[], None).expect("place");
+    }
+    assert_eq!(
+        io_stats().sources,
+        2,
+        "a fleet and a hub, whatever was placed"
+    );
+    let inner = server.inner();
+    inner.activate(b.clone());
+    for i in 0..16 {
+        inner.declare(format!("r{i}"));
+    }
+    let plan = DialPlan::direct(server.local_addr())
+        .with_relay(fleet.any_addr())
+        .with_forced_relay();
+    let spokes: Vec<Spoke> = (0..16)
+        .map(|_| Spoke::with_plan(plan, RetryPolicy::new(6)))
+        .collect();
+    thread::scope(|s| {
+        for (i, spoke) in spokes.iter().enumerate() {
+            let b = &b;
+            s.spawn(move || {
+                let me = format!("r{i}");
+                spoke.activate(me.clone());
+                spoke.send(&me, b, i as u64, far()).expect("send");
+            });
+        }
+        for _ in 0..spokes.len() {
+            let got = inner.select(&b, vec![Arm::recv_any()], far());
+            assert!(matches!(got, Ok(Outcome::Received { .. })), "{got:?}");
+        }
+    });
+    assert!(spokes.iter().all(|spoke| spoke.relay_dials() == 1));
+    assert_eq!(
+        io_stats().sources,
+        1 + 1 + 16 + 16,
+        "fleet, hub, spokes, splices"
+    );
+    drop(spokes);
+    drop(server);
+    drop(fleet);
     wait_for_sources(0);
 
     let end = io_stats();
