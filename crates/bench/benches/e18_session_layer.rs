@@ -1,39 +1,21 @@
-//! E18: cost of the `script-net` session layer.
-//!
-//! Three arms, all over a real loopback TCP hub:
-//!
-//! * `socket_roundtrip` — one send + one select crossing the socket,
-//!   with the full session machinery live (pending-queue bookkeeping,
-//!   hub-side answer cache, background heartbeats). This is the hot
-//!   path every remote rendezvous pays; the session layer's overhead
-//!   must stay within noise of the pre-session round trip.
-//! * `heartbeat_ack` — one client heartbeat round trip: the per-lease
-//!   bookkeeping unit (lease renewal + replay-cache pruning), measured
-//!   via the cheapest cache-pruning probe available to a bench (a
-//!   fast `activity` query riding the same connection).
-//! * `sever_resume` — one full sever → redial → session-resume →
-//!   replay cycle per rendezvous (chaos plan severs on every send
-//!   decision): the worst-case price of partition healing.
-//!
-//! The acceptance bar is relative, recorded in EXPERIMENTS.md:
-//! `sever_resume` is allowed to be an order of magnitude above
-//! `socket_roundtrip` (it rebuilds a TCP connection and replays), but
-//! must stay well under the 1 s default lease so storms heal faster
-//! than they expire.
+//! E18's one arm the ledger (`benchmark/src/probes.rs`) has no metric
+//! for: `heartbeat_ack`, a query the hub answers from state — the
+//! cheapest round trip that rides a session (same connection, same
+//! framing, lease renewal and replay-cache pruning on the way), with no
+//! rendezvous in it. `socket_roundtrip` and `sever_resume` are
+//! `net.server.rpc_depth1_us` and `net.client.sever_resume_us` there.
+//! This file goes when a `[benchmark]` PR adds a `net.server.query_us`
+//! probe (ROADMAP 1(c)).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use script_chan::{Arm, FaultPlan, Outcome, ShardedTransport, Transport};
+use script_chan::{ShardedTransport, Transport};
 use script_net::{SocketTransport, TransportServer};
 
-fn far() -> Option<Instant> {
-    Some(Instant::now() + Duration::from_secs(30))
-}
-
 /// One hub + one spoke with `a` (spoke-side) and `b` (hub-side) active.
-fn rig(plan: Option<FaultPlan>) -> (TransportServer<String, u64>, SocketTransport<String, u64>) {
+fn rig() -> (TransportServer<String, u64>, SocketTransport<String, u64>) {
     let inner: Arc<dyn Transport<String, u64>> = Arc::new(ShardedTransport::new(false, Some(3)));
     let server = TransportServer::bind("127.0.0.1:0", Arc::clone(&inner)).expect("bind hub");
     let client = SocketTransport::<String, u64>::connect(server.local_addr()).expect("connect");
@@ -42,31 +24,7 @@ fn rig(plan: Option<FaultPlan>) -> (TransportServer<String, u64>, SocketTranspor
     }
     client.activate("a".to_string());
     inner.activate("b".to_string());
-    if let Some(plan) = plan {
-        inner.set_fault_plan(plan, |m| *m);
-    }
     (server, client)
-}
-
-/// One spoke→hub rendezvous: the spoke sends, a hub-side thread
-/// receives.
-fn roundtrip(server: &TransportServer<String, u64>, client: &SocketTransport<String, u64>, v: u64) {
-    let inner = server.inner();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let got = inner
-                .select(
-                    &"b".to_string(),
-                    vec![Arm::recv_from("a".to_string())],
-                    far(),
-                )
-                .expect("hub-side receive");
-            assert!(matches!(got, Outcome::Received { .. }));
-        });
-        client
-            .send(&"a".to_string(), &"b".to_string(), v, far())
-            .expect("spoke send");
-    });
 }
 
 fn bench(c: &mut Criterion) {
@@ -75,37 +33,11 @@ fn bench(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(400));
     group.measurement_time(Duration::from_millis(1600));
 
-    group.bench_function("socket_roundtrip", |b| {
-        let (server, client) = rig(None);
-        let mut v = 0u64;
-        b.iter(|| {
-            v += 1;
-            roundtrip(&server, &client, v);
-        });
-        drop(server);
-    });
-
     group.bench_function("heartbeat_ack", |b| {
-        let (server, client) = rig(None);
+        let (server, client) = rig();
         b.iter(|| {
-            // The cheapest session-riding round trip a bench can issue:
-            // same connection, same framing, hub answers from state.
             let _ = client.activity();
         });
-        drop(server);
-    });
-
-    group.bench_function("sever_resume", |b| {
-        // Every send decision severs the spoke's connection, so every
-        // iteration pays disconnect detection + redial + HelloResume +
-        // replay on top of the rendezvous itself.
-        let (server, client) = rig(Some(FaultPlan::new(3).with_sever(1.0)));
-        let mut v = 0u64;
-        b.iter(|| {
-            v += 1;
-            roundtrip(&server, &client, v);
-        });
-        assert!(!client.is_lost(), "every sever must have healed");
         drop(server);
     });
 

@@ -1,25 +1,21 @@
-//! E19: pipelined RPC throughput per connection.
-//!
-//! The paper's scripts mediate *many* concurrent performances, so one
-//! spoke connection must be able to keep many rendezvous in flight at
-//! once. This bench measures ops/sec/connection at pipeline depths
-//! {1, 8, 64}: `d` sender roles animated from a single transport all
-//! stream sends into one hub-local sink role that drains them with a
-//! `recv_any` select loop. A send only completes at pickup, so depth-`d`
-//! keeps up to `d` rendezvous simultaneously in flight on the one
-//! connection — the shape of the Ada rendezvous timing harness, scaled
-//! out sideways.
+//! E19's one depth the ledger (`benchmark/src/probes.rs`) has no metric
+//! for: 64 sender roles animated from a single transport all stream
+//! sends into one hub-local sink role that drains them with a
+//! `recv_any` select loop. A send only completes at pickup, so up to 64
+//! rendezvous are in flight on the one connection — the arm E23 used to
+//! find the parked-herd cost (`socket/64` −8 %). Depths 1 and 8 are
+//! `chan.submit_rdv_ns`, `net.server.rpc_depth1_us` and
+//! `net.server.rpc_depth8_per_s` there. This file goes when a
+//! `[benchmark]` PR adds a `net.server.rpc_depth64_per_s` probe
+//! (ROADMAP 1(c)).
 //!
 //! Arms:
 //!
-//! * `sharded/depth_*` — the in-process reference transport (upper
-//!   bound: no wire, no framing).
-//! * `socket/depth_*` — one `SocketTransport` spoke talking to a
-//!   loopback TCP hub. Before the reactor refactor every in-flight op
-//!   held one blocked hub thread; after, the hub multiplexes them onto
-//!   a single readiness loop and the client coalesces request frames
-//!   per flush. The acceptance bar (EXPERIMENTS.md): throughput scales
-//!   with depth and depth 1 does not regress.
+//! * `sharded/64` — the in-process reference transport (upper bound: no
+//!   wire, no framing).
+//! * `socket/64` — one `SocketTransport` spoke talking to a loopback
+//!   TCP hub, which multiplexes the in-flight ops onto the I/O thread
+//!   while the client coalesces request frames per flush.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,6 +23,9 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use script_chan::{Arm, Outcome, ShardedTransport, Transport};
 use script_net::{SocketTransport, TransportServer};
+
+/// Sender roles, and so rendezvous in flight on the one connection.
+const DEPTH: usize = 64;
 
 /// Messages each sender role streams per measured iteration.
 const PER_SENDER: u64 = 20;
@@ -39,31 +38,23 @@ fn sender_id(i: usize) -> String {
     format!("s{i}")
 }
 
-/// Declares `depth` sender roles plus the sink on `inner`, activating
+/// Declares `DEPTH` sender roles plus the sink on `inner`, activating
 /// the senders on `spokes` (the transport under test) and the sink
 /// hub-side.
-fn rig(
-    inner: &Arc<dyn Transport<String, u64>>,
-    spokes: &Arc<dyn Transport<String, u64>>,
-    depth: usize,
-) {
+fn rig(inner: &Arc<dyn Transport<String, u64>>, spokes: &Arc<dyn Transport<String, u64>>) {
     inner.declare("sink".to_string());
     inner.activate("sink".to_string());
-    for i in 0..depth {
+    for i in 0..DEPTH {
         inner.declare(sender_id(i));
         spokes.activate(sender_id(i));
     }
 }
 
-/// One measured iteration: `depth` concurrent sender threads push
+/// One measured iteration: `DEPTH` concurrent sender threads push
 /// `PER_SENDER` messages each through `spokes` while a hub-side thread
-/// drains `depth * PER_SENDER` rendezvous from the sink role.
-fn pump(
-    inner: &Arc<dyn Transport<String, u64>>,
-    spokes: &Arc<dyn Transport<String, u64>>,
-    depth: usize,
-) {
-    let total = depth as u64 * PER_SENDER;
+/// drains `DEPTH * PER_SENDER` rendezvous from the sink role.
+fn pump(inner: &Arc<dyn Transport<String, u64>>, spokes: &Arc<dyn Transport<String, u64>>) {
+    let total = DEPTH as u64 * PER_SENDER;
     std::thread::scope(|s| {
         let sink_inner = Arc::clone(inner);
         s.spawn(move || {
@@ -74,7 +65,7 @@ fn pump(
                 assert!(matches!(got, Outcome::Received { .. }));
             }
         });
-        for i in 0..depth {
+        for i in 0..DEPTH {
             let t = Arc::clone(spokes);
             s.spawn(move || {
                 let me = sender_id(i);
@@ -92,28 +83,26 @@ fn bench(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(400));
     group.measurement_time(Duration::from_millis(1600));
 
-    for depth in [1usize, 8, 64] {
-        group.throughput(Throughput::Elements(depth as u64 * PER_SENDER));
+    group.throughput(Throughput::Elements(DEPTH as u64 * PER_SENDER));
 
-        group.bench_with_input(BenchmarkId::new("sharded", depth), &depth, |b, &depth| {
-            let inner: Arc<dyn Transport<String, u64>> =
-                Arc::new(ShardedTransport::new(false, Some(19)));
-            rig(&inner, &inner, depth);
-            b.iter(|| pump(&inner, &inner, depth));
-        });
+    group.bench_function(BenchmarkId::new("sharded", DEPTH), |b| {
+        let inner: Arc<dyn Transport<String, u64>> =
+            Arc::new(ShardedTransport::new(false, Some(19)));
+        rig(&inner, &inner);
+        b.iter(|| pump(&inner, &inner));
+    });
 
-        group.bench_with_input(BenchmarkId::new("socket", depth), &depth, |b, &depth| {
-            let inner: Arc<dyn Transport<String, u64>> =
-                Arc::new(ShardedTransport::new(false, Some(19)));
-            let server = TransportServer::bind("127.0.0.1:0", Arc::clone(&inner)).expect("bind");
-            let client: Arc<dyn Transport<String, u64>> = Arc::new(
-                SocketTransport::<String, u64>::connect(server.local_addr()).expect("connect"),
-            );
-            rig(&inner, &client, depth);
-            b.iter(|| pump(&inner, &client, depth));
-            drop(server);
-        });
-    }
+    group.bench_function(BenchmarkId::new("socket", DEPTH), |b| {
+        let inner: Arc<dyn Transport<String, u64>> =
+            Arc::new(ShardedTransport::new(false, Some(19)));
+        let server = TransportServer::bind("127.0.0.1:0", Arc::clone(&inner)).expect("bind");
+        let client: Arc<dyn Transport<String, u64>> = Arc::new(
+            SocketTransport::<String, u64>::connect(server.local_addr()).expect("connect"),
+        );
+        rig(&inner, &client);
+        b.iter(|| pump(&inner, &client));
+        drop(server);
+    });
 
     group.finish();
 }

@@ -1927,7 +1927,7 @@ where
         })
     }
 
-    /// Whether the "chan-async-sched" thread was ever started: not by
+    /// Whether the "chan-async-sched" thread exists: it is not started by
     /// submitted operations that carry no deadline and are readied by
     /// other submissions, `cast`, `abort` or `try_recv`.
     #[doc(hidden)]
@@ -1957,7 +1957,11 @@ where
             }
             q.drainers.push(me);
         }
-        let _listed = Drainer(sched, me);
+        let _listed = Drainer {
+            sched,
+            me,
+            scheduler: false,
+        };
         let result = wake();
         self.drain(sched, me);
         result
@@ -2087,10 +2091,18 @@ struct SchedState<I, M> {
 /// it otherwise, on finding the queue empty) and leaves what it had
 /// promised to step to the scheduler thread: a stale id would keep
 /// `bump_signal` from ever waking anybody.
-struct Drainer<'a, I, M>(&'a Arc<SchedShared<I, M>>, ThreadId)
+struct Drainer<'a, I, M>
 where
     I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
-    M: Send + 'static;
+    M: Send + 'static,
+{
+    sched: &'a Arc<SchedShared<I, M>>,
+    me: ThreadId,
+    /// `me` is the scheduler thread, which the panic kills: it is
+    /// marked as not started, and succeeded at once if a timer — which
+    /// no other thread pops — is armed.
+    scheduler: bool,
+}
 
 impl<I, M> Drop for Drainer<'_, I, M>
 where
@@ -2099,11 +2111,15 @@ where
 {
     fn drop(&mut self) {
         if thread::panicking() {
-            let mut q = self.0.queue.lock();
-            q.drainers.retain(|d| *d != self.1);
-            if !q.ready.is_empty() && q.drainers.is_empty() {
-                self.0.start_thread(&mut q);
-                self.0.cond.notify_one();
+            let mut q = self.sched.queue.lock();
+            q.drainers.retain(|d| *d != self.me);
+            if self.scheduler {
+                q.thread_started = false;
+            }
+            let orphaned = !q.ready.is_empty() && q.drainers.is_empty();
+            if orphaned || (self.scheduler && !q.timers.is_empty()) {
+                self.sched.start_thread(&mut q);
+                self.sched.cond.notify_one();
             }
         }
     }
@@ -2204,13 +2220,20 @@ struct SelectOp<I, M> {
 /// The scheduler thread: sleeps until a timer is due or a thread that
 /// is not draining readies a token, turns due timers into ready tokens,
 /// and drains them — unless a submitter is draining already, which will
-/// not leave before the queue is empty. Exits with the transport.
+/// not leave before the queue is empty. Exits with the transport, or on
+/// a completion callback's panic, leaving a successor if it is needed
+/// (see [`Drainer`]).
 fn scheduler_loop<I, M>(transport: Weak<ShardedTransport<I, M>>, sched: Arc<SchedShared<I, M>>)
 where
     I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
     M: Send + 'static,
 {
     let me = thread::current().id();
+    let _listed = Drainer {
+        sched: &sched,
+        me,
+        scheduler: true,
+    };
     loop {
         {
             let mut q = sched.queue.lock();

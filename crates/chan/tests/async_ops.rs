@@ -905,3 +905,53 @@ fn a_panicking_callback_leaves_no_drainer_behind() {
         .unwrap();
     assert_eq!(*ran_on.lock().unwrap(), vec![me, me]);
 }
+
+/// The same panic on the scheduler thread kills it. It must not stay
+/// listed as a drainer or counted as started: only that thread pops
+/// timers, so every later deadline on the transport would never fire.
+#[test]
+fn a_callback_panicking_on_the_scheduler_thread_leaves_a_successor() {
+    let t = fresh();
+    let soon = || Some(Instant::now() + Duration::from_millis(20));
+    let (tx, rx) = mpsc::channel();
+    Arc::clone(&t)
+        .submit_select(
+            &"b",
+            vec![Arm::recv_from("a")],
+            soon(),
+            Box::new(move |r| {
+                let on = std::thread::current().name().map(str::to_owned);
+                tx.send((r, on)).unwrap();
+                panic!("done panicked");
+            }),
+        )
+        .ok()
+        .unwrap();
+    let (timed_out, on) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert!(
+        matches!(timed_out, Err(ChanError::Timeout)),
+        "{timed_out:?}"
+    );
+    assert_eq!(on.as_deref(), Some("chan-async-sched"));
+
+    // Armed while the thread unwinds or after: either way somebody is
+    // there to pop it.
+    let (tx, rx) = mpsc::channel();
+    Arc::clone(&t)
+        .submit_select(
+            &"c",
+            vec![Arm::recv_from("a")],
+            soon(),
+            Box::new(move |r| tx.send(r).unwrap()),
+        )
+        .ok()
+        .unwrap();
+    let timed_out = rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the second deadline fires");
+    assert!(
+        matches!(timed_out, Err(ChanError::Timeout)),
+        "{timed_out:?}"
+    );
+    assert!(t.scheduler_thread_started());
+}

@@ -551,10 +551,15 @@ where
 
     /// Allocates a request id and encodes one `(req_id, req)` frame.
     fn encode_req(&self, req: &Req<I, M>) -> (u64, Vec<u8>) {
+        self.encode_frame(|payload| req.encode(payload))
+    }
+
+    /// The same, for a request `body` encodes in place.
+    fn encode_frame(&self, body: impl FnOnce(&mut Vec<u8>)) -> (u64, Vec<u8>) {
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
         let mut payload = Vec::with_capacity(REQ_CAPACITY);
         req_id.encode(&mut payload);
-        req.encode(&mut payload);
+        body(&mut payload);
         (req_id, payload)
     }
 
@@ -714,7 +719,7 @@ where
     /// run too long for one frame is halved at a step boundary until
     /// each part fits, the parts posted in order.
     fn cast(self: &Arc<Self>, steps: &[CastStep<I>]) {
-        let frame = self.encode_req(&Req::Cast(steps.to_vec()));
+        let frame = self.encode_frame(|payload| Req::<I, M>::encode_cast(steps, payload));
         if frame.1.len() > CAST_FRAME_MAX && steps.len() > 1 {
             let (head, tail) = steps.split_at(steps.len() / 2);
             self.cast(head);
@@ -1282,6 +1287,9 @@ where
     /// process crash looks like from the other side. The hub keeps this
     /// session's ids alive until the lease lapses, then finishes them;
     /// other participants observe [`ChanError::Terminated`] for them.
+    /// A command posted just before reaches the hub first — unless the
+    /// connection had already died under it: nothing replays it then
+    /// (`posted.rs`, `a_post_on_a_dead_connection_followed_by_close_is_lost`).
     /// Idempotent: double-close (or close racing drop or racing a
     /// background reconnect) is a no-op the second time.
     pub fn close(&self) {

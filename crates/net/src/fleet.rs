@@ -1089,6 +1089,43 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
     }
 
+    /// Readiness is a hint: `poll(2)` may report an end that then has
+    /// nothing to read, and a polled end takes the `WouldBlock` for "not
+    /// now", not for the end (an unpolled one is read to its EOF) — as a
+    /// hub or spoke connection does through `FrameDecoder::read_from`
+    /// (`frame.rs`, `read_from_stops_at_a_short_read`). Driven by hand.
+    #[test]
+    fn a_splice_pumped_with_nothing_to_read_is_not_over() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let pair = || {
+            let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let accepted = listener.accept().unwrap().0;
+            accepted.set_nonblocking(true).unwrap();
+            (dialed, accepted)
+        };
+        let ((mut client, near_client), (mut target, near_target)) = (pair(), pair());
+        let state = Arc::new(FleetState::new(7));
+        let mut splice = Splice {
+            state: Arc::clone(&state),
+            ends: [near_client, near_target],
+            bufs: [vec![0; QUEUE], vec![0; QUEUE]],
+            live: [0..0, 0..0],
+            toks: [Some(0), Some(1)],
+        };
+        assert!(!splice.pump(0) && !splice.pump(1));
+        assert_eq!(state.relayed.load(Ordering::Relaxed), 0);
+
+        client.write_all(b"ping").unwrap();
+        let mut poller = reactor::Poller::new();
+        poller.register(fd_of(&splice.ends[0]), true, false);
+        poller.wait(Some(Duration::from_secs(10))).unwrap();
+        assert!(!splice.pump(0), "moved, and the socket is dry again");
+        assert_eq!(state.relayed.load(Ordering::Relaxed), 4);
+        let mut got = [0u8; 4];
+        target.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"ping");
+    }
+
     /// A one-connection echo server standing in for a home node.
     fn echo_server() -> (String, thread::JoinHandle<()>) {
         let echo = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -584,6 +584,18 @@ impl Wire for RoleId {
     }
 }
 
+impl<I: Wire, M> Req<I, M> {
+    /// Encodes [`Req::Cast`] from a borrowed run, so a spoke posts its
+    /// caller's steps without cloning them into a request first.
+    pub(crate) fn encode_cast(steps: &[CastStep<I>], out: &mut Vec<u8>) {
+        out.push(26);
+        (steps.len() as u64).encode(out);
+        for step in steps {
+            step.encode(out);
+        }
+    }
+}
+
 impl<I: Wire, M: Wire> Wire for Req<I, M> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -656,10 +668,7 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
                 out.push(25);
                 seq.encode(out);
             }
-            Req::Cast(steps) => {
-                out.push(26);
-                steps.encode(out);
-            }
+            Req::Cast(steps) => Self::encode_cast(steps, out),
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {

@@ -34,20 +34,15 @@
 //!
 //! The primitives:
 //!
-//! * [`Poller`] — a reusable wrapper over the OS readiness syscall.
-//!   On Unix it is a direct, hand-written FFI binding to `poll(2)`
-//!   (std already links libc; no external crate is needed). Elsewhere
-//!   — or under `--cfg script_net_fallback_poller`, which is how CI
-//!   compiles and runs it — it degrades to a bounded sleep with every
-//!   registered socket reported ready, a sleep-scan: correctness is
-//!   unchanged because all sockets are nonblocking, only wakeup latency
-//!   suffers (≤ 5 ms).
-//! * [`Waker`] — a self-pipe (a `UnixStream` pair on Unix, an atomic
-//!   flag on the fallback) that lets producers on other threads
-//!   interrupt a parked `poll` so freshly queued output is flushed
-//!   immediately — and costs them nothing while the thread is awake,
-//!   which is where most completions run: on the I/O thread itself,
-//!   mid-turn.
+//! * [`Poller`] — a reusable wrapper over the OS readiness syscall: a
+//!   direct, hand-written FFI binding to `poll(2)` (std already links
+//!   libc; no external crate is needed). It is the only poller: a
+//!   target without `poll(2)` is a compile error, not a slower path.
+//! * [`Waker`] — a self-pipe (a `UnixStream` pair) that lets producers
+//!   on other threads interrupt a parked `poll` so freshly queued
+//!   output is flushed immediately — and costs them nothing while the
+//!   thread is awake, which is where most completions run: on the I/O
+//!   thread itself, mid-turn.
 //!
 //! The interest set is **persistent**: descriptors are registered once
 //! ([`Poller::register`]), their interests patched in place when they
@@ -67,15 +62,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-#[cfg(all(unix, not(script_net_fallback_poller)))]
-use unix_impl::Pipe;
-#[cfg(all(unix, not(script_net_fallback_poller)))]
-pub use unix_impl::{fd_of, Fd, Poller};
+#[cfg(not(unix))]
+compile_error!("script-net's I/O thread is built on poll(2) and a UnixStream self-pipe; there is no poller for this target");
 
-#[cfg(any(not(unix), script_net_fallback_poller))]
-use fallback_impl::Pipe;
-#[cfg(any(not(unix), script_net_fallback_poller))]
-pub use fallback_impl::{fd_of, Fd, Poller};
+use unix_impl::Pipe;
+pub use unix_impl::{fd_of, Fd, Poller};
 
 /// Lets other threads interrupt the I/O thread parked in
 /// [`Poller::wait`], by a **parked / awake protocol**: producers queue
@@ -88,7 +79,7 @@ pub use fallback_impl::{fd_of, Fd, Poller};
 #[derive(Debug)]
 pub struct Waker {
     state: AtomicU8,
-    /// The platform half: what carries the wakeup into `poll`.
+    /// What carries the wakeup into `poll`.
     pipe: Pipe,
 }
 
@@ -330,8 +321,8 @@ pub(crate) fn register(source: Box<dyn Source>, notify: Arc<Notify>) {
 }
 
 /// Blocks the calling thread — never the I/O thread — until `fd` takes
-/// output again (on the sleep-scan poller: for one slice). For writers
-/// that share a nonblocking socket with the I/O thread.
+/// output again. For writers that share a nonblocking socket with the
+/// I/O thread.
 pub(crate) fn wait_writable(fd: Fd) {
     let mut poller = Poller::new();
     poller.register(fd, false, true);
@@ -493,7 +484,6 @@ impl IoLoop {
 /// The poll timeout in whole milliseconds, rounded *up* so a timer due
 /// in 300 µs does not spin at timeout 0. `None` (block forever) maps to
 /// -1 as `poll(2)` specifies.
-#[cfg(all(unix, not(script_net_fallback_poller)))]
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
@@ -504,7 +494,6 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-#[cfg(all(unix, not(script_net_fallback_poller)))]
 mod unix_impl {
     use super::{io, Duration, Readiness};
     use std::io::{Read, Write};
@@ -692,112 +681,6 @@ mod unix_impl {
     }
 }
 
-// Compiled into Unix test builds too, so the fallback waker's protocol
-// is tested where CI runs; `--cfg script_net_fallback_poller` puts the
-// whole crate on it.
-#[cfg(any(not(unix), script_net_fallback_poller, test))]
-#[cfg_attr(all(unix, not(script_net_fallback_poller)), allow(dead_code))]
-mod fallback_impl {
-    use super::{io, Duration, Readiness};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// Descriptors are opaque on the fallback; registration only
-    /// counts slots.
-    pub type Fd = i32;
-
-    /// No real descriptors on the fallback; every registration is the
-    /// same opaque slot.
-    pub fn fd_of<T>(_x: &T) -> Fd {
-        -1
-    }
-
-    /// Sleep-scan poller: every *live* registered slot reports ready
-    /// and nonblocking I/O sorts out which actually are (see module
-    /// docs).
-    #[derive(Debug, Default)]
-    pub struct Poller {
-        /// Slot liveness; tombstoned slots report nothing ready.
-        live: Vec<bool>,
-        free: Vec<usize>,
-    }
-
-    impl Poller {
-        /// An empty interest set.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Registers a slot; interests are ignored. Tombstoned slots
-        /// are recycled before the vec grows.
-        pub fn register(&mut self, _fd: Fd, _read: bool, _write: bool) -> usize {
-            match self.free.pop() {
-                Some(tok) => {
-                    self.live[tok] = true;
-                    tok
-                }
-                None => {
-                    self.live.push(true);
-                    self.live.len() - 1
-                }
-            }
-        }
-
-        /// Interests are ignored on the fallback.
-        pub fn set_interest(&mut self, _tok: usize, _read: bool, _write: bool) {}
-
-        /// Tombstones a slot; it reports nothing ready until reused.
-        pub fn deregister(&mut self, tok: usize) {
-            self.live[tok] = false;
-            self.free.push(tok);
-        }
-
-        /// Sleeps out (a bounded slice of) the timeout.
-        ///
-        /// # Errors
-        ///
-        /// None on this implementation.
-        pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-            let cap = Duration::from_millis(5);
-            std::thread::sleep(timeout.map_or(cap, |t| t.min(cap)));
-            Ok(())
-        }
-
-        /// Every live slot is (optimistically) ready.
-        pub fn readiness(&self, tok: usize) -> Readiness {
-            let live = self.live.get(tok).copied().unwrap_or(false);
-            Readiness {
-                readable: live,
-                writable: live,
-                hangup: false,
-            }
-        }
-    }
-
-    /// A flag for a pipe: the bounded poll timeout guarantees the
-    /// reactor comes round within one slice, wake byte or not.
-    #[derive(Debug, Default)]
-    pub struct Pipe(AtomicBool);
-
-    impl Pipe {
-        pub(super) fn new() -> io::Result<Self> {
-            Ok(Self::default())
-        }
-
-        /// A placeholder descriptor; never registered meaningfully.
-        pub(super) fn read_fd(&self) -> Fd {
-            -1
-        }
-
-        pub(super) fn signal(&self) {
-            self.0.store(true, Ordering::SeqCst);
-        }
-
-        pub(super) fn drain(&self) -> usize {
-            usize::from(self.0.swap(false, Ordering::SeqCst))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,9 +689,7 @@ mod tests {
     use std::sync::mpsc;
 
     /// A wake after parking interrupts the wait; the turn ends with
-    /// the pipe empty and the thread awake. (The fallback poller never
-    /// blocks longer than its slice, so there is nothing to interrupt.)
-    #[cfg(all(unix, not(script_net_fallback_poller)))]
+    /// the pipe empty and the thread awake.
     #[test]
     fn waker_interrupts_wait() {
         let waker = std::sync::Arc::new(Waker::new().unwrap());
@@ -854,18 +735,6 @@ mod tests {
         assert_eq!(waker.drain(), 1);
     }
 
-    /// The fallback's half of the same protocol (its `Waker` is the one
-    /// above, over this pipe): an empty pipe drains nothing, a signalled
-    /// one drains once.
-    #[test]
-    fn fallback_pipe_holds_one_pending_wake() {
-        let pipe = super::fallback_impl::Pipe::new().unwrap();
-        assert_eq!(pipe.drain(), 0);
-        pipe.signal();
-        assert_eq!(pipe.drain(), 1);
-        assert_eq!(pipe.drain(), 0);
-    }
-
     #[test]
     fn poll_sees_readable_tcp_data() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -908,12 +777,10 @@ mod tests {
 
         // The tombstone is recycled, not leaked: re-registering hands
         // back the same slot, live again — with nothing ready until the
-        // next wait says so (the sleep-scan poller says so always), so
-        // a recycled slot cannot hand one descriptor's readiness to
-        // another within a wake.
+        // next wait says so, so a recycled slot cannot hand one
+        // descriptor's readiness to another within a wake.
         let tok2 = poller.register(fd, true, false);
         assert_eq!(tok2, tok, "free list reuses tombstoned slots");
-        #[cfg(all(unix, not(script_net_fallback_poller)))]
         assert!(!poller.readiness(tok2).readable);
         poller.wait(Some(Duration::from_millis(50))).unwrap();
         assert!(poller.readiness(tok2).readable);
@@ -939,12 +806,9 @@ mod tests {
 
     #[test]
     fn timeout_rounds_up_not_down() {
-        #[cfg(all(unix, not(script_net_fallback_poller)))]
-        {
-            assert_eq!(super::timeout_ms(None), -1);
-            assert_eq!(super::timeout_ms(Some(Duration::from_micros(300))), 1);
-            assert_eq!(super::timeout_ms(Some(Duration::from_millis(7))), 7);
-        }
+        assert_eq!(super::timeout_ms(None), -1);
+        assert_eq!(super::timeout_ms(Some(Duration::from_micros(300))), 1);
+        assert_eq!(super::timeout_ms(Some(Duration::from_millis(7))), 7);
     }
 
     /// What a [`Probe`] tells its test about a turn.
@@ -958,9 +822,8 @@ mod tests {
     }
 
     /// A source its test steers on the real I/O thread: it reports its
-    /// turns, reads the streams it was given (nonblocking: the
-    /// sleep-scan poller reports every descriptor ready), ends on a
-    /// read when told to, and — while `hold` is set — stops inside each
+    /// turns, reads the streams it was given (nonblocking, as every
+    /// descriptor on this thread is), ends on a read when told to, and — while `hold` is set — stops inside each
     /// reported turn until the test opens the gate.
     struct Probe {
         saw: mpsc::Sender<Saw>,

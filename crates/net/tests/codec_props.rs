@@ -254,6 +254,17 @@ proptest! {
         prop_assert_eq!(Wire::from_bytes(&bytes), Ok(req));
     }
 
+    /// A spoke encodes a cast from the caller's borrowed run
+    /// (`Req::encode_cast`, which `Wire for Req` goes through): the
+    /// bytes are the tag and then exactly what the owned `Vec` of the
+    /// same steps encodes to.
+    #[test]
+    fn a_cast_encodes_as_its_tag_and_its_run(run in vec(any_cast_step(), 0..6)) {
+        let mut want = vec![26u8];
+        run.encode(&mut want);
+        prop_assert_eq!(Req::<String, u64>::Cast(run).to_bytes(), want);
+    }
+
     #[test]
     fn responses_roundtrip(resp in any_resp()) {
         let bytes = resp.to_bytes();

@@ -97,10 +97,7 @@ fn a_hung_up_end_cannot_spin_the_shared_thread() {
         let before = io_stats().wakes;
         thread::sleep(Duration::from_millis(200));
         let woke = io_stats().wakes - before;
-        // The sleep-scan poller wakes every 5 ms whatever happens.
-        if cfg!(not(script_net_fallback_poller)) {
-            assert!(woke < 50, "{woke} wakes in 200 ms with nothing to do");
-        }
+        assert!(woke < 50, "{woke} wakes in 200 ms with nothing to do");
         second.write_all(b"ping-through-the-hub").unwrap();
         let mut got = [0u8; 20];
         second.read_exact(&mut got).unwrap();

@@ -327,6 +327,53 @@ fn a_post_followed_by_close_reaches_the_hub() {
     }
 }
 
+/// (c) The other half of close-after-post, the documented loss: the
+/// connection has died under the spoke — cut hub-side by a sever
+/// decision while the gate holds the one thread that could tell the
+/// spoke — so the posted `Abort` is written into a socket nobody reads,
+/// and the `close()` behind it means nobody replays it. The hub never
+/// applies it; the lease sweep finishes the session's ids, as for a
+/// crashed process.
+#[test]
+fn a_post_on_a_dead_connection_followed_by_close_is_lost() {
+    let _serial = serial();
+    let (server, gated) = gated_hub(true);
+    let inner = &gated.inner;
+    let client = spoke(&server);
+    let (g, h) = ("g".to_string(), "h".to_string());
+    inner.declare(h.clone());
+    client.activate(g.clone());
+    assert_eq!(client.ensure_peer(&h), Ok(()));
+    inner.set_fault_plan(FaultPlan::new(9).with_sever(1.0), |m| *m);
+
+    gated.set_open(false);
+    client.declare("x".to_string());
+    gated.await_held();
+    // As in the severed-post test above: the timed-out send's sever
+    // decision shuts the hub's end of the session that animates `g`.
+    inner
+        .send(&g, &h, 0, Some(Instant::now() + Duration::from_millis(5)))
+        .expect_err("h never receives");
+    // The spoke's read side is a source on the held thread: it has not
+    // seen the end, and its write still succeeds.
+    client.abort();
+    assert_eq!(client.unanswered(), (2, 2));
+    client.close();
+    assert_eq!(client.unanswered(), (0, 0));
+
+    gated.set_open(true);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while inner.peer_state(&g) != Some(PeerState::Done) {
+        assert!(!inner.is_aborted(), "the lost post was applied");
+        assert!(Instant::now() < deadline, "{:?}", inner.peer_state(&g));
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert!(!inner.is_aborted());
+    // The activation, the declaration, the sweep's finish: no abort.
+    assert_eq!(gated.applied(), ["cast 1", "cast 1", "cast 1"]);
+    drop(server);
+}
+
 /// (d) `Network::port` for an id this spoke activated sends no frame,
 /// even while the `Activate` is still unanswered.
 #[test]
