@@ -356,6 +356,7 @@ impl HubFleet {
             .map(TcpListener::local_addr)
             .collect::<io::Result<Vec<_>>>()?;
         for listener in &listeners {
+            reactor::deepen_backlog(listener)?;
             listener.set_nonblocking(true)?;
         }
         let state = Arc::new(FleetState::new(secret));
@@ -606,8 +607,8 @@ impl Splice {
     /// would block: writes what is queued, then reads straight into the
     /// empty queue. A short read has emptied the socket and ends the
     /// pass, as [`FrameDecoder::read_from`] does — except on an end that
-    /// has hung up, which poll will not report again: that one is read
-    /// to its EOF. Returns `true` when the splice is over.
+    /// has hung up, which the poller will not report again: that one is
+    /// read to its EOF. Returns `true` when the splice is over.
     fn pump(&mut self, from: usize) -> bool {
         let polled = self.toks[from].is_some();
         let (buf, live) = (&mut self.bufs[from], &mut self.live[from]);
@@ -653,10 +654,10 @@ impl Source for Splice {
             }
             Cause::Ready { key, readiness } => {
                 let end = key as usize;
-                // poll(2) reports a hangup whatever the interest bits:
+                // epoll(7) reports a hangup whatever the interest bits:
                 // left in the set while the queue toward a slow peer is
-                // full, this end would bring the I/O thread out of
-                // `poll` in a loop.
+                // full, this end would bring the I/O thread out of its
+                // wait in a loop.
                 if let Some(tok) = self.toks[end].take_if(|_| readiness.hangup) {
                     io.deregister(tok);
                 }
@@ -1089,7 +1090,7 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
     }
 
-    /// Readiness is a hint: `poll(2)` may report an end that then has
+    /// Readiness is a hint: `epoll(7)` may report an end that then has
     /// nothing to read, and a polled end takes the `WouldBlock` for "not
     /// now", not for the end (an unpolled one is read to its EOF) — as a
     /// hub or spoke connection does through `FrameDecoder::read_from`

@@ -68,7 +68,7 @@
 
 // `deny`, not `forbid`: the `reactor` module's `sys` carries the one
 // scoped `#[allow(unsafe_code)]` in the crate — the hand-written FFI
-// prototype of poll(2).
+// prototypes of epoll(7), listen(2) and shutdown(2).
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 

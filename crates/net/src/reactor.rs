@@ -1,5 +1,5 @@
-//! The process's one I/O thread: `poll(2)`, a cross-thread waker, and
-//! every socket `script-net` serves.
+//! The process's one I/O thread: an `epoll(7)` set, a cross-thread
+//! waker, and every socket `script-net` serves.
 //!
 //! Hubs ([`TransportServer`](crate::TransportServer)), spokes
 //! ([`SocketTransport`](crate::SocketTransport)) and fleets
@@ -12,14 +12,14 @@
 //! the process's one [`Poller`] and one [`Waker`] and gives a source a
 //! turn when it is attached, when a producer queued output for it and
 //! rang its doorbell, when one of its descriptors is ready — dispatched
-//! by poll token, no per-wake list of sources is built — and when the
-//! deadline its last turn asked for is due (a hub's lease sweep, a
-//! spoke's heartbeat, a fleet's control deadline; the poll timeout is
-//! the earliest of them). It never makes a blocking call on a socket:
-//! every descriptor it serves is nonblocking, and dialing, handshakes
-//! and back-off run on their callers' threads or a short-lived thread
-//! of their own. Hubs and relays co-hosted in one process take turns on
-//! it; [`io_stats`] counts what it does.
+//! from the kernel's ready list by token, no per-wake list of sources is
+//! built — and when the deadline its last turn asked for is due (a hub's
+//! lease sweep, a spoke's heartbeat, a fleet's control deadline; the
+//! wait's timeout is the earliest of them). It never makes a blocking
+//! call on a socket: every descriptor it serves is nonblocking, and
+//! dialing, handshakes and back-off run on their callers' threads or a
+//! short-lived thread of their own. Hubs and relays co-hosted in one
+//! process take turns on it; [`io_stats`] counts what it does.
 //!
 //! A source's turn — which runs completion callbacks and user
 //! observers — must not block, and so must not wait on anything only
@@ -34,24 +34,28 @@
 //!
 //! The primitives:
 //!
-//! * [`Poller`] — a reusable wrapper over the OS readiness syscall: a
-//!   direct, hand-written FFI binding to `poll(2)` (std already links
-//!   libc; no external crate is needed). It is the only poller: a
-//!   target without `poll(2)` is a compile error, not a slower path.
+//! * [`Poller`] — an `epoll(7)` instance behind a direct, hand-written
+//!   FFI binding (std already links libc; no external crate is needed).
+//!   It is the only poller: a target other than Linux is a compile
+//!   error, not a slower path.
 //! * [`Waker`] — a self-pipe (a `UnixStream` pair) that lets producers
-//!   on other threads interrupt a parked `poll` so freshly queued
+//!   on other threads interrupt a parked wait so freshly queued
 //!   output is flushed immediately — and costs them nothing while the
 //!   thread is awake, which is where most completions run: on the I/O
 //!   thread itself, mid-turn.
 //!
-//! The interest set is **persistent**: descriptors are registered once
-//! ([`Poller::register`]), their interests patched in place when they
-//! change ([`Poller::set_interest`]), and tombstoned on teardown
-//! ([`Poller::deregister`] — the slot's fd becomes -1, which POSIX
-//! `poll(2)` ignores, its stale readiness is cleared, and the slot is
-//! recycled for the next registration, which starts with nothing
-//! ready: a recycled slot cannot hand one connection's readiness to
-//! another).
+//! The interest set is **persistent** and kept by the kernel: a
+//! descriptor is registered once (`EPOLL_CTL_ADD`, the token as the
+//! event's data), patched only when its interest bits change
+//! (`EPOLL_CTL_MOD`) and removed on teardown (`EPOLL_CTL_DEL`). A wake
+//! costs what is ready, not what is registered: the thread walks the
+//! ready list `epoll_wait` copied out. Readiness is level-triggered: what
+//! a turn leaves unread is reported again. A registration belongs to the
+//! open file description, not the descriptor number — closed while a
+//! `try_clone` twin lives on, a descriptor stays registered and fires
+//! under its old token — so it is deregistered *before* its last close;
+//! its readiness leaves the current wake with it, and a recycled token
+//! starts with nothing ready.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,11 +66,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-#[cfg(not(unix))]
-compile_error!("script-net's I/O thread is built on poll(2) and a UnixStream self-pipe; there is no poller for this target");
+#[cfg(not(target_os = "linux"))]
+compile_error!("script-net's I/O thread is built on epoll(7) and a UnixStream self-pipe; there is no poller for this target");
 
-use unix_impl::Pipe;
-pub use unix_impl::{fd_of, Fd, Poller};
+pub(crate) use linux_impl::deepen_backlog;
+use linux_impl::Pipe;
+pub use linux_impl::{fd_of, Fd, Poller};
 
 /// Lets other threads interrupt the I/O thread parked in
 /// [`Poller::wait`], by a **parked / awake protocol**: producers queue
@@ -79,7 +84,7 @@ pub use unix_impl::{fd_of, Fd, Poller};
 #[derive(Debug)]
 pub struct Waker {
     state: AtomicU8,
-    /// What carries the wakeup into `poll`.
+    /// What carries the wakeup into the wait.
     pipe: Pipe,
 }
 
@@ -184,7 +189,7 @@ pub(crate) trait Source: Send {
     fn close(&mut self, io: &mut Io<'_>, panicked: bool);
 }
 
-/// The poll set as one source's turn sees it: registrations are
+/// The interest set as one source's turn sees it: registrations are
 /// recorded against the source, so readiness finds its way back and a
 /// source that dies takes its descriptors with it.
 pub(crate) struct Io<'a> {
@@ -195,13 +200,14 @@ pub(crate) struct Io<'a> {
 
 impl Io<'_> {
     /// Registers `fd` for this source; its readiness arrives as
-    /// [`Cause::Ready`] with `key`. Returns the poll token.
+    /// [`Cause::Ready`] with `key`. Returns the token.
     pub(crate) fn register(&mut self, fd: Fd, key: u64, read: bool, write: bool) -> usize {
         let tok = self.poller.register(fd, read, write);
         if tok >= self.owners.len() {
             self.owners.resize(tok + 1, None);
         }
         self.owners[tok] = Some((self.slot, key));
+        DESCRIPTORS.fetch_add(1, Ordering::Relaxed);
         tok
     }
 
@@ -210,11 +216,13 @@ impl Io<'_> {
         self.poller.set_interest(tok, read, write);
     }
 
-    /// Takes a descriptor out of the poll set; readiness the current
-    /// wake observed for it is dropped with it.
+    /// Takes a descriptor out of the interest set — call it while the
+    /// descriptor is still open; readiness the current wake observed
+    /// for it is dropped with it.
     pub(crate) fn deregister(&mut self, tok: usize) {
         self.poller.deregister(tok);
         self.owners[tok] = None;
+        DESCRIPTORS.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -229,7 +237,7 @@ pub(crate) struct Notify {
 
 impl Notify {
     /// Asks for a [`Cause::Woken`] turn; interrupts the I/O thread's
-    /// `poll` if it is parked.
+    /// wait if it is parked.
     pub(crate) fn wake(&self) {
         self.woken.store(true, Ordering::SeqCst);
         if let Some(service) = SERVICE.get() {
@@ -252,6 +260,7 @@ static SERVICE: OnceLock<Arc<Service>> = OnceLock::new();
 
 // Plain relaxed statistics: they publish nothing.
 static SOURCES: AtomicUsize = AtomicUsize::new(0);
+static DESCRIPTORS: AtomicUsize = AtomicUsize::new(0);
 static WAKES: AtomicU64 = AtomicU64::new(0);
 static EVENTS: AtomicU64 = AtomicU64::new(0);
 static IO_THREADS: AtomicU64 = AtomicU64::new(0);
@@ -263,7 +272,10 @@ pub struct IoStats {
     /// Sources registered right now: one per live hub, spoke connection,
     /// fleet and relayed connection.
     pub sources: usize,
-    /// Times the thread came out of `poll`.
+    /// Descriptors the sources have registered right now (the wake pipe
+    /// not counted); a wake costs its `events`, not these.
+    pub descriptors: usize,
+    /// Times the thread came out of its wait.
     pub wakes: u64,
     /// Ready descriptors it handed to their sources; over `wakes`, the
     /// events per wake.
@@ -281,6 +293,7 @@ pub struct IoStats {
 pub fn io_stats() -> IoStats {
     IoStats {
         sources: SOURCES.load(Ordering::Relaxed),
+        descriptors: DESCRIPTORS.load(Ordering::Relaxed),
         wakes: WAKES.load(Ordering::Relaxed),
         events: EVENTS.load(Ordering::Relaxed),
         io_threads: IO_THREADS.load(Ordering::Relaxed),
@@ -296,21 +309,22 @@ pub(crate) fn note_redial_thread() {
 /// Hands `source` to the I/O thread, starting the thread if this is the
 /// process's first. Returns at once: the source's [`Cause::Attached`]
 /// turn runs on the thread. The thread is never joined — it serves the
-/// process for as long as it lives, parked in `poll` when idle.
+/// process for as long as it lives, parked in `epoll_wait` when idle.
 ///
 /// # Panics
 ///
-/// If the process cannot create the wake pipe or the thread.
+/// If the process cannot create the wake pipe, the epoll instance or
+/// the thread.
 pub(crate) fn register(source: Box<dyn Source>, notify: Arc<Notify>) {
     let service = SERVICE.get_or_init(|| {
         let service = Arc::new(Service {
             waker: Waker::new().expect("create the I/O thread's wake pipe"),
             incoming: Mutex::new(Vec::new()),
         });
-        let theirs = Arc::clone(&service);
+        let io_loop = IoLoop::new(Arc::clone(&service));
         thread::Builder::new()
             .name("script-net-io".into())
-            .spawn(move || IoLoop::new(theirs).run())
+            .spawn(move || io_loop.run())
             .expect("spawn the I/O thread");
         IO_THREADS.fetch_add(1, Ordering::Relaxed);
         service
@@ -326,7 +340,10 @@ pub(crate) fn register(source: Box<dyn Source>, notify: Arc<Notify>) {
 pub(crate) fn wait_writable(fd: Fd) {
     let mut poller = Poller::new();
     poller.register(fd, false, true);
-    let _ = poller.wait(None);
+    if poller.wait(None).is_err() {
+        // No epoll instance to be had (out of descriptors): back off.
+        thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// A registered source on the I/O thread.
@@ -341,8 +358,8 @@ struct Slot {
 struct IoLoop {
     service: Arc<Service>,
     poller: Poller,
-    /// `(slot, key)` by poll token; `None` for the waker's token and
-    /// for tombstones.
+    /// `(slot, key)` by token; `None` for the waker's token and for
+    /// free ones.
     owners: Vec<Option<(usize, u64)>>,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
@@ -352,6 +369,7 @@ struct IoLoop {
 impl IoLoop {
     fn new(service: Arc<Service>) -> Self {
         let mut poller = Poller::new();
+        assert!(poller.is_open(), "create the I/O thread's epoll instance");
         let waker_tok = poller.register(service.waker.read_fd(), true, false);
         Self {
             service,
@@ -395,9 +413,8 @@ impl IoLoop {
             let earliest = self.slots.iter().flatten().filter_map(|s| s.due).min();
             let timeout = earliest.map(|at| at.saturating_duration_since(Instant::now()));
             if self.poller.wait(timeout).is_err() {
-                // A torn-down fd raced into the set; retry next turn
-                // (poll reports it as POLLNVAL readiness, not an error,
-                // on every supported platform).
+                // Not expected of a live epoll instance and a buffer it
+                // owns; retry rather than die with every source.
                 thread::yield_now();
             }
             // Awake: completions that run on this thread from here on —
@@ -405,10 +422,12 @@ impl IoLoop {
             // their submitter — ring their doorbell without a syscall.
             self.service.waker.unpark();
             let mut events = 0;
-            // By index, not by iterator: a turn may register (an accept)
-            // or deregister; what it adds has nothing ready yet.
-            let mut tok = 0;
-            while tok < self.owners.len() {
+            // The kernel's ready list, which only `wait` changes. A turn
+            // may deregister a token (its readiness goes with it) or
+            // register one (a recycled token starts with nothing ready).
+            let mut i = 0;
+            while let Some(tok) = self.poller.ready_token(i) {
+                i += 1;
                 let r = self.poller.readiness(tok);
                 if r.readable || r.writable || r.hangup {
                     if tok == self.waker_tok {
@@ -418,7 +437,6 @@ impl IoLoop {
                         self.turn(idx, Cause::Ready { key, readiness: r });
                     }
                 }
-                tok += 1;
             }
             if earliest.is_some() {
                 let now = Instant::now();
@@ -469,10 +487,10 @@ impl IoLoop {
         // The source's state may be broken mid-update after a panic;
         // `close` is told, and only cuts things loose.
         let _ = catch_unwind(AssertUnwindSafe(|| slot.source.close(&mut io, panicked)));
-        for tok in 0..self.owners.len() {
-            if self.owners[tok].is_some_and(|(owner, _)| owner == idx) {
-                self.poller.deregister(tok);
-                self.owners[tok] = None;
+        // Before the source, and the descriptors it owns, are dropped.
+        for tok in 0..io.owners.len() {
+            if io.owners[tok].is_some_and(|(owner, _)| owner == idx) {
+                io.deregister(tok);
             }
         }
         self.slots[idx] = None;
@@ -481,9 +499,9 @@ impl IoLoop {
     }
 }
 
-/// The poll timeout in whole milliseconds, rounded *up* so a timer due
-/// in 300 µs does not spin at timeout 0. `None` (block forever) maps to
-/// -1 as `poll(2)` specifies.
+/// The wait's timeout in whole milliseconds, rounded *up* so a timer
+/// due in 300 µs does not spin at timeout 0. `None` (block forever)
+/// maps to -1 as `epoll_wait(2)` specifies.
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
@@ -494,11 +512,15 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-mod unix_impl {
+mod linux_impl {
     use super::{io, Duration, Readiness};
+    use std::ffi::c_int;
     use std::io::{Read, Write};
+    use std::os::fd::OwnedFd;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
+    pub(crate) use sys::deepen_backlog;
+    use sys::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 
     /// A raw OS file descriptor.
     pub type Fd = std::os::unix::io::RawFd;
@@ -508,145 +530,233 @@ mod unix_impl {
         x.as_raw_fd()
     }
 
-    // The one unsafe item in the crate: the FFI declaration of
-    // poll(2). std offers no public readiness API, and the workspace
-    // vendors no libc crate, so the prototype is written out by hand.
-    // It is the canonical POSIX signature; the flag constants below
-    // have the same values on every supported Unix.
+    // The crate's only unsafe code: hand-written FFI declarations of
+    // epoll(7), listen(2) and shutdown(2) — std has no public readiness
+    // API and the workspace vendors no libc crate. The constants are
+    // Linux's.
     #[allow(unsafe_code)]
     mod sys {
-        #[repr(C)]
-        pub struct PollFd {
-            pub fd: super::Fd,
-            pub events: i16,
-            pub revents: i16,
+        use std::ffi::c_int;
+        use std::io;
+        use std::net::TcpListener;
+        use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+
+        /// `struct epoll_event`: packed on x86-64 only, as the kernel has it.
+        #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+        #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct EpollEvent {
+            pub events: u32,
+            pub data: u64,
         }
 
-        pub const POLLIN: i16 = 0x001;
-        pub const POLLOUT: i16 = 0x004;
-        pub const POLLERR: i16 = 0x008;
-        pub const POLLHUP: i16 = 0x010;
-        pub const POLLNVAL: i16 = 0x020;
+        pub const EPOLLIN: u32 = 0x001;
+        pub const EPOLLOUT: u32 = 0x004;
+        pub const EPOLLERR: u32 = 0x008;
+        pub const EPOLLHUP: u32 = 0x010;
+        pub const ADD: c_int = 1;
+        pub const DEL: c_int = 2;
+        pub const MOD: c_int = 3;
 
         extern "C" {
-            fn poll(
-                fds: *mut PollFd,
-                nfds: std::ffi::c_ulong,
-                timeout: std::ffi::c_int,
-            ) -> std::ffi::c_int;
+            fn epoll_create1(flags: c_int) -> c_int;
+            fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+            fn epoll_wait(epfd: c_int, out: *mut EpollEvent, max: c_int, ms: c_int) -> c_int;
+            fn listen(fd: c_int, backlog: c_int) -> c_int;
+            fn shutdown(fd: c_int, how: c_int) -> c_int;
         }
 
-        /// Safe wrapper: the slice is exclusively borrowed for the
-        /// call, its length is passed alongside, and poll writes only
-        /// `revents` within it.
-        pub fn poll_fds(fds: &mut [PollFd], timeout: std::ffi::c_int) -> std::ffi::c_int {
-            #[allow(unsafe_code)]
-            unsafe {
-                poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout)
-            }
+        fn check(rc: c_int) -> io::Result<usize> {
+            usize::try_from(rc).map_err(|_| io::Error::last_os_error())
+        }
+
+        /// A new epoll instance (`EPOLL_CLOEXEC`), closed as it drops.
+        pub fn create() -> io::Result<OwnedFd> {
+            // SAFETY: no pointers cross.
+            let fd = check(unsafe { epoll_create1(0o2_000_000) })? as c_int;
+            // SAFETY: `fd` is new, and nothing else owns it.
+            Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+        }
+
+        pub fn ctl(epfd: c_int, op: c_int, fd: c_int, events: u32, data: u64) -> io::Result<usize> {
+            let mut event = EpollEvent { events, data };
+            // SAFETY: `event` outlives the call, which only reads it.
+            check(unsafe { epoll_ctl(epfd, op, fd, &mut event) })
+        }
+
+        pub fn wait(epfd: c_int, out: &mut [EpollEvent], ms: c_int) -> io::Result<usize> {
+            let max = c_int::try_from(out.len()).unwrap_or(c_int::MAX);
+            // SAFETY: the kernel writes at most `max` entries into the
+            // exclusively borrowed slice.
+            check(unsafe { epoll_wait(epfd, out.as_mut_ptr(), max, ms) })
+        }
+
+        /// Deepens a listener's accept queue from std's 128 to 4,096
+        /// (capped by `net.core.somaxconn`; Linux takes a new backlog on
+        /// a listening socket): a fan-in's SYNs beyond it would be
+        /// dropped, to be retried a second later.
+        pub fn deepen_backlog(listener: &TcpListener) -> io::Result<()> {
+            // SAFETY: no pointers cross.
+            check(unsafe { listen(listener.as_raw_fd(), 4096) }).map(|_| ())
+        }
+
+        /// Shuts both directions of a socket (`SHUT_RDWR`).
+        pub fn shut(fd: c_int) {
+            // SAFETY: no pointers cross; a non-socket is left as it is.
+            unsafe { shutdown(fd, 2) };
         }
     }
 
-    /// A persistent `poll(2)` interest set (see the module docs):
-    /// register once, patch interests in place, tombstone on teardown.
-    #[derive(Debug, Default)]
+    /// One token: its descriptor, the interest the kernel holds for it,
+    /// and what the last wait saw (0 once deregistered or recycled).
+    #[derive(Debug, Clone, Copy)]
+    struct Entry {
+        fd: Fd,
+        interest: u32,
+        ready: u32,
+    }
+
+    fn interest_of(read: bool, write: bool) -> u32 {
+        (u32::from(read) * EPOLLIN) | (u32::from(write) * EPOLLOUT)
+    }
+
+    /// A persistent `epoll(7)` interest set (see the module docs).
+    #[derive(Debug)]
     pub struct Poller {
-        fds: Vec<sys::PollFd>,
-        /// Tombstoned slots (fd = -1) available for reuse.
+        /// `None` if it could not be created: every wait fails.
+        epfd: Option<OwnedFd>,
+        entries: Vec<Entry>,
         free: Vec<usize>,
+        /// `epoll_wait`'s fixed buffer: ready descriptors beyond it are
+        /// reported by the next wait (level-triggered, none is lost).
+        events: Vec<sys::EpollEvent>,
+        /// The tokens the last wait saw ready, in the kernel's order.
+        ready: Vec<usize>,
+        /// Tokens the kernel refused: reported hung up by the next wait.
+        failed: Vec<usize>,
+        /// `epoll_ctl` calls made.
+        pub(super) ctls: u64,
     }
 
-    impl std::fmt::Debug for sys::PollFd {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("PollFd").field("fd", &self.fd).finish()
+    impl Default for Poller {
+        fn default() -> Self {
+            Self::new()
         }
-    }
-
-    fn events_of(read: bool, write: bool) -> i16 {
-        let mut events = 0i16;
-        if read {
-            events |= sys::POLLIN;
-        }
-        if write {
-            events |= sys::POLLOUT;
-        }
-        events
     }
 
     impl Poller {
-        /// An empty interest set.
+        /// An empty interest set: a new epoll instance, closed as the
+        /// poller drops (out of descriptors, one whose waits fail).
         pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Registers `fd` with the given interests; returns a stable
-        /// token for [`Poller::readiness`], [`Poller::set_interest`]
-        /// and [`Poller::deregister`]. Tombstoned slots are recycled
-        /// before the vec grows.
-        pub fn register(&mut self, fd: Fd, read: bool, write: bool) -> usize {
-            let entry = sys::PollFd {
-                fd,
-                events: events_of(read, write),
-                revents: 0,
-            };
-            match self.free.pop() {
-                Some(tok) => {
-                    self.fds[tok] = entry;
-                    tok
-                }
-                None => {
-                    self.fds.push(entry);
-                    self.fds.len() - 1
-                }
+            Self {
+                epfd: sys::create().ok(),
+                entries: Vec::new(),
+                free: Vec::new(),
+                events: vec![sys::EpollEvent::default(); 256],
+                ready: Vec::new(),
+                failed: Vec::new(),
+                ctls: 0,
             }
         }
 
-        /// Patches the interest bits of a registered slot in place.
-        pub fn set_interest(&mut self, tok: usize, read: bool, write: bool) {
-            self.fds[tok].events = events_of(read, write);
+        pub(crate) fn is_open(&self) -> bool {
+            self.epfd.is_some()
         }
 
-        /// Tombstones a slot: `poll(2)` ignores negative fds, so the
-        /// slot goes quiet immediately and is recycled by the next
-        /// [`Poller::register`].
+        fn ctl(&mut self, op: c_int, tok: usize) -> bool {
+            self.ctls += 1;
+            let epfd = self.epfd.as_ref().map_or(-1, AsRawFd::as_raw_fd);
+            let Entry { fd, interest, .. } = self.entries[tok];
+            sys::ctl(epfd, op, fd, interest, tok as u64).is_ok()
+        }
+
+        /// Registers `fd` with the given interests; returns a stable
+        /// token for the other methods, recycling deregistered ones
+        /// first. A descriptor the kernel refuses (`ENOMEM`, `ENOSPC`) is
+        /// shut down and reported hung up by the next [`Poller::wait`]:
+        /// its owner's read finds the end it is told about.
+        pub fn register(&mut self, fd: Fd, read: bool, write: bool) -> usize {
+            let entry = Entry {
+                fd,
+                interest: interest_of(read, write),
+                ready: 0,
+            };
+            let tok = self.free.pop().unwrap_or_else(|| {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            });
+            self.entries[tok] = entry;
+            if !self.ctl(sys::ADD, tok) {
+                if self.is_open() {
+                    sys::shut(fd);
+                }
+                self.failed.push(tok);
+            }
+            tok
+        }
+
+        /// Patches a token's interest bits: one `EPOLL_CTL_MOD`, none
+        /// when they are unchanged.
+        pub fn set_interest(&mut self, tok: usize, read: bool, write: bool) {
+            let interest = interest_of(read, write);
+            if std::mem::replace(&mut self.entries[tok].interest, interest) != interest {
+                self.ctl(sys::MOD, tok);
+            }
+        }
+
+        /// Takes a token out of the set — before its descriptor's last
+        /// close, see the module docs — with whatever the last wait saw
+        /// for it, and frees it for reuse.
         pub fn deregister(&mut self, tok: usize) {
-            self.fds[tok].fd = -1;
-            self.fds[tok].events = 0;
-            self.fds[tok].revents = 0;
+            self.ctl(sys::DEL, tok);
+            self.entries[tok].ready = 0;
+            self.failed.retain(|&t| t != tok);
             self.free.push(tok);
         }
 
         /// Blocks until a registered descriptor is ready or `timeout`
-        /// elapses (`None` = forever). A signal interruption reports
-        /// as zero descriptors ready, never as an error.
+        /// elapses (`None` = forever), and records what is ready. A
+        /// signal interruption reports nothing ready, never an error.
         ///
         /// # Errors
         ///
         /// The underlying syscall's failure, `EINTR` excepted.
         pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-            let rc = sys::poll_fds(&mut self.fds, super::timeout_ms(timeout));
-            if rc < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    for f in &mut self.fds {
-                        f.revents = 0;
-                    }
-                    return Ok(());
-                }
-                return Err(err);
+            for tok in self.ready.drain(..) {
+                self.entries[tok].ready = 0;
+            }
+            // A refused registration is reported at once.
+            let now = (!self.failed.is_empty()).then_some(Duration::ZERO);
+            let epfd = self.epfd.as_ref().map_or(-1, AsRawFd::as_raw_fd);
+            let n = match sys::wait(epfd, &mut self.events, super::timeout_ms(now.or(timeout))) {
+                Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e),
+                n => n.unwrap_or(0),
+            };
+            for event in &self.events[..n] {
+                self.entries[event.data as usize].ready = event.events;
+                self.ready.push(event.data as usize);
+            }
+            for tok in self.failed.drain(..) {
+                self.entries[tok].ready = EPOLLHUP;
+                self.ready.push(tok);
             }
             Ok(())
         }
 
-        /// The readiness the last [`Poller::wait`] observed for the
-        /// slot behind `tok`. A tombstoned slot reports nothing ready.
+        /// The readiness the last [`Poller::wait`] saw for `tok`; nothing
+        /// for a token deregistered or recycled since.
         pub fn readiness(&self, tok: usize) -> Readiness {
-            let r = self.fds[tok].revents;
+            let r = self.entries[tok].ready;
             Readiness {
-                readable: r & sys::POLLIN != 0,
-                writable: r & sys::POLLOUT != 0,
-                hangup: r & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0,
+                readable: r & EPOLLIN != 0,
+                writable: r & EPOLLOUT != 0,
+                hangup: r & (EPOLLERR | EPOLLHUP) != 0,
             }
+        }
+
+        /// The `i`th token the last wait saw ready.
+        pub(super) fn ready_token(&self, i: usize) -> Option<usize> {
+            self.ready.get(i).copied()
         }
     }
 
@@ -804,6 +914,102 @@ mod tests {
         assert!(poller.readiness(tok).writable || poller.readiness(tok).hangup);
     }
 
+    /// A loopback connection: the far end, and the near end nonblocking.
+    fn connected() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (near, _) = listener.accept().unwrap();
+        near.set_nonblocking(true).unwrap();
+        (far, near)
+    }
+
+    /// A registration belongs to the open file description, not to the
+    /// descriptor number: deregistered while it is open, a descriptor
+    /// whose `try_clone` twin lives on stays quiet; closed first, it
+    /// goes on firing under its old token, which the deregister that
+    /// came too late has already freed.
+    #[test]
+    fn deregister_precedes_the_last_close() {
+        let mut poller = Poller::new();
+        let (far, near) = connected();
+        let twin = near.try_clone().unwrap();
+        let tok = poller.register(fd_of(&near), true, false);
+        poller.deregister(tok);
+        drop(near);
+        (&far).write_all(b"ping").unwrap();
+        poller.wait(Some(Duration::from_millis(50))).unwrap();
+        assert_eq!(poller.ready_token(0), None);
+        drop(twin);
+
+        let (far, near) = connected();
+        let twin = near.try_clone().unwrap();
+        let tok = poller.register(fd_of(&near), true, false);
+        drop(near);
+        poller.deregister(tok);
+        (&far).write_all(b"ping").unwrap();
+        poller.wait(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(poller.ready_token(0), Some(tok), "the kernel kept it");
+        assert!(poller.readiness(tok).readable);
+        drop(twin);
+    }
+
+    /// A token deregistered and handed to another descriptor inside one
+    /// wake starts with nothing ready, though the wake's ready list
+    /// still names it; the other ready token keeps its readiness.
+    #[test]
+    fn a_token_recycled_inside_one_wake_starts_with_nothing_ready() {
+        let mut poller = Poller::new();
+        let ends: Vec<(TcpStream, TcpStream)> = (0..3).map(|_| connected()).collect();
+        for (far, _) in &ends {
+            (&*far).write_all(b"ping").unwrap();
+        }
+        let a = poller.register(fd_of(&ends[0].1), true, false);
+        let b = poller.register(fd_of(&ends[1].1), true, false);
+        poller.wait(Some(Duration::from_secs(5))).unwrap();
+        while poller.ready_token(1).is_none() {
+            poller.wait(Some(Duration::from_secs(5))).unwrap();
+        }
+        poller.deregister(a);
+        let c = poller.register(fd_of(&ends[2].1), true, false);
+        assert_eq!(c, a, "recycled");
+        assert!((0..2).any(|i| poller.ready_token(i) == Some(c)));
+        assert!(!poller.readiness(c).readable);
+        assert!(poller.readiness(b).readable);
+        poller.wait(Some(Duration::from_secs(5))).unwrap();
+        assert!(poller.readiness(c).readable);
+    }
+
+    /// `Splice::turn` re-states its interests every turn: unchanged bits
+    /// cost no `epoll_ctl`.
+    #[test]
+    fn set_interest_with_unchanged_bits_issues_no_epoll_ctl() {
+        let mut poller = Poller::new();
+        let (_far, near) = connected();
+        let tok = poller.register(fd_of(&near), true, false);
+        let ctls = poller.ctls;
+        poller.set_interest(tok, true, false);
+        assert_eq!(poller.ctls, ctls);
+        poller.set_interest(tok, true, true);
+        poller.set_interest(tok, true, true);
+        assert_eq!(poller.ctls, ctls + 1);
+    }
+
+    /// A descriptor epoll refuses (here `/dev/null`, which has no poll
+    /// method) is reported hung up by the next wait, at once.
+    #[test]
+    fn a_refused_registration_is_reported_hung_up() {
+        let mut poller = Poller::new();
+        let null = std::fs::File::open("/dev/null").unwrap();
+        let tok = poller.register(fd_of(&null), true, false);
+        let start = Instant::now();
+        poller.wait(Some(Duration::from_secs(10))).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(poller.ready_token(0), Some(tok));
+        assert!(poller.readiness(tok).hangup);
+        poller.wait(Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(poller.ready_token(0), None, "once");
+    }
+
     #[test]
     fn timeout_rounds_up_not_down() {
         assert_eq!(super::timeout_ms(None), -1);
@@ -941,8 +1147,8 @@ mod tests {
     /// The park-then-look protocol with more than one producer, the
     /// interleavings forced by a gate inside source A's turn: while the
     /// thread is held there, B's producer rings B's doorbell — (1)
-    /// between `park` and `poll`, which is where a `Woken` turn runs, so
-    /// the ring finds the thread parked and must cut the coming `poll`
+    /// between `park` and the wait, which is where a `Woken` turn runs,
+    /// so the ring finds the thread parked and must cut the coming wait
     /// short; (2) mid-turn with the thread awake, where the ring writes
     /// no wake byte and the look after the next `park` must find it.
     /// Neither strands B's output — and whichever of the two sits in the
@@ -974,7 +1180,7 @@ mod tests {
     fn a_source_that_ends_mid_wake_is_not_turned_again() {
         let a = probe(2, true);
         // Both streams become readable while the thread is held, so the
-        // next `poll` reports them in one wake.
+        // next wait reports them in one wake.
         a.hold.store(true, Ordering::SeqCst);
         a.notify.wake();
         a.expect(Saw::Woken);
@@ -988,5 +1194,29 @@ mod tests {
         a.expect(Saw::Closed);
         let after = a.saw.recv_timeout(Duration::from_millis(100));
         assert!(after.is_err(), "turned after its close: {after:?}");
+    }
+
+    /// A fan-in's dials arrive faster than one thread accepts them:
+    /// with the I/O thread held inside a turn, a thousand dials to a
+    /// hub all complete in the kernel's accept queue. std's backlog of
+    /// 128 would drop the SYNs beyond it, to be retried a second later.
+    #[test]
+    fn a_thousand_dials_queue_while_the_thread_is_held() {
+        use script_chan::{ShardedTransport, Transport};
+        let inner: Arc<dyn Transport<String, u64>> = Arc::new(ShardedTransport::new(false, None));
+        let hub = crate::TransportServer::bind("127.0.0.1:0", inner).unwrap();
+        let held = probe(1, false);
+        held.hold.store(true, Ordering::SeqCst);
+        held.notify.wake();
+        held.expect(Saw::Woken); // Nobody accepts from here on.
+        let dials: Vec<TcpStream> = (0..1000)
+            .map(|i| {
+                TcpStream::connect_timeout(&hub.local_addr(), Duration::from_millis(200))
+                    .unwrap_or_else(|e| panic!("dial {i}: {e}"))
+            })
+            .collect();
+        held.hold.store(false, Ordering::SeqCst);
+        held.gate.send(()).unwrap();
+        drop(dials);
     }
 }

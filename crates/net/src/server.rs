@@ -271,6 +271,7 @@ where
         lease: Duration,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        reactor::deepen_backlog(&listener)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(ServerShared {
@@ -432,10 +433,14 @@ struct Conn<I> {
 /// count up from 0.
 const LISTENER: u64 = u64::MAX;
 
+/// How long the listener rests after a failed accept.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
+
 /// The hub as the I/O thread turns it (see the module docs).
 struct HubIo<I, M> {
     shared: Arc<ServerShared<I, M>>,
     listener: TcpListener,
+    listener_tok: usize,
     conns: HashMap<u64, Conn<I>>,
     next_sweep: Instant,
     sweep_tick: Duration,
@@ -454,10 +459,10 @@ where
         }
         match cause {
             // The poll set is persistent: the listener registers once
-            // here, connections register on accept and tombstone on
+            // here, connections register on accept and deregister on
             // teardown.
             Cause::Attached => {
-                io.register(fd_of(&self.listener), LISTENER, true, false);
+                self.listener_tok = io.register(fd_of(&self.listener), LISTENER, true, false);
             }
             Cause::Woken => self.flush_all(io),
             Cause::Ready { key: LISTENER, .. } => self.accept_ready(io),
@@ -473,6 +478,9 @@ where
                 }
             }
             Cause::Due => {
+                // A listener resting after a failed accept listens again
+                // (no syscall when it was not resting).
+                io.set_interest(self.listener_tok, true, false);
                 self.shared.sweep_expired();
                 self.next_sweep = Instant::now() + self.sweep_tick;
             }
@@ -522,6 +530,7 @@ where
         Self {
             shared,
             listener,
+            listener_tok: 0,
             conns: HashMap::new(),
             next_sweep: Instant::now() + sweep_tick,
             sweep_tick,
@@ -559,7 +568,10 @@ where
         self.dead = dead;
     }
 
-    /// Accepts every pending connection.
+    /// Accepts every pending connection. An accept failing otherwise than
+    /// on an empty queue — out of descriptors, most likely — leaves the
+    /// listener readable: rather than spin the I/O thread, it rests for
+    /// [`ACCEPT_PAUSE`], and the established connections stay.
     fn accept_ready(&mut self, io: &mut Io<'_>) {
         loop {
             match self.listener.accept() {
@@ -590,7 +602,11 @@ where
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return,
+                Err(_) => {
+                    io.set_interest(self.listener_tok, false, false);
+                    self.next_sweep = self.next_sweep.min(Instant::now() + ACCEPT_PAUSE);
+                    return;
+                }
             }
         }
     }

@@ -26,11 +26,21 @@ fn wait_for_sources(want: usize) {
     assert_eq!(io_stats().sources, want);
 }
 
+/// Descriptors leave with their sources, on the I/O thread.
+fn wait_for_descriptors(want: usize) {
+    let until = Instant::now() + Duration::from_secs(10);
+    while io_stats().descriptors != want && Instant::now() < until {
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(io_stats().descriptors, want, "a registration leaked");
+}
+
 /// One test at a time, each starting once the last one's sources have
 /// left: from there on every source in the process is its own.
 fn alone() -> MutexGuard<'static, ()> {
     let guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     wait_for_sources(0);
+    wait_for_descriptors(0);
     guard
 }
 
@@ -131,6 +141,7 @@ fn a_hung_up_end_cannot_spin_the_shared_thread() {
         drop(second);
         echoer.join().unwrap();
         wait_for_sources(1);
+        wait_for_descriptors(1); // The fleet's listener.
     }
 }
 
@@ -160,6 +171,7 @@ fn a_dropped_fleet_closes_its_listeners_and_leaves_no_source() {
         }
     }
     wait_for_sources(0);
+    wait_for_descriptors(0);
     held.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
     assert!(matches!(held.read(&mut [0u8; 1]), Ok(0) | Err(_)));
     assert!(dropped.elapsed() < Duration::from_secs(1));
@@ -208,5 +220,6 @@ fn a_hub_dropped_under_a_relayed_spoke_says_goodbye_through_the_splice() {
     let sent = spoke.send(&a, &b, 6, far);
     assert!(sent.is_err(), "{sent:?}");
     wait_for_sources(1);
+    wait_for_descriptors(1);
     assert_eq!(io_stats().redial_threads, redials, "a goodbye, not a loss");
 }

@@ -33,6 +33,15 @@ fn wait_for_sources(want: usize) {
     assert_eq!(io_stats().sources, want);
 }
 
+/// Descriptors leave with their sources, on the I/O thread.
+fn wait_for_descriptors(want: usize) {
+    let until = Instant::now() + Duration::from_secs(10);
+    while io_stats().descriptors != want && Instant::now() < until {
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(io_stats().descriptors, want, "a registration leaked");
+}
+
 #[test]
 fn sessions_come_and_go_on_one_io_thread() {
     let (a, b) = ("a".to_string(), "b".to_string());
@@ -52,6 +61,7 @@ fn sessions_come_and_go_on_one_io_thread() {
         drop(spoke);
         drop(server);
         wait_for_sources(0);
+        wait_for_descriptors(0);
     }
     let churned = io_stats();
     assert_eq!(churned.io_threads, 1, "{churned:?}");
@@ -83,9 +93,15 @@ fn sessions_come_and_go_on_one_io_thread() {
         }
     });
     assert_eq!(io_stats().sources, 65);
+    assert_eq!(
+        io_stats().descriptors,
+        1 + 2 * 64,
+        "a listener, both ends of 64"
+    );
     drop(spokes);
     drop(server);
     wait_for_sources(0);
+    wait_for_descriptors(0);
 
     // The fleet: its doors and every control connection are one source,
     // a relayed connection is one more — and no thread outlives a dial.
@@ -137,6 +153,7 @@ fn sessions_come_and_go_on_one_io_thread() {
     drop(server);
     drop(fleet);
     wait_for_sources(0);
+    wait_for_descriptors(0);
 
     let end = io_stats();
     println!("{end:?}");
