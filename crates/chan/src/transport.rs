@@ -408,6 +408,9 @@ pub trait Transport<I, M>: Send + Sync {
     }
 }
 
+/// Arms a selection scans in a stack-held order; more take a `Vec`.
+const SCAN_ON_STACK: usize = 16;
+
 const LIFE_EXPECTED: u8 = 0;
 const LIFE_ACTIVE: u8 = 1;
 const LIFE_DONE: u8 = 2;
@@ -451,6 +454,9 @@ struct EpState<I, M> {
     acks: HashMap<I, u64>,
     /// My published receive offers, claimable by send arms.
     wait: Option<WaitEntry<I>>,
+    /// The last withdrawn offers list, emptied: the next publication
+    /// fills it instead of allocating.
+    spare_offers: Vec<Source<I>>,
     /// Eventcount: bumped under this lock on every change a sleeper on
     /// `cond` could care about. Selectors re-read it before parking.
     signal: u64,
@@ -739,6 +745,7 @@ where
                 inbox: HashMap::new(),
                 acks: HashMap::new(),
                 wait: None,
+                spare_offers: Vec::new(),
                 signal: 0,
                 watchers: Vec::new(),
                 rng,
@@ -1596,8 +1603,14 @@ where
     ) -> (u64, Option<Outcome<I, M>>) {
         let mut st = me_ep.state.lock();
         let sig0 = st.signal;
-        if let Some(entry) = st.wait.take() {
-            if let Some(from) = entry.resolved {
+        if let Some(WaitEntry {
+            mut offers,
+            resolved,
+        }) = st.wait.take()
+        {
+            offers.clear();
+            st.spare_offers = offers;
+            if let Some(from) = resolved {
                 // Recorded at the claim.
                 let msg = self
                     .pick_up(&mut st, &from)
@@ -1623,16 +1636,14 @@ where
     /// Publishes `me`'s receive offers so send arms elsewhere can claim
     /// us, then wakes the selectors watching us.
     fn publish_offers(&self, me_ep: &Arc<Endpoint<I, M>>, reprs: &[ArmRepr<I, M>]) {
-        let offers: Vec<Source<I>> = reprs
-            .iter()
-            .filter_map(|(r, _)| match r {
-                SelRepr::Recv(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect();
         let watchers;
         {
             let mut st = me_ep.state.lock();
+            let mut offers = std::mem::take(&mut st.spare_offers);
+            offers.extend(reprs.iter().filter_map(|(r, _)| match r {
+                SelRepr::Recv(s) => Some(s.clone()),
+                _ => None,
+            }));
             st.wait = Some(WaitEntry {
                 offers,
                 resolved: None,
@@ -1653,10 +1664,22 @@ where
         reprs: &mut [ArmRepr<I, M>],
     ) -> Result<Option<Outcome<I, M>>, ChanError<I>> {
         {
-            let mut order: Vec<usize> = (0..reprs.len()).collect();
+            // The scan order, on the stack for up to `SCAN_ON_STACK` arms;
+            // the same shuffle of the same indices either way.
+            let mut on_stack = [0usize; SCAN_ON_STACK];
+            let mut on_heap = Vec::new();
+            let order = if reprs.len() <= SCAN_ON_STACK {
+                &mut on_stack[..reprs.len()]
+            } else {
+                on_heap.resize(reprs.len(), 0);
+                &mut on_heap[..]
+            };
+            for (i, idx) in order.iter_mut().enumerate() {
+                *idx = i;
+            }
             order.shuffle(&mut me_ep.state.lock().rng);
             let mut any_live = false;
-            for idx in order {
+            for &idx in &*order {
                 let (repr, arm_ep) = &mut reprs[idx];
                 match repr {
                     SelRepr::Recv(Source::Of(p)) => {
@@ -1681,14 +1704,24 @@ where
                     }
                     SelRepr::Recv(Source::Any) => {
                         let mut st = me_ep.state.lock();
-                        let mut senders: Vec<I> = st.inbox.keys().cloned().collect();
-                        if senders.len() > 1 {
-                            // `inbox` iterates in `RandomState` order; a
-                            // seeded pick must not depend on it. (The
-                            // cached-key sort would allocate per scan.)
-                            senders.sort_unstable_by_key(|id| derive_seed(0, id));
-                        }
-                        if let Some(from) = senders.choose(&mut st.rng).cloned() {
+                        let picked = match st.inbox.len() {
+                            0 => None,
+                            // The draw `choose` makes from a list of
+                            // one, without the list.
+                            1 => {
+                                let only = st.inbox.keys().next().cloned();
+                                only.as_slice().choose(&mut st.rng).cloned()
+                            }
+                            _ => {
+                                let mut senders: Vec<I> = st.inbox.keys().cloned().collect();
+                                // `inbox` iterates in `RandomState` order; a
+                                // seeded pick must not depend on it. (The
+                                // cached-key sort would allocate per scan.)
+                                senders.sort_unstable_by_key(|id| derive_seed(0, id));
+                                senders.choose(&mut st.rng).cloned()
+                            }
+                        };
+                        if let Some(from) = picked {
                             let msg = self
                                 .take_from(&mut st, me, &from)
                                 .expect("chosen sender has a message");

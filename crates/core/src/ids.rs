@@ -59,6 +59,14 @@ impl RoleId {
         self.index
     }
 
+    /// The id with this one's name — shared, not copied — and `index`.
+    pub fn with_index(&self, index: Option<usize>) -> Self {
+        Self {
+            name: Arc::clone(&self.name),
+            index,
+        }
+    }
+
     /// Returns `true` if this id belongs to family `family`.
     pub fn in_family(&self, family: &str) -> bool {
         self.index.is_some() && &*self.name == family
@@ -110,32 +118,91 @@ impl From<(&str, usize)> for RoleId {
 /// assert_eq!(p.to_string(), "T");
 /// ```
 ///
-/// Like [`RoleId`], a clone shares the name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct ProcessId(Arc<str>);
+/// Like [`RoleId`], a clone shares the name. An anonymous identity
+/// keeps its text inline: minting one allocates nothing.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct ProcessId(Name);
+
+/// Longest anonymous name: `<anon-`, the 20 digits of `u64::MAX`, `>`.
+const ANON_MAX: usize = 27;
+
+#[derive(Clone)]
+enum Name {
+    Named(Arc<str>),
+    /// The first `len` bytes of `text`.
+    Anonymous {
+        text: [u8; ANON_MAX],
+        len: u8,
+    },
+}
 
 impl ProcessId {
     /// A named process identity.
     pub fn new(name: impl Into<String>) -> Self {
-        Self(name.into().into())
+        Self(Name::Named(name.into().into()))
     }
 
     /// A fresh anonymous identity, unequal to every named identity.
     pub fn anonymous() -> Self {
+        use std::io::Write;
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT: AtomicU64 = AtomicU64::new(0);
-        Self(format!("<anon-{}>", NEXT.fetch_add(1, Ordering::Relaxed)).into())
+        let mut text = [0u8; ANON_MAX];
+        let mut rest = &mut text[..];
+        write!(rest, "<anon-{}>", NEXT.fetch_add(1, Ordering::Relaxed))
+            .expect("every u64 fits ANON_MAX");
+        let len = (ANON_MAX - rest.len()) as u8;
+        Self(Name::Anonymous { text, len })
     }
 
     /// The process name.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Name::Named(name) => name,
+            Name::Anonymous { text, len } => {
+                std::str::from_utf8(&text[..usize::from(*len)]).expect("written from a str")
+            }
+        }
+    }
+}
+
+// Equality, order and hash are the name's, however it is held — as
+// they were when every name was an `Arc<str>`.
+impl PartialEq for ProcessId {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for ProcessId {}
+
+impl PartialOrd for ProcessId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ProcessId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl std::hash::Hash for ProcessId {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for ProcessId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ProcessId").field(&self.as_str()).finish()
     }
 }
 
 impl fmt::Display for ProcessId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -198,6 +265,28 @@ mod tests {
     fn anonymous_ids_are_unique() {
         assert_ne!(ProcessId::anonymous(), ProcessId::anonymous());
         assert_ne!(ProcessId::anonymous(), ProcessId::new("<anon-0>").clone());
+    }
+
+    /// An anonymous id held inline reads, compares, orders and hashes
+    /// exactly as the same name held shared.
+    #[test]
+    fn an_anonymous_id_is_its_name() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash(p: &ProcessId) -> u64 {
+            let mut h = DefaultHasher::new();
+            p.hash(&mut h);
+            h.finish()
+        }
+        let anon = ProcessId::anonymous();
+        let named = ProcessId::new(anon.as_str());
+        assert!(anon.as_str().starts_with("<anon-") && anon.as_str().ends_with('>'));
+        assert_eq!(anon.to_string(), named.to_string());
+        assert_eq!(format!("{anon:?}"), format!("{named:?}"));
+        assert_eq!(anon, named);
+        assert_eq!(anon.cmp(&named), std::cmp::Ordering::Equal);
+        assert_eq!(hash(&anon), hash(&named));
+        assert!(ProcessId::new("<anon-") < anon && anon < ProcessId::new("<anon.0>"));
     }
 
     #[test]

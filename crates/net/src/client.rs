@@ -108,6 +108,8 @@
 //! its hub-side session, so this process dying surfaces as `Terminated`
 //! to everyone else once the lease lapses.
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -196,6 +198,9 @@ enum SlotState<I, M> {
     /// The request will never be answered (session death, or a fast
     /// query's connection dropped).
     Lost,
+    /// The waiter took the answer: whoever filled the slot has nothing
+    /// left to do with it but let go of it.
+    Taken,
 }
 
 impl<I, M> Slot<I, M> {
@@ -222,13 +227,63 @@ impl<I, M> Slot<I, M> {
     fn wait(&self) -> Option<Resp<I, M>> {
         let mut st = self.state.lock();
         loop {
-            match std::mem::replace(&mut *st, SlotState::Waiting) {
-                SlotState::Waiting => self.cond.wait(&mut st),
+            match std::mem::replace(&mut *st, SlotState::Taken) {
                 SlotState::Filled(resp) => return Some(resp),
                 SlotState::Lost => return None,
+                unfilled => {
+                    *st = unfilled;
+                    self.cond.wait(&mut st);
+                }
             }
         }
     }
+}
+
+thread_local! {
+    /// The calling thread's answer slot (see [`caller_slot`]), as `Any`:
+    /// a thread may call spokes of any `I` and `M`.
+    static CALLER_SLOT: RefCell<Option<Box<dyn Any>>> = const { RefCell::new(None) };
+}
+
+/// The slot a caller waits in for its answer: its thread's own, reused,
+/// as a thread waits for one answer at a time. It is reused when nobody
+/// else holds it, or when its last answer was taken — whoever filled it
+/// may hold it a moment longer, but only to let go. Otherwise (a request
+/// given up before its answer came, which a late fill could still
+/// reach) it is replaced.
+fn caller_slot<I: 'static, M: 'static>() -> Arc<Slot<I, M>> {
+    let take = |cell: &RefCell<Option<Box<dyn Any>>>| {
+        let mut cell = cell.borrow_mut();
+        let Some(kept) = cell
+            .as_mut()
+            .and_then(|b| b.downcast_mut::<Arc<Slot<I, M>>>())
+        else {
+            let slot = Arc::new(Slot::new());
+            *cell = Some(Box::new(Arc::clone(&slot)));
+            return slot;
+        };
+        let reusable = match Arc::get_mut(kept) {
+            Some(free) => {
+                *free.state.get_mut() = SlotState::Waiting;
+                true
+            }
+            None => {
+                let mut st = kept.state.lock();
+                let taken = matches!(*st, SlotState::Taken);
+                if taken {
+                    *st = SlotState::Waiting;
+                }
+                taken
+            }
+        };
+        if !reusable {
+            *kept = Arc::new(Slot::new());
+        }
+        Arc::clone(kept)
+    };
+    CALLER_SLOT
+        .try_with(take)
+        .unwrap_or_else(|_| Arc::new(Slot::new()))
 }
 
 /// Bytes reserved for an encoded request frame: covers the request id,
@@ -687,7 +742,7 @@ where
 
     /// [`Shared::call`] for a request that is already encoded.
     fn call_frame(self: &Arc<Self>, frame: (u64, Vec<u8>)) -> Option<Resp<I, M>> {
-        let slot = Arc::new(Slot::new());
+        let slot = caller_slot();
         let req_id = self.register(frame, Some(Arc::clone(&slot)), false);
         if !self.launch(req_id) {
             return None;
@@ -755,7 +810,7 @@ where
                 _ => return FastReply::Blip,
             }
         };
-        let slot = Arc::new(Slot::new());
+        let slot = caller_slot();
         let req_id = self.register(self.encode_req(req), Some(Arc::clone(&slot)), true);
         // The connection's end drains fast entries *after* flipping
         // `alive`; re-checking after the insert guarantees ours is seen.
@@ -1040,7 +1095,7 @@ where
         loop {
             match self.dec.next_frame() {
                 Ok(Some(frame)) => {
-                    if !self.shared.on_frame(&frame) {
+                    if !self.shared.on_frame(frame) {
                         return false;
                     }
                     self.answered += 1;

@@ -517,8 +517,8 @@ impl FleetIo {
         };
         if conn.out.is_empty() {
             let status = conn.dec.read_from(&mut conn.stream);
-            let frame = conn.dec.next_frame();
-            match frame.map(|f| f.map(|f| FleetReq::from_bytes(&f))) {
+            let req = conn.dec.next_frame().map(|f| f.map(FleetReq::from_bytes));
+            match req {
                 Ok(Some(Ok(FleetReq::RelayConnect { addr }))) => {
                     io.deregister(conn.tok);
                     let state = Arc::clone(&self.state);

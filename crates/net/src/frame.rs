@@ -94,11 +94,20 @@ fn fill_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 /// complete frames with [`FrameDecoder::next_frame`]. Partial frames —
 /// even a split length prefix — persist across calls, so a readiness
 /// loop can hand it arbitrary byte fragments.
+///
+/// A socket is read straight into the decoder's own buffer, and a frame
+/// is lent out of it, not copied: a caller decodes it in place. The
+/// buffer starts at 128 bytes and doubles only when a read fills it, so
+/// an idle connection costs little and a busy one stops growing at its
+/// largest burst.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Initialised storage; bytes `start..end` are buffered.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted once it outgrows the tail.
-    pos: usize,
+    /// Start of the first byte not yet taken as a frame.
+    start: usize,
+    /// End of the bytes received.
+    end: usize,
 }
 
 /// What one [`FrameDecoder::read_from`] pass observed on the stream.
@@ -111,6 +120,9 @@ pub enum ReadStatus {
 }
 
 impl FrameDecoder {
+    /// Bytes a decoder's buffer holds before its first growth.
+    const INITIAL: usize = 128;
+
     /// A fresh decoder with no buffered bytes.
     pub fn new() -> Self {
         Self::default()
@@ -118,12 +130,14 @@ impl FrameDecoder {
 
     /// Appends raw bytes to the internal buffer.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.reserve(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
-    /// Reads from `r` until it runs dry or closes, buffering
-    /// everything received. A read that does not fill the chunk has
-    /// emptied the socket: the pass stops there, not a syscall later at
+    /// Reads from `r` until it runs dry or closes, straight into the
+    /// buffer. A read that does not fill the free space has emptied the
+    /// socket: the pass stops there, not a syscall later at
     /// `WouldBlock`. Whatever arrives afterwards — an EOF included — a
     /// level-triggered poller reports on its next turn.
     ///
@@ -131,13 +145,15 @@ impl FrameDecoder {
     ///
     /// Any I/O error other than `WouldBlock`/`Interrupted`.
     pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<ReadStatus> {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match r.read(&mut chunk) {
+            if self.end == self.buf.len() {
+                self.reserve(1);
+            }
+            match r.read(&mut self.buf[self.end..]) {
                 Ok(0) => return Ok(ReadStatus::Eof),
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    if n < chunk.len() {
+                    self.end += n;
+                    if self.end < self.buf.len() {
                         return Ok(ReadStatus::Blocked);
                     }
                 }
@@ -153,19 +169,19 @@ impl FrameDecoder {
         }
     }
 
-    /// Extracts the next complete frame, if one is buffered.
+    /// Lends the next complete frame, if one is buffered. The slice is
+    /// valid until the decoder is next fed.
     ///
     /// # Errors
     ///
     /// `InvalidData` if a length prefix exceeds [`MAX_FRAME`] (protocol
     /// corruption: the caller severs the connection).
-    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let avail = self.buf.len() - self.pos;
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        let avail = self.end - self.start;
         if avail < 4 {
-            self.compact();
             return Ok(None);
         }
-        let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4].try_into().unwrap();
+        let len_bytes: [u8; 4] = self.buf[self.start..self.start + 4].try_into().unwrap();
         let len = u32::from_be_bytes(len_bytes) as usize;
         if len > MAX_FRAME {
             return Err(io::Error::new(
@@ -174,32 +190,47 @@ impl FrameDecoder {
             ));
         }
         if avail < 4 + len {
-            self.compact();
             return Ok(None);
         }
-        let frame = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(frame))
+        let at = self.start + 4;
+        self.start = at + len;
+        if self.start == self.end {
+            // Everything taken: the next read lands at the front.
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(&self.buf[at..at + len]))
     }
 
     /// Whether a partial frame is buffered — an EOF here is a
     /// truncation, not a clean close.
     pub fn mid_frame(&self) -> bool {
-        self.buf.len() > self.pos
+        self.end > self.start
     }
 
     /// The bytes buffered past the last frame taken, for a caller that
     /// stops decoding mid-stream and owes them to whoever reads the
     /// stream next.
     pub fn into_remainder(mut self) -> Vec<u8> {
-        self.buf.drain(..self.pos);
+        self.buf.truncate(self.end);
+        self.buf.drain(..self.start);
         self.buf
     }
 
-    fn compact(&mut self) {
-        if self.pos > 0 && self.pos >= self.buf.len() / 2 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    /// Makes room for `more` bytes past `end`: moves a partial frame to
+    /// the front first, and grows (doubling, from `INITIAL`) only if
+    /// that is not enough.
+    fn reserve(&mut self, more: usize) {
+        if self.buf.len() - self.end >= more {
+            return;
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        let need = self.end + more;
+        if self.buf.len() < need {
+            let len = need.max(Self::INITIAL).max(self.buf.len() * 2);
+            self.buf.resize(len, 0);
         }
     }
 }
@@ -342,7 +373,7 @@ mod tests {
         for b in &bytes {
             dec.extend(std::slice::from_ref(b));
             while let Some(f) = dec.next_frame().unwrap() {
-                got.push(f);
+                got.push(f.to_vec());
             }
         }
         assert_eq!(got.len(), 3);
@@ -370,7 +401,7 @@ mod tests {
     }
 
     /// A short read ends the pass: no second call to learn `WouldBlock`.
-    /// Only a chunk-filling read earns another.
+    /// Only a read that fills the buffer earns another, into a grown one.
     #[test]
     fn read_from_stops_at_a_short_read() {
         struct Counted {
@@ -395,13 +426,42 @@ mod tests {
             calls: 0,
         };
         assert_eq!(dec.read_from(&mut r).unwrap(), ReadStatus::Blocked);
-        assert_eq!((r.calls, dec.buf.len()), (1, 100));
+        assert_eq!((r.calls, dec.end), (1, 100));
+        let mut dec = FrameDecoder::new();
         let mut r = Counted {
-            left: 16 * 1024 + 7,
+            left: FrameDecoder::INITIAL + 7,
             calls: 0,
         };
         assert_eq!(dec.read_from(&mut r).unwrap(), ReadStatus::Blocked);
-        assert_eq!(r.calls, 2, "a full chunk may have left more behind");
+        assert_eq!(r.calls, 2, "a full buffer may have left more behind");
+        assert_eq!(dec.end, FrameDecoder::INITIAL + 7);
+    }
+
+    /// The buffer is the decoder's only storage: it starts at `INITIAL`,
+    /// is reused from the front once drained, and grows only for a
+    /// burst that does not fit.
+    #[test]
+    fn the_buffer_grows_only_when_a_read_fills_it() {
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &[5u8; 100]).unwrap();
+        let mut dec = FrameDecoder::new();
+        for _ in 0..1000 {
+            dec.read_from(&mut Cursor::new(&framed)).unwrap();
+            assert_eq!(dec.next_frame().unwrap(), Some(&[5u8; 100][..]));
+            assert!(!dec.mid_frame());
+        }
+        assert_eq!(dec.buf.len(), FrameDecoder::INITIAL);
+        let mut burst = Vec::new();
+        for _ in 0..8 {
+            burst.extend_from_slice(&framed);
+        }
+        dec.read_from(&mut Cursor::new(&burst)).unwrap();
+        // 832 bytes: doubled until a read came up short.
+        assert_eq!(dec.buf.len(), 1024);
+        for _ in 0..8 {
+            assert_eq!(dec.next_frame().unwrap(), Some(&[5u8; 100][..]));
+        }
+        assert_eq!(dec.next_frame().unwrap(), None);
     }
 
     #[test]

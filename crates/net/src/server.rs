@@ -81,9 +81,11 @@
 //! records are read through a subscribed spoke, which gets them
 //! sequenced and gapless across resumes.
 //!
-//! **Shutdown** pushes [`Event::Closing`] to every connection before
-//! the sockets close, so spokes fail fast instead of burning their
-//! redial budget against a dead address.
+//! **Shutdown** pushes [`Event::Closing`] to every connection whose
+//! spoke is still there before the sockets close, so spokes fail fast
+//! instead of burning their redial budget against a dead address. A
+//! spoke that already hung up gets nothing: its connection is read to
+//! the end and closed without a write, which would only draw a reset.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -490,12 +492,15 @@ where
 
     /// Shutdown — or a panicked turn, which shuts the hub down the same
     /// way: behind whatever answers are still queued, every connection
-    /// gets an [`Event::Closing`] — best effort, so spokes fail fast
-    /// instead of entering their redial loops — and then everything is
-    /// closed. Queued here, by the owner of the connections, so no
-    /// connection can close before its goodbye is in its buffer. The
-    /// one place the I/O thread lets a write wait: up to 100 ms for a
-    /// spoke whose receive buffer is full.
+    /// whose spoke is still there gets an [`Event::Closing`] — best
+    /// effort, so spokes fail fast instead of entering their redial
+    /// loops — and then everything is closed. Queued here, by the owner
+    /// of the connections, so no connection can close before its
+    /// goodbye is in its buffer. A connection is read dry first: one
+    /// whose spoke already hung up gets no goodbye (the write would
+    /// only be answered with a reset). The one place the I/O thread
+    /// lets a write wait: up to 100 ms for a spoke whose receive buffer
+    /// is full.
     fn close(&mut self, io: &mut Io<'_>, _panicked: bool) {
         self.shared.shutdown_hub();
         let mut closing = Vec::new();
@@ -504,13 +509,26 @@ where
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in &ids {
             if let Some(conn) = self.conns.get_mut(id) {
-                let _ = conn.stream.set_nonblocking(false);
-                let _ = conn
-                    .stream
-                    .set_write_timeout(Some(Duration::from_millis(100)));
+                // Two passes: the first may stop at a short read just
+                // ahead of the end.
+                let mut hung_up = || {
+                    !matches!(
+                        conn.dec.read_from(&mut conn.stream),
+                        Ok(ReadStatus::Blocked)
+                    )
+                };
+                if hung_up() || hung_up() {
+                    continue;
+                }
                 let mut buf = conn.tx.buf.lock();
                 let _ = buf.push_frame(&closing);
-                let _ = buf.flush_to(&mut conn.stream);
+                if let Ok(false) = buf.flush_to(&mut conn.stream) {
+                    let _ = conn.stream.set_nonblocking(false);
+                    let _ = conn
+                        .stream
+                        .set_write_timeout(Some(Duration::from_millis(100)));
+                    let _ = buf.flush_to(&mut conn.stream);
+                }
             }
         }
         for id in ids {
@@ -623,30 +641,34 @@ where
             Err(_) => ReadStatus::Eof,
         };
         loop {
-            let frame = {
+            // Decoded where it was read: the request owns what it keeps,
+            // and the frame goes back to the decoder.
+            let (req_id, req) = {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     return true;
                 };
                 match conn.dec.next_frame() {
-                    Ok(Some(f)) => f,
+                    Ok(Some(frame)) => {
+                        let mut r = Reader::new(frame);
+                        match (u64::decode(&mut r), Req::<I, M>::decode(&mut r)) {
+                            (Ok(req_id), Ok(req)) => (req_id, req),
+                            _ => return false, // protocol corruption
+                        }
+                    }
                     Ok(None) => break,
                     Err(_) => return false, // oversized prefix: corruption
                 }
             };
-            if !self.handle_frame(id, &frame) {
+            if !self.handle_request(id, req_id, req) {
                 return false;
             }
         }
         status == ReadStatus::Blocked
     }
 
-    /// Routes one decoded frame according to the connection's mode.
+    /// Routes one decoded request according to the connection's mode.
     /// Returns `false` to sever the connection.
-    fn handle_frame(&mut self, id: u64, frame: &[u8]) -> bool {
-        let mut r = Reader::new(frame);
-        let (Ok(req_id), Ok(req)) = (u64::decode(&mut r), Req::<I, M>::decode(&mut r)) else {
-            return false; // protocol corruption: sever the connection
-        };
+    fn handle_request(&mut self, id: u64, req_id: u64, req: Req<I, M>) -> bool {
         let Some(conn) = self.conns.get_mut(&id) else {
             return true;
         };

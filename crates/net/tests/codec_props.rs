@@ -9,7 +9,9 @@
 //! 3. adversarial length fields (beyond [`MAX_FRAME`]) are rejected
 //!    before any proportional allocation;
 //! 4. arbitrary byte soup never panics the decoder or the frame
-//!    reader — errors only.
+//!    reader — errors only;
+//! 5. a [`FrameDecoder`] fed a frame stream in arbitrary fragments lends
+//!    exactly its frames, and hands back exactly the bytes past them.
 
 use std::io::Cursor;
 use std::time::Duration;
@@ -22,7 +24,7 @@ use script_chan::{
 };
 use script_net::fleet::{FleetReq, FleetResp};
 use script_net::proto::{Event, Req, Resp, StreamItem};
-use script_net::{read_frame, write_frame, PerfDescriptor, Wire, MAX_FRAME};
+use script_net::{read_frame, write_frame, FrameDecoder, PerfDescriptor, Wire, MAX_FRAME};
 
 /// A printable-ish string strategy (arbitrary bytes, lossily UTF-8).
 fn any_string() -> impl Strategy<Value = String> {
@@ -402,5 +404,48 @@ proptest! {
             prop_assert_eq!(got.as_ref(), Some(p));
         }
         prop_assert_eq!(read_frame(&mut c).expect("eof"), None);
+    }
+
+    /// Any fragmentation — split length prefixes, frames larger than the
+    /// decoder's first buffer, bytes fed by `extend` and by `read_from`
+    /// in turn — yields every frame whose bytes arrived, in order; a
+    /// decoder dropped mid-stream hands back exactly the bytes past the
+    /// last frame it lent.
+    #[test]
+    fn a_decoder_survives_any_fragmentation(
+        payloads in vec(vec(any::<u8>(), 0..1_500), 0..6),
+        cuts in vec(1usize..700, 1..40),
+        stop_at in any::<usize>(),
+    ) {
+        let mut stream = Vec::new();
+        let mut ends = Vec::new();
+        for p in &payloads {
+            write_frame(&mut stream, p).expect("write");
+            ends.push(stream.len());
+        }
+        let stop = stop_at % (stream.len() + 1);
+        let mut dec = FrameDecoder::new();
+        let mut got: Vec<Vec<u8>> = Vec::new();
+        let mut fed = 0;
+        for (i, cut) in cuts.iter().cycle().enumerate() {
+            if fed >= stop {
+                break;
+            }
+            let piece = &stream[fed..(fed + cut).min(stop)];
+            if i % 2 == 0 {
+                dec.extend(piece);
+            } else {
+                dec.read_from(&mut Cursor::new(piece)).expect("a cursor reads");
+            }
+            fed += piece.len();
+            while let Some(frame) = dec.next_frame().expect("well-formed") {
+                got.push(frame.to_vec());
+            }
+        }
+        let whole = ends.iter().filter(|&&end| end <= stop).count();
+        prop_assert_eq!(&got[..], &payloads[..whole]);
+        let taken = if whole == 0 { 0 } else { ends[whole - 1] };
+        prop_assert_eq!(dec.mid_frame(), taken < stop);
+        prop_assert_eq!(dec.into_remainder(), stream[taken..stop].to_vec());
     }
 }

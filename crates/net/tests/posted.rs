@@ -398,3 +398,51 @@ fn port_for_a_posted_activation_sends_no_frame() {
     assert_eq!(client.unanswered(), (0, 0));
     drop(server);
 }
+
+/// A dropped hub says no goodbye to a spoke that already hung up: the
+/// hub reads the connection dry first, finds the end, and closes it
+/// with nothing written — a write there would only be answered with a
+/// reset. The spoke here is a raw socket that sent `HelloNew` and shut
+/// its write side while the gate held the hub's turn.
+#[test]
+fn a_dropped_hub_says_no_goodbye_to_a_spoke_that_hung_up() {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
+
+    use script_net::proto::Req;
+    use script_net::{write_frame, Wire};
+
+    let _serial = serial();
+    let (server, gated) = gated_hub(true);
+    let mut raw = TcpStream::connect(server.local_addr()).expect("dial");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().connections == 0 {
+        assert!(Instant::now() < deadline, "the hub never accepted");
+        thread::sleep(Duration::from_millis(1));
+    }
+    // Hold the I/O thread in a turn of this hub.
+    let client = spoke(&server);
+    gated.set_open(false);
+    client.declare("x".to_string());
+    gated.await_held();
+
+    let mut hello = Vec::new();
+    1u64.encode(&mut hello);
+    Req::<String, u64>::HelloNew.encode(&mut hello);
+    write_frame(&mut raw, &hello).expect("send HelloNew");
+    raw.flush().expect("flush");
+    raw.shutdown(Shutdown::Write).expect("hang up");
+    // Nothing here is bound, so the drop finishes nothing through the
+    // gate; the hub's next turn sees the shutdown.
+    drop(server);
+    gated.set_open(true);
+
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut got = Vec::new();
+    let read = raw.read_to_end(&mut got);
+    assert!(
+        matches!(read, Ok(0)),
+        "a clean end with nothing written, not {read:?} after {got:?}"
+    );
+}
