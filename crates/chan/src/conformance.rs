@@ -495,6 +495,140 @@ pub fn check_cast_matches_steps(factory: TransportFactory<'_>) {
     assert_eq!(batched.peer_state(&s("b")), Some(PeerState::Done));
 }
 
+/// Lifecycle wake-ups: a parked operation is decided by the lifecycle
+/// changes its arms name — a watch arm by its peer's finish, a receive
+/// from anyone by the last finish, a send arm to an expected peer by
+/// that peer's activation (and offer), a blocking send to an expected
+/// peer by the activation. A change it does not wait for leaves it
+/// parked; a seal ends a wait on a never-enrolled peer; an abort ends
+/// every wait.
+pub fn check_lifecycle_wakes(factory: TransportFactory<'_>) {
+    let parked = |net: &Network<String, u64>, who: &str, arms: Vec<Arm<String, u64>>| {
+        let p = net.port(s(who)).unwrap();
+        let h = thread::spawn(move || p.select_deadline(arms, far()));
+        thread::sleep(Duration::from_millis(20));
+        h
+    };
+    let still_parked = |h: &thread::JoinHandle<_>, what: &str| {
+        thread::sleep(Duration::from_millis(20));
+        assert!(!h.is_finished(), "{what} must leave the selection parked");
+    };
+
+    let net = net_of(factory(41));
+    for id in ["a", "b", "c"] {
+        net.activate(s(id));
+    }
+    let watch = parked(&net, "b", vec![Arm::recv_from(s("c")), Arm::watch(s("a"))]);
+    net.finish(s("c"));
+    still_parked(
+        &watch,
+        "finishing the peer of a receive arm, with a watch arm live,",
+    );
+    net.finish(s("a"));
+    assert_eq!(
+        watch.join().unwrap(),
+        Ok(Outcome::Terminated {
+            arm: 1,
+            peer: s("a")
+        }),
+        "a watch arm fires on its peer's finish"
+    );
+
+    let net = net_of(factory(42));
+    for id in ["a", "b", "c"] {
+        net.activate(s(id));
+    }
+    let any = parked(&net, "c", vec![Arm::recv_any()]);
+    net.finish(s("a"));
+    still_parked(&any, "a finish with a possible sender left");
+    net.finish(s("b"));
+    assert_eq!(
+        any.join().unwrap(),
+        Err(ChanError::AllTerminated),
+        "a receive from anyone ends with the last finish"
+    );
+
+    let net = net_of(factory(43));
+    net.activate(s("a"));
+    net.activate(s("d"));
+    net.declare(s("late"));
+    net.declare(s("b"));
+    let send_arm = parked(&net, "a", vec![Arm::send(s("late"), 5)]);
+    let late = net.port(s("late")).unwrap();
+    let offer = thread::spawn(move || late.recv_from_deadline(&s("a"), far()));
+    still_parked(&send_arm, "an offer by a peer not yet active");
+    let d = net.port(s("d")).unwrap();
+    let blocked = thread::spawn(move || d.send_deadline(&s("b"), 6, far()));
+    thread::sleep(Duration::from_millis(20));
+    net.activate(s("late"));
+    assert_eq!(
+        send_arm.join().unwrap(),
+        Ok(Outcome::Sent {
+            arm: 0,
+            to: s("late")
+        }),
+        "a send arm to an expected peer fires once it is active and offers"
+    );
+    assert_eq!(offer.join().unwrap(), Ok(5));
+    assert!(
+        !net.has_pending_from(&s("b"), &s("d")),
+        "nothing is deposited with an expected peer"
+    );
+    net.activate(s("b"));
+    await_cond("the deposit to b once active", || {
+        net.has_pending_from(&s("b"), &s("d"))
+    });
+    let b = net.port(s("b")).unwrap();
+    assert_eq!(b.recv_from_deadline(&s("d"), far()), Ok(6));
+    assert_eq!(
+        blocked.join().unwrap(),
+        Ok(()),
+        "a blocking send to an expected peer completes after its activation"
+    );
+
+    let net = net_of(factory(44));
+    net.activate(s("a"));
+    net.activate(s("b"));
+    net.declare(s("ghost"));
+    let recv = parked(&net, "a", vec![Arm::recv_from(s("ghost"))]);
+    let b = net.port(s("b")).unwrap();
+    let send = thread::spawn(move || b.send_deadline(&s("ghost"), 7, far()));
+    thread::sleep(Duration::from_millis(20));
+    net.seal();
+    assert_eq!(
+        recv.join().unwrap(),
+        Err(ChanError::Terminated(s("ghost"))),
+        "a seal ends a receive from a never-enrolled peer"
+    );
+    assert_eq!(
+        send.join().unwrap(),
+        Err(ChanError::Terminated(s("ghost"))),
+        "and a send to one"
+    );
+
+    let net = net_of(factory(45));
+    for id in ["a", "b", "c"] {
+        net.activate(s(id));
+    }
+    net.declare(s("late"));
+    let waits = [
+        parked(&net, "a", vec![Arm::recv_from(s("b"))]),
+        parked(&net, "b", vec![Arm::watch(s("c")), Arm::send(s("late"), 8)]),
+    ];
+    let c = net.port(s("c")).unwrap();
+    let send = thread::spawn(move || c.send_deadline(&s("late"), 9, far()));
+    thread::sleep(Duration::from_millis(20));
+    net.abort();
+    for wait in waits {
+        assert_eq!(
+            wait.join().unwrap(),
+            Err(ChanError::Aborted),
+            "abort ends every wait"
+        );
+    }
+    assert_eq!(send.join().unwrap(), Err(ChanError::Aborted));
+}
+
 /// Abort: blocked operations unblock with `Aborted` and future
 /// operations fail the same way.
 pub fn check_abort_unblocks(factory: TransportFactory<'_>) {
@@ -1297,6 +1431,7 @@ pub fn run_all(factory: TransportFactory<'_>) {
     check_watch_drains_before_firing(factory);
     check_seal_bars_expected_peers(factory);
     check_cast_matches_steps(factory);
+    check_lifecycle_wakes(factory);
     check_abort_unblocks(factory);
     check_crash_surfacing(factory);
     check_fault_plan_roundtrip(factory);

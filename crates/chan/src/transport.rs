@@ -18,12 +18,16 @@
 //!   *t*'s offer publications and slot releases wake exactly the
 //!   selectors that care.
 //!
-//! Rare lifecycle transitions (a [`Transport::cast`] run, abort) bump a
-//! per-endpoint event counter and broadcast to every endpoint — the
-//! only remaining thundering herd, and it fires once per run (a whole
-//! cast set up, or one role finishing), not once per message. An
-//! endpoint nobody sleeps on costs the pass a lock and a load: the
-//! condvar counts its waiters and notifies only when there are some.
+//! Lifecycle transitions (a [`Transport::cast`] run, a chaos crash,
+//! abort) make one wake pass over the endpoints. It bumps every
+//! endpoint's event counter — so a selection between its scan and its
+//! park rescans, and parked submitted operations are readied — but
+//! notifies an endpoint's condvar only if the pass concerns somebody
+//! sleeping there: the endpoint's own lifecycle word changed (senders
+//! to it park on it), its parked selection names a peer whose word
+//! changed (a receive, send or watch arm), or the run finished or
+//! sealed something and the selection receives from anyone. Abort
+//! concerns everybody. A run of `Declare` steps wakes nobody.
 //!
 //! Lost wakeups are prevented by an eventcount: every change a sleeping
 //! selector could care about increments the endpoint's `signal` under
@@ -31,8 +35,7 @@
 //! it moved. Locks are never nested endpoint-to-endpoint, so the
 //! implementation is deadlock-free by construction. A sleeper on an
 //! endpoint's condvar is notified *after* that endpoint's lock is let
-//! go — it takes the lock the moment it wakes — except by a sender
-//! about to wait on the same condvar, whose wait is the unlock.
+//! go: it takes the lock the moment it wakes.
 //!
 //! Fault decisions are routed at the edge: per-edge sequence counters
 //! live in the *receiver's* endpoint and crash-step counters in the
@@ -423,19 +426,32 @@ fn life_of(v: u8) -> PeerState {
     }
 }
 
+/// What one arm of a parked selection waits for.
+#[derive(Debug)]
+enum Want<I> {
+    /// A receive: an offer a claiming sender reads, and — named — a
+    /// peer whose termination may end the arm.
+    Recv(Source<I>),
+    /// A send or watch arm's peer, which fires it or ends it by being
+    /// activated or finished.
+    Peer(I),
+}
+
 #[derive(Debug)]
 struct WaitEntry<I> {
-    /// The receive sources this blocked participant is offering.
-    offers: Vec<Source<I>>,
+    /// What the parked selection's arms wait for, in arm order.
+    wants: Vec<Want<I>>,
     /// Set by a claiming sender: the peer whose message must be taken.
     resolved: Option<I>,
 }
 
 impl<I: PartialEq> WaitEntry<I> {
     fn offers_from(&self, sender: &I) -> bool {
-        self.offers
-            .iter()
-            .any(|s| matches!(s, Source::Any) || matches!(s, Source::Of(p) if p == sender))
+        self.wants.iter().any(|w| match w {
+            Want::Recv(Source::Any) => true,
+            Want::Recv(Source::Of(p)) => p == sender,
+            Want::Peer(_) => false,
+        })
     }
 }
 
@@ -443,6 +459,10 @@ impl<I: PartialEq> WaitEntry<I> {
 struct Endpoint<I, M> {
     /// Lifecycle (`LIFE_*`), readable without the lock.
     life: AtomicU8,
+    /// The lifecycle run (see [`ShardedTransport::runs`]) that last
+    /// changed `life`: the wake pass of that run tells the waits naming
+    /// this endpoint.
+    moved: AtomicU64,
     state: Mutex<EpState<I, M>>,
     cond: Condvar,
 }
@@ -452,11 +472,12 @@ struct EpState<I, M> {
     inbox: HashMap<I, M>,
     /// Pickup counts per sender, awaited by the sender's phase 2.
     acks: HashMap<I, u64>,
-    /// My published receive offers, claimable by send arms.
+    /// My parked selection's published wants: receive offers,
+    /// claimable by send arms, and the peers its other arms name.
     wait: Option<WaitEntry<I>>,
-    /// The last withdrawn offers list, emptied: the next publication
+    /// The last withdrawn wants list, emptied: the next publication
     /// fills it instead of allocating.
-    spare_offers: Vec<Source<I>>,
+    spare_offers: Vec<Want<I>>,
     /// Eventcount: bumped under this lock on every change a sleeper on
     /// `cond` could care about. Selectors re-read it before parking.
     signal: u64,
@@ -486,6 +507,28 @@ struct EpState<I, M> {
     /// Blocking senders are ordered by their own program order and take
     /// none.
     turns: HashMap<I, (u64, u64)>,
+}
+
+impl<I, M> Endpoint<I, M> {
+    /// Sets the lifecycle word, stamping it with `run` if that changed
+    /// it.
+    fn set_life(&self, life: u8, run: u64) {
+        if self.life.swap(life, Ordering::SeqCst) != life {
+            self.moved.store(run, Ordering::SeqCst);
+        }
+    }
+}
+
+/// What a wake pass ([`ShardedTransport::wake`]) tells the sleepers it
+/// visits.
+#[derive(Debug, Clone, Copy)]
+enum Moved {
+    /// The transport aborted: every sleeper cares.
+    All,
+    /// Lifecycle run `run` changed the words stamped with it. `ends`: it
+    /// finished, sealed or crashed something, which may leave a receive
+    /// from anyone with no possible sender.
+    Run { run: u64, ends: bool },
 }
 
 impl<I: Clone + Eq + Hash, M> EpState<I, M> {
@@ -639,6 +682,9 @@ pub struct ShardedTransport<I, M> {
     seed: Mutex<Option<u64>>,
     /// Unique tokens for watcher registrations.
     next_token: AtomicU64,
+    /// Lifecycle runs so far — `cast` runs and chaos crashes — each
+    /// numbered to stamp the endpoints it changes ([`Endpoint::moved`]).
+    runs: AtomicU64,
     /// Peers currently severed but inside their session lease (a
     /// session-aware hub reports them via
     /// [`Transport::note_session_event`]). While any peer is suspended
@@ -715,6 +761,7 @@ where
             activity: AtomicU64::new(0),
             seed: Mutex::new(seed),
             next_token: AtomicU64::new(0),
+            runs: AtomicU64::new(0),
             suspended: Mutex::new(Vec::new()),
             lease_ticks: AtomicU64::new(0),
             sched: OnceLock::new(),
@@ -741,6 +788,7 @@ where
         };
         Arc::new(Endpoint {
             life: AtomicU8::new(life),
+            moved: AtomicU64::new(0),
             state: Mutex::new(EpState {
                 inbox: HashMap::new(),
                 acks: HashMap::new(),
@@ -808,18 +856,56 @@ where
         }
     }
 
-    /// Bumps every endpoint's eventcount and wakes all sleepers. Used by
-    /// the rare lifecycle transitions (and abort/seal), whose effects
-    /// any blocked operation anywhere may be waiting on. The submitted
-    /// operations it readies are stepped here, on the way out.
-    fn broadcast(&self) {
+    /// The one wake pass, after a lifecycle change. It bumps every
+    /// endpoint's eventcount under that endpoint's lock, so a selection
+    /// between its scan and its park rescans and the submitted
+    /// operations parked anywhere are readied (and stepped here, on the
+    /// way out). It notifies only the condvars whose sleepers `moved`
+    /// concerns ([`Self::concerns`]), each after letting go of the
+    /// endpoint's lock. The registry's read lock is held across the
+    /// pass: the woken take it shared, if at all.
+    fn wake(&self, moved: Moved) {
         self.draining(|| {
-            let eps: Vec<Arc<Endpoint<I, M>>> = self.registry().values().cloned().collect();
-            for ep in eps {
-                ep.state.lock().bump_signal();
-                ep.cond.notify_all();
+            let reg = self.registry();
+            for ep in reg.values() {
+                let concerned = {
+                    let mut st = ep.state.lock();
+                    st.bump_signal();
+                    Self::concerns(&reg, ep, &st, moved)
+                };
+                if concerned {
+                    ep.state.assert_not_held();
+                    ep.cond.notify_all();
+                }
             }
         });
+    }
+
+    /// Whether anybody asleep on `ep` (`st` is its state) may care about
+    /// `moved`: a sender to `ep` cares about `ep`'s own word; `ep`'s
+    /// parked, unclaimed selection about the words of the peers its
+    /// arms name, and — receiving from anyone — about every finish.
+    fn concerns(
+        reg: &HashMap<I, Arc<Endpoint<I, M>>>,
+        ep: &Endpoint<I, M>,
+        st: &EpState<I, M>,
+        moved: Moved,
+    ) -> bool {
+        let Moved::Run { run, ends } = moved else {
+            return true;
+        };
+        let changed = |id: &I| {
+            reg.get(id)
+                .is_some_and(|p| p.moved.load(Ordering::SeqCst) == run)
+        };
+        ep.moved.load(Ordering::SeqCst) == run
+            || st.wait.as_ref().is_some_and(|w| {
+                w.resolved.is_none()
+                    && w.wants.iter().any(|want| match want {
+                        Want::Recv(Source::Any) => ends,
+                        Want::Recv(Source::Of(p)) | Want::Peer(p) => changed(p),
+                    })
+            })
     }
 
     /// Wakes the selectors registered as send watchers on `ep`. Call
@@ -851,7 +937,7 @@ where
     }
 
     /// Counts one operation by `me` toward crash-at-step-*k*; on a
-    /// crash, marks `me` done and broadcasts the transition.
+    /// crash, marks `me` done and wakes whom that concerns.
     fn chaos_step(&self, me: &I, me_ep: &Arc<Endpoint<I, M>>) -> Result<(), ChanError<I>> {
         let Some(cfg) = self.chaos_cfg() else {
             return Ok(());
@@ -865,10 +951,11 @@ where
             st.chaos_steps == cfg.plan.crash_step() && cfg.plan.decide_crash(me)
         };
         if crashed {
-            me_ep.life.store(LIFE_DONE, Ordering::SeqCst);
+            let run = self.runs.fetch_add(1, Ordering::Relaxed) + 1;
+            me_ep.set_life(LIFE_DONE, run);
             self.activity.fetch_add(1, Ordering::Relaxed);
             self.record_fault(FaultKind::Crash, me, me, cfg.plan.crash_step());
-            self.broadcast();
+            self.wake(Moved::Run { run, ends: true });
             return Err(ChanError::Terminated(me.clone()));
         }
         Ok(())
@@ -962,6 +1049,8 @@ where
         if steps.is_empty() {
             return;
         }
+        let run = self.runs.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut ends = false;
         for step in steps {
             match step {
                 CastStep::Declare(id) => {
@@ -969,36 +1058,42 @@ where
                 }
                 CastStep::Activate(id) => self
                     .get_or_create(id, LIFE_ACTIVE)
-                    .life
-                    .store(LIFE_ACTIVE, Ordering::SeqCst),
-                CastStep::Finish(id) => self
-                    .get_or_create(id, LIFE_DONE)
-                    .life
-                    .store(LIFE_DONE, Ordering::SeqCst),
+                    .set_life(LIFE_ACTIVE, run),
+                CastStep::Finish(id) => {
+                    ends = true;
+                    self.get_or_create(id, LIFE_DONE).set_life(LIFE_DONE, run);
+                }
                 CastStep::Seal => {
+                    ends = true;
                     self.sealed.store(true, Ordering::SeqCst);
                     for ep in self.registry().values() {
-                        let _ = ep.life.compare_exchange(
-                            LIFE_EXPECTED,
-                            LIFE_DONE,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        );
+                        if ep
+                            .life
+                            .compare_exchange(
+                                LIFE_EXPECTED,
+                                LIFE_DONE,
+                                Ordering::SeqCst,
+                                Ordering::SeqCst,
+                            )
+                            .is_ok()
+                        {
+                            ep.moved.store(run, Ordering::SeqCst);
+                        }
                     }
                 }
             }
         }
-        // One wake-up pass for the whole run: a sleeper re-reads every
+        // One wake pass for the whole run: a sleeper re-reads every
         // lifecycle word it cares about, so it needs to hear of the run,
         // not of each step.
         self.activity
             .fetch_add(steps.len() as u64, Ordering::Relaxed);
-        self.broadcast();
+        self.wake(Moved::Run { run, ends });
     }
 
     fn abort(&self) {
         self.aborted.store(true, Ordering::SeqCst);
-        self.broadcast();
+        self.wake(Moved::All);
     }
 
     fn is_aborted(&self) -> bool {
@@ -1203,16 +1298,16 @@ where
         done: SelectDone<I, M>,
     ) -> Result<(), (Vec<Arm<I, M>>, SelectDone<I, M>)> {
         let started = self.latency.start();
-        match self.prepare_select(me, arms) {
+        match self.prepare_select(me, &arms) {
             Err(e) => done(Err(e)),
-            Ok((me_ep, reprs)) => {
+            Ok((me_ep, mut peers)) => {
                 let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-                let watched = Self::register_watchers(token, &me_ep, &reprs);
+                Self::register_watchers(token, &me_ep, &arms, &mut peers);
                 let op = AsyncOp::Select(SelectOp {
                     me: me.clone(),
                     me_ep,
-                    reprs,
-                    watched,
+                    arms,
+                    peers,
                     deadline,
                     started,
                     done,
@@ -1224,9 +1319,66 @@ where
     }
 }
 
-/// One selection arm in take-able form, paired with the endpoint of the
-/// peer it names (resolved once, at [`ShardedTransport::prepare_select`]).
-type ArmRepr<I, M> = (SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>);
+/// The endpoint of the peer a selection arm names, resolved once, at
+/// [`ShardedTransport::prepare_select`].
+struct ArmPeer<I, M> {
+    ep: Arc<Endpoint<I, M>>,
+    /// This arm registered the selection as a send watcher on `ep` (the
+    /// first send arm naming the peer does): the selection's exit
+    /// deregisters it there.
+    watching: bool,
+}
+
+/// A selection admitted by [`ShardedTransport::prepare_select`]: the
+/// selecting endpoint and the arms' peers.
+type Admitted<I, M> = (Arc<Endpoint<I, M>>, ArmPeers<I, M>);
+
+/// A selection's [`ArmPeer`]s by arm index, `None` for a receive from
+/// anyone: inline for up to [`SCAN_ON_STACK`] arms, as the scan order
+/// is, so the arm list the caller built is the only one.
+struct ArmPeers<I, M> {
+    inline: [Option<ArmPeer<I, M>>; SCAN_ON_STACK],
+    spilled: Vec<Option<ArmPeer<I, M>>>,
+    len: usize,
+}
+
+impl<I, M> ArmPeers<I, M> {
+    fn new(len: usize) -> Self {
+        let mut spilled = Vec::new();
+        if len > SCAN_ON_STACK {
+            spilled.resize_with(len, || None);
+        }
+        Self {
+            inline: [const { None }; SCAN_ON_STACK],
+            spilled,
+            len,
+        }
+    }
+
+    fn as_slice(&self) -> &[Option<ArmPeer<I, M>>] {
+        if self.len > SCAN_ON_STACK {
+            &self.spilled
+        } else {
+            &self.inline[..self.len]
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Option<ArmPeer<I, M>>] {
+        if self.len > SCAN_ON_STACK {
+            &mut self.spilled
+        } else {
+            &mut self.inline[..self.len]
+        }
+    }
+
+    /// The endpoint named arm `arm` names.
+    fn ep(&self, arm: usize) -> &Arc<Endpoint<I, M>> {
+        &self.as_slice()[arm]
+            .as_ref()
+            .expect("named arm resolved")
+            .ep
+    }
+}
 
 /// What [`ShardedTransport::admit_send`] decided for one send.
 struct Admission<I, M> {
@@ -1479,76 +1631,68 @@ where
         Ok(None)
     }
 
-    /// Validates and resolves a selection's arms: the internal
-    /// representation makes send messages take-able and resolves every
-    /// named peer's endpoint once up front. Also counts the selection
-    /// toward crash-at-step-*k*.
-    #[allow(clippy::type_complexity)]
-    fn prepare_select(
-        &self,
-        me: &I,
-        arms: Vec<Arm<I, M>>,
-    ) -> Result<(Arc<Endpoint<I, M>>, Vec<ArmRepr<I, M>>), ChanError<I>> {
+    /// Validates a selection's arms and resolves every named peer's
+    /// endpoint once up front. Also counts the selection toward
+    /// crash-at-step-*k*.
+    fn prepare_select(&self, me: &I, arms: &[Arm<I, M>]) -> Result<Admitted<I, M>, ChanError<I>> {
         if arms.is_empty() {
             return Err(ChanError::EmptySelect);
         }
         let me_ep = self.ensure(me)?;
-        let mut reprs: Vec<ArmRepr<I, M>> = Vec::with_capacity(arms.len());
-        for arm in arms {
-            let (repr, named) = match arm {
-                Arm::Recv(Source::Of(p)) => (SelRepr::Recv(Source::Of(p.clone())), Some(p)),
-                Arm::Recv(Source::Any) => (SelRepr::Recv(Source::Any), None),
-                Arm::Send { to, msg } => (
-                    SelRepr::Send {
-                        to: to.clone(),
-                        msg: Some(msg),
-                    },
-                    Some(to),
-                ),
-                Arm::Watch(p) => (SelRepr::Watch(p.clone()), Some(p)),
+        let mut peers = ArmPeers::new(arms.len());
+        for (slot, arm) in peers.as_mut_slice().iter_mut().zip(arms) {
+            let named = match arm {
+                Arm::Recv(Source::Of(p)) | Arm::Send { to: p, .. } | Arm::Watch(p) => p,
+                Arm::Recv(Source::Any) => continue,
             };
-            let ep = match named {
-                Some(p) => {
-                    if p == *me {
-                        return Err(ChanError::Myself);
-                    }
-                    Some(self.ensure(&p)?)
-                }
-                None => None,
-            };
-            reprs.push((repr, ep));
+            if named == me {
+                return Err(ChanError::Myself);
+            }
+            *slot = Some(ArmPeer {
+                ep: self.ensure(named)?,
+                watching: false,
+            });
         }
         // Chaos: selection counts as one operation toward crash-at-step-k.
         if self.faults.crashes.load(Ordering::Relaxed) {
             self.chaos_step(me, &me_ep)?;
         }
-        Ok((me_ep, reprs))
+        Ok((me_ep, peers))
     }
 
     /// Registers `me` as a send watcher on every send-arm target, so
     /// their offer publications and slot releases wake us. Every
-    /// selection exit path must pass the returned endpoints to
+    /// selection exit path must pass `peers` to
     /// [`Self::deregister_watchers`].
     fn register_watchers(
         token: u64,
         me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &[ArmRepr<I, M>],
-    ) -> Vec<Arc<Endpoint<I, M>>> {
-        let mut watched: Vec<Arc<Endpoint<I, M>>> = Vec::new();
-        for (repr, ep) in reprs {
-            if let (SelRepr::Send { .. }, Some(t_ep)) = (repr, ep) {
-                if !watched.iter().any(|w| Arc::ptr_eq(w, t_ep)) {
-                    t_ep.state.lock().watchers.push((token, me_ep.clone()));
-                    watched.push(t_ep.clone());
-                }
+        arms: &[Arm<I, M>],
+        peers: &mut ArmPeers<I, M>,
+    ) {
+        let peers = peers.as_mut_slice();
+        for (i, arm) in arms.iter().enumerate() {
+            if !matches!(arm, Arm::Send { .. }) {
+                continue;
+            }
+            let (earlier, rest) = peers.split_at_mut(i);
+            let Some(peer) = rest[0].as_mut() else {
+                continue;
+            };
+            let registered = earlier
+                .iter()
+                .flatten()
+                .any(|e| e.watching && Arc::ptr_eq(&e.ep, &peer.ep));
+            if !registered {
+                peer.ep.state.lock().watchers.push((token, me_ep.clone()));
+                peer.watching = true;
             }
         }
-        watched
     }
 
-    fn deregister_watchers(token: u64, watched: Vec<Arc<Endpoint<I, M>>>) {
-        for t_ep in watched {
-            t_ep.state.lock().watchers.retain(|(t, _)| *t != token);
+    fn deregister_watchers(token: u64, peers: &ArmPeers<I, M>) {
+        for peer in peers.as_slice().iter().flatten().filter(|p| p.watching) {
+            peer.ep.state.lock().watchers.retain(|(t, _)| *t != token);
         }
     }
 
@@ -1559,23 +1703,24 @@ where
         &self,
         me: &I,
         me_ep: &'a Arc<Endpoint<I, M>>,
-        reprs: &mut [ArmRepr<I, M>],
+        arms: &mut Vec<Arm<I, M>>,
+        peers: &ArmPeers<I, M>,
         deadline: Option<Instant>,
     ) -> SelectStep<'a, I, M> {
         loop {
-            let (sig0, claimed) = self.take_claim(me_ep, reprs);
+            let (sig0, claimed) = self.take_claim(me_ep, arms);
             if let Some(outcome) = claimed {
                 return SelectStep::Done(Ok(outcome));
             }
             if self.aborted.load(Ordering::SeqCst) {
                 return SelectStep::Done(Err(ChanError::Aborted));
             }
-            match self.scan_arms(me, me_ep, reprs) {
+            match self.scan_arms(me, me_ep, arms, peers) {
                 Ok(Some(outcome)) => return SelectStep::Done(Ok(outcome)),
                 Ok(None) => {}
                 Err(e) => return SelectStep::Done(Err(e)),
             }
-            self.publish_offers(me_ep, reprs);
+            self.publish_offers(me_ep, arms);
             let mut st = me_ep.state.lock();
             if st.signal != sig0 {
                 // Something changed mid-scan: rescan rather than wait.
@@ -1599,17 +1744,17 @@ where
     fn take_claim(
         &self,
         me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &[ArmRepr<I, M>],
+        arms: &[Arm<I, M>],
     ) -> (u64, Option<Outcome<I, M>>) {
         let mut st = me_ep.state.lock();
         let sig0 = st.signal;
         if let Some(WaitEntry {
-            mut offers,
+            mut wants,
             resolved,
         }) = st.wait.take()
         {
-            offers.clear();
-            st.spare_offers = offers;
+            wants.clear();
+            st.spare_offers = wants;
             if let Some(from) = resolved {
                 // Recorded at the claim.
                 let msg = self
@@ -1619,11 +1764,11 @@ where
                 drop(st);
                 me_ep.cond.notify_all();
                 Self::wake_watchers(watchers);
-                let arm = reprs
+                let arm = arms
                     .iter()
-                    .position(|(r, _)| match r {
-                        SelRepr::Recv(Source::Any) => true,
-                        SelRepr::Recv(Source::Of(p)) => *p == from,
+                    .position(|a| match a {
+                        Arm::Recv(Source::Any) => true,
+                        Arm::Recv(Source::Of(p)) => *p == from,
                         _ => false,
                     })
                     .expect("claim matched an offered receive arm");
@@ -1633,19 +1778,21 @@ where
         (sig0, None)
     }
 
-    /// Publishes `me`'s receive offers so send arms elsewhere can claim
-    /// us, then wakes the selectors watching us.
-    fn publish_offers(&self, me_ep: &Arc<Endpoint<I, M>>, reprs: &[ArmRepr<I, M>]) {
+    /// Publishes what `me`'s arms wait for — the receive offers, which
+    /// send arms elsewhere can claim, and the peers the other arms name,
+    /// which a lifecycle change wakes us for — then wakes the selectors
+    /// watching us.
+    fn publish_offers(&self, me_ep: &Arc<Endpoint<I, M>>, arms: &[Arm<I, M>]) {
         let watchers;
         {
             let mut st = me_ep.state.lock();
-            let mut offers = std::mem::take(&mut st.spare_offers);
-            offers.extend(reprs.iter().filter_map(|(r, _)| match r {
-                SelRepr::Recv(s) => Some(s.clone()),
-                _ => None,
+            let mut wants = std::mem::take(&mut st.spare_offers);
+            wants.extend(arms.iter().map(|arm| match arm {
+                Arm::Recv(s) => Want::Recv(s.clone()),
+                Arm::Send { to: p, .. } | Arm::Watch(p) => Want::Peer(p.clone()),
             }));
             st.wait = Some(WaitEntry {
-                offers,
+                wants,
                 resolved: None,
             });
             watchers = st.watchers.clone();
@@ -1661,17 +1808,18 @@ where
         &self,
         me: &I,
         me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &mut [ArmRepr<I, M>],
+        arms: &mut Vec<Arm<I, M>>,
+        peers: &ArmPeers<I, M>,
     ) -> Result<Option<Outcome<I, M>>, ChanError<I>> {
         {
             // The scan order, on the stack for up to `SCAN_ON_STACK` arms;
             // the same shuffle of the same indices either way.
             let mut on_stack = [0usize; SCAN_ON_STACK];
             let mut on_heap = Vec::new();
-            let order = if reprs.len() <= SCAN_ON_STACK {
-                &mut on_stack[..reprs.len()]
+            let order = if arms.len() <= SCAN_ON_STACK {
+                &mut on_stack[..arms.len()]
             } else {
-                on_heap.resize(reprs.len(), 0);
+                on_heap.resize(arms.len(), 0);
                 &mut on_heap[..]
             };
             for (i, idx) in order.iter_mut().enumerate() {
@@ -1680,9 +1828,8 @@ where
             order.shuffle(&mut me_ep.state.lock().rng);
             let mut any_live = false;
             for &idx in &*order {
-                let (repr, arm_ep) = &mut reprs[idx];
-                match repr {
-                    SelRepr::Recv(Source::Of(p)) => {
+                match &arms[idx] {
+                    Arm::Recv(Source::Of(p)) => {
                         let p = p.clone();
                         let mut st = me_ep.state.lock();
                         if let Some(msg) = self.take_from(&mut st, me, &p) {
@@ -1697,12 +1844,11 @@ where
                             }));
                         }
                         drop(st);
-                        let p_ep = arm_ep.as_ref().expect("named arm resolved");
-                        if p_ep.life.load(Ordering::SeqCst) != LIFE_DONE {
+                        if peers.ep(idx).life.load(Ordering::SeqCst) != LIFE_DONE {
                             any_live = true;
                         }
                     }
-                    SelRepr::Recv(Source::Any) => {
+                    Arm::Recv(Source::Any) => {
                         let mut st = me_ep.state.lock();
                         let picked = match st.inbox.len() {
                             0 => None,
@@ -1740,9 +1886,9 @@ where
                             any_live = true;
                         }
                     }
-                    SelRepr::Send { to, msg } => {
+                    Arm::Send { to, .. } => {
                         let to = to.clone();
-                        let t_ep = arm_ep.as_ref().expect("named arm resolved").clone();
+                        let t_ep = peers.ep(idx);
                         match life_of(t_ep.life.load(Ordering::SeqCst)) {
                             PeerState::Done => {}
                             PeerState::Expected => any_live = true,
@@ -1750,7 +1896,11 @@ where
                                 any_live = true;
                                 let mut ts = t_ep.state.lock();
                                 if ts.claimable(me) {
-                                    let m = msg.take().expect("send arm fires at most once");
+                                    // The arm fires: its message leaves
+                                    // the list, which is not scanned again.
+                                    let Arm::Send { msg: m, .. } = arms.swap_remove(idx) else {
+                                        unreachable!("arm {idx} is a send arm")
+                                    };
                                     // Chaos: a dropped send arm still
                                     // fires (the sender saw delivery) but
                                     // leaves the receiver waiting.
@@ -1785,10 +1935,9 @@ where
                             }
                         }
                     }
-                    SelRepr::Watch(p) => {
+                    Arm::Watch(p) => {
                         let p = p.clone();
-                        let p_ep = arm_ep.as_ref().expect("named arm resolved");
-                        if p_ep.life.load(Ordering::SeqCst) == LIFE_DONE {
+                        if peers.ep(idx).life.load(Ordering::SeqCst) == LIFE_DONE {
                             let pending = me_ep.state.lock().inbox.contains_key(&p);
                             if !pending {
                                 return Ok(Some(Outcome::Terminated { arm: idx, peer: p }));
@@ -1806,10 +1955,8 @@ where
 
             if !any_live {
                 // Every arm is permanently unfireable.
-                if reprs.len() == 1 {
-                    if let (SelRepr::Recv(Source::Of(p)) | SelRepr::Send { to: p, .. }, _) =
-                        &reprs[0]
-                    {
+                if arms.len() == 1 {
+                    if let Arm::Recv(Source::Of(p)) | Arm::Send { to: p, .. } = &arms[0] {
                         return Err(ChanError::Terminated(p.clone()));
                     }
                 }
@@ -1818,14 +1965,6 @@ where
         }
         Ok(None)
     }
-}
-
-/// Internal selection-arm representation (named at module scope so the
-/// helper method can reference it).
-enum SelRepr<I, M> {
-    Recv(Source<I>),
-    Send { to: I, msg: Option<M> },
-    Watch(I),
 }
 
 // ---------------------------------------------------------------------
@@ -1885,18 +2024,22 @@ where
         loop {
             let step = self.send_step(&mut st, &adm.to_ep, from, to, &mut adm.state, deadline);
             let wake_receiver = std::mem::take(&mut adm.state.wake_receiver);
-            if let Some(result) = step {
+            if wake_receiver {
                 // The receiver takes this lock the moment it wakes.
                 drop(st);
-                if wake_receiver {
-                    adm.to_ep.state.assert_not_held();
-                    adm.to_ep.cond.notify_all();
-                }
-                return result;
-            }
-            // Under the lock: the wait below is the unlock.
-            if wake_receiver {
+                adm.to_ep.state.assert_not_held();
                 adm.to_ep.cond.notify_all();
+                if let Some(result) = step {
+                    return result;
+                }
+                // Deposited, pickup still to come: step again before
+                // waiting, so a pickup that landed while the lock was
+                // let go is read off `acks`, not waited for.
+                st = adm.to_ep.state.lock();
+                continue;
+            }
+            if let Some(result) = step {
+                return result;
             }
             Self::wait_on(&adm.to_ep, &mut st, deadline);
         }
@@ -1906,19 +2049,19 @@ where
     fn select_parked(
         &self,
         me: &I,
-        arms: Vec<Arm<I, M>>,
+        mut arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
-        let (me_ep, mut reprs) = self.prepare_select(me, arms)?;
+        let (me_ep, mut peers) = self.prepare_select(me, &arms)?;
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let watched = Self::register_watchers(token, &me_ep, &reprs);
+        Self::register_watchers(token, &me_ep, &arms, &mut peers);
         let result = loop {
-            match self.select_step(me, &me_ep, &mut reprs, deadline) {
+            match self.select_step(me, &me_ep, &mut arms, &peers, deadline) {
                 SelectStep::Done(result) => break result,
                 SelectStep::Park(mut st) => Self::wait_on(&me_ep, &mut st, deadline),
             }
         };
-        Self::deregister_watchers(token, watched);
+        Self::deregister_watchers(token, &peers);
         result
     }
 
@@ -2075,9 +2218,9 @@ where
             }
             AsyncOp::Select(mut s) => {
                 let me_ep = Arc::clone(&s.me_ep);
-                match self.select_step(&s.me, &me_ep, &mut s.reprs, s.deadline) {
+                match self.select_step(&s.me, &me_ep, &mut s.arms, &s.peers, s.deadline) {
                     SelectStep::Done(result) => {
-                        Self::deregister_watchers(token, s.watched);
+                        Self::deregister_watchers(token, &s.peers);
                         self.note_select(s.started, &result);
                         (s.done)(result);
                     }
@@ -2223,6 +2366,11 @@ where
 }
 
 /// A submitted operation: what a blocking caller keeps on its stack.
+/// A parked op sits in [`SchedState::ops`] by value, its selection's
+/// peers inline, as on a blocking caller's stack; boxing the larger
+/// variant would cost every submitted selection the allocation the
+/// inline peers exist to save.
+#[allow(clippy::large_enum_variant)]
 enum AsyncOp<I, M> {
     Send(SendOp<I, M>),
     Select(SelectOp<I, M>),
@@ -2241,10 +2389,10 @@ struct SendOp<I, M> {
 struct SelectOp<I, M> {
     me: I,
     me_ep: Arc<Endpoint<I, M>>,
-    reprs: Vec<ArmRepr<I, M>>,
-    /// Send-arm targets the op is registered on as a watcher, under its
-    /// scheduler token.
-    watched: Vec<Arc<Endpoint<I, M>>>,
+    arms: Vec<Arm<I, M>>,
+    /// The arms' peers; the send-arm targets among them hold the op's
+    /// watcher registration, under its scheduler token.
+    peers: ArmPeers<I, M>,
     deadline: Option<Instant>,
     started: Option<Instant>,
     done: SelectDone<I, M>,
@@ -2387,17 +2535,18 @@ mod tests {
                 Arc::new(move |rec: &RendezvousRecord<u8>| sink.lock().unwrap().push(rec.clone())),
                 |_| None,
             );
-            let (ep, reprs) = t.prepare_select(&1, vec![Arm::Recv(Source::Any)]).unwrap();
-            t.publish_offers(&ep, &reprs);
-            (t, ep, reprs, records)
+            let arms = vec![Arm::Recv(Source::Any)];
+            let (ep, peers) = t.prepare_select(&1, &arms).unwrap();
+            t.publish_offers(&ep, &arms);
+            (t, ep, arms, peers, records)
         };
 
-        let (t, ep, mut reprs, records) = committed(None);
+        let (t, ep, mut arms, peers, records) = committed(None);
         assert_eq!(t.send(&0, &1, 9, soon()), Ok(()));
         assert!(t.has_pending_from(&1, &0), "claimed, not yet picked up");
         assert_eq!(records.lock().unwrap().len(), 1, "recorded at the claim");
         t.abort();
-        let SelectStep::Done(got) = t.select_step(&1, &ep, &mut reprs, None) else {
+        let SelectStep::Done(got) = t.select_step(&1, &ep, &mut arms, &peers, None) else {
             panic!("a claimed receiver has a message to take");
         };
         assert!(matches!(
@@ -2410,10 +2559,127 @@ mod tests {
         ));
         assert_eq!(records.lock().unwrap().len(), 1, "and not at the pickup");
 
-        let (t, _ep, _reprs, records) = committed(Some(FaultPlan::new(1).with_duplicate(1.0)));
+        let (t, _ep, _arms, _peers, records) =
+            committed(Some(FaultPlan::new(1).with_duplicate(1.0)));
         assert_eq!(t.send(&0, &1, 9, soon()), Err(ChanError::Timeout));
         assert!(!t.has_pending_from(&1, &0), "the deposit is reclaimed");
         assert!(records.lock().unwrap().is_empty());
+    }
+
+    /// Whether a selection sleeps on `ep`: its wants are published and
+    /// a thread is inside the condvar's wait — read under the lock it
+    /// waits with, which it let go of only by waiting.
+    #[cfg(debug_assertions)]
+    fn asleep(ep: &Endpoint<u8, u32>) -> bool {
+        let st = ep.state.lock();
+        st.wait.is_some() && ep.cond.waiters() == 1
+    }
+
+    /// A finish notifies the selections whose arms name the finished
+    /// role and leaves the others asleep: here a receive from 0 sleeps
+    /// through the finish of 1, which a selection watching 1 is woken
+    /// for. Read off the condvars' wake counts.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_finish_wakes_only_the_selections_naming_the_finished_role() {
+        let t: Arc<ShardedTransport<u8, u32>> = Arc::new(ShardedTransport::new(false, Some(1)));
+        for id in [0, 1, 2, 3] {
+            t.activate(id);
+        }
+        let later = Some(Instant::now() + Duration::from_secs(10));
+        let select = |me: u8, arms: Vec<Arm<u8, u32>>| {
+            let t = Arc::clone(&t);
+            thread::spawn(move || t.select(&me, arms, later))
+        };
+        let recv = select(2, vec![Arm::recv_from(0)]);
+        let watch = select(3, vec![Arm::recv_from(0), Arm::watch(1)]);
+        let (recv_ep, watch_ep) = (t.lookup(&2).unwrap(), t.lookup(&3).unwrap());
+        while !(asleep(&recv_ep) && asleep(&watch_ep)) {
+            thread::yield_now();
+        }
+        let (recv_wakes, watch_wakes) = (recv_ep.cond.wakes(), watch_ep.cond.wakes());
+        t.finish(1);
+        assert_eq!(recv_ep.cond.wakes(), recv_wakes, "recv_from(0) names no 1");
+        assert_eq!(watch_ep.cond.wakes(), watch_wakes + 1, "watch(1) does");
+        assert_eq!(
+            watch.join().unwrap(),
+            Ok(Outcome::Terminated { arm: 1, peer: 1 })
+        );
+        // A run of declarations concerns nobody; a message does.
+        t.declare(9);
+        assert_eq!(recv_ep.cond.wakes(), recv_wakes);
+        t.send(&0, &2, 7, later).unwrap();
+        assert_eq!(
+            recv.join().unwrap(),
+            Ok(Outcome::Received {
+                arm: 0,
+                from: 0,
+                msg: 7
+            })
+        );
+    }
+
+    /// A finish landing between a selection's scan and its park — the
+    /// scan done, its wants not yet published, so the wake pass finds
+    /// no wait naming the finished role — wakes nobody, as nobody
+    /// sleeps, but still moves the eventcount: the park's check sends
+    /// the selection back to rescan, and the rescan sees the finish.
+    #[test]
+    fn a_finish_between_a_scan_and_its_park_is_not_lost() {
+        let t: ShardedTransport<u8, u32> = ShardedTransport::new(false, Some(1));
+        for id in [0, 1] {
+            t.activate(id);
+        }
+        let mut arms = vec![Arm::watch(1)];
+        let (ep, peers) = t.prepare_select(&0, &arms).unwrap();
+        // `select_step` up to its park, by hand.
+        let (sig0, claimed) = t.take_claim(&ep, &arms);
+        assert!(claimed.is_none());
+        assert!(matches!(t.scan_arms(&0, &ep, &mut arms, &peers), Ok(None)));
+        t.finish(1);
+        t.publish_offers(&ep, &arms);
+        assert_ne!(ep.state.lock().signal, sig0, "the park's check rescans");
+        let SelectStep::Done(got) = t.select_step(&0, &ep, &mut arms, &peers, None) else {
+            panic!("the rescan sees 1 finished");
+        };
+        assert_eq!(got, Ok(Outcome::Terminated { arm: 0, peer: 1 }));
+    }
+
+    /// A blocking send to a receiver that is not committed deposits and
+    /// must await the pickup: it wakes the receiver's condvar with the
+    /// lock let go — the shim's assertion is live in a debug build — and
+    /// steps again before it waits, so the pickup completes it however
+    /// the two interleave. A second sender asleep on the same condvar
+    /// makes the notify a real one.
+    #[test]
+    fn a_deposit_awaiting_its_pickup_wakes_the_receiver_unlocked() {
+        let t: Arc<ShardedTransport<u8, u32>> = Arc::new(ShardedTransport::new(false, Some(1)));
+        for id in [0, 1, 2] {
+            t.activate(id);
+        }
+        let later = Some(Instant::now() + Duration::from_secs(10));
+        let send = |from: u8, msg: u32| {
+            let t = Arc::clone(&t);
+            thread::spawn(move || t.send(&from, &1, msg, later))
+        };
+        let first = send(2, 20);
+        let ep = t.lookup(&1).unwrap();
+        while !t.has_pending_from(&1, &2) {
+            thread::yield_now();
+        }
+        let second = send(0, 10);
+        for (from, msg) in [(0, 10), (2, 20)] {
+            let got = loop {
+                if let Some(got) = t.try_recv(&1, &from).unwrap() {
+                    break got;
+                }
+                thread::yield_now();
+            };
+            assert_eq!(got, msg);
+        }
+        assert_eq!(second.join().unwrap(), Ok(()));
+        assert_eq!(first.join().unwrap(), Ok(()));
+        assert!(ep.state.lock().inbox.is_empty());
     }
 
     /// A completed op's deadline stays in `timers` until it is due;

@@ -324,13 +324,18 @@ impl<M: Send + Clone + 'static> RoleCtx<M> {
         guards: Vec<Guard<M>>,
         deadline: Option<Instant>,
     ) -> Result<Event<M>, ScriptError> {
-        let mut arms = Vec::new();
-        let mut index_map = Vec::new();
-        for (i, g) in guards.into_iter().enumerate() {
+        // Arm `k` is guard `k` unless a guard is disabled; only then is
+        // the map from arms back to guards written down.
+        let index_map: Option<Vec<usize>> = guards
+            .iter()
+            .any(|g| !g.enabled)
+            .then(|| (0..guards.len()).filter(|&i| guards[i].enabled).collect());
+        let mut arms = Vec::with_capacity(index_map.as_ref().map_or(guards.len(), Vec::len));
+        for g in guards {
             if !g.enabled {
                 continue;
             }
-            let arm = match g.kind {
+            arms.push(match g.kind {
                 GuardKind::Recv(Some(role)) => {
                     self.check_role(&role)?;
                     Arm::recv_from(role)
@@ -344,25 +349,24 @@ impl<M: Send + Clone + 'static> RoleCtx<M> {
                     self.check_role(&role)?;
                     Arm::watch(role)
                 }
-            };
-            arms.push(arm);
-            index_map.push(i);
+            });
         }
         if arms.is_empty() {
             return Err(ScriptError::NoEnabledGuards);
         }
+        let guard = |arm: usize| index_map.as_ref().map_or(arm, |map| map[arm]);
         match self.port.select_deadline(arms, deadline) {
             Ok(Outcome::Received { arm, from, msg }) => Ok(Event::Received {
-                guard: index_map[arm],
+                guard: guard(arm),
                 from,
                 msg,
             }),
             Ok(Outcome::Sent { arm, to }) => Ok(Event::Sent {
-                guard: index_map[arm],
+                guard: guard(arm),
                 to,
             }),
             Ok(Outcome::Terminated { arm, peer }) => Ok(Event::Terminated {
-                guard: index_map[arm],
+                guard: guard(arm),
                 role: peer,
             }),
             Err(e) => Err(map_chan_err(e)),

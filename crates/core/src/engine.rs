@@ -600,7 +600,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 TelemetryPayload::Script(ScriptEvent::EnrollmentQueued {
                     role: match &role {
                         RoleRef::Concrete(id) => id.clone(),
-                        RoleRef::NextOf(family) => RoleId::new(family.clone()),
+                        RoleRef::NextOf(family) => RoleId::new(family),
                     },
                     process: process.clone(),
                 })
@@ -780,7 +780,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             RoleRef::Concrete(id) => self.spec.validate_role_id(id),
             RoleRef::NextOf(family) => match self.spec.role_def(family).map(|d| d.family) {
                 Some(Some(FamilySize::Open { .. })) => Ok(()),
-                _ => Err(ScriptError::UnknownRole(RoleId::new(family.clone()))),
+                _ => Err(ScriptError::UnknownRole(RoleId::new(family))),
             },
         }
     }
@@ -1269,10 +1269,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
                         let next = ss.next_open_index.entry(family.clone()).or_insert(0);
                         // Skip indices explicitly taken.
                         let mut i = *next;
-                        while ss.cast_has(&RoleId::indexed(family.clone(), i)) {
+                        while ss.cast_has(&RoleId::indexed(family, i)) {
                             i += 1;
                         }
-                        RoleId::indexed(family.clone(), i)
+                        RoleId::indexed(family, i)
                     }
                 };
                 let cand = Candidate {

@@ -61,7 +61,7 @@ impl<M, P, O> FamilyHandle<M, P, O> {
 
     /// The [`RoleId`] of member `index`.
     pub fn at(&self, index: usize) -> RoleId {
-        RoleId::indexed(self.name.clone(), index)
+        RoleId::indexed(&self.name, index)
     }
 }
 

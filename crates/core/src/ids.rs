@@ -1,5 +1,6 @@
 //! Identifiers for roles, processes, and performances.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -25,7 +26,11 @@ use serde::{Deserialize, Serialize};
 /// ```
 ///
 /// The name is shared, so a clone — the engine makes several per role
-/// per performance — is a reference-count bump, not a string copy.
+/// per performance — is a reference-count bump, not a string copy. Ids
+/// spelled from a name the thread has met lately share it too: every
+/// constructor looks the name up in a small per-thread table (at most
+/// 64 names of at most 64 bytes; a new name replaces the oldest) before
+/// allocating it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RoleId {
     name: Arc<str>,
@@ -34,17 +39,17 @@ pub struct RoleId {
 
 impl RoleId {
     /// A singleton role (no index).
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl AsRef<str>) -> Self {
         Self {
-            name: name.into().into(),
+            name: shared_name(name.as_ref()),
             index: None,
         }
     }
 
     /// Member `index` of the role family `name`.
-    pub fn indexed(name: impl Into<String>, index: usize) -> Self {
+    pub fn indexed(name: impl AsRef<str>, index: usize) -> Self {
         Self {
-            name: name.into().into(),
+            name: shared_name(name.as_ref()),
             index: Some(index),
         }
     }
@@ -57,14 +62,6 @@ impl RoleId {
     /// The family index, if this is a family member.
     pub fn index(&self) -> Option<usize> {
         self.index
-    }
-
-    /// The id with this one's name — shared, not copied — and `index`.
-    pub fn with_index(&self, index: Option<usize>) -> Self {
-        Self {
-            name: Arc::clone(&self.name),
-            index,
-        }
     }
 
     /// Returns `true` if this id belongs to family `family`.
@@ -82,25 +79,72 @@ impl fmt::Display for RoleId {
     }
 }
 
-// The two borrowed-name conversions copy the name once, straight into
-// the shared buffer (the constructors take `Into<String>` and copy it
-// twice when handed a `&str`).
 impl From<&str> for RoleId {
     fn from(name: &str) -> Self {
-        Self {
-            name: name.into(),
-            index: None,
-        }
+        RoleId::new(name)
     }
 }
 
 impl From<(&str, usize)> for RoleId {
     fn from((name, index): (&str, usize)) -> Self {
-        Self {
-            name: name.into(),
-            index: Some(index),
-        }
+        RoleId::indexed(name, index)
     }
+}
+
+/// Role names a thread keeps, at most.
+const NAME_TABLE_CAP: usize = 64;
+
+/// Longest name the table keeps: names from a hostile peer cannot make
+/// it hold more than [`NAME_TABLE_CAP`] × this many bytes.
+const NAME_TABLE_NAME_MAX: usize = 64;
+
+/// The role names a thread spelled lately. A performance names its few
+/// roles over and over — the engine per enrollment and per family
+/// member, a socket transport's I/O thread on nearly every frame it
+/// decodes — so a name found here is shared, not allocated again.
+/// Grows from empty (a process may run a thousand threads that each
+/// meet a name or two) up to [`NAME_TABLE_CAP`] names of at most
+/// [`NAME_TABLE_NAME_MAX`] bytes; when full, a new name takes the place
+/// of the oldest.
+struct NameTable {
+    names: Vec<Arc<str>>,
+    /// The oldest entry once the table is full: the next to be replaced.
+    oldest: usize,
+}
+
+thread_local! {
+    static NAMES: RefCell<NameTable> = const {
+        RefCell::new(NameTable {
+            names: Vec::new(),
+            oldest: 0,
+        })
+    };
+}
+
+impl NameTable {
+    fn share(&mut self, name: &str) -> Arc<str> {
+        if let Some(known) = self.names.iter().find(|k| ***k == *name) {
+            return Arc::clone(known);
+        }
+        let fresh: Arc<str> = Arc::from(name);
+        if name.len() <= NAME_TABLE_NAME_MAX {
+            if self.names.len() < NAME_TABLE_CAP {
+                self.names.push(Arc::clone(&fresh));
+            } else {
+                self.names[self.oldest] = Arc::clone(&fresh);
+                self.oldest = (self.oldest + 1) % NAME_TABLE_CAP;
+            }
+        }
+        fresh
+    }
+}
+
+/// `name`, shared with the calling thread's table. A thread being torn
+/// down has no table: the name is copied.
+fn shared_name(name: &str) -> Arc<str> {
+    NAMES
+        .try_with(|t| t.borrow_mut().share(name))
+        .unwrap_or_else(|_| Arc::from(name))
 }
 
 /// The identity of an (actual) enrolling process.
@@ -259,6 +303,60 @@ mod tests {
         assert_eq!(RoleId::from("x"), RoleId::new("x"));
         assert_eq!(RoleId::from(("y", 2)), RoleId::indexed("y", 2));
         assert_eq!(ProcessId::from("P"), ProcessId::new("P"));
+    }
+
+    /// Ids spelled from one name on one thread share it, whatever the
+    /// index and however the name was handed over; a name too long to
+    /// keep is spelled all the same.
+    #[test]
+    fn ids_spelled_from_one_name_share_it() {
+        let owned = String::from("shared-name");
+        let ids = [
+            RoleId::indexed("shared-name", 1),
+            RoleId::indexed(&owned, 2),
+            RoleId::new(owned.clone()),
+            RoleId::from("shared-name"),
+            RoleId::from(("shared-name", 3)),
+        ];
+        let indices: Vec<_> = ids.iter().map(RoleId::index).collect();
+        assert_eq!(indices, [Some(1), Some(2), None, None, Some(3)]);
+        for id in &ids[1..] {
+            assert!(Arc::ptr_eq(&ids[0].name, &id.name), "{id} has its own copy");
+        }
+        let long = "x".repeat(NAME_TABLE_NAME_MAX + 1);
+        let (first, again) = (RoleId::new(&long), RoleId::new(&long));
+        assert_eq!((first.name(), again.name()), (long.as_str(), long.as_str()));
+        assert!(!Arc::ptr_eq(&first.name, &again.name), "not kept");
+        let other_thread = std::thread::spawn(|| RoleId::new("shared-name"))
+            .join()
+            .unwrap();
+        assert_eq!(other_thread, RoleId::new("shared-name"));
+        assert!(!Arc::ptr_eq(&other_thread.name, &ids[0].name), "per thread");
+    }
+
+    /// 10,000 distinct names, each followed by one hot name under a
+    /// changing index — what a hostile peer's frames do to a decoding
+    /// thread: every id reads back right, a name met twice in a row is
+    /// shared, and the table ends at its bound.
+    #[test]
+    fn distinct_names_leave_the_table_at_its_bound() {
+        let table_len = || NAMES.with(|t| t.borrow().names.len());
+        assert!(table_len() < NAME_TABLE_CAP, "grows from empty");
+        for i in 0..10_000 {
+            let name = format!("distinct-{i}");
+            let distinct = RoleId::indexed(&name, i);
+            assert_eq!(
+                (distinct.name(), distinct.index()),
+                (name.as_str(), Some(i))
+            );
+            let (hot, again) = (RoleId::indexed("hot", i), RoleId::new("hot"));
+            assert_eq!(
+                (hot.name(), hot.index(), again.index()),
+                ("hot", Some(i), None)
+            );
+            assert!(Arc::ptr_eq(&hot.name, &again.name));
+        }
+        assert_eq!(table_len(), NAME_TABLE_CAP);
     }
 
     #[test]

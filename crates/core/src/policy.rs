@@ -275,15 +275,15 @@ impl CriticalSet {
         for e in &self.entries {
             match e {
                 CriticalEntry::Role(name) => {
-                    exact.insert(RoleId::new(name.clone()));
+                    exact.insert(RoleId::new(name));
                 }
                 CriticalEntry::Member(name, i) => {
-                    exact.insert(RoleId::indexed(name.clone(), *i));
+                    exact.insert(RoleId::indexed(name, *i));
                 }
                 CriticalEntry::Family(name) => {
                     if let Some(n) = family_size(name) {
                         for i in 0..n {
-                            exact.insert(RoleId::indexed(name.clone(), i));
+                            exact.insert(RoleId::indexed(name, i));
                         }
                     }
                 }

@@ -387,9 +387,9 @@ impl<M: Send + Clone + 'static> ScriptBuilder<M> {
         let mut fixed_ids = Vec::new();
         for def in &self.roles {
             match def.family {
-                None => fixed_ids.push(RoleId::new(def.name.clone())),
+                None => fixed_ids.push(RoleId::new(&def.name)),
                 Some(FamilySize::Fixed(n)) => {
-                    fixed_ids.extend((0..n).map(|i| RoleId::indexed(def.name.clone(), i)))
+                    fixed_ids.extend((0..n).map(|i| RoleId::indexed(&def.name, i)))
                 }
                 Some(FamilySize::Open { .. }) => {}
             }

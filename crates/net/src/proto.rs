@@ -26,7 +26,6 @@
 //! [`SocketTransport`]: crate::SocketTransport
 //! [`TransportServer`]: crate::TransportServer
 
-use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use script_chan::{
@@ -569,68 +568,6 @@ impl Wire for FaultPlan {
     }
 }
 
-/// Role names a thread keeps from what it decoded, at most.
-const NAME_TABLE_CAP: usize = 64;
-
-/// Longest name the table keeps: hostile names cannot make it hold more
-/// than [`NAME_TABLE_CAP`] × this many bytes.
-const NAME_TABLE_NAME_MAX: usize = 64;
-
-/// The role names a thread decoded lately — the I/O thread decodes
-/// every hub request and every spoke answer, so a performance's few
-/// names are met again on nearly every frame. A name found here is
-/// shared, not allocated again. Bounded at [`NAME_TABLE_CAP`] names of
-/// at most [`NAME_TABLE_NAME_MAX`] bytes; when full, a new name takes
-/// the place of the oldest.
-struct NameTable {
-    names: Vec<RoleId>,
-    /// The oldest entry once the table is full: the next to be replaced.
-    oldest: usize,
-}
-
-thread_local! {
-    static NAMES: RefCell<NameTable> = const {
-        RefCell::new(NameTable {
-            names: Vec::new(),
-            oldest: 0,
-        })
-    };
-}
-
-impl NameTable {
-    fn id(&mut self, name: &str, index: Option<usize>) -> RoleId {
-        if let Some(known) = self.names.iter().find(|k| k.name() == name) {
-            return known.with_index(index);
-        }
-        let id = fresh_id(name, index);
-        if name.len() <= NAME_TABLE_NAME_MAX {
-            if self.names.len() < NAME_TABLE_CAP {
-                if self.names.is_empty() {
-                    self.names.reserve_exact(NAME_TABLE_CAP);
-                }
-                self.names.push(id.clone());
-            } else {
-                self.names[self.oldest] = id.clone();
-                self.oldest = (self.oldest + 1) % NAME_TABLE_CAP;
-            }
-        }
-        id
-    }
-}
-
-fn fresh_id(name: &str, index: Option<usize>) -> RoleId {
-    match index {
-        Some(i) => RoleId::from((name, i)),
-        None => RoleId::from(name),
-    }
-}
-
-/// How many names the calling thread's table holds.
-#[cfg(test)]
-pub(crate) fn name_table_len() -> usize {
-    NAMES.with(|t| t.borrow().names.len())
-}
-
 impl Wire for RoleId {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_str(self.name(), out);
@@ -638,11 +575,11 @@ impl Wire for RoleId {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let name = decode_str(r)?;
-        let index = Option::<usize>::decode(r)?;
-        // A thread being torn down has no table: the name is copied.
-        Ok(NAMES
-            .try_with(|t| t.borrow_mut().id(name, index))
-            .unwrap_or_else(|_| fresh_id(name, index)))
+        // A name the decoding thread met lately is shared, not copied.
+        Ok(match Option::<usize>::decode(r)? {
+            Some(index) => RoleId::indexed(name, index),
+            None => RoleId::new(name),
+        })
     }
 }
 
@@ -887,66 +824,6 @@ mod tests {
         });
         roundtrip(RoleId::new("sender"));
         roundtrip(RoleId::indexed("recipient", 3));
-    }
-
-    /// A name decoded before is shared, whatever the index; a name too
-    /// long to keep is decoded all the same.
-    #[test]
-    fn a_name_seen_before_is_shared() {
-        let a = RoleId::from_bytes(&RoleId::indexed("shared-name", 1).to_bytes()).unwrap();
-        let b = RoleId::from_bytes(&RoleId::indexed("shared-name", 2).to_bytes()).unwrap();
-        let c = RoleId::from_bytes(&RoleId::new("shared-name").to_bytes()).unwrap();
-        assert_eq!((a.index(), b.index(), c.index()), (Some(1), Some(2), None));
-        assert_eq!(a.name().as_ptr(), b.name().as_ptr());
-        assert_eq!(a.name().as_ptr(), c.name().as_ptr());
-        let long = "x".repeat(NAME_TABLE_NAME_MAX + 1);
-        let first = RoleId::from_bytes(&RoleId::new(long.as_str()).to_bytes()).unwrap();
-        let again = RoleId::from_bytes(&RoleId::new(long.as_str()).to_bytes()).unwrap();
-        assert_eq!((first.name(), again.name()), (long.as_str(), long.as_str()));
-        assert_ne!(first.name().as_ptr(), again.name().as_ptr(), "not kept");
-        assert!(name_table_len() <= NAME_TABLE_CAP);
-    }
-
-    /// 10,000 distinct names through one connection, each interleaved
-    /// with one name under a changing index: the hub decodes every one
-    /// right (its answer names the id, which the spoke decodes in
-    /// turn), and the I/O thread's table ends at its bound.
-    #[test]
-    fn distinct_names_leave_the_table_at_its_bound() {
-        use std::sync::mpsc;
-        use std::sync::Arc;
-
-        use script_chan::{ShardedTransport, Transport};
-
-        use crate::reactor::{self, Cause, Io, Source, Turn};
-        use crate::{SocketTransport, TransportServer};
-
-        /// Reports the I/O thread's table size from its first turn.
-        struct TableProbe(mpsc::Sender<usize>);
-        impl Source for TableProbe {
-            fn turn(&mut self, _: &mut Io<'_>, _: Cause) -> Turn {
-                let _ = self.0.send(name_table_len());
-                Turn::Done
-            }
-            fn close(&mut self, _: &mut Io<'_>, _: bool) {}
-        }
-
-        let inner: Arc<dyn Transport<RoleId, String>> =
-            Arc::new(ShardedTransport::new(false, None));
-        let hub = TransportServer::bind("127.0.0.1:0", inner).expect("bind");
-        let spoke = SocketTransport::<RoleId, String>::connect(hub.local_addr()).expect("resolve");
-        for i in 0..10_000 {
-            // Unknown to the hub, which answers with the id it decoded.
-            for id in [
-                RoleId::indexed(format!("distinct-{i}"), i),
-                RoleId::indexed("hot", i),
-            ] {
-                assert_eq!(spoke.ensure_peer(&id), Err(ChanError::Unknown(id)));
-            }
-        }
-        let (tx, rx) = mpsc::channel();
-        reactor::register(Box::new(TableProbe(tx)), Arc::default());
-        assert_eq!(rx.recv().expect("the probe turns"), NAME_TABLE_CAP);
     }
 
     #[test]

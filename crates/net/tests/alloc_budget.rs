@@ -1,9 +1,10 @@
-//! The allocation budget of one rendezvous, counted by this binary's
-//! own global allocator: what an operation allocates beyond what
-//! outlives it — the request kept for replay, the answer kept for the
-//! replay cache, the message, the arms, the completion closures — is a
-//! regression. The counter sees every thread of the process, the I/O
-//! thread included, so the tests take turns.
+//! The allocation budget of one rendezvous and of one in-process
+//! performance, counted by this binary's own global allocator: what an
+//! operation allocates beyond what outlives it — the request kept for
+//! replay, the answer kept for the replay cache, the message, the arms,
+//! the completion closures — is a regression. The counter sees every
+//! thread of the process, the I/O thread included, so the tests take
+//! turns.
 //!
 //! `cargo test --release -p script-net --test alloc_budget -- --nocapture`
 //! prints the counts.
@@ -14,7 +15,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
 use script_chan::{Arm, Outcome, ShardedTransport, Transport};
-use script_core::RoleId;
+use script_core::{RoleId, Script};
 use script_net::{SocketTransport, TransportServer};
 
 struct Counting;
@@ -97,9 +98,10 @@ fn activate(t: &Arc<dyn Transport<RoleId, String>>) {
 
 /// A streamed rendezvous over one loopback hub and spoke: both ends on
 /// the spoke, so it is a `Send` and a `Select` request, their answers,
-/// and the hub's in-process rendezvous between them. 12.0 measured,
-/// 24.6 before frames were decoded in place, peer names shared, answer
-/// slots reused and a selection's scan order kept on the stack.
+/// and the hub's in-process rendezvous between them. 11.0 measured;
+/// 12.0 before the kernel kept a selection's arm list, 24.6 before
+/// frames were decoded in place, peer names shared, answer slots reused
+/// and a selection's scan order kept on the stack.
 #[test]
 fn a_streamed_rendezvous_allocates_at_most_14_times() {
     let _serial = serial();
@@ -113,9 +115,9 @@ fn a_streamed_rendezvous_allocates_at_most_14_times() {
     assert!(allocs <= 14.0, "{allocs:.2} allocations per rendezvous");
 }
 
-/// The same rendezvous in process: the message, the arms and the
-/// kernel's list of them — 3.00 measured in a release build, 3.37 in a
-/// debug one; 5.0 before the scan order and the published offers stopped
+/// The same rendezvous in process: the message and the arms — 2.00
+/// measured; 3.0 while the kernel copied the arms into a list of its
+/// own, 5.0 before the scan order and the published offers stopped
 /// allocating per pass.
 #[test]
 fn a_blocking_rendezvous_in_process_allocates_at_most_3_5_times() {
@@ -125,4 +127,51 @@ fn a_blocking_rendezvous_in_process_allocates_at_most_3_5_times() {
     let allocs = per_rendezvous(&t);
     println!("allocations per in-process rendezvous: {allocs:.2}");
     assert!(allocs <= 3.5, "{allocs:.2} allocations per rendezvous");
+}
+
+/// Performances per counted run; a run as long again warms up first.
+const PERFORMANCES: u64 = 1_000;
+
+/// A star broadcast in process, a sender and three recipients each
+/// enrolling from its own thread: enrollment, matching, the cast runs,
+/// three rendezvous and termination. 60.7 measured in a release build,
+/// 59.4 in a debug one; 86.8 before a cast run stopped snapshotting
+/// every endpoint, role ids spelled from a known name shared it and a
+/// selection kept its caller's arm list.
+#[test]
+fn an_in_process_performance_allocates_at_most_66_times() {
+    const RECIPIENTS: usize = 3;
+    let _serial = serial();
+    let mut b = Script::<u64>::builder("star");
+    let sender = b.role("sender", |ctx, value: u64| {
+        for i in 0..RECIPIENTS {
+            ctx.send(&RoleId::indexed("recipient", i), value)?;
+        }
+        Ok(())
+    });
+    let recipient = b.family("recipient", RECIPIENTS, |ctx, ()| {
+        ctx.recv_from(&RoleId::new("sender"))
+    });
+    let instance = b.build().expect("a well-formed script").instance();
+    let run = || {
+        thread::scope(|s| {
+            for i in 0..RECIPIENTS {
+                let (instance, recipient) = (&instance, &recipient);
+                s.spawn(move || {
+                    for k in 0..PERFORMANCES {
+                        assert_eq!(instance.enroll_member(recipient, i, ()), Ok(k));
+                    }
+                });
+            }
+            for k in 0..PERFORMANCES {
+                instance.enroll(&sender, k).expect("the performance runs");
+            }
+        });
+    };
+    run();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    run();
+    let allocs = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / PERFORMANCES as f64;
+    println!("allocations per in-process four-role performance: {allocs:.2}");
+    assert!(allocs <= 66.0, "{allocs:.2} allocations per performance");
 }
