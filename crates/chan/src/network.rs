@@ -105,13 +105,6 @@ where
         Self::with_transport(Arc::new(ShardedTransport::new(false, Some(seed))))
     }
 
-    /// [`Network::new_open`] with a deterministic selection RNG seed,
-    /// so nondeterministic-order broadcasts over open-ended casts are
-    /// reproducible under a chaos seed.
-    pub fn new_open_seeded(seed: u64) -> Self {
-        Self::with_transport(Arc::new(ShardedTransport::new(true, Some(seed))))
-    }
-
     /// Wraps an existing transport in a network handle.
     ///
     /// This is the seam for alternative substrates (a remote transport,

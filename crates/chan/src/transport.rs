@@ -414,6 +414,9 @@ pub trait Transport<I, M>: Send + Sync {
 /// Arms a selection scans in a stack-held order; more take a `Vec`.
 const SCAN_ON_STACK: usize = 16;
 
+/// Spare endpoints a recycled transport keeps, and its registry's room.
+const RECYCLED: usize = 64;
+
 const LIFE_EXPECTED: u8 = 0;
 const LIFE_ACTIVE: u8 = 1;
 const LIFE_DONE: u8 = 2;
@@ -532,6 +535,36 @@ enum Moved {
 }
 
 impl<I: Clone + Eq + Hash, M> EpState<I, M> {
+    fn new(rng: SmallRng) -> Self {
+        Self {
+            inbox: HashMap::new(),
+            acks: HashMap::new(),
+            wait: None,
+            spare_offers: Vec::new(),
+            signal: 0,
+            watchers: Vec::new(),
+            rng,
+            chaos_in_seqs: HashMap::new(),
+            rdv_in_seqs: HashMap::new(),
+            chaos_steps: 0,
+            op_waiters: Vec::new(),
+            turns: HashMap::new(),
+        }
+    }
+
+    /// Makes the state what [`EpState::new`] builds, keeping the room
+    /// of the tables every run fills (the RNG is re-seeded when taken).
+    fn renew(&mut self) {
+        self.inbox.clear();
+        self.acks.clear();
+        *self = Self {
+            inbox: std::mem::take(&mut self.inbox),
+            acks: std::mem::take(&mut self.acks),
+            spare_offers: std::mem::take(&mut self.spare_offers),
+            ..Self::new(self.rng.clone())
+        };
+    }
+
     /// Whether `sender` may *claim* me (seen `Active` by the caller): I
     /// have published offers that take its message, nobody has claimed
     /// them yet, and the edge's slot is free.
@@ -674,6 +707,8 @@ impl LatencyHooks {
 /// The in-process sharded transport (see the module docs).
 pub struct ShardedTransport<I, M> {
     endpoints: RwLock<HashMap<I, Arc<Endpoint<I, M>>>>,
+    /// Emptied endpoints [`ShardedTransport::recycle`] kept for reuse.
+    spare: Mutex<Vec<Arc<Endpoint<I, M>>>>,
     implicit_declare: bool,
     sealed: AtomicBool,
     aborted: AtomicBool,
@@ -755,6 +790,7 @@ where
     pub fn new(implicit_declare: bool, seed: Option<u64>) -> Self {
         Self {
             endpoints: RwLock::new(HashMap::new()),
+            spare: Mutex::new(Vec::new()),
             implicit_declare,
             sealed: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
@@ -781,30 +817,48 @@ where
         }
     }
 
+    /// Makes this transport what `new(implicit_declare, seed)` returns, but
+    /// keeps its registry table and, emptied (undelivered messages drop),
+    /// up to 64 endpoints nobody else holds for the ones it creates next.
+    /// Refuses, changing nothing, once a submitted operation ran.
+    pub fn recycle(&mut self, implicit_declare: bool, seed: Option<u64>) -> bool {
+        if self.sched.get().is_some() {
+            return false;
+        }
+        let mut table = std::mem::take(&mut *self.registry_mut());
+        let mut spare = std::mem::take(self.spare.get_mut());
+        for (_, mut ep) in table.drain() {
+            if let Some(kept) = Arc::get_mut(&mut ep).filter(|_| spare.len() < RECYCLED) {
+                kept.state.get_mut().renew();
+                spare.push(ep);
+            }
+        }
+        table.shrink_to(RECYCLED);
+        *self = Self::new(implicit_declare, seed);
+        *self.registry_mut() = table;
+        *self.spare.get_mut() = spare;
+        true
+    }
+
+    /// A new endpoint for `id`, spare if recycling left one, seeded alike.
     fn new_endpoint(&self, id: &I, life: u8) -> Arc<Endpoint<I, M>> {
         let rng = match *self.seed.lock() {
             Some(root) => SmallRng::seed_from_u64(derive_seed(root, id)),
             None => SmallRng::from_entropy(),
         };
-        Arc::new(Endpoint {
-            life: AtomicU8::new(life),
-            moved: AtomicU64::new(0),
-            state: Mutex::new(EpState {
-                inbox: HashMap::new(),
-                acks: HashMap::new(),
-                wait: None,
-                spare_offers: Vec::new(),
-                signal: 0,
-                watchers: Vec::new(),
-                rng,
-                chaos_in_seqs: HashMap::new(),
-                rdv_in_seqs: HashMap::new(),
-                chaos_steps: 0,
-                op_waiters: Vec::new(),
-                turns: HashMap::new(),
-            }),
-            cond: Condvar::new(),
-        })
+        let Some(mut ep) = self.spare.lock().pop() else {
+            return Arc::new(Endpoint {
+                life: AtomicU8::new(life),
+                moved: AtomicU64::new(0),
+                state: Mutex::new(EpState::new(rng)),
+                cond: Condvar::new(),
+            });
+        };
+        let kept = Arc::get_mut(&mut ep).expect("a spare endpoint is unshared");
+        *kept.life.get_mut() = life;
+        *kept.moved.get_mut() = 0;
+        kept.state.get_mut().rng = rng;
+        ep
     }
 
     /// Read access to the endpoint registry (poisoning swallowed, in
@@ -2729,5 +2783,111 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(5)).unwrap(),
             Err(ChanError::Timeout)
         );
+    }
+
+    /// The arms a transport's fair choice picks, 32 times: `0` watches
+    /// eight finished peers, every arm ready at once.
+    fn draws(t: &ShardedTransport<u8, u32>) -> Vec<usize> {
+        t.activate(0);
+        for id in 1..=8 {
+            t.finish(id);
+        }
+        let arms = || (1..=8).map(Arm::watch).collect::<Vec<_>>();
+        (0..32)
+            .map(|_| t.select(&0, arms(), None).unwrap().arm())
+            .collect()
+    }
+
+    /// A recycled transport is a new one: no peer, not aborted, and
+    /// its reused endpoints draw the selections a new transport's
+    /// endpoints draw from the same seed.
+    #[test]
+    fn a_seeded_recycled_transport_draws_as_a_new_one() {
+        let mut t: ShardedTransport<u8, u32> = ShardedTransport::new(false, Some(3));
+        let first = draws(&t);
+        t.abort();
+        assert!(t.recycle(false, Some(7)));
+        assert!(!t.is_aborted());
+        assert_eq!(t.peer_state(&0), None);
+        assert_eq!(t.spare.lock().len(), 9, "every endpoint kept");
+        let fresh = draws(&ShardedTransport::new(false, Some(7)));
+        assert_eq!(draws(&t), fresh);
+        assert!(t.spare.lock().is_empty(), "taken before allocating");
+        assert_ne!(first, fresh, "the seed decides the draws");
+    }
+
+    /// A scheduler holds its transport weakly, so a transport that ever
+    /// ran a submitted operation is not recycled, and is left as it was.
+    #[test]
+    fn recycle_refuses_after_a_submitted_op() {
+        let t: Arc<ShardedTransport<u8, u32>> = Arc::new(ShardedTransport::new(false, Some(1)));
+        for id in [0, 1] {
+            t.activate(id);
+        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        Arc::clone(&t)
+            .submit_send(&0, &1, 9, None, Box::new(move |r| done_tx.send(r).unwrap()))
+            .ok()
+            .unwrap();
+        let got = t.select(&1, vec![Arm::Recv(Source::Of(0))], None).unwrap();
+        assert!(matches!(got, Outcome::Received { msg: 9, .. }));
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
+        // The scheduler thread, if it started, upgrades only to step.
+        let mut t = Arc::try_unwrap(t);
+        let mut t = loop {
+            match t {
+                Ok(t) => break t,
+                Err(back) => {
+                    thread::yield_now();
+                    t = Arc::try_unwrap(back);
+                }
+            }
+        };
+        assert!(!t.recycle(false, Some(1)));
+        assert_eq!(t.peer_state(&0), Some(PeerState::Active));
+    }
+
+    /// An endpoint somebody still holds is dropped from the table, not
+    /// emptied and handed to a peer of the next run.
+    #[test]
+    fn an_endpoint_still_held_is_not_reused() {
+        let mut t: ShardedTransport<u8, u32> = ShardedTransport::new(false, Some(1));
+        for id in [0, 1] {
+            t.activate(id);
+        }
+        let held = t.lookup(&0).unwrap();
+        let free = Arc::as_ptr(&t.lookup(&1).unwrap());
+        assert!(t.recycle(false, Some(1)));
+        assert_eq!(t.spare.lock().len(), 1);
+        for id in [0, 1] {
+            t.activate(id);
+        }
+        let (zero, one) = (t.lookup(&0).unwrap(), t.lookup(&1).unwrap());
+        assert!(!Arc::ptr_eq(&held, &zero) && !Arc::ptr_eq(&held, &one));
+        assert!([Arc::as_ptr(&zero), Arc::as_ptr(&one)].contains(&free));
+        assert_eq!(held.life.load(Ordering::SeqCst), LIFE_ACTIVE, "untouched");
+    }
+
+    /// A large open family leaves at most `RECYCLED` spare endpoints and
+    /// a registry table with room for about as many; small runs after it
+    /// keep it so.
+    #[test]
+    fn a_large_family_leaves_a_bounded_spare() {
+        let mut t: ShardedTransport<u32, u32> = ShardedTransport::new(true, Some(1));
+        for id in 0..1_000 {
+            t.activate(id);
+        }
+        for run in 0..4 {
+            assert!(t.recycle(true, Some(run)));
+            assert!(t.spare.lock().len() <= RECYCLED);
+            assert!(t.registry().capacity() <= 2 * RECYCLED);
+            for id in 0..4 {
+                t.activate(id);
+            }
+        }
+        assert_eq!(t.spare.lock().len(), RECYCLED - 4);
     }
 }

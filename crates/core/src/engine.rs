@@ -13,8 +13,8 @@
 //! Hot state is split in two. A single *front end* (one mutex + the
 //! engine condvar) owns only what enrollment matching needs: the pending
 //! queue and the roster of live performances. Each matched performance
-//! lives in its own [`PerfShard`] — cast, running/finished sets, network,
-//! and a private condvar — so the roles of one performance finish and
+//! lives in its own [`PerfShard`] — cast table, network, and a private
+//! condvar — so the roles of one performance finish and
 //! signal on their own shard without touching the front-end lock or
 //! waking threads of unrelated performances. Completion is the only
 //! transition that crosses back: the thread that observes a shard ready
@@ -56,14 +56,13 @@
 //! gapless, strictly increasing, and in order.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use script_chan::{CastStep, FaultPlan, Network, SessionEvent};
+use script_chan::{CastStep, FaultPlan, Network, SessionEvent, ShardedTransport};
 
 use crate::ctx::RoleCtx;
 use crate::estimator::{LatencyEstimator, WindowFloor};
@@ -79,6 +78,9 @@ use crate::{
 /// does not specify a capacity of its own (i.e. [`WatchdogPolicy::Fixed`],
 /// where the estimator only feeds stall-event diagnostics).
 const DEFAULT_ESTIMATOR_CAPACITY: usize = 256;
+
+/// Kernels of retired performances an instance keeps; the oldest goes.
+const RETIRED_KERNELS: usize = 2;
 
 /// How an enrollment names its role: a concrete id, or "next free member"
 /// of an open family.
@@ -122,10 +124,12 @@ impl<M> PendingSlot<M> {
 pub(crate) struct PerfShard<M> {
     pub(crate) seq: u64,
     pub(crate) net: Network<RoleId, M>,
+    /// `net`'s kernel when no factory built it, retired with the shard.
+    kernel: Option<Arc<ShardedTransport<RoleId, M>>>,
     /// Streaming rendezvous-latency estimator, fed by the network's
-    /// latency observer; read by the watchdog to derive adaptive
-    /// quiescence windows (and stall-event diagnostics).
-    pub(crate) latency: Arc<LatencyEstimator>,
+    /// latency observer; built only for the watchdog, which derives
+    /// adaptive quiescence windows (and stall diagnostics) from it.
+    latency: Option<Arc<LatencyEstimator>>,
     /// Next telemetry sequence number for this performance. Held across
     /// observer delivery so the per-performance event stream is gapless
     /// and arrives in sequence order (see [`TelemetrySink`]).
@@ -137,8 +141,8 @@ pub(crate) struct PerfShard<M> {
 struct ShardState {
     /// Admitted (role, process, recorded partner constraints).
     cast: Vec<(RoleId, ProcessId, Partners)>,
-    running: HashSet<RoleId>,
-    finished: HashSet<RoleId>,
+    /// Beside `cast`: finished or not. Running = admitted, not finished.
+    finished: Vec<bool>,
     frozen: bool,
     aborted: bool,
     /// Aborted by the quiescence watchdog; participants see
@@ -149,7 +153,6 @@ struct ShardState {
     /// Completion claimed by exactly one thread, which drops the shard
     /// lock and reacquires front end → shard to retire it.
     completing: bool,
-    next_open_index: HashMap<String, usize>,
 }
 
 impl ShardState {
@@ -164,11 +167,30 @@ impl ShardState {
             .count()
     }
 
+    /// The lowest index of `family` not in the cast: the largest `c` with
+    /// `c` of the (distinct) indices below it, found by bisection.
+    fn next_free_index(&self, family: &str) -> usize {
+        let below = |c: usize| {
+            self.cast
+                .iter()
+                .filter(|(r, _, _)| r.in_family(family) && r.index().is_some_and(|i| i < c))
+                .count()
+        };
+        let (mut lo, mut hi) = (0, self.family_count(family) + 1);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if below(mid) == mid {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
     /// Has this performance terminated (normally or by abort)?
     fn is_ready(&self) -> bool {
-        let all_finished = self.cast.iter().all(|(r, _, _)| self.finished.contains(r));
-        (self.frozen && !self.cast.is_empty() && all_finished)
-            || (self.aborted && self.running.is_empty())
+        self.finished.iter().all(|&f| f) && ((self.frozen && !self.cast.is_empty()) || self.aborted)
     }
 }
 
@@ -200,6 +222,8 @@ struct FrontEnd<M> {
     /// Every performance started and not yet completed, oldest first.
     live: Vec<Arc<PerfShard<M>>>,
     pending: Vec<PendingSlot<M>>,
+    /// Kernels of retired performances, oldest first, for reuse.
+    retired: Vec<Arc<ShardedTransport<RoleId, M>>>,
     /// Performances retired since the front lock was taken, whose
     /// phase-4 waiters [`Engine::release`] wakes once it is let go.
     finalized: Vec<Arc<PerfShard<M>>>,
@@ -315,6 +339,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 gathering: None,
                 live: Vec::new(),
                 pending: Vec::new(),
+                retired: Vec::new(),
                 finalized: Vec::new(),
                 closed: false,
                 watchdog: None,
@@ -461,8 +486,8 @@ impl<M: Send + Clone + 'static> Engine<M> {
                         .map(|(r, p, _)| (r.clone(), p.clone()))
                         .collect(),
                     frozen: ss.frozen,
-                    running: ss.running.len(),
-                    finished: ss.finished.len(),
+                    running: ss.finished.iter().filter(|&&f| !f).count(),
+                    finished: ss.finished.iter().filter(|&&f| f).count(),
                     aborted: ss.aborted,
                 }
             })
@@ -494,6 +519,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
     pub(crate) fn close(&self) {
         let mut fe = self.front.lock();
         fe.closed = true;
+        fe.retired.clear();
         self.emit_instance(|| TelemetryPayload::Script(ScriptEvent::InstanceClosed));
         for slot in &mut fe.pending {
             if matches!(slot.outcome, Outcome::Waiting) {
@@ -705,8 +731,8 @@ impl<M: Send + Clone + 'static> Engine<M> {
         let panicked = outcome.is_err();
         let finalize = {
             let mut ss = shard.state.lock();
-            ss.running.remove(&role_id);
-            ss.finished.insert(role_id.clone());
+            let at = ss.cast.iter().position(|(r, _, _)| *r == role_id);
+            ss.finished[at.expect("an admitted role is in the cast")] = true;
             // Under the shard lock: a write, not a wait (module docs).
             shard.net.finish(role_id.clone());
             if panicked && !ss.aborted {
@@ -806,6 +832,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
             }
         }
         self.completed.fetch_add(1, Ordering::SeqCst);
+        fe.retired.extend(shard.kernel.clone());
+        if fe.retired.len() > RETIRED_KERNELS {
+            fe.retired.remove(0);
+        }
         fe.finalized.push(Arc::clone(shard));
     }
 
@@ -900,46 +930,64 @@ impl<M: Send + Clone + 'static> Engine<M> {
     }
 
     /// Tries to start a delayed-initiation performance from the pending
-    /// set. Returns `true` if one was started.
+    /// set. Returns `true` if one was started. Nothing is allocated
+    /// unless every role of some critical set has a matchable slot.
     fn start_delayed(&self, fe: &mut FrontEnd<M>) -> bool {
         let now = Instant::now();
-        let waiting: Vec<&PendingSlot<M>> =
-            fe.pending.iter().filter(|s| s.matchable(now)).collect();
-        let candidates: Vec<Candidate<'_>> = waiting
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match &s.role {
-                RoleRef::Concrete(id) => Some(Candidate {
-                    idx: i,
-                    role: id,
-                    process: &s.process,
-                    partners: &s.partners,
-                }),
-                // Open families cannot occur with delayed initiation.
-                RoleRef::NextOf(_) => None,
-            })
-            .collect();
-        let critical = self.spec.expanded_critical().iter().map(|(exact, _)| exact);
-        let Some(assignment) = match_performance(&candidates, critical) else {
+        let pending = &fe.pending;
+        // Open families cannot occur with delayed initiation.
+        let candidates = || {
+            pending
+                .iter()
+                .enumerate()
+                .filter_map(|(idx, s)| match &s.role {
+                    RoleRef::Concrete(role) if s.matchable(now) => Some(Candidate {
+                        idx,
+                        role,
+                        process: &s.process,
+                        partners: &s.partners,
+                    }),
+                    _ => None,
+                })
+        };
+        let critical = self.spec.expanded_critical();
+        let filled = |r: &RoleId| candidates().any(|c| c.role == r);
+        if !critical.iter().any(|(exact, _)| exact.iter().all(filled)) {
+            return false;
+        }
+        let candidates: Vec<Candidate<'_>> = candidates().collect();
+        let matched = match_performance(&candidates, critical.iter().map(|(exact, _)| exact));
+        let Some(mut admitted) = matched else {
             return false;
         };
-        let admitted: Vec<(u64, RoleId)> = assignment
-            .into_iter()
-            .map(|(role, cand_idx)| (waiting[candidates[cand_idx].idx].ticket, role))
-            .collect();
+        for chosen in &mut admitted {
+            *chosen = candidates[*chosen].idx;
+        }
+        drop(candidates);
         self.open_performance(fe, admitted);
         true
     }
 
-    /// Creates the next performance and admits the given
-    /// `(ticket, role)` pairs into it. Delayed performances (non-empty
+    /// Creates the next performance and admits the pending slots at the
+    /// given indices into it, in order. Delayed performances (non-empty
     /// admission list) are frozen at creation and run detached; an empty
     /// admission list makes the new shard the gathering one.
-    fn open_performance(&self, fe: &mut FrontEnd<M>, admitted: Vec<(u64, RoleId)>) {
+    fn open_performance(&self, fe: &mut FrontEnd<M>, admitted: Vec<usize>) {
         let seq = fe.next_seq;
         fe.next_seq += 1;
         let seed = fe.chaos_seed.map(|root| mix_seed(root, seq));
         let open = self.spec.has_open_family();
+        // The oldest retired kernel nobody holds, recycled, or a new one.
+        let kernel = fe.net_factory.is_none().then(|| {
+            let free = fe
+                .retired
+                .iter_mut()
+                .position(|k| Arc::get_mut(k).is_some_and(|k| k.recycle(open, seed)));
+            free.map_or_else(
+                || Arc::new(ShardedTransport::new(open, seed)),
+                |i| fe.retired.remove(i),
+            )
+        });
         let net: Network<RoleId, M> = match &fe.net_factory {
             Some(factory) => {
                 let net = factory(&PerformanceNet {
@@ -954,51 +1002,49 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 }
                 net
             }
-            None => match (open, seed) {
-                (true, Some(s)) => Network::new_open_seeded(s),
-                (true, None) => Network::new_open(),
-                (false, Some(s)) => Network::with_seed(s),
-                (false, None) => Network::new(),
-            },
+            None => Network::with_transport(kernel.clone().expect("built above")),
         };
         if let Some(plan) = &fe.fault_plan {
             net.set_fault_plan(plan.reseeded(mix_seed(plan.seed(), seq)));
         }
-        // Per-performance latency estimator: sized by the adaptive
-        // policy when one is armed, and attached whenever *any* policy
-        // is (so Fixed-policy stall events still carry an observed p99).
-        let estimator_capacity = match &fe.watchdog {
-            Some(WatchdogPolicy::Adaptive(adaptive)) => adaptive.capacity,
-            _ => DEFAULT_ESTIMATOR_CAPACITY,
-        };
+        // Built for any watchdog (a Fixed one's stall events carry the
+        // observed p99), sized by an adaptive policy's capacity.
+        let latency = fe.watchdog.as_ref().map(|policy| {
+            Arc::new(LatencyEstimator::new(match policy {
+                WatchdogPolicy::Adaptive(adaptive) => adaptive.capacity,
+                WatchdogPolicy::Fixed(_) => DEFAULT_ESTIMATOR_CAPACITY,
+            }))
+        });
         let telemetry_live = self.telemetry_on();
+        let roles = self.spec.fixed_role_ids().len();
         let shard = Arc::new(PerfShard {
             seq,
             net,
-            latency: Arc::new(LatencyEstimator::new(estimator_capacity)),
+            kernel,
+            latency,
             telemetry_seq: Mutex::new(0),
             state: Mutex::new(ShardState {
-                cast: Vec::new(),
-                running: HashSet::new(),
-                finished: HashSet::new(),
+                cast: Vec::with_capacity(roles),
+                finished: Vec::with_capacity(roles),
                 frozen: false,
                 aborted: false,
                 stalled: false,
                 done: false,
                 completing: false,
-                next_open_index: HashMap::new(),
             }),
             cond: Condvar::new(),
         });
         // Transport observers carry weak references both ways (the
         // network outlives neither the engine nor the shard it serves,
         // and strong captures would cycle through `shard.net`).
-        if fe.watchdog.is_some() || telemetry_live {
-            let est = Arc::clone(&shard.latency);
+        if shard.latency.is_some() || telemetry_live {
+            let est = shard.latency.clone();
             let weak_engine = self.weak.clone();
             let weak_shard = Arc::downgrade(&shard);
             shard.net.set_latency_observer(move |sample| {
-                est.record(sample.elapsed);
+                if let Some(est) = &est {
+                    est.record(sample.elapsed);
+                }
                 if let (Some(engine), Some(shard)) = (weak_engine.upgrade(), weak_shard.upgrade()) {
                     engine.emit_shard(&shard, || TelemetryPayload::Latency(*sample));
                 }
@@ -1080,16 +1126,16 @@ impl<M: Send + Clone + 'static> Engine<M> {
             let fixed = self.spec.fixed_role_ids();
             let mut steps = Vec::with_capacity(2 * fixed.len() + 1);
             steps.extend(fixed.iter().cloned().map(CastStep::Declare));
-            for (ticket, role) in admitted {
-                let slot = fe
-                    .pending
-                    .iter_mut()
-                    .find(|s| s.ticket == ticket)
-                    .expect("admitted ticket pending");
+            for i in admitted {
+                let slot = &mut fe.pending[i];
+                let RoleRef::Concrete(role) = &slot.role else {
+                    unreachable!("delayed initiation admits concrete roles");
+                };
+                let role = role.clone();
                 steps.push(CastStep::Activate(role.clone()));
                 ss.cast
                     .push((role.clone(), slot.process.clone(), slot.partners.clone()));
-                ss.running.insert(role.clone());
+                ss.finished.push(false);
                 slot.outcome = Outcome::Admitted {
                     shard: Arc::clone(&shard),
                     role,
@@ -1134,6 +1180,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
     /// performance terminates or aborts.
     fn spawn_watchdog(&self, shard: Arc<PerfShard<M>>, policy: WatchdogPolicy) {
         let weak = self.weak.clone();
+        let latency = shard
+            .latency
+            .clone()
+            .expect("a watched performance measures");
         std::thread::spawn(move || {
             let mut last_activity = shard.net.activity();
             let mut last_progress = Instant::now();
@@ -1151,9 +1201,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 // gains samples while the performance runs, so adaptive
                 // windows track the observed rendezvous-latency quantile.
                 let (window, observed_p99) = match &policy {
-                    WatchdogPolicy::Fixed(w) => (*w, shard.latency.quantile(0.99)),
+                    WatchdogPolicy::Fixed(w) => (*w, latency.quantile(0.99)),
                     WatchdogPolicy::Adaptive(adaptive) => {
-                        let (raw, p99) = adaptive.window_for(&shard.latency);
+                        let (raw, p99) = adaptive.window_for(&latency);
                         let smoothed = floor
                             .apply(raw, adaptive.smoothing)
                             .min(adaptive.max_window);
@@ -1266,13 +1316,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                                 continue;
                             }
                         }
-                        let next = ss.next_open_index.entry(family.clone()).or_insert(0);
-                        // Skip indices explicitly taken.
-                        let mut i = *next;
-                        while ss.cast_has(&RoleId::indexed(family, i)) {
-                            i += 1;
-                        }
-                        RoleId::indexed(family, i)
+                        RoleId::indexed(family, ss.next_free_index(family))
                     }
                 };
                 let cand = Candidate {
@@ -1282,14 +1326,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
                     partners: &slot.partners,
                 };
                 if admissible(&cand, &ss.cast) {
-                    if let RoleRef::NextOf(family) = &slot.role {
-                        ss.next_open_index
-                            .insert(family.clone(), role.index().expect("indexed") + 1);
-                    }
                     steps.push(CastStep::Activate(role.clone()));
                     ss.cast
                         .push((role.clone(), slot.process.clone(), slot.partners.clone()));
-                    ss.running.insert(role.clone());
+                    ss.finished.push(false);
                     slot.outcome = Outcome::Admitted {
                         shard: Arc::clone(shard),
                         role,

@@ -14,7 +14,7 @@
 //! named process may fill at most one role (the paper's rule for delayed
 //! initiation); anonymous processes are always distinct.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use crate::{Partners, ProcessId, RoleId};
 
@@ -35,97 +35,70 @@ fn pair_compatible(a: &Candidate<'_>, b: &Candidate<'_>) -> bool {
         && b.partners.allows(a.role, a.process)
 }
 
-fn compatible_with_all(cand: &Candidate<'_>, chosen: &[&Candidate<'_>]) -> bool {
-    chosen.iter().all(|c| pair_compatible(cand, c))
+/// Whether `cand` may join the candidates `chosen` indexes in `all`.
+fn fits(cand: &Candidate<'_>, all: &[Candidate<'_>], chosen: &[usize]) -> bool {
+    chosen.iter().all(|&i| pair_compatible(cand, &all[i]))
 }
 
 /// Attempts to assemble a cast from `candidates` that covers one of the
 /// `critical` sets (tried in declaration order), then greedily extends it
 /// with further compatible candidates for still-unfilled roles.
 ///
-/// Returns `role → candidate index` on success.
+/// Returns the chosen candidate indices on success: the cover, its roles
+/// taken fewest-candidates-first, then the extension in arrival order.
+/// A pass that cannot cover a set allocates nothing for it.
 pub(crate) fn match_performance<'c>(
     candidates: &[Candidate<'_>],
     critical: impl IntoIterator<Item = &'c BTreeSet<RoleId>>,
-) -> Option<HashMap<RoleId, usize>> {
+) -> Option<Vec<usize>> {
+    let mut chosen = Vec::new();
     for cover in critical {
-        if let Some(assignment) = cover_critical_set(candidates, cover) {
-            return Some(extend(candidates, assignment));
+        if cover_critical_set(candidates, cover, &mut chosen) {
+            extend(candidates, &mut chosen);
+            return Some(chosen);
         }
     }
     None
 }
 
+/// Backtracks over `cover`'s roles, fewest candidates first (ties in
+/// set order), each role's candidates in arrival order (FIFO fairness).
+/// On failure `chosen` is left as it was found.
 fn cover_critical_set(
     candidates: &[Candidate<'_>],
     cover: &BTreeSet<RoleId>,
-) -> Option<Vec<usize>> {
-    // Collect per-role candidate lists, in arrival order (FIFO fairness).
-    let mut per_role: Vec<(&RoleId, Vec<usize>)> = Vec::with_capacity(cover.len());
-    for role in cover {
-        let list: Vec<usize> = candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.role == role)
-            .map(|(i, _)| i)
-            .collect();
-        if list.is_empty() {
-            return None;
-        }
-        per_role.push((role, list));
-    }
-    // Fewest candidates first prunes the search hardest.
-    per_role.sort_by_key(|(_, list)| list.len());
-
-    fn backtrack<'a>(
-        per_role: &[(&RoleId, Vec<usize>)],
-        candidates: &'a [Candidate<'a>],
-        chosen: &mut Vec<usize>,
-    ) -> bool {
-        if chosen.len() == per_role.len() {
-            return true;
-        }
-        let (_, list) = &per_role[chosen.len()];
-        for &idx in list {
-            let cand = &candidates[idx];
-            let selected: Vec<&Candidate<'_>> = chosen.iter().map(|&i| &candidates[i]).collect();
-            if compatible_with_all(cand, &selected) {
-                chosen.push(idx);
-                if backtrack(per_role, candidates, chosen) {
-                    return true;
-                }
-                chosen.pop();
+    chosen: &mut Vec<usize>,
+) -> bool {
+    let candidates_for = |role: &RoleId| candidates.iter().filter(|c| c.role == role).count();
+    // Fewest candidates first prunes the search hardest; a role with
+    // none ends the pass before anything is chosen.
+    let next = cover
+        .iter()
+        .filter(|role| !chosen.iter().any(|&i| candidates[i].role == *role))
+        .min_by_key(|role| candidates_for(role));
+    let Some(role) = next else {
+        return true;
+    };
+    for (idx, cand) in candidates.iter().enumerate() {
+        if cand.role == role && fits(cand, candidates, chosen) {
+            chosen.push(idx);
+            if cover_critical_set(candidates, cover, chosen) {
+                return true;
             }
+            chosen.pop();
         }
-        false
     }
-
-    let mut chosen = Vec::with_capacity(per_role.len());
-    if backtrack(&per_role, candidates, &mut chosen) {
-        Some(chosen)
-    } else {
-        None
-    }
+    false
 }
 
-fn extend(candidates: &[Candidate<'_>], chosen: Vec<usize>) -> HashMap<RoleId, usize> {
-    let mut assignment: HashMap<RoleId, usize> = chosen
-        .iter()
-        .map(|&i| (candidates[i].role.clone(), i))
-        .collect();
-    let mut selected: Vec<&Candidate<'_>> = chosen.iter().map(|&i| &candidates[i]).collect();
-    let mut used: HashSet<usize> = chosen.into_iter().collect();
+/// Sweeps every further compatible candidate into `chosen`, in arrival
+/// order (one whose role is filled is not compatible).
+fn extend(candidates: &[Candidate<'_>], chosen: &mut Vec<usize>) {
     for (idx, cand) in candidates.iter().enumerate() {
-        if used.contains(&idx) || assignment.contains_key(cand.role) {
-            continue;
-        }
-        if compatible_with_all(cand, &selected) {
-            assignment.insert(cand.role.clone(), idx);
-            selected.push(cand);
-            used.insert(idx);
+        if fits(cand, candidates, chosen) {
+            chosen.push(idx);
         }
     }
-    assignment
 }
 
 /// Immediate-mode admission check: can `cand` join a cast whose members
@@ -144,6 +117,19 @@ pub(crate) fn admissible(cand: &Candidate<'_>, cast: &[(RoleId, ProcessId, Partn
 mod tests {
     use super::*;
     use crate::ProcessSel;
+
+    /// The chosen candidates as `role → candidate index`, for assertions.
+    pub(super) fn by_role(
+        candidates: &[Candidate<'_>],
+        chosen: Option<Vec<usize>>,
+    ) -> Option<std::collections::HashMap<RoleId, usize>> {
+        chosen.map(|chosen| {
+            chosen
+                .into_iter()
+                .map(|i| (candidates[i].role.clone(), i))
+                .collect()
+        })
+    }
 
     struct Arena {
         entries: Vec<(RoleId, ProcessId, Partners)>,
@@ -184,7 +170,7 @@ mod tests {
         a.add(RoleId::new("q"), "B", Partners::any());
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p"), RoleId::new("q")])];
-        let m = match_performance(&cands, &critical).unwrap();
+        let m = by_role(&cands, match_performance(&cands, &critical)).unwrap();
         assert_eq!(m.len(), 2);
         assert_eq!(m[&RoleId::new("p")], 0);
         assert_eq!(m[&RoleId::new("q")], 1);
@@ -196,7 +182,7 @@ mod tests {
         a.add(RoleId::new("p"), "A", Partners::any());
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p"), RoleId::new("q")])];
-        assert!(match_performance(&cands, &critical).is_none());
+        assert!(by_role(&cands, match_performance(&cands, &critical)).is_none());
     }
 
     #[test]
@@ -207,7 +193,7 @@ mod tests {
         a.add(RoleId::new("q"), "B", Partners::any().named("p", "C"));
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p"), RoleId::new("q")])];
-        assert!(match_performance(&cands, &critical).is_none());
+        assert!(by_role(&cands, match_performance(&cands, &critical)).is_none());
     }
 
     #[test]
@@ -217,7 +203,7 @@ mod tests {
         a.add(RoleId::new("q"), "B", Partners::any().named("p", "A"));
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p"), RoleId::new("q")])];
-        assert!(match_performance(&cands, &critical).is_some());
+        assert!(by_role(&cands, match_performance(&cands, &critical)).is_some());
     }
 
     #[test]
@@ -230,7 +216,7 @@ mod tests {
         a.add(RoleId::new("q"), "B", Partners::any().named("p", "A2"));
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p"), RoleId::new("q")])];
-        let m = match_performance(&cands, &critical).unwrap();
+        let m = by_role(&cands, match_performance(&cands, &critical)).unwrap();
         assert_eq!(m[&RoleId::new("p")], 1);
         assert_eq!(m[&RoleId::new("q")], 2);
     }
@@ -247,7 +233,7 @@ mod tests {
         a.add(RoleId::new("q"), "C", Partners::any());
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p"), RoleId::new("q")])];
-        let m = match_performance(&cands, &critical).unwrap();
+        let m = by_role(&cands, match_performance(&cands, &critical)).unwrap();
         assert_eq!(m[&RoleId::new("q")], 2, "must pick C, not D");
     }
 
@@ -258,7 +244,7 @@ mod tests {
         a.add(RoleId::new("q"), "A", Partners::any());
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p"), RoleId::new("q")])];
-        assert!(match_performance(&cands, &critical).is_none());
+        assert!(by_role(&cands, match_performance(&cands, &critical)).is_none());
     }
 
     #[test]
@@ -267,7 +253,7 @@ mod tests {
         a.add(RoleId::new("writer"), "W", Partners::any());
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("reader")]), set(&[RoleId::new("writer")])];
-        let m = match_performance(&cands, &critical).unwrap();
+        let m = by_role(&cands, match_performance(&cands, &critical)).unwrap();
         assert!(m.contains_key(&RoleId::new("writer")));
     }
 
@@ -280,7 +266,7 @@ mod tests {
         a.add(RoleId::new("q"), "B", Partners::any());
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p")])];
-        let m = match_performance(&cands, &critical).unwrap();
+        let m = by_role(&cands, match_performance(&cands, &critical)).unwrap();
         assert_eq!(m.len(), 2);
     }
 
@@ -291,7 +277,7 @@ mod tests {
         a.add(RoleId::new("q"), "B", Partners::any());
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p")])];
-        let m = match_performance(&cands, &critical).unwrap();
+        let m = by_role(&cands, match_performance(&cands, &critical)).unwrap();
         assert_eq!(m.len(), 1, "B is not acceptable to A as q");
     }
 
@@ -302,8 +288,21 @@ mod tests {
         a.add(RoleId::new("p"), "Second", Partners::any());
         let cands = a.candidates();
         let critical = vec![set(&[RoleId::new("p")])];
-        let m = match_performance(&cands, &critical).unwrap();
+        let m = by_role(&cands, match_performance(&cands, &critical)).unwrap();
         assert_eq!(m[&RoleId::new("p")], 0);
+    }
+
+    #[test]
+    fn cover_fewest_candidates_first_then_extension_in_arrival_order() {
+        let mut a = Arena::new();
+        a.add(RoleId::new("x"), "X", Partners::any());
+        a.add(RoleId::new("q"), "Q1", Partners::any());
+        a.add(RoleId::new("p"), "P", Partners::any());
+        a.add(RoleId::new("q"), "Q2", Partners::any());
+        let cands = a.candidates();
+        let critical = vec![set(&[RoleId::new("p"), RoleId::new("q")])];
+        let chosen = match_performance(&cands, &critical).unwrap();
+        assert_eq!(chosen, vec![2, 1, 0], "p (one candidate), q, then x");
     }
 
     #[test]
@@ -359,6 +358,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::by_role;
     use super::*;
     use crate::ProcessSel;
     use proptest::prelude::*;
@@ -405,7 +405,7 @@ mod proptests {
                 .map(|r| RoleId::new(format!("r{r}")))
                 .collect::<std::collections::BTreeSet<_>>()];
 
-            if let Some(assignment) = match_performance(&cands, &critical) {
+            if let Some(assignment) = by_role(&cands, match_performance(&cands, &critical)) {
                 // Covers the critical set.
                 for r in &critical[0] {
                     prop_assert!(assignment.contains_key(r));
@@ -448,7 +448,7 @@ mod proptests {
             let critical = vec![(0..n_roles)
                 .map(|r| RoleId::new(format!("r{r}")))
                 .collect::<std::collections::BTreeSet<_>>()];
-            prop_assert!(match_performance(&cands, &critical).is_some());
+            prop_assert!(by_role(&cands, match_performance(&cands, &critical)).is_some());
         }
     }
 }

@@ -269,6 +269,60 @@ fn event_log_records_lifecycle() {
     assert!(ring.drain().is_empty());
 }
 
+/// A delayed performance admits its cast in one fixed order, whatever
+/// order its members arrived in: only which performance a thread joins
+/// depends on arrival.
+#[test]
+fn a_delayed_performance_admits_its_cast_in_a_fixed_order() {
+    const RECIPIENTS: usize = 3;
+    const PERFORMANCES: usize = 20;
+    let mut b = Script::<u8>::builder("ordered_star");
+    let sender = b.role("sender", |ctx, ()| {
+        for i in 0..RECIPIENTS {
+            ctx.send(&RoleId::indexed("recipient", i), 1)?;
+        }
+        Ok(())
+    });
+    let recipient = b.family("recipient", RECIPIENTS, |ctx, ()| {
+        ctx.recv_from(&RoleId::new("sender"))
+    });
+    b.initiation(Initiation::Delayed);
+    let script = b.build().unwrap();
+    let inst = script.instance();
+    let ring = ring_on(&inst, 1024);
+
+    for k in 0..PERFORMANCES {
+        std::thread::scope(|s| {
+            // Spawned in a rotating order, so arrivals differ.
+            for member in (0..=RECIPIENTS).map(|m| (m + k) % (RECIPIENTS + 1)) {
+                let (inst, sender, recipient) = (&inst, &sender, &recipient);
+                s.spawn(move || match member {
+                    RECIPIENTS => inst.enroll(sender, ()).map(drop),
+                    i => inst.enroll_member(recipient, i, ()).map(drop),
+                });
+            }
+        });
+    }
+
+    let mut orders: Vec<Vec<RoleId>> = vec![Vec::new(); PERFORMANCES];
+    for event in script_events(&ring) {
+        if let ScriptEvent::RoleAdmitted {
+            performance, role, ..
+        } = event
+        {
+            orders[performance.0 as usize].push(role);
+        }
+    }
+    assert!(
+        orders.iter().all(|o| o.len() == RECIPIENTS + 1),
+        "{orders:?}"
+    );
+    assert!(
+        orders.iter().all(|o| *o == orders[0]),
+        "admission orders differ: {orders:?}"
+    );
+}
+
 /// The log is bounded: old events fall off the front.
 #[test]
 fn event_log_is_bounded() {

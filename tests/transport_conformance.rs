@@ -2,7 +2,8 @@
 //! workspace ships:
 //!
 //! * the in-process [`ShardedTransport`] (the reference
-//!   implementation),
+//!   implementation), new and — as an engine reuses a retired
+//!   performance's kernel — recycled,
 //! * the socket-backed [`SocketTransport`] speaking framed RPC to a
 //!   [`TransportServer`] hub over real TCP, and
 //! * the **federated** transport: a [`HubFleet`] — the control plane,
@@ -22,6 +23,7 @@
 //! test binary as a child process that joins the performance over TCP.
 
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -108,6 +110,42 @@ fn federated(seed: u64) -> ConformanceTransport {
 #[test]
 fn sharded_transport_conforms() {
     conformance::run_all(&sharded);
+}
+
+/// Every check on recycled in-process transports: the factory keeps
+/// each transport it hands out and, once the suite has let one go,
+/// recycles it for the next check instead of building a new one.
+#[test]
+fn recycled_sharded_transport_conforms() {
+    let kernels: Mutex<Vec<Arc<ShardedTransport<String, u64>>>> = Mutex::new(Vec::new());
+    let recycled = AtomicUsize::new(0);
+    let recycling = |seed: u64| -> ConformanceTransport {
+        let mut kernels = kernels.lock().unwrap();
+        let free = kernels
+            .iter_mut()
+            .position(|k| Arc::get_mut(k).is_some_and(|k| k.recycle(false, Some(seed))));
+        match free {
+            Some(i) => {
+                recycled.fetch_add(1, Ordering::Relaxed);
+                kernels[i].clone()
+            }
+            None => {
+                let kernel = Arc::new(ShardedTransport::new(false, Some(seed)));
+                kernels.push(Arc::clone(&kernel));
+                kernel
+            }
+        }
+    };
+    conformance::run_all(&recycling);
+    let built = kernels.lock().unwrap().len();
+    println!(
+        "{} transports recycled, {built} built",
+        recycled.load(Ordering::Relaxed)
+    );
+    assert!(
+        recycled.load(Ordering::Relaxed) > 0,
+        "the suite ran on no recycled transport"
+    );
 }
 
 #[test]
