@@ -59,7 +59,7 @@ pub use fault::{per_edge_fingerprints, per_edge_log, EdgeLog, FaultKind, FaultPl
 pub use network::{Network, PeerState, Port};
 pub use select::{Arm, Outcome, Source};
 pub use transport::{
-    CastStep, FaultObserver, LabelFn, LatencyHooks, LatencyObserver, LatencyOp, LatencySample,
-    RendezvousObserver, RendezvousRecord, SelectDone, SendDone, SessionEvent, SessionObserver,
-    ShardedTransport, Transport,
+    CastStep, FaultObserver, LabelFn, LatencyObserver, LatencyOp, LatencySample, ObserverSlots,
+    Observers, RendezvousObserver, RendezvousRecord, SelectDone, SendDone, SessionEvent,
+    SessionObserver, ShardedTransport, Transport,
 };

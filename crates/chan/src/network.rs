@@ -20,9 +20,9 @@ use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::fault::{FaultPlan, FaultRecord};
+use crate::fault::FaultPlan;
 use crate::select::{Arm, Outcome};
-use crate::transport::{CastStep, LatencySample, SessionEvent, ShardedTransport, Transport};
+use crate::transport::{CastStep, Observers, ShardedTransport, Transport};
 use crate::ChanError;
 
 /// Lifecycle state of a network participant.
@@ -189,15 +189,6 @@ where
         self.transport.activity()
     }
 
-    /// Diagnostic: is a message from `from` currently deposited at `to`
-    /// awaiting pickup? Useful in tests that need to observe the
-    /// rendezvous mid-flight; not part of the protocol surface. May
-    /// still be true just after a blocking send returned: a committed
-    /// receiver was claimed and has not run yet.
-    pub fn has_pending_from(&self, to: &I, from: &I) -> bool {
-        self.transport.has_pending_from(to, from)
-    }
-
     /// Attaches a deterministic [`FaultPlan`]. Subsequent sends consult
     /// the plan for drop/delay/duplicate decisions and every operation
     /// counts toward crash-at-step-*k*. Replaces any previous plan and
@@ -229,53 +220,12 @@ where
         self.transport.fault_plan()
     }
 
-    /// Registers a callback invoked synchronously, from the faulting
-    /// thread, for every injected fault (it must not block on the
-    /// faulting operation). The transport keeps no record of its own:
-    /// this is how faults are read. Used by the engine to surface them
-    /// as script events.
-    pub fn set_fault_observer<F>(&self, observer: F)
-    where
-        F: Fn(&FaultRecord<I>) + Send + Sync + 'static,
-    {
-        self.transport.set_fault_observer(Arc::new(observer));
-    }
-
-    /// Registers a callback invoked synchronously, from the thread that
-    /// completes it, for every *completed* rendezvous (the claim of a
-    /// committed receiver, or else the message pickup), with
-    /// `label_of` extracting each message's protocol label. The
-    /// callback runs inside the delivery path and must not call back
-    /// into this network. Used by the engine to surface rendezvous as
-    /// script events for runtime protocol conformance monitoring.
-    pub fn set_rendezvous_observer<F>(&self, observer: F, label_of: crate::LabelFn<M>)
-    where
-        F: Fn(&crate::RendezvousRecord<I>) + Send + Sync + 'static,
-    {
-        self.transport
-            .set_rendezvous_observer(Arc::new(observer), label_of);
-    }
-
-    /// Registers a callback invoked synchronously, from the operating
-    /// thread, for every successful blocking operation with its
-    /// measured wall-clock latency (it must not block). Used by the
-    /// engine to feed each performance's watchdog latency estimator.
-    pub fn set_latency_observer<F>(&self, observer: F)
-    where
-        F: Fn(&LatencySample) + Send + Sync + 'static,
-    {
-        self.transport.set_latency_observer(Arc::new(observer));
-    }
-
-    /// Registers a callback invoked synchronously for every session
-    /// lifecycle transition (peer disconnected / resumed / lease
-    /// expired) the transport observes. Connection-oriented transports
-    /// emit these natively; the in-process transport emits none.
-    pub fn set_session_observer<F>(&self, observer: F)
-    where
-        F: Fn(&SessionEvent<I>) + Send + Sync + 'static,
-    {
-        self.transport.set_session_observer(Arc::new(observer));
+    /// Installs [`Observers`] on the transport, merging: a `Some` slot
+    /// replaces that callback, a `None` slot leaves it alone (see
+    /// [`Transport::observe`]). The engine surfaces all four slots as
+    /// telemetry.
+    pub fn observe(&self, observers: Observers<I, M>) {
+        self.transport.observe(observers);
     }
 
     /// Obtains the communication capability for participant `me`.
@@ -538,9 +488,10 @@ mod tests {
     #[test]
     fn recv_from_done_peer_drains_pending_message_first() {
         let (net, a, b) = two_party();
+        let before = net.activity();
         let t = std::thread::spawn(move || a.send(&"b", 3));
         // Wait for the deposit to land.
-        while !net.has_pending_from(&"b", &"a") {
+        while net.activity() == before {
             std::thread::yield_now();
         }
         net.finish("a");
@@ -695,8 +646,9 @@ mod tests {
     #[test]
     fn watch_waits_for_drain() {
         let (net, a, b) = two_party();
+        let before = net.activity();
         let t = std::thread::spawn(move || a.send(&"b", 5));
-        while !net.has_pending_from(&"b", &"a") {
+        while net.activity() == before {
             std::thread::yield_now();
         }
         net.finish("a");
@@ -1162,8 +1114,11 @@ mod fault_tests {
         let seen = Arc::new(AtomicUsize::new(0));
         let (net, a, b) = chaos_pair(FaultPlan::new(6).with_drop(1.0));
         let seen2 = Arc::clone(&seen);
-        net.set_fault_observer(move |_r| {
-            seen2.fetch_add(1, Ordering::SeqCst);
+        net.observe(Observers {
+            fault: Some(Arc::new(move |_| {
+                seen2.fetch_add(1, Ordering::SeqCst);
+            })),
+            ..Observers::default()
         });
         a.send(&"b", 1).unwrap();
         assert_eq!(

@@ -64,13 +64,12 @@ use crate::network::PeerState;
 use crate::select::{Arm, Outcome, Source};
 use crate::ChanError;
 
-/// Callback invoked on every injected fault (see
-/// [`Network::set_fault_observer`](crate::Network::set_fault_observer)).
+/// Callback invoked on every injected fault (see [`Observers::fault`]).
 pub type FaultObserver<I> = Arc<dyn Fn(&FaultRecord<I>) + Send + Sync>;
 
 /// One completed rendezvous, observed at delivery — the claim, or else
 /// the pickup — under the receiving endpoint's lock (see
-/// [`Network::set_rendezvous_observer`](crate::Network::set_rendezvous_observer)).
+/// [`Observers::rendezvous`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RendezvousRecord<I> {
     /// The sending participant.
@@ -104,7 +103,7 @@ impl<I: fmt::Debug> fmt::Display for RendezvousRecord<I> {
 }
 
 /// Callback invoked on every completed rendezvous (see
-/// [`Network::set_rendezvous_observer`](crate::Network::set_rendezvous_observer)).
+/// [`Observers::rendezvous`]).
 pub type RendezvousObserver<I> = Arc<dyn Fn(&RendezvousRecord<I>) + Send + Sync>;
 
 /// Extracts a protocol label from a message. Kept a plain `fn` pointer
@@ -113,12 +112,11 @@ pub type RendezvousObserver<I> = Arc<dyn Fn(&RendezvousRecord<I>) + Send + Sync>
 pub type LabelFn<M> = fn(&M) -> Option<String>;
 
 /// Callback invoked on every recorded latency sample (see
-/// [`Network::set_latency_observer`](crate::Network::set_latency_observer)).
+/// [`Observers::latency`]).
 pub type LatencyObserver = Arc<dyn Fn(&LatencySample) + Send + Sync>;
 
 /// A connection-lifecycle transition observed by a session-aware
-/// transport (see
-/// [`Network::set_session_observer`](crate::Network::set_session_observer)).
+/// transport (see [`Observers::session`]).
 ///
 /// The in-process transport has no connections and never emits these;
 /// a connection-oriented transport with a session layer emits them when
@@ -192,6 +190,50 @@ pub enum CastStep<I> {
     Seal,
 }
 
+/// The callbacks a transport pushes what it observes to, one optional
+/// slot each, installed by [`Transport::observe`]. Fill the slots you
+/// mean over [`Observers::default`]: a `None` slot leaves whatever the
+/// transport already has in that slot alone. Every callback runs on
+/// the thread that made the event and must not block.
+pub struct Observers<I, M> {
+    /// Every injected fault, pushed at decision time: the only way
+    /// fault records leave a transport.
+    pub fault: Option<FaultObserver<I>>,
+    /// Every *completed* rendezvous — at the claim, on the sender's
+    /// thread, or else at the pickup, on the receiver's; before the
+    /// sender's operation returns either way — with the `LabelFn`
+    /// extracting each message's protocol label. It runs inside the
+    /// delivery path and must not call back into the transport.
+    pub rendezvous: Option<(RendezvousObserver<I>, LabelFn<M>)>,
+    /// Every successful blocking operation, with its measured latency.
+    pub latency: Option<LatencyObserver>,
+    /// Every session-lifecycle transition (disconnect, resume, lease
+    /// expiry); a backend without a session layer emits none.
+    pub session: Option<SessionObserver<I>>,
+}
+
+impl<I, M> Default for Observers<I, M> {
+    fn default() -> Self {
+        Self {
+            fault: None,
+            rendezvous: None,
+            latency: None,
+            session: None,
+        }
+    }
+}
+
+impl<I, M> fmt::Debug for Observers<I, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Observers")
+            .field("fault", &self.fault.is_some())
+            .field("rendezvous", &self.rendezvous.is_some())
+            .field("latency", &self.latency.is_some())
+            .field("session", &self.session.is_some())
+            .finish()
+    }
+}
+
 /// The blocking rendezvous substrate a [`Network`](crate::Network) runs
 /// on.
 ///
@@ -205,14 +247,16 @@ pub enum CastStep<I> {
 ///
 /// # Required and provided methods
 ///
-/// A backend must implement 15 methods; 10 more are provided. The
+/// A backend must implement 14 methods; 7 more are provided. The
 /// whole peer lifecycle is one required method, [`Transport::cast`]:
 /// [`Transport::declare`], [`Transport::activate`],
 /// [`Transport::finish`] and [`Transport::seal`] are provided one-step
-/// runs over it and are not meant to be overridden. The other provided
-/// methods are three observer setters with
-/// [`Transport::note_session_event`], whose defaults ignore, and the
-/// two submitted operations, whose defaults decline.
+/// runs over it and are not meant to be overridden. Observation is
+/// one required method too, [`Transport::observe`], so a wrapper
+/// cannot drop an observer by forgetting to forward it. The other
+/// provided methods are [`Transport::note_session_event`], whose
+/// default ignores, and the two submitted operations, whose defaults
+/// decline.
 ///
 /// # Contract
 ///
@@ -313,8 +357,6 @@ pub trait Transport<I, M>: Send + Sync {
     fn reseed(&self, seed: u64);
     /// Ensures `id` exists (implicit declaration if supported).
     fn ensure_peer(&self, id: &I) -> Result<(), ChanError<I>>;
-    /// Whether a message from `from` is deposited at `to` (diagnostic).
-    fn has_pending_from(&self, to: &I, from: &I) -> bool;
     /// Attaches a fault plan; `clone_fn` materializes duplicates.
     /// Ordered as [`Transport::cast`] is.
     fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&M) -> M);
@@ -322,33 +364,14 @@ pub trait Transport<I, M>: Send + Sync {
     fn clear_fault_plan(&self);
     /// The currently attached plan, if any.
     fn fault_plan(&self) -> Option<FaultPlan>;
-    /// Registers the callback every injected fault is pushed to, at
-    /// decision time. It is the only way fault records leave a
-    /// transport.
-    fn set_fault_observer(&self, observer: FaultObserver<I>);
-    /// Registers a callback invoked on every *completed* rendezvous —
-    /// at the claim, on the sender's thread, or else at the pickup, on
-    /// the receiver's; before the sender's operation returns either way
-    /// — with `label_of` extracting each message's protocol label.
-    /// Observers run inside the delivery path and must not call back
-    /// into the transport.
-    /// Backends that do not observe rendezvous may ignore it (the
-    /// default does).
-    fn set_rendezvous_observer(&self, observer: RendezvousObserver<I>, label_of: LabelFn<M>) {
-        let _ = (observer, label_of);
-    }
-    /// Registers a callback invoked after every successful blocking
-    /// operation with its measured latency. Backends that do not
-    /// measure may ignore it (the default does).
-    fn set_latency_observer(&self, observer: LatencyObserver) {
-        let _ = observer;
-    }
-    /// Registers a callback invoked on session-lifecycle transitions
-    /// (disconnect, resume, lease expiry). Backends without a session
-    /// layer never emit any and may ignore it (the default does).
-    fn set_session_observer(&self, observer: SessionObserver<I>) {
-        let _ = observer;
-    }
+    /// Installs observers, merging: each `Some` slot of `observers`
+    /// replaces that slot's callback, and each `None` slot leaves the
+    /// installed one alone — so a hub that observes its inner
+    /// transport keeps its streams when hub-local code adds a slot of
+    /// its own. There is no uninstall. While the rendezvous or latency
+    /// slot is empty, a delivery or an operation pays one relaxed load
+    /// for it, and reads no clock.
+    fn observe(&self, observers: Observers<I, M>);
     /// Feeds one session-lifecycle event to the registered observer.
     /// A hub serving this transport over a network calls this so
     /// participants local to the hub observe remote peers' lifecycle;
@@ -358,8 +381,8 @@ pub trait Transport<I, M>: Send + Sync {
     }
     /// Synchronous send `from → to`: returns once `to` has taken the
     /// message or is committed to taking it (see the contract's
-    /// *Rendezvous* clause), so [`Transport::has_pending_from`] may
-    /// still be true for a moment afterwards.
+    /// *Rendezvous* clause): the message may still be in `to`'s inbox
+    /// for a moment afterwards.
     fn send(&self, from: &I, to: &I, msg: M, deadline: Option<Instant>)
         -> Result<(), ChanError<I>>;
     /// Non-blocking receive of a deposited message.
@@ -635,7 +658,7 @@ struct FaultConfig<M> {
 }
 
 /// Cold-path fault state: hot paths read only the two booleans.
-struct FaultHooks<I, M> {
+struct FaultHooks<M> {
     /// `plan.has_message_faults() || plan.has_connection_faults()`,
     /// readable without a lock (both classes decide per message at the
     /// sending edge, so they share the per-send gate).
@@ -643,64 +666,105 @@ struct FaultHooks<I, M> {
     /// `plan.has_crashes()`, readable without a lock.
     crashes: AtomicBool,
     config: Mutex<Option<Arc<FaultConfig<M>>>>,
-    observer: Mutex<Option<FaultObserver<I>>>,
-    session_observer: Mutex<Option<SessionObserver<I>>>,
 }
 
-/// Cold-path rendezvous observation state: the no-observer pickup path
-/// reads only the boolean — one relaxed load per delivery.
-struct RendezvousHooks<I, M> {
-    /// Whether an observer is installed, readable without a lock.
-    enabled: AtomicBool,
-    observer: Mutex<Option<RendezvousObserver<I>>>,
-    label_of: Mutex<Option<LabelFn<M>>>,
+/// The installed [`Observers`], behind relaxed flags for the two slots
+/// the hot paths consult: a delivery nobody observes reads one boolean,
+/// and an operation nobody measures reads one boolean and no clock.
+/// Both backends embed one and hand [`Transport::observe`] to
+/// [`ObserverSlots::install`].
+pub struct ObserverSlots<I, M> {
+    /// Whether the rendezvous slot is filled, readable without a lock.
+    rendezvous_on: AtomicBool,
+    /// Whether the latency slot is filled, readable without a lock.
+    latency_on: AtomicBool,
+    installed: Mutex<Observers<I, M>>,
 }
 
-/// Latency reporting shared by measuring transports: an optional
-/// observer behind a relaxed flag, so an operation nobody measures
-/// reads no clock. Embed one, bracket each measured operation with
-/// [`LatencyHooks::start`] / [`LatencyHooks::record`], and delegate
-/// [`Transport::set_latency_observer`] to it.
-#[derive(Default)]
-pub struct LatencyHooks {
-    /// Whether an observer is installed, readable without a lock.
-    enabled: AtomicBool,
-    observer: Mutex<Option<LatencyObserver>>,
-}
-
-impl fmt::Debug for LatencyHooks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LatencyHooks")
-            .field("enabled", &self.enabled.load(Ordering::Relaxed))
-            .finish()
+impl<I, M> Default for ObserverSlots<I, M> {
+    fn default() -> Self {
+        Self {
+            rendezvous_on: AtomicBool::new(false),
+            latency_on: AtomicBool::new(false),
+            installed: Mutex::new(Observers::default()),
+        }
     }
 }
 
-impl LatencyHooks {
+impl<I, M> fmt::Debug for ObserverSlots<I, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.installed.lock(), f)
+    }
+}
+
+impl<I, M> ObserverSlots<I, M> {
+    /// Merges `observers` in: a `Some` slot replaces, a `None` slot
+    /// leaves the installed callback alone (see [`Transport::observe`]).
+    pub fn install(&self, observers: Observers<I, M>) {
+        let rendezvous = observers.rendezvous.is_some();
+        let latency = observers.latency.is_some();
+        {
+            let mut slots = self.installed.lock();
+            slots.fault = observers.fault.or(slots.fault.take());
+            slots.rendezvous = observers.rendezvous.or(slots.rendezvous.take());
+            slots.latency = observers.latency.or(slots.latency.take());
+            slots.session = observers.session.or(slots.session.take());
+        }
+        // Flags last: an operation that sees one set finds its slot
+        // filled.
+        self.rendezvous_on.fetch_or(rendezvous, Ordering::SeqCst);
+        self.latency_on.fetch_or(latency, Ordering::SeqCst);
+    }
+
+    /// Pushes `record` to the fault observer, if any.
+    pub fn fault(&self, record: &FaultRecord<I>) {
+        let obs = self.installed.lock().fault.clone();
+        if let Some(obs) = obs {
+            obs(record);
+        }
+    }
+
+    /// Pushes `event` to the session observer, if any.
+    pub fn session(&self, event: &SessionEvent<I>) {
+        let obs = self.installed.lock().session.clone();
+        if let Some(obs) = obs {
+            obs(event);
+        }
+    }
+
+    /// Whether a rendezvous observer is installed: one relaxed load.
+    pub(crate) fn observes_rendezvous(&self) -> bool {
+        self.rendezvous_on.load(Ordering::Relaxed)
+    }
+
+    /// Pushes the record `record` builds, given the installed labeler,
+    /// to the rendezvous observer, if any.
+    pub fn rendezvous(&self, record: impl FnOnce(LabelFn<M>) -> RendezvousRecord<I>) {
+        let slot = self.installed.lock().rendezvous.clone();
+        if let Some((obs, label_of)) = slot {
+            obs(&record(label_of));
+        }
+    }
+
     /// The instant an operation issued now is measured from: `None` —
-    /// one relaxed load, no clock read — while no observer is installed.
+    /// one relaxed load, no clock read — while no latency observer is
+    /// installed.
     pub fn start(&self) -> Option<Instant> {
-        self.enabled.load(Ordering::Relaxed).then(Instant::now)
+        self.latency_on.load(Ordering::Relaxed).then(Instant::now)
     }
 
     /// Pushes the sample for a successful `op` issued at `started` to
-    /// the observer; a no-op for an operation that began unobserved.
+    /// the latency observer; a no-op for an operation that began
+    /// unobserved.
     pub fn record(&self, op: LatencyOp, started: Option<Instant>) {
         let Some(started) = started else { return };
-        let obs = self.observer.lock().clone();
+        let obs = self.installed.lock().latency.clone();
         if let Some(obs) = obs {
             obs(&LatencySample {
                 op,
                 elapsed: started.elapsed(),
             });
         }
-    }
-
-    /// Installs (replacing) the observer callback.
-    pub fn set_observer(&self, observer: LatencyObserver) {
-        *self.observer.lock() = Some(observer);
-        // Flag last: an operation that sees it set finds the observer.
-        self.enabled.store(true, Ordering::SeqCst);
     }
 }
 
@@ -734,9 +798,8 @@ pub struct ShardedTransport<I, M> {
     /// created by the first submission; its one thread starts later, if
     /// ever (see [`SchedShared::start_thread`]).
     sched: OnceLock<Arc<SchedShared<I, M>>>,
-    faults: FaultHooks<I, M>,
-    rendezvous: RendezvousHooks<I, M>,
-    latency: LatencyHooks,
+    faults: FaultHooks<M>,
+    observers: ObserverSlots<I, M>,
 }
 
 impl<I, M> Drop for ShardedTransport<I, M> {
@@ -805,15 +868,8 @@ where
                 msg_faults: AtomicBool::new(false),
                 crashes: AtomicBool::new(false),
                 config: Mutex::new(None),
-                observer: Mutex::new(None),
-                session_observer: Mutex::new(None),
             },
-            rendezvous: RendezvousHooks {
-                enabled: AtomicBool::new(false),
-                observer: Mutex::new(None),
-                label_of: Mutex::new(None),
-            },
-            latency: LatencyHooks::default(),
+            observers: ObserverSlots::default(),
         }
     }
 
@@ -978,16 +1034,12 @@ where
 
     /// Pushes an injected fault to the observer.
     fn record_fault(&self, kind: FaultKind, from: &I, to: &I, seq: u64) {
-        let record = FaultRecord {
+        self.observers.fault(&FaultRecord {
             kind,
             from: from.clone(),
             to: to.clone(),
             seq,
-        };
-        let obs = self.faults.observer.lock().clone();
-        if let Some(obs) = obs {
-            obs(&record);
-        }
+        });
     }
 
     /// Counts one operation by `me` toward crash-at-step-*k*; on a
@@ -1028,7 +1080,7 @@ where
     /// a message that was not claimed (see [`Self::claim`]).
     fn take_from(&self, st: &mut EpState<I, M>, me: &I, from: &I) -> Option<M> {
         let msg = self.pick_up(st, from)?;
-        if self.rendezvous.enabled.load(Ordering::Relaxed) {
+        if self.observers.observes_rendezvous() {
             self.record_rendezvous(st, me, from, &msg);
         }
         Some(msg)
@@ -1051,7 +1103,7 @@ where
     /// sender claiming two receivers in turn would otherwise have its
     /// records observed in whichever order the receivers woke.
     fn claim(&self, ts: &mut EpState<I, M>, from: &I, to: &I, msg: M) {
-        if self.rendezvous.enabled.load(Ordering::Relaxed) {
+        if self.observers.observes_rendezvous() {
             self.record_rendezvous(ts, to, from, &msg);
         }
         ts.inbox.insert(from.clone(), msg);
@@ -1071,16 +1123,12 @@ where
         let c = st.rdv_in_seqs.entry(from.clone()).or_insert(0);
         let seq = *c;
         *c += 1;
-        let label_of = *self.rendezvous.label_of.lock();
-        let obs = self.rendezvous.observer.lock().clone();
-        if let Some(obs) = obs {
-            obs(&RendezvousRecord {
-                from: from.clone(),
-                to: me.clone(),
-                label: label_of.and_then(|f| f(msg)),
-                seq,
-            });
-        }
+        self.observers.rendezvous(|label_of| RendezvousRecord {
+            from: from.clone(),
+            to: me.clone(),
+            label: label_of(msg),
+            seq,
+        });
     }
 
     /// Any peer other than `me` that could still produce a message?
@@ -1191,12 +1239,6 @@ where
         self.ensure(id).map(|_| ())
     }
 
-    fn has_pending_from(&self, to: &I, from: &I) -> bool {
-        self.lookup(to)
-            .map(|ep| ep.state.lock().inbox.contains_key(from))
-            .unwrap_or(false)
-    }
-
     fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&M) -> M) {
         let msg = plan.has_message_faults() || plan.has_connection_faults();
         let crashes = plan.has_crashes();
@@ -1226,20 +1268,8 @@ where
         self.faults.config.lock().as_ref().map(|c| c.plan.clone())
     }
 
-    fn set_fault_observer(&self, observer: FaultObserver<I>) {
-        *self.faults.observer.lock() = Some(observer);
-    }
-
-    fn set_rendezvous_observer(&self, observer: RendezvousObserver<I>, label_of: LabelFn<M>) {
-        *self.rendezvous.label_of.lock() = Some(label_of);
-        *self.rendezvous.observer.lock() = Some(observer);
-        // Flag last: a racing pickup that sees it set finds both the
-        // observer and the labeler already in place.
-        self.rendezvous.enabled.store(true, Ordering::SeqCst);
-    }
-
-    fn set_session_observer(&self, observer: SessionObserver<I>) {
-        *self.faults.session_observer.lock() = Some(observer);
+    fn observe(&self, observers: Observers<I, M>) {
+        self.observers.install(observers);
     }
 
     fn note_session_event(&self, event: &SessionEvent<I>) {
@@ -1256,14 +1286,7 @@ where
                 }
             }
         }
-        let obs = self.faults.session_observer.lock().clone();
-        if let Some(obs) = obs {
-            obs(event);
-        }
-    }
-
-    fn set_latency_observer(&self, observer: LatencyObserver) {
-        self.latency.set_observer(observer);
+        self.observers.session(event);
     }
 
     fn send(
@@ -1273,18 +1296,18 @@ where
         msg: M,
         deadline: Option<Instant>,
     ) -> Result<(), ChanError<I>> {
-        let started = self.latency.start();
+        let started = self.observers.start();
         let result = self.send_parked(from, to, msg, deadline);
         self.note_send(started, &result);
         result
     }
 
     fn try_recv(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>> {
-        let started = self.latency.start();
+        let started = self.observers.start();
         // A pickup readies the sender's parked submitted send.
         let result = self.draining(|| self.try_recv_impl(me, from));
         if matches!(result, Ok(Some(_))) {
-            self.latency.record(LatencyOp::TryRecv, started);
+            self.observers.record(LatencyOp::TryRecv, started);
         }
         result
     }
@@ -1295,7 +1318,7 @@ where
         arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
-        let started = self.latency.start();
+        let started = self.observers.start();
         let result = self.select_parked(me, arms, deadline);
         self.note_select(started, &result);
         result
@@ -1313,7 +1336,7 @@ where
         deadline: Option<Instant>,
         done: SendDone<I>,
     ) -> Result<(), (M, SendDone<I>)> {
-        let started = self.latency.start();
+        let started = self.observers.start();
         let result = match self.admit_send(from, to, msg) {
             Err(e) => Err(e),
             Ok(adm) if adm.dropped => self.dropped_result(to, &adm.to_ep),
@@ -1351,7 +1374,7 @@ where
         deadline: Option<Instant>,
         done: SelectDone<I, M>,
     ) -> Result<(), (Vec<Arm<I, M>>, SelectDone<I, M>)> {
-        let started = self.latency.start();
+        let started = self.observers.start();
         match self.prepare_select(me, &arms) {
             Err(e) => done(Err(e)),
             Ok((me_ep, mut peers)) => {
@@ -2122,7 +2145,7 @@ where
     /// Records a successful send's latency.
     fn note_send(&self, started: Option<Instant>, result: &Result<(), ChanError<I>>) {
         if result.is_ok() {
-            self.latency.record(LatencyOp::Send, started);
+            self.observers.record(LatencyOp::Send, started);
         }
     }
 
@@ -2132,7 +2155,7 @@ where
             result,
             Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
         ) {
-            self.latency.record(LatencyOp::Select, started);
+            self.observers.record(LatencyOp::Select, started);
         }
     }
 
@@ -2508,6 +2531,51 @@ where
 mod tests {
     use super::*;
 
+    /// Whether a message from `from` sits in `to`'s inbox.
+    fn deposited(t: &ShardedTransport<u8, u32>, to: u8, from: u8) -> bool {
+        t.lookup(&to)
+            .is_some_and(|ep| ep.state.lock().inbox.contains_key(&from))
+    }
+
+    /// `observe` merges: installing only a latency observer leaves the
+    /// installed rendezvous observer firing, and until a latency
+    /// observer is installed no operation reads the clock.
+    #[test]
+    fn observing_one_slot_leaves_the_others_installed() {
+        let t: ShardedTransport<u8, u32> = ShardedTransport::new(false, Some(1));
+        for id in [0, 1] {
+            t.activate(id);
+        }
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        t.observe(Observers {
+            rendezvous: Some((
+                Arc::new(move |rec| sink.lock().unwrap().push(format!("rendezvous {}", rec.seq))),
+                |_| None,
+            )),
+            ..Observers::default()
+        });
+        assert_eq!(t.observers.start(), None, "no latency observer, no clock");
+        let sink = Arc::clone(&seen);
+        t.observe(Observers {
+            latency: Some(Arc::new(move |sample| {
+                sink.lock().unwrap().push(format!("{:?}", sample.op))
+            })),
+            ..Observers::default()
+        });
+        assert!(t.observers.start().is_some());
+        let later = Some(Instant::now() + Duration::from_secs(10));
+        let rx = thread::scope(|scope| {
+            let rx = scope.spawn(|| t.select(&1, vec![Arm::Recv(Source::Any)], later));
+            assert_eq!(t.send(&0, &1, 9, later), Ok(()));
+            rx.join().unwrap()
+        });
+        assert!(matches!(rx, Ok(Outcome::Received { msg: 9, .. })));
+        let mut seen = seen.lock().unwrap().clone();
+        seen.sort();
+        assert_eq!(seen, ["Select", "Send", "rendezvous 0"]);
+    }
+
     /// The park-publish order, with the interleaving forced by the two
     /// locks themselves: a driver is let into the endpoint only once
     /// the test holds the scheduler's queue, so it must stop inside its
@@ -2585,10 +2653,13 @@ mod tests {
             }
             let records = Arc::new(std::sync::Mutex::new(Vec::new()));
             let sink = Arc::clone(&records);
-            t.set_rendezvous_observer(
-                Arc::new(move |rec: &RendezvousRecord<u8>| sink.lock().unwrap().push(rec.clone())),
-                |_| None,
-            );
+            t.observe(Observers {
+                rendezvous: Some((
+                    Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())),
+                    |_| None,
+                )),
+                ..Observers::default()
+            });
             let arms = vec![Arm::Recv(Source::Any)];
             let (ep, peers) = t.prepare_select(&1, &arms).unwrap();
             t.publish_offers(&ep, &arms);
@@ -2597,7 +2668,7 @@ mod tests {
 
         let (t, ep, mut arms, peers, records) = committed(None);
         assert_eq!(t.send(&0, &1, 9, soon()), Ok(()));
-        assert!(t.has_pending_from(&1, &0), "claimed, not yet picked up");
+        assert!(deposited(&t, 1, 0), "claimed, not yet picked up");
         assert_eq!(records.lock().unwrap().len(), 1, "recorded at the claim");
         t.abort();
         let SelectStep::Done(got) = t.select_step(&1, &ep, &mut arms, &peers, None) else {
@@ -2616,7 +2687,7 @@ mod tests {
         let (t, _ep, _arms, _peers, records) =
             committed(Some(FaultPlan::new(1).with_duplicate(1.0)));
         assert_eq!(t.send(&0, &1, 9, soon()), Err(ChanError::Timeout));
-        assert!(!t.has_pending_from(&1, &0), "the deposit is reclaimed");
+        assert!(!deposited(&t, 1, 0), "the deposit is reclaimed");
         assert!(records.lock().unwrap().is_empty());
     }
 
@@ -2718,7 +2789,7 @@ mod tests {
         };
         let first = send(2, 20);
         let ep = t.lookup(&1).unwrap();
-        while !t.has_pending_from(&1, &2) {
+        while !deposited(&t, 1, 2) {
             thread::yield_now();
         }
         let second = send(0, 10);

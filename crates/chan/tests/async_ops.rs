@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use script_chan::{Arm, ChanError, FaultPlan, Outcome, ShardedTransport, Transport};
+use script_chan::{
+    Arm, ChanError, FaultPlan, FaultRecord, Observers, Outcome, ShardedTransport, Transport,
+};
 
 type T = Arc<ShardedTransport<&'static str, u32>>;
 
@@ -272,13 +274,16 @@ fn async_send_peer_finishes_mid_flight() {
 /// pure function of (seed, edge, sequence), not of scheduling.
 #[test]
 fn async_chaos_log_matches_blocking() {
-    let logs: Vec<Vec<script_chan::FaultRecord<&'static str>>> = [false, true]
+    let logs: Vec<Vec<FaultRecord<&'static str>>> = [false, true]
         .into_iter()
         .map(|use_async| {
             let t = fresh();
             let faults = Arc::new(Mutex::new(Vec::new()));
             let sink = Arc::clone(&faults);
-            t.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
+            t.observe(Observers {
+                fault: Some(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone()))),
+                ..Observers::default()
+            });
             t.set_fault_plan(
                 FaultPlan::new(0xC0FFEE)
                     .with_drop(0.2)
@@ -701,12 +706,14 @@ fn seeded_recv_any_picks_the_same_sender_every_run() {
         let t = fresh();
         t.activate("rx");
         for from in ["a", "b", "c"] {
-            // Deposits, finds nobody receiving, parks.
+            // Deposits — one step of the activity counter — finds
+            // nobody receiving, parks.
+            let before = t.activity();
             Arc::clone(&t)
                 .submit_send(&from, &"rx", 0, None, Box::new(|_| {}))
                 .ok()
                 .unwrap();
-            assert!(t.has_pending_from(&"rx", &from));
+            assert_eq!(t.activity(), before + 1);
         }
         match t.select(&"rx", vec![Arm::recv_any()], far()).unwrap() {
             Outcome::Received { from, .. } => from,

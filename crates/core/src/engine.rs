@@ -62,7 +62,7 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use script_chan::{CastStep, FaultPlan, Network, SessionEvent, ShardedTransport};
+use script_chan::{CastStep, FaultPlan, Network, Observers, SessionEvent, ShardedTransport};
 
 use crate::ctx::RoleCtx;
 use crate::estimator::{LatencyEstimator, WindowFloor};
@@ -1037,18 +1037,20 @@ impl<M: Send + Clone + 'static> Engine<M> {
         // Transport observers carry weak references both ways (the
         // network outlives neither the engine nor the shard it serves,
         // and strong captures would cycle through `shard.net`).
+        let mut observers = Observers::<RoleId, M>::default();
+        let (weak_engine, weak_shard) = (self.weak.clone(), Arc::downgrade(&shard));
+        let upgrade = move || weak_engine.upgrade().zip(weak_shard.upgrade());
         if shard.latency.is_some() || telemetry_live {
             let est = shard.latency.clone();
-            let weak_engine = self.weak.clone();
-            let weak_shard = Arc::downgrade(&shard);
-            shard.net.set_latency_observer(move |sample| {
+            let upgrade = upgrade.clone();
+            observers.latency = Some(Arc::new(move |sample| {
                 if let Some(est) = &est {
                     est.record(sample.elapsed);
                 }
-                if let (Some(engine), Some(shard)) = (weak_engine.upgrade(), weak_shard.upgrade()) {
+                if let Some((engine, shard)) = upgrade() {
                     engine.emit_shard(&shard, || TelemetryPayload::Latency(*sample));
                 }
-            });
+            }));
         }
         // Faults stream out as they are injected; `emit_script` is a
         // relaxed load while nobody is subscribed, and an observer
@@ -1058,16 +1060,15 @@ impl<M: Send + Clone + 'static> Engine<M> {
         // opened: finding out otherwise would cost a socket-backed
         // network a round trip per performance.
         if fe.fault_plan.is_some() || telemetry_live {
-            let weak_engine = self.weak.clone();
-            let weak_shard = Arc::downgrade(&shard);
-            shard.net.set_fault_observer(move |record| {
-                if let (Some(engine), Some(shard)) = (weak_engine.upgrade(), weak_shard.upgrade()) {
+            let upgrade = upgrade.clone();
+            observers.fault = Some(Arc::new(move |record| {
+                if let Some((engine, shard)) = upgrade() {
                     engine.emit_script(&shard, || ScriptEvent::FaultInjected {
                         performance: PerformanceId(shard.seq),
                         fault: record.to_string(),
                     });
                 }
-            });
+            }));
         }
         if telemetry_live {
             // Every completed rendezvous surfaces as a ScriptEvent on
@@ -1075,13 +1076,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
             // trace a conformance monitor checks. The transport emits
             // under the receiving endpoint's lock, so observation
             // order here cannot invert against delivery order.
-            let weak_engine = self.weak.clone();
-            let weak_shard = Arc::downgrade(&shard);
-            shard.net.set_rendezvous_observer(
-                move |rec| {
-                    if let (Some(engine), Some(shard)) =
-                        (weak_engine.upgrade(), weak_shard.upgrade())
-                    {
+            let upgrade_rdv = upgrade.clone();
+            observers.rendezvous = Some((
+                Arc::new(move |rec| {
+                    if let Some((engine, shard)) = upgrade_rdv() {
                         engine.emit_script(&shard, || ScriptEvent::Rendezvous {
                             performance: PerformanceId(shard.seq),
                             from: rec.from.clone(),
@@ -1090,16 +1088,14 @@ impl<M: Send + Clone + 'static> Engine<M> {
                             seq: rec.seq,
                         });
                     }
-                },
+                }),
                 fe.labeler.unwrap_or(unlabeled::<M>),
-            );
+            ));
             // Session lifecycle (connection-oriented transports only:
             // the in-process transport never emits these) surfaces on
             // the same plane, attributed to this performance.
-            let weak_engine = self.weak.clone();
-            let weak_shard = Arc::downgrade(&shard);
-            shard.net.set_session_observer(move |event| {
-                if let (Some(engine), Some(shard)) = (weak_engine.upgrade(), weak_shard.upgrade()) {
+            observers.session = Some(Arc::new(move |event| {
+                if let Some((engine, shard)) = upgrade() {
                     engine.emit_shard(&shard, || match event {
                         SessionEvent::PeerDisconnected(peer) => {
                             TelemetryPayload::PeerDisconnected { peer: peer.clone() }
@@ -1112,8 +1108,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
                         }
                     });
                 }
-            });
+            }));
         }
+        shard.net.observe(observers);
         self.emit_script(&shard, || ScriptEvent::PerformanceStarted {
             performance: PerformanceId(seq),
         });

@@ -23,7 +23,7 @@
 //!
 //! | posted | called | called, fast (never queued) |
 //! |---|---|---|
-//! | `Cast`, `Abort`, `Reseed`, `SetFaultPlan`, `ClearFaultPlan`, the first `SubscribeFrom` | `Send`, `Select`, `TryRecv`, `EnsurePeer`, `GetFaultPlan` | `IsAborted`, `PeerStateOf`, `Activity`, `HasPendingFrom` |
+//! | `Cast`, `Abort`, `Reseed`, `SetFaultPlan`, `ClearFaultPlan`, the first `SubscribeFrom` | `Send`, `Select`, `TryRecv`, `EnsurePeer`, `GetFaultPlan` | `IsAborted`, `PeerStateOf`, `Activity` |
 //!
 //! The hub handles a connection's frames in arrival order and applies a
 //! command as it reads it, and a post returns only once its frame is on
@@ -123,9 +123,8 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use script_chan::{
-    Arm, CastStep, ChanError, FaultObserver, FaultPlan, FaultRecord, LabelFn, LatencyHooks,
-    LatencyObserver, LatencyOp, Outcome, PeerState, RendezvousObserver, RendezvousRecord,
-    SessionEvent, SessionObserver, Transport,
+    Arm, CastStep, ChanError, FaultPlan, LatencyOp, ObserverSlots, Observers, Outcome, PeerState,
+    SessionEvent, Transport,
 };
 use script_core::RetryPolicy;
 
@@ -451,9 +450,12 @@ struct Shared<I, M> {
     /// High-water mark of delivered sequenced events: resume point for
     /// `SubscribeFrom` and exactly-once dispatch guard.
     last_event_seq: AtomicU64,
-    observer: Mutex<Option<FaultObserver<I>>>,
-    rendezvous_observer: Mutex<Option<RendezvousObserver<I>>>,
-    session_observer: Mutex<Option<SessionObserver<I>>>,
+    /// Fault and rendezvous records arrive on the event stream; session
+    /// events are this spoke's own; latency is measured client-side:
+    /// the RPC round trip *includes* the hub-side rendezvous wait, so
+    /// hub time is attributed to the performance whose operation paid
+    /// for it — no wire changes.
+    observers: ObserverSlots<I, M>,
     /// Ids this spoke has activated and not finished — the ids the
     /// session events announce. An id enters once its `Activate` is on
     /// the socket: whatever the spoke sends next is behind it, and the
@@ -515,20 +517,6 @@ impl<I, M> Shared<I, M> {
         self.dead.load(Ordering::SeqCst)
     }
 
-    fn dispatch_fault(&self, rec: &FaultRecord<I>) {
-        let obs = self.observer.lock().clone();
-        if let Some(obs) = obs {
-            obs(rec);
-        }
-    }
-
-    fn dispatch_rendezvous(&self, rec: &RendezvousRecord<I>) {
-        let obs = self.rendezvous_observer.lock().clone();
-        if let Some(obs) = obs {
-            obs(rec);
-        }
-    }
-
     /// Snapshots the bound set as severed and emits
     /// [`SessionEvent::PeerDisconnected`] for every id in it.
     fn emit_severed(&self)
@@ -537,10 +525,8 @@ impl<I, M> Shared<I, M> {
     {
         let snapshot = self.bound.lock().clone();
         *self.severed.lock() = snapshot.clone();
-        let obs = self.session_observer.lock().clone();
-        let Some(obs) = obs else { return };
         for id in snapshot {
-            obs(&SessionEvent::PeerDisconnected(id));
+            self.observers.session(&SessionEvent::PeerDisconnected(id));
         }
     }
 
@@ -552,10 +538,8 @@ impl<I, M> Shared<I, M> {
         I: Clone,
     {
         let snapshot = std::mem::take(&mut *self.severed.lock());
-        let obs = self.session_observer.lock().clone();
-        let Some(obs) = obs else { return };
         for id in snapshot {
-            obs(&make(id));
+            self.observers.session(&make(id));
         }
     }
 
@@ -578,19 +562,19 @@ where
     /// Handles one unsolicited event frame. Sequenced events advance
     /// the high-water mark and dispatch **exactly once** even when a
     /// resume replay races a stale delivery.
-    fn process_event(&self, ev: &Event<I>) {
+    fn process_event(&self, ev: Event<I>) {
         match ev {
             Event::SeqStream { first_seq, items } => {
                 // A live push or the resume-replay tail: item `i` sits
                 // at stream position `first_seq + i`, and only an item
                 // past the high-water mark is dispatched.
-                for (i, item) in items.iter().enumerate() {
+                for (i, item) in items.into_iter().enumerate() {
                     let seq = first_seq + i as u64;
                     let prev = self.last_event_seq.fetch_max(seq, Ordering::SeqCst);
                     if seq > prev {
                         match item {
-                            StreamItem::Fault(record) => self.dispatch_fault(record),
-                            StreamItem::Rendezvous(record) => self.dispatch_rendezvous(record),
+                            StreamItem::Fault(record) => self.observers.fault(&record),
+                            StreamItem::Rendezvous(record) => self.observers.rendezvous(|_| record),
                         }
                     }
                 }
@@ -638,7 +622,7 @@ where
             let req_id = u64::decode(&mut r).ok()?;
             if req_id == EVENT_REQ_ID {
                 if let Ok(ev) = Event::<I>::decode(&mut r) {
-                    self.process_event(&ev);
+                    self.process_event(ev);
                 }
                 continue;
             }
@@ -784,10 +768,10 @@ where
         self.post_frame(frame);
     }
 
-    /// Subscribes the session to the hub's sequenced event stream, on
-    /// the first observer only: one subscription feeds both the fault
-    /// and the rendezvous observer, and a resumed connection renews it
-    /// in the handshake.
+    /// Subscribes the session to the hub's sequenced event stream, the
+    /// first time a fault or rendezvous observer is installed only: one
+    /// subscription feeds both, and a resumed connection renews it in
+    /// the handshake.
     fn subscribe(self: &Arc<Self>) {
         if !self.subscribed.swap(true, Ordering::SeqCst) {
             let seq = self.last_event_seq.load(Ordering::SeqCst);
@@ -1046,7 +1030,7 @@ where
             // tag this build does not understand are skipped so newer
             // hubs can stream richer events to older clients.
             if let Ok(ev) = Event::<I>::decode(&mut r) {
-                self.process_event(&ev);
+                self.process_event(ev);
             }
             return true;
         }
@@ -1211,10 +1195,6 @@ where
 /// docs).
 pub struct SocketTransport<I, M> {
     shared: Arc<Shared<I, M>>,
-    /// Client-side latency measurement: the RPC round trip *includes*
-    /// the hub-side rendezvous wait, so hub time is attributed to the
-    /// performance whose operation paid for it — no wire changes.
-    latency: LatencyHooks,
 }
 
 impl<I, M> fmt::Debug for SocketTransport<I, M> {
@@ -1263,15 +1243,12 @@ where
                 session: AtomicU64::new(0),
                 lease_ms: AtomicU64::new(1000),
                 last_event_seq: AtomicU64::new(0),
-                observer: Mutex::new(None),
-                rendezvous_observer: Mutex::new(None),
-                session_observer: Mutex::new(None),
+                observers: ObserverSlots::default(),
                 bound: Mutex::new(Vec::new()),
                 severed: Mutex::new(Vec::new()),
                 subscribed: AtomicBool::new(false),
                 conn_epoch: AtomicU64::new(0),
             }),
-            latency: LatencyHooks::default(),
         }
     }
 
@@ -1457,16 +1434,6 @@ where
         }
     }
 
-    fn has_pending_from(&self, to: &I, from: &I) -> bool {
-        match self.shared.fast_call(&Req::HasPendingFrom {
-            to: to.clone(),
-            from: from.clone(),
-        }) {
-            FastReply::Resp(Resp::Bool(b)) => b,
-            _ => false,
-        }
-    }
-
     fn set_fault_plan(&self, plan: FaultPlan, _clone_fn: fn(&M) -> M) {
         // Duplicates are materialized hub-side with the hub's clone.
         self.shared.post(&Req::SetFaultPlan(plan));
@@ -1483,33 +1450,19 @@ where
         }
     }
 
-    fn set_fault_observer(&self, observer: FaultObserver<I>) {
-        *self.shared.observer.lock() = Some(observer);
-        self.shared.subscribe();
-    }
-
-    fn set_rendezvous_observer(&self, observer: RendezvousObserver<I>, label_of: LabelFn<M>) {
+    fn observe(&self, observers: Observers<I, M>) {
         // Labels are extracted hub-side, where rendezvous complete (see
         // [`TransportServer::set_message_labeler`](crate::TransportServer::set_message_labeler));
         // a spoke-supplied labeler has nothing local to label.
-        let _ = label_of;
-        *self.shared.rendezvous_observer.lock() = Some(observer);
-        self.shared.subscribe();
-    }
-
-    fn set_session_observer(&self, observer: SessionObserver<I>) {
-        *self.shared.session_observer.lock() = Some(observer);
-    }
-
-    fn note_session_event(&self, event: &SessionEvent<I>) {
-        let obs = self.shared.session_observer.lock().clone();
-        if let Some(obs) = obs {
-            obs(event);
+        let streamed = observers.fault.is_some() || observers.rendezvous.is_some();
+        self.shared.observers.install(observers);
+        if streamed {
+            self.shared.subscribe();
         }
     }
 
-    fn set_latency_observer(&self, observer: LatencyObserver) {
-        self.latency.set_observer(observer);
+    fn note_session_event(&self, event: &SessionEvent<I>) {
+        self.shared.observers.session(event);
     }
 
     fn send(
@@ -1527,7 +1480,7 @@ where
             // frame, so hub-side the clock restarts on reconnect.
             timeout_ms: timeout_ms_of(deadline),
         };
-        let started = self.latency.start();
+        let started = self.shared.observers.start();
         let result = match self.shared.call(&req) {
             Some(Resp::Unit) => Ok(()),
             Some(Resp::ChanErr(e)) => Err(e),
@@ -1536,13 +1489,13 @@ where
             _ => Err(ChanError::Terminated(to.clone())),
         };
         if result.is_ok() {
-            self.latency.record(LatencyOp::Send, started);
+            self.shared.observers.record(LatencyOp::Send, started);
         }
         result
     }
 
     fn try_recv(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>> {
-        let started = self.latency.start();
+        let started = self.shared.observers.start();
         let result = match self.shared.call(&Req::TryRecv {
             me: me.clone(),
             from: from.clone(),
@@ -1552,7 +1505,7 @@ where
             _ => Err(ChanError::Terminated(from.clone())),
         };
         if matches!(result, Ok(Some(_))) {
-            self.latency.record(LatencyOp::TryRecv, started);
+            self.shared.observers.record(LatencyOp::TryRecv, started);
         }
         result
     }
@@ -1575,7 +1528,7 @@ where
             arms,
             timeout_ms: timeout_ms_of(deadline),
         };
-        let started = self.latency.start();
+        let started = self.shared.observers.start();
         let result = match self.shared.call(&req) {
             Some(Resp::Selected(outcome)) => Ok(outcome),
             Some(Resp::ChanErr(e)) => Err(e),
@@ -1585,7 +1538,7 @@ where
             result,
             Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
         ) {
-            self.latency.record(LatencyOp::Select, started);
+            self.shared.observers.record(LatencyOp::Select, started);
         }
         result
     }

@@ -20,8 +20,9 @@
 //! push: a one-item [`Event::SeqStream`] now) and 3 (fault-only replay
 //! batch), `Req` tags 0 (bind an id without activating it), 1 – 4 (one
 //! lifecycle step per frame: [`Req::Cast`] carries the run), 8 (peer
-//! list), 16 / 17 (fault-log read / drain) and 18 (sessionless
-//! subscribe), and `Resp` tags 3 (peer list) and 8 (fault log).
+//! list), 12 (an inbox probe only tests called), 16 / 17 (fault-log
+//! read / drain) and 18 (sessionless subscribe), and `Resp` tags 3
+//! (peer list) and 8 (fault log).
 //!
 //! [`SocketTransport`]: crate::SocketTransport
 //! [`TransportServer`]: crate::TransportServer
@@ -57,13 +58,6 @@ pub enum Req<I, M> {
     Reseed(u64),
     /// `Transport::ensure_peer`.
     EnsurePeer(I),
-    /// `Transport::has_pending_from`.
-    HasPendingFrom {
-        /// Receiving endpoint.
-        to: I,
-        /// Sending endpoint.
-        from: I,
-    },
     /// `Transport::set_fault_plan` (duplication uses the hub's clone).
     SetFaultPlan(FaultPlan),
     /// `Transport::clear_fault_plan`.
@@ -615,11 +609,7 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
                 out.push(11);
                 id.encode(out);
             }
-            Req::HasPendingFrom { to, from } => {
-                out.push(12);
-                to.encode(out);
-                from.encode(out);
-            }
+            // 12 is retired.
             Req::SetFaultPlan(plan) => {
                 out.push(13);
                 plan.encode(out);
@@ -678,10 +668,6 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
             9 => Req::Activity,
             10 => Req::Reseed(u64::decode(r)?),
             11 => Req::EnsurePeer(I::decode(r)?),
-            12 => Req::HasPendingFrom {
-                to: I::decode(r)?,
-                from: I::decode(r)?,
-            },
             13 => Req::SetFaultPlan(FaultPlan::decode(r)?),
             14 => Req::ClearFaultPlan,
             15 => Req::GetFaultPlan,
@@ -892,15 +878,19 @@ mod tests {
             ));
         }
         // Req tags 0 to 3 (`Bind`, `Declare`, `Activate`, `Finish`)
-        // carried an id; tags 4 (`Seal`), 8, 16, 17 and 18 took no
-        // payload. A hub severs on them.
+        // carried an id, tag 12 (the inbox probe) two; tags 4
+        // (`Seal`), 8, 16, 17 and 18 took no payload. A hub severs on
+        // them.
         let with_id = (0u8..=3).map(|tag| {
             let mut frame = vec![tag];
             String::from("a").encode(&mut frame);
             frame
         });
+        let mut probe = vec![12u8];
+        String::from("b").encode(&mut probe);
+        String::from("a").encode(&mut probe);
         let bare = [4u8, 8, 16, 17, 18].map(|tag| vec![tag]);
-        for frame in with_id.chain(bare) {
+        for frame in with_id.chain([probe]).chain(bare) {
             assert!(matches!(
                 Req::<String, u64>::from_bytes(&frame),
                 Err(WireError::Invalid("request tag"))

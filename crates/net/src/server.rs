@@ -99,7 +99,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use script_chan::{
-    CastStep, ChanError, FaultKind, FaultRecord, RendezvousRecord, SessionEvent, Transport,
+    CastStep, ChanError, FaultKind, FaultRecord, LabelFn, Observers, RendezvousObserver,
+    RendezvousRecord, SessionEvent, Transport,
 };
 
 use crate::frame::{FrameDecoder, ReadStatus, WriteBuf};
@@ -287,25 +288,20 @@ where
             notify: Arc::default(),
         });
         // Weak: the inner transport must not keep the hub alive through
-        // its own observer slot.
-        let weak: Weak<ServerShared<I, M>> = Arc::downgrade(&shared);
-        shared.inner.set_fault_observer(Arc::new(move |rec| {
-            if let Some(sh) = weak.upgrade() {
-                sh.handle_fault(rec);
-            }
-        }));
-        // Rendezvous observation: the hub-side labeler is authoritative
-        // (spokes forward opaque messages), starting label-less until
+        // its own observer slots. Rendezvous observation: the hub-side
+        // labeler is authoritative (spokes forward opaque messages),
+        // starting label-less until
         // [`TransportServer::set_message_labeler`] installs one.
         let weak: Weak<ServerShared<I, M>> = Arc::downgrade(&shared);
-        shared.inner.set_rendezvous_observer(
-            Arc::new(move |rec| {
+        shared.inner.observe(Observers {
+            fault: Some(Arc::new(move |rec| {
                 if let Some(sh) = weak.upgrade() {
-                    sh.handle_rendezvous(rec);
+                    sh.handle_fault(rec);
                 }
-            }),
-            no_label::<M>,
-        );
+            })),
+            rendezvous: Some(shared.rendezvous_slot(no_label::<M>)),
+            ..Observers::default()
+        });
         reactor::register(
             Box::new(HubIo::new(Arc::clone(&shared), listener)),
             Arc::clone(&shared.notify),
@@ -334,16 +330,11 @@ where
     /// `label_of` extracts from the delivered message. The hub is the
     /// one place the plaintext message is guaranteed to exist, so its
     /// labeler is authoritative for the whole performance.
-    pub fn set_message_labeler(&self, label_of: script_chan::LabelFn<M>) {
-        let weak: Weak<ServerShared<I, M>> = Arc::downgrade(&self.shared);
-        self.shared.inner.set_rendezvous_observer(
-            Arc::new(move |rec| {
-                if let Some(sh) = weak.upgrade() {
-                    sh.handle_rendezvous(rec);
-                }
-            }),
-            label_of,
-        );
+    pub fn set_message_labeler(&self, label_of: LabelFn<M>) {
+        self.shared.inner.observe(Observers {
+            rendezvous: Some(self.shared.rendezvous_slot(label_of)),
+            ..Observers::default()
+        });
     }
 
     /// This hub's live connections, sessions and replay-cache size.
@@ -1008,7 +999,6 @@ where
                 Ok(()) => Resp::Unit,
                 Err(e) => Resp::ChanErr(e),
             },
-            Req::HasPendingFrom { to, from } => Resp::Bool(self.inner.has_pending_from(&to, &from)),
             Req::SetFaultPlan(plan) => {
                 self.inner.set_fault_plan(plan, clone_of::<M>);
                 Resp::Unit
@@ -1142,6 +1132,21 @@ where
     /// transport.
     fn handle_rendezvous(&self, rec: &RendezvousRecord<I>) {
         self.stream(|| StreamItem::Rendezvous(rec.clone()));
+    }
+
+    /// The inner transport's rendezvous slot: [`Self::handle_rendezvous`]
+    /// through a weak reference, labeled by `label_of`.
+    fn rendezvous_slot(
+        self: &Arc<Self>,
+        label_of: LabelFn<M>,
+    ) -> (RendezvousObserver<I>, LabelFn<M>) {
+        let weak = Arc::downgrade(self);
+        let observer = Arc::new(move |rec: &RendezvousRecord<I>| {
+            if let Some(sh) = weak.upgrade() {
+                sh.handle_rendezvous(rec);
+            }
+        });
+        (observer, label_of)
     }
 
     /// Expires sessions whose lease lapsed while severed: their bound

@@ -24,7 +24,9 @@ use script_chan::{
 };
 use script_net::fleet::{FleetReq, FleetResp};
 use script_net::proto::{Event, Req, Resp, StreamItem};
-use script_net::{read_frame, write_frame, FrameDecoder, PerfDescriptor, Wire, MAX_FRAME};
+use script_net::{
+    read_frame, write_frame, FrameDecoder, PerfDescriptor, Wire, WireError, MAX_FRAME,
+};
 
 /// A printable-ish string strategy (arbitrary bytes, lossily UTF-8).
 fn any_string() -> impl Strategy<Value = String> {
@@ -119,7 +121,7 @@ fn any_req() -> impl Strategy<Value = Req<String, u64>> {
                 timeout_ms,
             },
             5 => Req::SetFaultPlan(plan),
-            6 => Req::HasPendingFrom { to: a, from: b },
+            6 => Req::EnsurePeer(a),
             7 => Req::HelloResume(n),
             8 => Req::Heartbeat { acked: n },
             9 => Req::SubscribeFrom { seq: n },
@@ -341,6 +343,20 @@ proptest! {
     fn fault_plans_roundtrip_exactly(plan in any_plan()) {
         let bytes = plan.to_bytes();
         prop_assert_eq!(Wire::from_bytes(&bytes), Ok(plan));
+    }
+
+    /// Tag 12 carried two ids (an inbox probe that only tests called);
+    /// it is retired, so its frame is refused like any unknown tag —
+    /// an error, never a panic — whatever the ids.
+    #[test]
+    fn the_retired_tag_12_is_refused(to in any_string(), from in any_string()) {
+        let mut frame = vec![12u8];
+        to.encode(&mut frame);
+        from.encode(&mut frame);
+        prop_assert!(matches!(
+            Req::<String, u64>::from_bytes(&frame),
+            Err(WireError::Invalid("request tag"))
+        ));
     }
 
     #[test]

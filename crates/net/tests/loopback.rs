@@ -8,8 +8,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use script_chan::{
-    Arm, CastStep, ChanError, FaultKind, FaultPlan, Network, Outcome, PeerState, ShardedTransport,
-    Transport,
+    Arm, CastStep, ChanError, FaultKind, FaultPlan, FaultRecord, Network, Observers, Outcome,
+    PeerState, SessionEvent, ShardedTransport, Transport,
 };
 use script_net::proto::Req;
 use script_net::{SocketTransport, TransportServer, Wire};
@@ -28,6 +28,20 @@ fn spoke(hub: &Hub) -> SocketTransport<String, u64> {
 
 fn far() -> Option<Instant> {
     Some(Instant::now() + Duration::from_secs(10))
+}
+
+type Log<T> = Arc<Mutex<Vec<T>>>;
+
+/// Installs a fault observer on `t` that appends every record it is
+/// pushed to the returned log.
+fn collect_faults(t: &dyn Transport<String, u64>) -> Log<FaultRecord<String>> {
+    let faults = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&faults);
+    t.observe(Observers {
+        fault: Some(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone()))),
+        ..Observers::default()
+    });
+    faults
 }
 
 #[test]
@@ -128,9 +142,7 @@ fn write_applied_but_ack_severed_is_not_double_applied() {
     // The spoke subscribes to the hub's fault stream, which resumes
     // gaplessly with the session: the push for an operation's faults
     // reaches it before that operation's (replayed) answer.
-    let faults = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&faults);
-    client.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
+    let faults = collect_faults(&client);
 
     // Every send decision severs the sending edge's connection. The
     // rendezvous itself still completes hub-side; only the ack dies.
@@ -353,9 +365,6 @@ impl Transport<String, u64> for Declining {
     fn ensure_peer(&self, id: &String) -> Result<(), ChanError<String>> {
         self.0.ensure_peer(id)
     }
-    fn has_pending_from(&self, to: &String, from: &String) -> bool {
-        self.0.has_pending_from(to, from)
-    }
     fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&u64) -> u64) {
         self.0.set_fault_plan(plan, clone_fn);
     }
@@ -365,8 +374,8 @@ impl Transport<String, u64> for Declining {
     fn fault_plan(&self) -> Option<FaultPlan> {
         self.0.fault_plan()
     }
-    fn set_fault_observer(&self, observer: script_chan::FaultObserver<String>) {
-        self.0.set_fault_observer(observer);
+    fn observe(&self, observers: Observers<String, u64>) {
+        self.0.observe(observers);
     }
     fn send(
         &self,
@@ -617,10 +626,8 @@ fn cast_run_severed_mid_cast_applies_each_step_once() {
     let (g, h) = ("g".to_string(), "h".to_string());
     inner.declare(h.clone());
     client.activate(g.clone());
-    let faults = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&faults);
     inner.set_fault_plan(FaultPlan::new(9).with_sever(1.0), |m| *m);
-    client.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
+    let faults = collect_faults(&*client);
     // The documented barrier: the activation and the subscription are
     // posted, and round 0 reads the hub's counter directly.
     assert_eq!(client.ensure_peer(&h), Ok(()));
@@ -689,41 +696,90 @@ fn oversized_cast_is_cut_at_step_boundaries() {
     assert_eq!(client.ensure_peer(&left[3].0), Ok(()));
 }
 
-/// A frame with one of the retired one-step lifecycle tags is not a
-/// request any more: on a live session the hub severs the connection
-/// and applies nothing.
+/// A frame with a retired tag is not a request any more: on a live
+/// session the hub severs the connection and applies nothing, and goes
+/// on serving everyone else. Tag 1 was the one-step `Declare(id)`, tag
+/// 12 the inbox probe, which carried two ids.
 #[test]
-fn retired_lifecycle_frame_severs_the_connection() {
+fn retired_request_frames_sever_the_connection() {
     use std::io::Read;
     use std::net::TcpStream;
 
     use script_net::{read_frame, write_frame};
 
     let server = hub();
-    let mut raw = TcpStream::connect(server.local_addr()).expect("raw dial");
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut hello = Vec::new();
-    1u64.encode(&mut hello);
-    Req::<String, u64>::HelloNew.encode(&mut hello);
-    write_frame(&mut raw, &hello).expect("write hello");
-    read_frame(&mut raw)
-        .expect("read")
-        .expect("session granted");
-    // Tag 1 was `Declare(id)`.
-    let mut frame = Vec::new();
-    2u64.encode(&mut frame);
-    frame.push(1u8);
-    "ghost".to_string().encode(&mut frame);
-    write_frame(&mut raw, &frame).expect("write retired frame");
-    let mut answer = Vec::new();
-    let _ = raw.read_to_end(&mut answer);
-    assert!(answer.is_empty(), "hub answered a retired tag");
-    assert_eq!(server.inner().peer_state(&"ghost".to_string()), None);
+    for (tag, ids) in [(1u8, &["ghost"][..]), (12, &["ghost", "a"])] {
+        let mut raw = TcpStream::connect(server.local_addr()).expect("raw dial");
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut hello = Vec::new();
+        1u64.encode(&mut hello);
+        Req::<String, u64>::HelloNew.encode(&mut hello);
+        write_frame(&mut raw, &hello).expect("write hello");
+        read_frame(&mut raw)
+            .expect("read")
+            .expect("session granted");
+        let mut frame = Vec::new();
+        2u64.encode(&mut frame);
+        frame.push(tag);
+        for id in ids {
+            id.to_string().encode(&mut frame);
+        }
+        write_frame(&mut raw, &frame).expect("write retired frame");
+        let mut answer = Vec::new();
+        let _ = raw.read_to_end(&mut answer);
+        assert!(answer.is_empty(), "hub answered retired tag {tag}");
+        assert_eq!(server.inner().peer_state(&"ghost".to_string()), None);
+    }
+    let client = spoke(&server);
+    client.activate("a".to_string());
+    assert_eq!(
+        client.peer_state(&"a".to_string()),
+        Some(PeerState::Active),
+        "the hub serves on"
+    );
 }
 
-/// The engine installs a fault observer and a rendezvous observer on
-/// every traced performance; one subscription feeds both, so the second
-/// setter costs no round trip.
+/// `observe` merges. A hub observes faults on its inner transport to
+/// stream them to subscribed spokes; hub-local code that then installs
+/// only a session observer on the same inner transport leaves that
+/// stream alone, and a spoke still hears of every dropped message.
+#[test]
+fn observing_sessions_on_the_inner_keeps_the_hubs_fault_stream() {
+    let server = hub();
+    let inner = server.inner();
+    let client = spoke(&server);
+    let faults = collect_faults(&client);
+    let sessions: Log<SessionEvent<String>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&sessions);
+    inner.observe(Observers {
+        session: Some(Arc::new(move |event| {
+            sink.lock().unwrap().push(event.clone())
+        })),
+        ..Observers::default()
+    });
+    inner.set_fault_plan(FaultPlan::new(4).with_drop(1.0), |m| *m);
+    let (a, b) = ("a".to_string(), "b".to_string());
+    client.activate(a.clone());
+    inner.activate(b.clone());
+    for msg in 0..3 {
+        // Dropped: the send completes and nobody receives it.
+        client
+            .send(&a, &b, msg, far())
+            .expect("a dropped send returns");
+    }
+    // The hub writes an operation's fault push before its answer, and
+    // the spoke dispatches in frame order.
+    let seen = faults.lock().unwrap().clone();
+    assert_eq!(seen.len(), 3, "every drop reached the spoke: {seen:?}");
+    assert!(seen
+        .iter()
+        .all(|r| r.kind == FaultKind::Drop && r.from == a && r.to == b));
+    assert!(sessions.lock().unwrap().is_empty(), "no session moved");
+}
+
+/// A traced performance observes faults and rendezvous; one subscription
+/// feeds both, so a second `observe` that adds the rendezvous slot costs
+/// no round trip.
 #[test]
 fn installing_both_observers_subscribes_once() {
     let expected = frame_bytes(&Req::HelloNew) + frame_bytes(&Req::SubscribeFrom { seq: 0 });
@@ -733,15 +789,16 @@ fn installing_both_observers_subscribes_once() {
     let exact = (0..3).any(|_| {
         let server = hub();
         let client = spoke(&server);
-        let faults = Arc::new(Mutex::new(Vec::new()));
+        let faults = collect_faults(&client);
         let rendezvous = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&faults);
-        client.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
         let sink = Arc::clone(&rendezvous);
-        client.set_rendezvous_observer(
-            Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())),
-            |_| None,
-        );
+        client.observe(Observers {
+            rendezvous: Some((
+                Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())),
+                |_| None,
+            )),
+            ..Observers::default()
+        });
         let sent = client.bytes_sent();
         last = Some((server, client, faults, rendezvous));
         sent == expected
@@ -848,7 +905,10 @@ fn panicking_observer_kills_its_spoke_only() {
     let (a, b) = ("a".to_string(), "b".to_string());
     let server = hub();
     let doomed = Arc::new(spoke(&server));
-    doomed.set_rendezvous_observer(Arc::new(|_| panic!("observer bug")), |_| None);
+    doomed.observe(Observers {
+        rendezvous: Some((Arc::new(|_: &_| panic!("observer bug")), |_| None)),
+        ..Observers::default()
+    });
     doomed.activate(a.clone());
     doomed.activate(b.clone());
     let other_server = hub();

@@ -10,7 +10,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use script_chan::{
-    Arm, CastStep, ChanError, FaultPlan, Network, Outcome, PeerState, ShardedTransport, Transport,
+    Arm, CastStep, ChanError, FaultPlan, Network, Observers, Outcome, PeerState, ShardedTransport,
+    Transport,
 };
 use script_net::{SocketTransport, TransportServer};
 
@@ -107,9 +108,6 @@ impl Transport<String, u64> for Gated {
     fn ensure_peer(&self, id: &String) -> Result<(), ChanError<String>> {
         self.inner.ensure_peer(id)
     }
-    fn has_pending_from(&self, to: &String, from: &String) -> bool {
-        self.inner.has_pending_from(to, from)
-    }
     fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&u64) -> u64) {
         self.note("set plan".into());
         self.inner.set_fault_plan(plan, clone_fn);
@@ -121,8 +119,8 @@ impl Transport<String, u64> for Gated {
     fn fault_plan(&self) -> Option<FaultPlan> {
         self.inner.fault_plan()
     }
-    fn set_fault_observer(&self, observer: script_chan::FaultObserver<String>) {
-        self.inner.set_fault_observer(observer);
+    fn observe(&self, observers: Observers<String, u64>) {
+        self.inner.observe(observers);
     }
     fn send(
         &self,

@@ -23,7 +23,7 @@ use std::process::Command;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use script::chan::{Arm, FaultKind, FaultPlan, Outcome, ShardedTransport, Transport};
+use script::chan::{Arm, FaultKind, FaultPlan, Observers, Outcome, ShardedTransport, Transport};
 use script::net::{SocketTransport, TransportServer};
 
 const ROUNDS: [u64; 3] = [10, 20, 30];
@@ -81,7 +81,10 @@ fn main() {
         SocketTransport::<String, u64>::connect(server.local_addr()).expect("resolve hub");
     let faults = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&faults);
-    watcher.set_fault_observer(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone())));
+    watcher.observe(Observers {
+        fault: Some(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone()))),
+        ..Observers::default()
+    });
 
     // Every send decision severs the implicated session's connection;
     // half the decisions additionally impose a 100 ms partition embargo
@@ -93,9 +96,12 @@ fn main() {
             .with_partition(0.5, Duration::from_millis(100)),
         |m| *m,
     );
-    inner.set_session_observer(Arc::new(|event| {
-        println!("parent: session event {event:?}")
-    }));
+    inner.observe(Observers {
+        session: Some(Arc::new(|event| {
+            println!("parent: session event {event:?}")
+        })),
+        ..Observers::default()
+    });
 
     for id in ["pitcher", "catcher"] {
         inner.declare(s(id));

@@ -16,7 +16,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use script::chan::{
-    Arm, CastStep, ChanError, FaultObserver, FaultPlan, Network, Outcome, PeerState, SelectDone,
+    Arm, CastStep, ChanError, FaultPlan, Network, Observers, Outcome, PeerState, SelectDone,
     SendDone, ShardedTransport, Transport,
 };
 use script::core::{
@@ -78,9 +78,6 @@ impl Transport<RoleId, u64> for Gated {
     fn ensure_peer(&self, id: &RoleId) -> Result<(), ChanError<RoleId>> {
         self.inner.ensure_peer(id)
     }
-    fn has_pending_from(&self, to: &RoleId, from: &RoleId) -> bool {
-        self.inner.has_pending_from(to, from)
-    }
     fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&u64) -> u64) {
         self.inner.set_fault_plan(plan, clone_fn);
     }
@@ -90,8 +87,8 @@ impl Transport<RoleId, u64> for Gated {
     fn fault_plan(&self) -> Option<FaultPlan> {
         self.inner.fault_plan()
     }
-    fn set_fault_observer(&self, observer: FaultObserver<RoleId>) {
-        self.inner.set_fault_observer(observer);
+    fn observe(&self, observers: Observers<RoleId, u64>) {
+        self.inner.observe(observers);
     }
     fn send(
         &self,

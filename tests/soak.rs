@@ -9,7 +9,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use script::chan::{Arm, FaultPlan, FaultRecord, Network, Outcome, ShardedTransport, Transport};
+use script::chan::{
+    Arm, FaultPlan, FaultRecord, Network, Observers, Outcome, ShardedTransport, Transport,
+};
 use script::core::{
     Initiation, NetworkFactory, Observer, PerformanceNet, RetryPolicy, RingObserver, RoleId,
     Script, ScriptError, ScriptEvent, TelemetryEvent, TelemetryPayload, Termination,
@@ -645,9 +647,12 @@ fn fan_in(spokes: usize, per: u64) {
     let seen: Arc<Mutex<Vec<FaultRecord<String>>>> = Arc::new(Mutex::new(Vec::new()));
     {
         let seen = Arc::clone(&seen);
-        observer.set_fault_observer(Arc::new(move |rec: &FaultRecord<String>| {
-            seen.lock().unwrap().push(rec.clone());
-        }));
+        observer.observe(Observers {
+            fault: Some(Arc::new(move |rec| {
+                seen.lock().unwrap().push(rec.clone());
+            })),
+            ..Observers::default()
+        });
     }
 
     let sink = "sink".to_string();

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use script::chan::conformance::{self, ConformanceTransport};
 use script::chan::{
-    per_edge_fingerprints, Arm, ChanError, FaultPlan, Network, Outcome, PeerState, SessionEvent,
-    ShardedTransport, Transport,
+    per_edge_fingerprints, Arm, ChanError, FaultPlan, Network, Observers, Outcome, PeerState,
+    SessionEvent, ShardedTransport, Transport,
 };
 use script::core::RetryPolicy;
 use script::net::{
@@ -215,7 +215,10 @@ fn per_edge_decision_sequences_agree_across_all_three_transports() {
         // operation's fault records are pushed before it returns.
         let faults = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&faults);
-        net.set_fault_observer(move |rec| sink.lock().unwrap().push(rec.clone()));
+        net.observe(Observers {
+            fault: Some(Arc::new(move |rec| sink.lock().unwrap().push(rec.clone()))),
+            ..Observers::default()
+        });
         net.set_fault_plan(
             FaultPlan::new(73)
                 .with_drop(0.3)
@@ -501,9 +504,10 @@ fn lease_expiry_degrades_to_crashed_peer_across_os_processes() {
     inner.activate("parent".to_string());
 
     let events: Arc<Mutex<Vec<SessionEvent<String>>>> = Arc::new(Mutex::new(Vec::new()));
-    inner.set_session_observer({
-        let events = Arc::clone(&events);
-        Arc::new(move |e: &SessionEvent<String>| events.lock().unwrap().push(e.clone()))
+    let sink = Arc::clone(&events);
+    inner.observe(Observers {
+        session: Some(Arc::new(move |e| sink.lock().unwrap().push(e.clone()))),
+        ..Observers::default()
     });
 
     let exe = std::env::current_exe().expect("test binary path");
