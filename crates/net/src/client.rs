@@ -72,22 +72,22 @@
 //!
 //! **Sessions.** The first dial opens a hub session ([`Req::HelloNew`])
 //! and records its id + lease. From then on a dropped connection is a
-//! *blip*, not a death: every durable request stays queued, the driver
-//! redials, presents [`Req::HelloResume`], and replays the queue in
-//! request-id order, as one write. The hub answers anything it already applied from
-//! its replay cache, so a write whose ack was lost to the sever is
-//! **never applied twice** — the retry path and the reconnect path are
-//! one mechanism. A subscribed client resumes the sequenced event
-//! stream gaplessly from the last delivered sequence number
-//! ([`Req::SubscribeFrom`]); the missed tail arrives as one batched
-//! [`Event::SeqStream`] frame, with exactly-once dispatch enforced
-//! client-side by a monotonic high-water mark. Heartbeats flow both
-//! ways: the spoke pings ([`Req::Heartbeat`]) every quarter-lease, and
-//! earlier once [`ACK_EVERY`] answers have arrived since the last ping
-//! — each names the lowest request still unanswered, so the hub's
+//! *blip*, not a death: every durable request stays queued, typed, the
+//! driver redials, presents [`Req::HelloResume`], and replays the queue
+//! in request-id order, encoded again, as one write. The hub answers
+//! anything it already applied from its table of answers, so a write
+//! whose ack was lost to the sever is **never applied twice** — the retry
+//! path and the reconnect path are one mechanism. A subscribed client
+//! resumes the sequenced event stream gaplessly from the last delivered
+//! sequence number ([`Req::SubscribeFrom`]); the missed tail arrives as
+//! batched [`Event::SeqStream`] frames, with exactly-once dispatch
+//! enforced client-side by a monotonic high-water mark. Heartbeats flow
+//! both ways: the spoke pings ([`Req::Heartbeat`]) every quarter-lease,
+//! and earlier once [`ACK_EVERY`] answers have arrived since the last
+//! ping — each names the lowest request still unanswered, so the hub's
 //! replay cache is pruned by count, not by what a fast stream completes
-//! in a quarter-lease — and every hub answer carrying
-//! [`Resp::Session`] renews the client's view of the lease.
+//! in a quarter-lease — and every hub answer carrying [`Resp::Session`]
+//! renews the client's view of the lease.
 //!
 //! During a blip, *fast* queries (lifecycle reads the engine's watchdog
 //! polls) do not queue: they answer degraded-but-live values, and
@@ -285,24 +285,38 @@ fn caller_slot<I: 'static, M: 'static>() -> Arc<Slot<I, M>> {
         .unwrap_or_else(|_| Arc::new(Slot::new()))
 }
 
-/// Bytes reserved for an encoded request frame: covers the request id,
-/// the tag and the ids or short payload of the common requests, so they
-/// are encoded without a regrowth (the hub reserves the same for its
-/// answers).
-const REQ_CAPACITY: usize = 128;
-
 /// Largest encoded [`Req::Cast`] frame a spoke sends; a longer run is
 /// cut into several (see [`Shared::cast`]).
 const CAST_FRAME_MAX: usize = MAX_FRAME;
+
+thread_local! {
+    /// Where the calling thread measures a cast run's frame, kept from
+    /// run to run as [`CALLER_SLOT`] is.
+    static CAST_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Whether one `(req_id, Req::Cast)` frame carries `steps` within
+/// [`CAST_FRAME_MAX`].
+fn cast_fits<I: Wire>(steps: &[CastStep<I>]) -> bool {
+    let fits = |out: &mut Vec<u8>| {
+        out.clear();
+        Req::<I, ()>::encode_cast(steps, out);
+        8 + out.len() <= CAST_FRAME_MAX
+    };
+    CAST_SCRATCH
+        .try_with(|scratch| fits(&mut scratch.borrow_mut()))
+        .unwrap_or_else(|_| fits(&mut Vec::new()))
+}
 
 /// Posts a spoke lets go unanswered before the next one waits for its
 /// own answer, which the hub sends behind theirs: `pending` is bounded.
 const POSTED_MAX: usize = 64;
 
-/// One queued request: the encoded frame is retained so a reconnect can
-/// replay it verbatim (same request id → hub-side replay cache dedups).
+/// One queued request: the typed request is kept, and encoded again
+/// when a reconnect replays it — the same bytes under the same request
+/// id, which the hub's exactly-once table dedups.
 struct PendingEntry<I, M> {
-    payload: Vec<u8>,
+    req: Req<I, M>,
     /// Where a caller waits for the answer; a posted request has none.
     slot: Option<Arc<Slot<I, M>>>,
     /// Fast queries are failed on connection loss instead of queued for
@@ -333,15 +347,15 @@ struct ConnTx {
 }
 
 impl ConnTx {
-    /// Queues one encoded `(req_id, req)` frame. Returns `false` for a
-    /// frame no connection could carry.
-    fn queue(&self, payload: &[u8]) -> bool {
-        if self.buf.lock().push_frame(payload).is_err() {
-            return false;
-        }
-        self.bytes_out
-            .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
-        true
+    /// Queues one `(req_id, req)` frame, encoded straight into the
+    /// buffer. Returns `false` for a frame no connection could carry.
+    fn queue<I: Wire, M: Wire>(&self, req_id: u64, req: &Req<I, M>) -> bool {
+        let pushed = self.buf.lock().push_with(|out| {
+            req_id.encode(out);
+            req.encode(out);
+        });
+        let count = |bytes| self.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
+        pushed.map(count).is_ok()
     }
 
     /// Flushes whatever the buffer holds. Returns `false` on write
@@ -376,8 +390,8 @@ impl ConnTx {
     /// what it takes right now, never waiting. Whatever stays behind —
     /// a caller is mid-flush, or the kernel's buffer is full — rides
     /// the next flush. Returns `false` on write failure.
-    fn push_now(&self, payload: &[u8]) -> bool {
-        if !self.queue(payload) {
+    fn push_now<I: Wire, M: Wire>(&self, req_id: u64, req: &Req<I, M>) -> bool {
+        if !self.queue(req_id, req) {
             return false;
         }
         let Some(_g) = self.flush.try_lock() else {
@@ -588,25 +602,11 @@ where
         }
     }
 
-    /// Allocates a request id and encodes one `(req_id, req)` frame.
-    fn encode_req(&self, req: &Req<I, M>) -> (u64, Vec<u8>) {
-        self.encode_frame(|payload| req.encode(payload))
-    }
-
-    /// The same, for a request `body` encodes in place.
-    fn encode_frame(&self, body: impl FnOnce(&mut Vec<u8>)) -> (u64, Vec<u8>) {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let mut payload = Vec::with_capacity(REQ_CAPACITY);
-        req_id.encode(&mut payload);
-        body(&mut payload);
-        (req_id, payload)
-    }
-
     /// Writes one `(req_id, req)` frame on a handshake-time connection
     /// (nothing else is queueing on it yet).
     fn write_req(&self, tx: &ConnTx, req: &Req<I, M>) -> Option<u64> {
-        let (req_id, payload) = self.encode_req(req);
-        (tx.queue(&payload) && tx.flush()).then_some(req_id)
+        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
+        (tx.queue(req_id, req) && tx.flush()).then_some(req_id)
     }
 
     /// Reads frames until the answer for `want` arrives (used during
@@ -639,20 +639,13 @@ where
         }
     }
 
-    /// Parks one encoded frame in `pending`, which keeps the only copy:
-    /// transmission and replay both write from there. `slot` is where a
-    /// caller will wait for the answer; a posted frame has none.
-    fn register(
-        &self,
-        (req_id, payload): (u64, Vec<u8>),
-        slot: Option<Arc<Slot<I, M>>>,
-        fast: bool,
-    ) -> u64 {
-        let entry = PendingEntry {
-            payload,
-            slot,
-            fast,
-        };
+    /// Parks one request in `pending` under a fresh id, and returns the
+    /// id. `pending` keeps the typed request: transmission and replay
+    /// both encode it from there. `slot` is where a caller will wait
+    /// for the answer; a posted request has none.
+    fn register(&self, req: Req<I, M>, slot: Option<Arc<Slot<I, M>>>, fast: bool) -> u64 {
+        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
+        let entry = PendingEntry { req, slot, fast };
         self.pending.lock().insert(req_id, entry);
         req_id
     }
@@ -665,15 +658,15 @@ where
         }
     }
 
-    /// Writes a registered request's frame to `conn` from the copy
-    /// `pending` holds. A request no longer pending was answered
+    /// Writes a registered request's frame to `conn`, encoded from the
+    /// request `pending` holds. A request no longer pending was answered
     /// already (a handshake replays everything pending, which may
     /// include this one) and is skipped. On a failed write the
     /// connection is shut, which the I/O thread sees and answers with
     /// the redial-and-replay path; returns whether the write succeeded.
     fn transmit(&self, conn: &ConnShared, req_id: u64) -> bool {
         let queued = match self.pending.lock().get(&req_id) {
-            Some(e) => conn.tx.queue(&e.payload),
+            Some(e) => conn.tx.queue(req_id, &e.req),
             None => true,
         };
         let sent = queued && conn.tx.flush();
@@ -717,17 +710,9 @@ where
 
     /// One durable RPC (see [`Shared::launch`]). `None` only on session
     /// death.
-    fn call(self: &Arc<Self>, req: &Req<I, M>) -> Option<Resp<I, M>> {
-        if self.is_dead() {
-            return None;
-        }
-        self.call_frame(self.encode_req(req))
-    }
-
-    /// [`Shared::call`] for a request that is already encoded.
-    fn call_frame(self: &Arc<Self>, frame: (u64, Vec<u8>)) -> Option<Resp<I, M>> {
+    fn call(self: &Arc<Self>, req: Req<I, M>) -> Option<Resp<I, M>> {
         let slot = caller_slot();
-        let req_id = self.register(frame, Some(Arc::clone(&slot)), false);
+        let req_id = self.register(req, Some(Arc::clone(&slot)), false);
         if !self.launch(req_id) {
             return None;
         }
@@ -735,37 +720,31 @@ where
     }
 
     /// Sends a command without waiting for its answer (module docs):
-    /// parked with no slot, launched exactly as a call's frame is, and
+    /// parked with no slot, launched exactly as a call's request is, and
     /// on the socket when this returns ([`ConnTx::flush`] writes before
     /// it returns). With [`POSTED_MAX`] posts unanswered it is a call.
-    fn post_frame(self: &Arc<Self>, frame: (u64, Vec<u8>)) {
+    fn post(self: &Arc<Self>, req: Req<I, M>) {
         if self.posted.fetch_add(1, Ordering::SeqCst) >= POSTED_MAX {
             self.posted.fetch_sub(1, Ordering::SeqCst);
-            self.call_frame(frame);
+            self.call(req);
         } else {
-            self.launch(self.register(frame, None, false));
+            self.launch(self.register(req, None, false));
         }
     }
 
-    /// [`Shared::post_frame`] for a request not yet encoded.
-    fn post(self: &Arc<Self>, req: &Req<I, M>) {
-        self.post_frame(self.encode_req(req));
-    }
-
     /// One posted [`Req::Cast`] frame for the run: one request id, one
-    /// `pending` entry, one cached answer hub-side, so a run severed
+    /// `pending` entry, one recorded answer hub-side, so a run severed
     /// before its answer is replayed whole and applied exactly once. A
     /// run too long for one frame is halved at a step boundary until
     /// each part fits, the parts posted in order.
     fn cast(self: &Arc<Self>, steps: &[CastStep<I>]) {
-        let frame = self.encode_frame(|payload| Req::<I, M>::encode_cast(steps, payload));
-        if frame.1.len() > CAST_FRAME_MAX && steps.len() > 1 {
+        if steps.len() > 1 && !cast_fits(steps) {
             let (head, tail) = steps.split_at(steps.len() / 2);
             self.cast(head);
             self.cast(tail);
             return;
         }
-        self.post_frame(frame);
+        self.post(Req::Cast(steps.to_vec()));
     }
 
     /// Subscribes the session to the hub's sequenced event stream, the
@@ -775,13 +754,13 @@ where
     fn subscribe(self: &Arc<Self>) {
         if !self.subscribed.swap(true, Ordering::SeqCst) {
             let seq = self.last_event_seq.load(Ordering::SeqCst);
-            self.post(&Req::SubscribeFrom { seq });
+            self.post(Req::SubscribeFrom { seq });
         }
     }
 
     /// One non-queued RPC for cheap lifecycle reads: never blocks on a
     /// redial (a locked dial = [`FastReply::Blip`]) and never replays.
-    fn fast_call(self: &Arc<Self>, req: &Req<I, M>) -> FastReply<I, M> {
+    fn fast_call(self: &Arc<Self>, req: Req<I, M>) -> FastReply<I, M> {
         if self.is_dead() {
             return FastReply::Dead;
         }
@@ -795,7 +774,7 @@ where
             }
         };
         let slot = caller_slot();
-        let req_id = self.register(self.encode_req(req), Some(Arc::clone(&slot)), true);
+        let req_id = self.register(req, Some(Arc::clone(&slot)), true);
         // The connection's end drains fast entries *after* flipping
         // `alive`; re-checking after the insert guarantees ours is seen.
         if !conn.alive.load(Ordering::SeqCst) || self.is_dead() {
@@ -992,7 +971,7 @@ where
                 .map(|(id, _)| *id)
                 .collect();
             ids.sort_unstable();
-            ids.iter().all(|id| tx.queue(&p[id].payload))
+            ids.iter().all(|id| tx.queue(*id, &p[id].req))
         };
         // From here on the I/O thread reads, and it never waits.
         if !(queued && tx.flush()) || stream.set_nonblocking(true).is_err() {
@@ -1103,10 +1082,12 @@ where
                 .copied()
                 .unwrap_or_else(|| shared.next_req.load(Ordering::Relaxed))
         };
-        let (_, payload) = shared.encode_req(&Req::Heartbeat { acked });
         self.next_hb = Instant::now() + shared.quarter_lease();
         self.answered = 0;
-        self.conn.tx.push_now(&payload)
+        let req_id = shared.next_req.fetch_add(1, Ordering::Relaxed);
+        self.conn
+            .tx
+            .push_now(req_id, &Req::<I, M>::Heartbeat { acked })
     }
 }
 
@@ -1372,11 +1353,11 @@ where
     }
 
     fn abort(&self) {
-        self.shared.post(&Req::Abort);
+        self.shared.post(Req::Abort);
     }
 
     fn is_aborted(&self) -> bool {
-        match self.shared.fast_call(&Req::IsAborted) {
+        match self.shared.fast_call(Req::IsAborted) {
             FastReply::Resp(Resp::Bool(b)) => {
                 self.shared.cached_aborted.store(b, Ordering::Relaxed);
                 b
@@ -1390,14 +1371,14 @@ where
     }
 
     fn peer_state(&self, id: &I) -> Option<PeerState> {
-        match self.shared.fast_call(&Req::PeerStateOf(id.clone())) {
+        match self.shared.fast_call(Req::PeerStateOf(id.clone())) {
             FastReply::Resp(Resp::State(s)) => s,
             _ => None,
         }
     }
 
     fn activity(&self) -> u64 {
-        match self.shared.fast_call(&Req::Activity) {
+        match self.shared.fast_call(Req::Activity) {
             FastReply::Resp(Resp::Counter(c)) => {
                 self.shared.last_activity.store(c, Ordering::Relaxed);
                 c
@@ -1418,7 +1399,7 @@ where
     }
 
     fn reseed(&self, seed: u64) {
-        self.shared.post(&Req::Reseed(seed));
+        self.shared.post(Req::Reseed(seed));
     }
 
     fn ensure_peer(&self, id: &I) -> Result<(), ChanError<I>> {
@@ -1427,7 +1408,7 @@ where
         if !self.shared.is_dead() && self.shared.bound.lock().contains(id) {
             return Ok(());
         }
-        match self.shared.call(&Req::EnsurePeer(id.clone())) {
+        match self.shared.call(Req::EnsurePeer(id.clone())) {
             Some(Resp::Unit) => Ok(()),
             Some(Resp::ChanErr(e)) => Err(e),
             _ => Err(ChanError::Terminated(id.clone())),
@@ -1436,15 +1417,15 @@ where
 
     fn set_fault_plan(&self, plan: FaultPlan, _clone_fn: fn(&M) -> M) {
         // Duplicates are materialized hub-side with the hub's clone.
-        self.shared.post(&Req::SetFaultPlan(plan));
+        self.shared.post(Req::SetFaultPlan(plan));
     }
 
     fn clear_fault_plan(&self) {
-        self.shared.post(&Req::ClearFaultPlan);
+        self.shared.post(Req::ClearFaultPlan);
     }
 
     fn fault_plan(&self) -> Option<FaultPlan> {
-        match self.shared.call(&Req::GetFaultPlan) {
+        match self.shared.call(Req::GetFaultPlan) {
             Some(Resp::Plan(p)) => p,
             _ => None,
         }
@@ -1476,12 +1457,12 @@ where
             from: from.clone(),
             to: to.clone(),
             msg,
-            // The budget is computed once; a replay reuses the original
-            // frame, so hub-side the clock restarts on reconnect.
+            // The budget is computed once; a replay re-encodes the same
+            // request, so hub-side the clock restarts on reconnect.
             timeout_ms: timeout_ms_of(deadline),
         };
         let started = self.shared.observers.start();
-        let result = match self.shared.call(&req) {
+        let result = match self.shared.call(req) {
             Some(Resp::Unit) => Ok(()),
             Some(Resp::ChanErr(e)) => Err(e),
             // Session death = the receiving side is gone, the same
@@ -1496,7 +1477,7 @@ where
 
     fn try_recv(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>> {
         let started = self.shared.observers.start();
-        let result = match self.shared.call(&Req::TryRecv {
+        let result = match self.shared.call(Req::TryRecv {
             me: me.clone(),
             from: from.clone(),
         }) {
@@ -1529,7 +1510,7 @@ where
             timeout_ms: timeout_ms_of(deadline),
         };
         let started = self.shared.observers.start();
-        let result = match self.shared.call(&req) {
+        let result = match self.shared.call(req) {
             Some(Resp::Selected(outcome)) => Ok(outcome),
             Some(Resp::ChanErr(e)) => Err(e),
             _ => Err(loss),

@@ -531,7 +531,8 @@ impl FleetIo {
                     return;
                 }
                 Ok(Some(Ok(req))) => {
-                    let _ = conn.out.push_frame(&self.state.handle(req).to_bytes());
+                    let resp = self.state.handle(req);
+                    let _ = conn.out.push_with(|out| resp.encode(out));
                 }
                 Ok(None) if matches!(status, Ok(ReadStatus::Blocked)) => {
                     self.conns.insert(id, conn);

@@ -16,7 +16,8 @@
 //!   readiness wakeup delivered and yields every complete frame, a
 //!   write buffer coalesces any number of queued frames into one
 //!   contiguous flush (the reactor's writev-style single write per
-//!   wakeup).
+//!   wakeup), each frame encoded straight into it
+//!   ([`WriteBuf::push_with`]).
 
 use std::io::{self, Read, Write};
 
@@ -251,22 +252,41 @@ impl WriteBuf {
         Self::default()
     }
 
-    /// Queues one frame (length prefix + payload).
+    /// Bytes a frame is given up front: a fresh buffer's first frame
+    /// is encoded without regrowth.
+    const FRAME_ROOM: usize = 128;
+
+    /// Queues one frame whose payload `body` encodes in place, straight
+    /// into the buffer it is flushed from: a length placeholder, the
+    /// payload appended after it, then the length patched in. Returns
+    /// the bytes queued, the 4-byte prefix included.
     ///
     /// # Errors
     ///
-    /// `InvalidInput` if the payload exceeds [`MAX_FRAME`].
-    pub fn push_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        if payload.len() > MAX_FRAME {
+    /// `InvalidInput` if the payload exceeds [`MAX_FRAME`]; nothing of
+    /// the frame stays queued.
+    pub fn push_with(&mut self, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<usize> {
+        let at = self.buf.len();
+        self.buf.reserve(Self::FRAME_ROOM);
+        self.buf.extend_from_slice(&[0; 4]);
+        body(&mut self.buf);
+        let len = self.buf.len() - at - 4;
+        if len > MAX_FRAME {
+            self.buf.truncate(at);
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
+                format!("frame of {len} bytes exceeds MAX_FRAME"),
             ));
         }
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        self.buf.extend_from_slice(payload);
-        Ok(())
+        self.buf[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
+        Ok(len + 4)
+    }
+
+    /// Queues one frame of already-encoded `payload`; it is refused as
+    /// [`WriteBuf::push_with`] refuses one.
+    pub fn push_frame(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.push_with(|out| out.extend_from_slice(payload))
+            .map(drop)
     }
 
     /// Whether any unflushed bytes remain.
@@ -468,7 +488,8 @@ mod tests {
     fn write_buf_coalesces_and_resumes_partial_writes() {
         let mut wb = WriteBuf::new();
         wb.push_frame(b"one").unwrap();
-        wb.push_frame(b"two-longer").unwrap();
+        let queued = wb.push_with(|out| out.extend_from_slice(b"two-longer"));
+        assert_eq!(queued.unwrap(), 4 + 10);
         assert!(!wb.is_empty());
 
         // A writer that accepts 5 bytes then blocks, alternating.
@@ -505,6 +526,29 @@ mod tests {
         let mut c = Cursor::new(w.out);
         assert_eq!(read_frame(&mut c).unwrap().unwrap(), b"one");
         assert_eq!(read_frame(&mut c).unwrap().unwrap(), b"two-longer");
+        assert!(read_frame(&mut c).unwrap().is_none());
+    }
+
+    /// A frame encoded in place is refused whole when its payload is
+    /// over `MAX_FRAME`: the frames queued before it stay, nothing of
+    /// it does. A fresh buffer's first frame is encoded without
+    /// regrowth.
+    #[test]
+    fn an_oversized_frame_leaves_nothing_queued() {
+        let mut wb = WriteBuf::new();
+        wb.push_with(|out| out.extend_from_slice(&[1; 100]))
+            .unwrap();
+        assert_eq!(wb.buf.capacity(), WriteBuf::FRAME_ROOM);
+        let err = wb
+            .push_with(|out| out.resize(out.len() + MAX_FRAME + 1, 2))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(wb.push_with(|out| out.push(3)).unwrap(), 5);
+        let mut out = Vec::new();
+        assert!(wb.flush_to(&mut out).unwrap());
+        let mut c = Cursor::new(out);
+        assert_eq!(read_frame(&mut c).unwrap().unwrap(), vec![1; 100]);
+        assert_eq!(read_frame(&mut c).unwrap().unwrap(), vec![3]);
         assert!(read_frame(&mut c).unwrap().is_none());
     }
 }

@@ -26,7 +26,7 @@
 //! awaited**: the hub hands them to the inner transport's
 //! asynchronous entry points ([`Transport::submit_send`] /
 //! [`Transport::submit_select`]) with a completion callback that
-//! encodes the response into the owning connection's output buffer —
+//! encodes the response in place in its connection's output buffer —
 //! the hub answers out of order, as many requests deep as the spokes
 //! care to pipeline. The inner transport steps a submitted operation on
 //! the submitting thread, so the usual turn is read → decode → step
@@ -49,17 +49,18 @@
 //! frame must be [`Req::HelloNew`] or [`Req::HelloResume`], and a
 //! connection that opens with anything else is severed unanswered. A
 //! spoke that opens with [`Req::HelloNew`] gets a
-//! session id and a lease. The session — its bound ids, its replay
-//! answer cache, its sequenced event buffer — outlives any one TCP
-//! connection: when the connection drops, the hub parks the session
-//! and keeps every bound performance alive until the lease lapses. A
-//! reconnect presenting [`Req::HelloResume`] re-attaches, answers
-//! replayed requests from the cache (a request the hub already applied
-//! is **never** applied twice; its recorded answer is rewritten
-//! verbatim), and resumes the sequenced event stream from wherever the
-//! spoke left off — the missed tail travels as one batched
-//! [`Event::SeqStream`] frame. [`Req::Heartbeat`] renews the lease and
-//! prunes the cache (spokes send one every quarter-lease and every
+//! session id and a lease. The session — its bound ids, its
+//! exactly-once table of answers, its sequenced event buffer — outlives
+//! any one TCP connection: when the connection drops, the hub parks the
+//! session and keeps every bound performance alive until the lease
+//! lapses. A reconnect presenting [`Req::HelloResume`] re-attaches,
+//! answers replayed requests from the table (a request the hub already
+//! applied is **never** applied twice; its recorded answer is encoded
+//! again, to the same bytes), and resumes the sequenced event stream
+//! from wherever the spoke left off — the missed tail travels as
+//! batched [`Event::SeqStream`] frames, as few as fit it.
+//! [`Req::Heartbeat`] renews the lease and prunes the table's answers
+//! (spokes send one every quarter-lease and every
 //! [`ACK_EVERY`](crate::client::ACK_EVERY) answers, whichever comes
 //! first); only lease expiry degrades to crashed-peer
 //! semantics: the hub's sweep timer finishes every bound id, so
@@ -87,7 +88,7 @@
 //! spoke that already hung up gets nothing: its connection is read to
 //! the end and closed without a write, which would only draw a reset.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 use std::io;
@@ -128,23 +129,52 @@ struct ConnTx {
 }
 
 impl ConnTx {
-    /// Queues one already-encoded `(req_id, payload)` frame and asks
-    /// the I/O thread for a flush, waking it if it is parked. Oversized
-    /// payloads cannot occur (every response is hub-built) and are
-    /// dropped defensively.
-    fn push(&self, payload: &[u8]) {
-        let _ = self.buf.lock().push_frame(payload);
+    /// Queues one frame as [`WriteBuf::push_with`] does, and asks the
+    /// I/O thread for a flush, waking it if it is parked.
+    fn push(&self, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<usize> {
+        let pushed = self.buf.lock().push_with(body);
         self.hub.wake();
+        pushed
+    }
+
+    /// Queues one `(req_id, resp)` answer frame; one over a frame (its
+    /// message nearly filled the request's) is dropped.
+    fn answer<I: Wire, M: Wire>(&self, req_id: u64, resp: &Resp<I, M>) {
+        let _ = self.push(|out| {
+            req_id.encode(out);
+            resp.encode(out);
+        });
+    }
+
+    /// Queues the stream items of `events` from position `from` on as
+    /// consecutive [`Event::SeqStream`] frames, each within a frame's
+    /// [`MAX_FRAME`](crate::MAX_FRAME): a run too long for one is halved
+    /// until it fits, and the runs after it start at that length. An
+    /// item that alone exceeds a frame is skipped.
+    fn push_stream<I: Wire>(&self, events: &VecDeque<(u64, StreamItem<I>)>, from: usize) {
+        let (mut at, mut run) = (from, events.len() - from);
+        while at < events.len() {
+            run = run.min(events.len() - at);
+            let pushed = self.push(|out| {
+                EVENT_REQ_ID.encode(out);
+                let items = events.range(at..at + run).map(|(_, item)| item);
+                Event::encode_stream(events[at].0, items, out);
+            });
+            match pushed {
+                Err(_) if run > 1 => run /= 2,
+                _ => at += run,
+            }
+        }
     }
 }
 
 /// One spoke session: state that must survive connection loss.
-struct Session<I> {
+struct Session<I, M> {
     id: u64,
-    state: Mutex<SessionState<I>>,
+    state: Mutex<SessionState<I, M>>,
 }
 
-struct SessionState<I> {
+struct SessionState<I, M> {
     /// Ids this session animates; finished only at lease expiry or hub
     /// shutdown, never on mere connection loss.
     bound: Vec<I>,
@@ -173,12 +203,11 @@ struct SessionState<I> {
     /// While set in the future, resume attempts are refused with
     /// [`Resp::Partitioned`].
     partitioned_until: Option<Instant>,
-    /// Replay answer cache: request id → fully encoded response frame.
-    /// A replayed request is answered from here, never re-applied.
-    done: HashMap<u64, Vec<u8>>,
-    /// Blocking requests currently submitted to the inner transport; a
-    /// replayed duplicate is ignored rather than double-submitted.
-    in_flight: HashSet<u64>,
+    /// Exactly-once table: request id → `None` while the request is
+    /// submitted to the inner transport, then the answer it got. A
+    /// replayed request is answered from here, its answer re-encoded,
+    /// or — still submitted — ignored; never applied twice.
+    answers: HashMap<u64, Option<Resp<I, M>>>,
     /// Sequence number of the last event pushed to this session.
     next_event_seq: u64,
     /// Buffered `(seq, item)` events for gapless resume replay. Faults
@@ -191,7 +220,7 @@ struct ServerShared<I, M> {
     inner: Arc<dyn Transport<I, M>>,
     /// Connections the hub's source holds, for [`HubStats`].
     connections: AtomicUsize,
-    sessions: Mutex<HashMap<u64, Arc<Session<I>>>>,
+    sessions: Mutex<HashMap<u64, Arc<Session<I, M>>>>,
     shutdown: AtomicBool,
     next_conn: AtomicU64,
     next_session: AtomicU64,
@@ -366,7 +395,10 @@ impl<I, M> ServerShared<I, M> {
         HubStats {
             connections: self.connections.load(Ordering::Relaxed),
             sessions: sessions.len(),
-            cached_answers: sessions.values().map(|s| s.state.lock().done.len()).sum(),
+            cached_answers: sessions
+                .values()
+                .map(|s| s.state.lock().answers.values().flatten().count())
+                .sum(),
         }
     }
 
@@ -383,7 +415,8 @@ impl<I, M> ServerShared<I, M> {
         self.notify.wake();
         // Hub death is final for every session: finish the bound ids so
         // hub-local participants observe crashed peers, not a hang.
-        let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().drain().map(|(_, s)| s).collect();
+        let sessions: Vec<Arc<Session<I, M>>> =
+            self.sessions.lock().drain().map(|(_, s)| s).collect();
         for sess in sessions {
             let bound = {
                 let mut st = sess.state.lock();
@@ -399,19 +432,22 @@ impl<I, M> ServerShared<I, M> {
 }
 
 /// Per-connection routing state on the I/O thread.
-enum ConnMode<I> {
+enum ConnMode<I, M> {
     /// No frame seen yet: the first one must be a session handshake.
     Fresh,
     /// Attached to a session at a given epoch.
-    Session { sess: Arc<Session<I>>, epoch: u64 },
+    Session {
+        sess: Arc<Session<I, M>>,
+        epoch: u64,
+    },
 }
 
 /// One connection owned by the hub's source.
-struct Conn<I> {
+struct Conn<I, M> {
     stream: TcpStream,
     dec: FrameDecoder,
     tx: Arc<ConnTx>,
-    mode: ConnMode<I>,
+    mode: ConnMode<I, M>,
     /// Close once the output buffer drains (rejected handshakes answer
     /// before the socket goes).
     closing: bool,
@@ -434,7 +470,7 @@ struct HubIo<I, M> {
     shared: Arc<ServerShared<I, M>>,
     listener: TcpListener,
     listener_tok: usize,
-    conns: HashMap<u64, Conn<I>>,
+    conns: HashMap<u64, Conn<I, M>>,
     next_sweep: Instant,
     sweep_tick: Duration,
     /// Scratch list of connections to tear down, reused turn after turn.
@@ -494,9 +530,6 @@ where
     /// is full.
     fn close(&mut self, io: &mut Io<'_>, _panicked: bool) {
         self.shared.shutdown_hub();
-        let mut closing = Vec::new();
-        EVENT_REQ_ID.encode(&mut closing);
-        Event::<u64>::Closing.encode(&mut closing);
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in &ids {
             if let Some(conn) = self.conns.get_mut(id) {
@@ -512,7 +545,10 @@ where
                     continue;
                 }
                 let mut buf = conn.tx.buf.lock();
-                let _ = buf.push_frame(&closing);
+                let _ = buf.push_with(|out| {
+                    EVENT_REQ_ID.encode(out);
+                    Event::<u64>::Closing.encode(out);
+                });
                 if let Ok(false) = buf.flush_to(&mut conn.stream) {
                     let _ = conn.stream.set_nonblocking(false);
                     let _ = conn
@@ -695,8 +731,7 @@ where
                         epoch: 1,
                         last_seen: Instant::now(),
                         partitioned_until: None,
-                        done: HashMap::new(),
-                        in_flight: HashSet::new(),
+                        answers: HashMap::new(),
                         next_event_seq: 0,
                         events: VecDeque::new(),
                     }),
@@ -709,7 +744,7 @@ where
                 self.shared.session_respond(
                     &sess,
                     req_id,
-                    &Resp::Session {
+                    Resp::Session {
                         session: sid,
                         lease_ms: self.shared.lease_ms(),
                     },
@@ -729,8 +764,7 @@ where
         let Some(sess) = sess else {
             // Expired (or never existed): the spoke must degrade to
             // crashed-peer semantics. Answer, flush, then close.
-            self.shared
-                .respond(&conn.tx, req_id, &Resp::<I, M>::SessionExpired);
+            conn.tx.answer(req_id, &Resp::<I, M>::SessionExpired);
             conn.closing = true;
             return true;
         };
@@ -745,8 +779,7 @@ where
                     st.last_seen = now;
                     let remaining_ms = (until - now).as_millis().min(u64::MAX as u128);
                     drop(st);
-                    self.shared.respond(
-                        &conn.tx,
+                    conn.tx.answer(
                         req_id,
                         &Resp::<I, M>::Partitioned {
                             remaining_ms: remaining_ms as u64,
@@ -779,7 +812,7 @@ where
         self.shared.session_respond(
             &sess,
             req_id,
-            &Resp::Session {
+            Resp::Session {
                 session: sid,
                 lease_ms: self.shared.lease_ms(),
             },
@@ -793,10 +826,10 @@ where
         true
     }
 
-    /// One request on a session connection: every answer flows through
-    /// the replay cache (idempotent by request id); blocking operations
-    /// are submitted to the inner transport and answered by completion
-    /// callbacks to whatever connection is attached then.
+    /// One request on a session connection: every answer is kept in the
+    /// session's exactly-once table (idempotent by request id); blocking
+    /// operations are submitted to the inner transport and answered by
+    /// completion callbacks to whatever connection is attached then.
     fn handle_session(&mut self, id: u64, req_id: u64, req: Req<I, M>) -> bool {
         let ConnMode::Session { sess, .. } = (match self.conns.get(&id) {
             Some(c) => &c.mode,
@@ -809,31 +842,28 @@ where
         {
             let mut st = sess.state.lock();
             st.last_seen = Instant::now();
-            if let Some(cached) = st.done.get(&req_id) {
-                // Replayed and already applied: rewrite the recorded
-                // answer verbatim; never apply twice.
-                let payload = cached.clone();
-                write_to_session(&mut st, &payload);
-                return true;
-            }
-            if st.in_flight.contains(&req_id) {
+            match st.answers.get(&req_id) {
+                // Replayed and already applied: the recorded answer is
+                // re-encoded, the same bytes; never apply twice.
+                Some(Some(resp)) => {
+                    st.answer(req_id, resp);
+                    return true;
+                }
                 // Replayed while the submitted operation still runs; it
                 // will answer the current connection on completion.
-                return true;
+                Some(None) => return true,
+                None => {}
             }
         }
         match req {
             // A second handshake mid-session is protocol corruption.
             Req::HelloNew | Req::HelloResume(_) => return false,
             Req::Heartbeat { acked } => {
-                {
-                    let mut st = sess.state.lock();
-                    st.done.retain(|k, _| *k >= acked);
-                }
-                // Uncached: heartbeats are never replayed, and the
+                let mut st = sess.state.lock();
+                st.answers.retain(|k, v| *k >= acked || v.is_none());
+                // Unrecorded: heartbeats are never replayed, and the
                 // answer doubles as the hub → spoke lease renewal.
-                shared.session_write_uncached(
-                    &sess,
+                st.answer(
                     req_id,
                     &Resp::Session {
                         session: sess.id,
@@ -843,22 +873,18 @@ where
             }
             Req::SubscribeFrom { seq } => {
                 // Atomically: mark subscribed, replay the buffered tail
-                // as one batched frame, ack — all under the state lock,
-                // so no event broadcast can interleave and break
+                // in as few frames as fit it, ack — all under the state
+                // lock, so no event broadcast can interleave and break
                 // gaplessness.
                 let mut st = sess.state.lock();
                 st.subscribed = true;
                 st.event_resync = false;
                 // The buffer is in sequence order: the tail is a suffix.
                 let skip = st.events.partition_point(|(s, _)| *s <= seq);
-                if let Some(&(first_seq, _)) = st.events.get(skip) {
-                    let mut payload = Vec::new();
-                    EVENT_REQ_ID.encode(&mut payload);
-                    let tail = st.events.range(skip..).map(|(_, item)| item);
-                    Event::encode_stream(first_seq, tail, &mut payload);
-                    write_to_session(&mut st, &payload);
+                if let Some(tx) = &st.writer {
+                    tx.push_stream(&st.events, skip);
                 }
-                write_to_session(&mut st, &encode_answer(req_id, &Resp::<I, M>::Unit));
+                st.answer(req_id, &Resp::<I, M>::Unit);
             }
             Req::Cast(steps) => {
                 {
@@ -878,7 +904,7 @@ where
                     }
                 }
                 shared.inner.cast(&steps);
-                shared.session_respond(&sess, req_id, &Resp::Unit);
+                shared.session_respond(&sess, req_id, Resp::Unit);
             }
             Req::Send {
                 from,
@@ -886,7 +912,7 @@ where
                 msg,
                 timeout_ms,
             } => {
-                sess.state.lock().in_flight.insert(req_id);
+                sess.state.lock().answers.insert(req_id, None);
                 let done_shared = Arc::clone(&self.shared);
                 let done_sess = Arc::clone(&sess);
                 let done: script_chan::SendDone<I> = Box::new(move |result| {
@@ -894,7 +920,7 @@ where
                         Ok(()) => Resp::Unit,
                         Err(e) => Resp::ChanErr(e),
                     };
-                    done_shared.session_respond(&done_sess, req_id, &resp);
+                    done_shared.session_respond(&done_sess, req_id, resp);
                 });
                 if let Err((_, done)) = Arc::clone(&shared.inner).submit_send(
                     &from,
@@ -912,7 +938,7 @@ where
                 arms,
                 timeout_ms,
             } => {
-                sess.state.lock().in_flight.insert(req_id);
+                sess.state.lock().answers.insert(req_id, None);
                 let done_shared = Arc::clone(&self.shared);
                 let done_sess = Arc::clone(&sess);
                 let done: script_chan::SelectDone<I, M> = Box::new(move |result| {
@@ -920,7 +946,7 @@ where
                         Ok(outcome) => Resp::Selected(outcome),
                         Err(e) => Resp::ChanErr(e),
                     };
-                    done_shared.session_respond(&done_sess, req_id, &resp);
+                    done_shared.session_respond(&done_sess, req_id, resp);
                 });
                 if let Err((_, done)) = Arc::clone(&shared.inner).submit_select(
                     &me,
@@ -933,7 +959,7 @@ where
             }
             other => {
                 let resp = shared.apply_simple(other);
-                shared.session_respond(&sess, req_id, &resp);
+                shared.session_respond(&sess, req_id, resp);
             }
         }
         true
@@ -1024,28 +1050,13 @@ where
         }
     }
 
-    /// Queues one `(req_id, resp)` frame on a connection's output
-    /// buffer; the I/O thread flushes it before it next parks.
-    fn respond(&self, tx: &ConnTx, req_id: u64, resp: &Resp<I, M>) {
-        tx.push(&encode_answer(req_id, resp));
-    }
-
-    /// Records `resp` in the session's replay cache, then queues it on
-    /// the currently attached connection, if any. A severed session
-    /// simply accumulates answers for the eventual replay.
-    fn session_respond(&self, sess: &Session<I>, req_id: u64, resp: &Resp<I, M>) {
-        let payload = encode_answer(req_id, resp);
+    /// Queues `resp` on the currently attached connection, if any, and
+    /// records it in the session's exactly-once table: a severed
+    /// session simply accumulates answers for the eventual replay.
+    fn session_respond(&self, sess: &Session<I, M>, req_id: u64, resp: Resp<I, M>) {
         let mut st = sess.state.lock();
-        st.in_flight.remove(&req_id);
-        write_to_session(&mut st, &payload);
-        st.done.insert(req_id, payload);
-    }
-
-    /// Writes a response without caching it (heartbeats: never
-    /// replayed, pruned nowhere).
-    fn session_write_uncached(&self, sess: &Session<I>, req_id: u64, resp: &Resp<I, M>) {
-        let payload = encode_answer(req_id, resp);
-        write_to_session(&mut sess.state.lock(), &payload);
+        st.answer(req_id, &resp);
+        st.answers.insert(req_id, Some(resp));
     }
 
     /// Appends one item to every subscribed session's sequenced event
@@ -1070,12 +1081,8 @@ where
             if st.events.len() > EVENT_BUFFER_CAP {
                 st.events.pop_front();
             }
-            if !st.event_resync {
-                let mut payload = Vec::with_capacity(ANSWER_CAPACITY);
-                EVENT_REQ_ID.encode(&mut payload);
-                let pushed = st.events.back().map(|(_, item)| item);
-                Event::encode_stream(seq, pushed.into_iter(), &mut payload);
-                write_to_session(&mut st, &payload);
+            if let (false, Some(tx)) = (st.event_resync, &st.writer) {
+                tx.push_stream(&st.events, st.events.len() - 1);
             }
         }
     }
@@ -1096,7 +1103,8 @@ where
         // schedule replays identically on any transport — only the
         // enactment is connection-specific.
         if matches!(rec.kind, FaultKind::Sever | FaultKind::Partition) {
-            let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
+            let sessions: Vec<Arc<Session<I, M>>> =
+                self.sessions.lock().values().cloned().collect();
             let target = sessions
                 .iter()
                 .find(|s| s.state.lock().bound.contains(&rec.from))
@@ -1154,7 +1162,7 @@ where
     /// and the expiry is surfaced to hub-local session observers.
     fn sweep_expired(&self) {
         let now = Instant::now();
-        let expired: Vec<Arc<Session<I>>> = {
+        let expired: Vec<Arc<Session<I, M>>> = {
             let mut sessions = self.sessions.lock();
             let ids: Vec<u64> = sessions
                 .iter()
@@ -1182,23 +1190,12 @@ where
     }
 }
 
-/// Bytes reserved for an encoded answer or event frame: covers the
-/// request id, the tag and a short payload, so the common answers are
-/// encoded without a regrowth.
-const ANSWER_CAPACITY: usize = 128;
-
-/// Encodes one `(req_id, resp)` answer frame.
-fn encode_answer<I: Wire, M: Wire>(req_id: u64, resp: &Resp<I, M>) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(ANSWER_CAPACITY);
-    req_id.encode(&mut payload);
-    resp.encode(&mut payload);
-    payload
-}
-
-/// Queues `payload` on the session's attached connection, if any.
-fn write_to_session<I>(st: &mut SessionState<I>, payload: &[u8]) {
-    if let Some(tx) = st.writer.as_ref() {
-        tx.push(payload);
+impl<I: Wire, M: Wire> SessionState<I, M> {
+    /// Queues one answer on the attached connection, if any.
+    fn answer(&self, req_id: u64, resp: &Resp<I, M>) {
+        if let Some(tx) = &self.writer {
+            tx.answer(req_id, resp);
+        }
     }
 }
 

@@ -235,9 +235,10 @@ impl<T: Wire> Wire for Vec<T> {
         if len > MAX_FRAME as u64 {
             return Err(WireError::Oversized(len));
         }
-        // Grown per element: the count is attacker-controlled, the
-        // remaining bytes are not.
-        let mut out = Vec::new();
+        // The count is attacker-controlled, the remaining bytes are
+        // not: reserve no more elements than there are bytes left (each
+        // takes one at least), and at most 64 up front.
+        let mut out = Vec::with_capacity((len as usize).min(r.remaining()).min(64));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -313,6 +314,16 @@ mod tests {
         let mut evil = Vec::new();
         (MAX_FRAME as u64).encode(&mut evil); // plausible count, no elements
         assert_eq!(Vec::<u64>::from_bytes(&evil), Err(WireError::Truncated));
+    }
+
+    /// A list the frame can hold is allocated once, at its length.
+    #[test]
+    fn a_short_list_is_decoded_without_regrowth() {
+        for n in [0usize, 1, 5, 64] {
+            let list: Vec<u64> = (0..n as u64).collect();
+            let got = Vec::<u64>::from_bytes(&list.to_bytes()).unwrap();
+            assert_eq!((got.len(), got.capacity()), (n, n));
+        }
     }
 
     #[test]

@@ -98,12 +98,14 @@ fn activate(t: &Arc<dyn Transport<RoleId, String>>) {
 
 /// A streamed rendezvous over one loopback hub and spoke: both ends on
 /// the spoke, so it is a `Send` and a `Select` request, their answers,
-/// and the hub's in-process rendezvous between them. 11.0 measured;
-/// 12.0 before the kernel kept a selection's arm list, 24.6 before
-/// frames were decoded in place, peer names shared, answer slots reused
-/// and a selection's scan order kept on the stack.
+/// and the hub's in-process rendezvous between them. 7.0 measured;
+/// 11.0 while each request and answer was encoded into a buffer of its
+/// own and kept as bytes for replay, 12.0 before the kernel kept a
+/// selection's arm list, 24.6 before frames were decoded in place, peer
+/// names shared, answer slots reused and a selection's scan order kept
+/// on the stack.
 #[test]
-fn a_streamed_rendezvous_allocates_at_most_14_times() {
+fn a_streamed_rendezvous_allocates_at_most_8_times() {
     let _serial = serial();
     let inner: Arc<dyn Transport<RoleId, String>> = Arc::new(ShardedTransport::new(false, None));
     let hub = TransportServer::bind("127.0.0.1:0", inner).expect("bind");
@@ -112,7 +114,7 @@ fn a_streamed_rendezvous_allocates_at_most_14_times() {
     activate(&spoke);
     let allocs = per_rendezvous(&spoke);
     println!("allocations per streamed rendezvous: {allocs:.2}");
-    assert!(allocs <= 14.0, "{allocs:.2} allocations per rendezvous");
+    assert!(allocs <= 8.0, "{allocs:.2} allocations per rendezvous");
 }
 
 /// The same rendezvous in process: the message and the arms — 2.00

@@ -986,3 +986,174 @@ fn dropped_hub_flushes_closing_before_its_sockets_close() {
     }
     assert!(closing_seen, "the socket closed without a goodbye");
 }
+
+/// A session's replay answers are kept typed and encoded again for a
+/// replay: on a resumed connection a replayed request gets the very
+/// bytes its first answer had, and nothing is applied twice — not a
+/// cast already applied, nor a selection still submitted when the
+/// connection went, which answers once, on the connection attached when
+/// it fires.
+#[test]
+fn a_replayed_request_is_answered_with_the_same_bytes() {
+    use std::net::TcpStream;
+
+    use script_net::proto::Resp;
+    use script_net::{read_frame, write_frame, Reader};
+
+    let server = hub();
+    let inner = server.inner();
+    let (a, b) = ("a".to_string(), "b".to_string());
+    let write = |raw: &mut TcpStream, req_id: u64, req: &Req<String, u64>| {
+        let mut frame = Vec::new();
+        req_id.encode(&mut frame);
+        req.encode(&mut frame);
+        write_frame(raw, &frame).expect("write");
+    };
+    // The next answer frame, whole, with its request id.
+    let answer = |raw: &mut TcpStream| {
+        let frame = read_frame(raw).expect("read").expect("an answer");
+        (u64::decode(&mut Reader::new(&frame)).expect("id"), frame)
+    };
+    let dial = |hello: Req<String, u64>, req_id: u64| {
+        let mut raw = TcpStream::connect(server.local_addr()).expect("raw dial");
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        write(&mut raw, req_id, &hello);
+        let (id, frame) = answer(&mut raw);
+        assert_eq!(id, req_id);
+        let mut r = Reader::new(&frame[8..]);
+        match Resp::<String, u64>::decode(&mut r).expect("hello answer") {
+            Resp::Session { session, .. } => (raw, session),
+            other => panic!("{other:?}"),
+        }
+    };
+
+    inner.declare(b.clone());
+    let (mut raw, sid) = dial(Req::HelloNew, 1);
+    let cast = Req::Cast(vec![CastStep::Activate(a.clone())]);
+    let before = inner.activity();
+    write(&mut raw, 2, &cast);
+    let (id, first) = answer(&mut raw);
+    assert_eq!(id, 2);
+    let select = Req::Select {
+        me: a.clone(),
+        arms: vec![Arm::recv_from(b.clone())],
+        timeout_ms: None,
+    };
+    write(&mut raw, 3, &select);
+    // Frames are handled in order: once this is answered the selection
+    // is submitted.
+    write(&mut raw, 4, &Req::IsAborted);
+    assert_eq!(answer(&mut raw).0, 4);
+    let applied = inner.activity();
+    assert_eq!(applied - before, 1, "the cast applied its one step");
+    drop(raw);
+
+    let (mut raw, resumed) = dial(Req::HelloResume(sid), 5);
+    assert_eq!(resumed, sid);
+    write(&mut raw, 2, &cast);
+    write(&mut raw, 3, &select);
+    write(&mut raw, 6, &Req::IsAborted);
+    let (id, replayed) = answer(&mut raw);
+    assert_eq!(id, 2);
+    assert_eq!(replayed, first, "the replay's answer, byte for byte");
+    assert_eq!(answer(&mut raw).0, 6, "the submitted selection is quiet");
+    assert_eq!(inner.activity(), applied, "nothing applied twice");
+
+    inner.activate(b.clone());
+    inner
+        .send(&b, &a, 5, far())
+        .expect("the selection receives");
+    let (id, selected) = answer(&mut raw);
+    assert_eq!(id, 3, "the selection answers on the new connection");
+    assert!(matches!(
+        Resp::<String, u64>::decode(&mut Reader::new(&selected[8..])),
+        Ok(Resp::Selected(Outcome::Received { msg: 5, .. }))
+    ));
+    let err = inner
+        .send(&b, &a, 6, Some(Instant::now() + Duration::from_millis(200)))
+        .expect_err("no second selection was submitted");
+    assert_eq!(err, ChanError::Timeout);
+    drop(raw);
+
+    // And a typed answer with a message in it comes back the same too.
+    let (mut raw, _) = dial(Req::HelloResume(sid), 7);
+    write(&mut raw, 3, &select);
+    assert_eq!(answer(&mut raw), (3, selected));
+}
+
+/// A resumed subscriber gets the whole tail it missed, however long:
+/// a tail over one frame's worth of bytes crosses as several
+/// consecutive `SeqStream` frames, each within `MAX_FRAME`, and the
+/// spoke dispatches every event exactly once.
+#[test]
+fn a_resume_tail_longer_than_a_frame_arrives_whole() {
+    const RENDEZVOUS: usize = 6_000;
+    const LABEL: usize = 200;
+    let inner: Arc<dyn Transport<String, u64>> =
+        Arc::new(ShardedTransport::new(false, Some(0x5eed)));
+    let server = TransportServer::bind_with_lease("127.0.0.1:0", inner, Duration::from_secs(10))
+        .expect("bind");
+    server.set_message_labeler(|_| Some("#".repeat(LABEL)));
+    let inner = server.inner();
+    let client = spoke(&server);
+    let seen: Log<usize> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    client.observe(Observers {
+        rendezvous: Some((
+            Arc::new(move |rec| {
+                let label = rec.label.as_ref().map_or(0, String::len);
+                sink.lock().unwrap().push(label);
+            }),
+            |_| None,
+        )),
+        ..Observers::default()
+    });
+    let [s, h, x, y] = ["s", "h", "x", "y"].map(String::from);
+    client.activate(s.clone());
+    // The documented barrier: the activation and the subscription are
+    // applied before the hub is used directly.
+    assert!(client.peer_state(&s).is_some());
+    for id in [&h, &x, &y] {
+        inner.activate(id.clone());
+    }
+
+    // A send to the spoke's id partitions the spoke off for 1.5 s.
+    inner.set_fault_plan(
+        FaultPlan::new(1).with_partition(1.0, Duration::from_millis(1500)),
+        |m| *m,
+    );
+    let err = inner
+        .send(&h, &s, 0, Some(Instant::now() + Duration::from_millis(5)))
+        .expect_err("s never receives");
+    assert_eq!(err, ChanError::Timeout);
+    inner.clear_fault_plan();
+
+    // Meanwhile, well over a frame's worth of labelled rendezvous.
+    let sender = thread::spawn({
+        let (inner, x, y) = (Arc::clone(&inner), x.clone(), y.clone());
+        move || {
+            for i in 0..RENDEZVOUS as u64 {
+                inner.send(&x, &y, i, far()).expect("hub-local send");
+            }
+        }
+    });
+    for _ in 0..RENDEZVOUS {
+        inner
+            .select(&y, vec![Arm::recv_from(x.clone())], far())
+            .expect("hub-local receive");
+    }
+    sender.join().expect("sender thread");
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while seen.lock().unwrap().len() < RENDEZVOUS && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(10));
+    }
+    let seen = seen.lock().unwrap();
+    assert_eq!(
+        seen.len(),
+        RENDEZVOUS,
+        "every missed rendezvous arrived once"
+    );
+    assert!(seen.iter().all(|&label| label == LABEL));
+    assert!(!client.is_lost(), "the session resumed");
+}
