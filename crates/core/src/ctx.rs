@@ -293,7 +293,10 @@ impl<M: Send + Clone + 'static> RoleCtx<M> {
 
     /// Guarded selection (CSP alternative command) over the enabled
     /// guards: blocks until one can fire, fires exactly one (chosen
-    /// fairly among the ready alternatives), and reports it.
+    /// fairly among the ready alternatives), and reports it. `guards`
+    /// is anything that yields them — a `Vec`, an array, an iterator —
+    /// and a reported `guard` index counts every guard it yielded,
+    /// disabled ones included.
     ///
     /// # Errors
     ///
@@ -302,8 +305,11 @@ impl<M: Send + Clone + 'static> RoleCtx<M> {
     ///   [`ScriptError::RoleUnavailable`] when no enabled guard can ever
     ///   fire,
     /// * abort/timeout/addressing errors as for [`RoleCtx::send`].
-    pub fn select(&self, guards: Vec<Guard<M>>) -> Result<Event<M>, ScriptError> {
-        self.select_inner(guards, self.deadline)
+    pub fn select(
+        &self,
+        guards: impl IntoIterator<Item = Guard<M>>,
+    ) -> Result<Event<M>, ScriptError> {
+        self.select_inner(guards.into_iter(), self.deadline)
     }
 
     /// [`RoleCtx::select`] with a per-operation timeout.
@@ -313,27 +319,28 @@ impl<M: Send + Clone + 'static> RoleCtx<M> {
     /// As [`RoleCtx::select`].
     pub fn select_timeout(
         &self,
-        guards: Vec<Guard<M>>,
+        guards: impl IntoIterator<Item = Guard<M>>,
         timeout: Duration,
     ) -> Result<Event<M>, ScriptError> {
-        self.select_inner(guards, self.deadline_for(Some(timeout)))
+        self.select_inner(guards.into_iter(), self.deadline_for(Some(timeout)))
     }
 
     fn select_inner(
         &self,
-        guards: Vec<Guard<M>>,
+        guards: impl Iterator<Item = Guard<M>>,
         deadline: Option<Instant>,
     ) -> Result<Event<M>, ScriptError> {
-        // Arm `k` is guard `k` unless a guard is disabled; only then is
-        // the map from arms back to guards written down.
-        let index_map: Option<Vec<usize>> = guards
-            .iter()
-            .any(|g| !g.enabled)
-            .then(|| (0..guards.len()).filter(|&i| guards[i].enabled).collect());
-        let mut arms = Vec::with_capacity(index_map.as_ref().map_or(guards.len(), Vec::len));
-        for g in guards {
+        // Arm `k` is guard `k` until a guard is disabled; only from then
+        // on is the map from arms back to guards written down.
+        let mut arms = Vec::with_capacity(guards.size_hint().0);
+        let mut index_map: Option<Vec<usize>> = None;
+        for (i, g) in guards.enumerate() {
             if !g.enabled {
+                index_map.get_or_insert_with(|| (0..i).collect());
                 continue;
+            }
+            if let Some(map) = &mut index_map {
+                map.push(i);
             }
             arms.push(match g.kind {
                 GuardKind::Recv(Some(role)) => {
@@ -413,6 +420,102 @@ impl<M: Send + Clone + 'static> RoleCtx<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Script;
+
+    /// One performance of a two-role script: `peer` sends 7 to `sel`,
+    /// and `sel` returns what `choose` makes of its context.
+    fn with_peer<O: Send + 'static>(
+        choose: impl Fn(&mut RoleCtx<u8>) -> Result<O, ScriptError> + Send + Sync + 'static,
+    ) -> Result<O, ScriptError> {
+        let mut b = Script::<u8>::builder("select");
+        let sel = b.role("sel", move |ctx, ()| choose(ctx));
+        let peer = b.role("peer", |ctx, ()| ctx.send(&RoleId::new("sel"), 7));
+        let inst = b.build().expect("a well-formed script").instance();
+        std::thread::scope(|s| {
+            // The peer's send fails once `sel` leaves without taking it.
+            s.spawn(|| inst.enroll(&peer, ()));
+            inst.enroll(&sel, ())
+        })
+    }
+
+    fn received(guard: usize) -> Event<u8> {
+        Event::Received {
+            guard,
+            from: RoleId::new("peer"),
+            msg: 7,
+        }
+    }
+
+    #[test]
+    fn a_disabled_guard_anywhere_keeps_the_reported_index() {
+        // Only the receive can fire: the peer terminates only once its
+        // message is taken, so the watch waits behind it.
+        for disabled in 0..3 {
+            for recv_first in [true, false] {
+                let got = with_peer(move |ctx| {
+                    let mut live = if recv_first {
+                        [Guard::recv_from("peer"), Guard::watch("peer")]
+                    } else {
+                        [Guard::watch("peer"), Guard::recv_from("peer")]
+                    }
+                    .into_iter();
+                    ctx.select((0..3).map(|i| {
+                        if i == disabled {
+                            Guard::recv_any().when(false)
+                        } else {
+                            live.next().expect("two live guards")
+                        }
+                    }))
+                });
+                let recv_at = match (recv_first, disabled) {
+                    (true, 0) => 1,
+                    (true, _) => 0,
+                    (false, 2) => 1,
+                    (false, _) => 2,
+                };
+                assert_eq!(got, Ok(received(recv_at)), "disabled {disabled}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_guard_disabled_is_no_enabled_guards() {
+        let got = with_peer(|ctx| {
+            ctx.select([
+                Guard::recv_from("peer").when(false),
+                Guard::recv_any().when(false),
+                Guard::watch("peer").when(false),
+            ])
+        });
+        assert_eq!(got, Err(ScriptError::NoEnabledGuards));
+        let got = with_peer(|ctx| ctx.select(std::iter::empty()));
+        assert_eq!(got, Err(ScriptError::NoEnabledGuards));
+    }
+
+    #[test]
+    fn a_vec_an_array_and_an_iterator_all_select() {
+        let got = with_peer(|ctx| ctx.select(vec![Guard::watch("peer"), Guard::recv_any()]));
+        assert_eq!(got, Ok(received(1)));
+        let got = with_peer(|ctx| ctx.select([Guard::recv_from("peer")]));
+        assert_eq!(got, Ok(received(0)));
+        // A size hint that is not exact, disabled guards filtered out
+        // before the selection sees them.
+        let got = with_peer(|ctx| {
+            let guards = [Guard::recv_any().when(false), Guard::recv_from("peer")];
+            ctx.select(guards.into_iter().filter(|g| g.enabled))
+        });
+        assert_eq!(got, Ok(received(0)));
+        let got = with_peer(|ctx| {
+            ctx.select_timeout(
+                (0..2).map(|_| Guard::recv_from("peer")),
+                Duration::from_secs(10),
+            )
+        });
+        assert!(
+            matches!(got, Ok(Event::Received { guard: 0 | 1, .. })),
+            "{got:?}"
+        );
+    }
 
     #[test]
     fn guard_conditions_disable() {

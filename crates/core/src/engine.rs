@@ -87,8 +87,9 @@ const RETIRED_KERNELS: usize = 2;
 #[derive(Debug, Clone)]
 pub(crate) enum RoleRef {
     Concrete(RoleId),
-    /// Auto-indexed member of the named open family.
-    NextOf(String),
+    /// Auto-indexed member of the open family this unindexed id names
+    /// (spelled from a known name, it shares that name's allocation).
+    NextOf(RoleId),
 }
 
 enum Outcome<M> {
@@ -224,6 +225,9 @@ struct FrontEnd<M> {
     pending: Vec<PendingSlot<M>>,
     /// Kernels of retired performances, oldest first, for reuse.
     retired: Vec<Arc<ShardedTransport<RoleId, M>>>,
+    /// The one cast run being built under the front lock — at open, in
+    /// an admission pass, at a seal — emptied once the network has it.
+    steps: Vec<CastStep<RoleId>>,
     /// Performances retired since the front lock was taken, whose
     /// phase-4 waiters [`Engine::release`] wakes once it is let go.
     finalized: Vec<Arc<PerfShard<M>>>,
@@ -340,6 +344,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 live: Vec::new(),
                 pending: Vec::new(),
                 retired: Vec::new(),
+                steps: Vec::new(),
                 finalized: Vec::new(),
                 closed: false,
                 watchdog: None,
@@ -577,10 +582,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
         if ss.frozen || ss.done {
             return;
         }
-        let mut steps = Vec::new();
-        Self::freeze(&self.spec, &mut ss, &mut steps);
+        Self::freeze(&self.spec, &mut ss, &mut fe.steps);
         // Under both locks: a write, not a wait (module docs).
-        shard.net.cast(&steps);
+        shard.net.cast(&fe.steps);
+        fe.steps.clear();
         self.emit_script(shard, || ScriptEvent::CastFrozen {
             performance: PerformanceId(shard.seq),
         });
@@ -601,13 +606,15 @@ impl<M: Send + Clone + 'static> Engine<M> {
 
     /// The full enrollment path: queue, get admitted, run the role body
     /// on this thread, finish, and (for delayed termination) wait for the
-    /// whole cast.
+    /// whole cast. `params` and `result` are the enroller's own
+    /// `Option<P>` and `Option<O>` (see `ErasedBody`).
     pub(crate) fn enroll_erased(
         self: &Arc<Self>,
         role: RoleRef,
-        params: Box<dyn Any + Send>,
+        params: &mut dyn Any,
+        result: &mut dyn Any,
         options: Enrollment,
-    ) -> Result<Box<dyn Any + Send>, ScriptError> {
+    ) -> Result<(), ScriptError> {
         let deadline = options.deadline.map(|d| d.resolve());
         let process = options.process.unwrap_or_else(ProcessId::anonymous);
         self.validate_role_ref(&role)?;
@@ -626,7 +633,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 TelemetryPayload::Script(ScriptEvent::EnrollmentQueued {
                     role: match &role {
                         RoleRef::Concrete(id) => id.clone(),
-                        RoleRef::NextOf(family) => RoleId::new(family),
+                        RoleRef::NextOf(family) => family.clone(),
                     },
                     process: process.clone(),
                 })
@@ -723,7 +730,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             process,
             deadline,
         );
-        let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx, params)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx, params, result)));
         drop(ctx);
 
         // Phase 3: finish the role on the shard alone; only the thread
@@ -804,9 +811,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
     fn validate_role_ref(&self, role: &RoleRef) -> Result<(), ScriptError> {
         match role {
             RoleRef::Concrete(id) => self.spec.validate_role_id(id),
-            RoleRef::NextOf(family) => match self.spec.role_def(family).map(|d| d.family) {
+            RoleRef::NextOf(family) => match self.spec.role_def(family.name()).map(|d| d.family) {
                 Some(Some(FamilySize::Open { .. })) => Ok(()),
-                _ => Err(ScriptError::UnknownRole(RoleId::new(family))),
+                _ => Err(ScriptError::UnknownRole(family.clone())),
             },
         }
     }
@@ -892,15 +899,15 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 let mut ss = shard.state.lock();
                 // Whatever this pass admits and, if that completes a
                 // critical set, the freeze: one run.
-                let mut steps = Vec::new();
                 let first_new = ss.cast.len();
-                Self::admit_pending(&self.spec, &shard, &mut ss, &mut fe.pending, &mut steps);
+                Self::admit_pending(&self.spec, &shard, &mut ss, &mut fe.pending, &mut fe.steps);
                 let froze = Self::covers_critical(&self.spec, &ss);
                 if froze {
-                    Self::freeze(&self.spec, &mut ss, &mut steps);
+                    Self::freeze(&self.spec, &mut ss, &mut fe.steps);
                 }
                 // Under both locks: a write, not a wait (module docs).
-                shard.net.cast(&steps);
+                shard.net.cast(&fe.steps);
+                fe.steps.clear();
                 for (role, process, _) in &ss.cast[first_new..] {
                     self.emit_script(&shard, || ScriptEvent::RoleAdmitted {
                         performance: PerformanceId(seq),
@@ -1016,7 +1023,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             }))
         });
         let telemetry_live = self.telemetry_on();
-        let roles = self.spec.fixed_role_ids().len();
+        let roles = self.spec.cast_room();
         let shard = Arc::new(PerfShard {
             seq,
             net,
@@ -1120,9 +1127,14 @@ impl<M: Send + Clone + 'static> Engine<M> {
             // The whole cast is bound in one run: declare the script's
             // roles, activate the admitted ones, and — delayed
             // initiation admits its cast complete — freeze.
-            let fixed = self.spec.fixed_role_ids();
-            let mut steps = Vec::with_capacity(2 * fixed.len() + 1);
-            steps.extend(fixed.iter().cloned().map(CastStep::Declare));
+            let steps = &mut fe.steps;
+            steps.extend(
+                self.spec
+                    .fixed_role_ids()
+                    .iter()
+                    .cloned()
+                    .map(CastStep::Declare),
+            );
             for i in admitted {
                 let slot = &mut fe.pending[i];
                 let RoleRef::Concrete(role) = &slot.role else {
@@ -1139,12 +1151,13 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 };
             }
             if delayed {
-                Self::freeze(&self.spec, &mut ss, &mut steps);
+                Self::freeze(&self.spec, &mut ss, steps);
             }
             // Under both locks, like the reseed, the fault plan and the
             // observers' subscription above: writes, not waits — beyond
             // a socket-backed network's first dial (module docs).
-            shard.net.cast(&steps);
+            shard.net.cast(steps);
+            steps.clear();
             for (role, process, _) in &ss.cast {
                 self.emit_script(&shard, || ScriptEvent::RoleAdmitted {
                     performance: PerformanceId(seq),
@@ -1304,6 +1317,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                         id.clone()
                     }
                     RoleRef::NextOf(family) => {
+                        let family = family.name();
                         let max = match spec.role_def(family).map(|d| d.family) {
                             Some(Some(FamilySize::Open { max })) => max,
                             _ => continue,

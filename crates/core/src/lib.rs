@@ -81,7 +81,6 @@ mod policy;
 mod retry;
 mod spec;
 
-use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -336,19 +335,18 @@ impl<M: Send + Clone + 'static> Instance<M> {
         &self.engine.spec.name
     }
 
-    fn run<O: Send + 'static>(
+    /// Enrolls with the parameters and the result in slots on this
+    /// stack: the role body takes the one and fills the other.
+    fn run<P: Send + 'static, O: Send + 'static>(
         &self,
         role: RoleRef,
-        params: Box<dyn Any + Send>,
+        params: P,
         options: Enrollment,
     ) -> Result<O, ScriptError> {
-        let out = self.engine.enroll_erased(role, params, options)?;
-        out.downcast::<O>()
-            .map(|b| *b)
-            .map_err(|_| ScriptError::ParamType {
-                role: RoleId::new("<output>"),
-                expected: std::any::type_name::<O>(),
-            })
+        let (mut params, mut result) = (Some(params), None::<O>);
+        self.engine
+            .enroll_erased(role, &mut params, &mut result, options)?;
+        Ok(result.expect("a role body that returns Ok fills its result"))
     }
 
     /// Enrolls in a singleton role with default options (anonymous
@@ -389,11 +387,7 @@ impl<M: Send + Clone + 'static> Instance<M> {
         P: Send + 'static,
         O: Send + 'static,
     {
-        self.run(
-            RoleRef::Concrete(role.id.clone()),
-            Box::new(params),
-            options,
-        )
+        self.run(RoleRef::Concrete(role.id.clone()), params, options)
     }
 
     /// Enrolls as member `index` of a role family.
@@ -431,11 +425,7 @@ impl<M: Send + Clone + 'static> Instance<M> {
         P: Send + 'static,
         O: Send + 'static,
     {
-        self.run(
-            RoleRef::Concrete(family.at(index)),
-            Box::new(params),
-            options,
-        )
+        self.run(RoleRef::Concrete(family.at(index)), params, options)
     }
 
     /// Enrolls as the next free member of an *open* family (the index is
@@ -473,11 +463,7 @@ impl<M: Send + Clone + 'static> Instance<M> {
         P: Send + 'static,
         O: Send + 'static,
     {
-        self.run(
-            RoleRef::NextOf(family.name.clone()),
-            Box::new(params),
-            options,
-        )
+        self.run(RoleRef::NextOf(RoleId::new(&family.name)), params, options)
     }
 
     /// Freezes the cast of the current performance: unfilled roles become

@@ -27,11 +27,14 @@ pub enum FamilySize {
 /// `(family, minimum count)` requirements for `FamilyAtLeast` entries.
 pub(crate) type ExpandedCritical = (BTreeSet<RoleId>, Vec<(String, usize)>);
 
-/// Type-erased role body: `(ctx, boxed params) -> boxed output`.
+/// The most members of one bounded open family a performance's cast
+/// table is presized for.
+const OPEN_ROOM: usize = 64;
+
+/// Type-erased role body: `(ctx, params, result)`, where `params` is the
+/// enroller's `Option<P>`, taken, and `result` its `Option<O>`, filled.
 pub(crate) type ErasedBody<M> = Arc<
-    dyn Fn(&mut RoleCtx<M>, Box<dyn Any + Send>) -> Result<Box<dyn Any + Send>, ScriptError>
-        + Send
-        + Sync,
+    dyn Fn(&mut RoleCtx<M>, &mut dyn Any, &mut dyn Any) -> Result<(), ScriptError> + Send + Sync,
 >;
 
 /// One role (or role family) declaration.
@@ -68,6 +71,8 @@ pub(crate) struct ScriptSpec<M> {
     fixed_ids: Vec<RoleId>,
     /// [`ScriptSpec::expanded_critical`], computed at build.
     expanded: Vec<ExpandedCritical>,
+    /// [`ScriptSpec::cast_room`], computed at build.
+    cast_room: usize,
 }
 
 impl<M> ScriptSpec<M> {
@@ -79,6 +84,12 @@ impl<M> ScriptSpec<M> {
     /// contribute none).
     pub(crate) fn fixed_role_ids(&self) -> &[RoleId] {
         &self.fixed_ids
+    }
+
+    /// The room a performance's cast table is presized to: every fixed
+    /// role, and each bounded open family's members up to `OPEN_ROOM`.
+    pub(crate) fn cast_room(&self) -> usize {
+        self.cast_room
     }
 
     pub(crate) fn has_open_family(&self) -> bool {
@@ -171,12 +182,21 @@ impl<M: Send + Clone + 'static> ScriptBuilder<M> {
         O: Send + 'static,
         F: Fn(&mut RoleCtx<M>, P) -> Result<O, ScriptError> + Send + Sync + 'static,
     {
-        Arc::new(move |ctx, boxed| {
-            let params = boxed.downcast::<P>().map_err(|_| ScriptError::ParamType {
-                role: ctx.role().clone(),
-                expected: std::any::type_name::<P>(),
-            })?;
-            body(ctx, *params).map(|o| Box::new(o) as Box<dyn Any + Send>)
+        Arc::new(move |ctx, params, result| {
+            let Some(params) = params.downcast_mut::<Option<P>>().and_then(Option::take) else {
+                return Err(ScriptError::ParamType {
+                    role: ctx.role().clone(),
+                    expected: std::any::type_name::<P>(),
+                });
+            };
+            let Some(result) = result.downcast_mut::<Option<O>>() else {
+                return Err(ScriptError::ParamType {
+                    role: RoleId::new("<output>"),
+                    expected: std::any::type_name::<O>(),
+                });
+            };
+            *result = Some(body(ctx, params)?);
+            Ok(())
         })
     }
 
@@ -399,12 +419,21 @@ impl<M: Send + Clone + 'static> ScriptBuilder<M> {
             _ => None,
         };
         let expanded = critical.iter().map(|cs| cs.expand(&sizes)).collect();
+        let open_room: usize = self
+            .roles
+            .iter()
+            .map(|def| match def.family {
+                Some(FamilySize::Open { max: Some(m) }) => m.min(OPEN_ROOM),
+                _ => 0,
+            })
+            .sum();
         Ok(crate::Script::from_spec(ScriptSpec {
             name: self.name,
             roles: self.roles,
             initiation: self.initiation,
             termination: self.termination,
             critical,
+            cast_room: fixed_ids.len() + open_room,
             fixed_ids,
             expanded,
         }))
@@ -523,6 +552,33 @@ mod tests {
         assert!(spec.validate_role_id(&RoleId::new("f")).is_err());
         assert!(spec.validate_role_id(&RoleId::indexed("a", 0)).is_err());
         assert!(spec.validate_role_id(&RoleId::new("ghost")).is_err());
+    }
+
+    #[test]
+    fn a_handle_of_other_types_is_a_param_type_error() {
+        let mut b = Script::<u8>::builder("typed");
+        let typed: RoleHandle<u8, u64, u64> = b.role("r", |_ctx, n: u64| Ok(n));
+        let inst = b.build().unwrap().instance();
+        // Handles to a role of the same name in other scripts.
+        let params: RoleHandle<u8, String, u64> =
+            Script::<u8>::builder("typed").role("r", |_ctx, _: String| Ok(0));
+        let result: RoleHandle<u8, u64, String> =
+            Script::<u8>::builder("typed").role("r", |_ctx, _: u64| Ok(String::new()));
+        assert_eq!(
+            inst.enroll(&params, "one".into()),
+            Err(ScriptError::ParamType {
+                role: RoleId::new("r"),
+                expected: std::any::type_name::<u64>(),
+            })
+        );
+        assert_eq!(
+            inst.enroll(&result, 1),
+            Err(ScriptError::ParamType {
+                role: RoleId::new("<output>"),
+                expected: std::any::type_name::<u64>(),
+            })
+        );
+        assert_eq!(inst.enroll(&typed, 1), Ok(1));
     }
 
     #[test]

@@ -84,23 +84,29 @@ impl PeerView {
         self.fanout
     }
 
-    /// Sorted, deduplicated membership without `me`.
-    fn others(me: Option<usize>, members: &[usize]) -> Vec<usize> {
-        let set: BTreeSet<usize> = members.iter().copied().collect();
-        set.into_iter().filter(|&x| Some(x) != me).collect()
+    /// The membership sorted and deduplicated, in the one `Vec` the
+    /// caller returns; a membership already strictly increasing is
+    /// copied as is.
+    fn canonical(members: &[usize]) -> Vec<usize> {
+        let mut out = members.to_vec();
+        if !members.windows(2).all(|w| w[0] < w[1]) {
+            out.sort_unstable();
+            out.dedup();
+        }
+        out
     }
 
-    /// Takes up to `k` targets from `pool` in seeded-shuffle order
-    /// (partial Fisher–Yates on the stream keyed by `key`).
-    fn draw(key: u64, mut pool: Vec<usize>, k: usize) -> Vec<usize> {
+    /// Shuffles up to `k` targets to the front of `pool` in
+    /// seeded-shuffle order (partial Fisher–Yates on the stream keyed by
+    /// `key`) and returns how many.
+    fn draw(key: u64, pool: &mut [usize], k: usize) -> usize {
         let mut state = key;
         let take = k.min(pool.len());
         for i in 0..take {
             let j = i + (splitmix(&mut state) as usize) % (pool.len() - i);
             pool.swap(i, j);
         }
-        pool.truncate(take);
-        pool
+        take
     }
 
     /// The partial view of `me` for `round` over `members`: up to
@@ -108,14 +114,19 @@ impl PeerView {
     /// always including `me`'s ring successor (the next larger member
     /// index, wrapping around). Pure in all arguments.
     pub fn view(&self, round: u64, me: usize, members: &[usize]) -> Vec<usize> {
-        let others = Self::others(Some(me), members);
-        let Some(&successor) = others.iter().find(|&&x| x > me).or_else(|| others.first()) else {
-            return Vec::new();
-        };
-        let pool: Vec<usize> = others.into_iter().filter(|&x| x != successor).collect();
+        let mut view = Self::canonical(members);
+        view.retain(|&x| x != me);
+        if view.is_empty() {
+            return view;
+        }
+        // The successor to the front; the rest stay sorted behind it,
+        // the pool the shuffle draws from.
+        let after = view.partition_point(|&x| x < me);
+        let successor = if after == view.len() { 0 } else { after };
+        view[..=successor].rotate_right(1);
         let key = stream_key(self.seed, round, me as u64);
-        let mut view = vec![successor];
-        view.extend(Self::draw(key, pool, self.fanout - 1));
+        let drawn = Self::draw(key, &mut view[1..], self.fanout - 1);
+        view.truncate(1 + drawn);
         view
     }
 
@@ -123,9 +134,11 @@ impl PeerView {
     /// [`fanout`](Self::fanout) members, seeded-shuffle order. The
     /// seeder is outside the ring, so no successor is forced.
     pub fn seed_targets(&self, round: u64, members: &[usize]) -> Vec<usize> {
-        let pool = Self::others(None, members);
+        let mut targets = Self::canonical(members);
         let key = stream_key(self.seed, round, SEEDER_KEY);
-        Self::draw(key, pool, self.fanout)
+        let drawn = Self::draw(key, &mut targets, self.fanout);
+        targets.truncate(drawn);
+        targets
     }
 
     /// Pure simulation of one performance's dissemination over the
@@ -209,14 +222,14 @@ fn push_all<M: Send + Clone + 'static>(
     absorb: bool,
 ) -> Result<(), ScriptError> {
     while !pending.is_empty() {
-        let mut guards: Vec<Guard<M>> = Vec::with_capacity(2 * pending.len() + 1);
-        for &t in &pending {
-            guards.push(Guard::send(member_id(t), rumor.clone()));
-            guards.push(Guard::watch(member_id(t)));
-        }
-        if absorb {
-            guards.push(Guard::recv_any());
-        }
+        // A send and a watch guard per target, then the absorbing
+        // recv-any: an exact-size run, so the arm list is sized once.
+        let guards =
+            (0..2 * pending.len() + usize::from(absorb)).map(|k| match pending.get(k / 2) {
+                Some(&t) if k % 2 == 0 => Guard::send(member_id(t), rumor.clone()),
+                Some(&t) => Guard::watch(member_id(t)),
+                None => Guard::recv_any(),
+            });
         match ctx.select(guards)? {
             Event::Sent { to, .. } => {
                 let i = to.index().expect("targets are member indices");
@@ -252,14 +265,15 @@ fn push_all<M: Send + Clone + 'static>(
 pub fn gossip<M: Send + Clone + 'static>(n: usize, fanout: usize, seed: u64) -> Gossip<M> {
     let view = PeerView::new(seed, fanout);
     let mut b = Script::<M>::builder("epidemic_gossip");
+    // Each role's membership, built once with the script.
+    let members: Vec<usize> = (0..n).collect();
+    let seeder_members = members.clone();
     let seeder = b.role("seeder", move |ctx, rumor: M| {
-        let members: Vec<usize> = (0..n).collect();
-        let pending = view.seed_targets(ctx.performance().0, &members);
+        let pending = view.seed_targets(ctx.performance().0, &seeder_members);
         push_all(ctx, &rumor, pending, false)
     });
     let member = b.open_family("member", Some(n), move |ctx, ()| {
         let me = ctx.role().index().expect("open-family member is indexed");
-        let members: Vec<usize> = (0..n).collect();
         // Rumor first: from the seeder or any forwarding peer.
         let (_, rumor) = ctx.recv_any()?;
         let pending = view.view(ctx.performance().0, me, &members);

@@ -9,6 +9,63 @@ use std::collections::{BTreeSet, VecDeque};
 use proptest::prelude::*;
 use script_lib::gossip::PeerView;
 
+/// The sampler as first written, on ordered sets and fresh vectors: the
+/// oracle the in-place [`PeerView`] must match bit for bit, since churn
+/// and chaos fingerprints are only ever compared within one build.
+mod oracle {
+    use std::collections::BTreeSet;
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn stream_key(seed: u64, round: u64, me: u64) -> u64 {
+        let mut s = seed;
+        let a = splitmix(&mut s).wrapping_add(round);
+        let mut s = a;
+        splitmix(&mut s).wrapping_add(me)
+    }
+
+    fn others(me: Option<usize>, members: &[usize]) -> Vec<usize> {
+        let set: BTreeSet<usize> = members.iter().copied().collect();
+        set.into_iter().filter(|&x| Some(x) != me).collect()
+    }
+
+    fn draw(key: u64, mut pool: Vec<usize>, k: usize) -> Vec<usize> {
+        let mut state = key;
+        let take = k.min(pool.len());
+        for i in 0..take {
+            let j = i + (splitmix(&mut state) as usize) % (pool.len() - i);
+            pool.swap(i, j);
+        }
+        pool.truncate(take);
+        pool
+    }
+
+    pub fn view(seed: u64, fanout: usize, round: u64, me: usize, members: &[usize]) -> Vec<usize> {
+        let others = others(Some(me), members);
+        let Some(&successor) = others.iter().find(|&&x| x > me).or_else(|| others.first()) else {
+            return Vec::new();
+        };
+        let pool: Vec<usize> = others.into_iter().filter(|&x| x != successor).collect();
+        let mut view = vec![successor];
+        view.extend(draw(stream_key(seed, round, me as u64), pool, fanout - 1));
+        view
+    }
+
+    pub fn seed_targets(seed: u64, fanout: usize, round: u64, members: &[usize]) -> Vec<usize> {
+        draw(
+            stream_key(seed, round, u64::MAX),
+            others(None, members),
+            fanout,
+        )
+    }
+}
+
 /// A non-empty live membership drawn from indices 0..64, possibly with
 /// holes (departed members) — the sampler must cope with sparse casts.
 fn membership() -> impl Strategy<Value = Vec<usize>> {
@@ -66,6 +123,42 @@ proptest! {
         scrambled.extend(members.iter().copied());
         for &me in &members {
             prop_assert_eq!(pv.view(round, me, &members), pv.view(round, me, &scrambled));
+        }
+    }
+
+    #[test]
+    fn views_match_the_ordered_set_oracle(
+        seed in any::<u64>(),
+        round in 0u64..16,
+        fanout in 1usize..=6,
+        members in membership(),
+        shuffle in any::<u64>(),
+        repeats in proptest::collection::vec(0usize..64, 0..8),
+    ) {
+        let pv = PeerView::new(seed, fanout);
+        // Sorted; unsorted (rotated, then reversed); and unsorted with
+        // duplicates and members absent from the set mixed in.
+        let mut unsorted = members.clone();
+        unsorted.rotate_left(shuffle as usize % members.len());
+        unsorted.reverse();
+        let mut duplicated = unsorted.clone();
+        duplicated.extend(members.iter().step_by(2));
+        duplicated.extend(&repeats);
+        for input in [&members, &unsorted, &duplicated] {
+            let mut asked: Vec<usize> = input.clone();
+            asked.extend([0, 63, 64]);
+            for &me in &asked {
+                prop_assert_eq!(
+                    pv.view(round, me, input),
+                    oracle::view(seed, fanout, round, me, input),
+                    "view of {} over {:?}", me, input
+                );
+            }
+            prop_assert_eq!(
+                pv.seed_targets(round, input),
+                oracle::seed_targets(seed, fanout, round, input),
+                "seed targets over {:?}", input
+            );
         }
     }
 
