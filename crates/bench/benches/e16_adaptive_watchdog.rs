@@ -49,14 +49,14 @@ fn bench(c: &mut Criterion) {
             "fixed_tuned",
             WatchdogPolicy::Fixed(Duration::from_millis(250)),
         ),
-        ("adaptive", WatchdogPolicy::adaptive()),
+        ("adaptive", WatchdogPolicy::Adaptive),
     ];
     for (name, policy) in arms {
         group.bench_function(name, |b| {
             let (script, ping, pong) = ping_pong();
             let inst = script.instance();
             inst.set_fault_plan(FaultPlan::new(9).with_delay(1.0, Duration::from_micros(300)));
-            inst.set_watchdog_policy(policy.clone());
+            inst.set_watchdog_policy(policy);
             b.iter(|| {
                 std::thread::scope(|s| {
                     let i = inst.clone();

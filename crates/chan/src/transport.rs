@@ -1018,6 +1018,17 @@ where
             })
     }
 
+    /// After a pick-up from `ep`'s inbox: lets `st` (`ep`'s lock) go,
+    /// then wakes the sender's phase 2, which sleeps on `ep`'s condvar,
+    /// and the selectors watching `ep`, which may care about the freed
+    /// slot.
+    fn picked_up(ep: &Endpoint<I, M>, st: parking_lot::MutexGuard<'_, EpState<I, M>>) {
+        let watchers = st.watchers.clone();
+        drop(st);
+        ep.cond.notify_all();
+        Self::wake_watchers(watchers);
+    }
+
     /// Wakes the selectors registered as send watchers on `ep`. Call
     /// *without* holding any endpoint lock; the snapshot was taken under
     /// `ep`'s lock.
@@ -1693,12 +1704,7 @@ where
         }
         let mut st = me_ep.state.lock();
         if let Some(msg) = self.take_from(&mut st, me, from) {
-            let watchers = st.watchers.clone();
-            drop(st);
-            // The sender's phase 2 sleeps on *my* condvar; watchers may
-            // care about the freed slot.
-            me_ep.cond.notify_all();
-            Self::wake_watchers(watchers);
+            Self::picked_up(&me_ep, st);
             return Ok(Some(msg));
         }
         drop(st);
@@ -1837,10 +1843,7 @@ where
                 let msg = self
                     .pick_up(&mut st, &from)
                     .expect("claim implies a deposited message");
-                let watchers = st.watchers.clone();
-                drop(st);
-                me_ep.cond.notify_all();
-                Self::wake_watchers(watchers);
+                Self::picked_up(me_ep, st);
                 let arm = arms
                     .iter()
                     .position(|a| match a {
@@ -1910,10 +1913,7 @@ where
                         let p = p.clone();
                         let mut st = me_ep.state.lock();
                         if let Some(msg) = self.take_from(&mut st, me, &p) {
-                            let watchers = st.watchers.clone();
-                            drop(st);
-                            me_ep.cond.notify_all();
-                            Self::wake_watchers(watchers);
+                            Self::picked_up(me_ep, st);
                             return Ok(Some(Outcome::Received {
                                 arm: idx,
                                 from: p,
@@ -1948,10 +1948,7 @@ where
                             let msg = self
                                 .take_from(&mut st, me, &from)
                                 .expect("chosen sender has a message");
-                            let watchers = st.watchers.clone();
-                            drop(st);
-                            me_ep.cond.notify_all();
-                            Self::wake_watchers(watchers);
+                            Self::picked_up(me_ep, st);
                             return Ok(Some(Outcome::Received {
                                 arm: idx,
                                 from,

@@ -61,23 +61,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use script_chan::{CastStep, FaultPlan, Network, Observers, SessionEvent, ShardedTransport};
 
 use crate::ctx::RoleCtx;
-use crate::estimator::{LatencyEstimator, WindowFloor};
+use crate::estimator::LatencyEstimator;
 use crate::matcher::{admissible, match_performance, Candidate};
 use crate::observer::{Observer, TelemetryEvent, TelemetryPayload};
 use crate::spec::{FamilySize, ScriptSpec};
 use crate::{
-    Enrollment, Initiation, Partners, PerformanceId, ProcessId, RoleId, ScriptError, ScriptEvent,
-    Termination, WatchdogPolicy,
+    AdaptiveWindow, Enrollment, Initiation, Partners, PerformanceId, ProcessId, RoleId,
+    ScriptError, ScriptEvent, Termination, WatchdogPolicy,
 };
-
-/// Latency samples retained per performance when the watchdog policy
-/// does not specify a capacity of its own (i.e. [`WatchdogPolicy::Fixed`],
-/// where the estimator only feeds stall-event diagnostics).
-const DEFAULT_ESTIMATOR_CAPACITY: usize = 256;
 
 /// Kernels of retired performances an instance keeps; the oldest goes.
 const RETIRED_KERNELS: usize = 2;
@@ -192,6 +187,14 @@ impl ShardState {
     /// Has this performance terminated (normally or by abort)?
     fn is_ready(&self) -> bool {
         self.finished.iter().all(|&f| f) && ((self.frozen && !self.cast.is_empty()) || self.aborted)
+    }
+
+    /// Claims the completion of a terminated performance for the
+    /// caller: `true` once, to the one thread that must retire it.
+    fn claim_completion(&mut self) -> bool {
+        let claimed = self.is_ready() && !self.completing;
+        self.completing |= claimed;
+        claimed
     }
 }
 
@@ -420,7 +423,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
     /// performances: a performance whose network makes no progress for
     /// the policy's window is aborted with [`ScriptError::Stalled`].
     pub(crate) fn set_watchdog_policy(&self, policy: WatchdogPolicy) {
-        policy.validate();
+        if let WatchdogPolicy::Fixed(window) = policy {
+            assert!(window > Duration::ZERO, "watchdog window must be positive");
+        }
         self.front.lock().watchdog = Some(policy);
     }
 
@@ -537,21 +542,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 continue;
             }
             if !ss.aborted {
-                ss.aborted = true;
-                // Under both locks: a write, not a wait (module docs).
-                shard.net.abort();
-                self.emit_script(&shard, || ScriptEvent::PerformanceAborted {
-                    performance: PerformanceId(shard.seq),
-                });
+                self.abort_shard(&shard, &mut ss);
             }
-            let finalize = ss.is_ready() && !ss.completing;
-            if finalize {
-                ss.completing = true;
-            }
-            drop(ss);
-            if finalize {
-                self.finalize_shard(&mut fe, &shard);
-            }
+            self.retire_if_claimed(&mut fe, &shard, ss);
         }
         self.release(fe);
     }
@@ -594,14 +587,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 fe.gathering = None;
             }
         }
-        let finalize = ss.is_ready() && !ss.completing;
-        if finalize {
-            ss.completing = true;
-        }
-        drop(ss);
-        if finalize {
-            self.finalize_shard(fe, shard);
-        }
+        self.retire_if_claimed(fe, shard, ss);
     }
 
     /// The full enrollment path: queue, get admitted, run the role body
@@ -742,24 +728,14 @@ impl<M: Send + Clone + 'static> Engine<M> {
             ss.finished[at.expect("an admitted role is in the cast")] = true;
             // Under the shard lock: a write, not a wait (module docs).
             shard.net.finish(role_id.clone());
-            if panicked && !ss.aborted {
-                ss.aborted = true;
-                shard.net.abort();
-            }
             self.emit_script(&shard, || ScriptEvent::RoleFinished {
                 performance: PerformanceId(seq),
                 role: role_id.clone(),
             });
             if panicked {
-                self.emit_script(&shard, || ScriptEvent::PerformanceAborted {
-                    performance: PerformanceId(seq),
-                });
+                self.abort_shard(&shard, &mut ss);
             }
-            let f = ss.is_ready() && !ss.completing;
-            if f {
-                ss.completing = true;
-            }
-            f
+            ss.claim_completion()
         };
         // A finish that is not the last wakes nobody: phase 4 below
         // waits for `done`, which only `finalize_shard` sets.
@@ -818,9 +794,40 @@ impl<M: Send + Clone + 'static> Engine<M> {
         }
     }
 
-    /// Retires a completed shard. The caller has claimed completion (set
-    /// `completing` under the shard lock, then released it) and holds the
-    /// front-end lock; [`Engine::release`] wakes the phase-4 waiters.
+    /// Aborts a performance: its network once, then the event (said
+    /// again for a role panicking in a performance aborted already).
+    /// Under the shard lock: a write, not a wait (module docs).
+    fn abort_shard(&self, shard: &PerfShard<M>, ss: &mut ShardState) {
+        if !ss.aborted {
+            ss.aborted = true;
+            shard.net.abort();
+        }
+        self.emit_script(shard, || ScriptEvent::PerformanceAborted {
+            performance: PerformanceId(shard.seq),
+        });
+    }
+
+    /// Lets the shard lock go and, if that claims its performance's
+    /// completion, retires it and says so. The caller holds the
+    /// front-end lock.
+    fn retire_if_claimed(
+        &self,
+        fe: &mut FrontEnd<M>,
+        shard: &Arc<PerfShard<M>>,
+        mut ss: MutexGuard<'_, ShardState>,
+    ) -> bool {
+        let claimed = ss.claim_completion();
+        drop(ss);
+        if claimed {
+            self.finalize_shard(fe, shard);
+        }
+        claimed
+    }
+
+    /// Retires a completed shard. The caller has claimed completion
+    /// ([`ShardState::claim_completion`], then let the shard lock go) and
+    /// holds the front-end lock; [`Engine::release`] wakes the phase-4
+    /// waiters.
     fn finalize_shard(&self, fe: &mut FrontEnd<M>, shard: &Arc<PerfShard<M>>) {
         let aborted = {
             let mut ss = shard.state.lock();
@@ -852,7 +859,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
     /// lock and an admitted enroller takes it to read its slot: woken
     /// under it, either would run straight into it. Enrollers are woken
     /// only if some slot has an outcome its owner has not collected.
-    fn release(&self, mut fe: parking_lot::MutexGuard<'_, FrontEnd<M>>) {
+    fn release(&self, mut fe: MutexGuard<'_, FrontEnd<M>>) {
         // One at most, outside `close`: popped, the list keeps its buffer.
         let last = fe.finalized.pop();
         let rest: Vec<_> = fe.finalized.drain(..).collect();
@@ -924,14 +931,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 // Detach: the frozen performance runs on its shard while
                 // the next enrollment gathers into a fresh one (overlap).
                 fe.gathering = None;
-                let finalize = ss.is_ready() && !ss.completing;
-                if finalize {
-                    ss.completing = true;
-                }
-                drop(ss);
-                if finalize {
-                    self.finalize_shard(fe, &shard);
-                }
+                self.retire_if_claimed(fe, &shard, ss);
             },
         }
     }
@@ -1014,14 +1014,11 @@ impl<M: Send + Clone + 'static> Engine<M> {
         if let Some(plan) = &fe.fault_plan {
             net.set_fault_plan(plan.reseeded(mix_seed(plan.seed(), seq)));
         }
-        // Built for any watchdog (a Fixed one's stall events carry the
-        // observed p99), sized by an adaptive policy's capacity.
-        let latency = fe.watchdog.as_ref().map(|policy| {
-            Arc::new(LatencyEstimator::new(match policy {
-                WatchdogPolicy::Adaptive(adaptive) => adaptive.capacity,
-                WatchdogPolicy::Fixed(_) => DEFAULT_ESTIMATOR_CAPACITY,
-            }))
-        });
+        // Built for any watchdog: a Fixed one's stall events carry the
+        // observed p99 too.
+        let latency = fe
+            .watchdog
+            .map(|_| Arc::new(LatencyEstimator::new(AdaptiveWindow::CAPACITY)));
         let telemetry_live = self.telemetry_on();
         let roles = self.spec.cast_room();
         let shard = Arc::new(PerfShard {
@@ -1171,7 +1168,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 });
             }
         }
-        if let Some(policy) = fe.watchdog.clone() {
+        if let Some(policy) = fe.watchdog {
             self.spawn_watchdog(Arc::clone(&shard), policy);
         }
         fe.live.push(Arc::clone(&shard));
@@ -1197,11 +1194,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
         std::thread::spawn(move || {
             let mut last_activity = shard.net.activity();
             let mut last_progress = Instant::now();
-            // EWMA floor under adaptive policies: widens instantly with a
-            // slow regime, shrinks only geometrically afterwards, so a
-            // slow→fast transition cannot snap the window shut on a
-            // rendezvous armed under the old regime.
-            let mut floor = WindowFloor::default();
+            let mut adaptive = AdaptiveWindow::default();
             // Last window announced on the telemetry plane; re-announced
             // only on a ≥ 1/8 relative move so adaptive policies do not
             // flood the plane on every poll.
@@ -1210,15 +1203,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 // Re-derive the deadline every iteration: the estimator
                 // gains samples while the performance runs, so adaptive
                 // windows track the observed rendezvous-latency quantile.
-                let (window, observed_p99) = match &policy {
-                    WatchdogPolicy::Fixed(w) => (*w, latency.quantile(0.99)),
-                    WatchdogPolicy::Adaptive(adaptive) => {
-                        let (raw, p99) = adaptive.window_for(&latency);
-                        let smoothed = floor
-                            .apply(raw, adaptive.smoothing)
-                            .min(adaptive.max_window);
-                        (smoothed, p99)
-                    }
+                let (window, observed_p99) = match policy {
+                    WatchdogPolicy::Fixed(w) => (w, latency.quantile(0.99)),
+                    WatchdogPolicy::Adaptive => adaptive.arm(&latency),
                 };
                 if let Some(engine) = weak.upgrade() {
                     if engine.telemetry_on() {
@@ -1257,24 +1244,14 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 if ss.done || ss.aborted {
                     return;
                 }
-                ss.aborted = true;
                 ss.stalled = true;
-                shard.net.abort();
                 engine.emit_script(&shard, || ScriptEvent::PerformanceStalled {
                     performance: PerformanceId(shard.seq),
                     observed_p99,
                     window,
                 });
-                engine.emit_script(&shard, || ScriptEvent::PerformanceAborted {
-                    performance: PerformanceId(shard.seq),
-                });
-                let finalize = ss.is_ready() && !ss.completing;
-                if finalize {
-                    ss.completing = true;
-                }
-                drop(ss);
-                if finalize {
-                    engine.finalize_shard(&mut fe, &shard);
+                engine.abort_shard(&shard, &mut ss);
+                if engine.retire_if_claimed(&mut fe, &shard, ss) {
                     engine.try_advance(&mut fe);
                 }
                 engine.release(fe);

@@ -5,7 +5,7 @@
 //! it the wall-clock latency of every *successful* rendezvous operation
 //! observed on the performance's network (sends, selections, non-empty
 //! polls). The watchdog reads a high quantile back out and arms its
-//! next quiescence deadline at `max(min_window, k × p99)` — see
+//! next quiescence deadline at `max(MIN_WINDOW, 8 × p99)` — see
 //! [`AdaptiveWindow`](crate::AdaptiveWindow).
 //!
 //! The estimator is an exact quantile over a bounded ring of the most
@@ -109,37 +109,6 @@ impl LatencyEstimator {
     }
 }
 
-/// Temporal smoothing for successive adaptive window choices: an EWMA
-/// floor under the raw `k × p99` window.
-///
-/// The armed window is `max(raw, ewma)`, so it widens *immediately*
-/// when rendezvous slow down (the raw term jumps) but shrinks only
-/// geometrically after a slow→fast regime shift — a burst of fast
-/// samples cannot collapse the window underneath an operation that
-/// started under the old, slower regime.
-#[derive(Debug, Default)]
-pub struct WindowFloor {
-    ewma_ns: f64,
-}
-
-impl WindowFloor {
-    /// Folds the next raw window into the floor (EWMA weight `alpha`
-    /// on the new value) and returns the window to arm.
-    pub fn apply(&mut self, raw: Duration, alpha: f64) -> Duration {
-        let raw_ns = raw.as_secs_f64() * 1e9;
-        self.ewma_ns = if self.ewma_ns == 0.0 {
-            raw_ns
-        } else {
-            alpha * raw_ns + (1.0 - alpha) * self.ewma_ns
-        };
-        if self.ewma_ns > raw_ns {
-            Duration::from_secs_f64(self.ewma_ns / 1e9)
-        } else {
-            raw
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,23 +153,5 @@ mod tests {
         assert_eq!(est.quantile(1.0), Some(Duration::from_micros(6)));
         assert_eq!(est.len(), 4);
         assert_eq!(est.count(), 6);
-    }
-
-    #[test]
-    fn floor_rises_instantly_and_decays_gradually() {
-        let mut floor = WindowFloor::default();
-        let slow = Duration::from_millis(400);
-        let fast = Duration::from_millis(25);
-        assert_eq!(floor.apply(slow, 0.3), slow);
-        // The first fast raw window is not armed verbatim: the floor
-        // from the slow regime still dominates...
-        let first = floor.apply(fast, 0.3);
-        assert!(first > fast && first < slow);
-        // ...but repeated fast windows converge down to it.
-        let mut last = first;
-        for _ in 0..64 {
-            last = floor.apply(fast, 0.3);
-        }
-        assert_eq!(last, fast);
     }
 }

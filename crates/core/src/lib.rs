@@ -89,7 +89,7 @@ pub use ctx::{Event, Guard, RoleCtx};
 pub use engine::{NetworkFactory, PerformanceNet};
 pub use enroll::{Enrollment, Partners, ProcessSel};
 pub use error::ScriptError;
-pub use estimator::{LatencyEstimator, WindowFloor};
+pub use estimator::LatencyEstimator;
 pub use retry::RetryPolicy;
 // Fault injection is configured with the channel-layer plan type.
 pub use handle::{FamilyHandle, RoleHandle};
@@ -541,17 +541,19 @@ impl<M: Send + Clone + 'static> Instance<M> {
     /// without communicating for longer than the window will be treated
     /// as hung; size it accordingly. Under [`WatchdogPolicy::Adaptive`]
     /// each performance's window is re-derived on every watchdog poll
-    /// from that performance's *own* observed rendezvous latency —
-    /// `max(min_window, multiplier × p99)` — so in-process performances
-    /// keep tight millisecond windows while socket-backed performances
-    /// widen to RPC latency without per-transport tuning. The chosen
-    /// window and the observed p99 are carried on any resulting
-    /// [`ScriptEvent::PerformanceStalled`] event.
+    /// from that performance's *own* observed rendezvous latency, by
+    /// constants that are not settable ([`AdaptiveWindow`]): 8 × its
+    /// p99 over the last 256 samples, within 25 ms – 30 s, at least
+    /// 500 ms for the first 8 samples, shrinking through an EWMA floor
+    /// (α 0.3). In-process performances keep tight millisecond windows
+    /// while socket-backed performances widen to RPC latency without
+    /// per-transport tuning. The chosen window and the observed p99 are
+    /// carried on any resulting [`ScriptEvent::PerformanceStalled`]
+    /// event.
     ///
     /// # Panics
     ///
-    /// Panics on invalid parameters (a zero window, `multiplier < 1`,
-    /// a quantile outside `(0, 1]`, zero sample capacity).
+    /// Panics on a zero [`WatchdogPolicy::Fixed`] window.
     pub fn set_watchdog_policy(&self, policy: WatchdogPolicy) {
         self.engine.set_watchdog_policy(policy);
     }
@@ -1211,7 +1213,7 @@ mod tests {
         // once samples arrive the window is derived from the observed
         // ~20 ms rendezvous latency — CI load stretches the samples and
         // the window together, so it cannot fake a stall.
-        inst.set_watchdog_policy(WatchdogPolicy::adaptive());
+        inst.set_watchdog_policy(WatchdogPolicy::Adaptive);
         std::thread::scope(|s| {
             let i1 = inst.clone();
             let ping = ping.clone();

@@ -43,155 +43,96 @@ pub enum Termination {
 /// was derived from — is reported on the telemetry plane as
 /// [`TelemetryPayload::WatchdogArmed`](crate::TelemetryPayload::WatchdogArmed)
 /// whenever it first arms or moves by ≥ 1/8 of its previous value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum WatchdogPolicy {
     /// A constant window for every performance. A performance of roles
     /// that compute without communicating for longer than the window
     /// is treated as hung; size it accordingly.
     Fixed(Duration),
     /// A window derived from each performance's *own* observed
-    /// rendezvous latency: `max(min_window, multiplier × p-quantile)`,
-    /// re-evaluated on every watchdog poll. In-process performances
-    /// keep tight millisecond windows while socket-backed ones widen
-    /// to RPC latency, with no per-transport tuning.
-    Adaptive(AdaptiveWindow),
+    /// rendezvous latency by [`AdaptiveWindow`], re-evaluated on every
+    /// watchdog poll. In-process performances keep tight millisecond
+    /// windows while socket-backed ones widen to RPC latency, with no
+    /// per-transport tuning.
+    Adaptive,
 }
 
-impl WatchdogPolicy {
-    /// The adaptive policy with default parameters — the recommended
-    /// starting point when an instance mixes transports.
-    pub fn adaptive() -> Self {
-        Self::Adaptive(AdaptiveWindow::default())
-    }
-
-    /// Panics on parameters that could never arm a sane window; called
-    /// once when the policy is installed, so misconfiguration fails at
-    /// `set_watchdog_policy` rather than silently in a monitor thread.
-    pub(crate) fn validate(&self) {
-        match self {
-            Self::Fixed(window) => {
-                assert!(*window > Duration::ZERO, "watchdog window must be positive");
-            }
-            Self::Adaptive(a) => {
-                assert!(
-                    a.min_window > Duration::ZERO,
-                    "adaptive min_window must be positive"
-                );
-                assert!(
-                    a.max_window >= a.min_window,
-                    "adaptive max_window must be >= min_window"
-                );
-                assert!(
-                    a.initial > Duration::ZERO,
-                    "adaptive initial window must be positive"
-                );
-                assert!(
-                    a.multiplier.is_finite() && a.multiplier >= 1.0,
-                    "adaptive multiplier must be finite and >= 1"
-                );
-                assert!(
-                    a.quantile > 0.0 && a.quantile <= 1.0,
-                    "adaptive quantile must be in (0, 1]"
-                );
-                assert!(a.capacity > 0, "adaptive sample capacity must be positive");
-                assert!(
-                    (0.0..=1.0).contains(&a.smoothing),
-                    "adaptive smoothing must be in [0, 1]"
-                );
-            }
-        }
-    }
-}
-
-/// Parameters of [`WatchdogPolicy::Adaptive`].
+/// The window [`WatchdogPolicy::Adaptive`] arms, from constants that
+/// are not settable.
 ///
-/// The armed window is `clamp(multiplier × quantile(observed),
-/// min_window, max_window)`; until `warmup` samples have been recorded
-/// the window never drops below `initial`, and an EWMA floor (weight
-/// `smoothing` on the newest value) makes the window shrink gradually
-/// after a slow→fast regime shift while still widening instantly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The raw window is `clamp(MULTIPLIER × QUANTILE(observed),
+/// MIN_WINDOW, MAX_WINDOW)` over the estimator's last `CAPACITY`
+/// samples; until `WARMUP` samples have been recorded it never drops
+/// below `INITIAL`. The armed window is the raw one under an EWMA floor
+/// (weight `SMOOTHING` on the newest value), so it widens *immediately*
+/// when rendezvous slow down but shrinks only geometrically after a
+/// slow→fast regime shift: a burst of fast samples cannot collapse the
+/// window underneath an operation that started in the slower regime.
+#[derive(Debug, Default)]
 pub struct AdaptiveWindow {
-    /// Hard lower bound on the armed window.
-    pub min_window: Duration,
-    /// Hard upper bound on the armed window.
-    pub max_window: Duration,
-    /// Window used before any sample arrives, and the floor during
-    /// warmup — generous enough to cover a cold transport's first
-    /// rendezvous.
-    pub initial: Duration,
-    /// Safety factor `k` applied to the observed quantile. The default
-    /// of 8 tolerates an 8× latency excursion beyond the p99 before
-    /// calling a performance stalled.
-    pub multiplier: f64,
-    /// Which latency quantile to track (default 0.99).
-    pub quantile: f64,
-    /// Samples required before the `initial` floor is lifted.
-    pub warmup: u64,
-    /// Retained-sample window size of the per-shard estimator.
-    pub capacity: usize,
-    /// EWMA weight of the newest raw window in the decay floor
-    /// (`1.0` disables smoothing entirely).
-    pub smoothing: f64,
-}
-
-impl Default for AdaptiveWindow {
-    fn default() -> Self {
-        Self {
-            min_window: Duration::from_millis(25),
-            max_window: Duration::from_secs(30),
-            initial: Duration::from_millis(500),
-            multiplier: 8.0,
-            quantile: 0.99,
-            warmup: 8,
-            capacity: 256,
-            smoothing: 0.3,
-        }
-    }
+    /// The EWMA floor in nanoseconds; 0 until the first window.
+    floor_ns: f64,
 }
 
 impl AdaptiveWindow {
-    /// Overrides the hard lower bound on the armed window.
-    pub fn with_min_window(mut self, min_window: Duration) -> Self {
-        self.min_window = min_window;
-        self
-    }
-
-    /// Overrides the hard upper bound on the armed window.
-    pub fn with_max_window(mut self, max_window: Duration) -> Self {
-        self.max_window = max_window;
-        self
-    }
-
-    /// Overrides the cold-start window.
-    pub fn with_initial(mut self, initial: Duration) -> Self {
-        self.initial = initial;
-        self
-    }
-
-    /// Overrides the safety factor `k`.
-    pub fn with_multiplier(mut self, multiplier: f64) -> Self {
-        self.multiplier = multiplier;
-        self
-    }
+    /// Hard lower bound on the armed window.
+    pub const MIN_WINDOW: Duration = Duration::from_millis(25);
+    /// Hard upper bound on the armed window.
+    pub const MAX_WINDOW: Duration = Duration::from_secs(30);
+    /// The window before any sample arrives, and the floor during
+    /// warm-up: generous enough for a cold transport's first rendezvous.
+    pub const INITIAL: Duration = Duration::from_millis(500);
+    /// Safety factor on the observed quantile: an 8× excursion beyond
+    /// the p99 is tolerated before a performance is called stalled.
+    pub const MULTIPLIER: f64 = 8.0;
+    /// The latency quantile tracked.
+    pub const QUANTILE: f64 = 0.99;
+    /// Samples recorded before the `INITIAL` floor lifts.
+    pub const WARMUP: u64 = 8;
+    /// Samples a watched performance's estimator retains, under either
+    /// policy.
+    pub const CAPACITY: usize = 256;
+    /// EWMA weight of the newest raw window in the floor.
+    pub const SMOOTHING: f64 = 0.3;
 
     /// The raw (pre-smoothing) window for the estimator's current
     /// state, plus the observed quantile itself. Pure in the
     /// estimator's retained sample multiset and total count.
-    pub fn window_for(&self, est: &LatencyEstimator) -> (Duration, Option<Duration>) {
-        let observed = est.quantile(self.quantile);
+    pub fn window_for(est: &LatencyEstimator) -> (Duration, Option<Duration>) {
+        let observed = est.quantile(Self::QUANTILE);
         let mut window = match observed {
             // Cap the quantile before scaling so a pathological sample
             // cannot overflow `mul_f64`; the final clamp re-applies the
             // same ceiling anyway.
-            Some(q) => q.min(self.max_window).mul_f64(self.multiplier),
-            None => self.initial,
+            Some(q) => q.min(Self::MAX_WINDOW).mul_f64(Self::MULTIPLIER),
+            None => Self::INITIAL,
         };
-        if est.count() < self.warmup {
-            window = window.max(self.initial);
+        if est.count() < Self::WARMUP {
+            window = window.max(Self::INITIAL);
         }
-        window = window.max(self.min_window).min(self.max_window);
-        (window, observed)
+        (window.clamp(Self::MIN_WINDOW, Self::MAX_WINDOW), observed)
+    }
+
+    /// The window to arm next, and the observed quantile: the raw
+    /// window under the floor, which it also moves.
+    pub(crate) fn arm(&mut self, est: &LatencyEstimator) -> (Duration, Option<Duration>) {
+        let (raw, observed) = Self::window_for(est);
+        (self.smooth(raw).min(Self::MAX_WINDOW), observed)
+    }
+
+    /// Folds `raw` into the floor and returns the larger of the two.
+    fn smooth(&mut self, raw: Duration) -> Duration {
+        let raw_ns = raw.as_secs_f64() * 1e9;
+        self.floor_ns = if self.floor_ns == 0.0 {
+            raw_ns
+        } else {
+            Self::SMOOTHING * raw_ns + (1.0 - Self::SMOOTHING) * self.floor_ns
+        };
+        if self.floor_ns > raw_ns {
+            Duration::from_secs_f64(self.floor_ns / 1e9)
+        } else {
+            raw
+        }
     }
 }
 
@@ -363,45 +304,60 @@ mod tests {
 
     #[test]
     fn adaptive_window_starts_at_initial() {
-        let a = AdaptiveWindow::default();
-        let est = LatencyEstimator::new(a.capacity);
-        assert_eq!(a.window_for(&est), (a.initial, None));
+        let est = LatencyEstimator::new(AdaptiveWindow::CAPACITY);
+        assert_eq!(
+            AdaptiveWindow::window_for(&est),
+            (AdaptiveWindow::INITIAL, None)
+        );
     }
 
     #[test]
     fn adaptive_window_holds_initial_floor_through_warmup() {
-        let a = AdaptiveWindow::default();
-        let est = LatencyEstimator::new(a.capacity);
+        let est = LatencyEstimator::new(AdaptiveWindow::CAPACITY);
         let fast = Duration::from_micros(50);
-        for _ in 0..a.warmup - 1 {
+        for _ in 0..AdaptiveWindow::WARMUP - 1 {
             est.record(fast);
         }
-        let (w, p99) = a.window_for(&est);
-        assert_eq!(w, a.initial);
+        let (w, p99) = AdaptiveWindow::window_for(&est);
+        assert_eq!(w, AdaptiveWindow::INITIAL);
         assert_eq!(p99, Some(fast));
         // One more sample completes warmup; the window drops to the
         // clamped multiple of the observation.
         est.record(fast);
-        assert_eq!(a.window_for(&est), (a.min_window, Some(fast)));
+        assert_eq!(
+            AdaptiveWindow::window_for(&est),
+            (AdaptiveWindow::MIN_WINDOW, Some(fast))
+        );
     }
 
     #[test]
     fn adaptive_window_scales_with_observed_quantile() {
-        let a = AdaptiveWindow::default();
-        let est = LatencyEstimator::new(a.capacity);
+        let est = LatencyEstimator::new(AdaptiveWindow::CAPACITY);
         let slow = Duration::from_millis(40);
         for _ in 0..16 {
             est.record(slow);
         }
-        let (w, p99) = a.window_for(&est);
+        let (w, p99) = AdaptiveWindow::window_for(&est);
         assert_eq!(p99, Some(slow));
-        assert_eq!(w, slow.mul_f64(a.multiplier));
-        assert!(w <= a.max_window);
+        assert_eq!(w, slow.mul_f64(AdaptiveWindow::MULTIPLIER));
+        assert!(w <= AdaptiveWindow::MAX_WINDOW);
     }
 
     #[test]
-    #[should_panic(expected = "multiplier")]
-    fn adaptive_validation_rejects_shrinking_multiplier() {
-        WatchdogPolicy::Adaptive(AdaptiveWindow::default().with_multiplier(0.5)).validate();
+    fn floor_rises_instantly_and_decays_gradually() {
+        let mut window = AdaptiveWindow::default();
+        let slow = Duration::from_millis(400);
+        let fast = Duration::from_millis(25);
+        assert_eq!(window.smooth(slow), slow);
+        // The first fast raw window is not armed verbatim: the floor
+        // from the slow regime still dominates...
+        let first = window.smooth(fast);
+        assert!(first > fast && first < slow);
+        // ...but repeated fast windows converge down to it.
+        let mut last = first;
+        for _ in 0..64 {
+            last = window.smooth(fast);
+        }
+        assert_eq!(last, fast);
     }
 }

@@ -82,8 +82,8 @@ proptest! {
 
     /// Eviction forgets old regimes: after a full window of fast
     /// samples, a preceding slow regime no longer influences the
-    /// quantile or the adaptive window — the window collapses to the
-    /// policy floor instead of staying pinned wide.
+    /// quantile or the adaptive window — the window collapses to
+    /// `MIN_WINDOW` instead of staying pinned wide.
     #[test]
     fn eviction_forgets_old_regimes(
         capacity in 4usize..64,
@@ -96,18 +96,17 @@ proptest! {
         for _ in 0..capacity {
             est.record(slow);
         }
-        let policy = AdaptiveWindow::default();
-        let (wide, observed) = policy.window_for(&est);
+        let (wide, observed) = AdaptiveWindow::window_for(&est);
         prop_assert_eq!(observed, Some(slow));
         for _ in 0..capacity {
             est.record(fast);
         }
         prop_assert_eq!(est.quantile(0.99), Some(fast),
             "a full window of fast samples must evict the slow regime");
-        let (narrow, observed) = policy.window_for(&est);
+        let (narrow, observed) = AdaptiveWindow::window_for(&est);
         prop_assert_eq!(observed, Some(fast));
-        prop_assert_eq!(narrow, policy.min_window,
-            "fast-regime windows clamp to the policy floor");
+        prop_assert_eq!(narrow, AdaptiveWindow::MIN_WINDOW,
+            "fast-regime windows clamp to MIN_WINDOW");
         prop_assert!(wide > narrow,
             "the slow-regime window ({wide:?}) must exceed the fast one ({narrow:?})");
     }
@@ -123,8 +122,7 @@ proptest! {
         let capacity = 128usize;
         let a = fed(capacity, &samples);
         let b = fed(capacity, &shuffled(&samples, seed));
-        let policy = AdaptiveWindow::default();
-        prop_assert_eq!(policy.window_for(&a), policy.window_for(&b));
+        prop_assert_eq!(AdaptiveWindow::window_for(&a), AdaptiveWindow::window_for(&b));
         prop_assert_eq!(a.quantile(0.5), b.quantile(0.5));
         prop_assert_eq!(a.quantile(0.99), b.quantile(0.99));
     }
@@ -143,6 +141,8 @@ fn median_of_known_multiset() {
 fn empty_estimator_reports_nothing_and_initial_window() {
     let est = LatencyEstimator::new(8);
     assert_eq!(est.quantile(0.99), None);
-    let policy = AdaptiveWindow::default();
-    assert_eq!(policy.window_for(&est), (policy.initial, None));
+    assert_eq!(
+        AdaptiveWindow::window_for(&est),
+        (AdaptiveWindow::INITIAL, None)
+    );
 }

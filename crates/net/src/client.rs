@@ -434,8 +434,6 @@ struct Shared<I, M> {
     /// Connections that had to fall back to the relay path.
     relay_dials: AtomicU64,
     state: Mutex<Option<Arc<ConnShared>>>,
-    /// Mirror of `dead` for the cheap public `is_lost` probe.
-    lost: AtomicBool,
     /// Terminal: session expired, redial budget exhausted, or closed.
     dead: AtomicBool,
     /// Set by `close`/drop so nobody redials.
@@ -510,7 +508,6 @@ impl<I, M> Shared<I, M> {
         if self.dead.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.lost.store(true, Ordering::SeqCst);
         let drained: Vec<PendingEntry<I, M>> =
             self.pending.lock().drain().map(|(_, e)| e).collect();
         for e in drained {
@@ -610,32 +607,16 @@ where
     }
 
     /// Reads frames until the answer for `want` arrives (used during
-    /// the handshake, before the I/O thread owns the stream). Events and
-    /// answers to replayed requests that completed hub-side during the
-    /// outage are delivered along the way.
+    /// the handshake, before the I/O thread owns the stream), routing
+    /// the rest as the I/O thread would: events and answers to replayed
+    /// requests that completed hub-side during the outage are delivered
+    /// along the way.
     fn await_resp(&self, rd: &mut TcpStream, want: u64) -> Option<Resp<I, M>> {
         loop {
             let frame = read_frame(rd).ok()??;
-            self.bytes_in
-                .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
-            let mut r = Reader::new(&frame);
-            let req_id = u64::decode(&mut r).ok()?;
-            if req_id == EVENT_REQ_ID {
-                if let Ok(ev) = Event::<I>::decode(&mut r) {
-                    self.process_event(ev);
-                }
-                continue;
-            }
-            let resp = Resp::<I, M>::decode(&mut r).ok()?;
-            if let Resp::Session { lease_ms, .. } = &resp {
-                if *lease_ms > 0 {
-                    self.lease_ms.store(*lease_ms, Ordering::SeqCst);
-                }
-            }
-            if req_id == want {
+            if let Some(resp) = self.route(&frame, Some(want))? {
                 return Some(resp);
             }
-            self.retire(req_id, SlotState::Filled(resp));
         }
     }
 
@@ -813,7 +794,6 @@ where
         }
         match self.dial_and_handshake() {
             Some((conn, rd)) => {
-                self.lost.store(false, Ordering::SeqCst);
                 *guard = Some(Arc::clone(&conn));
                 reactor::register(
                     Box::new(SpokeIo {
@@ -994,16 +974,15 @@ where
         Duration::from_millis((self.lease_ms.load(Ordering::SeqCst) / 4).max(25))
     }
 
-    /// Routes one inbound frame: an event push or a pending answer.
-    /// Returns `false` on protocol corruption (the connection is torn
-    /// down).
-    fn on_frame(&self, frame: &[u8]) -> bool {
+    /// Routes one inbound frame: an event push is dispatched, and an
+    /// answer goes to its pending request — unless it answers `want`,
+    /// which is handed back. `None` on protocol corruption (the
+    /// connection is torn down).
+    fn route(&self, frame: &[u8], want: Option<u64>) -> Option<Option<Resp<I, M>>> {
         self.bytes_in
             .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
         let mut r = Reader::new(frame);
-        let Ok(req_id) = u64::decode(&mut r) else {
-            return false;
-        };
+        let req_id = u64::decode(&mut r).ok()?;
         if req_id == EVENT_REQ_ID {
             // Unsolicited push: a tagged telemetry event. Frames with a
             // tag this build does not understand are skipped so newer
@@ -1011,11 +990,9 @@ where
             if let Ok(ev) = Event::<I>::decode(&mut r) {
                 self.process_event(ev);
             }
-            return true;
+            return Some(None);
         }
-        let Ok(resp) = Resp::<I, M>::decode(&mut r) else {
-            return false;
-        };
+        let resp = Resp::<I, M>::decode(&mut r).ok()?;
         // Any session answer — including the unmatched heartbeat
         // acks — renews the lease view.
         if let Resp::Session { lease_ms, .. } = &resp {
@@ -1023,8 +1000,11 @@ where
                 self.lease_ms.store(*lease_ms, Ordering::SeqCst);
             }
         }
+        if want == Some(req_id) {
+            return Some(Some(resp));
+        }
         self.retire(req_id, SlotState::Filled(resp));
-        true
+        Some(None)
     }
 }
 
@@ -1058,7 +1038,7 @@ where
         loop {
             match self.dec.next_frame() {
                 Ok(Some(frame)) => {
-                    if !self.shared.on_frame(frame) {
+                    if self.shared.route(frame, None).is_none() {
                         return false;
                     }
                     self.answered += 1;
@@ -1183,7 +1163,7 @@ impl<I, M> fmt::Debug for SocketTransport<I, M> {
         f.debug_struct("SocketTransport")
             .field("addr", &self.shared.plan.direct)
             .field("session", &self.shared.session.load(Ordering::Relaxed))
-            .field("lost", &self.shared.lost.load(Ordering::Relaxed))
+            .field("lost", &self.shared.is_dead())
             .finish()
     }
 }
@@ -1211,7 +1191,6 @@ where
                 bytes_in: AtomicU64::new(0),
                 relay_dials: AtomicU64::new(0),
                 state: Mutex::new(None),
-                lost: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
                 closed: AtomicBool::new(false),
                 closing: AtomicBool::new(false),
@@ -1252,16 +1231,6 @@ where
         ))
     }
 
-    /// The hub address this client dials.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.shared.plan.direct
-    }
-
-    /// The dial plan this client follows.
-    pub fn dial_plan(&self) -> DialPlan {
-        self.shared.plan
-    }
-
     /// Frame bytes written to the hub so far (length prefixes
     /// included). With a direct [`DialPlan`] these bytes never touch
     /// the control fleet — the per-process evidence the federation
@@ -1293,7 +1262,7 @@ where
     /// hub shut down, or closed). A mere connection blip mid-resume
     /// does not count.
     pub fn is_lost(&self) -> bool {
-        self.shared.lost.load(Ordering::SeqCst)
+        self.shared.is_dead()
     }
 
     /// Severs the connection without telling the hub — exactly what a

@@ -1157,3 +1157,57 @@ fn a_resume_tail_longer_than_a_frame_arrives_whole() {
     assert!(seen.iter().all(|&label| label == LABEL));
     assert!(!client.is_lost(), "the session resumed");
 }
+
+/// A close that lands while a dial's hello is unanswered ends the
+/// session for good: the handshake may still complete under it, but
+/// `is_lost` reads the death `close` caused, not the connection the
+/// dial brought up afterwards.
+#[test]
+fn a_close_during_the_hello_leaves_the_spoke_lost() {
+    use std::net::TcpListener;
+
+    use script_net::proto::Resp;
+    use script_net::{read_frame, write_frame, Reader};
+
+    let fake = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let client = Arc::new(
+        SocketTransport::<String, u64>::connect(fake.local_addr().unwrap()).expect("resolve"),
+    );
+    let dialer = thread::spawn({
+        let client = Arc::clone(&client);
+        move || client.fault_plan()
+    });
+    let (mut raw, _) = fake.accept().expect("the spoke dials");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let hello = read_frame(&mut raw).expect("read").expect("a hello");
+    let mut r = Reader::new(&hello);
+    let hello_id = u64::decode(&mut r).expect("id");
+    assert!(matches!(
+        Req::<String, u64>::decode(&mut r),
+        Ok(Req::HelloNew)
+    ));
+
+    // Close while the hello is held back: the session dies at once, and
+    // the close then waits for the dial to let the connection go.
+    let closer = thread::spawn({
+        let client = Arc::clone(&client);
+        move || client.close()
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !client.is_lost() {
+        assert!(Instant::now() < deadline, "close never ended the session");
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut frame = Vec::new();
+    hello_id.encode(&mut frame);
+    Resp::<String, u64>::Session {
+        session: 1,
+        lease_ms: 1000,
+    }
+    .encode(&mut frame);
+    write_frame(&mut raw, &frame).expect("write");
+    assert_eq!(dialer.join().expect("the dial returns"), None);
+    closer.join().expect("the close returns");
+    assert!(client.is_lost(), "a closed spoke stays lost");
+}

@@ -226,7 +226,7 @@ mod tests {
         // an error instead of hanging the test.
         let d = dinner(5);
         let inst = d.script.instance();
-        inst.set_watchdog_policy(script_core::WatchdogPolicy::adaptive());
+        inst.set_watchdog_policy(script_core::WatchdogPolicy::Adaptive);
         let (meals, _) = run_on(&inst, &d, 25).expect("dinner must not stall");
         assert_eq!(meals, vec![25; 5]);
         assert_eq!(inst.completed_performances(), 1);

@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 
 use script::chan::{FaultPlan, Network, ShardedTransport, Transport};
 use script::core::{
-    Initiation, NetworkFactory, PerformanceNet, RingObserver, RoleId, Script, ScriptError,
-    ScriptEvent, TelemetryPayload, Termination, WatchdogPolicy,
+    AdaptiveWindow, Initiation, NetworkFactory, PerformanceNet, RingObserver, RoleId, Script,
+    ScriptError, ScriptEvent, TelemetryPayload, Termination, WatchdogPolicy,
 };
 use script::net::{SocketTransport, TransportServer};
 
@@ -82,7 +82,7 @@ fn adaptive_policy_handles_both_transports_untuned() {
     inst.set_observer(Arc::clone(&ring) as _);
     // The one and only watchdog setting in this test: stock adaptive
     // defaults, never re-tuned as the transport changes underneath it.
-    inst.set_watchdog_policy(WatchdogPolicy::adaptive());
+    inst.set_watchdog_policy(WatchdogPolicy::Adaptive);
 
     // Phase 1 — in-process baseline: a healthy performance, timed, to
     // size the socket-side delay so that every later socket rendezvous
@@ -156,11 +156,10 @@ fn adaptive_policy_handles_both_transports_untuned() {
         2,
         "exactly the two deadlocks must stall, got {stalls:?}"
     );
-    let min_window = Duration::from_millis(25);
     for (observed_p99, window) in &stalls {
         let p99 = observed_p99.expect("both deadlocks completed rendezvous before hanging");
         assert!(
-            *window >= min_window,
+            *window >= AdaptiveWindow::MIN_WINDOW,
             "armed window {window:?} below the policy floor"
         );
         assert!(

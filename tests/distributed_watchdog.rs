@@ -95,7 +95,7 @@ fn remote_peer_death_unblocks_blocked_role() {
     // Adaptive: no hand-tuned window for the socket transport — the
     // 500 ms initial window bounds detection well inside the 10 s
     // assertion below without guessing at RPC round-trip times.
-    inst.set_watchdog_policy(WatchdogPolicy::adaptive());
+    inst.set_watchdog_policy(WatchdogPolicy::Adaptive);
 
     let partner = std::thread::spawn(move || {
         remote
@@ -138,7 +138,7 @@ fn silent_remote_peer_trips_the_watchdog() {
     // completes a rendezvous, so the watchdog fires at the policy's
     // initial window (500 ms) — still far inside the 5 s assertion —
     // without baking transport timing into the test.
-    inst.set_watchdog_policy(WatchdogPolicy::adaptive());
+    inst.set_watchdog_policy(WatchdogPolicy::Adaptive);
 
     let start = Instant::now();
     let err = inst.enroll(&local, ()).unwrap_err();

@@ -71,7 +71,7 @@ fn distributed_performance_yields_one_gapless_merged_stream() {
     // A certain delay on every message: each rendezvous pays it at the
     // hub, and each injection must stream back to this process.
     inst.set_fault_plan(FaultPlan::new(13).with_delay(1.0, Duration::from_millis(2)));
-    inst.set_watchdog_policy(WatchdogPolicy::adaptive());
+    inst.set_watchdog_policy(WatchdogPolicy::Adaptive);
     // Two subscribers on the one observer slot: a `MultiObserver` fans
     // out.
     let collect = Arc::new(Collect::default());

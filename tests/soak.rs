@@ -73,7 +73,7 @@ fn adaptive_watchdog_regime_shift() {
     let inst = script.instance();
     let ring = Arc::new(RingObserver::new(8192));
     inst.set_observer(Arc::clone(&ring) as _);
-    inst.set_watchdog_policy(WatchdogPolicy::adaptive());
+    inst.set_watchdog_policy(WatchdogPolicy::Adaptive);
 
     let inner: Arc<dyn Transport<RoleId, u64>> = Arc::new(ShardedTransport::new(false, None));
     let server = TransportServer::bind("127.0.0.1:0", inner).expect("bind hub");
@@ -180,7 +180,7 @@ fn reconnect_storm(performances: u64) {
         .termination(Termination::Delayed);
     let script = b.build().unwrap();
     let inst = script.instance();
-    inst.set_watchdog_policy(WatchdogPolicy::adaptive());
+    inst.set_watchdog_policy(WatchdogPolicy::Adaptive);
     let collect = Arc::new(Collect(Mutex::new(Vec::new())));
     inst.set_observer(Arc::clone(&collect) as Arc<dyn Observer>);
 
