@@ -472,12 +472,14 @@ struct WaitEntry<I> {
 }
 
 impl<I: PartialEq> WaitEntry<I> {
-    fn offers_from(&self, sender: &I) -> bool {
-        self.wants.iter().any(|w| match w {
-            Want::Recv(Source::Any) => true,
-            Want::Recv(Source::Of(p)) => p == sender,
-            Want::Peer(_) => false,
-        })
+    /// Whether the selection, not yet claimed, takes `sender`'s message.
+    fn takes(&self, sender: &I) -> bool {
+        self.resolved.is_none()
+            && self.wants.iter().any(|w| match w {
+                Want::Recv(Source::Any) => true,
+                Want::Recv(Source::Of(p)) => p == sender,
+                Want::Peer(_) => false,
+            })
     }
 }
 
@@ -493,11 +495,58 @@ struct Endpoint<I, M> {
     cond: Condvar,
 }
 
+/// One edge `sender → me`, made on its first use and kept for the
+/// performance.
+struct Edge<M> {
+    /// The message on the edge: at most one in flight.
+    deposit: Option<M>,
+    /// Pickups, awaited by the sender's phase 2.
+    acks: u64,
+    /// `(issued, served)` tickets for *submitted* sends. A submitted
+    /// send takes a ticket at submission and deposits only on its turn,
+    /// so sends pipelined on the edge land in submission order however
+    /// the drivers interleave their steps. Blocking senders are ordered
+    /// by their own program order and take none.
+    turns: (u64, u64),
+    /// Sends, counted for chaos decisions.
+    chaos_seq: u64,
+    /// Deliveries, counted only while a rendezvous observer is
+    /// installed.
+    rdv_seq: u64,
+}
+
+impl<M> Default for Edge<M> {
+    fn default() -> Self {
+        Self {
+            deposit: None,
+            acks: 0,
+            turns: (0, 0),
+            chaos_seq: 0,
+            rdv_seq: 0,
+        }
+    }
+}
+
+impl<M> Edge<M> {
+    /// Marks the served ticket finished. Returns whether a later send
+    /// on the edge is waiting for the turn and must be woken.
+    fn pass_turn(&mut self) -> bool {
+        next(&mut self.turns.1) + 1 < self.turns.0
+    }
+}
+
+/// A counter's value, advancing it: an edge's tickets and sequences.
+fn next(counter: &mut u64) -> u64 {
+    *counter += 1;
+    *counter - 1
+}
+
 struct EpState<I, M> {
-    /// Messages to me, keyed by sender: at most one in flight per edge.
-    inbox: HashMap<I, M>,
-    /// Pickup counts per sender, awaited by the sender's phase 2.
-    acks: HashMap<I, u64>,
+    /// The edges into me, keyed by sender.
+    edges: HashMap<I, Edge<M>>,
+    /// How many `edges` hold a deposit: a receive from anyone knows at
+    /// once whether anything waits.
+    deposits: usize,
     /// My parked selection's published wants: receive offers,
     /// claimable by send arms, and the peers its other arms name.
     wait: Option<WaitEntry<I>>,
@@ -508,16 +557,11 @@ struct EpState<I, M> {
     /// `cond` could care about. Selectors re-read it before parking.
     signal: u64,
     /// Selectors with a send arm targeting me, woken when my offers or
-    /// inbox slots change. `(token, endpoint)` so a selector can remove
+    /// deposits change. `(token, endpoint)` so a selector can remove
     /// exactly its own registration.
     watchers: Vec<(u64, Arc<Endpoint<I, M>>)>,
     /// Fair-choice RNG for selections by this endpoint.
     rng: SmallRng,
-    /// Per-edge send counters for edges *into* me (chaos decisions).
-    chaos_in_seqs: HashMap<I, u64>,
-    /// Per-edge *delivery* counters for edges into me, advanced only
-    /// while a rendezvous observer is installed.
-    rdv_in_seqs: HashMap<I, u64>,
     /// My operation counter driving crash-at-step-*k*.
     chaos_steps: u64,
     /// Submitted operations parked on this endpoint: single-shot
@@ -526,13 +570,6 @@ struct EpState<I, M> {
     /// An op is registered here and published in its scheduler's `ops`
     /// under one hold of this lock (see [`SchedShared::park`]).
     op_waiters: Vec<(u64, Arc<SchedShared<I, M>>)>,
-    /// `(issued, served)` tickets for *submitted* sends on each edge
-    /// into me. A submitted send takes a ticket at submission and
-    /// deposits only on its turn, so sends pipelined on one edge land in
-    /// submission order however the drivers interleave their steps.
-    /// Blocking senders are ordered by their own program order and take
-    /// none.
-    turns: HashMap<I, (u64, u64)>,
 }
 
 impl<I, M> Endpoint<I, M> {
@@ -560,67 +597,50 @@ enum Moved {
 impl<I: Clone + Eq + Hash, M> EpState<I, M> {
     fn new(rng: SmallRng) -> Self {
         Self {
-            inbox: HashMap::new(),
-            acks: HashMap::new(),
+            edges: HashMap::new(),
+            deposits: 0,
             wait: None,
             spare_offers: Vec::new(),
             signal: 0,
             watchers: Vec::new(),
             rng,
-            chaos_in_seqs: HashMap::new(),
-            rdv_in_seqs: HashMap::new(),
             chaos_steps: 0,
             op_waiters: Vec::new(),
-            turns: HashMap::new(),
         }
     }
 
     /// Makes the state what [`EpState::new`] builds, keeping the room
-    /// of the tables every run fills (the RNG is re-seeded when taken).
+    /// — up to [`RECYCLED`] entries — of the tables every run fills
+    /// (the RNG is re-seeded when taken).
     fn renew(&mut self) {
-        self.inbox.clear();
-        self.acks.clear();
+        self.edges.clear();
+        self.edges.shrink_to(RECYCLED);
+        self.watchers.clear();
+        self.watchers.shrink_to(RECYCLED);
         *self = Self {
-            inbox: std::mem::take(&mut self.inbox),
-            acks: std::mem::take(&mut self.acks),
+            edges: std::mem::take(&mut self.edges),
             spare_offers: std::mem::take(&mut self.spare_offers),
+            watchers: std::mem::take(&mut self.watchers),
             ..Self::new(self.rng.clone())
         };
     }
 
-    /// Whether `sender` may *claim* me (seen `Active` by the caller): I
-    /// have published offers that take its message, nobody has claimed
-    /// them yet, and the edge's slot is free.
-    fn claimable(&self, sender: &I) -> bool {
-        self.wait
-            .as_ref()
-            .is_some_and(|w| w.resolved.is_none() && w.offers_from(sender))
-            && !self.inbox.contains_key(sender)
+    /// The edge `from → me`, made on its first use.
+    fn edge(&mut self, from: &I) -> &mut Edge<M> {
+        self.edges.entry(from.clone()).or_default()
     }
 
-    /// Issues the next ticket on the edge `from → me` (see
-    /// [`EpState::turns`]).
-    fn take_turn(&mut self, from: &I) -> u64 {
-        match self.turns.get_mut(from) {
-            Some(edge) => {
-                edge.0 += 1;
-                edge.0 - 1
-            }
-            None => {
-                self.turns.insert(from.clone(), (1, 0));
-                0
-            }
+    /// Whether a message from `from` waits on its edge.
+    fn holds(&self, from: &I) -> bool {
+        self.edges.get(from).is_some_and(|e| e.deposit.is_some())
+    }
+
+    /// Takes back an un-picked-up deposit from `from`.
+    fn reclaim(&mut self, from: &I) {
+        if let Some(e) = self.edges.get_mut(from).filter(|e| e.deposit.is_some()) {
+            e.deposit = None;
+            self.deposits -= 1;
         }
-    }
-
-    /// Marks the served ticket on the edge `from → me` finished.
-    /// Returns whether a later send on the edge is waiting for the turn
-    /// and must be woken.
-    fn pass_turn(&mut self, from: &I) -> bool {
-        self.turns.get_mut(from).is_some_and(|edge| {
-            edge.1 += 1;
-            edge.1 < edge.0
-        })
     }
 }
 
@@ -1018,7 +1038,7 @@ where
             })
     }
 
-    /// After a pick-up from `ep`'s inbox: lets `st` (`ep`'s lock) go,
+    /// After a pick-up from an edge into `ep`: lets `st` (`ep`'s lock) go,
     /// then wakes the sender's phase 2, which sleeps on `ep`'s condvar,
     /// and the selectors watching `ep`, which may care about the freed
     /// slot.
@@ -1078,46 +1098,37 @@ where
         Ok(())
     }
 
-    /// Advances the per-edge counter for `from → to` under `to`'s lock.
-    fn chaos_edge_seq(&self, from: &I, to_ep: &Arc<Endpoint<I, M>>) -> u64 {
-        let mut st = to_ep.state.lock();
-        let c = st.chaos_in_seqs.entry(from.clone()).or_insert(0);
-        let s = *c;
-        *c += 1;
-        s
-    }
-
-    /// Picks up and records the rendezvous (`st` is `me`'s state): for
-    /// a message that was not claimed (see [`Self::claim`]).
-    fn take_from(&self, st: &mut EpState<I, M>, me: &I, from: &I) -> Option<M> {
-        let msg = self.pick_up(st, from)?;
-        if self.observers.observes_rendezvous() {
-            self.record_rendezvous(st, me, from, &msg);
-        }
-        Some(msg)
-    }
-
-    /// Takes the message from `from` out of the inbox, acking it. Every
+    /// Takes the message on the edge `from → me` (`st` is `me`'s
+    /// state), acking it, and — `me` given: a message that was not
+    /// claimed (see [`Self::claim`]) — records the rendezvous. Every
     /// delivery path funnels through here.
-    fn pick_up(&self, st: &mut EpState<I, M>, from: &I) -> Option<M> {
-        let msg = st.inbox.remove(from)?;
-        *st.acks.entry(from.clone()).or_insert(0) += 1;
+    fn pick_up(&self, st: &mut EpState<I, M>, from: &I, me: Option<&I>) -> Option<M> {
+        let edge = st.edges.get_mut(from)?;
+        let msg = edge.deposit.take()?;
+        edge.acks += 1;
+        if let Some(me) = me.filter(|_| self.observers.observes_rendezvous()) {
+            self.record_rendezvous(edge, me, from, &msg);
+        }
+        st.deposits -= 1;
         st.bump_signal();
         self.activity.fetch_add(1, Ordering::Relaxed);
         Some(msg)
     }
 
-    /// Claims the receiver `to` (`ts`, its state, is
-    /// [`EpState::claimable`] for `from`): it is committed to taking
-    /// `msg`, so the communication has happened and the sender need not
-    /// await the pickup. Recorded here, not in [`Self::take_claim`]: a
-    /// sender claiming two receivers in turn would otherwise have its
-    /// records observed in whichever order the receivers woke.
+    /// Claims the receiver `to` (`ts`, its state: seen `Active`, its wait
+    /// [`takes`](WaitEntry::takes) `msg`, the edge free): it is committed
+    /// to taking `msg`, so the communication has happened and the sender
+    /// need not await the pickup. Recorded here, not in
+    /// [`Self::take_claim`]: a sender claiming two receivers in turn
+    /// would otherwise have its records observed in whichever order the
+    /// receivers woke.
     fn claim(&self, ts: &mut EpState<I, M>, from: &I, to: &I, msg: M) {
+        let edge = ts.edges.entry(from.clone()).or_default();
         if self.observers.observes_rendezvous() {
-            self.record_rendezvous(ts, to, from, &msg);
+            self.record_rendezvous(edge, to, from, &msg);
         }
-        ts.inbox.insert(from.clone(), msg);
+        edge.deposit = Some(msg);
+        ts.deposits += 1;
         ts.wait.as_mut().expect("claimable").resolved = Some(from.clone());
         ts.bump_signal();
         self.activity.fetch_add(1, Ordering::Relaxed);
@@ -1130,10 +1141,8 @@ where
     /// that for gapless replay). The lock order is endpoint → observer
     /// internals; observers must therefore never call back into the
     /// transport.
-    fn record_rendezvous(&self, st: &mut EpState<I, M>, me: &I, from: &I, msg: &M) {
-        let c = st.rdv_in_seqs.entry(from.clone()).or_insert(0);
-        let seq = *c;
-        *c += 1;
+    fn record_rendezvous(&self, edge: &mut Edge<M>, me: &I, from: &I, msg: &M) {
+        let seq = next(&mut edge.rdv_seq);
         self.observers.rendezvous(|label_of| RendezvousRecord {
             from: from.clone(),
             to: me.clone(),
@@ -1258,7 +1267,7 @@ where
         let eps: Vec<Arc<Endpoint<I, M>>> = self.registry().values().cloned().collect();
         for ep in eps {
             let mut st = ep.state.lock();
-            st.chaos_in_seqs.clear();
+            st.edges.values_mut().for_each(|e| e.chaos_seq = 0);
             st.chaos_steps = 0;
         }
         // Flags last: a racing hot path that sees them set finds the
@@ -1352,7 +1361,7 @@ where
             Err(e) => Err(e),
             Ok(adm) if adm.dropped => self.dropped_result(to, &adm.to_ep),
             Ok(mut adm) => {
-                adm.state.turn = Some(adm.to_ep.state.lock().take_turn(from));
+                adm.state.turn = Some(next(&mut adm.to_ep.state.lock().edge(from).turns.0));
                 // The scheduler thread arms a timer where a blocking
                 // caller would sleep the chaos delay.
                 let ready_at = adm.delay.map(|d| Instant::now() + d);
@@ -1488,12 +1497,12 @@ struct SendState<M> {
     msg: Option<M>,
     /// Chaos duplicate, redelivered best-effort after pickup.
     dup: Option<M>,
-    /// The `acks[from]` level that proves pickup; `Some` once deposited.
+    /// The [`Edge::acks`] level that proves pickup; `Some` once deposited.
     ack_target: Option<u64>,
-    /// A submitted send's ticket in `EpState::turns`; `None` on the
+    /// A submitted send's ticket in [`Edge::turns`]; `None` on the
     /// blocking path.
     turn: Option<u64>,
-    /// Set by a step that put something in the receiver's inbox: the
+    /// Set by a step that deposited something on the receiver's edge: the
     /// waiter owes the endpoint's condvar a `notify_all`. A driver pays
     /// after letting go of the lock, so the receiver it wakes does not
     /// run straight into it.
@@ -1560,7 +1569,7 @@ where
         if !(has_msg || cfg.plan.has_connection_faults()) {
             return Ok(adm);
         }
-        let seq = self.chaos_edge_seq(from, &adm.to_ep);
+        let seq = next(&mut adm.to_ep.state.lock().edge(from).chaos_seq);
         // Connection faults decide (and record) here at the sending
         // edge like every other class — that is what keeps fault logs
         // identical across transports — but are *enacted* only by
@@ -1621,16 +1630,17 @@ where
         deadline: Option<Instant>,
     ) -> Option<Result<(), ChanError<I>>> {
         let life = life_of(to_ep.life.load(Ordering::SeqCst));
-        if s.ack_target
-            .is_some_and(|target| st.acks.get(from).copied().unwrap_or(0) >= target)
-        {
+        // One lookup decides the step; a claim or a reclaim makes another.
+        let edge = st.edges.entry(from.clone()).or_default();
+        if s.ack_target.is_some_and(|target| edge.acks >= target) {
             // Rendezvous complete — even under a later abort, since the
             // receiver already has the message. Deliver the chaos
             // duplicate, if planned and the edge slot is free
             // (best-effort redelivery).
             if let Some(copy) = s.dup.take() {
-                if !st.inbox.contains_key(from) && life == PeerState::Active {
-                    st.inbox.insert(from.clone(), copy);
+                if edge.deposit.is_none() && life == PeerState::Active {
+                    edge.deposit = Some(copy);
+                    st.deposits += 1;
                     st.bump_signal();
                     self.activity.fetch_add(1, Ordering::Relaxed);
                     s.wake_receiver = true;
@@ -1647,33 +1657,34 @@ where
             PeerState::Done => {
                 // Receiver finished; reclaim a deposit it never took.
                 if s.ack_target.is_some() {
-                    st.inbox.remove(from);
+                    st.reclaim(from);
                 }
                 return Some(Err(ChanError::Terminated(to.clone())));
             }
             PeerState::Active
                 if s.ack_target.is_none()
-                    && s.turn
-                        .is_none_or(|t| st.turns.get(from).is_some_and(|e| e.1 == t)) =>
+                    && s.turn.is_none_or(|t| edge.turns.1 == t)
+                    && edge.deposit.is_none() =>
             {
+                let msg = s.msg.take().expect("message deposited once");
                 // A blocking send whose receiver is committed is over at
                 // the claim: one park, the receiver's. A submitted send
                 // parks no thread and its hub answers pickup first; a
                 // planned duplicate is redelivered after the pickup.
-                if s.turn.is_none() && s.dup.is_none() && st.claimable(from) {
-                    let msg = s.msg.take().expect("message deposited once");
+                if s.turn.is_none()
+                    && s.dup.is_none()
+                    && st.wait.as_ref().is_some_and(|w| w.takes(from))
+                {
                     self.claim(st, from, to, msg);
                     s.wake_receiver = true;
                     return Some(Ok(()));
                 }
-                if !st.inbox.contains_key(from) {
-                    let msg = s.msg.take().expect("message deposited once");
-                    st.inbox.insert(from.clone(), msg);
-                    st.bump_signal();
-                    self.activity.fetch_add(1, Ordering::Relaxed);
-                    s.ack_target = Some(st.acks.get(from).copied().unwrap_or(0) + 1);
-                    s.wake_receiver = true;
-                }
+                edge.deposit = Some(msg);
+                s.ack_target = Some(edge.acks + 1);
+                st.deposits += 1;
+                st.bump_signal();
+                self.activity.fetch_add(1, Ordering::Relaxed);
+                s.wake_receiver = true;
             }
             _ => {}
         }
@@ -1681,7 +1692,7 @@ where
             // Reclaim an un-picked-up deposit so the message is not
             // delivered after we report failure.
             if s.ack_target.is_some() {
-                st.inbox.remove(from);
+                st.reclaim(from);
             }
             return Some(Err(ChanError::Timeout));
         }
@@ -1703,7 +1714,7 @@ where
             return Err(ChanError::Aborted);
         }
         let mut st = me_ep.state.lock();
-        if let Some(msg) = self.take_from(&mut st, me, from) {
+        if let Some(msg) = self.pick_up(&mut st, from, Some(me)) {
             Self::picked_up(&me_ep, st);
             return Ok(Some(msg));
         }
@@ -1841,7 +1852,7 @@ where
             if let Some(from) = resolved {
                 // Recorded at the claim.
                 let msg = self
-                    .pick_up(&mut st, &from)
+                    .pick_up(&mut st, &from, None)
                     .expect("claim implies a deposited message");
                 Self::picked_up(me_ep, st);
                 let arm = arms
@@ -1912,7 +1923,7 @@ where
                     Arm::Recv(Source::Of(p)) => {
                         let p = p.clone();
                         let mut st = me_ep.state.lock();
-                        if let Some(msg) = self.take_from(&mut st, me, &p) {
+                        if let Some(msg) = self.pick_up(&mut st, &p, Some(me)) {
                             Self::picked_up(me_ep, st);
                             return Ok(Some(Outcome::Received {
                                 arm: idx,
@@ -1921,23 +1932,26 @@ where
                             }));
                         }
                         drop(st);
-                        if peers.ep(idx).life.load(Ordering::SeqCst) != LIFE_DONE {
-                            any_live = true;
-                        }
+                        any_live |= peers.ep(idx).life.load(Ordering::SeqCst) != LIFE_DONE;
                     }
                     Arm::Recv(Source::Any) => {
                         let mut st = me_ep.state.lock();
-                        let picked = match st.inbox.len() {
+                        let mut senders = st
+                            .edges
+                            .iter()
+                            .filter(|(_, e)| e.deposit.is_some())
+                            .map(|(id, _)| id.clone());
+                        let picked = match st.deposits {
                             0 => None,
                             // The draw `choose` makes from a list of
                             // one, without the list.
                             1 => {
-                                let only = st.inbox.keys().next().cloned();
+                                let only = senders.next();
                                 only.as_slice().choose(&mut st.rng).cloned()
                             }
                             _ => {
-                                let mut senders: Vec<I> = st.inbox.keys().cloned().collect();
-                                // `inbox` iterates in `RandomState` order; a
+                                let mut senders: Vec<I> = senders.collect();
+                                // `edges` iterates in `RandomState` order; a
                                 // seeded pick must not depend on it. (The
                                 // cached-key sort would allocate per scan.)
                                 senders.sort_unstable_by_key(|id| derive_seed(0, id));
@@ -1946,7 +1960,7 @@ where
                         };
                         if let Some(from) = picked {
                             let msg = self
-                                .take_from(&mut st, me, &from)
+                                .pick_up(&mut st, &from, Some(me))
                                 .expect("chosen sender has a message");
                             Self::picked_up(me_ep, st);
                             return Ok(Some(Outcome::Received {
@@ -1956,9 +1970,7 @@ where
                             }));
                         }
                         drop(st);
-                        if self.any_possible_sender(me) {
-                            any_live = true;
-                        }
+                        any_live |= self.any_possible_sender(me);
                     }
                     Arm::Send { to, .. } => {
                         let to = to.clone();
@@ -1969,7 +1981,9 @@ where
                             PeerState::Active => {
                                 any_live = true;
                                 let mut ts = t_ep.state.lock();
-                                if ts.claimable(me) {
+                                // `me` may *claim* `to`: its published offers
+                                // take my message and the edge is free.
+                                if ts.wait.as_ref().is_some_and(|w| w.takes(me)) && !ts.holds(me) {
                                     // The arm fires: its message leaves
                                     // the list, which is not scanned again.
                                     let Arm::Send { msg: m, .. } = arms.swap_remove(idx) else {
@@ -1978,27 +1992,16 @@ where
                                     // Chaos: a dropped send arm still
                                     // fires (the sender saw delivery) but
                                     // leaves the receiver waiting.
-                                    if self.faults.msg_faults.load(Ordering::Relaxed) {
-                                        if let Some(cfg) = self.chaos_cfg() {
-                                            if cfg.plan.has_message_faults() {
-                                                let c =
-                                                    ts.chaos_in_seqs.entry(me.clone()).or_insert(0);
-                                                let seq = *c;
-                                                *c += 1;
-                                                if cfg.plan.decide_drop(me, &to, seq) {
-                                                    drop(ts);
-                                                    self.record_fault(
-                                                        FaultKind::Drop,
-                                                        me,
-                                                        &to,
-                                                        seq,
-                                                    );
-                                                    return Ok(Some(Outcome::Sent {
-                                                        arm: idx,
-                                                        to,
-                                                    }));
-                                                }
-                                            }
+                                    let cfg = self.faults.msg_faults.load(Ordering::Relaxed);
+                                    let cfg = cfg.then(|| self.chaos_cfg()).flatten();
+                                    if let Some(cfg) =
+                                        cfg.filter(|cfg| cfg.plan.has_message_faults())
+                                    {
+                                        let seq = next(&mut ts.edge(me).chaos_seq);
+                                        if cfg.plan.decide_drop(me, &to, seq) {
+                                            drop(ts);
+                                            self.record_fault(FaultKind::Drop, me, &to, seq);
+                                            return Ok(Some(Outcome::Sent { arm: idx, to }));
                                         }
                                     }
                                     self.claim(&mut ts, me, &to, m);
@@ -2010,19 +2013,16 @@ where
                         }
                     }
                     Arm::Watch(p) => {
-                        let p = p.clone();
-                        if peers.ep(idx).life.load(Ordering::SeqCst) == LIFE_DONE {
-                            let pending = me_ep.state.lock().inbox.contains_key(&p);
-                            if !pending {
-                                return Ok(Some(Outcome::Terminated { arm: idx, peer: p }));
-                            }
-                            // A message from the dead peer is still
-                            // pending: a recv arm must drain it first;
-                            // the watch arm stays pending.
-                            any_live = true;
-                        } else {
-                            any_live = true;
+                        // While a message from the dead peer is still
+                        // pending, a recv arm must drain it first: the
+                        // watch arm stays pending.
+                        if peers.ep(idx).life.load(Ordering::SeqCst) == LIFE_DONE
+                            && !me_ep.state.lock().holds(p)
+                        {
+                            let peer = p.clone();
+                            return Ok(Some(Outcome::Terminated { arm: idx, peer }));
                         }
+                        any_live = true;
                     }
                 }
             }
@@ -2271,7 +2271,7 @@ where
                 let wake_receiver = std::mem::take(&mut s.state.wake_receiver);
                 let finished = match step {
                     Some(result) => {
-                        if st.pass_turn(&s.from) {
+                        if st.edge(&s.from).pass_turn() {
                             st.bump_signal();
                         }
                         Some((s, result))
@@ -2528,10 +2528,170 @@ where
 mod tests {
     use super::*;
 
-    /// Whether a message from `from` sits in `to`'s inbox.
+    /// Whether a message from `from` sits on its edge into `to`.
     fn deposited(t: &ShardedTransport<u8, u32>, to: u8, from: u8) -> bool {
-        t.lookup(&to)
-            .is_some_and(|ep| ep.state.lock().inbox.contains_key(&from))
+        t.lookup(&to).is_some_and(|ep| ep.state.lock().holds(&from))
+    }
+
+    /// `ep`'s deposit count, checked against its edges.
+    fn deposits(ep: &Endpoint<u8, u32>) -> usize {
+        let st = ep.state.lock();
+        let held = st.edges.values().filter(|e| e.deposit.is_some()).count();
+        assert_eq!(
+            st.deposits, held,
+            "the count is the edges holding a message"
+        );
+        held
+    }
+
+    /// A send of `msg` not yet stepped: blocking, no duplicate planned.
+    fn sending(msg: u32) -> SendState<u32> {
+        SendState {
+            msg: Some(msg),
+            dup: None,
+            ack_target: None,
+            turn: None,
+            wake_receiver: false,
+        }
+    }
+
+    /// The deposit count follows every path that puts a message on an
+    /// edge or takes one off: a claim and its pickup, a phase-1 deposit
+    /// and its pickup, the timeout reclaim, a duplicate's redelivery and
+    /// the reclaim from a receiver that finished. Sends into 1 are
+    /// stepped by hand, under 1's lock, as a waiter would.
+    #[test]
+    fn the_deposit_count_is_the_edges_holding_a_message() {
+        let t: ShardedTransport<u8, u32> = ShardedTransport::new(false, Some(1));
+        for id in [0, 1, 2] {
+            t.activate(id);
+        }
+        let ep = t.lookup(&1).unwrap();
+        let step = |s: &mut SendState<u32>, from: u8, deadline: Option<Instant>| {
+            t.send_step(&mut ep.state.lock(), &ep, &from, &1, s, deadline)
+        };
+
+        // A claim: 1's published offers take the message at once.
+        let mut arms = vec![Arm::Recv(Source::Any)];
+        let (_, peers) = t.prepare_select(&1, &arms).unwrap();
+        t.publish_offers(&ep, &arms);
+        assert_eq!(step(&mut sending(5), 0, None), Some(Ok(())));
+        assert_eq!(deposits(&ep), 1);
+        let SelectStep::Done(got) = t.select_step(&1, &ep, &mut arms, &peers, None) else {
+            panic!("a claimed receiver has a message to take");
+        };
+        assert!(matches!(got, Ok(Outcome::Received { msg: 5, .. })));
+        assert_eq!(deposits(&ep), 0);
+
+        // Phase-1 deposits on two edges, one picked up, one reclaimed at
+        // its deadline.
+        let (mut a, mut b) = (sending(10), sending(20));
+        assert_eq!(step(&mut a, 0, None), None);
+        assert_eq!(step(&mut b, 2, None), None);
+        assert_eq!(deposits(&ep), 2);
+        assert_eq!(t.try_recv(&1, &0), Ok(Some(10)));
+        assert_eq!(deposits(&ep), 1);
+        assert_eq!(step(&mut a, 0, None), Some(Ok(())), "picked up");
+        let past = Some(Instant::now());
+        assert_eq!(step(&mut b, 2, past), Some(Err(ChanError::Timeout)));
+        assert_eq!(deposits(&ep), 0);
+
+        // A planned duplicate is deposited again after the pickup.
+        let mut c = SendState {
+            dup: Some(31),
+            ..sending(30)
+        };
+        assert_eq!(step(&mut c, 0, None), None);
+        assert_eq!(t.try_recv(&1, &0), Ok(Some(30)));
+        assert_eq!(deposits(&ep), 0);
+        assert_eq!(step(&mut c, 0, None), Some(Ok(())));
+        assert_eq!(deposits(&ep), 1, "the duplicate is redelivered");
+        assert_eq!(t.try_recv(&1, &0), Ok(Some(31)));
+
+        // A receiver that finished leaves the deposit to be reclaimed.
+        let mut d = sending(40);
+        assert_eq!(step(&mut d, 2, None), None);
+        assert_eq!(deposits(&ep), 1);
+        t.finish(1);
+        assert_eq!(step(&mut d, 2, None), Some(Err(ChanError::Terminated(1))));
+        assert_eq!(deposits(&ep), 0);
+    }
+
+    /// A recycled endpoint is reused with no edge at all: no deposit
+    /// left over and, on an edge's first use, every counter at zero.
+    #[test]
+    fn a_recycled_endpoint_starts_with_empty_edges() {
+        let mut t: ShardedTransport<u8, u32> = ShardedTransport::new(false, Some(1));
+        for id in [0, 1] {
+            t.activate(id);
+        }
+        t.set_fault_plan(FaultPlan::new(1).with_delay(1.0, Duration::ZERO), |m| *m);
+        t.observe(Observers {
+            rendezvous: Some((Arc::new(|_| {}), |_| None)),
+            ..Observers::default()
+        });
+        let used = t.lookup(&1).unwrap();
+        let mut s = t.admit_send(&0, &1, 7).ok().unwrap().state;
+        s.turn = Some(next(&mut used.state.lock().edge(&0).turns.0));
+        t.send_step(&mut used.state.lock(), &used, &0, &1, &mut s, None);
+        assert_eq!(t.try_recv(&1, &0), Ok(Some(7)));
+        let mut left = t.admit_send(&0, &1, 8).ok().unwrap().state;
+        t.send_step(&mut used.state.lock(), &used, &0, &1, &mut left, None);
+        {
+            let st = used.state.lock();
+            let e = &st.edges[&0];
+            assert!(e.deposit.is_some() && e.acks == 1 && e.turns == (1, 0));
+            assert!(e.chaos_seq == 2 && e.rdv_seq == 1);
+        }
+        let old = [Arc::as_ptr(&used), Arc::as_ptr(&t.lookup(&0).unwrap())];
+        drop(used);
+        assert!(t.recycle(false, Some(1)));
+        t.activate(1);
+        let ep = t.lookup(&1).unwrap();
+        let mut st = ep.state.lock();
+        assert_eq!((st.edges.len(), st.deposits), (0, 0));
+        let e = st.edge(&0);
+        assert!(e.deposit.is_none());
+        assert_eq!((e.acks, e.turns, e.chaos_seq, e.rdv_seq), (0, (0, 0), 0, 0));
+        drop(st);
+        assert!(
+            old.contains(&Arc::as_ptr(&ep)),
+            "a spare endpoint was reused"
+        );
+    }
+
+    /// A new fault plan starts every edge's send counter from zero and
+    /// leaves the edge's other counters alone.
+    #[test]
+    fn a_new_fault_plan_zeroes_every_edge_chaos_counter() {
+        let t: ShardedTransport<u8, u32> = ShardedTransport::new(false, Some(1));
+        for id in [0, 1, 2] {
+            t.activate(id);
+        }
+        let plan = FaultPlan::new(1).with_delay(1.0, Duration::ZERO);
+        t.set_fault_plan(plan.clone(), |m| *m);
+        let ep = t.lookup(&1).unwrap();
+        for (from, sends) in [(0, 3), (2, 2)] {
+            for _ in 0..sends {
+                t.admit_send(&from, &1, 7).ok().unwrap();
+            }
+        }
+        let mut s = sending(9);
+        t.send_step(&mut ep.state.lock(), &ep, &0, &1, &mut s, None);
+        assert_eq!(t.try_recv(&1, &0), Ok(Some(9)));
+        let counts = || {
+            let st = ep.state.lock();
+            let mut c: Vec<_> = st
+                .edges
+                .iter()
+                .map(|(id, e)| (*id, e.chaos_seq, e.acks))
+                .collect();
+            c.sort_unstable();
+            c
+        };
+        assert_eq!(counts(), [(0, 3, 1), (2, 2, 0)]);
+        t.set_fault_plan(plan, |m| *m);
+        assert_eq!(counts(), [(0, 0, 1), (2, 0, 0)]);
     }
 
     /// `observe` merges: installing only a latency observer leaves the
@@ -2801,7 +2961,7 @@ mod tests {
         }
         assert_eq!(second.join().unwrap(), Ok(()));
         assert_eq!(first.join().unwrap(), Ok(()));
-        assert!(ep.state.lock().inbox.is_empty());
+        assert_eq!(ep.state.lock().deposits, 0);
     }
 
     /// A completed op's deadline stays in `timers` until it is due;

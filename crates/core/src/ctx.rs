@@ -280,17 +280,6 @@ impl<M: Send + Clone + 'static> RoleCtx<M> {
             .map_err(map_chan_err)
     }
 
-    /// [`RoleCtx::recv_any`] with a per-operation timeout.
-    ///
-    /// # Errors
-    ///
-    /// As [`RoleCtx::recv_any`].
-    pub fn recv_any_timeout(&self, timeout: Duration) -> Result<(RoleId, M), ScriptError> {
-        self.port
-            .recv_any_deadline(self.deadline_for(Some(timeout)))
-            .map_err(map_chan_err)
-    }
-
     /// Guarded selection (CSP alternative command) over the enabled
     /// guards: blocks until one can fire, fires exactly one (chosen
     /// fairly among the ready alternatives), and reports it. `guards`

@@ -527,13 +527,12 @@ impl<I, M> Shared<I, M> {
     fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst)
     }
+}
 
+impl<I: Clone, M> Shared<I, M> {
     /// Snapshots the bound set as severed and emits
     /// [`SessionEvent::PeerDisconnected`] for every id in it.
-    fn emit_severed(&self)
-    where
-        I: Clone,
-    {
+    fn emit_severed(&self) {
         let snapshot = self.bound.lock().clone();
         *self.severed.lock() = snapshot.clone();
         for id in snapshot {
@@ -544,10 +543,7 @@ impl<I, M> Shared<I, M> {
     /// Takes the severed snapshot and emits `make(id)` for every id in
     /// it — pairing each announced disconnect with exactly one resume
     /// or expiry, regardless of how `bound` changed in between.
-    fn emit_healed(&self, make: fn(I) -> SessionEvent<I>)
-    where
-        I: Clone,
-    {
+    fn emit_healed(&self, make: fn(I) -> SessionEvent<I>) {
         let snapshot = std::mem::take(&mut *self.severed.lock());
         for id in snapshot {
             self.observers.session(&make(id));
@@ -556,10 +552,7 @@ impl<I, M> Shared<I, M> {
 
     /// Terminal transition caused by lease expiry specifically: also
     /// surfaces [`SessionEvent::LeaseExpired`] for every severed id.
-    fn die_expired(&self)
-    where
-        I: Clone,
-    {
+    fn die_expired(&self) {
         self.die();
         self.emit_healed(SessionEvent::LeaseExpired);
     }

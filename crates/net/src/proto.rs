@@ -35,7 +35,7 @@ use script_chan::{
 };
 use script_core::RoleId;
 
-use crate::wire::{decode_str, encode_str, Reader, Wire, WireError};
+use crate::wire::{decode_into, decode_str, encode_str, Reader, Wire, WireError};
 
 /// Request id reserved for unsolicited server → client event frames.
 pub const EVENT_REQ_ID: u64 = 0;
@@ -587,6 +587,52 @@ impl<I: Wire, M> Req<I, M> {
             step.encode(out);
         }
     }
+
+    /// [`Wire::decode`], with a [`Req::Cast`] run decoded into `room`.
+    pub(crate) fn decode_with(
+        r: &mut Reader<'_>,
+        room: &mut Vec<CastStep<I>>,
+    ) -> Result<Self, WireError>
+    where
+        M: Wire,
+    {
+        Ok(match u8::decode(r)? {
+            5 => Req::Abort,
+            6 => Req::IsAborted,
+            7 => Req::PeerStateOf(I::decode(r)?),
+            9 => Req::Activity,
+            10 => Req::Reseed(u64::decode(r)?),
+            11 => Req::EnsurePeer(I::decode(r)?),
+            13 => Req::SetFaultPlan(FaultPlan::decode(r)?),
+            14 => Req::ClearFaultPlan,
+            15 => Req::GetFaultPlan,
+            19 => Req::Send {
+                from: I::decode(r)?,
+                to: I::decode(r)?,
+                msg: M::decode(r)?,
+                timeout_ms: Option::<u64>::decode(r)?,
+            },
+            20 => Req::TryRecv {
+                me: I::decode(r)?,
+                from: I::decode(r)?,
+            },
+            21 => Req::Select {
+                me: I::decode(r)?,
+                arms: Vec::<Arm<I, M>>::decode(r)?,
+                timeout_ms: Option::<u64>::decode(r)?,
+            },
+            22 => Req::HelloNew,
+            23 => Req::HelloResume(u64::decode(r)?),
+            24 => Req::Heartbeat {
+                acked: u64::decode(r)?,
+            },
+            25 => Req::SubscribeFrom {
+                seq: u64::decode(r)?,
+            },
+            26 => Req::Cast(decode_into(r, room).map(|()| std::mem::take(room))?),
+            _ => return Err(WireError::Invalid("request tag")),
+        })
+    }
 }
 
 impl<I: Wire, M: Wire> Wire for Req<I, M> {
@@ -661,42 +707,7 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            5 => Req::Abort,
-            6 => Req::IsAborted,
-            7 => Req::PeerStateOf(I::decode(r)?),
-            9 => Req::Activity,
-            10 => Req::Reseed(u64::decode(r)?),
-            11 => Req::EnsurePeer(I::decode(r)?),
-            13 => Req::SetFaultPlan(FaultPlan::decode(r)?),
-            14 => Req::ClearFaultPlan,
-            15 => Req::GetFaultPlan,
-            19 => Req::Send {
-                from: I::decode(r)?,
-                to: I::decode(r)?,
-                msg: M::decode(r)?,
-                timeout_ms: Option::<u64>::decode(r)?,
-            },
-            20 => Req::TryRecv {
-                me: I::decode(r)?,
-                from: I::decode(r)?,
-            },
-            21 => Req::Select {
-                me: I::decode(r)?,
-                arms: Vec::<Arm<I, M>>::decode(r)?,
-                timeout_ms: Option::<u64>::decode(r)?,
-            },
-            22 => Req::HelloNew,
-            23 => Req::HelloResume(u64::decode(r)?),
-            24 => Req::Heartbeat {
-                acked: u64::decode(r)?,
-            },
-            25 => Req::SubscribeFrom {
-                seq: u64::decode(r)?,
-            },
-            26 => Req::Cast(Vec::<CastStep<I>>::decode(r)?),
-            _ => return Err(WireError::Invalid("request tag")),
-        })
+        Self::decode_with(r, &mut Vec::new())
     }
 }
 

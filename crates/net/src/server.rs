@@ -475,6 +475,8 @@ struct HubIo<I, M> {
     sweep_tick: Duration,
     /// Scratch list of connections to tear down, reused turn after turn.
     dead: Vec<u64>,
+    /// The list a [`Req::Cast`] run is decoded into, handed back once applied.
+    cast_room: Vec<CastStep<I>>,
 }
 
 impl<I, M> Source for HubIo<I, M>
@@ -580,6 +582,7 @@ where
             next_sweep: Instant::now() + sweep_tick,
             sweep_tick,
             dead: Vec::new(),
+            cast_room: Vec::new(),
         }
     }
 
@@ -677,7 +680,8 @@ where
                 match conn.dec.next_frame() {
                     Ok(Some(frame)) => {
                         let mut r = Reader::new(frame);
-                        match (u64::decode(&mut r), Req::<I, M>::decode(&mut r)) {
+                        let req_id = u64::decode(&mut r);
+                        match (req_id, Req::decode_with(&mut r, &mut self.cast_room)) {
                             (Ok(req_id), Ok(req)) => (req_id, req),
                             _ => return false, // protocol corruption
                         }
@@ -831,10 +835,7 @@ where
     /// operations are submitted to the inner transport and answered by
     /// completion callbacks to whatever connection is attached then.
     fn handle_session(&mut self, id: u64, req_id: u64, req: Req<I, M>) -> bool {
-        let ConnMode::Session { sess, .. } = (match self.conns.get(&id) {
-            Some(c) => &c.mode,
-            None => return true,
-        }) else {
+        let Some(ConnMode::Session { sess, .. }) = self.conns.get(&id).map(|c| &c.mode) else {
             return true;
         };
         let sess = Arc::clone(sess);
@@ -887,24 +888,25 @@ where
                 st.answer(req_id, &Resp::<I, M>::Unit);
             }
             Req::Cast(steps) => {
-                {
-                    // The ids a run activates are this session's to
-                    // finish if its lease lapses.
-                    let mut st = sess.state.lock();
-                    for step in &steps {
-                        match step {
-                            CastStep::Activate(bid) => {
-                                if !st.bound.contains(bid) {
-                                    st.bound.push(bid.clone());
-                                }
-                            }
-                            CastStep::Finish(bid) => st.bound.retain(|b| b != bid),
-                            CastStep::Declare(_) | CastStep::Seal => {}
+                // The ids a run activates are this session's to finish
+                // if its lease lapses.
+                let mut st = sess.state.lock();
+                for step in &steps {
+                    match step {
+                        CastStep::Activate(bid) if !st.bound.contains(bid) => {
+                            st.bound.push(bid.clone());
                         }
+                        CastStep::Finish(bid) => st.bound.retain(|b| b != bid),
+                        CastStep::Activate(_) | CastStep::Declare(_) | CastStep::Seal => {}
                     }
                 }
+                drop(st);
                 shared.inner.cast(&steps);
                 shared.session_respond(&sess, req_id, Resp::Unit);
+                // Kept no larger than a decode reserves up front.
+                if steps.capacity() <= 64 {
+                    self.cast_room = steps;
+                }
             }
             Req::Send {
                 from,
@@ -912,23 +914,11 @@ where
                 msg,
                 timeout_ms,
             } => {
-                sess.state.lock().answers.insert(req_id, None);
-                let done_shared = Arc::clone(&self.shared);
-                let done_sess = Arc::clone(&sess);
-                let done: script_chan::SendDone<I> = Box::new(move |result| {
-                    let resp = match result {
-                        Ok(()) => Resp::Unit,
-                        Err(e) => Resp::ChanErr(e),
-                    };
-                    done_shared.session_respond(&done_sess, req_id, resp);
-                });
-                if let Err((_, done)) = Arc::clone(&shared.inner).submit_send(
-                    &from,
-                    &to,
-                    msg,
-                    deadline_of(timeout_ms),
-                    done,
-                ) {
+                let respond = shared.answer_later(&sess, req_id);
+                let done: script_chan::SendDone<I> =
+                    Box::new(move |r| respond(r.map_or_else(Resp::ChanErr, |()| Resp::Unit)));
+                let (inner, deadline) = (Arc::clone(&shared.inner), deadline_of(timeout_ms));
+                if let Err((_, done)) = inner.submit_send(&from, &to, msg, deadline, done) {
                     // Declined: fail closed (see `bind`).
                     done(Err(ChanError::Aborted));
                 }
@@ -938,22 +928,11 @@ where
                 arms,
                 timeout_ms,
             } => {
-                sess.state.lock().answers.insert(req_id, None);
-                let done_shared = Arc::clone(&self.shared);
-                let done_sess = Arc::clone(&sess);
-                let done: script_chan::SelectDone<I, M> = Box::new(move |result| {
-                    let resp = match result {
-                        Ok(outcome) => Resp::Selected(outcome),
-                        Err(e) => Resp::ChanErr(e),
-                    };
-                    done_shared.session_respond(&done_sess, req_id, resp);
-                });
-                if let Err((_, done)) = Arc::clone(&shared.inner).submit_select(
-                    &me,
-                    arms,
-                    deadline_of(timeout_ms),
-                    done,
-                ) {
+                let respond = shared.answer_later(&sess, req_id);
+                let done: script_chan::SelectDone<I, M> =
+                    Box::new(move |r| respond(r.map_or_else(Resp::ChanErr, Resp::Selected)));
+                let (inner, deadline) = (Arc::clone(&shared.inner), deadline_of(timeout_ms));
+                if let Err((_, done)) = inner.submit_select(&me, arms, deadline, done) {
                     done(Err(ChanError::Aborted));
                 }
             }
@@ -1059,6 +1038,18 @@ where
         st.answers.insert(req_id, Some(resp));
     }
 
+    /// Marks `req_id` running in `sess`'s exactly-once table, and
+    /// returns what answers it once its submitted operation completes.
+    fn answer_later(
+        self: &Arc<Self>,
+        sess: &Arc<Session<I, M>>,
+        req_id: u64,
+    ) -> impl FnOnce(Resp<I, M>) + Send + 'static {
+        sess.state.lock().answers.insert(req_id, None);
+        let (shared, sess) = (Arc::clone(self), Arc::clone(sess));
+        move |resp| shared.session_respond(&sess, req_id, resp)
+    }
+
     /// Appends one item to every subscribed session's sequenced event
     /// stream — buffered for gapless resume replay — and pushes it to
     /// the attached connection as a run of one, encoded from the
@@ -1162,20 +1153,17 @@ where
     /// and the expiry is surfaced to hub-local session observers.
     fn sweep_expired(&self) {
         let now = Instant::now();
-        let expired: Vec<Arc<Session<I, M>>> = {
-            let mut sessions = self.sessions.lock();
-            let ids: Vec<u64> = sessions
-                .iter()
-                .filter(|(_, s)| {
-                    let st = s.state.lock();
-                    st.writer.is_none()
-                        && st.partitioned_until.is_none_or(|t| t <= now)
-                        && now.duration_since(st.last_seen) > self.lease
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            ids.iter().filter_map(|id| sessions.remove(id)).collect()
-        };
+        let expired: Vec<Arc<Session<I, M>>> = self
+            .sessions
+            .lock()
+            .extract_if(|_, s| {
+                let st = s.state.lock();
+                st.writer.is_none()
+                    && st.partitioned_until.is_none_or(|t| t <= now)
+                    && now.duration_since(st.last_seen) > self.lease
+            })
+            .map(|(_, s)| s)
+            .collect();
         for sess in expired {
             let bound = sess.state.lock().bound.clone();
             for id in bound {

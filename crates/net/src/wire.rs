@@ -231,19 +231,26 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = u64::decode(r)?;
-        if len > MAX_FRAME as u64 {
-            return Err(WireError::Oversized(len));
-        }
-        // The count is attacker-controlled, the remaining bytes are
-        // not: reserve no more elements than there are bytes left (each
-        // takes one at least), and at most 64 up front.
-        let mut out = Vec::with_capacity((len as usize).min(r.remaining()).min(64));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        let mut out = Vec::new();
+        decode_into(r, &mut out).map(|()| out)
     }
+}
+
+/// Decodes a list into `out`, emptied first, so a kept list's room is reused.
+pub(crate) fn decode_into<T: Wire>(r: &mut Reader<'_>, out: &mut Vec<T>) -> Result<(), WireError> {
+    let len = u64::decode(r)?;
+    if len > MAX_FRAME as u64 {
+        return Err(WireError::Oversized(len));
+    }
+    // The count is attacker-controlled, the remaining bytes are not: reserve
+    // no more elements than there are bytes left (each takes one at least),
+    // and at most 64 up front; an empty list gets exactly that.
+    out.clear();
+    out.reserve_exact((len as usize).min(r.remaining()).min(64));
+    for _ in 0..len {
+        out.push(T::decode(r)?);
+    }
+    Ok(())
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
