@@ -150,7 +150,7 @@ where
     /// critical role set is filled (or after an explicit
     /// `seal_cast`), unfilled roles read as terminated.
     pub fn seal(&self) {
-        self.transport.seal();
+        self.transport.cast(&[CastStep::Seal]);
     }
 
     /// Applies a run of lifecycle transitions in order, as one act: the
@@ -324,7 +324,7 @@ where
         from: &I,
         deadline: Option<Instant>,
     ) -> Result<M, ChanError<I>> {
-        match self.select_deadline(vec![Arm::recv_from(from.clone())], deadline)? {
+        match self.select_in(&mut [Arm::recv_from(from.clone())], deadline)? {
             Outcome::Received { msg, .. } => Ok(msg),
             _ => unreachable!("single recv arm yielded a non-receive outcome"),
         }
@@ -346,7 +346,7 @@ where
     ///
     /// As [`Port::recv_any`], plus [`ChanError::Timeout`].
     pub fn recv_any_deadline(&self, deadline: Option<Instant>) -> Result<(I, M), ChanError<I>> {
-        match self.select_deadline(vec![Arm::recv_any()], deadline)? {
+        match self.select_in(&mut [Arm::recv_any()], deadline)? {
             Outcome::Received { from, msg, .. } => Ok((from, msg)),
             _ => unreachable!("single recv arm yielded a non-receive outcome"),
         }
@@ -389,10 +389,21 @@ where
     /// As [`Port::select`], plus [`ChanError::Timeout`].
     pub fn select_deadline(
         &self,
-        arms: Vec<Arm<I, M>>,
+        mut arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
-        self.net.transport.select(&self.me, arms, deadline)
+        self.select_in(&mut arms, deadline)
+    }
+
+    /// [`Port::select_deadline`] over arms the caller lends: a fired send
+    /// arm's slot is overwritten, the rest stay the caller's (see
+    /// [`Transport::select_in`]). Errors as [`Port::select_deadline`]'s.
+    pub fn select_in(
+        &self,
+        arms: &mut [Arm<I, M>],
+        deadline: Option<Instant>,
+    ) -> Result<Outcome<I, M>, ChanError<I>> {
+        self.net.transport.select_in(&self.me, arms, deadline)
     }
 }
 

@@ -18,32 +18,13 @@
 //!   *t*'s offer publications and slot releases wake exactly the
 //!   selectors that care.
 //!
-//! Lifecycle transitions (a [`Transport::cast`] run, a chaos crash,
-//! abort) make one wake pass over the endpoints. It bumps every
-//! endpoint's event counter — so a selection between its scan and its
-//! park rescans, and parked submitted operations are readied — but
-//! notifies an endpoint's condvar only if the pass concerns somebody
-//! sleeping there: the endpoint's own lifecycle word changed (senders
-//! to it park on it), its parked selection names a peer whose word
-//! changed (a receive, send or watch arm), or the run finished or
-//! sealed something and the selection receives from anyone. Abort
-//! concerns everybody. A run of `Declare` steps wakes nobody.
-//!
-//! Lost wakeups are prevented by an eventcount: every change a sleeping
-//! selector could care about increments the endpoint's `signal` under
-//! its lock; selectors re-read the counter before parking and rescan if
-//! it moved. Locks are never nested endpoint-to-endpoint, so the
-//! implementation is deadlock-free by construction. A sleeper on an
-//! endpoint's condvar is notified *after* that endpoint's lock is let
-//! go: it takes the lock the moment it wakes.
-//!
-//! Fault decisions are routed at the edge: per-edge sequence counters
-//! live in the *receiver's* endpoint and crash-step counters in the
-//! operator's own endpoint, so decisions remain pure functions of
-//! (seed, edge, seq) — determinism is preserved shard by shard. When the
-//! attached plan cannot inject message faults (or crashes), the
-//! corresponding hot path is gated by a single relaxed boolean load,
-//! checked once per operation instead of consulting the plan per hop.
+//! A lifecycle run (a [`Transport::cast`], a chaos crash, abort) makes
+//! one wake pass that notifies only the sleepers it concerns; an
+//! eventcount per endpoint keeps wake-ups from being lost; locks never
+//! nest endpoint to endpoint, and a sleeper is notified after the lock
+//! it takes next is let go; fault decisions are pure functions of
+//! (seed, edge, seq), made at the sending edge behind one relaxed load
+//! when the plan cannot inject. DESIGN.md §4 is the account of each.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -87,18 +68,11 @@ pub struct RendezvousRecord<I> {
 
 impl<I: fmt::Debug> fmt::Display for RendezvousRecord<I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.label {
-            Some(l) => write!(
-                f,
-                "rendezvous {:?} -> {:?} [{l}] #{}",
-                self.from, self.to, self.seq
-            ),
-            None => write!(
-                f,
-                "rendezvous {:?} -> {:?} #{}",
-                self.from, self.to, self.seq
-            ),
+        write!(f, "rendezvous {:?} -> {:?} ", self.from, self.to)?;
+        if let Some(l) = &self.label {
+            write!(f, "[{l}] ")?;
         }
+        write!(f, "#{}", self.seq)
     }
 }
 
@@ -249,12 +223,13 @@ impl<I, M> fmt::Debug for Observers<I, M> {
 ///
 /// A backend must implement 14 methods; 7 more are provided. The
 /// whole peer lifecycle is one required method, [`Transport::cast`]:
-/// [`Transport::declare`], [`Transport::activate`],
-/// [`Transport::finish`] and [`Transport::seal`] are provided one-step
-/// runs over it and are not meant to be overridden. Observation is
-/// one required method too, [`Transport::observe`], so a wrapper
-/// cannot drop an observer by forgetting to forward it. The other
-/// provided methods are [`Transport::note_session_event`], whose
+/// [`Transport::declare`], [`Transport::activate`] and
+/// [`Transport::finish`] are provided one-step runs over it (a seal is
+/// `cast(&[CastStep::Seal])`), as [`Transport::select`] is over the
+/// required [`Transport::select_in`]; none is meant to be overridden.
+/// Observation is one required method too, [`Transport::observe`], so
+/// a wrapper cannot drop an observer by forgetting to forward it. The
+/// other provided methods are [`Transport::note_session_event`], whose
 /// default ignores, and the two submitted operations, whose defaults
 /// decline.
 ///
@@ -290,7 +265,7 @@ impl<I, M> fmt::Debug for Observers<I, M> {
 ///   any already-deposited message from it has been drained. A
 ///   selection whose arms are all permanently unfireable fails with
 ///   `Terminated` (single named peer) or [`ChanError::AllTerminated`].
-/// * **Selection.** [`Transport::select`] fires exactly one arm, chosen
+/// * **Selection.** [`Transport::select_in`] fires exactly one arm, chosen
 ///   fairly among ready alternatives (seeded by
 ///   [`Transport::reseed`] for reproducibility); a send arm fires only
 ///   by claiming a peer already committed to a matching receive, so a
@@ -335,11 +310,6 @@ pub trait Transport<I, M>: Send + Sync {
     /// Marks `id` done (finished or permanently barred).
     fn finish(&self, id: I) {
         self.cast(&[CastStep::Finish(id)]);
-    }
-    /// Seals: expected peers become done; on implicitly-declaring
-    /// transports, future unknown peers are declared done.
-    fn seal(&self) {
-        self.cast(&[CastStep::Seal]);
     }
     /// Aborts every blocked and future operation. Ordered as
     /// [`Transport::cast`] is: ahead of every later operation on this
@@ -387,13 +357,25 @@ pub trait Transport<I, M>: Send + Sync {
         -> Result<(), ChanError<I>>;
     /// Non-blocking receive of a deposited message.
     fn try_recv(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>>;
-    /// Guarded selection over `arms` on behalf of `me`.
+    /// Guarded selection over the arms the caller lends, on behalf of
+    /// `me`. A fired send arm's message leaves the list — its slot is
+    /// overwritten with a receive from anyone — and the caller keeps the
+    /// rest, unfired send arms' messages included, whatever the result.
+    fn select_in(
+        &self,
+        me: &I,
+        arms: &mut [Arm<I, M>],
+        deadline: Option<Instant>,
+    ) -> Result<Outcome<I, M>, ChanError<I>>;
+    /// [`Transport::select_in`] over arms given away, unfired ones dropped.
     fn select(
         &self,
         me: &I,
-        arms: Vec<Arm<I, M>>,
+        mut arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
-    ) -> Result<Outcome<I, M>, ChanError<I>>;
+    ) -> Result<Outcome<I, M>, ChanError<I>> {
+        self.select_in(me, &mut arms, deadline)
+    }
     /// Submits a send for *asynchronous* completion: the implementation
     /// calls `done` exactly once — possibly before returning, on the
     /// calling thread — with the result the blocking
@@ -434,7 +416,7 @@ pub trait Transport<I, M>: Send + Sync {
     }
 }
 
-/// Arms a selection scans in a stack-held order; more take a `Vec`.
+/// Slots a [`StackList`] keeps on the stack; a longer one takes a `Vec`.
 const SCAN_ON_STACK: usize = 16;
 
 /// Spare endpoints a recycled transport keeps, and its registry's room.
@@ -1043,17 +1025,17 @@ where
     /// and the selectors watching `ep`, which may care about the freed
     /// slot.
     fn picked_up(ep: &Endpoint<I, M>, st: parking_lot::MutexGuard<'_, EpState<I, M>>) {
-        let watchers = st.watchers.clone();
+        let watchers = st.watchers.iter().map(|(_, w)| Arc::clone(w)).collect();
         drop(st);
         ep.cond.notify_all();
         Self::wake_watchers(watchers);
     }
 
     /// Wakes the selectors registered as send watchers on `ep`. Call
-    /// *without* holding any endpoint lock; the snapshot was taken under
+    /// *without* holding any endpoint lock; the batch was taken under
     /// `ep`'s lock.
-    fn wake_watchers(watchers: Vec<(u64, Arc<Endpoint<I, M>>)>) {
-        for (_, w) in watchers {
+    fn wake_watchers(watchers: StackList<Arc<Endpoint<I, M>>>) {
+        for w in watchers.iter() {
             w.state.lock().bump_signal();
             w.cond.notify_all();
         }
@@ -1245,13 +1227,8 @@ where
 
     fn reseed(&self, seed: u64) {
         *self.seed.lock() = Some(seed);
-        let eps: Vec<(I, Arc<Endpoint<I, M>>)> = self
-            .registry()
-            .iter()
-            .map(|(id, ep)| (id.clone(), ep.clone()))
-            .collect();
-        for (id, ep) in eps {
-            ep.state.lock().rng = SmallRng::seed_from_u64(derive_seed(seed, &id));
+        for (id, ep) in self.registry().iter() {
+            ep.state.lock().rng = SmallRng::seed_from_u64(derive_seed(seed, id));
         }
     }
 
@@ -1264,8 +1241,7 @@ where
         let crashes = plan.has_crashes();
         *self.faults.config.lock() = Some(Arc::new(FaultConfig { plan, clone_fn }));
         // Reset all fault counters so the new plan starts from seq 0.
-        let eps: Vec<Arc<Endpoint<I, M>>> = self.registry().values().cloned().collect();
-        for ep in eps {
+        for ep in self.registry().values() {
             let mut st = ep.state.lock();
             st.edges.values_mut().for_each(|e| e.chaos_seq = 0);
             st.chaos_steps = 0;
@@ -1332,10 +1308,10 @@ where
         result
     }
 
-    fn select(
+    fn select_in(
         &self,
         me: &I,
-        arms: Vec<Arm<I, M>>,
+        arms: &mut [Arm<I, M>],
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
         let started = self.observers.start();
@@ -1431,16 +1407,33 @@ struct ArmPeer<I, M> {
 type Admitted<I, M> = (Arc<Endpoint<I, M>>, ArmPeers<I, M>);
 
 /// A selection's [`ArmPeer`]s by arm index, `None` for a receive from
-/// anyone: inline for up to [`SCAN_ON_STACK`] arms, as the scan order
-/// is, so the arm list the caller built is the only one.
-struct ArmPeers<I, M> {
-    inline: [Option<ArmPeer<I, M>>; SCAN_ON_STACK],
-    spilled: Vec<Option<ArmPeer<I, M>>>,
+/// anyone.
+type ArmPeers<I, M> = StackList<ArmPeer<I, M>>;
+
+impl<I, M> ArmPeers<I, M> {
+    /// The endpoint named arm `arm` names.
+    fn ep(&self, arm: usize) -> &Arc<Endpoint<I, M>> {
+        &self.as_slice()[arm]
+            .as_ref()
+            .expect("named arm resolved")
+            .ep
+    }
+}
+
+/// A short list on the stack: up to [`SCAN_ON_STACK`] slots inline,
+/// all of them in a `Vec` past that. A selection's arm peers and scan
+/// order, the selectors a change wakes and the senders a receive from
+/// anyone draws among are such lists, so the usual operation allocates
+/// none of them.
+struct StackList<T> {
+    inline: [Option<T>; SCAN_ON_STACK],
+    spilled: Vec<Option<T>>,
     len: usize,
 }
 
-impl<I, M> ArmPeers<I, M> {
-    fn new(len: usize) -> Self {
+impl<T> StackList<T> {
+    /// `len` empty slots.
+    fn empty(len: usize) -> Self {
         let mut spilled = Vec::new();
         if len > SCAN_ON_STACK {
             spilled.resize_with(len, || None);
@@ -1452,7 +1445,20 @@ impl<I, M> ArmPeers<I, M> {
         }
     }
 
-    fn as_slice(&self) -> &[Option<ArmPeer<I, M>>] {
+    fn push(&mut self, item: T) {
+        if self.len < SCAN_ON_STACK {
+            self.inline[self.len] = Some(item);
+        } else {
+            if self.len == SCAN_ON_STACK {
+                self.spilled
+                    .extend(self.inline.iter_mut().map(Option::take));
+            }
+            self.spilled.push(Some(item));
+        }
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[Option<T>] {
         if self.len > SCAN_ON_STACK {
             &self.spilled
         } else {
@@ -1460,7 +1466,7 @@ impl<I, M> ArmPeers<I, M> {
         }
     }
 
-    fn as_mut_slice(&mut self) -> &mut [Option<ArmPeer<I, M>>] {
+    fn as_mut_slice(&mut self) -> &mut [Option<T>] {
         if self.len > SCAN_ON_STACK {
             &mut self.spilled
         } else {
@@ -1468,12 +1474,17 @@ impl<I, M> ArmPeers<I, M> {
         }
     }
 
-    /// The endpoint named arm `arm` names.
-    fn ep(&self, arm: usize) -> &Arc<Endpoint<I, M>> {
-        &self.as_slice()[arm]
-            .as_ref()
-            .expect("named arm resolved")
-            .ep
+    /// The filled slots, in order.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.as_slice().iter().flatten()
+    }
+}
+
+impl<T> FromIterator<T> for StackList<T> {
+    fn from_iter<J: IntoIterator<Item = T>>(items: J) -> Self {
+        let mut list = Self::empty(0);
+        items.into_iter().for_each(|item| list.push(item));
+        list
     }
 }
 
@@ -1733,7 +1744,7 @@ where
             return Err(ChanError::EmptySelect);
         }
         let me_ep = self.ensure(me)?;
-        let mut peers = ArmPeers::new(arms.len());
+        let mut peers = ArmPeers::empty(arms.len());
         for (slot, arm) in peers.as_mut_slice().iter_mut().zip(arms) {
             let named = match arm {
                 Arm::Recv(Source::Of(p)) | Arm::Send { to: p, .. } | Arm::Watch(p) => p,
@@ -1785,7 +1796,7 @@ where
     }
 
     fn deregister_watchers(token: u64, peers: &ArmPeers<I, M>) {
-        for peer in peers.as_slice().iter().flatten().filter(|p| p.watching) {
+        for peer in peers.iter().filter(|p| p.watching) {
             peer.ep.state.lock().watchers.retain(|(t, _)| *t != token);
         }
     }
@@ -1797,7 +1808,7 @@ where
         &self,
         me: &I,
         me_ep: &'a Arc<Endpoint<I, M>>,
-        arms: &mut Vec<Arm<I, M>>,
+        arms: &mut [Arm<I, M>],
         peers: &ArmPeers<I, M>,
         deadline: Option<Instant>,
     ) -> SelectStep<'a, I, M> {
@@ -1886,7 +1897,7 @@ where
                 wants,
                 resolved: None,
             });
-            watchers = st.watchers.clone();
+            watchers = st.watchers.iter().map(|(_, w)| Arc::clone(w)).collect();
         }
         Self::wake_watchers(watchers);
     }
@@ -1899,143 +1910,120 @@ where
         &self,
         me: &I,
         me_ep: &Arc<Endpoint<I, M>>,
-        arms: &mut Vec<Arm<I, M>>,
+        arms: &mut [Arm<I, M>],
         peers: &ArmPeers<I, M>,
     ) -> Result<Option<Outcome<I, M>>, ChanError<I>> {
-        {
-            // The scan order, on the stack for up to `SCAN_ON_STACK` arms;
-            // the same shuffle of the same indices either way.
-            let mut on_stack = [0usize; SCAN_ON_STACK];
-            let mut on_heap = Vec::new();
-            let order = if arms.len() <= SCAN_ON_STACK {
-                &mut on_stack[..arms.len()]
-            } else {
-                on_heap.resize(arms.len(), 0);
-                &mut on_heap[..]
-            };
-            for (i, idx) in order.iter_mut().enumerate() {
-                *idx = i;
-            }
-            order.shuffle(&mut me_ep.state.lock().rng);
-            let mut any_live = false;
-            for &idx in &*order {
-                match &arms[idx] {
-                    Arm::Recv(Source::Of(p)) => {
-                        let p = p.clone();
-                        let mut st = me_ep.state.lock();
-                        if let Some(msg) = self.pick_up(&mut st, &p, Some(me)) {
-                            Self::picked_up(me_ep, st);
-                            return Ok(Some(Outcome::Received {
-                                arm: idx,
-                                from: p,
-                                msg,
-                            }));
-                        }
-                        drop(st);
-                        any_live |= peers.ep(idx).life.load(Ordering::SeqCst) != LIFE_DONE;
+        let mut order: StackList<usize> = (0..arms.len()).collect();
+        order.as_mut_slice().shuffle(&mut me_ep.state.lock().rng);
+        let mut any_live = false;
+        for &idx in order.iter() {
+            match &arms[idx] {
+                Arm::Recv(Source::Of(p)) => {
+                    let p = p.clone();
+                    let mut st = me_ep.state.lock();
+                    if let Some(msg) = self.pick_up(&mut st, &p, Some(me)) {
+                        Self::picked_up(me_ep, st);
+                        return Ok(Some(Outcome::Received {
+                            arm: idx,
+                            from: p,
+                            msg,
+                        }));
                     }
-                    Arm::Recv(Source::Any) => {
-                        let mut st = me_ep.state.lock();
-                        let mut senders = st
-                            .edges
-                            .iter()
-                            .filter(|(_, e)| e.deposit.is_some())
-                            .map(|(id, _)| id.clone());
-                        let picked = match st.deposits {
-                            0 => None,
-                            // The draw `choose` makes from a list of
-                            // one, without the list.
-                            1 => {
-                                let only = senders.next();
-                                only.as_slice().choose(&mut st.rng).cloned()
-                            }
-                            _ => {
-                                let mut senders: Vec<I> = senders.collect();
-                                // `edges` iterates in `RandomState` order; a
-                                // seeded pick must not depend on it. (The
-                                // cached-key sort would allocate per scan.)
-                                senders.sort_unstable_by_key(|id| derive_seed(0, id));
-                                senders.choose(&mut st.rng).cloned()
-                            }
-                        };
-                        if let Some(from) = picked {
-                            let msg = self
-                                .pick_up(&mut st, &from, Some(me))
-                                .expect("chosen sender has a message");
-                            Self::picked_up(me_ep, st);
-                            return Ok(Some(Outcome::Received {
-                                arm: idx,
-                                from,
-                                msg,
-                            }));
-                        }
-                        drop(st);
-                        any_live |= self.any_possible_sender(me);
+                    drop(st);
+                    any_live |= peers.ep(idx).life.load(Ordering::SeqCst) != LIFE_DONE;
+                }
+                Arm::Recv(Source::Any) => {
+                    let mut st = me_ep.state.lock();
+                    let ep = &mut *st;
+                    let mut senders: StackList<I> = ep
+                        .edges
+                        .iter()
+                        .filter(|(_, e)| e.deposit.is_some())
+                        .map(|(id, _)| id.clone())
+                        .take(ep.deposits)
+                        .collect();
+                    let senders = senders.as_mut_slice();
+                    // `edges` iterates in `RandomState` order; a seeded
+                    // pick must not depend on it. (The cached-key sort
+                    // would allocate per scan.)
+                    senders.sort_unstable_by_key(|id| id.as_ref().map(|id| derive_seed(0, id)));
+                    let picked = senders.choose(&mut ep.rng).cloned().flatten();
+                    if let Some(from) = picked {
+                        let msg = self
+                            .pick_up(&mut st, &from, Some(me))
+                            .expect("chosen sender has a message");
+                        Self::picked_up(me_ep, st);
+                        return Ok(Some(Outcome::Received {
+                            arm: idx,
+                            from,
+                            msg,
+                        }));
                     }
-                    Arm::Send { to, .. } => {
-                        let to = to.clone();
-                        let t_ep = peers.ep(idx);
-                        match life_of(t_ep.life.load(Ordering::SeqCst)) {
-                            PeerState::Done => {}
-                            PeerState::Expected => any_live = true,
-                            PeerState::Active => {
-                                any_live = true;
-                                let mut ts = t_ep.state.lock();
-                                // `me` may *claim* `to`: its published offers
-                                // take my message and the edge is free.
-                                if ts.wait.as_ref().is_some_and(|w| w.takes(me)) && !ts.holds(me) {
-                                    // The arm fires: its message leaves
-                                    // the list, which is not scanned again.
-                                    let Arm::Send { msg: m, .. } = arms.swap_remove(idx) else {
-                                        unreachable!("arm {idx} is a send arm")
-                                    };
-                                    // Chaos: a dropped send arm still
-                                    // fires (the sender saw delivery) but
-                                    // leaves the receiver waiting.
-                                    let cfg = self.faults.msg_faults.load(Ordering::Relaxed);
-                                    let cfg = cfg.then(|| self.chaos_cfg()).flatten();
-                                    if let Some(cfg) =
-                                        cfg.filter(|cfg| cfg.plan.has_message_faults())
-                                    {
-                                        let seq = next(&mut ts.edge(me).chaos_seq);
-                                        if cfg.plan.decide_drop(me, &to, seq) {
-                                            drop(ts);
-                                            self.record_fault(FaultKind::Drop, me, &to, seq);
-                                            return Ok(Some(Outcome::Sent { arm: idx, to }));
-                                        }
+                    drop(st);
+                    any_live |= self.any_possible_sender(me);
+                }
+                Arm::Send { to, .. } => {
+                    let to = to.clone();
+                    let t_ep = peers.ep(idx);
+                    match life_of(t_ep.life.load(Ordering::SeqCst)) {
+                        PeerState::Done => {}
+                        PeerState::Expected => any_live = true,
+                        PeerState::Active => {
+                            any_live = true;
+                            let mut ts = t_ep.state.lock();
+                            // `me` may *claim* `to`: its published offers
+                            // take my message and the edge is free.
+                            if ts.wait.as_ref().is_some_and(|w| w.takes(me)) && !ts.holds(me) {
+                                // The arm fires: its message leaves
+                                // the lent list, a receive in its slot.
+                                let fired = std::mem::replace(&mut arms[idx], Arm::recv_any());
+                                let Arm::Send { msg: m, .. } = fired else {
+                                    unreachable!("arm {idx} is a send arm")
+                                };
+                                // Chaos: a dropped send arm still
+                                // fires (the sender saw delivery) but
+                                // leaves the receiver waiting.
+                                let cfg = self.faults.msg_faults.load(Ordering::Relaxed);
+                                let cfg = cfg.then(|| self.chaos_cfg()).flatten();
+                                if let Some(cfg) = cfg.filter(|cfg| cfg.plan.has_message_faults()) {
+                                    let seq = next(&mut ts.edge(me).chaos_seq);
+                                    if cfg.plan.decide_drop(me, &to, seq) {
+                                        drop(ts);
+                                        self.record_fault(FaultKind::Drop, me, &to, seq);
+                                        return Ok(Some(Outcome::Sent { arm: idx, to }));
                                     }
-                                    self.claim(&mut ts, me, &to, m);
-                                    drop(ts);
-                                    t_ep.cond.notify_all();
-                                    return Ok(Some(Outcome::Sent { arm: idx, to }));
                                 }
+                                self.claim(&mut ts, me, &to, m);
+                                drop(ts);
+                                t_ep.cond.notify_all();
+                                return Ok(Some(Outcome::Sent { arm: idx, to }));
                             }
                         }
                     }
-                    Arm::Watch(p) => {
-                        // While a message from the dead peer is still
-                        // pending, a recv arm must drain it first: the
-                        // watch arm stays pending.
-                        if peers.ep(idx).life.load(Ordering::SeqCst) == LIFE_DONE
-                            && !me_ep.state.lock().holds(p)
-                        {
-                            let peer = p.clone();
-                            return Ok(Some(Outcome::Terminated { arm: idx, peer }));
-                        }
-                        any_live = true;
+                }
+                Arm::Watch(p) => {
+                    // While a message from the dead peer is still
+                    // pending, a recv arm must drain it first: the
+                    // watch arm stays pending.
+                    if peers.ep(idx).life.load(Ordering::SeqCst) == LIFE_DONE
+                        && !me_ep.state.lock().holds(p)
+                    {
+                        let peer = p.clone();
+                        return Ok(Some(Outcome::Terminated { arm: idx, peer }));
                     }
+                    any_live = true;
                 }
             }
+        }
 
-            if !any_live {
-                // Every arm is permanently unfireable.
-                if arms.len() == 1 {
-                    if let Arm::Recv(Source::Of(p)) | Arm::Send { to: p, .. } = &arms[0] {
-                        return Err(ChanError::Terminated(p.clone()));
-                    }
+        if !any_live {
+            // Every arm is permanently unfireable.
+            if arms.len() == 1 {
+                if let Arm::Recv(Source::Of(p)) | Arm::Send { to: p, .. } = &arms[0] {
+                    return Err(ChanError::Terminated(p.clone()));
                 }
-                return Err(ChanError::AllTerminated);
             }
+            return Err(ChanError::AllTerminated);
         }
         Ok(None)
     }
@@ -2119,18 +2107,18 @@ where
         }
     }
 
-    /// [`Transport::select`] on the caller's thread.
+    /// [`Transport::select_in`] on the caller's thread.
     fn select_parked(
         &self,
         me: &I,
-        mut arms: Vec<Arm<I, M>>,
+        arms: &mut [Arm<I, M>],
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
-        let (me_ep, mut peers) = self.prepare_select(me, &arms)?;
+        let (me_ep, mut peers) = self.prepare_select(me, arms)?;
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        Self::register_watchers(token, &me_ep, &arms, &mut peers);
+        Self::register_watchers(token, &me_ep, arms, &mut peers);
         let result = loop {
-            match self.select_step(me, &me_ep, &mut arms, &peers, deadline) {
+            match self.select_step(me, &me_ep, arms, &peers, deadline) {
                 SelectStep::Done(result) => break result,
                 SelectStep::Park(mut st) => Self::wait_on(&me_ep, &mut st, deadline),
             }
@@ -2846,6 +2834,56 @@ mod tests {
         assert_eq!(t.send(&0, &1, 9, soon()), Err(ChanError::Timeout));
         assert!(!deposited(&t, 1, 0), "the deposit is reclaimed");
         assert!(records.lock().unwrap().is_empty());
+    }
+
+    /// A message that logs its own drop.
+    #[derive(Debug)]
+    struct Counted(u32, Arc<std::sync::Mutex<Vec<u32>>>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.1.lock().unwrap().push(self.0);
+        }
+    }
+
+    /// A selection over lent arms: the fired send arm's message leaves
+    /// the list for the receiver committed to it, a receive taking its
+    /// slot, and the unfired send arm's message stays with the caller
+    /// until the caller lets go of it.
+    #[test]
+    fn a_fired_send_arm_leaves_the_lent_list_and_the_rest_stay() {
+        let dropped = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let msg = |v| Counted(v, Arc::clone(&dropped));
+        let t: ShardedTransport<u8, Counted> = ShardedTransport::new(false, Some(1));
+        for id in [0, 1, 2] {
+            t.activate(id);
+        }
+        {
+            // 1 is committed to a receive from anyone; 2 receives nothing.
+            let offered = [Arm::Recv(Source::Any)];
+            let (ep, _peers) = t.prepare_select(&1, &offered).unwrap();
+            t.publish_offers(&ep, &offered);
+        }
+        let mut arms = [Arm::send(2, msg(20)), Arm::send(1, msg(10))];
+        let soon = Some(Instant::now() + Duration::from_millis(200));
+        let got = t.select_in(&0, &mut arms, soon);
+        assert!(
+            matches!(got, Ok(Outcome::Sent { arm: 1, to: 1 })),
+            "{got:?}"
+        );
+        assert!(matches!(arms[1], Arm::Recv(Source::Any)), "{:?}", arms[1]);
+        assert!(matches!(
+            &arms[0],
+            Arm::Send {
+                to: 2,
+                msg: Counted(20, _)
+            }
+        ));
+        assert!(dropped.lock().unwrap().is_empty(), "1's edge holds 10");
+        drop(arms);
+        assert_eq!(*dropped.lock().unwrap(), [20]);
+        drop(t);
+        assert_eq!(*dropped.lock().unwrap(), [20, 10]);
     }
 
     /// Whether a selection sleeps on `ep`: its wants are published and

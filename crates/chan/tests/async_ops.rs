@@ -727,6 +727,44 @@ fn seeded_recv_any_picks_the_same_sender_every_run() {
     );
 }
 
+/// The same with more deposited senders than a receive from anyone
+/// draws among on the stack: the whole order in which twenty senders
+/// are taken is a function of the seed.
+#[test]
+fn seeded_recv_any_past_the_stack_batch_takes_senders_in_the_same_order() {
+    let senders: Vec<&'static str> = (0..20)
+        .map(|i| &*Box::leak(format!("s{i}").into_boxed_str()))
+        .collect();
+    let order = || {
+        let t = fresh();
+        t.activate("rx");
+        for &from in &senders {
+            t.activate(from);
+            Arc::clone(&t)
+                .submit_send(&from, &"rx", 0, None, Box::new(|_| {}))
+                .ok()
+                .unwrap();
+        }
+        (0..senders.len())
+            .map(
+                |_| match t.select(&"rx", vec![Arm::recv_any()], far()).unwrap() {
+                    Outcome::Received { from, .. } => from,
+                    other => panic!("unexpected outcome: {other:?}"),
+                },
+            )
+            .collect::<Vec<_>>()
+    };
+    let first = order();
+    let mut taken = first.clone();
+    taken.sort_unstable();
+    let mut all = senders.clone();
+    all.sort_unstable();
+    assert_eq!(taken, all, "every sender's message is taken once");
+    for _ in 0..4 {
+        assert_eq!(order(), first, "one seed, one schedule, two orders");
+    }
+}
+
 /// The scheduler thread is born for a reason, not with the scheduler.
 /// Submitted pairs without a deadline, and a parked watcher released by
 /// a `cast`, complete on the calling thread and start nothing; the first

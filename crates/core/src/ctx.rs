@@ -104,6 +104,10 @@ pub enum Event<M> {
     },
 }
 
+/// Spare arm lists an instance keeps, each with room for at most as
+/// many arms.
+const SPARE_ARMS: usize = 64;
+
 pub(crate) fn map_chan_err(e: ChanError<RoleId>) -> ScriptError {
     match e {
         ChanError::Terminated(r) => ScriptError::RoleUnavailable(r),
@@ -125,15 +129,15 @@ pub(crate) fn map_chan_err(e: ChanError<RoleId>) -> ScriptError {
 ///
 /// All blocking operations respect the enrollment's deadline, if any.
 pub struct RoleCtx<M> {
-    engine: Arc<Engine<M>>,
+    pub(crate) engine: Arc<Engine<M>>,
     /// The performance this role runs in: cast queries and sealing go
     /// straight to its shard, bypassing the engine front end.
-    shard: Arc<PerfShard<M>>,
-    port: Port<RoleId, M>,
-    role: RoleId,
-    performance: PerformanceId,
-    process: ProcessId,
-    deadline: Option<Instant>,
+    pub(crate) shard: Arc<PerfShard<M>>,
+    pub(crate) port: Port<RoleId, M>,
+    pub(crate) role: RoleId,
+    pub(crate) performance: PerformanceId,
+    pub(crate) process: ProcessId,
+    pub(crate) deadline: Option<Instant>,
 }
 
 impl<M> fmt::Debug for RoleCtx<M> {
@@ -165,26 +169,6 @@ impl<M> RoleCtx<M> {
 }
 
 impl<M: Send + Clone + 'static> RoleCtx<M> {
-    pub(crate) fn new(
-        engine: Arc<Engine<M>>,
-        shard: Arc<PerfShard<M>>,
-        port: Port<RoleId, M>,
-        role: RoleId,
-        performance: PerformanceId,
-        process: ProcessId,
-        deadline: Option<Instant>,
-    ) -> Self {
-        Self {
-            engine,
-            shard,
-            port,
-            role,
-            performance,
-            process,
-            deadline,
-        }
-    }
-
     fn deadline_for(&self, timeout: Option<Duration>) -> Option<Instant> {
         let op = timeout.map(|t| Instant::now() + t);
         match (self.deadline, op) {
@@ -314,14 +298,17 @@ impl<M: Send + Clone + 'static> RoleCtx<M> {
         self.select_inner(guards.into_iter(), self.deadline_for(Some(timeout)))
     }
 
+    /// Lends the kernel one of the instance's spare arm lists, emptied and
+    /// put back after (a selection that fails before it reaches the
+    /// kernel lets its list go).
     fn select_inner(
         &self,
         guards: impl Iterator<Item = Guard<M>>,
         deadline: Option<Instant>,
     ) -> Result<Event<M>, ScriptError> {
+        let mut arms = self.engine.spare_arms.lock().pop().unwrap_or_default();
         // Arm `k` is guard `k` until a guard is disabled; only from then
         // on is the map from arms back to guards written down.
-        let mut arms = Vec::with_capacity(guards.size_hint().0);
         let mut index_map: Option<Vec<usize>> = None;
         for (i, g) in guards.enumerate() {
             if !g.enabled {
@@ -351,7 +338,14 @@ impl<M: Send + Clone + 'static> RoleCtx<M> {
             return Err(ScriptError::NoEnabledGuards);
         }
         let guard = |arm: usize| index_map.as_ref().map_or(arm, |map| map[arm]);
-        match self.port.select_deadline(arms, deadline) {
+        let fired = self.port.select_in(&mut arms, deadline);
+        arms.clear();
+        let mut spare = self.engine.spare_arms.lock();
+        if spare.len() < SPARE_ARMS && arms.capacity() <= SPARE_ARMS {
+            spare.push(arms);
+        }
+        drop(spare);
+        match fired {
             Ok(Outcome::Received { arm, from, msg }) => Ok(Event::Received {
                 guard: guard(arm),
                 from,

@@ -62,7 +62,7 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use script_chan::{CastStep, FaultPlan, Network, Observers, SessionEvent, ShardedTransport};
+use script_chan::{Arm, CastStep, FaultPlan, Network, Observers, SessionEvent, ShardedTransport};
 
 use crate::ctx::RoleCtx;
 use crate::estimator::LatencyEstimator;
@@ -331,6 +331,9 @@ pub(crate) struct Engine<M> {
     epoch: Instant,
     /// Count of fully terminated performances.
     completed: AtomicU64,
+    /// Emptied arm lists of finished selections, which the next ones
+    /// lend the kernel (`RoleCtx::select_inner`).
+    pub(crate) spare_arms: Mutex<Vec<Vec<Arm<RoleId, M>>>>,
     /// Self-reference for watchdog threads (they must not keep the
     /// engine alive).
     weak: Weak<Engine<M>>,
@@ -360,6 +363,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             telemetry: TelemetrySink::default(),
             epoch: Instant::now(),
             completed: AtomicU64::new(0),
+            spare_arms: Mutex::new(Vec::new()),
             weak: weak.clone(),
         })
     }
@@ -707,15 +711,15 @@ impl<M: Send + Clone + 'static> Engine<M> {
             .net
             .port(role_id.clone())
             .expect("cast role is declared in the performance network");
-        let mut ctx = RoleCtx::new(
-            Arc::clone(self),
-            Arc::clone(&shard),
+        let mut ctx = RoleCtx {
+            engine: Arc::clone(self),
+            shard: Arc::clone(&shard),
             port,
-            role_id.clone(),
-            PerformanceId(seq),
+            role: role_id.clone(),
+            performance: PerformanceId(seq),
             process,
             deadline,
-        );
+        };
         let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx, params, result)));
         drop(ctx);
 

@@ -3,110 +3,38 @@
 //!
 //! A [`SocketTransport`] implements the full [`Transport`] contract by
 //! forwarding every operation to a [`TransportServer`](crate::TransportServer)
-//! hub over one multiplexed TCP connection. Connection establishment is
-//! **lazy** — the first operation dials, with reconnect attempts paced
-//! by a [`RetryPolicy`] (exponential backoff + decorrelated jitter), so
-//! a client may be constructed before its hub is listening.
+//! hub over one multiplexed TCP connection, dialed lazily by the first
+//! operation and redialed under a [`RetryPolicy`]. DESIGN.md §10 ("The
+//! spoke", "Sessions") is the full account; in short:
 //!
-//! **Pipelining.** Every request carries a correlation id and parks in
-//! a `pending` map; any number of requests ride the connection
-//! concurrently and the hub answers them in whatever order its
-//! rendezvous fire. The write path coalesces: producers append frames
-//! to one shared [`WriteBuf`] and whoever flushes writes *everything*
-//! queued since the last flush as a single syscall, so N threads
-//! pipelining N requests cost far fewer writes than N.
-//!
-//! **Posted and called.** A *command* — its only answer is
-//! [`Resp::Unit`], which its caller has no use for — is **posted**:
-//! written, parked in `pending` without a waiter, and the caller goes
-//! on. A query or a blocking operation is **called**: the caller waits.
-//!
-//! | posted | called | called, fast (never queued) |
-//! |---|---|---|
-//! | `Cast`, `Abort`, `Reseed`, `SetFaultPlan`, `ClearFaultPlan`, the first `SubscribeFrom` | `Send`, `Select`, `TryRecv`, `EnsurePeer`, `GetFaultPlan` | `IsAborted`, `PeerStateOf`, `Activity` |
-//!
-//! The hub handles a connection's frames in arrival order and applies a
-//! command as it reads it, and a post returns only once its frame is on
-//! the socket: whatever this spoke sends afterwards, from any thread
-//! that synchronised with the poster, is applied after it. Otherwise a
-//! posted frame is a called one — it dials, a resume replays it in id
-//! order, the hub answers it once — but someone who reaches the hub
-//! another way (a second spoke, the hub's inner transport) must first
-//! make a query on the posting spoke, whose answer is behind every
-//! earlier post. The hello is *not* pipelined with the first requests:
-//! a connection lost before the [`Resp::Session`] answer was read would
-//! redial as a new session and replay its sends into it, while the
-//! first may have applied them.
-//!
-//! **Lifecycle.** [`Transport::cast`] is one posted request: the run
-//! travels as one [`Req::Cast`] frame, applied in order, answered once.
-//! The provided one-step methods (`declare`, `activate`, `finish`,
-//! `seal`) are one-step runs, so one-step frames.
-//!
-//! **No thread of its own.** A connection's read side is a source on
-//! the process's one `script-net-io` thread
-//! ([`reactor`]): when the socket is readable the
-//! thread decodes answer frames through a [`FrameDecoder`] (partial
-//! frames survive between turns), routes them to their waiting callers,
-//! and emits the quarter-lease heartbeat when that deadline is due. The
-//! socket is nonblocking — callers still write on their own threads,
-//! and wait there for room if the kernel's buffer is full. Dialing, the
-//! hello exchange and back-off are blocking and never run on the I/O
-//! thread: callers dial as they always did, and when a connection dies
-//! without the spoke being closed or the hub saying goodbye, one
-//! short-lived `script-net-redial` thread redials, resumes, and replays
-//! on behalf of parked callers, so they never have to.
-//!
-//! **Observers must not block.** The fault, rendezvous and session
-//! observers run on `script-net-io`, where every spoke and hub of the
-//! process waits its turn: an observer that calls back into *any*
-//! socket transport of the process waits for an answer only its own
-//! thread can read. One that panics kills its spoke only — the session
-//! dies ([`SocketTransport::is_lost`]), the thread goes on serving the
-//! others.
-//!
-//! Blocking semantics cross the wire unchanged: a `send` or `select`
-//! RPC simply does not answer until the rendezvous fires server-side,
-//! and deadlines travel as remaining-millisecond budgets so the two
-//! processes need no shared clock.
-//!
-//! **Sessions.** The first dial opens a hub session ([`Req::HelloNew`])
-//! and records its id + lease. From then on a dropped connection is a
-//! *blip*, not a death: every durable request stays queued, typed, the
-//! driver redials, presents [`Req::HelloResume`], and replays the queue
-//! in request-id order, encoded again, as one write. The hub answers
-//! anything it already applied from its table of answers, so a write
-//! whose ack was lost to the sever is **never applied twice** — the retry
-//! path and the reconnect path are one mechanism. A subscribed client
-//! resumes the sequenced event stream gaplessly from the last delivered
-//! sequence number ([`Req::SubscribeFrom`]); the missed tail arrives as
-//! batched [`Event::SeqStream`] frames, with exactly-once dispatch
-//! enforced client-side by a monotonic high-water mark. Heartbeats flow
-//! both ways: the spoke pings ([`Req::Heartbeat`]) every quarter-lease,
-//! and earlier once [`ACK_EVERY`] answers have arrived since the last
-//! ping — each names the lowest request still unanswered, so the hub's
-//! replay cache is pruned by count, not by what a fast stream completes
-//! in a quarter-lease — and every hub answer carrying [`Resp::Session`]
-//! renews the client's view of the lease.
-//!
-//! During a blip, *fast* queries (lifecycle reads the engine's watchdog
-//! polls) do not queue: they answer degraded-but-live values, and
-//! [`Transport::activity`] returns a synthetic strictly-changing
-//! counter so a watchdog sampling it sees progress, not a stall.
-//!
-//! **Peer loss** is still surfaced exactly as the contract requires —
-//! but only when the session truly dies: the hub declares it expired
-//! ([`Resp::SessionExpired`]), announces its own shutdown
-//! ([`Event::Closing`] — the spoke fails fast instead of burning its
-//! redial budget against a dead address), the redial budget is
-//! exhausted, or the client is closed. Then a send reports
-//! [`ChanError::Terminated`] for its target, a selection reports
-//! `Terminated`/`AllTerminated` for its arms, lifecycle queries degrade
-//! to "gone" answers (`is_aborted` → true, `peer_state` → `None`), and
-//! `activity` freezes at its last observed value so an engine watchdog
-//! raises `Stalled`. Conversely the ids this client *activated* live in
-//! its hub-side session, so this process dying surfaces as `Terminated`
-//! to everyone else once the lease lapses.
+//! * **Pipelined.** Every request carries a correlation id and parks in
+//!   `pending` until answered, in whatever order the hub's rendezvous
+//!   fire. Writers coalesce: whoever flushes writes everything queued.
+//! * **Posted and called.** A command whose only answer is
+//!   [`Resp::Unit`] (`Cast`, `Abort`, `Reseed`, `SetFaultPlan`,
+//!   `ClearFaultPlan`, the first `SubscribeFrom`) is *posted*: on the
+//!   socket when the call returns, applied by the hub before anything
+//!   sent after it, its answer awaited by nobody. Someone who reaches
+//!   the hub another way first makes a query on the posting spoke.
+//!   Everything else is *called*; the lifecycle reads a watchdog polls
+//!   (`IsAborted`, `PeerStateOf`, `Activity`) are *fast*: never queued,
+//!   degraded-but-live during a blip.
+//! * **No thread of its own.** The read side is a source on the
+//!   process's one `script-net-io` thread ([`reactor`]), which routes
+//!   answers and events and heartbeats; dial, hello and back-off block
+//!   and run on callers' threads, or on one short-lived
+//!   `script-net-redial` thread after an unannounced loss.
+//! * **Observers must not block.** They run on `script-net-io`: one that
+//!   calls back into any socket transport of the process waits for an
+//!   answer only its own thread can read. One that panics kills its
+//!   spoke only.
+//! * **Sessions.** A dropped connection is a blip: the spoke resumes its
+//!   hub session ([`Req::HelloResume`]) and replays every durable
+//!   request, typed, in id order; the hub answers what it applied
+//!   already from its replay cache, so nothing applies twice. Only a
+//!   dead session — expired, [`Event::Closing`], redial budget spent,
+//!   or closed — surfaces as peer loss: [`ChanError::Terminated`] /
+//!   `AllTerminated`, "gone" lifecycle answers, a frozen `activity`.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -128,7 +56,7 @@ use script_chan::{
 };
 use script_core::RetryPolicy;
 
-use crate::frame::{read_frame, FrameDecoder, ReadStatus, WriteBuf};
+use crate::frame::{FrameDecoder, ReadStatus, WriteBuf};
 use crate::proto::{timeout_ms_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
 use crate::reactor::{self, fd_of, Cause, Io, Source, Turn};
 use crate::wire::{Reader, Wire, MAX_FRAME};
@@ -193,10 +121,10 @@ struct Slot<I, M> {
 
 enum SlotState<I, M> {
     Waiting,
-    Filled(Resp<I, M>),
-    /// The request will never be answered (session death, or a fast
-    /// query's connection dropped).
-    Lost,
+    /// The request left `pending`, and goes back to its caller with its
+    /// answer — `None` if it will never be answered (session death, or
+    /// a fast query's connection dropped).
+    Settled(Option<Resp<I, M>>, Req<I, M>),
     /// The waiter took the answer: whoever filled the slot has nothing
     /// left to do with it but let go of it.
     Taken,
@@ -222,13 +150,12 @@ impl<I, M> Slot<I, M> {
         }
     }
 
-    /// Blocks until filled; `None` means the request is lost.
-    fn wait(&self) -> Option<Resp<I, M>> {
+    /// Blocks until settled; a `None` answer means the request is lost.
+    fn wait(&self) -> (Option<Resp<I, M>>, Req<I, M>) {
         let mut st = self.state.lock();
         loop {
             match std::mem::replace(&mut *st, SlotState::Taken) {
-                SlotState::Filled(resp) => return Some(resp),
-                SlotState::Lost => return None,
+                SlotState::Settled(resp, req) => return (resp, req),
                 unfilled => {
                     *st = unfilled;
                     self.cond.wait(&mut st);
@@ -311,6 +238,11 @@ fn cast_fits<I: Wire>(steps: &[CastStep<I>]) -> bool {
 /// Posts a spoke lets go unanswered before the next one waits for its
 /// own answer, which the hub sends behind theirs: `pending` is bounded.
 const POSTED_MAX: usize = 64;
+
+/// Spare arm lists a spoke keeps, each with room for at most
+/// [`SPARE_ROOM`] arms.
+const SPARE_LISTS: usize = 8;
+const SPARE_ROOM: usize = 64;
 
 /// One queued request: the typed request is kept, and encoded again
 /// when a reconnect replays it — the same bytes under the same request
@@ -455,6 +387,9 @@ struct Shared<I, M> {
     pending: Mutex<HashMap<u64, PendingEntry<I, M>>>,
     /// Entries of `pending` that were posted; at most [`POSTED_MAX`].
     posted: AtomicUsize,
+    /// Emptied arm lists of answered selections, for the next ones'
+    /// requests to carry; a list without room is an empty place.
+    spare_arms: Mutex<[Vec<Arm<I, M>>; SPARE_LISTS]>,
     /// Hub-issued session id; 0 until the first handshake completes.
     session: AtomicU64,
     /// Hub-granted lease in milliseconds; paces the heartbeat.
@@ -490,8 +425,9 @@ struct Shared<I, M> {
 
 /// How a handshake attempt ended.
 enum Handshake {
-    /// The connection and its read handle, for the I/O thread.
-    Ready(Arc<ConnShared>, TcpStream),
+    /// The connection, its read handle and its decoder, for the I/O
+    /// thread.
+    Ready(Arc<ConnShared>, TcpStream, FrameDecoder),
     /// The hub no longer knows our session: terminal.
     Expired,
     /// Resume refused while a partition embargo holds: stand off.
@@ -511,15 +447,16 @@ impl<I, M> Shared<I, M> {
         let drained: Vec<PendingEntry<I, M>> =
             self.pending.lock().drain().map(|(_, e)| e).collect();
         for e in drained {
-            self.settle(e, SlotState::Lost);
+            self.settle(e, None);
         }
     }
 
     /// Disposes of an entry that has left `pending`: its waiter gets
-    /// `state`; a posted one has none, and is counted out.
-    fn settle(&self, entry: PendingEntry<I, M>, state: SlotState<I, M>) {
+    /// `answer` and the request; a posted one has no waiter, and is
+    /// counted out.
+    fn settle(&self, entry: PendingEntry<I, M>, answer: Option<Resp<I, M>>) {
         match entry.slot {
-            Some(slot) => slot.fill(state),
+            Some(slot) => slot.fill(SlotState::Settled(answer, entry.req)),
             None => drop(self.posted.fetch_sub(1, Ordering::SeqCst)),
         }
     }
@@ -603,11 +540,16 @@ where
     /// the handshake, before the I/O thread owns the stream), routing
     /// the rest as the I/O thread would: events and answers to replayed
     /// requests that completed hub-side during the outage are delivered
-    /// along the way.
-    fn await_resp(&self, rd: &mut TcpStream, want: u64) -> Option<Resp<I, M>> {
+    /// along the way. The I/O thread inherits `dec`, and what it holds.
+    fn await_resp(
+        &self,
+        rd: &mut TcpStream,
+        dec: &mut FrameDecoder,
+        want: u64,
+    ) -> Option<Resp<I, M>> {
         loop {
-            let frame = read_frame(rd).ok()??;
-            if let Some(resp) = self.route(&frame, Some(want))? {
+            let frame = dec.read_frame_from(rd).ok()??;
+            if let Some(resp) = self.route(frame, Some(want))? {
                 return Some(resp);
             }
         }
@@ -625,10 +567,10 @@ where
     }
 
     /// Takes a request out of `pending`, if still there, and settles it.
-    fn retire(&self, req_id: u64, state: SlotState<I, M>) {
+    fn retire(&self, req_id: u64, answer: Option<Resp<I, M>>) {
         let entry = self.pending.lock().remove(&req_id);
         if let Some(e) = entry {
-            self.settle(e, state);
+            self.settle(e, answer);
         }
     }
 
@@ -676,7 +618,7 @@ where
                 true
             }
             None => {
-                self.retire(req_id, SlotState::Lost);
+                self.retire(req_id, None);
                 false
             }
         }
@@ -685,11 +627,14 @@ where
     /// One durable RPC (see [`Shared::launch`]). `None` only on session
     /// death.
     fn call(self: &Arc<Self>, req: Req<I, M>) -> Option<Resp<I, M>> {
+        self.exchange(req).0
+    }
+
+    /// [`Shared::call`], handing the request back with the answer (a
+    /// failed launch has settled it already).
+    fn exchange(self: &Arc<Self>, req: Req<I, M>) -> (Option<Resp<I, M>>, Req<I, M>) {
         let slot = caller_slot();
-        let req_id = self.register(req, Some(Arc::clone(&slot)), false);
-        if !self.launch(req_id) {
-            return None;
-        }
+        self.launch(self.register(req, Some(Arc::clone(&slot)), false));
         slot.wait()
     }
 
@@ -752,7 +697,7 @@ where
         // The connection's end drains fast entries *after* flipping
         // `alive`; re-checking after the insert guarantees ours is seen.
         if !conn.alive.load(Ordering::SeqCst) || self.is_dead() {
-            self.retire(req_id, SlotState::Lost);
+            self.retire(req_id, None);
             return if self.is_dead() {
                 FastReply::Dead
             } else {
@@ -760,10 +705,10 @@ where
             };
         }
         if !self.transmit(&conn, req_id) {
-            self.retire(req_id, SlotState::Lost);
+            self.retire(req_id, None);
             return FastReply::Blip;
         }
-        match slot.wait() {
+        match slot.wait().0 {
             Some(resp) => FastReply::Resp(resp),
             None if self.is_dead() => FastReply::Dead,
             None => FastReply::Blip,
@@ -786,14 +731,14 @@ where
             return None;
         }
         match self.dial_and_handshake() {
-            Some((conn, rd)) => {
+            Some((conn, rd, dec)) => {
                 *guard = Some(Arc::clone(&conn));
                 reactor::register(
                     Box::new(SpokeIo {
                         shared: Arc::clone(self),
                         conn: Arc::clone(&conn),
                         rd,
-                        dec: FrameDecoder::new(),
+                        dec,
                         next_hb: Instant::now() + self.quarter_lease(),
                         answered: 0,
                     }),
@@ -839,7 +784,7 @@ where
     /// handshake, standing off and retrying while the hub reports a
     /// partition embargo. Called with the `state` lock held — fast
     /// queries observe the held lock as a blip.
-    fn dial_and_handshake(self: &Arc<Self>) -> Option<(Arc<ConnShared>, TcpStream)> {
+    fn dial_and_handshake(self: &Arc<Self>) -> Option<(Arc<ConnShared>, TcpStream, FrameDecoder)> {
         for _ in 0..64 {
             if self.closed.load(Ordering::SeqCst)
                 || self.closing.load(Ordering::SeqCst)
@@ -853,7 +798,7 @@ where
                 .ok()?;
             let _ = stream.set_nodelay(true);
             match self.handshake(stream) {
-                Handshake::Ready(conn, rd) => return Some((conn, rd)),
+                Handshake::Ready(conn, rd, dec) => return Some((conn, rd, dec)),
                 Handshake::Expired => {
                     self.die_expired();
                     return None;
@@ -898,7 +843,8 @@ where
         let Some(hello_id) = self.write_req(&tx, &hello) else {
             return Handshake::Failed;
         };
-        match self.await_resp(&mut rd, hello_id) {
+        let mut dec = FrameDecoder::new();
+        match self.await_resp(&mut rd, &mut dec, hello_id) {
             Some(Resp::Session { session, lease_ms }) => {
                 self.session.store(session, Ordering::SeqCst);
                 if lease_ms > 0 {
@@ -928,7 +874,7 @@ where
             let Some(sub_id) = self.write_req(&tx, &sub) else {
                 return Handshake::Failed;
             };
-            if self.await_resp(&mut rd, sub_id).is_none() {
+            if self.await_resp(&mut rd, &mut dec, sub_id).is_none() {
                 return Handshake::Failed;
             }
         }
@@ -959,7 +905,7 @@ where
         if sid != 0 {
             self.emit_healed(SessionEvent::PeerResumed);
         }
-        Handshake::Ready(conn, rd)
+        Handshake::Ready(conn, rd, dec)
     }
 
     /// The heartbeat period: a quarter of the lease the hub granted.
@@ -996,7 +942,7 @@ where
         if want == Some(req_id) {
             return Some(Some(resp));
         }
-        self.retire(req_id, SlotState::Filled(resp));
+        self.retire(req_id, Some(resp));
         Some(None)
     }
 }
@@ -1021,11 +967,15 @@ where
     I: Wire + Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
     M: Wire + Send + Sync + 'static,
 {
-    /// Reads what the socket has and routes every complete frame.
-    /// Returns `false` once the connection is over (EOF, I/O error, or
-    /// protocol corruption).
-    fn read(&mut self) -> bool {
-        let Ok(status) = self.dec.read_from(&mut self.rd) else {
+    /// Reads what the socket has (not `socket`: what the handshake read
+    /// past its answers) and routes every complete frame. `false` once
+    /// the connection is over (EOF, I/O error, protocol corruption).
+    fn read(&mut self, socket: bool) -> bool {
+        let status = match socket {
+            true => self.dec.read_from(&mut self.rd),
+            false => Ok(ReadStatus::Blocked),
+        };
+        let Ok(status) = status else {
             return false;
         };
         loop {
@@ -1076,9 +1026,12 @@ where
         match cause {
             Cause::Attached => {
                 io.register(fd_of(&self.rd), 0, true, false);
+                if !self.read(false) {
+                    return Turn::Done;
+                }
             }
             Cause::Ready { readiness, .. } if readiness.readable || readiness.hangup => {
-                if !self.read() {
+                if !self.read(true) {
                     return Turn::Done;
                 }
             }
@@ -1106,15 +1059,10 @@ where
         }
         let drained: Vec<PendingEntry<I, M>> = {
             let mut p = shared.pending.lock();
-            let ids: Vec<u64> = p
-                .iter()
-                .filter(|(_, e)| e.fast)
-                .map(|(id, _)| *id)
-                .collect();
-            ids.into_iter().filter_map(|id| p.remove(&id)).collect()
+            p.extract_if(|_, e| e.fast).map(|(_, e)| e).collect()
         };
         for e in drained {
-            shared.settle(e, SlotState::Lost);
+            shared.settle(e, None);
         }
         if shared.is_dead() || shared.closed.load(Ordering::SeqCst) {
             return;
@@ -1193,6 +1141,7 @@ where
                 next_req: AtomicU64::new(EVENT_REQ_ID + 1),
                 pending: Mutex::new(HashMap::new()),
                 posted: AtomicUsize::new(0),
+                spare_arms: Mutex::new(Default::default()),
                 session: AtomicU64::new(0),
                 lease_ms: AtomicU64::new(1000),
                 last_event_seq: AtomicU64::new(0),
@@ -1453,30 +1402,54 @@ where
         result
     }
 
-    fn select(
+    /// The arms travel in the request `pending` keeps, in a spare list;
+    /// the answer hands them back, all but a fired send arm.
+    fn select_in(
         &self,
         me: &I,
-        arms: Vec<Arm<I, M>>,
+        arms: &mut [Arm<I, M>],
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
         if arms.is_empty() {
             return Err(ChanError::EmptySelect);
         }
-        let loss = match single_named_peer(&arms) {
+        let loss = match single_named_peer(arms) {
             Some(p) => ChanError::Terminated(p),
             None => ChanError::AllTerminated,
         };
+        let mut list = {
+            let mut spare = self.shared.spare_arms.lock();
+            let kept = spare.iter_mut().find(|l| l.capacity() > 0);
+            kept.map(std::mem::take).unwrap_or_default()
+        };
+        list.extend(
+            arms.iter_mut()
+                .map(|a| std::mem::replace(a, Arm::recv_any())),
+        );
         let req = Req::Select {
             me: me.clone(),
-            arms,
+            arms: list,
             timeout_ms: timeout_ms_of(deadline),
         };
         let started = self.shared.observers.start();
-        let result = match self.shared.call(req) {
+        let (answer, req) = self.shared.exchange(req);
+        let result = match answer {
             Some(Resp::Selected(outcome)) => Ok(outcome),
             Some(Resp::ChanErr(e)) => Err(e),
             _ => Err(loss),
         };
+        if let Req::Select { arms: mut list, .. } = req {
+            for (i, arm) in list.drain(..).enumerate() {
+                if !matches!(result, Ok(Outcome::Sent { arm: fired, .. }) if fired == i) {
+                    arms[i] = arm;
+                }
+            }
+            let mut spare = self.shared.spare_arms.lock();
+            let place = spare.iter_mut().find(|l| l.capacity() == 0);
+            if let Some(place) = place.filter(|_| list.capacity() <= SPARE_ROOM) {
+                *place = list;
+            }
+        }
         if matches!(
             result,
             Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })

@@ -178,6 +178,42 @@ impl FrameDecoder {
     /// `InvalidData` if a length prefix exceeds [`MAX_FRAME`] (protocol
     /// corruption: the caller severs the connection).
     pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        let Some(len) = self.whole_frame()? else {
+            return Ok(None);
+        };
+        let at = self.start + 4;
+        self.start = at + len;
+        if self.start == self.end {
+            // Everything taken: the next read lands at the front.
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(&self.buf[at..at + len]))
+    }
+
+    /// Reads a *blocking* `r` until a frame is buffered whole, and lends
+    /// it: a read at a time, none past the one completing the frame,
+    /// whose surplus stays buffered. `Ok(None)` on a clean EOF.
+    ///
+    /// # Errors
+    ///
+    /// `UnexpectedEof` mid-frame, [`FrameDecoder::next_frame`]'s, and
+    /// any I/O error but `Interrupted` (a read timeout included).
+    pub(crate) fn read_frame_from(&mut self, r: &mut impl Read) -> io::Result<Option<&[u8]>> {
+        while self.whole_frame()?.is_none() {
+            self.reserve(1);
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.mid_frame() => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(0) => return Ok(None),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.next_frame()
+    }
+
+    /// The payload length of the first buffered frame, if it is whole.
+    fn whole_frame(&self) -> io::Result<Option<usize>> {
         let avail = self.end - self.start;
         if avail < 4 {
             return Ok(None);
@@ -190,16 +226,7 @@ impl FrameDecoder {
                 format!("frame length {len} exceeds MAX_FRAME"),
             ));
         }
-        if avail < 4 + len {
-            return Ok(None);
-        }
-        let at = self.start + 4;
-        self.start = at + len;
-        if self.start == self.end {
-            // Everything taken: the next read lands at the front.
-            (self.start, self.end) = (0, 0);
-        }
-        Ok(Some(&self.buf[at..at + len]))
+        Ok((avail >= 4 + len).then_some(len))
     }
 
     /// Whether a partial frame is buffered — an EOF here is a

@@ -389,13 +389,13 @@ impl Transport<String, u64> for Declining {
     fn try_recv(&self, me: &String, from: &String) -> Result<Option<u64>, ChanError<String>> {
         self.0.try_recv(me, from)
     }
-    fn select(
+    fn select_in(
         &self,
         me: &String,
-        arms: Vec<Arm<String, u64>>,
+        arms: &mut [Arm<String, u64>],
         deadline: Option<Instant>,
     ) -> Result<Outcome<String, u64>, ChanError<String>> {
-        self.0.select(me, arms, deadline)
+        self.0.select_in(me, arms, deadline)
     }
 }
 
@@ -1210,4 +1210,142 @@ fn a_close_during_the_hello_leaves_the_spoke_lost() {
     assert_eq!(dialer.join().expect("the dial returns"), None);
     closer.join().expect("the close returns");
     assert!(client.is_lost(), "a closed spoke stays lost");
+}
+
+/// The hub answers the hello and, in the same write, an earlier
+/// request: the spoke reads the hello's answer through the decoder its
+/// connection then keeps, so the frame read past it is routed too.
+#[test]
+fn a_frame_read_past_the_hello_answer_is_routed() {
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    use script_net::proto::Resp;
+    use script_net::{read_frame, Reader, WriteBuf};
+
+    let fake = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let client = Arc::new(
+        SocketTransport::<String, u64>::connect(fake.local_addr().unwrap()).expect("resolve"),
+    );
+    let (tx, rx) = mpsc::channel();
+    thread::spawn({
+        let client = Arc::clone(&client);
+        move || tx.send(client.fault_plan())
+    });
+    let (mut raw, _) = fake.accept().expect("the spoke dials");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let hello = read_frame(&mut raw).expect("read").expect("a hello");
+    let hello_id = u64::decode(&mut Reader::new(&hello)).expect("id");
+    // The query registered its request before dialing for it.
+    let query_id = hello_id - 1;
+    let mut out = WriteBuf::new();
+    out.push_with(|frame| {
+        hello_id.encode(frame);
+        Resp::<String, u64>::Session {
+            session: 1,
+            lease_ms: 60_000,
+        }
+        .encode(frame);
+    })
+    .expect("the session answer");
+    out.push_with(|frame| {
+        query_id.encode(frame);
+        Resp::<String, u64>::Plan(None).encode(frame);
+    })
+    .expect("the query's answer");
+    assert!(out.flush_to(&mut raw).expect("one write"));
+    let answered = rx.recv_timeout(Duration::from_secs(10));
+    assert_eq!(answered, Ok(None), "the query's answer was not routed");
+    drop(raw);
+}
+
+/// A message whose sender's instance logs its drop: copies the hub
+/// decodes or clones do not.
+#[derive(Debug)]
+struct Tracked {
+    value: u64,
+    original: bool,
+}
+
+static DROPPED: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+impl Tracked {
+    fn new(value: u64) -> Self {
+        Self {
+            value,
+            original: true,
+        }
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        if self.original {
+            DROPPED.lock().unwrap().push(self.value);
+        }
+    }
+}
+
+impl Clone for Tracked {
+    fn clone(&self) -> Self {
+        Self {
+            value: self.value,
+            original: false,
+        }
+    }
+}
+
+impl Wire for Tracked {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.value.encode(out);
+    }
+    fn decode(r: &mut script_net::Reader<'_>) -> Result<Self, script_net::WireError> {
+        Ok(Self {
+            value: u64::decode(r)?,
+            original: false,
+        })
+    }
+}
+
+/// A selection over lent arms crosses the socket in a request the spoke
+/// keeps, and its arms come back with the answer: the fired send arm's
+/// message does not, the unfired one's stays the caller's until the
+/// caller lets go of it.
+#[test]
+fn a_spoke_hands_back_the_arms_a_selection_did_not_fire() {
+    let inner: Arc<dyn Transport<String, Tracked>> =
+        Arc::new(ShardedTransport::new(false, Some(0x5eed)));
+    let server = TransportServer::bind("127.0.0.1:0", Arc::clone(&inner)).expect("bind");
+    let client = SocketTransport::<String, Tracked>::connect(server.local_addr()).expect("resolve");
+    let (a, b, c) = ("a".to_string(), "b".to_string(), "c".to_string());
+    inner.declare(a.clone());
+    client.activate(a.clone());
+    inner.activate(b.clone());
+    inner.activate(c.clone());
+    let receiver = thread::spawn({
+        let (inner, a) = (Arc::clone(&inner), a.clone());
+        move || match inner.select(&"b".to_string(), vec![Arm::recv_from(a)], far()) {
+            Ok(Outcome::Received { msg, .. }) => msg.value,
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+    });
+    let mut arms = [
+        Arm::send(c, Tracked::new(7001)),
+        Arm::send(b.clone(), Tracked::new(7002)),
+    ];
+    let got = client.select_in(&a, &mut arms, far());
+    assert!(
+        matches!(got, Ok(Outcome::Sent { arm: 1, ref to }) if *to == b),
+        "{got:?}"
+    );
+    assert_eq!(receiver.join().expect("the receiver"), 7002);
+    assert!(matches!(arms[1], Arm::Recv(script_chan::Source::Any)));
+    assert!(matches!(&arms[0], Arm::Send { msg, .. } if msg.value == 7001 && msg.original));
+    let dropped = |v| DROPPED.lock().unwrap().contains(&v);
+    assert!(
+        dropped(7002) && !dropped(7001),
+        "the fired message left the list"
+    );
+    drop(arms);
+    assert!(dropped(7001));
 }

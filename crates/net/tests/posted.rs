@@ -134,13 +134,13 @@ impl Transport<String, u64> for Gated {
     fn try_recv(&self, me: &String, from: &String) -> Result<Option<u64>, ChanError<String>> {
         self.inner.try_recv(me, from)
     }
-    fn select(
+    fn select_in(
         &self,
         me: &String,
-        arms: Vec<Arm<String, u64>>,
+        arms: &mut [Arm<String, u64>],
         deadline: Option<Instant>,
     ) -> Result<Outcome<String, u64>, ChanError<String>> {
-        self.inner.select(me, arms, deadline)
+        self.inner.select_in(me, arms, deadline)
     }
 }
 

@@ -102,13 +102,13 @@ impl Transport<RoleId, u64> for Gated {
     fn try_recv(&self, me: &RoleId, from: &RoleId) -> Result<Option<u64>, ChanError<RoleId>> {
         self.inner.try_recv(me, from)
     }
-    fn select(
+    fn select_in(
         &self,
         me: &RoleId,
-        arms: Vec<Arm<RoleId, u64>>,
+        arms: &mut [Arm<RoleId, u64>],
         deadline: Option<Instant>,
     ) -> Result<Outcome<RoleId, u64>, ChanError<RoleId>> {
-        self.inner.select(me, arms, deadline)
+        self.inner.select_in(me, arms, deadline)
     }
     fn submit_send(
         self: Arc<Self>,
