@@ -181,10 +181,10 @@ where
         self.transport.peer_state(id)
     }
 
-    /// Monotone progress counter: increments on every deposit, pickup,
-    /// and peer lifecycle transition. A watchdog that samples this
-    /// across a quiescence window can distinguish a slow performance
-    /// (counter advancing) from a wedged one (counter frozen).
+    /// Monotone progress counter: moves on every deposit, pickup, peer
+    /// lifecycle transition and, on a connection-oriented transport,
+    /// reconnection. A watchdog sampling it across a quiescence window
+    /// tells a slow performance (counter moving) from a wedged one.
     pub fn activity(&self) -> u64 {
         self.transport.activity()
     }

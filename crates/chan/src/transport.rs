@@ -319,8 +319,8 @@ pub trait Transport<I, M>: Send + Sync {
     fn is_aborted(&self) -> bool;
     /// Lifecycle state of `id`, `None` if never declared.
     fn peer_state(&self, id: &I) -> Option<PeerState>;
-    /// Monotone progress counter (see
-    /// [`Network::activity`](crate::Network::activity)).
+    /// Monotone progress counter; a connection-oriented transport counts
+    /// its reconnections too (see [`Network::activity`](crate::Network::activity)).
     fn activity(&self) -> u64;
     /// Re-seeds the per-endpoint selection RNGs from `seed`. Ordered as
     /// [`Transport::cast`] is.

@@ -16,9 +16,9 @@
 //!   socket when the call returns, applied by the hub before anything
 //!   sent after it, its answer awaited by nobody. Someone who reaches
 //!   the hub another way first makes a query on the posting spoke.
-//!   Everything else is *called*; the lifecycle reads a watchdog polls
-//!   (`IsAborted`, `PeerStateOf`, `Activity`) are *fast*: never queued,
-//!   degraded-but-live during a blip.
+//!   Everything else is *called*, the lifecycle reads a watchdog polls
+//!   (`IsAborted`, `PeerStateOf`, `Activity`) included: a call waits
+//!   out a blip and gets the hub's answer.
 //! * **No thread of its own.** The read side is a source on the
 //!   process's one `script-net-io` thread ([`reactor`]), which routes
 //!   answers and events and heartbeats; dial, hello and back-off block
@@ -35,6 +35,8 @@
 //!   dead session — expired, [`Event::Closing`], redial budget spent,
 //!   or closed — surfaces as peer loss: [`ChanError::Terminated`] /
 //!   `AllTerminated`, "gone" lifecycle answers, a frozen `activity`.
+//!   A resume is progress: `activity` adds the spoke's count of
+//!   connections to the hub's counter.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -122,8 +124,7 @@ struct Slot<I, M> {
 enum SlotState<I, M> {
     Waiting,
     /// The request left `pending`, and goes back to its caller with its
-    /// answer — `None` if it will never be answered (session death, or
-    /// a fast query's connection dropped).
+    /// answer — `None` if it will never be answered (session death).
     Settled(Option<Resp<I, M>>, Req<I, M>),
     /// The waiter took the answer: whoever filled the slot has nothing
     /// left to do with it but let go of it.
@@ -172,40 +173,28 @@ thread_local! {
 }
 
 /// The slot a caller waits in for its answer: its thread's own, reused,
-/// as a thread waits for one answer at a time. It is reused when nobody
-/// else holds it, or when its last answer was taken — whoever filled it
-/// may hold it a moment longer, but only to let go. Otherwise (a request
-/// given up before its answer came, which a late fill could still
-/// reach) it is replaced.
+/// as a thread waits for one answer at a time. A call waits until its
+/// answer is taken, so the kept slot reads [`SlotState::Taken`] — whoever
+/// filled it may hold it a moment longer, but only to let go. One that
+/// does not belongs to a call unwound before its answer came, which a
+/// late fill could still reach: it is replaced.
 fn caller_slot<I: 'static, M: 'static>() -> Arc<Slot<I, M>> {
     let take = |cell: &RefCell<Option<Box<dyn Any>>>| {
         let mut cell = cell.borrow_mut();
-        let Some(kept) = cell
+        if let Some(kept) = cell
             .as_mut()
             .and_then(|b| b.downcast_mut::<Arc<Slot<I, M>>>())
-        else {
-            let slot = Arc::new(Slot::new());
-            *cell = Some(Box::new(Arc::clone(&slot)));
-            return slot;
-        };
-        let reusable = match Arc::get_mut(kept) {
-            Some(free) => {
-                *free.state.get_mut() = SlotState::Waiting;
-                true
+        {
+            let mut st = kept.state.lock();
+            if matches!(*st, SlotState::Taken) {
+                *st = SlotState::Waiting;
+                drop(st);
+                return Arc::clone(kept);
             }
-            None => {
-                let mut st = kept.state.lock();
-                let taken = matches!(*st, SlotState::Taken);
-                if taken {
-                    *st = SlotState::Waiting;
-                }
-                taken
-            }
-        };
-        if !reusable {
-            *kept = Arc::new(Slot::new());
         }
-        Arc::clone(kept)
+        let slot = Arc::new(Slot::new());
+        *cell = Some(Box::new(Arc::clone(&slot)));
+        slot
     };
     CALLER_SLOT
         .try_with(take)
@@ -251,9 +240,6 @@ struct PendingEntry<I, M> {
     req: Req<I, M>,
     /// Where a caller waits for the answer; a posted request has none.
     slot: Option<Arc<Slot<I, M>>>,
-    /// Fast queries are failed on connection loss instead of queued for
-    /// replay — their callers want a degraded answer *now*.
-    fast: bool,
 }
 
 /// The coalescing write side of one connection: producers append frames
@@ -345,15 +331,6 @@ struct ConnShared {
     epoch: u64,
 }
 
-/// What a fast (non-queued) query observed.
-enum FastReply<I, M> {
-    Resp(Resp<I, M>),
-    /// Connection down or mid-redial: answer degraded-but-live.
-    Blip,
-    /// The session is dead: answer with crashed-hub semantics.
-    Dead,
-}
-
 /// State shared between the transport facade, its connection's source
 /// on the I/O thread, and a redial thread.
 struct Shared<I, M> {
@@ -373,14 +350,9 @@ struct Shared<I, M> {
     /// The hub announced shutdown ([`Event::Closing`]): terminal once
     /// the connection drains — no redial storm against a dead address.
     closing: AtomicBool,
-    /// Last activity counter observed from the hub: frozen on death so
-    /// watchdogs detect the wedge; advanced synthetically during blips
-    /// so they do not.
+    /// Last `activity` answer: frozen on death so watchdogs detect the
+    /// wedge.
     last_activity: AtomicU64,
-    /// Synthetic activity ticks handed out while reconnecting.
-    blip_ticks: AtomicU64,
-    /// Last `is_aborted` answer, served during blips.
-    cached_aborted: AtomicBool,
     /// Request ids start at 1; 0 is the event-frame marker.
     next_req: AtomicU64,
     /// Every un-acked request, keyed by id, replayed on reconnect.
@@ -559,9 +531,9 @@ where
     /// id. `pending` keeps the typed request: transmission and replay
     /// both encode it from there. `slot` is where a caller will wait
     /// for the answer; a posted request has none.
-    fn register(&self, req: Req<I, M>, slot: Option<Arc<Slot<I, M>>>, fast: bool) -> u64 {
+    fn register(&self, req: Req<I, M>, slot: Option<Arc<Slot<I, M>>>) -> u64 {
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let entry = PendingEntry { req, slot, fast };
+        let entry = PendingEntry { req, slot };
         self.pending.lock().insert(req_id, entry);
         req_id
     }
@@ -579,18 +551,16 @@ where
     /// already (a handshake replays everything pending, which may
     /// include this one) and is skipped. On a failed write the
     /// connection is shut, which the I/O thread sees and answers with
-    /// the redial-and-replay path; returns whether the write succeeded.
-    fn transmit(&self, conn: &ConnShared, req_id: u64) -> bool {
+    /// the redial-and-replay path.
+    fn transmit(&self, conn: &ConnShared, req_id: u64) {
         let queued = match self.pending.lock().get(&req_id) {
             Some(e) => conn.tx.queue(req_id, &e.req),
             None => true,
         };
-        let sent = queued && conn.tx.flush();
-        if !sent {
+        if !(queued && conn.tx.flush()) {
             conn.alive.store(false, Ordering::SeqCst);
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
-        sent
     }
 
     /// Sends a registered durable request. It survives connection
@@ -634,7 +604,7 @@ where
     /// failed launch has settled it already).
     fn exchange(self: &Arc<Self>, req: Req<I, M>) -> (Option<Resp<I, M>>, Req<I, M>) {
         let slot = caller_slot();
-        self.launch(self.register(req, Some(Arc::clone(&slot)), false));
+        self.launch(self.register(req, Some(Arc::clone(&slot))));
         slot.wait()
     }
 
@@ -647,7 +617,7 @@ where
             self.posted.fetch_sub(1, Ordering::SeqCst);
             self.call(req);
         } else {
-            self.launch(self.register(req, None, false));
+            self.launch(self.register(req, None));
         }
     }
 
@@ -674,44 +644,6 @@ where
         if !self.subscribed.swap(true, Ordering::SeqCst) {
             let seq = self.last_event_seq.load(Ordering::SeqCst);
             self.post(Req::SubscribeFrom { seq });
-        }
-    }
-
-    /// One non-queued RPC for cheap lifecycle reads: never blocks on a
-    /// redial (a locked dial = [`FastReply::Blip`]) and never replays.
-    fn fast_call(self: &Arc<Self>, req: Req<I, M>) -> FastReply<I, M> {
-        if self.is_dead() {
-            return FastReply::Dead;
-        }
-        let conn = {
-            let Some(guard) = self.state.try_lock() else {
-                return FastReply::Blip;
-            };
-            match guard.as_ref() {
-                Some(c) if c.alive.load(Ordering::SeqCst) => Arc::clone(c),
-                _ => return FastReply::Blip,
-            }
-        };
-        let slot = caller_slot();
-        let req_id = self.register(req, Some(Arc::clone(&slot)), true);
-        // The connection's end drains fast entries *after* flipping
-        // `alive`; re-checking after the insert guarantees ours is seen.
-        if !conn.alive.load(Ordering::SeqCst) || self.is_dead() {
-            self.retire(req_id, None);
-            return if self.is_dead() {
-                FastReply::Dead
-            } else {
-                FastReply::Blip
-            };
-        }
-        if !self.transmit(&conn, req_id) {
-            self.retire(req_id, None);
-            return FastReply::Blip;
-        }
-        match slot.wait().0 {
-            Some(resp) => FastReply::Resp(resp),
-            None if self.is_dead() => FastReply::Dead,
-            None => FastReply::Blip,
         }
     }
 
@@ -782,8 +714,7 @@ where
 
     /// Dials under the retry policy and completes the session
     /// handshake, standing off and retrying while the hub reports a
-    /// partition embargo. Called with the `state` lock held — fast
-    /// queries observe the held lock as a blip.
+    /// partition embargo. Called with the `state` lock held.
     fn dial_and_handshake(self: &Arc<Self>) -> Option<(Arc<ConnShared>, TcpStream, FrameDecoder)> {
         for _ in 0..64 {
             if self.closed.load(Ordering::SeqCst)
@@ -884,11 +815,7 @@ where
         // twice.
         let queued = {
             let p = self.pending.lock();
-            let mut ids: Vec<u64> = p
-                .iter()
-                .filter(|(_, e)| !e.fast)
-                .map(|(id, _)| *id)
-                .collect();
+            let mut ids: Vec<u64> = p.keys().copied().collect();
             ids.sort_unstable();
             ids.iter().all(|id| tx.queue(*id, &p[id].req))
         };
@@ -997,7 +924,6 @@ where
     /// below our lowest still-pending request.
     fn heartbeat(&mut self) -> bool {
         let shared = &self.shared;
-        shared.blip_ticks.fetch_add(1, Ordering::Relaxed);
         let acked = {
             let p = shared.pending.lock();
             p.keys()
@@ -1043,9 +969,8 @@ where
         Turn::Until(Some(self.next_hb))
     }
 
-    /// Connection over. Fast queries parked on it get a degraded answer
-    /// now; durable requests stay queued for the replay, which a redial
-    /// thread runs on behalf of their parked callers — unless the
+    /// Connection over. Its requests stay queued for the replay, which a
+    /// redial thread runs on behalf of their parked callers — unless the
     /// session is over too.
     fn close(&mut self, _io: &mut Io<'_>, panicked: bool) {
         let (shared, conn) = (&self.shared, &self.conn);
@@ -1056,13 +981,6 @@ where
             // hole no resume can fill.
             shared.die();
             return;
-        }
-        let drained: Vec<PendingEntry<I, M>> = {
-            let mut p = shared.pending.lock();
-            p.extract_if(|_, e| e.fast).map(|(_, e)| e).collect()
-        };
-        for e in drained {
-            shared.settle(e, None);
         }
         if shared.is_dead() || shared.closed.load(Ordering::SeqCst) {
             return;
@@ -1114,15 +1032,9 @@ where
     I: Wire + Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
     M: Wire + Send + Sync + 'static,
 {
-    /// A client for the hub at `addr`. No I/O happens here: the first
-    /// operation dials, retrying under `retry`.
-    pub fn new(addr: SocketAddr, retry: RetryPolicy) -> Self {
-        Self::with_plan(DialPlan::direct(addr), retry)
-    }
-
-    /// A client dialing under `plan` — the federated entry point: the
-    /// plan's direct address is a descriptor's home node, its relay a
-    /// fleet address. No I/O happens here.
+    /// A client dialing under `plan`, retrying under `retry`: the plan's
+    /// direct address is the hub (a descriptor's home node), its relay
+    /// a fleet address. No I/O happens here: the first operation dials.
     pub fn with_plan(plan: DialPlan, retry: RetryPolicy) -> Self {
         Self {
             shared: Arc::new(Shared {
@@ -1136,8 +1048,6 @@ where
                 closed: AtomicBool::new(false),
                 closing: AtomicBool::new(false),
                 last_activity: AtomicU64::new(0),
-                blip_ticks: AtomicU64::new(0),
-                cached_aborted: AtomicBool::new(false),
                 next_req: AtomicU64::new(EVENT_REQ_ID + 1),
                 pending: Mutex::new(HashMap::new()),
                 posted: AtomicUsize::new(0),
@@ -1154,7 +1064,7 @@ where
         }
     }
 
-    /// [`SocketTransport::new`] with address resolution and a default
+    /// A client for the hub at `addr`, dialed directly under a default
     /// retry policy (6 attempts, 25 ms base, 500 ms cap).
     ///
     /// # Errors
@@ -1165,8 +1075,8 @@ where
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
-        Ok(Self::new(
-            addr,
+        Ok(Self::with_plan(
+            DialPlan::direct(addr),
             RetryPolicy::new(6)
                 .with_base(Duration::from_millis(25))
                 .with_cap(Duration::from_millis(500)),
@@ -1268,45 +1178,27 @@ where
     }
 
     fn is_aborted(&self) -> bool {
-        match self.shared.fast_call(Req::IsAborted) {
-            FastReply::Resp(Resp::Bool(b)) => {
-                self.shared.cached_aborted.store(b, Ordering::Relaxed);
-                b
-            }
-            FastReply::Resp(_) => true,
-            // Mid-blip: the last confirmed answer, not a false alarm.
-            FastReply::Blip => self.shared.cached_aborted.load(Ordering::Relaxed),
-            // An unreachable hub cannot host any further operation.
-            FastReply::Dead => true,
-        }
+        // An unreachable hub cannot host any further operation.
+        !matches!(self.shared.call(Req::IsAborted), Some(Resp::Bool(false)))
     }
 
     fn peer_state(&self, id: &I) -> Option<PeerState> {
-        match self.shared.fast_call(Req::PeerStateOf(id.clone())) {
-            FastReply::Resp(Resp::State(s)) => s,
+        match self.shared.call(Req::PeerStateOf(id.clone())) {
+            Some(Resp::State(s)) => s,
             _ => None,
         }
     }
 
+    /// The hub's counter plus this spoke's count of connections: a
+    /// resume is progress, so a sample that waited out a blip differs
+    /// from every sample taken before the sever. Frozen on death.
     fn activity(&self) -> u64 {
-        match self.shared.fast_call(Req::Activity) {
-            FastReply::Resp(Resp::Counter(c)) => {
-                self.shared.last_activity.store(c, Ordering::Relaxed);
-                c
-            }
-            // Mid-blip: a synthetic, strictly-changing counter — a
-            // sampling watchdog must see a *reconnecting* client as
-            // live, because the session still holds its lease.
-            FastReply::Blip | FastReply::Resp(_) => {
-                let ticks = self.shared.blip_ticks.fetch_add(1, Ordering::Relaxed) + 1;
-                self.shared
-                    .last_activity
-                    .load(Ordering::Relaxed)
-                    .wrapping_add(ticks)
-            }
-            // Frozen on death: a sampling watchdog sees no progress.
-            FastReply::Dead => self.shared.last_activity.load(Ordering::Relaxed),
+        let shared = &self.shared;
+        if let Some(Resp::Counter(c)) = shared.call(Req::Activity) {
+            let seen = c.wrapping_add(shared.conn_epoch.load(Ordering::SeqCst));
+            shared.last_activity.store(seen, Ordering::Relaxed);
         }
+        shared.last_activity.load(Ordering::Relaxed)
     }
 
     fn reseed(&self, seed: u64) {

@@ -1349,3 +1349,63 @@ fn a_spoke_hands_back_the_arms_a_selection_did_not_fire() {
     drop(arms);
     assert!(dropped(7001));
 }
+
+/// A hub, a spoke that has activated `s`, and a hub-local `h`.
+fn cut_rig() -> (Hub, SocketTransport<String, u64>, String, String) {
+    let server = hub();
+    let client = spoke(&server);
+    let [s, h] = ["s", "h"].map(String::from);
+    client.activate(s.clone());
+    // The documented barrier: the activation is applied before the hub
+    // is used directly.
+    assert!(client.peer_state(&s).is_some());
+    server.inner().activate(h.clone());
+    (server, client, s, h)
+}
+
+/// Cuts the spoke animating `s` off for 300 ms without moving the hub's
+/// counter: a hub-local send to `s` partitions its session off, and is
+/// dropped, so it deposits nothing.
+fn cut_off(server: &Hub, h: &String, s: &String) {
+    let inner = server.inner();
+    inner.set_fault_plan(
+        FaultPlan::new(1)
+            .with_partition(1.0, Duration::from_millis(300))
+            .with_drop(1.0),
+        |m| *m,
+    );
+    inner.send(h, s, 0, far()).expect("a dropped send succeeds");
+    inner.clear_fault_plan();
+}
+
+/// A resume is progress: a sample that waited out a blip differs from
+/// the one taken before the sever, though the hub's counter did not
+/// move.
+#[test]
+fn a_sample_across_a_resume_reads_progress() {
+    let (server, client, s, h) = cut_rig();
+    let before = client.activity();
+    cut_off(&server, &h, &s);
+    assert_ne!(client.activity(), before);
+    assert!(!client.is_lost(), "the session resumed");
+}
+
+/// A lifecycle query during a blip waits for the hub's answer instead
+/// of reading "never declared".
+#[test]
+fn a_peer_state_asked_during_a_blip_is_the_hubs() {
+    let (server, client, s, h) = cut_rig();
+    cut_off(&server, &h, &s);
+    assert_eq!(client.peer_state(&h), Some(PeerState::Active));
+}
+
+/// An abort made while the spoke is cut off is what the spoke reads
+/// once it is back, not the last answer it had.
+#[test]
+fn an_abort_during_a_blip_reads_aborted() {
+    let (server, client, s, h) = cut_rig();
+    assert!(!client.is_aborted());
+    cut_off(&server, &h, &s);
+    server.inner().abort();
+    assert!(client.is_aborted());
+}
