@@ -112,15 +112,47 @@ pub enum SessionEvent<I> {
 /// Callback invoked on every session-lifecycle transition.
 pub type SessionObserver<I> = Arc<dyn Fn(&SessionEvent<I>) + Send + Sync>;
 
-/// Completion callback for [`Transport::submit_send`]: invoked exactly
-/// once with the result the blocking [`Transport::send`] would have
-/// returned.
-pub type SendDone<I> = Box<dyn FnOnce(Result<(), ChanError<I>>) + Send>;
+/// Where submitted operations answer: one receiver — a hub's session —
+/// stands for every operation it submits, each told apart by its tag.
+pub trait Complete<I, M>: Send + Sync {
+    /// A submitted send's result, as the blocking [`Transport::send`]'s.
+    fn sent(&self, tag: u64, result: Result<(), ChanError<I>>);
+    /// A submitted selection's result, as the blocking
+    /// [`Transport::select_in`]'s, and the arm list lent to it, back as
+    /// `select_in` leaves it: a fired send arm's slot receives from anyone.
+    fn selected(&self, tag: u64, result: Result<Outcome<I, M>, ChanError<I>>, arms: Vec<Arm<I, M>>);
+}
 
-/// Completion callback for [`Transport::submit_select`]: invoked
-/// exactly once with the result the blocking [`Transport::select`]
-/// would have returned.
-pub type SelectDone<I, M> = Box<dyn FnOnce(Result<Outcome<I, M>, ChanError<I>>) + Send>;
+/// A submitted operation's answer: its receiver and its tag. Consumed
+/// by the one answer it carries.
+pub struct Completion<I, M> {
+    /// Who is answered.
+    pub to: Arc<dyn Complete<I, M>>,
+    /// What the answer is to, in `to`'s own numbering.
+    pub tag: u64,
+}
+
+impl<I, M> Completion<I, M> {
+    /// Answers a submitted send.
+    pub fn sent(self, result: Result<(), ChanError<I>>) {
+        self.to.sent(self.tag, result);
+    }
+
+    /// Answers a submitted selection, handing its arms back.
+    pub fn selected(self, result: Result<Outcome<I, M>, ChanError<I>>, arms: Vec<Arm<I, M>>) {
+        self.to.selected(self.tag, result, arms);
+    }
+}
+
+impl<I, M> fmt::Debug for Completion<I, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Completion(tag {})", self.tag)
+    }
+}
+
+/// A boxed callback for one submitted send (see
+/// [`ShardedTransport::submit_send`]).
+pub type SendDone<I> = Box<dyn FnOnce(Result<(), ChanError<I>>) + Send>;
 
 /// Which blocking operation a [`LatencySample`] measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -377,40 +409,42 @@ pub trait Transport<I, M>: Send + Sync {
         self.select_in(me, &mut arms, deadline)
     }
     /// Submits a send for *asynchronous* completion: the implementation
-    /// calls `done` exactly once — possibly before returning, on the
+    /// answers `done` exactly once — possibly before returning, on the
     /// calling thread — with the result the blocking
     /// [`Transport::send`] would have produced, always *after* the
     /// pickup (a submitted send claims nobody: no thread is parked for
-    /// it), and the calling thread never blocks on the rendezvous. An event-driven hub multiplexes
-    /// thousands of in-flight sends onto its one thread this way.
-    /// `done` may itself submit further operations; it must not block.
-    /// Backends without a native nonblocking core decline by handing
-    /// the message and callback straight back (the default); what the
-    /// caller then does with the operation is its own policy.
+    /// it), and the calling thread never blocks on the rendezvous. An
+    /// event-driven hub multiplexes thousands of in-flight sends onto
+    /// its one thread this way, each answered under its own tag.
+    /// `done`'s receiver may itself submit further operations; it must
+    /// not block. Backends without a native nonblocking core decline by
+    /// handing the message and `done`, unanswered, straight back (the
+    /// default); what the caller then does with the operation is its
+    /// own policy.
     fn submit_send(
         self: Arc<Self>,
         from: &I,
         to: &I,
         msg: M,
         deadline: Option<Instant>,
-        done: SendDone<I>,
-    ) -> Result<(), (M, SendDone<I>)> {
+        done: Completion<I, M>,
+    ) -> Result<(), (M, Completion<I, M>)> {
         let _ = (from, to, deadline);
         Err((msg, done))
     }
     /// Submits a selection for *asynchronous* completion, with the same
-    /// contract as [`Transport::submit_send`]: `done` fires exactly
-    /// once with the blocking [`Transport::select`]'s result, and the
-    /// unsupported default hands the arms and callback back to the
-    /// caller.
+    /// contract as [`Transport::submit_send`]: `done` is answered
+    /// exactly once with the blocking [`Transport::select_in`]'s result
+    /// and, whatever the result, the arm list back, left as `select_in`
+    /// leaves it. The declining default hands the arms and `done` back.
     #[allow(clippy::type_complexity)]
     fn submit_select(
         self: Arc<Self>,
         me: &I,
         arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
-        done: SelectDone<I, M>,
-    ) -> Result<(), (Vec<Arm<I, M>>, SelectDone<I, M>)> {
+        done: Completion<I, M>,
+    ) -> Result<(), (Vec<Arm<I, M>>, Completion<I, M>)> {
         let _ = (me, deadline);
         Err((arms, done))
     }
@@ -898,6 +932,25 @@ where
         true
     }
 
+    /// [`Transport::submit_send`] answering a boxed callback rather than
+    /// a [`Completion`]; a declined send hands its message back. As an
+    /// inherent method it shadows the trait's on a concrete receiver.
+    #[doc(hidden)]
+    pub fn submit_send(
+        self: Arc<Self>,
+        from: &I,
+        to: &I,
+        msg: M,
+        deadline: Option<Instant>,
+        done: SendDone<I>,
+    ) -> Result<(), M> {
+        let done = Completion {
+            to: Arc::new(Callback(Mutex::new(Some(done)))),
+            tag: 0,
+        };
+        Transport::submit_send(self, from, to, msg, deadline, done).map_err(|(msg, _)| msg)
+    }
+
     /// A new endpoint for `id`, spare if recycling left one, seeded alike.
     fn new_endpoint(&self, id: &I, life: u8) -> Arc<Endpoint<I, M>> {
         let rng = match *self.seed.lock() {
@@ -1330,8 +1383,8 @@ where
         to: &I,
         msg: M,
         deadline: Option<Instant>,
-        done: SendDone<I>,
-    ) -> Result<(), (M, SendDone<I>)> {
+        done: Completion<I, M>,
+    ) -> Result<(), (M, Completion<I, M>)> {
         let started = self.observers.start();
         let result = match self.admit_send(from, to, msg) {
             Err(e) => Err(e),
@@ -1356,7 +1409,7 @@ where
             }
         };
         self.note_send(started, &result);
-        done(result);
+        done.sent(result);
         Ok(())
     }
 
@@ -1368,11 +1421,11 @@ where
         me: &I,
         arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
-        done: SelectDone<I, M>,
-    ) -> Result<(), (Vec<Arm<I, M>>, SelectDone<I, M>)> {
+        done: Completion<I, M>,
+    ) -> Result<(), (Vec<Arm<I, M>>, Completion<I, M>)> {
         let started = self.observers.start();
         match self.prepare_select(me, &arms) {
-            Err(e) => done(Err(e)),
+            Err(e) => done.selected(Err(e), arms),
             Ok((me_ep, mut peers)) => {
                 let token = self.next_token.fetch_add(1, Ordering::Relaxed);
                 Self::register_watchers(token, &me_ep, &arms, &mut peers);
@@ -1389,6 +1442,21 @@ where
             }
         }
         Ok(())
+    }
+}
+
+/// A [`SendDone`] answered as a [`Complete`] receiver.
+struct Callback<I>(Mutex<Option<SendDone<I>>>);
+
+impl<I: Send, M> Complete<I, M> for Callback<I> {
+    fn sent(&self, _: u64, result: Result<(), ChanError<I>>) {
+        let done = self.0.lock().take();
+        if let Some(done) = done {
+            done(result);
+        }
+    }
+    fn selected(&self, _: u64, _: Result<Outcome<I, M>, ChanError<I>>, _: Vec<Arm<I, M>>) {
+        unreachable!("a send's callback answers no selection")
     }
 }
 
@@ -2275,7 +2343,7 @@ where
                 }
                 if let Some((s, result)) = finished {
                     self.note_send(s.started, &result);
-                    (s.done)(result);
+                    s.done.sent(result);
                 }
             }
             AsyncOp::Select(mut s) => {
@@ -2284,7 +2352,7 @@ where
                     SelectStep::Done(result) => {
                         Self::deregister_watchers(token, &s.peers);
                         self.note_select(s.started, &result);
-                        (s.done)(result);
+                        s.done.selected(result, s.arms);
                     }
                     SelectStep::Park(mut st) => {
                         sched.park(&mut st, token, s.deadline, AsyncOp::Select(s));
@@ -2445,7 +2513,7 @@ struct SendOp<I, M> {
     state: SendState<M>,
     deadline: Option<Instant>,
     started: Option<Instant>,
-    done: SendDone<I>,
+    done: Completion<I, M>,
 }
 
 struct SelectOp<I, M> {
@@ -2457,7 +2525,7 @@ struct SelectOp<I, M> {
     peers: ArmPeers<I, M>,
     deadline: Option<Instant>,
     started: Option<Instant>,
-    done: SelectDone<I, M>,
+    done: Completion<I, M>,
 }
 
 /// The scheduler thread: sleeps until a timer is due or a thread that
@@ -2515,6 +2583,30 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A submitted send's completion that hands its result down `tx`.
+    struct SentTo(Mutex<std::sync::mpsc::Sender<Result<(), ChanError<u8>>>>);
+
+    impl Complete<u8, u32> for SentTo {
+        fn sent(&self, _: u64, result: Result<(), ChanError<u8>>) {
+            let _ = self.0.lock().send(result);
+        }
+        fn selected(
+            &self,
+            _: u64,
+            _: Result<Outcome<u8, u32>, ChanError<u8>>,
+            _: Vec<Arm<u8, u32>>,
+        ) {
+            unreachable!("a send's completion answers no selection")
+        }
+    }
+
+    fn sent_to(tx: std::sync::mpsc::Sender<Result<(), ChanError<u8>>>) -> Completion<u8, u32> {
+        Completion {
+            to: Arc::new(SentTo(Mutex::new(tx))),
+            tag: 0,
+        }
+    }
 
     /// Whether a message from `from` sits on its edge into `to`.
     fn deposited(t: &ShardedTransport<u8, u32>, to: u8, from: u8) -> bool {
@@ -2739,10 +2831,7 @@ mod tests {
         let ep = t.lookup(&1).unwrap();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         // Deposits, finds nobody receiving, parks to await pickup.
-        Arc::clone(&t)
-            .submit_send(&0, &1, 9, None, Box::new(move |r| done_tx.send(r).unwrap()))
-            .ok()
-            .unwrap();
+        Transport::submit_send(Arc::clone(&t), &0, &1, 9, None, sent_to(done_tx)).unwrap();
         // A wakeup with nothing behind it: the scheduler thread takes
         // the op off the table to step it, and stops at the gate.
         let mut gate = ep.state.lock();
@@ -3014,12 +3103,10 @@ mod tests {
         let far = Some(Instant::now() + Duration::from_secs(30));
         let sched = Arc::clone(ShardedTransport::scheduler(&t));
         let mut most = 0;
+        let (ok_tx, ok_rx) = std::sync::mpsc::channel();
         for v in 0..10_000 {
             // Parks awaiting pickup, deadline armed.
-            Arc::clone(&t)
-                .submit_send(&0, &1, v, far, Box::new(|r| r.unwrap()))
-                .ok()
-                .unwrap();
+            Transport::submit_send(Arc::clone(&t), &0, &1, v, far, sent_to(ok_tx.clone())).unwrap();
             let got = t.select(&1, vec![Arm::Recv(Source::Of(0))], far).unwrap();
             assert!(matches!(got, Outcome::Received { msg, .. } if msg == v));
             // The bound held when the entry went in, one op parked.
@@ -3033,18 +3120,18 @@ mod tests {
             most = most.max(q.timers.len());
         }
         assert!(most > TIMER_SLACK, "dead entries did pile up to the slack");
+        ok_rx.iter().take(10_000).for_each(|r| r.unwrap());
         // A purge never takes a live op's timer: this one still fires.
         let (tx, rx) = std::sync::mpsc::channel();
-        Arc::clone(&t)
-            .submit_send(
-                &0,
-                &1,
-                0,
-                Some(Instant::now() + Duration::from_millis(30)),
-                Box::new(move |r| tx.send(r).unwrap()),
-            )
-            .ok()
-            .unwrap();
+        Transport::submit_send(
+            Arc::clone(&t),
+            &0,
+            &1,
+            0,
+            Some(Instant::now() + Duration::from_millis(30)),
+            sent_to(tx),
+        )
+        .unwrap();
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)).unwrap(),
             Err(ChanError::Timeout)
@@ -3091,10 +3178,7 @@ mod tests {
             t.activate(id);
         }
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        Arc::clone(&t)
-            .submit_send(&0, &1, 9, None, Box::new(move |r| done_tx.send(r).unwrap()))
-            .ok()
-            .unwrap();
+        Transport::submit_send(Arc::clone(&t), &0, &1, 9, None, sent_to(done_tx)).unwrap();
         let got = t.select(&1, vec![Arm::Recv(Source::Of(0))], None).unwrap();
         assert!(matches!(got, Outcome::Received { msg: 9, .. }));
         done_rx

@@ -2,10 +2,11 @@
 //!
 //! These drive `ShardedTransport` through the nonblocking submission
 //! API directly (the socket hub is its main consumer) and check that
-//! the callbacks observe exactly the results the blocking calls would
+//! the completions observe exactly the results the blocking calls would
 //! have returned — rendezvous completion at pickup, timeouts that
-//! reclaim deposits, termination errors, chaos determinism — and where
-//! completions run: on the thread that made the op runnable when that
+//! reclaim deposits, termination errors, chaos determinism — each
+//! answered once, under its own tag, a selection's arm list handed back
+//! whatever the result; and where completions run: on the thread that made the op runnable when that
 //! is a submission, a `cast`, an `abort` or a `try_recv`; on the
 //! transport's one scheduler thread — which starts only when there
 //! first is a timer or such an orphaned op — otherwise, and nowhere
@@ -17,10 +18,55 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use script_chan::{
-    Arm, ChanError, FaultPlan, FaultRecord, Observers, Outcome, ShardedTransport, Transport,
+    Arm, CastStep, ChanError, Complete, Completion, FaultPlan, FaultRecord, Observers, Outcome,
+    PeerState, ShardedTransport, Transport,
 };
 
 type T = Arc<ShardedTransport<&'static str, u32>>;
+type E = ChanError<&'static str>;
+type Done = Completion<&'static str, u32>;
+type Arms = Vec<Arm<&'static str, u32>>;
+type Selected = Result<Outcome<&'static str, u32>, E>;
+
+/// A send's completion that runs a closure on its result.
+struct Once<F>(Mutex<Option<F>>);
+
+impl<F: FnOnce(Result<(), E>) + Send> Complete<&'static str, u32> for Once<F> {
+    fn sent(&self, _: u64, result: Result<(), E>) {
+        let f = self.0.lock().unwrap().take();
+        f.expect("answered once")(result);
+    }
+    fn selected(&self, _: u64, _: Selected, _: Arms) {
+        panic!("a send answered as a selection");
+    }
+}
+
+/// [`Once`] for a selection, which gets its arms back too.
+struct OnceSelected<F>(Mutex<Option<F>>);
+
+impl<F: FnOnce(Selected) + Send> Complete<&'static str, u32> for OnceSelected<F> {
+    fn sent(&self, _: u64, _: Result<(), E>) {
+        panic!("a selection answered as a send");
+    }
+    fn selected(&self, _: u64, result: Selected, _: Arms) {
+        let f = self.0.lock().unwrap().take();
+        f.expect("answered once")(result);
+    }
+}
+
+fn on_sent(f: impl FnOnce(Result<(), E>) + Send + 'static) -> Done {
+    Completion {
+        to: Arc::new(Once(Mutex::new(Some(f)))),
+        tag: 0,
+    }
+}
+
+fn on_selected(f: impl FnOnce(Selected) + Send + 'static) -> Done {
+    Completion {
+        to: Arc::new(OnceSelected(Mutex::new(Some(f)))),
+        tag: 0,
+    }
+}
 
 fn fresh() -> T {
     let t = Arc::new(ShardedTransport::new(false, Some(7)));
@@ -33,6 +79,35 @@ fn fresh() -> T {
 
 fn far() -> Option<Instant> {
     Some(Instant::now() + Duration::from_secs(5))
+}
+
+/// What a [`Recorder`] was answered.
+#[derive(Debug)]
+enum Answer {
+    Sent(u64, Result<(), E>),
+    Selected(u64, Selected, Arms),
+}
+
+/// One receiver standing for many operations, as a hub's session does:
+/// every answer goes to the test, tag and all.
+struct Recorder(Mutex<mpsc::Sender<Answer>>);
+
+impl Complete<&'static str, u32> for Recorder {
+    fn sent(&self, tag: u64, result: Result<(), E>) {
+        let _ = self.0.lock().unwrap().send(Answer::Sent(tag, result));
+    }
+    fn selected(&self, tag: u64, result: Selected, arms: Arms) {
+        let _ = self
+            .0
+            .lock()
+            .unwrap()
+            .send(Answer::Selected(tag, result, arms));
+    }
+}
+
+fn recorder() -> (Arc<Recorder>, mpsc::Receiver<Answer>) {
+    let (tx, rx) = mpsc::channel();
+    (Arc::new(Recorder(Mutex::new(tx))), rx)
 }
 
 /// Blocking receive of one message from `from`, via a select.
@@ -54,16 +129,15 @@ fn recv(
 fn async_send_completes_at_pickup() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_send(
-            &"a",
-            &"b",
-            42,
-            far(),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("sharded transport supports async submission");
+    Transport::submit_send(
+        Arc::clone(&t),
+        &"a",
+        &"b",
+        42,
+        far(),
+        on_sent(move |r| tx.send(r).unwrap()),
+    )
+    .expect("sharded transport supports async submission");
     // The deposit parks: nothing completes until the receiver takes it.
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     assert_eq!(recv(&t, "b", "a", far()).unwrap(), 42);
@@ -80,16 +154,15 @@ fn async_sends_pipeline_in_order() {
     let (tx, rx) = mpsc::channel();
     for v in 0..64u32 {
         let tx = tx.clone();
-        Arc::clone(&t)
-            .submit_send(
-                &"a",
-                &"b",
-                v,
-                far(),
-                Box::new(move |r| tx.send((v, r)).unwrap()),
-            )
-            .ok()
-            .expect("async submission");
+        Transport::submit_send(
+            Arc::clone(&t),
+            &"a",
+            &"b",
+            v,
+            far(),
+            on_sent(move |r| tx.send((v, r)).unwrap()),
+        )
+        .expect("async submission");
     }
     for v in 0..64u32 {
         assert_eq!(recv(&t, "b", "a", far()).unwrap(), v);
@@ -110,15 +183,14 @@ fn async_sends_pipeline_in_order() {
 fn async_select_receives() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"b",
-            vec![Arm::recv_any()],
-            far(),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("async submission");
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"b",
+        vec![Arm::recv_any()],
+        far(),
+        on_selected(move |r| tx.send(r).unwrap()),
+    )
+    .expect("async submission");
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     t.send(&"a", &"b", 9, far()).unwrap();
     match rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap() {
@@ -136,15 +208,14 @@ fn async_select_receives() {
 fn async_select_send_arm_claims() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"a",
-            vec![Arm::send("b", 5)],
-            far(),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("async submission");
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"a",
+        vec![Arm::send("b", 5)],
+        far(),
+        on_selected(move |r| tx.send(r).unwrap()),
+    )
+    .expect("async submission");
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     assert_eq!(recv(&t, "b", "a", far()).unwrap(), 5);
     match rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap() {
@@ -159,16 +230,15 @@ fn async_select_send_arm_claims() {
 fn async_send_timeout_reclaims_deposit() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_send(
-            &"a",
-            &"b",
-            1,
-            Some(Instant::now() + Duration::from_millis(50)),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("async submission");
+    Transport::submit_send(
+        Arc::clone(&t),
+        &"a",
+        &"b",
+        1,
+        Some(Instant::now() + Duration::from_millis(50)),
+        on_sent(move |r| tx.send(r).unwrap()),
+    )
+    .expect("async submission");
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
         Err(ChanError::Timeout) => {}
         other => panic!("expected timeout, got {other:?}"),
@@ -185,15 +255,14 @@ fn async_send_timeout_reclaims_deposit() {
 fn async_select_timeout() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"b",
-            vec![Arm::recv_any()],
-            Some(Instant::now() + Duration::from_millis(50)),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("async submission");
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"b",
+        vec![Arm::recv_any()],
+        Some(Instant::now() + Duration::from_millis(50)),
+        on_selected(move |r| tx.send(r).unwrap()),
+    )
+    .expect("async submission");
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
         Err(ChanError::Timeout) => {}
         other => panic!("expected timeout, got {other:?}"),
@@ -214,37 +283,31 @@ fn async_send_error_paths() {
     t.finish("c");
 
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_send(&"a", &"c", 0, far(), {
-            let tx = tx.clone();
-            Box::new(move |r| tx.send(r).unwrap())
-        })
-        .ok()
-        .unwrap();
+    Transport::submit_send(Arc::clone(&t), &"a", &"c", 0, far(), {
+        let tx = tx.clone();
+        on_sent(move |r| tx.send(r).unwrap())
+    })
+    .unwrap();
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
         Err(ChanError::Terminated(who)) => assert_eq!(who, "c"),
         other => panic!("expected Terminated, got {other:?}"),
     }
 
-    Arc::clone(&t)
-        .submit_send(&"a", &"a", 0, far(), {
-            let tx = tx.clone();
-            Box::new(move |r| tx.send(r).unwrap())
-        })
-        .ok()
-        .unwrap();
+    Transport::submit_send(Arc::clone(&t), &"a", &"a", 0, far(), {
+        let tx = tx.clone();
+        on_sent(move |r| tx.send(r).unwrap())
+    })
+    .unwrap();
     assert!(matches!(
         rx.recv_timeout(Duration::from_secs(5)).unwrap(),
         Err(ChanError::Myself)
     ));
 
-    Arc::clone(&t)
-        .submit_send(&"a", &"nobody", 0, far(), {
-            let tx = tx.clone();
-            Box::new(move |r| tx.send(r).unwrap())
-        })
-        .ok()
-        .unwrap();
+    Transport::submit_send(Arc::clone(&t), &"a", &"nobody", 0, far(), {
+        let tx = tx.clone();
+        on_sent(move |r| tx.send(r).unwrap())
+    })
+    .unwrap();
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
         Err(ChanError::Unknown(who)) => assert_eq!(who, "nobody"),
         other => panic!("expected Unknown, got {other:?}"),
@@ -257,10 +320,15 @@ fn async_send_error_paths() {
 fn async_send_peer_finishes_mid_flight() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_send(&"a", &"b", 7, far(), Box::new(move |r| tx.send(r).unwrap()))
-        .ok()
-        .unwrap();
+    Transport::submit_send(
+        Arc::clone(&t),
+        &"a",
+        &"b",
+        7,
+        far(),
+        on_sent(move |r| tx.send(r).unwrap()),
+    )
+    .unwrap();
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     t.finish("b");
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
@@ -294,10 +362,15 @@ fn async_chaos_log_matches_blocking() {
             for v in 0..32u32 {
                 let (tx, rx) = mpsc::channel();
                 if use_async {
-                    Arc::clone(&t)
-                        .submit_send(&"a", &"b", v, far(), Box::new(move |r| tx.send(r).unwrap()))
-                        .ok()
-                        .unwrap();
+                    Transport::submit_send(
+                        Arc::clone(&t),
+                        &"a",
+                        &"b",
+                        v,
+                        far(),
+                        on_sent(move |r| tx.send(r).unwrap()),
+                    )
+                    .unwrap();
                 } else {
                     let t2 = Arc::clone(&t);
                     std::thread::spawn(move || {
@@ -354,36 +427,34 @@ fn async_ops_complete_on_a_submitter_or_the_scheduler_thread() {
     for i in 0..n {
         let c = Arc::clone(&completions);
         let ran_on = Arc::clone(&ran_on);
-        Arc::clone(&t)
-            .submit_send(
-                &"a",
-                &"b",
-                i as u32,
-                far(),
-                Box::new(move |r| {
-                    r.unwrap();
-                    ran_on.lock().unwrap().insert(std::thread::current().id());
-                    c.fetch_add(1, Ordering::SeqCst);
-                }),
-            )
-            .ok()
-            .unwrap();
+        Transport::submit_send(
+            Arc::clone(&t),
+            &"a",
+            &"b",
+            i as u32,
+            far(),
+            on_sent(move |r| {
+                r.unwrap();
+                ran_on.lock().unwrap().insert(std::thread::current().id());
+                c.fetch_add(1, Ordering::SeqCst);
+            }),
+        )
+        .unwrap();
     }
     for j in 0..64 {
         let c = Arc::clone(&completions);
         let ran_on = Arc::clone(&ran_on);
-        Arc::clone(&t)
-            .submit_select(
-                &"c",
-                vec![Arm::recv_from("b"), Arm::watch("b")],
-                Some(Instant::now() + Duration::from_millis(200 + j)),
-                Box::new(move |_| {
-                    ran_on.lock().unwrap().insert(std::thread::current().id());
-                    c.fetch_add(1, Ordering::SeqCst);
-                }),
-            )
-            .ok()
-            .unwrap();
+        Transport::submit_select(
+            Arc::clone(&t),
+            &"c",
+            vec![Arm::recv_from("b"), Arm::watch("b")],
+            Some(Instant::now() + Duration::from_millis(200 + j)),
+            on_selected(move |_| {
+                ran_on.lock().unwrap().insert(std::thread::current().id());
+                c.fetch_add(1, Ordering::SeqCst);
+            }),
+        )
+        .unwrap();
     }
     // A foreign thread — it submits nothing — picks the sends up: the
     // tokens it readies go to the scheduler thread, never run on it.
@@ -431,33 +502,31 @@ fn submit_completes_a_parked_partner_on_the_submitting_thread() {
         }
     };
     let selected = note("select");
-    Arc::clone(&t)
-        .submit_select(
-            &"b",
-            vec![Arm::recv_any()],
-            None,
-            Box::new(move |r| {
-                assert!(matches!(r, Ok(Outcome::Received { msg: 11, .. })));
-                selected();
-            }),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"b",
+        vec![Arm::recv_any()],
+        None,
+        on_selected(move |r| {
+            assert!(matches!(r, Ok(Outcome::Received { msg: 11, .. })));
+            selected();
+        }),
+    )
+    .unwrap();
     assert!(fired.lock().unwrap().is_empty(), "nothing to receive yet");
     let sent = note("send");
-    Arc::clone(&t)
-        .submit_send(
-            &"a",
-            &"b",
-            11,
-            None,
-            Box::new(move |r| {
-                r.unwrap();
-                sent();
-            }),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_send(
+        Arc::clone(&t),
+        &"a",
+        &"b",
+        11,
+        None,
+        on_sent(move |r| {
+            r.unwrap();
+            sent();
+        }),
+    )
+    .unwrap();
     assert_eq!(
         *fired.lock().unwrap(),
         vec![("select", here), ("send", here)],
@@ -473,25 +542,22 @@ fn done_submitting_the_next_op_does_not_recurse() {
     const CHAIN: u32 = 10_000;
     fn next(t: &T, v: u32, finished: mpsc::Sender<u32>) {
         let again = Arc::clone(t);
-        Arc::clone(t)
-            .submit_select(
-                &"b",
-                vec![Arm::recv_from("a")],
-                None,
-                Box::new(move |r| {
-                    assert!(matches!(r, Ok(Outcome::Received { msg, .. }) if msg == v));
-                    if v + 1 == CHAIN {
-                        finished.send(v).unwrap();
-                    } else {
-                        next(&again, v + 1, finished);
-                    }
-                }),
-            )
-            .ok()
-            .unwrap();
-        Arc::clone(t)
-            .submit_send(&"a", &"b", v, None, Box::new(|r| r.unwrap()))
-            .ok()
+        Transport::submit_select(
+            Arc::clone(t),
+            &"b",
+            vec![Arm::recv_from("a")],
+            None,
+            on_selected(move |r| {
+                assert!(matches!(r, Ok(Outcome::Received { msg, .. }) if msg == v));
+                if v + 1 == CHAIN {
+                    finished.send(v).unwrap();
+                } else {
+                    next(&again, v + 1, finished);
+                }
+            }),
+        )
+        .unwrap();
+        Transport::submit_send(Arc::clone(t), &"a", &"b", v, None, on_sent(|r| r.unwrap()))
             .unwrap();
     }
     let t = fresh();
@@ -517,37 +583,35 @@ fn timers_fire_with_no_submitter_around() {
         let (t, tx) = (Arc::clone(&t), tx.clone());
         move || {
             let started = Instant::now();
-            Arc::clone(&t)
-                .submit_send(
-                    &"a",
-                    &"b",
-                    5,
-                    far(),
-                    Box::new(move |r| tx.send(("send", r.map(|()| started.elapsed()))).unwrap()),
-                )
-                .ok()
-                .unwrap();
+            Transport::submit_send(
+                Arc::clone(&t),
+                &"a",
+                &"b",
+                5,
+                far(),
+                on_sent(move |r| tx.send(("send", r.map(|()| started.elapsed()))).unwrap()),
+            )
+            .unwrap();
             std::thread::current().id()
         }
     });
     let submitter = submitter.join().unwrap();
     let timed_out = Arc::new(Mutex::new(None));
-    Arc::clone(&t)
-        .submit_select(
-            &"c",
-            vec![Arm::recv_from("a")],
-            Some(Instant::now() + Duration::from_millis(40)),
-            Box::new({
-                let timed_out = Arc::clone(&timed_out);
-                move |r| {
-                    assert_eq!(r.unwrap_err(), ChanError::Timeout);
-                    *timed_out.lock().unwrap() = Some(std::thread::current().id());
-                    tx.send(("select", Ok(Duration::ZERO))).unwrap();
-                }
-            }),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"c",
+        vec![Arm::recv_from("a")],
+        Some(Instant::now() + Duration::from_millis(40)),
+        on_selected({
+            let timed_out = Arc::clone(&timed_out);
+            move |r| {
+                assert_eq!(r.unwrap_err(), ChanError::Timeout);
+                *timed_out.lock().unwrap() = Some(std::thread::current().id());
+                tx.send(("select", Ok(Duration::ZERO))).unwrap();
+            }
+        }),
+    )
+    .unwrap();
     // The delayed send deposits only once its gate opens, on the
     // scheduler thread; this pickup just waits for it.
     assert_eq!(recv(&t, "b", "a", far()).unwrap(), 5);
@@ -582,19 +646,18 @@ fn park_publishes_the_op_before_its_wakeup() {
     let n = 100_000usize;
     for v in 0..n {
         let completed = Arc::clone(&completed);
-        Arc::clone(&t)
-            .submit_send(
-                &"a",
-                &"b",
-                v as u32,
-                None,
-                Box::new(move |r| {
-                    r.unwrap();
-                    completed.fetch_add(1, Ordering::SeqCst);
-                }),
-            )
-            .ok()
-            .unwrap();
+        Transport::submit_send(
+            Arc::clone(&t),
+            &"a",
+            &"b",
+            v as u32,
+            None,
+            on_sent(move |r| {
+                r.unwrap();
+                completed.fetch_add(1, Ordering::SeqCst);
+            }),
+        )
+        .unwrap();
         assert_eq!(recv(&t, "b", "a", far()).unwrap(), v as u32);
     }
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -623,20 +686,19 @@ fn two_submitters_pipeline_into_one_receiver() {
                     let (tx, rx) = mpsc::channel();
                     for i in 0..DEPTH {
                         let (tx, completed) = (tx.clone(), Arc::clone(&completed));
-                        Arc::clone(&t)
-                            .submit_send(
-                                &from,
-                                &"b",
-                                round * DEPTH + i,
-                                far(),
-                                Box::new(move |r| {
-                                    r.unwrap();
-                                    completed.fetch_add(1, Ordering::SeqCst);
-                                    tx.send(()).unwrap();
-                                }),
-                            )
-                            .ok()
-                            .unwrap();
+                        Transport::submit_send(
+                            Arc::clone(&t),
+                            &from,
+                            &"b",
+                            round * DEPTH + i,
+                            far(),
+                            on_sent(move |r| {
+                                r.unwrap();
+                                completed.fetch_add(1, Ordering::SeqCst);
+                                tx.send(()).unwrap();
+                            }),
+                        )
+                        .unwrap();
                     }
                     // One window at a time: the next 64 go out once
                     // these have all completed.
@@ -674,18 +736,17 @@ fn two_submitters_pipeline_into_one_receiver() {
 fn drop_with_parked_ops_is_clean() {
     let t = fresh();
     let (tx, rx) = mpsc::channel::<Result<(), ChanError<&'static str>>>();
-    Arc::clone(&t)
-        .submit_send(
-            &"a",
-            &"b",
-            1,
-            None,
-            Box::new(move |r| {
-                let _ = tx.send(r);
-            }),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_send(
+        Arc::clone(&t),
+        &"a",
+        &"b",
+        1,
+        None,
+        on_sent(move |r| {
+            let _ = tx.send(r);
+        }),
+    )
+    .unwrap();
     std::thread::sleep(Duration::from_millis(50));
     drop(t);
     // The callback is dropped unfired (caller sees a disconnect), which
@@ -709,10 +770,7 @@ fn seeded_recv_any_picks_the_same_sender_every_run() {
             // Deposits — one step of the activity counter — finds
             // nobody receiving, parks.
             let before = t.activity();
-            Arc::clone(&t)
-                .submit_send(&from, &"rx", 0, None, Box::new(|_| {}))
-                .ok()
-                .unwrap();
+            Transport::submit_send(Arc::clone(&t), &from, &"rx", 0, None, on_sent(|_| {})).unwrap();
             assert_eq!(t.activity(), before + 1);
         }
         match t.select(&"rx", vec![Arm::recv_any()], far()).unwrap() {
@@ -740,10 +798,7 @@ fn seeded_recv_any_past_the_stack_batch_takes_senders_in_the_same_order() {
         t.activate("rx");
         for &from in &senders {
             t.activate(from);
-            Arc::clone(&t)
-                .submit_send(&from, &"rx", 0, None, Box::new(|_| {}))
-                .ok()
-                .unwrap();
+            Transport::submit_send(Arc::clone(&t), &from, &"rx", 0, None, on_sent(|_| {})).unwrap();
         }
         (0..senders.len())
             .map(
@@ -782,50 +837,47 @@ fn scheduler_thread_starts_only_for_a_timer_or_an_orphaned_op() {
     };
     for v in 0..16u32 {
         let sent = note(&ran_on);
-        Arc::clone(&t)
-            .submit_send(
-                &"a",
-                &"b",
-                v,
-                None,
-                Box::new(move |r| {
-                    r.unwrap();
-                    sent();
-                }),
-            )
-            .ok()
-            .unwrap();
+        Transport::submit_send(
+            Arc::clone(&t),
+            &"a",
+            &"b",
+            v,
+            None,
+            on_sent(move |r| {
+                r.unwrap();
+                sent();
+            }),
+        )
+        .unwrap();
         let received = note(&ran_on);
-        Arc::clone(&t)
-            .submit_select(
-                &"b",
-                vec![Arm::recv_from("a")],
-                None,
-                Box::new(move |r| {
-                    assert!(matches!(r, Ok(Outcome::Received { msg, .. }) if msg == v));
-                    received();
-                }),
-            )
-            .ok()
-            .unwrap();
+        Transport::submit_select(
+            Arc::clone(&t),
+            &"b",
+            vec![Arm::recv_from("a")],
+            None,
+            on_selected(move |r| {
+                assert!(matches!(r, Ok(Outcome::Received { msg, .. }) if msg == v));
+                received();
+            }),
+        )
+        .unwrap();
     }
     // A watcher with nothing to receive parks until its peer finishes.
     let released = note(&ran_on);
-    Arc::clone(&t)
-        .submit_select(
-            &"c",
-            vec![Arm::recv_from("a"), Arm::watch("b")],
-            None,
-            Box::new(move |r| {
-                assert!(
-                    matches!(r, Ok(Outcome::Terminated { peer: "b", .. })),
-                    "{r:?}"
-                );
-                released();
-            }),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"c",
+        vec![Arm::recv_from("a"), Arm::watch("b")],
+        None,
+        on_selected(move |r| {
+            assert!(
+                matches!(r, Ok(Outcome::Terminated { peer: "b", .. })),
+                "{r:?}"
+            );
+            released();
+        }),
+    )
+    .unwrap();
     assert_eq!(ran_on.lock().unwrap().len(), 32, "the watcher is parked");
     t.finish("b");
     let ran_on = std::mem::take(&mut *ran_on.lock().unwrap());
@@ -838,16 +890,15 @@ fn scheduler_thread_starts_only_for_a_timer_or_an_orphaned_op() {
 
     // The first timer needs someone to wait for it.
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_send(
-            &"a",
-            &"c",
-            0,
-            Some(Instant::now() + Duration::from_millis(30)),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_send(
+        Arc::clone(&t),
+        &"a",
+        &"c",
+        0,
+        Some(Instant::now() + Duration::from_millis(30)),
+        on_sent(move |r| tx.send(r).unwrap()),
+    )
+    .unwrap();
     assert!(t.scheduler_thread_started());
     assert_eq!(
         rx.recv_timeout(Duration::from_secs(5)).unwrap(),
@@ -858,15 +909,14 @@ fn scheduler_thread_starts_only_for_a_timer_or_an_orphaned_op() {
     // a parked submitted receive, and returns once that has taken it.
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"b",
-            vec![Arm::recv_from("a")],
-            None,
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"b",
+        vec![Arm::recv_from("a")],
+        None,
+        on_selected(move |r| tx.send(r).unwrap()),
+    )
+    .unwrap();
     assert!(!t.scheduler_thread_started());
     t.send(&"a", &"b", 5, far())
         .expect("the orphaned receive picks it up");
@@ -887,10 +937,15 @@ fn scheduler_thread_starts_only_for_a_timer_or_an_orphaned_op() {
 fn a_panicking_callback_leaves_no_drainer_behind() {
     let t = fresh();
     let me = std::thread::current().id();
-    Arc::clone(&t)
-        .submit_send(&"a", &"b", 1, None, Box::new(|_| panic!("done panicked")))
-        .ok()
-        .unwrap();
+    Transport::submit_send(
+        Arc::clone(&t),
+        &"a",
+        &"b",
+        1,
+        None,
+        on_sent(|_| panic!("done panicked")),
+    )
+    .unwrap();
     // The pickup readies the parked send; its callback runs in the
     // drain on the way out of `try_recv`, on this thread.
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.try_recv(&"b", &"a")));
@@ -899,15 +954,14 @@ fn a_panicking_callback_leaves_no_drainer_behind() {
     // A parked submitted receive readied by a thread that drains
     // nothing: its token must reach the scheduler thread.
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"c",
-            vec![Arm::recv_from("a")],
-            None,
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"c",
+        vec![Arm::recv_from("a")],
+        None,
+        on_selected(move |r| tx.send(r).unwrap()),
+    )
+    .unwrap();
     let t2 = Arc::clone(&t);
     std::thread::spawn(move || t2.send(&"a", &"c", 9, far()))
         .join()
@@ -922,32 +976,30 @@ fn a_panicking_callback_leaves_no_drainer_behind() {
     // And this thread still steps what it submits before returning.
     let ran_on = Arc::new(Mutex::new(Vec::new()));
     let sent = Arc::clone(&ran_on);
-    Arc::clone(&t)
-        .submit_send(
-            &"a",
-            &"b",
-            2,
-            None,
-            Box::new(move |r| {
-                r.unwrap();
-                sent.lock().unwrap().push(std::thread::current().id());
-            }),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_send(
+        Arc::clone(&t),
+        &"a",
+        &"b",
+        2,
+        None,
+        on_sent(move |r| {
+            r.unwrap();
+            sent.lock().unwrap().push(std::thread::current().id());
+        }),
+    )
+    .unwrap();
     let received = Arc::clone(&ran_on);
-    Arc::clone(&t)
-        .submit_select(
-            &"b",
-            vec![Arm::recv_from("a")],
-            None,
-            Box::new(move |r| {
-                assert!(matches!(r, Ok(Outcome::Received { msg: 2, .. })));
-                received.lock().unwrap().push(std::thread::current().id());
-            }),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"b",
+        vec![Arm::recv_from("a")],
+        None,
+        on_selected(move |r| {
+            assert!(matches!(r, Ok(Outcome::Received { msg: 2, .. })));
+            received.lock().unwrap().push(std::thread::current().id());
+        }),
+    )
+    .unwrap();
     assert_eq!(*ran_on.lock().unwrap(), vec![me, me]);
 }
 
@@ -959,19 +1011,18 @@ fn a_callback_panicking_on_the_scheduler_thread_leaves_a_successor() {
     let t = fresh();
     let soon = || Some(Instant::now() + Duration::from_millis(20));
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"b",
-            vec![Arm::recv_from("a")],
-            soon(),
-            Box::new(move |r| {
-                let on = std::thread::current().name().map(str::to_owned);
-                tx.send((r, on)).unwrap();
-                panic!("done panicked");
-            }),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"b",
+        vec![Arm::recv_from("a")],
+        soon(),
+        on_selected(move |r| {
+            let on = std::thread::current().name().map(str::to_owned);
+            tx.send((r, on)).unwrap();
+            panic!("done panicked");
+        }),
+    )
+    .unwrap();
     let (timed_out, on) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
     assert!(
         matches!(timed_out, Err(ChanError::Timeout)),
@@ -982,15 +1033,14 @@ fn a_callback_panicking_on_the_scheduler_thread_leaves_a_successor() {
     // Armed while the thread unwinds or after: either way somebody is
     // there to pop it.
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"c",
-            vec![Arm::recv_from("a")],
-            soon(),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .unwrap();
+    Transport::submit_select(
+        Arc::clone(&t),
+        &"c",
+        vec![Arm::recv_from("a")],
+        soon(),
+        on_selected(move |r| tx.send(r).unwrap()),
+    )
+    .unwrap();
     let timed_out = rx
         .recv_timeout(Duration::from_secs(1))
         .expect("the second deadline fires");
@@ -999,4 +1049,205 @@ fn a_callback_panicking_on_the_scheduler_thread_leaves_a_successor() {
         "{timed_out:?}"
     );
     assert!(t.scheduler_thread_started());
+}
+
+/// Many operations on one receiver: each is answered exactly once, under
+/// the tag it was submitted with, whether it completed, failed at once
+/// or timed out.
+#[test]
+fn every_completion_is_answered_once_under_its_own_tag() {
+    let t = fresh();
+    t.finish("c");
+    let (to, answers) = recorder();
+    let done = |tag| Completion {
+        to: Arc::clone(&to) as Arc<dyn Complete<_, _>>,
+        tag,
+    };
+    let send = |from, to, v, deadline, tag| {
+        Transport::submit_send(Arc::clone(&t), &from, &to, v, deadline, done(tag)).unwrap();
+    };
+    for v in 0..16u32 {
+        let tag = u64::from(v);
+        let arms = vec![Arm::recv_from("a")];
+        Transport::submit_select(Arc::clone(&t), &"b", arms, far(), done(100 + tag)).unwrap();
+        send("a", "b", v, far(), tag);
+    }
+    send("a", "c", 0, far(), 200);
+    send(
+        "b",
+        "a",
+        0,
+        Some(Instant::now() + Duration::from_millis(30)),
+        201,
+    );
+    let mut tags = Vec::new();
+    for _ in 0..34 {
+        match answers.recv_timeout(Duration::from_secs(5)).unwrap() {
+            Answer::Sent(200, result) => assert_eq!(result, Err(ChanError::Terminated("c"))),
+            Answer::Sent(201, result) => assert_eq!(result, Err(ChanError::Timeout)),
+            Answer::Sent(tag, result) => {
+                assert!(tag < 16, "unknown tag {tag}");
+                result.unwrap();
+                tags.push(tag);
+            }
+            Answer::Selected(tag, result, arms) => {
+                let sent = u32::try_from(tag - 100).unwrap();
+                assert!(matches!(result, Ok(Outcome::Received { msg, .. }) if msg == sent));
+                assert_eq!(arms, [Arm::recv_from("a")], "the list comes back");
+                tags.push(tag);
+            }
+        }
+    }
+    tags.sort_unstable();
+    let want: Vec<u64> = (0..16).chain(100..116).collect();
+    assert_eq!(tags, want, "each tag once");
+    assert!(
+        answers.recv_timeout(Duration::from_millis(50)).is_err(),
+        "nothing is answered twice"
+    );
+}
+
+/// A selection gets its lent list back on every exit, unfired send
+/// arms' messages in it: when it fires — the fired send arm's slot now
+/// a receive from anyone —, when it fails at once, when it times out
+/// and when it is aborted.
+#[test]
+fn a_selection_hands_its_arms_back_on_every_exit() {
+    let t = fresh();
+    let (to, answers) = recorder();
+    let select = |me, arms: Arms, deadline, tag| {
+        let done = Completion {
+            to: Arc::clone(&to) as Arc<dyn Complete<_, _>>,
+            tag,
+        };
+        Transport::submit_select(Arc::clone(&t), &me, arms, deadline, done).unwrap();
+    };
+    let answer = |want| match answers.recv_timeout(Duration::from_secs(5)).unwrap() {
+        Answer::Selected(tag, result, arms) if tag == want => (result, arms),
+        other => panic!("expected selection {want}, got {other:?}"),
+    };
+
+    let lent = vec![Arm::send("b", 5), Arm::send("c", 6), Arm::recv_from("b")];
+    select("a", lent, far(), 1);
+    assert_eq!(recv(&t, "b", "a", far()).unwrap(), 5);
+    let (result, arms) = answer(1);
+    assert_eq!(result, Ok(Outcome::Sent { arm: 0, to: "b" }));
+    let fired = vec![Arm::recv_any(), Arm::send("c", 6), Arm::recv_from("b")];
+    assert_eq!(arms, fired);
+
+    select("a", Vec::with_capacity(4), far(), 2);
+    let (result, arms) = answer(2);
+    assert_eq!(result, Err(ChanError::EmptySelect));
+    assert!(
+        arms.is_empty() && arms.capacity() >= 4,
+        "the room comes back"
+    );
+    select("a", vec![Arm::send("a", 7)], far(), 3);
+    let (result, arms) = answer(3);
+    assert_eq!(result, Err(ChanError::Myself));
+    assert_eq!(arms, [Arm::send("a", 7)]);
+
+    let parked = vec![Arm::send("b", 8), Arm::recv_from("c")];
+    select(
+        "a",
+        parked.clone(),
+        Some(Instant::now() + Duration::from_millis(30)),
+        4,
+    );
+    let (result, arms) = answer(4);
+    assert_eq!(result, Err(ChanError::Timeout));
+    assert_eq!(arms, parked);
+
+    let parked = vec![Arm::send("b", 9), Arm::watch("c")];
+    select("a", parked.clone(), None, 5);
+    assert!(answers.recv_timeout(Duration::from_millis(50)).is_err());
+    t.abort();
+    let (result, arms) = answer(5);
+    assert_eq!(result, Err(ChanError::Aborted));
+    assert_eq!(arms, parked);
+}
+
+/// A backend that keeps the trait's declining submission defaults and
+/// passes everything else through.
+struct Declining(ShardedTransport<&'static str, u32>);
+
+impl Transport<&'static str, u32> for Declining {
+    fn cast(&self, steps: &[CastStep<&'static str>]) {
+        self.0.cast(steps);
+    }
+    fn abort(&self) {
+        self.0.abort();
+    }
+    fn is_aborted(&self) -> bool {
+        self.0.is_aborted()
+    }
+    fn peer_state(&self, id: &&'static str) -> Option<PeerState> {
+        self.0.peer_state(id)
+    }
+    fn activity(&self) -> u64 {
+        self.0.activity()
+    }
+    fn reseed(&self, seed: u64) {
+        self.0.reseed(seed);
+    }
+    fn ensure_peer(&self, id: &&'static str) -> Result<(), E> {
+        self.0.ensure_peer(id)
+    }
+    fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&u32) -> u32) {
+        self.0.set_fault_plan(plan, clone_fn);
+    }
+    fn clear_fault_plan(&self) {
+        self.0.clear_fault_plan();
+    }
+    fn fault_plan(&self) -> Option<FaultPlan> {
+        self.0.fault_plan()
+    }
+    fn observe(&self, observers: Observers<&'static str, u32>) {
+        self.0.observe(observers);
+    }
+    fn send(
+        &self,
+        from: &&'static str,
+        to: &&'static str,
+        msg: u32,
+        deadline: Option<Instant>,
+    ) -> Result<(), E> {
+        self.0.send(from, to, msg, deadline)
+    }
+    fn try_recv(&self, me: &&'static str, from: &&'static str) -> Result<Option<u32>, E> {
+        self.0.try_recv(me, from)
+    }
+    fn select_in(
+        &self,
+        me: &&'static str,
+        arms: &mut [Arm<&'static str, u32>],
+        deadline: Option<Instant>,
+    ) -> Selected {
+        self.0.select_in(me, arms, deadline)
+    }
+}
+
+/// A backend that declines hands the message or the arms back with the
+/// completion, unanswered: the caller decides what becomes of them.
+#[test]
+fn a_declining_backend_hands_the_operation_back_unanswered() {
+    let t = Arc::new(Declining(ShardedTransport::new(false, Some(7))));
+    let (to, answers) = recorder();
+    let done = |tag| Completion {
+        to: Arc::clone(&to) as Arc<dyn Complete<_, _>>,
+        tag,
+    };
+    match Transport::submit_send(Arc::clone(&t), &"a", &"b", 3, far(), done(1)) {
+        Err((msg, done)) => assert_eq!((msg, done.tag), (3, 1)),
+        Ok(()) => panic!("the default declines"),
+    }
+    let arms = vec![Arm::send("a", 4), Arm::recv_any()];
+    match Transport::submit_select(Arc::clone(&t), &"b", arms.clone(), far(), done(2)) {
+        Err((back, done)) => assert_eq!((back, done.tag), (arms, 2)),
+        Ok(()) => panic!("the default declines"),
+    }
+    assert!(
+        answers.try_recv().is_err(),
+        "a declined operation is not answered"
+    );
 }

@@ -588,10 +588,12 @@ impl<I: Wire, M> Req<I, M> {
         }
     }
 
-    /// [`Wire::decode`], with a [`Req::Cast`] run decoded into `room`.
+    /// [`Wire::decode`], with a [`Req::Cast`] run decoded into `room`
+    /// and a [`Req::Select`]'s arms into `arms_room`.
     pub(crate) fn decode_with(
         r: &mut Reader<'_>,
         room: &mut Vec<CastStep<I>>,
+        arms_room: &mut Vec<Arm<I, M>>,
     ) -> Result<Self, WireError>
     where
         M: Wire,
@@ -618,7 +620,7 @@ impl<I: Wire, M> Req<I, M> {
             },
             21 => Req::Select {
                 me: I::decode(r)?,
-                arms: Vec::<Arm<I, M>>::decode(r)?,
+                arms: decode_into(r, arms_room).map(|()| std::mem::take(arms_room))?,
                 timeout_ms: Option::<u64>::decode(r)?,
             },
             22 => Req::HelloNew,
@@ -707,7 +709,7 @@ impl<I: Wire, M: Wire> Wire for Req<I, M> {
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Self::decode_with(r, &mut Vec::new())
+        Self::decode_with(r, &mut Vec::new(), &mut Vec::new())
     }
 }
 

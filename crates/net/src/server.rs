@@ -25,19 +25,21 @@
 //! Blocking operations (`Send`, `Select`) are **submitted, not
 //! awaited**: the hub hands them to the inner transport's
 //! asynchronous entry points ([`Transport::submit_send`] /
-//! [`Transport::submit_select`]) with a completion callback that
-//! encodes the response in place in its connection's output buffer —
-//! the hub answers out of order, as many requests deep as the spokes
-//! care to pipeline. The inner transport steps a submitted operation on
+//! [`Transport::submit_select`]), completed through the session that
+//! asked, under the request's id: the session encodes the answer in
+//! place in its connection's output buffer — the hub answers out of
+//! order, as many requests deep as the spokes care to pipeline — and
+//! keeps the arm list a selection hands back for a later one's decode.
+//! The inner transport steps a submitted operation on
 //! the submitting thread, so the usual turn is read → decode → step
 //! both sides of the rendezvous → one coalesced write, all on the I/O
-//! thread; a callback on another thread wakes it only while it is
+//! thread; a completion on another thread wakes it only while it is
 //! parked (see [`Waker`](crate::reactor::Waker)). Submission is the
 //! only path: nothing here may block, and an inner transport that
 //! declines it (the default trait methods do) gets the operation failed
 //! closed with [`Aborted`](script_chan::ChanError::Aborted).
 //!
-//! **What runs on that thread must not block.** Completion callbacks,
+//! **What runs on that thread must not block.** Completions,
 //! the inner transport's observers and the message labeler
 //! ([`TransportServer::set_message_labeler`]) all run on
 //! `script-net-io`, where every hub and spoke in the process waits its
@@ -100,8 +102,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use script_chan::{
-    CastStep, ChanError, FaultKind, FaultRecord, LabelFn, Observers, RendezvousObserver,
-    RendezvousRecord, SessionEvent, Transport,
+    Arm, CastStep, ChanError, Complete, Completion, FaultKind, FaultRecord, LabelFn, Observers,
+    Outcome, RendezvousObserver, RendezvousRecord, SessionEvent, Transport,
 };
 
 use crate::frame::{FrameDecoder, ReadStatus, WriteBuf};
@@ -168,7 +170,11 @@ impl ConnTx {
     }
 }
 
-/// One spoke session: state that must survive connection loss.
+/// Arm lists a session keeps for the hub's later selections.
+const SPARE_ARM_LISTS: usize = 8;
+
+/// One spoke session: state that must survive connection loss, and the
+/// [`Complete`] receiver of the operations it submits.
 struct Session<I, M> {
     id: u64,
     state: Mutex<SessionState<I, M>>,
@@ -214,6 +220,9 @@ struct SessionState<I, M> {
     /// and rendezvous share this one stream (and its sequence space),
     /// so a spoke's single high-water mark dedups both.
     events: VecDeque<(u64, StreamItem<I>)>,
+    /// Emptied arm lists this session's selections handed back, at most
+    /// [`SPARE_ARM_LISTS`]: the hub decodes a later `Select` into one.
+    spare_arms: Vec<Vec<Arm<I, M>>>,
 }
 
 struct ServerShared<I, M> {
@@ -241,6 +250,9 @@ pub struct HubStats {
     /// per session at most [`ACK_EVERY`](crate::client::ACK_EVERY) plus
     /// the spoke's pipeline depth, however fast operations complete.
     pub cached_answers: usize,
+    /// Arm lists kept for decoding selections, summed over the sessions;
+    /// per session at most 8.
+    pub spare_arm_lists: usize,
 }
 
 /// A TCP hub exposing an inner [`Transport`] to remote
@@ -399,11 +411,17 @@ impl<I, M> ServerShared<I, M> {
                 .values()
                 .map(|s| s.state.lock().answers.values().flatten().count())
                 .sum(),
+            spare_arm_lists: sessions
+                .values()
+                .map(|s| s.state.lock().spare_arms.len())
+                .sum(),
         }
     }
 
-    fn lease_ms(&self) -> u64 {
-        self.lease.as_millis().min(u64::MAX as u128) as u64
+    /// The answer to a hello or a heartbeat: the session and its lease.
+    fn hello(&self, session: u64) -> Resp<I, M> {
+        let lease_ms = self.lease.as_millis().min(u64::MAX as u128) as u64;
+        Resp::Session { session, lease_ms }
     }
 
     fn shutdown_hub(&self) {
@@ -477,6 +495,9 @@ struct HubIo<I, M> {
     dead: Vec<u64>,
     /// The list a [`Req::Cast`] run is decoded into, handed back once applied.
     cast_room: Vec<CastStep<I>>,
+    /// The list a [`Req::Select`]'s arms are decoded into; once a decode
+    /// took it, the next request's session refills it from its spares.
+    arms_room: Vec<Arm<I, M>>,
 }
 
 impl<I, M> Source for HubIo<I, M>
@@ -583,6 +604,7 @@ where
             sweep_tick,
             dead: Vec::new(),
             cast_room: Vec::new(),
+            arms_room: Vec::new(),
         }
     }
 
@@ -681,7 +703,10 @@ where
                     Ok(Some(frame)) => {
                         let mut r = Reader::new(frame);
                         let req_id = u64::decode(&mut r);
-                        match (req_id, Req::decode_with(&mut r, &mut self.cast_room)) {
+                        match (
+                            req_id,
+                            Req::decode_with(&mut r, &mut self.cast_room, &mut self.arms_room),
+                        ) {
                             (Ok(req_id), Ok(req)) => (req_id, req),
                             _ => return false, // protocol corruption
                         }
@@ -738,6 +763,7 @@ where
                         answers: HashMap::new(),
                         next_event_seq: 0,
                         events: VecDeque::new(),
+                        spare_arms: Vec::new(),
                     }),
                 });
                 self.shared.sessions.lock().insert(sid, Arc::clone(&sess));
@@ -745,14 +771,7 @@ where
                     sess: Arc::clone(&sess),
                     epoch: 1,
                 };
-                self.shared.session_respond(
-                    &sess,
-                    req_id,
-                    Resp::Session {
-                        session: sid,
-                        lease_ms: self.shared.lease_ms(),
-                    },
-                );
+                sess.state.lock().record(req_id, self.shared.hello(sid));
                 true
             }
             Req::HelloResume(sid) => self.handle_resume(id, req_id, sid),
@@ -813,14 +832,7 @@ where
             sess: Arc::clone(&sess),
             epoch,
         };
-        self.shared.session_respond(
-            &sess,
-            req_id,
-            Resp::Session {
-                session: sid,
-                lease_ms: self.shared.lease_ms(),
-            },
-        );
+        sess.state.lock().record(req_id, self.shared.hello(sid));
         let bound = sess.state.lock().bound.clone();
         for bid in bound {
             self.shared
@@ -832,8 +844,8 @@ where
 
     /// One request on a session connection: every answer is kept in the
     /// session's exactly-once table (idempotent by request id); blocking
-    /// operations are submitted to the inner transport and answered by
-    /// completion callbacks to whatever connection is attached then.
+    /// operations are submitted to the inner transport, which answers
+    /// them through the session to whatever connection is attached then.
     fn handle_session(&mut self, id: u64, req_id: u64, req: Req<I, M>) -> bool {
         let Some(ConnMode::Session { sess, .. }) = self.conns.get(&id).map(|c| &c.mode) else {
             return true;
@@ -843,17 +855,25 @@ where
         {
             let mut st = sess.state.lock();
             st.last_seen = Instant::now();
-            match st.answers.get(&req_id) {
+            if let Some(answer) = st.answers.get(&req_id) {
                 // Replayed and already applied: the recorded answer is
-                // re-encoded, the same bytes; never apply twice.
-                Some(Some(resp)) => {
+                // re-encoded, the same bytes. Replayed while the
+                // submitted operation still runs: it will answer the
+                // current connection on completion. Never applied twice;
+                // a replayed selection's arms go back to the room.
+                if let Some(resp) = answer {
                     st.answer(req_id, resp);
-                    return true;
                 }
-                // Replayed while the submitted operation still runs; it
-                // will answer the current connection on completion.
-                Some(None) => return true,
-                None => {}
+                if let Req::Select { arms, .. } = req {
+                    self.arms_room = arms;
+                }
+                return true;
+            }
+            if matches!(req, Req::Send { .. } | Req::Select { .. }) {
+                st.answers.insert(req_id, None);
+            }
+            if self.arms_room.capacity() == 0 {
+                self.arms_room = st.spare_arms.pop().unwrap_or_default();
             }
         }
         match req {
@@ -864,13 +884,7 @@ where
                 st.answers.retain(|k, v| *k >= acked || v.is_none());
                 // Unrecorded: heartbeats are never replayed, and the
                 // answer doubles as the hub → spoke lease renewal.
-                st.answer(
-                    req_id,
-                    &Resp::Session {
-                        session: sess.id,
-                        lease_ms: shared.lease_ms(),
-                    },
-                );
+                st.answer(req_id, &shared.hello(sess.id));
             }
             Req::SubscribeFrom { seq } => {
                 // Atomically: mark subscribed, replay the buffered tail
@@ -902,7 +916,7 @@ where
                 }
                 drop(st);
                 shared.inner.cast(&steps);
-                shared.session_respond(&sess, req_id, Resp::Unit);
+                sess.state.lock().record(req_id, Resp::Unit);
                 // Kept no larger than a decode reserves up front.
                 if steps.capacity() <= 64 {
                     self.cast_room = steps;
@@ -914,13 +928,14 @@ where
                 msg,
                 timeout_ms,
             } => {
-                let respond = shared.answer_later(&sess, req_id);
-                let done: script_chan::SendDone<I> =
-                    Box::new(move |r| respond(r.map_or_else(Resp::ChanErr, |()| Resp::Unit)));
+                let done = Completion {
+                    to: sess,
+                    tag: req_id,
+                };
                 let (inner, deadline) = (Arc::clone(&shared.inner), deadline_of(timeout_ms));
                 if let Err((_, done)) = inner.submit_send(&from, &to, msg, deadline, done) {
                     // Declined: fail closed (see `bind`).
-                    done(Err(ChanError::Aborted));
+                    done.sent(Err(ChanError::Aborted));
                 }
             }
             Req::Select {
@@ -928,17 +943,18 @@ where
                 arms,
                 timeout_ms,
             } => {
-                let respond = shared.answer_later(&sess, req_id);
-                let done: script_chan::SelectDone<I, M> =
-                    Box::new(move |r| respond(r.map_or_else(Resp::ChanErr, Resp::Selected)));
+                let done = Completion {
+                    to: sess,
+                    tag: req_id,
+                };
                 let (inner, deadline) = (Arc::clone(&shared.inner), deadline_of(timeout_ms));
-                if let Err((_, done)) = inner.submit_select(&me, arms, deadline, done) {
-                    done(Err(ChanError::Aborted));
+                if let Err((arms, done)) = inner.submit_select(&me, arms, deadline, done) {
+                    done.selected(Err(ChanError::Aborted), arms);
                 }
             }
             other => {
                 let resp = shared.apply_simple(other);
-                shared.session_respond(&sess, req_id, resp);
+                sess.state.lock().record(req_id, resp);
             }
         }
         true
@@ -1027,27 +1043,6 @@ where
             | Req::HelloResume(_)
             | Req::Heartbeat { .. } => unreachable!("request routed before apply_simple"),
         }
-    }
-
-    /// Queues `resp` on the currently attached connection, if any, and
-    /// records it in the session's exactly-once table: a severed
-    /// session simply accumulates answers for the eventual replay.
-    fn session_respond(&self, sess: &Session<I, M>, req_id: u64, resp: Resp<I, M>) {
-        let mut st = sess.state.lock();
-        st.answer(req_id, &resp);
-        st.answers.insert(req_id, Some(resp));
-    }
-
-    /// Marks `req_id` running in `sess`'s exactly-once table, and
-    /// returns what answers it once its submitted operation completes.
-    fn answer_later(
-        self: &Arc<Self>,
-        sess: &Arc<Session<I, M>>,
-        req_id: u64,
-    ) -> impl FnOnce(Resp<I, M>) + Send + 'static {
-        sess.state.lock().answers.insert(req_id, None);
-        let (shared, sess) = (Arc::clone(self), Arc::clone(sess));
-        move |resp| shared.session_respond(&sess, req_id, resp)
     }
 
     /// Appends one item to every subscribed session's sequenced event
@@ -1178,12 +1173,47 @@ where
     }
 }
 
+impl<I, M> Complete<I, M> for Session<I, M>
+where
+    I: Wire + Send + Sync,
+    M: Wire + Send + Sync,
+{
+    fn sent(&self, tag: u64, result: Result<(), ChanError<I>>) {
+        let resp = result.map_or_else(Resp::ChanErr, |()| Resp::Unit);
+        self.state.lock().record(tag, resp);
+    }
+
+    /// Answers, and keeps the list — no larger than a decode reserves
+    /// up front — for a later selection while there is room.
+    fn selected(
+        &self,
+        tag: u64,
+        result: Result<Outcome<I, M>, ChanError<I>>,
+        mut arms: Vec<Arm<I, M>>,
+    ) {
+        arms.clear();
+        let mut st = self.state.lock();
+        st.record(tag, result.map_or_else(Resp::ChanErr, Resp::Selected));
+        if st.spare_arms.len() < SPARE_ARM_LISTS && arms.capacity() <= 64 {
+            st.spare_arms.push(arms);
+        }
+    }
+}
+
 impl<I: Wire, M: Wire> SessionState<I, M> {
     /// Queues one answer on the attached connection, if any.
     fn answer(&self, req_id: u64, resp: &Resp<I, M>) {
         if let Some(tx) = &self.writer {
             tx.answer(req_id, resp);
         }
+    }
+
+    /// Queues `resp` on the attached connection, if any, and records it
+    /// in the exactly-once table: a severed session simply accumulates
+    /// answers for the eventual replay.
+    fn record(&mut self, req_id: u64, resp: Resp<I, M>) {
+        self.answer(req_id, &resp);
+        self.answers.insert(req_id, Some(resp));
     }
 }
 

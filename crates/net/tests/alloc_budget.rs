@@ -2,7 +2,7 @@
 //! performance, counted by this binary's own global allocator: what an
 //! operation allocates beyond what outlives it — the request kept for
 //! replay, the answer kept for the replay cache, the message, the arms,
-//! the completion closures, a gossip member's view — is a regression. The counter sees every
+//! a gossip member's view — is a regression. The counter sees every
 //! thread of the process, the I/O thread included, so the tests take
 //! turns.
 //!
@@ -101,15 +101,18 @@ fn activate(t: &Arc<dyn Transport<RoleId, String>>) {
 
 /// A streamed rendezvous over one loopback hub and spoke: both ends on
 /// the spoke, so it is a `Send` and a `Select` request, their answers,
-/// and the hub's in-process rendezvous between them. 6.0 measured;
-/// 7.0 while a selection's arms came in a list the caller gave away,
+/// and the hub's in-process rendezvous between them: the message, and
+/// its copy decoded at each end. 3.0 measured; 6.0 while the hub boxed a
+/// completion closure per submitted operation and decoded each
+/// selection's arms into a list of its own, 7.0 while a selection's
+/// arms came in a list the caller gave away,
 /// 11.0 while each request and answer was encoded into a buffer of its
 /// own and kept as bytes for replay, 12.0 before the kernel kept a
 /// selection's arm list, 24.6 before frames were decoded in place, peer
 /// names shared, answer slots reused and a selection's scan order kept
 /// on the stack.
 #[test]
-fn a_streamed_rendezvous_allocates_at_most_7_times() {
+fn a_streamed_rendezvous_allocates_at_most_3_5_times() {
     let _serial = serial();
     let inner: Arc<dyn Transport<RoleId, String>> = Arc::new(ShardedTransport::new(false, None));
     let hub = TransportServer::bind("127.0.0.1:0", inner).expect("bind");
@@ -118,7 +121,7 @@ fn a_streamed_rendezvous_allocates_at_most_7_times() {
     activate(&spoke);
     let allocs = per_rendezvous(&spoke);
     println!("allocations per streamed rendezvous: {allocs:.2}");
-    assert!(allocs <= 7.0, "{allocs:.2} allocations per rendezvous");
+    assert!(allocs <= 3.5, "{allocs:.2} allocations per rendezvous");
 }
 
 /// The same rendezvous in process: the message — 1.00 measured; 2.00
@@ -213,13 +216,15 @@ const PARKED_HUBS: usize = 2;
 /// every performance: the instance's network factory binds a loopback
 /// hub over a fresh kernel and connects a spoke to it, and the hubs
 /// older than [`PARKED_HUBS`] performances are dropped inside the count,
-/// so set-up and teardown are paid per performance. 77.2–78.2 measured
-/// in a release build; 78.3–78.9 while the spoke read its hello answer
-/// into a buffer of its own, 91.5 while the fresh kernel made a table
-/// per thing it counts on each edge into an endpoint and the hub
-/// decoded every cast run into a list of its own.
+/// so set-up and teardown are paid per performance. 72.5–72.9 measured
+/// in a release build over seven runs; 77.2–78.2 while the hub boxed a
+/// completion closure per submitted operation and decoded each
+/// selection's arms into a list of its own, 78.3–78.9 while the spoke
+/// read its hello answer into a buffer of its own, 91.5 while the fresh
+/// kernel made a table per thing it counts on each edge into an endpoint
+/// and the hub decoded every cast run into a list of its own.
 #[test]
-fn a_performance_on_its_own_hub_allocates_at_most_84_times() {
+fn a_performance_on_its_own_hub_allocates_at_most_75_times() {
     let _serial = serial();
     let (instance, sender, recipient) = star();
     let parked = Arc::new(Mutex::new(VecDeque::new()));
@@ -263,7 +268,7 @@ fn a_performance_on_its_own_hub_allocates_at_most_84_times() {
     run();
     let allocs = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / SOCKET_PERFORMANCES as f64;
     println!("allocations per four-role performance on its own hub: {allocs:.2}");
-    assert!(allocs <= 84.0, "{allocs:.2} allocations per performance");
+    assert!(allocs <= 75.0, "{allocs:.2} allocations per performance");
 }
 
 /// Enrollments per counted run of the unmatched guard.

@@ -427,6 +427,8 @@ fn inner_transport_without_submission_fails_closed() {
         client.select(&b, vec![Arm::recv_any()], far()),
         Err(ChanError::Aborted)
     ));
+    // The declined selection's arm list came back, and the session kept it.
+    assert_eq!(chained.stats().spare_arm_lists, 1);
 }
 
 /// Completions from a foreign thread while the reactor is mid-turn: 8
@@ -1408,4 +1410,88 @@ fn an_abort_during_a_blip_reads_aborted() {
     cut_off(&server, &h, &s);
     server.inner().abort();
     assert!(client.is_aborted());
+}
+
+/// A selection parked on the hub across a sever and resume is answered
+/// exactly once. The spoke replays it; the hub finds it still submitted
+/// and puts the duplicate's arm list back in the room it was decoded
+/// into, so the session's spare lists are not drawn on for it. Before
+/// that, 1,000 selections ten deep leave the session no more spare lists
+/// than its bound.
+#[test]
+fn a_selection_parked_across_a_resume_is_answered_once() {
+    const SELECTORS: usize = 10;
+    const ROUNDS: u64 = 100;
+    let (server, client, s, h) = cut_rig();
+    let client = Arc::new(client);
+    let inner = server.inner();
+    let roles: Vec<String> = (0..SELECTORS).map(|i| format!("s{i}")).collect();
+    for me in &roles {
+        client.activate(me.clone());
+    }
+    assert!(client.peer_state(&roles[SELECTORS - 1]).is_some());
+    let selectors: Vec<_> = roles
+        .iter()
+        .map(|me| {
+            let (client, me, h) = (Arc::clone(&client), me.clone(), h.clone());
+            thread::spawn(move || {
+                for v in 0..ROUNDS {
+                    let got = client.select_in(&me, &mut [Arm::recv_from(h.clone())], far());
+                    assert!(
+                        matches!(got, Ok(Outcome::Received { msg, .. }) if msg == v),
+                        "{got:?}"
+                    );
+                }
+            })
+        })
+        .collect();
+    let mut most = 0;
+    for v in 0..ROUNDS {
+        for me in &roles {
+            inner.send(&h, me, v, far()).expect("a selector takes it");
+            most = most.max(server.stats().spare_arm_lists);
+        }
+    }
+    for selector in selectors {
+        selector.join().expect("a selector");
+    }
+    // A query's request refills the room, behind every answer above.
+    assert!(client.peer_state(&h).is_some());
+    let spares = server.stats().spare_arm_lists;
+    assert!(most <= 8 && spares <= 8, "{most} spare lists");
+    assert!(spares >= 1, "completed selections handed their lists back");
+
+    // The parked selection is decoded into the room, which a spare refills.
+    let parked = thread::spawn({
+        let (client, s, h) = (Arc::clone(&client), s.clone(), h.clone());
+        move || client.select_in(&s, &mut [Arm::recv_from(h)], far())
+    });
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().spare_arm_lists != spares - 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the selection never reached the hub"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    cut_off(&server, &h, &s);
+    // The query waits out the blip and is answered behind the replay.
+    assert_eq!(client.peer_state(&h), Some(PeerState::Active));
+    assert_eq!(
+        server.stats().spare_arm_lists,
+        spares - 1,
+        "the replayed duplicate took no spare"
+    );
+    inner
+        .send(&h, &s, 7, far())
+        .expect("the parked selection takes it");
+    let got = parked.join().expect("the selector");
+    assert!(
+        matches!(got, Ok(Outcome::Received { msg: 7, .. })),
+        "{got:?}"
+    );
+    // Submitted once: no second selection is parked to take another.
+    let again = inner.send(&h, &s, 8, Some(Instant::now() + Duration::from_millis(300)));
+    assert_eq!(again, Err(ChanError::Timeout));
+    assert!(!client.is_lost(), "the session resumed");
 }

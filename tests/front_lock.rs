@@ -16,8 +16,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use script::chan::{
-    Arm, CastStep, ChanError, FaultPlan, Network, Observers, Outcome, PeerState, SelectDone,
-    SendDone, ShardedTransport, Transport,
+    Arm, CastStep, ChanError, Completion, FaultPlan, Network, Observers, Outcome, PeerState,
+    ShardedTransport, Transport,
 };
 use script::core::{
     CriticalSet, Enrollment, Initiation, NetworkFactory, PerformanceNet, RoleId, Script,
@@ -116,9 +116,9 @@ impl Transport<RoleId, u64> for Gated {
         to: &RoleId,
         msg: u64,
         deadline: Option<Instant>,
-        done: SendDone<RoleId>,
-    ) -> Result<(), (u64, SendDone<RoleId>)> {
-        Arc::clone(&self.inner).submit_send(from, to, msg, deadline, done)
+        done: Completion<RoleId, u64>,
+    ) -> Result<(), (u64, Completion<RoleId, u64>)> {
+        Transport::submit_send(Arc::clone(&self.inner), from, to, msg, deadline, done)
     }
     #[allow(clippy::type_complexity)]
     fn submit_select(
@@ -126,9 +126,9 @@ impl Transport<RoleId, u64> for Gated {
         me: &RoleId,
         arms: Vec<Arm<RoleId, u64>>,
         deadline: Option<Instant>,
-        done: SelectDone<RoleId, u64>,
-    ) -> Result<(), (Vec<Arm<RoleId, u64>>, SelectDone<RoleId, u64>)> {
-        Arc::clone(&self.inner).submit_select(me, arms, deadline, done)
+        done: Completion<RoleId, u64>,
+    ) -> Result<(), (Vec<Arm<RoleId, u64>>, Completion<RoleId, u64>)> {
+        Transport::submit_select(Arc::clone(&self.inner), me, arms, deadline, done)
     }
 }
 
