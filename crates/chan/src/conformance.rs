@@ -440,7 +440,7 @@ pub fn check_seal_bars_expected_peers(factory: TransportFactory<'_>) {
     );
 }
 
-/// Batched lifecycle: a [`Network::cast`] run leaves exactly what the
+/// Batched lifecycle: a [`Transport::cast`] run leaves exactly what the
 /// same steps issued one by one leave — every peer's state, with a
 /// `Declare` inside the run downgrading nothing, and `activity`
 /// advanced by one per step — and a participant blocked on a peer that

@@ -22,10 +22,10 @@
 //!   delay, duplication, and peer crash for chaos testing, a strict no-op
 //!   when no plan is attached (or when the attached plan enables no fault
 //!   class — the short-circuit is hoisted to attach time);
-//! * a pluggable [`Transport`] seam: [`Network`] is a facade over an
-//!   `Arc<dyn Transport>`, whose default in-process implementation,
-//!   [`ShardedTransport`], keeps one lock + condvar **per endpoint** so
-//!   unrelated participants never contend.
+//! * a pluggable [`Transport`] seam: [`Network`] derefs to an
+//!   `Arc<dyn Transport>` and shares its methods; the default in-process
+//!   implementation, [`ShardedTransport`], keeps one lock + condvar
+//!   **per endpoint** so unrelated participants never contend.
 //!
 //! # Example
 //!

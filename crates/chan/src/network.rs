@@ -1,13 +1,14 @@
-//! The rendezvous network facade.
+//! The rendezvous network handle.
 //!
-//! A [`Network`] is a thin handle over a [`Transport`] — the blocking
-//! rendezvous substrate. The default transport is the in-process
-//! [`ShardedTransport`](crate::ShardedTransport): one lock + condvar
-//! *per endpoint*, so unrelated participants never contend and wakeups
-//! are targeted instead of herd broadcasts (see the
-//! [`transport`](crate::transport) module docs for the sharding and
-//! wakeup protocol). Alternative substrates plug in through
-//! [`Network::with_transport`] without touching the layers above.
+//! A [`Network`] derefs to its [`Transport`] — the blocking rendezvous
+//! substrate — whose methods it shares: lifecycle and its reads,
+//! `reseed`, the fault plan and `observe` are documented there once.
+//! The handle adds its constructors, [`Network::seal`], the cloning
+//! [`Network::set_fault_plan`] and [`Network::port`]. The default
+//! transport is the in-process [`ShardedTransport`](crate::ShardedTransport):
+//! one lock + condvar *per endpoint* (see the [`transport`](crate::transport)
+//! module docs for the sharding and wakeup protocol); others plug in
+//! through [`Network::with_transport`] without touching the layers above.
 //!
 //! Send arms in a selection fire only by *claiming* a peer that is
 //! already committed to a matching receive (the standard two-phase
@@ -17,12 +18,13 @@
 
 use std::fmt;
 use std::hash::Hash;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::fault::FaultPlan;
 use crate::select::{Arm, Outcome};
-use crate::transport::{CastStep, Observers, ShardedTransport, Transport};
+use crate::transport::{CastStep, ShardedTransport, Transport};
 use crate::ChanError;
 
 /// Lifecycle state of a network participant.
@@ -44,10 +46,19 @@ pub enum PeerState {
 
 /// A network of named participants communicating by rendezvous.
 ///
-/// Cloning a `Network` yields another handle to the same network. See the
-/// [crate docs](crate) for an overview and example.
+/// Cloning a `Network` yields another handle to the same network; it
+/// derefs to its [`Transport`]. See the [crate docs](crate) for an
+/// overview and example.
 pub struct Network<I, M> {
     transport: Arc<dyn Transport<I, M>>,
+}
+
+impl<I, M> Deref for Network<I, M> {
+    type Target = dyn Transport<I, M>;
+
+    fn deref(&self) -> &Self::Target {
+        &*self.transport
+    }
 }
 
 impl<I, M> Clone for Network<I, M> {
@@ -114,33 +125,6 @@ where
         Self { transport }
     }
 
-    /// Re-seeds the selection RNGs in place. Lets an instance impose a
-    /// reproducible selection order on an already-built network (e.g.
-    /// one per performance, derived from a chaos seed).
-    pub fn reseed(&self, seed: u64) {
-        self.transport.reseed(seed);
-    }
-
-    /// Declares `id` as an expected participant (idempotent; never
-    /// downgrades an existing state).
-    pub fn declare(&self, id: I) {
-        self.transport.declare(id);
-    }
-
-    /// Marks `id` as active, declaring it if necessary.
-    pub fn activate(&self, id: I) {
-        self.transport.activate(id);
-    }
-
-    /// Marks `id` as done (finished or permanently barred). Blocked
-    /// operations naming `id` observe the transition: receives drain any
-    /// pending message first, then fail with
-    /// [`ChanError::Terminated`]; senders waiting on `id` fail
-    /// immediately.
-    pub fn finish(&self, id: I) {
-        self.transport.finish(id);
-    }
-
     /// Seals the network: every peer still [`PeerState::Expected`] becomes
     /// [`PeerState::Done`] (it will never be filled), and — on
     /// implicitly-declaring networks — future references to unknown peers
@@ -150,43 +134,7 @@ where
     /// critical role set is filled (or after an explicit
     /// `seal_cast`), unfilled roles read as terminated.
     pub fn seal(&self) {
-        self.transport.cast(&[CastStep::Seal]);
-    }
-
-    /// Applies a run of lifecycle transitions in order, as one act: the
-    /// steps take effect exactly as [`Network::declare`],
-    /// [`Network::activate`], [`Network::finish`] and [`Network::seal`]
-    /// would apply them one by one, but blocked participants are woken
-    /// once and a remote transport sends the run as one frame, without
-    /// waiting for the answer (see the ordering rule on
-    /// [`Transport::cast`]). This is how an engine binds a
-    /// performance's cast.
-    pub fn cast(&self, steps: &[CastStep<I>]) {
-        self.transport.cast(steps);
-    }
-
-    /// Aborts the whole network: every blocked and future operation fails
-    /// with [`ChanError::Aborted`].
-    pub fn abort(&self) {
-        self.transport.abort();
-    }
-
-    /// Returns `true` if the network has been aborted.
-    pub fn is_aborted(&self) -> bool {
-        self.transport.is_aborted()
-    }
-
-    /// Current lifecycle state of `id` (`None` if never declared).
-    pub fn peer_state(&self, id: &I) -> Option<PeerState> {
-        self.transport.peer_state(id)
-    }
-
-    /// Monotone progress counter: moves on every deposit, pickup, peer
-    /// lifecycle transition and, on a connection-oriented transport,
-    /// reconnection. A watchdog sampling it across a quiescence window
-    /// tells a slow performance (counter moving) from a wedged one.
-    pub fn activity(&self) -> u64 {
-        self.transport.activity()
+        self.cast(&[CastStep::Seal]);
     }
 
     /// Attaches a deterministic [`FaultPlan`]. Subsequent sends consult
@@ -210,24 +158,6 @@ where
         self.transport.set_fault_plan(plan, clone_of::<M>);
     }
 
-    /// Detaches the fault plan, restoring the no-op fast path.
-    pub fn clear_fault_plan(&self) {
-        self.transport.clear_fault_plan();
-    }
-
-    /// The currently attached plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.transport.fault_plan()
-    }
-
-    /// Installs [`Observers`] on the transport, merging: a `Some` slot
-    /// replaces that callback, a `None` slot leaves it alone (see
-    /// [`Transport::observe`]). The engine surfaces all four slots as
-    /// telemetry.
-    pub fn observe(&self, observers: Observers<I, M>) {
-        self.transport.observe(observers);
-    }
-
     /// Obtains the communication capability for participant `me`.
     ///
     /// # Errors
@@ -235,7 +165,7 @@ where
     /// Returns [`ChanError::Unknown`] if `me` was never declared and the
     /// network does not implicitly declare.
     pub fn port(&self, me: I) -> Result<Port<I, M>, ChanError<I>> {
-        self.transport.ensure_peer(&me)?;
+        self.ensure_peer(&me)?;
         Ok(Port {
             net: self.clone(),
             me,
@@ -300,7 +230,7 @@ where
         msg: M,
         deadline: Option<Instant>,
     ) -> Result<(), ChanError<I>> {
-        self.net.transport.send(&self.me, to, msg, deadline)
+        self.net.send(&self.me, to, msg, deadline)
     }
 
     /// Receives the pending message from `from`, blocking until one
@@ -361,7 +291,7 @@ where
     /// addressing and abort errors as for [`Port::send`]. Returns
     /// `Ok(None)` when no message is pending but one may still arrive.
     pub fn try_recv_from(&self, from: &I) -> Result<Option<M>, ChanError<I>> {
-        self.net.transport.try_recv(&self.me, from)
+        self.net.try_recv(&self.me, from)
     }
 
     /// Guarded selection over the given arms (CSP alternative command).
@@ -403,7 +333,7 @@ where
         arms: &mut [Arm<I, M>],
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
-        self.net.transport.select_in(&self.me, arms, deadline)
+        self.net.select_in(&self.me, arms, deadline)
     }
 }
 
@@ -985,6 +915,7 @@ mod fault_tests {
     use super::*;
     use crate::conformance::collect_faults;
     use crate::fault::{FaultKind, FaultPlan};
+    use crate::transport::Observers;
     use std::time::Duration;
 
     type ChaosPair = (

@@ -60,6 +60,19 @@ impl<I, M> Arm<I, M> {
     }
 }
 
+impl<I: Clone> crate::ChanError<I> {
+    /// The paper's distinguished value for a selection whose every arm is
+    /// permanently unfireable, on every transport: [`Self::Terminated`]
+    /// naming a lone receive-from or send arm's peer, else
+    /// [`Self::AllTerminated`].
+    pub fn all_arms_dead<M>(arms: &[Arm<I, M>]) -> Self {
+        match arms {
+            [Arm::Recv(Source::Of(p)) | Arm::Send { to: p, .. }] => Self::Terminated(p.clone()),
+            _ => Self::AllTerminated,
+        }
+    }
+}
+
 /// The result of a successful [`Port::select`](crate::Port::select).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome<I, M> {
@@ -102,6 +115,7 @@ impl<I, M> Outcome<I, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChanError;
 
     #[test]
     fn constructors_build_expected_variants() {
@@ -113,6 +127,29 @@ mod tests {
         assert!(matches!(c, Arm::Send { to: 2, msg: 9 }));
         let d: Arm<u8, ()> = Arm::watch(3);
         assert!(matches!(d, Arm::Watch(3)));
+    }
+
+    #[test]
+    fn all_dead_arms_name_a_lone_peer_only() {
+        let named: [Arm<u8, u8>; 2] = [Arm::recv_from(1), Arm::send(2, 0)];
+        assert_eq!(
+            ChanError::all_arms_dead(&named[..1]),
+            ChanError::Terminated(1)
+        );
+        assert_eq!(
+            ChanError::all_arms_dead(&named[1..]),
+            ChanError::Terminated(2)
+        );
+        assert_eq!(ChanError::all_arms_dead(&named), ChanError::AllTerminated);
+        let unnamed: [Arm<u8, u8>; 2] = [Arm::recv_any(), Arm::watch(3)];
+        assert_eq!(
+            ChanError::all_arms_dead(&unnamed[..1]),
+            ChanError::AllTerminated
+        );
+        assert_eq!(
+            ChanError::all_arms_dead(&unnamed[1..]),
+            ChanError::AllTerminated
+        );
     }
 
     #[test]

@@ -296,7 +296,7 @@ impl<I, M> fmt::Debug for Observers<I, M> {
 ///   naming a `Done` peer fail with [`ChanError::Terminated`] *after*
 ///   any already-deposited message from it has been drained. A
 ///   selection whose arms are all permanently unfireable fails with
-///   `Terminated` (single named peer) or [`ChanError::AllTerminated`].
+///   [`ChanError::all_arms_dead`]'s error.
 /// * **Selection.** [`Transport::select_in`] fires exactly one arm, chosen
 ///   fairly among ready alternatives (seeded by
 ///   [`Transport::reseed`] for reproducibility); a send arm fires only
@@ -324,12 +324,13 @@ impl<I, M> fmt::Debug for Observers<I, M> {
 ///   match across transports even though the elapsed times differ.
 ///   With no observer the clock is not read.
 pub trait Transport<I, M>: Send + Sync {
-    /// Applies a run of lifecycle transitions, in order, ahead of every
-    /// later operation on this transport (a remote transport may return
-    /// before the far side has applied the run; an observer elsewhere
-    /// needs a query on this handle first — see the trait docs). Setting
-    /// up a performance's cast is one run — one wake-up pass in process,
-    /// one frame over a socket — instead of a call per role.
+    /// Applies a run of lifecycle transitions in order, as the one-step
+    /// forms would one by one, ahead of every later operation on this
+    /// transport (a remote transport may return before the far side has
+    /// applied the run; an observer elsewhere needs a query on this
+    /// handle first — see the trait docs). Binding a performance's cast
+    /// is one run — one wake-up pass in process, one frame over a
+    /// socket — instead of a call per role.
     fn cast(&self, steps: &[CastStep<I>]);
     /// Declares `id` as expected (idempotent, never downgrades).
     fn declare(&self, id: I) {
@@ -339,22 +340,28 @@ pub trait Transport<I, M>: Send + Sync {
     fn activate(&self, id: I) {
         self.cast(&[CastStep::Activate(id)]);
     }
-    /// Marks `id` done (finished or permanently barred).
+    /// Marks `id` done (finished or permanently barred): receives from it
+    /// drain any pending message, then fail with
+    /// [`ChanError::Terminated`]; senders to it fail at once.
     fn finish(&self, id: I) {
         self.cast(&[CastStep::Finish(id)]);
     }
-    /// Aborts every blocked and future operation. Ordered as
-    /// [`Transport::cast`] is: ahead of every later operation on this
-    /// transport, possibly not yet applied on a remote one's far side.
+    /// Fails every blocked and future operation with [`ChanError::Aborted`].
+    /// Ordered as [`Transport::cast`] is: ahead of every later operation
+    /// on this transport, possibly not yet applied on a remote one's far
+    /// side.
     fn abort(&self);
     /// Whether the transport has been aborted.
     fn is_aborted(&self) -> bool;
     /// Lifecycle state of `id`, `None` if never declared.
     fn peer_state(&self, id: &I) -> Option<PeerState>;
-    /// Monotone progress counter; a connection-oriented transport counts
-    /// its reconnections too (see [`Network::activity`](crate::Network::activity)).
+    /// Monotone progress counter: moves on every deposit, pickup, peer
+    /// lifecycle transition and, on a connection-oriented transport,
+    /// reconnection. A watchdog sampling it across a quiescence window
+    /// tells a slow performance (counter moving) from a wedged one.
     fn activity(&self) -> u64;
-    /// Re-seeds the per-endpoint selection RNGs from `seed`. Ordered as
+    /// Re-seeds the per-endpoint selection RNGs from `seed`, in place (an
+    /// instance's per-performance chaos seed). Ordered as
     /// [`Transport::cast`] is.
     fn reseed(&self, seed: u64);
     /// Ensures `id` exists (implicit declaration if supported).
@@ -362,7 +369,8 @@ pub trait Transport<I, M>: Send + Sync {
     /// Attaches a fault plan; `clone_fn` materializes duplicates.
     /// Ordered as [`Transport::cast`] is.
     fn set_fault_plan(&self, plan: FaultPlan, clone_fn: fn(&M) -> M);
-    /// Detaches the fault plan. Ordered as [`Transport::cast`] is.
+    /// Detaches the fault plan, restoring the no-op fast path. Ordered as
+    /// [`Transport::cast`] is.
     fn clear_fault_plan(&self);
     /// The currently attached plan, if any.
     fn fault_plan(&self) -> Option<FaultPlan>;
@@ -372,7 +380,8 @@ pub trait Transport<I, M>: Send + Sync {
     /// transport keeps its streams when hub-local code adds a slot of
     /// its own. There is no uninstall. While the rendezvous or latency
     /// slot is empty, a delivery or an operation pays one relaxed load
-    /// for it, and reads no clock.
+    /// for it, and reads no clock. The engine surfaces all four slots as
+    /// telemetry.
     fn observe(&self, observers: Observers<I, M>);
     /// Feeds one session-lifecycle event to the registered observer.
     /// A hub serving this transport over a network calls this so
@@ -2085,13 +2094,7 @@ where
         }
 
         if !any_live {
-            // Every arm is permanently unfireable.
-            if arms.len() == 1 {
-                if let Arm::Recv(Source::Of(p)) | Arm::Send { to: p, .. } = &arms[0] {
-                    return Err(ChanError::Terminated(p.clone()));
-                }
-            }
-            return Err(ChanError::AllTerminated);
+            return Err(ChanError::all_arms_dead(arms));
         }
         Ok(None)
     }

@@ -33,8 +33,8 @@
 //!   request, typed, in id order; the hub answers what it applied
 //!   already from its replay cache, so nothing applies twice. Only a
 //!   dead session — expired, [`Event::Closing`], redial budget spent,
-//!   or closed — surfaces as peer loss: [`ChanError::Terminated`] /
-//!   `AllTerminated`, "gone" lifecycle answers, a frozen `activity`.
+//!   or closed — surfaces as peer loss: [`ChanError::all_arms_dead`] /
+//!   `Terminated`, "gone" lifecycle answers, a frozen `activity`.
 //!   A resume is progress: `activity` adds the spoke's count of
 //!   connections to the hub's counter.
 
@@ -59,7 +59,7 @@ use script_chan::{
 use script_core::RetryPolicy;
 
 use crate::frame::{FrameDecoder, ReadStatus, WriteBuf};
-use crate::proto::{timeout_ms_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
+use crate::proto::{bind, timeout_ms_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
 use crate::reactor::{self, fd_of, Cause, Io, Source, Turn};
 use crate::wire::{Reader, Wire, MAX_FRAME};
 
@@ -343,10 +343,9 @@ struct Shared<I, M> {
     /// Connections that had to fall back to the relay path.
     relay_dials: AtomicU64,
     state: Mutex<Option<Arc<ConnShared>>>,
-    /// Terminal: session expired, redial budget exhausted, or closed.
+    /// Terminal: session expired, redial budget exhausted, or closed
+    /// (`close` and drop die first, so nobody redials).
     dead: AtomicBool,
-    /// Set by `close`/drop so nobody redials.
-    closed: AtomicBool,
     /// The hub announced shutdown ([`Event::Closing`]): terminal once
     /// the connection drains — no redial storm against a dead address.
     closing: AtomicBool,
@@ -717,10 +716,7 @@ where
     /// partition embargo. Called with the `state` lock held.
     fn dial_and_handshake(self: &Arc<Self>) -> Option<(Arc<ConnShared>, TcpStream, FrameDecoder)> {
         for _ in 0..64 {
-            if self.closed.load(Ordering::SeqCst)
-                || self.closing.load(Ordering::SeqCst)
-                || self.is_dead()
-            {
+            if self.closing.load(Ordering::SeqCst) || self.is_dead() {
                 return None;
             }
             let stream = self
@@ -946,7 +942,7 @@ where
     M: Wire + Send + Sync + 'static,
 {
     fn turn(&mut self, io: &mut Io<'_>, cause: Cause) -> Turn {
-        if self.shared.is_dead() || self.shared.closed.load(Ordering::SeqCst) {
+        if self.shared.is_dead() {
             return Turn::Done;
         }
         match cause {
@@ -982,7 +978,7 @@ where
             shared.die();
             return;
         }
-        if shared.is_dead() || shared.closed.load(Ordering::SeqCst) {
+        if shared.is_dead() {
             return;
         }
         // Only the *current* connection announces the disconnect: a
@@ -1045,7 +1041,6 @@ where
                 relay_dials: AtomicU64::new(0),
                 state: Mutex::new(None),
                 dead: AtomicBool::new(false),
-                closed: AtomicBool::new(false),
                 closing: AtomicBool::new(false),
                 last_activity: AtomicU64::new(0),
                 next_req: AtomicU64::new(EVENT_REQ_ID + 1),
@@ -1134,22 +1129,12 @@ where
 /// The shared close path (also the drop path, which has no trait
 /// bounds in scope).
 fn close_shared<I, M>(shared: &Arc<Shared<I, M>>) {
-    shared.closed.store(true, Ordering::SeqCst);
     shared.die();
     // Shutting the socket is also what tells the I/O thread: the
     // connection's source sees the end and releases its handles.
     if let Some(conn) = shared.state.lock().take() {
         conn.alive.store(false, Ordering::SeqCst);
         let _ = conn.stream.shutdown(Shutdown::Both);
-    }
-}
-
-/// The peer a single-arm selection's loss should be pinned on,
-/// mirroring the in-process all-arms-dead rule.
-fn single_named_peer<I: Clone, M>(arms: &[Arm<I, M>]) -> Option<I> {
-    match arms {
-        [Arm::Recv(script_chan::Source::Of(p))] | [Arm::Send { to: p, .. }] => Some(p.clone()),
-        _ => None,
     }
 }
 
@@ -1163,14 +1148,7 @@ where
             return;
         }
         self.shared.cast(steps);
-        let mut bound = self.shared.bound.lock();
-        for step in steps {
-            match step {
-                CastStep::Activate(id) if !bound.contains(id) => bound.push(id.clone()),
-                CastStep::Finish(id) => bound.retain(|b| b != id),
-                CastStep::Activate(_) | CastStep::Declare(_) | CastStep::Seal => {}
-            }
-        }
+        bind(&mut self.shared.bound.lock(), steps);
     }
 
     fn abort(&self) {
@@ -1305,10 +1283,8 @@ where
         if arms.is_empty() {
             return Err(ChanError::EmptySelect);
         }
-        let loss = match single_named_peer(arms) {
-            Some(p) => ChanError::Terminated(p),
-            None => ChanError::AllTerminated,
-        };
+        // A dead session is every partner gone.
+        let loss = ChanError::all_arms_dead(arms);
         let mut list = {
             let mut spare = self.shared.spare_arms.lock();
             let kept = spare.iter_mut().find(|l| l.capacity() > 0);

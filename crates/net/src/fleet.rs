@@ -73,7 +73,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::descriptor::PerfDescriptor;
-use crate::frame::{read_frame, write_frame, FrameDecoder, ReadStatus, WriteBuf};
+use crate::frame::{write_frame, FrameDecoder, ReadStatus, WriteBuf};
 use crate::reactor::{self, fd_of, Cause, Io, Notify, Source, Turn};
 use crate::wire::{Reader, Wire, WireError};
 
@@ -763,7 +763,7 @@ impl FleetClient {
 
 /// Opens a relayed connection to `target` through the fleet address
 /// `hub`: after the preamble handshake the returned stream behaves
-/// exactly like a direct connection to `target`.
+/// exactly like a direct connection to `target`, no read timeout set.
 ///
 /// # Errors
 ///
@@ -776,7 +776,7 @@ pub fn relay_connect(hub: &str, target: &str) -> io::Result<TcpStream> {
         addr: target.to_string(),
     };
     match exchange(&mut stream, &preamble)? {
-        FleetResp::RelayOk => Ok(stream),
+        FleetResp::RelayOk => stream.set_read_timeout(None).map(|()| stream),
         FleetResp::NotFound => Err(io::Error::new(
             io::ErrorKind::ConnectionRefused,
             "fleet could not dial the relay target",
@@ -789,21 +789,23 @@ pub fn relay_connect(hub: &str, target: &str) -> io::Result<TcpStream> {
 fn one_shot(addr: SocketAddr, req: &FleetReq) -> io::Result<FleetResp> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     exchange(&mut stream, req)
 }
 
-/// Writes `req` and reads the one frame that answers it.
+/// Writes `req` and reads the one frame that answers it, waiting 5 s at
+/// most for each read. A fleet speaks only to answer, and a hub behind a
+/// relay only once spoken to: a byte past the answer is a protocol
+/// error, never a relayed byte left in a dropped decoder.
 fn exchange(stream: &mut TcpStream, req: &FleetReq) -> io::Result<FleetResp> {
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     write_frame(stream, &req.to_bytes())?;
-    match read_frame(stream)? {
-        Some(frame) => {
-            FleetResp::from_bytes(&frame).map_err(|_| protocol_err("undecodable fleet response"))
-        }
-        None => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "fleet closed before responding",
-        )),
+    let mut dec = FrameDecoder::new();
+    let frame = dec
+        .read_frame_from(stream)?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "fleet closed unanswered"))?;
+    match FleetResp::from_bytes(frame) {
+        _ if dec.mid_frame() => Err(protocol_err("bytes past the fleet's answer")),
+        resp => resp.map_err(|_| protocol_err("undecodable fleet response")),
     }
 }
 
@@ -1045,7 +1047,8 @@ mod tests {
         // The second write may land in a closed socket's buffer or
         // fail; what must not happen is a second answer.
         let _ = write_frame(&mut stream, &place_req("fam", 2).to_bytes());
-        assert!(!matches!(read_frame(&mut stream), Ok(Some(_))));
+        let mut dec = FrameDecoder::new();
+        assert!(!matches!(dec.read_frame_from(&mut stream), Ok(Some(_))));
         assert_eq!(fleet.placements(), 1);
     }
 
@@ -1078,6 +1081,43 @@ mod tests {
         // Twice 20 bytes out plus 20 echoed back, both directions
         // counted.
         assert_eq!(fleet.relayed_bytes(), 80);
+    }
+
+    /// A fleet address that accepts and never answers fails the relay
+    /// dial within the control exchange's 5 s bound, rather than wedging
+    /// the dialing spoke.
+    #[test]
+    fn a_fleet_that_never_answers_fails_the_relay_dial() {
+        let mute = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = mute.local_addr().unwrap().to_string();
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(relay_connect(&addr, "127.0.0.1:9").map(drop));
+        });
+        let result = rx.recv_timeout(Duration::from_secs(10));
+        assert!(matches!(result, Ok(Err(_))), "{result:?}");
+        drop(mute);
+    }
+
+    /// A hub behind a relay speaks only once spoken to: a frame behind
+    /// the fleet's answer is a protocol error, not bytes to lose.
+    #[test]
+    fn a_frame_behind_the_relay_answer_is_invalid_data() {
+        let fake = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = fake.local_addr().unwrap().to_string();
+        let fleet = thread::spawn(move || {
+            let (mut s, _) = fake.accept().unwrap();
+            FrameDecoder::new().read_frame_from(&mut s).unwrap();
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &FleetResp::RelayOk.to_bytes()).unwrap();
+            write_frame(&mut bytes, b"spoken first").unwrap();
+            s.write_all(&bytes).unwrap();
+            // Held open until the dialer hangs up.
+            let _ = s.read(&mut [0u8; 1]);
+        });
+        let err = relay_connect(&addr, "127.0.0.1:9").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        fleet.join().unwrap();
     }
 
     #[test]
@@ -1184,10 +1224,15 @@ mod tests {
         write_frame(&mut bytes, &preamble.to_bytes()).unwrap();
         bytes.extend_from_slice(b"ping-through-the-hub");
         stream.write_all(&bytes).unwrap();
-        let answer = read_frame(&mut stream).unwrap().unwrap();
-        assert_eq!(FleetResp::from_bytes(&answer), Ok(FleetResp::RelayOk));
-        let mut got = [0u8; 20];
-        stream.read_exact(&mut got).unwrap();
+        let mut dec = FrameDecoder::new();
+        let answer = dec.read_frame_from(&mut stream).unwrap().unwrap();
+        assert_eq!(FleetResp::from_bytes(answer), Ok(FleetResp::RelayOk));
+        // Echoed bytes a read brought in behind the answer are the
+        // decoder's to hand on.
+        let mut got = dec.into_remainder();
+        let held = got.len();
+        got.resize(20, 0);
+        stream.read_exact(&mut got[held..]).unwrap();
         assert_eq!(&got, b"ping-through-the-hub");
         drop(stream);
         echoer.join().unwrap();

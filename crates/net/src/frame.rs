@@ -9,8 +9,9 @@
 //!
 //! Two APIs share the format:
 //!
-//! * [`read_frame`]/[`write_frame`] — blocking, one frame per call, for
-//!   code that owns a dedicated thread per stream;
+//! * [`write_frame`]/[`FrameDecoder::read_frame_from`] — blocking, one
+//!   frame per call; a read may bring bytes past the frame, which the
+//!   decoder keeps, so one decoder reads one stream;
 //! * [`FrameDecoder`]/[`WriteBuf`] — incremental state machines for
 //!   nonblocking sockets: a decoder accumulates whatever bytes a
 //!   readiness wakeup delivered and yields every complete frame, a
@@ -41,54 +42,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame.
-///
-/// Returns `Ok(None)` on a clean EOF at a frame boundary.
-///
-/// # Errors
-///
-/// `UnexpectedEof` if the stream ends mid-frame, `InvalidData` if the
-/// length prefix exceeds `MAX_FRAME`, otherwise any underlying I/O
-/// error.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    if !fill_or_eof(r, &mut len_buf)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
-/// Fills `buf` completely, or returns `Ok(false)` if the stream was
-/// already at EOF. EOF after a partial fill is `UnexpectedEof`.
-fn fill_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Incremental frame decoder for nonblocking streams.
+/// Incremental frame decoder for nonblocking streams, and the one
+/// reader of a blocking one ([`FrameDecoder::read_frame_from`]).
 ///
 /// Feed it bytes with [`FrameDecoder::read_from`] (which reads until
 /// the socket has no more to give) or [`FrameDecoder::extend`], then drain
@@ -192,13 +147,15 @@ impl FrameDecoder {
 
     /// Reads a *blocking* `r` until a frame is buffered whole, and lends
     /// it: a read at a time, none past the one completing the frame,
-    /// whose surplus stays buffered. `Ok(None)` on a clean EOF.
+    /// whose surplus stays buffered for the next call. `Ok(None)` on a
+    /// clean EOF, at a frame boundary.
     ///
     /// # Errors
     ///
-    /// `UnexpectedEof` mid-frame, [`FrameDecoder::next_frame`]'s, and
-    /// any I/O error but `Interrupted` (a read timeout included).
-    pub(crate) fn read_frame_from(&mut self, r: &mut impl Read) -> io::Result<Option<&[u8]>> {
+    /// `UnexpectedEof` mid-frame, `InvalidData` for a length prefix over
+    /// [`MAX_FRAME`], and any I/O error but `Interrupted` (a read
+    /// timeout included).
+    pub fn read_frame_from(&mut self, r: &mut impl Read) -> io::Result<Option<&[u8]>> {
         while self.whole_frame()?.is_none() {
             self.reserve(1);
             match r.read(&mut self.buf[self.end..]) {
@@ -374,20 +331,27 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
         write_frame(&mut buf, b"world").unwrap();
-        let mut c = Cursor::new(buf);
-        assert_eq!(read_frame(&mut c).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut c).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut c).unwrap().unwrap(), b"world");
-        assert!(read_frame(&mut c).unwrap().is_none());
+        let (mut c, mut dec) = (Cursor::new(buf), FrameDecoder::new());
+        assert_eq!(dec.read_frame_from(&mut c).unwrap().unwrap(), b"hello");
+        assert_eq!(dec.read_frame_from(&mut c).unwrap().unwrap(), b"");
+        assert_eq!(dec.read_frame_from(&mut c).unwrap().unwrap(), b"world");
+        assert!(dec.read_frame_from(&mut c).unwrap().is_none());
     }
 
     #[test]
     fn eof_mid_frame_is_unexpected_eof() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
+        // Cut alone, and behind a whole frame read off the same stream.
         for cut in 1..buf.len() {
             let mut c = Cursor::new(&buf[..cut]);
-            let err = read_frame(&mut c).unwrap_err();
+            let err = FrameDecoder::new().read_frame_from(&mut c).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+            let mut two = buf.clone();
+            two.extend_from_slice(&buf[..cut]);
+            let (mut c, mut dec) = (Cursor::new(two), FrameDecoder::new());
+            assert_eq!(dec.read_frame_from(&mut c).unwrap().unwrap(), b"hello");
+            let err = dec.read_frame_from(&mut c).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
         }
     }
@@ -396,7 +360,9 @@ mod tests {
     fn oversized_length_prefix_is_rejected() {
         let mut buf = (u32::MAX).to_be_bytes().to_vec();
         buf.extend_from_slice(b"junk");
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
+        let err = FrameDecoder::new()
+            .read_frame_from(&mut Cursor::new(buf))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -550,10 +516,10 @@ mod tests {
             assert!(rounds < 32, "flush must make progress");
         }
         assert!(wb.is_empty());
-        let mut c = Cursor::new(w.out);
-        assert_eq!(read_frame(&mut c).unwrap().unwrap(), b"one");
-        assert_eq!(read_frame(&mut c).unwrap().unwrap(), b"two-longer");
-        assert!(read_frame(&mut c).unwrap().is_none());
+        let (mut c, mut dec) = (Cursor::new(w.out), FrameDecoder::new());
+        assert_eq!(dec.read_frame_from(&mut c).unwrap().unwrap(), b"one");
+        assert_eq!(dec.read_frame_from(&mut c).unwrap().unwrap(), b"two-longer");
+        assert!(dec.read_frame_from(&mut c).unwrap().is_none());
     }
 
     /// A frame encoded in place is refused whole when its payload is
@@ -573,9 +539,9 @@ mod tests {
         assert_eq!(wb.push_with(|out| out.push(3)).unwrap(), 5);
         let mut out = Vec::new();
         assert!(wb.flush_to(&mut out).unwrap());
-        let mut c = Cursor::new(out);
-        assert_eq!(read_frame(&mut c).unwrap().unwrap(), vec![1; 100]);
-        assert_eq!(read_frame(&mut c).unwrap().unwrap(), vec![3]);
-        assert!(read_frame(&mut c).unwrap().is_none());
+        let (mut c, mut dec) = (Cursor::new(out), FrameDecoder::new());
+        assert_eq!(dec.read_frame_from(&mut c).unwrap().unwrap(), [1; 100]);
+        assert_eq!(dec.read_frame_from(&mut c).unwrap().unwrap(), [3]);
+        assert!(dec.read_frame_from(&mut c).unwrap().is_none());
     }
 }

@@ -84,7 +84,7 @@ pub mod wire;
 pub use client::{DialPlan, SocketTransport};
 pub use descriptor::PerfDescriptor;
 pub use fleet::{FleetClient, HubFleet};
-pub use frame::{read_frame, write_frame, FrameDecoder, WriteBuf};
+pub use frame::{write_frame, FrameDecoder, WriteBuf};
 pub use proto::EVENT_REQ_ID;
 pub use reactor::{io_stats, IoStats};
 pub use server::{HubStats, TransportServer};

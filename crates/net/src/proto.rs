@@ -225,6 +225,18 @@ pub fn deadline_of(timeout_ms: Option<u64>) -> Option<Instant> {
     timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
 }
 
+/// Applies a cast run to the ids a session animates, at the spoke and
+/// the hub alike: an activation binds an id, a finish unbinds it.
+pub(crate) fn bind<I: Clone + PartialEq>(bound: &mut Vec<I>, steps: &[CastStep<I>]) {
+    for step in steps {
+        match step {
+            CastStep::Activate(id) if !bound.contains(id) => bound.push(id.clone()),
+            CastStep::Finish(id) => bound.retain(|b| b != id),
+            CastStep::Activate(_) | CastStep::Declare(_) | CastStep::Seal => {}
+        }
+    }
+}
+
 impl Wire for PeerState {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(match self {

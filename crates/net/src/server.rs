@@ -107,7 +107,7 @@ use script_chan::{
 };
 
 use crate::frame::{FrameDecoder, ReadStatus, WriteBuf};
-use crate::proto::{deadline_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
+use crate::proto::{bind, deadline_of, Event, Req, Resp, StreamItem, EVENT_REQ_ID};
 use crate::reactor::{self, fd_of, Cause, Io, Notify, Source, Turn};
 use crate::wire::{Reader, Wire};
 
@@ -904,17 +904,7 @@ where
             Req::Cast(steps) => {
                 // The ids a run activates are this session's to finish
                 // if its lease lapses.
-                let mut st = sess.state.lock();
-                for step in &steps {
-                    match step {
-                        CastStep::Activate(bid) if !st.bound.contains(bid) => {
-                            st.bound.push(bid.clone());
-                        }
-                        CastStep::Finish(bid) => st.bound.retain(|b| b != bid),
-                        CastStep::Activate(_) | CastStep::Declare(_) | CastStep::Seal => {}
-                    }
-                }
-                drop(st);
+                bind(&mut sess.state.lock().bound, &steps);
                 shared.inner.cast(&steps);
                 sess.state.lock().record(req_id, Resp::Unit);
                 // Kept no larger than a decode reserves up front.

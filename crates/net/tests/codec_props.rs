@@ -24,9 +24,7 @@ use script_chan::{
 };
 use script_net::fleet::{FleetReq, FleetResp};
 use script_net::proto::{Event, Req, Resp, StreamItem};
-use script_net::{
-    read_frame, write_frame, FrameDecoder, PerfDescriptor, Wire, WireError, MAX_FRAME,
-};
+use script_net::{write_frame, FrameDecoder, PerfDescriptor, Wire, WireError, MAX_FRAME};
 
 /// A printable-ish string strategy (arbitrary bytes, lossily UTF-8).
 fn any_string() -> impl Strategy<Value = String> {
@@ -396,16 +394,17 @@ proptest! {
         let _ = <PerfDescriptor as Wire>::from_bytes(&soup);
         let _ = <FaultPlan as Wire>::from_bytes(&soup);
         let _ = <(u64, String) as Wire>::from_bytes(&soup);
-        let _ = read_frame(&mut Cursor::new(&soup));
+        let (mut c, mut dec) = (Cursor::new(&soup), FrameDecoder::new());
+        while let Ok(Some(_)) = dec.read_frame_from(&mut c) {}
     }
 
     #[test]
     fn frames_roundtrip_payloads(payload in vec(any::<u8>(), 0..256)) {
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).expect("write");
-        let mut c = Cursor::new(buf);
-        prop_assert_eq!(read_frame(&mut c).expect("read"), Some(payload));
-        prop_assert_eq!(read_frame(&mut c).expect("eof"), None);
+        let (mut c, mut dec) = (Cursor::new(buf), FrameDecoder::new());
+        prop_assert_eq!(dec.read_frame_from(&mut c).expect("read"), Some(&payload[..]));
+        prop_assert_eq!(dec.read_frame_from(&mut c).expect("eof"), None);
     }
 
     #[test]
@@ -414,12 +413,12 @@ proptest! {
         for p in &payloads {
             write_frame(&mut buf, p).expect("write");
         }
-        let mut c = Cursor::new(buf);
+        let (mut c, mut dec) = (Cursor::new(buf), FrameDecoder::new());
         for p in &payloads {
-            let got = read_frame(&mut c).expect("read");
-            prop_assert_eq!(got.as_ref(), Some(p));
+            let got = dec.read_frame_from(&mut c).expect("read");
+            prop_assert_eq!(got, Some(&p[..]));
         }
-        prop_assert_eq!(read_frame(&mut c).expect("eof"), None);
+        prop_assert_eq!(dec.read_frame_from(&mut c).expect("eof"), None);
     }
 
     /// Any fragmentation — split length prefixes, frames larger than the

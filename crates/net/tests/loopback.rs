@@ -707,7 +707,7 @@ fn retired_request_frames_sever_the_connection() {
     use std::io::Read;
     use std::net::TcpStream;
 
-    use script_net::{read_frame, write_frame};
+    use script_net::{write_frame, FrameDecoder};
 
     let server = hub();
     for (tag, ids) in [(1u8, &["ghost"][..]), (12, &["ghost", "a"])] {
@@ -717,9 +717,11 @@ fn retired_request_frames_sever_the_connection() {
         1u64.encode(&mut hello);
         Req::<String, u64>::HelloNew.encode(&mut hello);
         write_frame(&mut raw, &hello).expect("write hello");
-        read_frame(&mut raw)
+        let mut dec = FrameDecoder::new();
+        dec.read_frame_from(&mut raw)
             .expect("read")
             .expect("session granted");
+        assert!(!dec.mid_frame(), "the hub spoke past the hello");
         let mut frame = Vec::new();
         2u64.encode(&mut frame);
         frame.push(tag);
@@ -947,7 +949,7 @@ fn panicking_observer_kills_its_spoke_only() {
 #[test]
 fn dropped_hub_flushes_closing_before_its_sockets_close() {
     use script_net::proto::{Event, Resp};
-    use script_net::{read_frame, write_frame, Reader, EVENT_REQ_ID};
+    use script_net::{write_frame, FrameDecoder, Reader, EVENT_REQ_ID};
 
     let server = hub();
     let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw dial");
@@ -959,8 +961,10 @@ fn dropped_hub_flushes_closing_before_its_sockets_close() {
         frame
     };
     write_frame(&mut raw, &frame_of(1, &Req::HelloNew)).expect("hello");
-    let hello = read_frame(&mut raw).expect("read").expect("session answer");
-    assert_eq!(u64::decode(&mut Reader::new(&hello)).unwrap(), 1);
+    let mut dec = FrameDecoder::new();
+    let hello = dec.read_frame_from(&mut raw).expect("read");
+    let hello = hello.expect("session answer");
+    assert_eq!(u64::decode(&mut Reader::new(hello)).unwrap(), 1);
 
     // A pipelined burst, and the hub goes while it is being answered.
     const BURST: u64 = 64;
@@ -971,9 +975,12 @@ fn dropped_hub_flushes_closing_before_its_sockets_close() {
 
     let mut next_answer = 2;
     let mut closing_seen = false;
-    while let Some(frame) = read_frame(&mut raw).expect("a clean close, on a frame boundary") {
+    while let Some(frame) = dec
+        .read_frame_from(&mut raw)
+        .expect("a clean close, on a frame boundary")
+    {
         assert!(!closing_seen, "a frame after the goodbye");
-        let mut r = Reader::new(&frame);
+        let mut r = Reader::new(frame);
         let req_id = u64::decode(&mut r).expect("frame id");
         if req_id == EVENT_REQ_ID {
             let event = Event::<String>::decode(&mut r).expect("event");
@@ -1000,25 +1007,31 @@ fn a_replayed_request_is_answered_with_the_same_bytes() {
     use std::net::TcpStream;
 
     use script_net::proto::Resp;
-    use script_net::{read_frame, write_frame, Reader};
+    use script_net::{write_frame, FrameDecoder, Reader};
 
     let server = hub();
     let inner = server.inner();
     let (a, b) = ("a".to_string(), "b".to_string());
-    let write = |raw: &mut TcpStream, req_id: u64, req: &Req<String, u64>| {
+    // A raw connection and the one decoder that reads it.
+    type Raw = (TcpStream, FrameDecoder);
+    let write = |raw: &mut Raw, req_id: u64, req: &Req<String, u64>| {
         let mut frame = Vec::new();
         req_id.encode(&mut frame);
         req.encode(&mut frame);
-        write_frame(raw, &frame).expect("write");
+        write_frame(&mut raw.0, &frame).expect("write");
     };
     // The next answer frame, whole, with its request id.
-    let answer = |raw: &mut TcpStream| {
-        let frame = read_frame(raw).expect("read").expect("an answer");
+    let answer = |raw: &mut Raw| {
+        let frame = raw.1.read_frame_from(&mut raw.0).expect("read");
+        let frame = frame.expect("an answer").to_vec();
         (u64::decode(&mut Reader::new(&frame)).expect("id"), frame)
     };
     let dial = |hello: Req<String, u64>, req_id: u64| {
-        let mut raw = TcpStream::connect(server.local_addr()).expect("raw dial");
-        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).expect("raw dial");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut raw = (stream, FrameDecoder::new());
         write(&mut raw, req_id, &hello);
         let (id, frame) = answer(&mut raw);
         assert_eq!(id, req_id);
@@ -1169,7 +1182,7 @@ fn a_close_during_the_hello_leaves_the_spoke_lost() {
     use std::net::TcpListener;
 
     use script_net::proto::Resp;
-    use script_net::{read_frame, write_frame, Reader};
+    use script_net::{write_frame, FrameDecoder, Reader};
 
     let fake = TcpListener::bind("127.0.0.1:0").expect("bind");
     let client = Arc::new(
@@ -1181,8 +1194,9 @@ fn a_close_during_the_hello_leaves_the_spoke_lost() {
     });
     let (mut raw, _) = fake.accept().expect("the spoke dials");
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let hello = read_frame(&mut raw).expect("read").expect("a hello");
-    let mut r = Reader::new(&hello);
+    let mut dec = FrameDecoder::new();
+    let hello = dec.read_frame_from(&mut raw).expect("read");
+    let mut r = Reader::new(hello.expect("a hello"));
     let hello_id = u64::decode(&mut r).expect("id");
     assert!(matches!(
         Req::<String, u64>::decode(&mut r),
@@ -1223,7 +1237,7 @@ fn a_frame_read_past_the_hello_answer_is_routed() {
     use std::sync::mpsc;
 
     use script_net::proto::Resp;
-    use script_net::{read_frame, Reader, WriteBuf};
+    use script_net::{FrameDecoder, Reader, WriteBuf};
 
     let fake = TcpListener::bind("127.0.0.1:0").expect("bind");
     let client = Arc::new(
@@ -1236,8 +1250,9 @@ fn a_frame_read_past_the_hello_answer_is_routed() {
     });
     let (mut raw, _) = fake.accept().expect("the spoke dials");
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let hello = read_frame(&mut raw).expect("read").expect("a hello");
-    let hello_id = u64::decode(&mut Reader::new(&hello)).expect("id");
+    let mut dec = FrameDecoder::new();
+    let hello = dec.read_frame_from(&mut raw).expect("read");
+    let hello_id = u64::decode(&mut Reader::new(hello.expect("a hello"))).expect("id");
     // The query registered its request before dialing for it.
     let query_id = hello_id - 1;
     let mut out = WriteBuf::new();
@@ -1494,4 +1509,43 @@ fn a_selection_parked_across_a_resume_is_answered_once() {
     let again = inner.send(&h, &s, 8, Some(Instant::now() + Duration::from_millis(300)));
     assert_eq!(again, Err(ChanError::Timeout));
     assert!(!client.is_lost(), "the session resumed");
+}
+
+/// A spoke's loss rule is the kernel's all-arms-dead rule: a selection
+/// parked at the hub when its spoke closes fails with `Terminated`
+/// naming a lone named peer, and with `AllTerminated` otherwise.
+#[test]
+fn a_selection_lost_with_its_session_fails_as_all_arms_dead() {
+    let (a, b, c) = ("a".to_string(), "b".to_string(), "c".to_string());
+    let cases = [
+        (
+            vec![Arm::recv_from(b.clone())],
+            ChanError::Terminated(b.clone()),
+        ),
+        (
+            vec![Arm::recv_from(b.clone()), Arm::recv_from(c.clone())],
+            ChanError::AllTerminated,
+        ),
+    ];
+    for (arms, lost) in cases {
+        let server = hub();
+        let client = Arc::new(spoke(&server));
+        client.cast(&[
+            CastStep::Activate(a.clone()),
+            CastStep::Declare(b.clone()),
+            CastStep::Declare(c.clone()),
+        ]);
+        let selector = thread::spawn({
+            let (client, a) = (Arc::clone(&client), a.clone());
+            move || client.select(&a, arms, far())
+        });
+        // One request awaited and none posted: the selection, parked.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while client.unanswered() != (1, 0) {
+            assert!(Instant::now() < deadline, "the selection never parked");
+            thread::sleep(Duration::from_millis(1));
+        }
+        client.close();
+        assert_eq!(selector.join().expect("the selector"), Err(lost));
+    }
 }
