@@ -6,8 +6,7 @@
 //! costs microseconds and scheduling noise swamps the topology; adding a
 //! fixed delay before each send models a network link and exposes the
 //! textbook shapes: the star's transmitter pays n·d sequentially, the
-//! spanning tree's critical path is O(log n)·d, the pipeline's last
-//! recipient waits n·d but every hop overlaps with enrollment.
+//! spanning tree's critical path is O(log n)·d.
 
 use std::thread::sleep;
 use std::time::Duration;
@@ -22,8 +21,6 @@ pub enum Topology {
     Star,
     /// Binary tree wave (§II "spanning tree").
     Tree,
-    /// Chain through the recipients (Figure 4).
-    Pipeline,
 }
 
 /// A delayed-broadcast script plus its handles.
@@ -80,28 +77,6 @@ pub fn delayed_broadcast(n: usize, topology: Topology, hop_delay: Duration) -> D
             });
             (sender, recipient)
         }
-        Topology::Pipeline => {
-            let sender = b.role("sender", move |ctx, data: u64| {
-                sleep(hop_delay);
-                ctx.send(&RoleId::indexed("recipient", 0), data)?;
-                Ok(())
-            });
-            let sid = sender_id.clone();
-            let recipient = b.family("recipient", n, move |ctx, ()| {
-                let me = ctx.role().index().expect("indexed");
-                let value = if me == 0 {
-                    ctx.recv_from(&sid)?
-                } else {
-                    ctx.recv_from(&RoleId::indexed("recipient", me - 1))?
-                };
-                if me + 1 < n {
-                    sleep(hop_delay);
-                    ctx.send(&RoleId::indexed("recipient", me + 1), value)?;
-                }
-                Ok(value)
-            });
-            (sender, recipient)
-        }
     };
     b.initiation(Initiation::Delayed)
         .termination(Termination::Delayed);
@@ -145,7 +120,7 @@ mod tests {
 
     #[test]
     fn all_topologies_deliver_with_delay() {
-        for topo in [Topology::Star, Topology::Tree, Topology::Pipeline] {
+        for topo in [Topology::Star, Topology::Tree] {
             let b = delayed_broadcast(5, topo, Duration::from_micros(50));
             let inst = b.script.instance();
             let got = run(&inst, &b, 9).unwrap();

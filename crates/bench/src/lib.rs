@@ -1,9 +1,11 @@
-//! Measurement helpers shared by the Criterion benches and the
-//! `experiments` summary binary.
+//! Measurement helpers for the `experiments` verdict program, the one
+//! program that checks the paper's claims (DESIGN.md §6).
 //!
-//! The paper has no quantitative evaluation, so the harness verifies the
+//! The paper has no quantitative evaluation, so the program verifies the
 //! *shapes* of its qualitative claims: who is faster, by roughly what
-//! factor, and in which direction quantities scale.
+//! factor, and in which direction quantities scale. A timing claim is a
+//! ratio of two medians whose arms were sampled in alternation
+//! ([`compare`]), so a change in the machine's load falls on both alike.
 
 pub mod delayed;
 
@@ -21,9 +23,13 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Median in fractional milliseconds.
-    pub fn median_ms(&self) -> f64 {
-        self.median.as_secs_f64() * 1e3
+    fn of(mut samples: Vec<Duration>) -> Self {
+        samples.sort_unstable();
+        Measurement {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: *samples.last().expect("runs > 0"),
+        }
     }
 }
 
@@ -33,24 +39,19 @@ impl std::fmt::Display for Measurement {
     }
 }
 
+/// Turns a scenario into one that reports its own wall time.
+pub fn timed(mut scenario: impl FnMut()) -> impl FnMut() -> Duration {
+    move || {
+        let t0 = Instant::now();
+        scenario();
+        t0.elapsed()
+    }
+}
+
 /// Times `runs` executions of `scenario` and reports median/min/max.
 /// A warm-up run is performed first and discarded.
-pub fn measure(runs: usize, mut scenario: impl FnMut()) -> Measurement {
-    assert!(runs > 0);
-    scenario();
-    let mut samples: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            scenario();
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort_unstable();
-    Measurement {
-        median: samples[samples.len() / 2],
-        min: samples[0],
-        max: *samples.last().expect("runs > 0"),
-    }
+pub fn measure(runs: usize, scenario: impl FnMut()) -> Measurement {
+    measure_custom(runs, timed(scenario))
 }
 
 /// Like [`measure`], but the scenario reports its own duration (for
@@ -58,19 +59,27 @@ pub fn measure(runs: usize, mut scenario: impl FnMut()) -> Measurement {
 pub fn measure_custom(runs: usize, mut scenario: impl FnMut() -> Duration) -> Measurement {
     assert!(runs > 0);
     scenario();
-    let mut samples: Vec<Duration> = (0..runs).map(|_| scenario()).collect();
-    samples.sort_unstable();
-    Measurement {
-        median: samples[samples.len() / 2],
-        min: samples[0],
-        max: *samples.last().expect("runs > 0"),
-    }
+    Measurement::of((0..runs).map(|_| scenario()).collect())
 }
 
-/// A claim about two measurements: `faster` should beat `slower` by at
-/// least `factor`.
-pub fn at_least_x_faster(faster: Measurement, slower: Measurement, factor: f64) -> bool {
-    slower.median.as_secs_f64() >= faster.median.as_secs_f64() * factor
+/// Like [`measure_custom`] for two scenarios at once, sampled in
+/// alternation (`a`, `b`, `a`, `b`, …) after one discarded warm-up run
+/// of each.
+pub fn compare(
+    runs: usize,
+    mut a: impl FnMut() -> Duration,
+    mut b: impl FnMut() -> Duration,
+) -> (Measurement, Measurement) {
+    assert!(runs > 0);
+    a();
+    b();
+    let (sa, sb) = (0..runs).map(|_| (a(), b())).unzip();
+    (Measurement::of(sa), Measurement::of(sb))
+}
+
+/// The ratio of two medians, `a` over `b`.
+pub fn ratio(a: Measurement, b: Measurement) -> f64 {
+    a.median.as_secs_f64() / b.median.as_secs_f64()
 }
 
 /// Renders a verdict cell.
@@ -107,19 +116,18 @@ mod tests {
     }
 
     #[test]
-    fn factor_comparison() {
-        let fast = Measurement {
-            median: Duration::from_millis(1),
-            min: Duration::from_millis(1),
-            max: Duration::from_millis(1),
+    fn compare_alternates_after_one_warm_up_each() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let arm = |tag: char, ms: u64| {
+            let order = &order;
+            move || {
+                order.borrow_mut().push(tag);
+                Duration::from_millis(ms)
+            }
         };
-        let slow = Measurement {
-            median: Duration::from_millis(10),
-            min: Duration::from_millis(10),
-            max: Duration::from_millis(10),
-        };
-        assert!(at_least_x_faster(fast, slow, 5.0));
-        assert!(!at_least_x_faster(slow, fast, 1.0));
+        let (a, b) = compare(2, arm('a', 1), arm('b', 10));
+        assert_eq!(order.into_inner(), ['a', 'b', 'a', 'b', 'a', 'b']);
+        assert_eq!(ratio(b, a), 10.0);
         assert_eq!(verdict(true), "HOLDS");
         assert_eq!(verdict(false), "DIFFERS");
     }
