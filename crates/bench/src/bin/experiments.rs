@@ -720,26 +720,23 @@ fn e22() -> Row {
     )
 }
 
+/// The machine's load, printed beside the verdicts so that a DIFFERS row
+/// on a busy runner reads against it: `/proc/loadavg` when readable, and
+/// the parallelism this process is granted.
+fn load() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let avg = std::fs::read_to_string("/proc/loadavg");
+    let avg = avg.as_deref().map_or("unreadable", str::trim);
+    format!("loadavg {avg} | available_parallelism {cpus}")
+}
+
 fn main() {
     println!("Running all experiments (release mode recommended)...\n");
-    let rows = [
-        e1(),
-        e3(),
-        e4(),
-        e5(),
-        e6(),
-        e7(),
-        e8(),
-        e9(),
-        e10(),
-        e11(),
-        e12(),
-        e13(),
-        e14(),
-        e15(),
-        e16(),
-        e22(),
+    println!("load before: {}", load());
+    let experiments: [fn() -> Row; 16] = [
+        e1, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15, e16, e22,
     ];
+    let rows = experiments.map(|experiment| experiment());
     println!(
         "{:<14} | {:<62} | {:<66} | verdict",
         "experiment", "paper claim (shape)", "measured"
@@ -752,6 +749,7 @@ fn main() {
         );
     }
     println!("{}", "-".repeat(160));
+    println!("load after:  {}", load());
     let held = rows.iter().filter(|r| r.verdict == "HOLDS").count();
     println!("{held} of {} claims hold", rows.len());
     if held < rows.len() {

@@ -125,6 +125,15 @@ fn rendered(faults: &Mutex<Vec<FaultRecord<String>>>) -> Vec<String> {
         .collect()
 }
 
+/// Spawns `b` receiving from `a` until `a` is done: what arrived, in
+/// order.
+fn drain_b(net: &Network<String, u64>) -> thread::JoinHandle<Vec<u64>> {
+    let b = net.port(s("b")).unwrap();
+    thread::spawn(move || {
+        std::iter::from_fn(|| b.recv_from_deadline(&s("a"), far()).ok()).collect()
+    })
+}
+
 /// A deadline generous enough that only a contract violation hits it.
 fn far() -> Option<Instant> {
     Some(Instant::now() + Duration::from_secs(10))
@@ -765,14 +774,7 @@ pub fn chaos_schedule_log(factory: TransportFactory<'_>) -> Vec<String> {
             .with_delay(0.2, Duration::from_micros(100))
             .with_duplicate(0.25),
     );
-    let b = net.port(s("b")).unwrap();
-    let rx = thread::spawn(move || {
-        let mut got = Vec::new();
-        while let Ok(v) = b.recv_from_deadline(&s("a"), far()) {
-            got.push(v);
-        }
-        got
-    });
+    let rx = drain_b(&net);
     let a = net.port(s("a")).unwrap();
     for k in 0..24u64 {
         a.send_deadline(&s("b"), k, far())
@@ -798,14 +800,7 @@ pub fn check_session_resumption(factory: TransportFactory<'_>) {
         net.activate(s("b"));
         let faults = collect_faults(&net);
         net.set_fault_plan(FaultPlan::new(59).with_sever(0.25));
-        let b = net.port(s("b")).unwrap();
-        let rx = thread::spawn(move || {
-            let mut got = Vec::new();
-            while let Ok(v) = b.recv_from_deadline(&s("a"), far()) {
-                got.push(v);
-            }
-            got
-        });
+        let rx = drain_b(&net);
         let a = net.port(s("a")).unwrap();
         for k in 0..24u64 {
             a.send_deadline(&s("b"), k, far())
@@ -881,8 +876,7 @@ pub fn sever_resume_event_stream(factory: TransportFactory<'_>) -> Vec<String> {
             .with_delay(1.0, Duration::from_micros(50))
             .with_sever(0.3),
     );
-    let b = net.port(s("b")).unwrap();
-    let rx = thread::spawn(move || while b.recv_from_deadline(&s("a"), far()).is_ok() {});
+    let rx = drain_b(&net);
     let a = net.port(s("a")).unwrap();
     for k in 0..16u64 {
         a.send_deadline(&s("b"), k, far())
@@ -1115,14 +1109,7 @@ pub fn latency_sample_profile(
     net.activate(s("a"));
     net.activate(s("b"));
     net.set_fault_plan(FaultPlan::new(41).with_drop(0.35).with_delay(1.0, delay));
-    let b = net.port(s("b")).unwrap();
-    let rx = thread::spawn(move || {
-        let mut got = 0u64;
-        while b.recv_from_deadline(&s("a"), far()).is_ok() {
-            got += 1;
-        }
-        got
-    });
+    let rx = drain_b(&net);
     let a = net.port(s("a")).unwrap();
     for k in 0..16u64 {
         a.send_deadline(&s("b"), k, far())
@@ -1170,8 +1157,7 @@ pub fn merged_event_stream(factory: TransportFactory<'_>) -> Vec<String> {
     net.activate(s("b"));
     let log = merged_log(&net);
     net.set_fault_plan(FaultPlan::new(47).with_delay(0.5, Duration::from_micros(200)));
-    let b = net.port(s("b")).unwrap();
-    let rx = thread::spawn(move || while b.recv_from_deadline(&s("a"), far()).is_ok() {});
+    let rx = drain_b(&net);
     let a = net.port(s("a")).unwrap();
     for k in 0..16u64 {
         a.send_deadline(&s("b"), k, far())

@@ -349,7 +349,7 @@ impl FaultPlan {
         if p >= 1.0 {
             return true;
         }
-        let mut h = FnvHasher::new(self.seed);
+        let mut h = SeededFnv::new(self.seed);
         h.write(tag);
         from.hash(&mut h);
         to.hash(&mut h);
@@ -360,19 +360,21 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a, seeded. `std::collections::hash_map::DefaultHasher` is not
-/// stable across Rust releases; fault schedules must be.
-struct FnvHasher(u64);
+/// FNV-1a keyed by a seed, finished with one SplitMix64 avalanche so low
+/// bits are well mixed: the workspace's one stable hash (fault decisions,
+/// descriptor MACs), as `DefaultHasher` across Rust releases is not.
+#[derive(Debug)]
+pub struct SeededFnv(u64);
 
-impl FnvHasher {
-    fn new(seed: u64) -> Self {
+impl SeededFnv {
+    /// A hasher keyed by `seed`.
+    pub fn new(seed: u64) -> Self {
         Self(0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 }
 
-impl Hasher for FnvHasher {
+impl Hasher for SeededFnv {
     fn finish(&self) -> u64 {
-        // One final avalanche round so low bits are well mixed.
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -385,6 +387,14 @@ impl Hasher for FnvHasher {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+}
+
+/// One SplitMix64 step: advances `state` by the golden gamma and returns
+/// [`SeededFnv`]'s avalanche of it — the workspace's one seed generator
+/// (per-performance seeds, retry jitter, gossip views).
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    SeededFnv(*state).finish()
 }
 
 /// A fault log grouped by directed edge: each `(from, to)` pair with

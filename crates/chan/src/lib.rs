@@ -56,6 +56,7 @@ pub mod transport;
 
 pub use error::ChanError;
 pub use fault::{per_edge_fingerprints, per_edge_log, EdgeLog, FaultKind, FaultPlan, FaultRecord};
+pub use fault::{splitmix64, SeededFnv};
 pub use network::{Network, PeerState, Port};
 pub use select::{Arm, Outcome, Source};
 pub use transport::{

@@ -62,7 +62,7 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use script_chan::{Arm, CastStep, FaultPlan, Network, Observers, SessionEvent, ShardedTransport};
+use script_chan::{splitmix64, Arm, CastStep, FaultPlan, Network, Observers, ShardedTransport};
 
 use crate::ctx::RoleCtx;
 use crate::estimator::LatencyEstimator;
@@ -71,7 +71,7 @@ use crate::observer::{Observer, TelemetryEvent, TelemetryPayload};
 use crate::spec::{FamilySize, ScriptSpec};
 use crate::{
     AdaptiveWindow, Enrollment, Initiation, Partners, PerformanceId, ProcessId, RoleId,
-    ScriptError, ScriptEvent, Termination, WatchdogPolicy,
+    ScriptError, Termination, WatchdogPolicy,
 };
 
 /// Kernels of retired performances an instance keeps; the oldest goes.
@@ -281,15 +281,11 @@ fn unlabeled<M>(_: &M) -> Option<String> {
     None
 }
 
-/// SplitMix64 finalizer: derives per-performance seeds from a root seed
-/// so distinct performances draw independent, reproducible schedules.
+/// Derives performance `seq`'s seed from a root seed: the `seq + 1`-th
+/// SplitMix64 output from `root`, so distinct performances draw
+/// independent, reproducible schedules.
 fn mix_seed(root: u64, seq: u64) -> u64 {
-    let mut z = root
-        .wrapping_add(seq.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(&mut root.wrapping_add(seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
 /// The engine half of the observability plane (see
@@ -418,9 +414,21 @@ impl<M: Send + Clone + 'static> Engine<M> {
         );
     }
 
-    /// [`Engine::emit_shard`] for plain lifecycle events.
-    fn emit_script(&self, shard: &PerfShard<M>, event: impl FnOnce() -> ScriptEvent) {
-        self.emit_shard(shard, || TelemetryPayload::Script(event()));
+    /// A transport observer that puts each record it is handed on
+    /// `shard`'s stream as `wrap` of a clone. It holds engine and shard
+    /// weakly: the network outlives neither, and strong captures would
+    /// cycle through `shard.net`.
+    fn forward<R: Clone + 'static>(
+        &self,
+        shard: &Arc<PerfShard<M>>,
+        wrap: fn(R) -> TelemetryPayload,
+    ) -> impl Fn(&R) + Send + Sync + 'static {
+        let (engine, shard) = (self.weak.clone(), Arc::downgrade(shard));
+        move |record| {
+            if let (Some(engine), Some(shard)) = (engine.upgrade(), shard.upgrade()) {
+                engine.emit_shard(&shard, || wrap(record.clone()));
+            }
+        }
     }
 
     /// Arms (or re-arms) the quiescence watchdog for future
@@ -513,7 +521,6 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 .iter()
                 .filter(|s| matches!(s.outcome, Outcome::Waiting))
                 .count(),
-            current: performances.first().cloned(),
             performances,
         }
     }
@@ -534,7 +541,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
         let mut fe = self.front.lock();
         fe.closed = true;
         fe.retired.clear();
-        self.emit_instance(|| TelemetryPayload::Script(ScriptEvent::InstanceClosed));
+        self.emit_instance(|| TelemetryPayload::InstanceClosed);
         for slot in &mut fe.pending {
             if matches!(slot.outcome, Outcome::Waiting) {
                 slot.outcome = Outcome::Rejected(ScriptError::InstanceClosed);
@@ -580,17 +587,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             return;
         }
         Self::freeze(&self.spec, &mut ss, &mut fe.steps);
-        // Under both locks: a write, not a wait (module docs).
-        shard.net.cast(&fe.steps);
-        fe.steps.clear();
-        self.emit_script(shard, || ScriptEvent::CastFrozen {
-            performance: PerformanceId(shard.seq),
-        });
-        if let Some(g) = fe.gathering.as_ref() {
-            if Arc::ptr_eq(g, shard) {
-                fe.gathering = None;
-            }
-        }
+        self.run_cast(fe, shard, &ss, ss.cast.len());
         self.retire_if_claimed(fe, shard, ss);
     }
 
@@ -619,14 +616,12 @@ impl<M: Send + Clone + 'static> Engine<M> {
             }
             ticket = fe.next_ticket;
             fe.next_ticket += 1;
-            self.emit_instance(|| {
-                TelemetryPayload::Script(ScriptEvent::EnrollmentQueued {
-                    role: match &role {
-                        RoleRef::Concrete(id) => id.clone(),
-                        RoleRef::NextOf(family) => family.clone(),
-                    },
-                    process: process.clone(),
-                })
+            self.emit_instance(|| TelemetryPayload::EnrollmentQueued {
+                role: match &role {
+                    RoleRef::Concrete(id) => id.clone(),
+                    RoleRef::NextOf(family) => family.clone(),
+                },
+                process: process.clone(),
             });
             fe.pending.push(PendingSlot {
                 ticket,
@@ -732,8 +727,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             ss.finished[at.expect("an admitted role is in the cast")] = true;
             // Under the shard lock: a write, not a wait (module docs).
             shard.net.finish(role_id.clone());
-            self.emit_script(&shard, || ScriptEvent::RoleFinished {
-                performance: PerformanceId(seq),
+            self.emit_shard(&shard, || TelemetryPayload::RoleFinished {
                 role: role_id.clone(),
             });
             if panicked {
@@ -806,9 +800,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
             ss.aborted = true;
             shard.net.abort();
         }
-        self.emit_script(shard, || ScriptEvent::PerformanceAborted {
-            performance: PerformanceId(shard.seq),
-        });
+        self.emit_shard(shard, || TelemetryPayload::PerformanceAborted);
     }
 
     /// Lets the shard lock go and, if that claims its performance's
@@ -839,16 +831,9 @@ impl<M: Send + Clone + 'static> Engine<M> {
             ss.done = true;
             ss.aborted
         };
-        self.emit_script(shard, || ScriptEvent::PerformanceCompleted {
-            performance: PerformanceId(shard.seq),
-            aborted,
-        });
+        self.emit_shard(shard, || TelemetryPayload::PerformanceCompleted { aborted });
         fe.live.retain(|s| !Arc::ptr_eq(s, shard));
-        if let Some(g) = fe.gathering.as_ref() {
-            if Arc::ptr_eq(g, shard) {
-                fe.gathering = None;
-            }
-        }
+        Self::detach(fe, shard);
         self.completed.fetch_add(1, Ordering::SeqCst);
         fe.retired.extend(shard.kernel.clone());
         if fe.retired.len() > RETIRED_KERNELS {
@@ -906,35 +891,18 @@ impl<M: Send + Clone + 'static> Engine<M> {
                     self.open_performance(fe, Vec::new());
                 }
                 let shard = Arc::clone(fe.gathering.as_ref().expect("just ensured"));
-                let seq = shard.seq;
                 let mut ss = shard.state.lock();
                 // Whatever this pass admits and, if that completes a
                 // critical set, the freeze: one run.
                 let first_new = ss.cast.len();
                 Self::admit_pending(&self.spec, &shard, &mut ss, &mut fe.pending, &mut fe.steps);
-                let froze = Self::covers_critical(&self.spec, &ss);
-                if froze {
+                if Self::covers_critical(&self.spec, &ss) {
                     Self::freeze(&self.spec, &mut ss, &mut fe.steps);
                 }
-                // Under both locks: a write, not a wait (module docs).
-                shard.net.cast(&fe.steps);
-                fe.steps.clear();
-                for (role, process, _) in &ss.cast[first_new..] {
-                    self.emit_script(&shard, || ScriptEvent::RoleAdmitted {
-                        performance: PerformanceId(seq),
-                        role: role.clone(),
-                        process: process.clone(),
-                    });
-                }
-                if !froze {
+                self.run_cast(fe, &shard, &ss, first_new);
+                if !ss.frozen {
                     return;
                 }
-                self.emit_script(&shard, || ScriptEvent::CastFrozen {
-                    performance: PerformanceId(seq),
-                });
-                // Detach: the frozen performance runs on its shard while
-                // the next enrollment gathers into a fresh one (overlap).
-                fe.gathering = None;
                 self.retire_if_claimed(fe, &shard, ss);
             },
         }
@@ -1042,86 +1010,41 @@ impl<M: Send + Clone + 'static> Engine<M> {
             }),
             cond: Condvar::new(),
         });
-        // Transport observers carry weak references both ways (the
-        // network outlives neither the engine nor the shard it serves,
-        // and strong captures would cycle through `shard.net`).
+        // The transport's records reach the plane as they are made. The
+        // latency observer also feeds the watchdog's estimator. Faults
+        // stream while a plan the engine attached is in force, so an
+        // observer installed mid-performance sees the rest of them; a
+        // plan the engine did not attach (a factory's, a hub's own) is
+        // followed only if telemetry was on when the performance
+        // opened: finding out otherwise would cost a socket-backed
+        // network a round trip per performance. Rendezvous are emitted
+        // under the receiving endpoint's lock, so their order here
+        // cannot invert against delivery order.
         let mut observers = Observers::<RoleId, M>::default();
-        let (weak_engine, weak_shard) = (self.weak.clone(), Arc::downgrade(&shard));
-        let upgrade = move || weak_engine.upgrade().zip(weak_shard.upgrade());
         if shard.latency.is_some() || telemetry_live {
-            let est = shard.latency.clone();
-            let upgrade = upgrade.clone();
+            let (est, forward) = (
+                shard.latency.clone(),
+                self.forward(&shard, TelemetryPayload::Latency),
+            );
             observers.latency = Some(Arc::new(move |sample| {
                 if let Some(est) = &est {
                     est.record(sample.elapsed);
                 }
-                if let Some((engine, shard)) = upgrade() {
-                    engine.emit_shard(&shard, || TelemetryPayload::Latency(*sample));
-                }
+                forward(sample);
             }));
         }
-        // Faults stream out as they are injected; `emit_script` is a
-        // relaxed load while nobody is subscribed, and an observer
-        // installed mid-performance sees the rest of it live. A plan
-        // the engine did not attach (a factory's, a hub's own) is
-        // followed only if telemetry was on when the performance
-        // opened: finding out otherwise would cost a socket-backed
-        // network a round trip per performance.
         if fe.fault_plan.is_some() || telemetry_live {
-            let upgrade = upgrade.clone();
-            observers.fault = Some(Arc::new(move |record| {
-                if let Some((engine, shard)) = upgrade() {
-                    engine.emit_script(&shard, || ScriptEvent::FaultInjected {
-                        performance: PerformanceId(shard.seq),
-                        fault: record.to_string(),
-                    });
-                }
-            }));
+            observers.fault = Some(Arc::new(self.forward(&shard, TelemetryPayload::Fault)));
         }
         if telemetry_live {
-            // Every completed rendezvous surfaces as a ScriptEvent on
-            // the same per-performance sequence — the communication
-            // trace a conformance monitor checks. The transport emits
-            // under the receiving endpoint's lock, so observation
-            // order here cannot invert against delivery order.
-            let upgrade_rdv = upgrade.clone();
             observers.rendezvous = Some((
-                Arc::new(move |rec| {
-                    if let Some((engine, shard)) = upgrade_rdv() {
-                        engine.emit_script(&shard, || ScriptEvent::Rendezvous {
-                            performance: PerformanceId(shard.seq),
-                            from: rec.from.clone(),
-                            to: rec.to.clone(),
-                            label: rec.label.clone(),
-                            seq: rec.seq,
-                        });
-                    }
-                }),
+                Arc::new(self.forward(&shard, TelemetryPayload::Rendezvous)),
                 fe.labeler.unwrap_or(unlabeled::<M>),
             ));
-            // Session lifecycle (connection-oriented transports only:
-            // the in-process transport never emits these) surfaces on
-            // the same plane, attributed to this performance.
-            observers.session = Some(Arc::new(move |event| {
-                if let Some((engine, shard)) = upgrade() {
-                    engine.emit_shard(&shard, || match event {
-                        SessionEvent::PeerDisconnected(peer) => {
-                            TelemetryPayload::PeerDisconnected { peer: peer.clone() }
-                        }
-                        SessionEvent::PeerResumed(peer) => {
-                            TelemetryPayload::PeerResumed { peer: peer.clone() }
-                        }
-                        SessionEvent::LeaseExpired(peer) => {
-                            TelemetryPayload::LeaseExpired { peer: peer.clone() }
-                        }
-                    });
-                }
-            }));
+            observers.session = Some(Arc::new(self.forward(&shard, TelemetryPayload::Session)));
         }
         shard.net.observe(observers);
-        self.emit_script(&shard, || ScriptEvent::PerformanceStarted {
-            performance: PerformanceId(seq),
-        });
+        self.emit_shard(&shard, || TelemetryPayload::PerformanceStarted);
         let delayed = !admitted.is_empty();
         {
             let mut ss = shard.state.lock();
@@ -1154,23 +1077,10 @@ impl<M: Send + Clone + 'static> Engine<M> {
             if delayed {
                 Self::freeze(&self.spec, &mut ss, steps);
             }
-            // Under both locks, like the reseed, the fault plan and the
-            // observers' subscription above: writes, not waits — beyond
-            // a socket-backed network's first dial (module docs).
-            shard.net.cast(steps);
-            steps.clear();
-            for (role, process, _) in &ss.cast {
-                self.emit_script(&shard, || ScriptEvent::RoleAdmitted {
-                    performance: PerformanceId(seq),
-                    role: role.clone(),
-                    process: process.clone(),
-                });
-            }
-            if delayed {
-                self.emit_script(&shard, || ScriptEvent::CastFrozen {
-                    performance: PerformanceId(seq),
-                });
-            }
+            // Like the reseed, the fault plan and the observers'
+            // subscription above: writes, not waits — beyond a
+            // socket-backed network's first dial (module docs).
+            self.run_cast(fe, &shard, &ss, 0);
         }
         if let Some(policy) = fe.watchdog {
             self.spawn_watchdog(Arc::clone(&shard), policy);
@@ -1249,8 +1159,7 @@ impl<M: Send + Clone + 'static> Engine<M> {
                     return;
                 }
                 ss.stalled = true;
-                engine.emit_script(&shard, || ScriptEvent::PerformanceStalled {
-                    performance: PerformanceId(shard.seq),
+                engine.emit_shard(&shard, || TelemetryPayload::PerformanceStalled {
                     observed_p99,
                     window,
                 });
@@ -1262,6 +1171,40 @@ impl<M: Send + Clone + 'static> Engine<M> {
                 return;
             }
         });
+    }
+
+    /// Gives `shard`'s network the cast run built under the front lock,
+    /// then says what it did: `RoleAdmitted` for each cast entry from
+    /// `first_new` on and, if the cast is now frozen, `CastFrozen` —
+    /// detaching a frozen gathering shard, so the next enrollment
+    /// gathers into a fresh, overlapping performance. Under both locks:
+    /// a write, not a wait (module docs).
+    fn run_cast(
+        &self,
+        fe: &mut FrontEnd<M>,
+        shard: &Arc<PerfShard<M>>,
+        ss: &ShardState,
+        first_new: usize,
+    ) {
+        shard.net.cast(&fe.steps);
+        fe.steps.clear();
+        for (role, process, _) in &ss.cast[first_new..] {
+            self.emit_shard(shard, || TelemetryPayload::RoleAdmitted {
+                role: role.clone(),
+                process: process.clone(),
+            });
+        }
+        if ss.frozen {
+            self.emit_shard(shard, || TelemetryPayload::CastFrozen);
+            Self::detach(fe, shard);
+        }
+    }
+
+    /// Stops `shard` gathering enrollments, if it was.
+    fn detach(fe: &mut FrontEnd<M>, shard: &Arc<PerfShard<M>>) {
+        if fe.gathering.as_ref().is_some_and(|g| Arc::ptr_eq(g, shard)) {
+            fe.gathering = None;
+        }
     }
 
     /// Admits every currently-admissible pending enrollment, in ticket
@@ -1396,7 +1339,7 @@ mod tests {
         let built = Cell::new(false);
         engine.emit_instance(|| {
             built.set(true);
-            TelemetryPayload::Script(ScriptEvent::InstanceClosed)
+            TelemetryPayload::InstanceClosed
         });
         assert!(built.get(), "a subscribed instance builds the event");
         assert_eq!(ring.drain().len(), 1);

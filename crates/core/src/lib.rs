@@ -83,15 +83,12 @@ mod spec;
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 pub use ctx::{Event, Guard, RoleCtx};
 pub use engine::{NetworkFactory, PerformanceNet};
 pub use enroll::{Enrollment, Partners, ProcessSel};
 pub use error::ScriptError;
 pub use estimator::LatencyEstimator;
-pub use retry::RetryPolicy;
-// Fault injection is configured with the channel-layer plan type.
 pub use handle::{FamilyHandle, RoleHandle};
 pub use ids::{PerformanceId, ProcessId, RoleId};
 pub use observer::{
@@ -101,117 +98,16 @@ pub use observer::{
 pub use policy::{
     AdaptiveWindow, CriticalEntry, CriticalSet, Initiation, Termination, WatchdogPolicy,
 };
-pub use script_chan::{FaultKind, FaultPlan, FaultRecord, LabelFn, LatencyOp, LatencySample};
+pub use retry::RetryPolicy;
+// Fault plans, the transport's records and the seed mixer are the channel layer's own.
+pub use script_chan::{
+    splitmix64, FaultKind, FaultPlan, FaultRecord, LabelFn, LatencyOp, LatencySample,
+    RendezvousRecord, SessionEvent,
+};
 pub use spec::{FamilySize, ScriptBuilder};
 
 use engine::{Engine, RoleRef};
 use spec::ScriptSpec;
-
-/// One lifecycle event on the instance's telemetry plane, delivered as
-/// [`TelemetryPayload::Script`] to the observer installed with
-/// [`Instance::set_observer`]. Events record the engine's decisions in
-/// order: queueing, performance starts, admissions, freezes, finishes,
-/// completions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ScriptEvent {
-    /// An enrollment entered the pending queue. For auto-indexed open
-    /// family enrollments the role carries the family name without an
-    /// index.
-    EnrollmentQueued {
-        /// The requested role.
-        role: RoleId,
-        /// The enrolling process.
-        process: ProcessId,
-    },
-    /// A new performance was created.
-    PerformanceStarted {
-        /// Its sequence number.
-        performance: PerformanceId,
-    },
-    /// A pending enrollment was admitted into the performance's cast.
-    RoleAdmitted {
-        /// The performance joined.
-        performance: PerformanceId,
-        /// The concrete role (auto-indexed members are resolved here).
-        role: RoleId,
-        /// The enrolled process.
-        process: ProcessId,
-    },
-    /// The cast froze: unfilled roles became terminated.
-    CastFrozen {
-        /// The affected performance.
-        performance: PerformanceId,
-    },
-    /// A role's body returned.
-    RoleFinished {
-        /// The performance it ran in.
-        performance: PerformanceId,
-        /// The finished role.
-        role: RoleId,
-    },
-    /// The performance aborted (panic, close, or watchdog).
-    PerformanceAborted {
-        /// The aborted performance.
-        performance: PerformanceId,
-    },
-    /// The watchdog found the performance quiescent past its deadline
-    /// (always followed by [`ScriptEvent::PerformanceAborted`]).
-    PerformanceStalled {
-        /// The stalled performance.
-        performance: PerformanceId,
-        /// The rendezvous-latency quantile the performance's estimator
-        /// had observed when the watchdog fired (`None` before any
-        /// rendezvous completed).
-        observed_p99: Option<Duration>,
-        /// The quiescence window the watchdog had armed — fixed or
-        /// adaptively derived (see [`WatchdogPolicy`]).
-        window: Duration,
-    },
-    /// The chaos layer injected a fault into the performance's network.
-    /// Streamed at injection time when the performance opened with
-    /// telemetry enabled; otherwise recorded when the performance
-    /// completes, in schedule order.
-    FaultInjected {
-        /// The affected performance.
-        performance: PerformanceId,
-        /// Human-readable fault record (`kind from->to #seq`).
-        fault: String,
-    },
-    /// A rendezvous completed: `from`'s message was picked up by `to`,
-    /// or `to` was committed to picking it up and `from` claimed it.
-    /// Observed at delivery on the performance's transport, so the
-    /// stream of these events *is* the performance's communication
-    /// trace — the input a protocol conformance monitor checks against
-    /// a projected global type (`script_proto::monitor`). Only emitted
-    /// while a subscriber is installed; the no-subscriber cost stays
-    /// one relaxed atomic load on the transport's delivery path.
-    Rendezvous {
-        /// The performance the rendezvous belongs to.
-        performance: PerformanceId,
-        /// The sending role.
-        from: RoleId,
-        /// The receiving role.
-        to: RoleId,
-        /// The message label, when a labeler is installed
-        /// ([`Instance::set_message_labeler`]); `None` otherwise.
-        label: Option<String>,
-        /// Zero-based delivery counter of the directed edge
-        /// `from -> to` within this performance — deterministic across
-        /// runs and transports, so duplicate or reordered observations
-        /// are detectable.
-        seq: u64,
-    },
-    /// Every role of the performance terminated.
-    PerformanceCompleted {
-        /// The completed performance.
-        performance: PerformanceId,
-        /// Whether it completed by abort.
-        aborted: bool,
-    },
-    /// The instance was closed.
-    InstanceClosed,
-}
 
 /// A diagnostic snapshot of one performance in progress.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,9 +136,6 @@ pub struct InstanceStatus {
     pub completed_performances: u64,
     /// Enrollments queued but not yet admitted.
     pub pending_enrollments: usize,
-    /// The oldest performance in progress, if any (kept for callers that
-    /// predate overlapping activations; equals `performances.first()`).
-    pub current: Option<PerformanceStatus>,
     /// Every performance in progress, oldest first. Overlapping
     /// activations mean there can be more than one.
     pub performances: Vec<PerformanceStatus>,
@@ -548,7 +441,7 @@ impl<M: Send + Clone + 'static> Instance<M> {
     /// (α 0.3). In-process performances keep tight millisecond windows
     /// while socket-backed performances widen to RPC latency without
     /// per-transport tuning. The chosen window and the observed p99 are
-    /// carried on any resulting [`ScriptEvent::PerformanceStalled`]
+    /// carried on any resulting [`TelemetryPayload::PerformanceStalled`]
     /// event.
     ///
     /// # Panics
@@ -572,11 +465,12 @@ impl<M: Send + Clone + 'static> Instance<M> {
 
     /// Injects the deterministic fault schedule described by `plan` into
     /// every future performance (each performance draws an independent
-    /// schedule derived from the plan's seed). Injected faults surface
-    /// as [`ScriptEvent::FaultInjected`] telemetry: streamed live, at
-    /// injection time, for performances opened while an observer or
-    /// the event log was installed, and drained in schedule order at
-    /// completion otherwise.
+    /// schedule derived from the plan's seed). Each injected fault
+    /// surfaces as [`TelemetryPayload::Fault`], pushed at injection time
+    /// to whatever observer is installed then. Faults of a plan the
+    /// engine did not attach (a network factory's, or a hub's own) are
+    /// followed only in performances opened while an observer was
+    /// installed.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.engine.set_fault_plan(plan);
     }
@@ -587,7 +481,7 @@ impl<M: Send + Clone + 'static> Instance<M> {
     }
 
     /// Installs a message labeler for every **future** performance:
-    /// [`ScriptEvent::Rendezvous`] telemetry of those performances
+    /// [`TelemetryPayload::Rendezvous`] telemetry of those performances
     /// carries `label_of(&message)` as its label, letting a protocol
     /// conformance monitor (`script_proto::monitor`) distinguish
     /// message kinds. A plain `fn` pointer (not a closure) so the
@@ -668,15 +562,9 @@ mod tests {
         ring
     }
 
-    /// Drains `ring`, keeping the lifecycle events.
-    fn script_events(ring: &RingObserver) -> Vec<ScriptEvent> {
-        ring.drain()
-            .into_iter()
-            .filter_map(|e| match e.payload {
-                TelemetryPayload::Script(ev) => Some(ev),
-                _ => None,
-            })
-            .collect()
+    /// Drains `ring`, keeping the payloads.
+    fn payloads(ring: &RingObserver) -> Vec<TelemetryPayload> {
+        ring.drain().into_iter().map(|e| e.payload).collect()
     }
 
     type StarScript = (
@@ -1180,10 +1068,10 @@ mod tests {
             assert_eq!(inst.enroll(&right, ()).unwrap_err(), ScriptError::Stalled);
             assert_eq!(h.join().unwrap().unwrap_err(), ScriptError::Stalled);
         });
-        let events = script_events(&ring);
+        let events = payloads(&ring);
         assert!(events
             .iter()
-            .any(|e| matches!(e, ScriptEvent::PerformanceStalled { .. })));
+            .any(|e| matches!(e, TelemetryPayload::PerformanceStalled { .. })));
         // The stalled performance still terminated; the instance is free.
         assert_eq!(inst.completed_performances(), 1);
     }
@@ -1258,13 +1146,13 @@ mod tests {
             // or observed the stall, depending on timing.
             let _ = h.join().unwrap();
         });
-        let events = script_events(&ring);
-        assert!(events.iter().any(
-            |e| matches!(e, ScriptEvent::FaultInjected { fault, .. } if fault.contains("drop"))
-        ));
+        let events = payloads(&ring);
         assert!(events
             .iter()
-            .any(|e| matches!(e, ScriptEvent::PerformanceStalled { .. })));
+            .any(|e| matches!(e, TelemetryPayload::Fault(f) if f.kind == FaultKind::Drop)));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, TelemetryPayload::PerformanceStalled { .. })));
 
         // Recovery: with the plan cleared, the same instance admits a
         // fresh cast and completes cleanly.

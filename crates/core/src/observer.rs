@@ -46,7 +46,9 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::{LatencySample, PerformanceId, RoleId, ScriptEvent};
+use crate::{
+    FaultRecord, LatencySample, PerformanceId, ProcessId, RendezvousRecord, RoleId, SessionEvent,
+};
 
 /// A subscriber on the instance's telemetry plane.
 ///
@@ -73,13 +75,76 @@ pub struct TelemetryEvent {
     pub payload: TelemetryPayload,
 }
 
-/// The unified payload of a [`TelemetryEvent`]: lifecycle decisions,
-/// latency samples, watchdog arms and session transitions on one plane.
+/// What a [`TelemetryEvent`] says happened: the plane's one event
+/// vocabulary. The engine's lifecycle decisions, the transport's own
+/// records (faults, rendezvous, session transitions, latency samples)
+/// and the watchdog's arms share it, each variant said once; the
+/// performance an event belongs to is [`TelemetryEvent::performance`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TelemetryPayload {
-    /// An engine lifecycle decision (see [`ScriptEvent`]).
-    Script(ScriptEvent),
+    /// An enrollment entered the pending queue (instance-scoped). For
+    /// auto-indexed open family enrollments the role carries the family
+    /// name without an index.
+    EnrollmentQueued {
+        /// The requested role.
+        role: RoleId,
+        /// The enrolling process.
+        process: ProcessId,
+    },
+    /// A new performance was created.
+    PerformanceStarted,
+    /// A pending enrollment was admitted into the performance's cast.
+    RoleAdmitted {
+        /// The concrete role (auto-indexed members are resolved here).
+        role: RoleId,
+        /// The enrolled process.
+        process: ProcessId,
+    },
+    /// The cast froze: unfilled roles became terminated.
+    CastFrozen,
+    /// A role's body returned.
+    RoleFinished {
+        /// The finished role.
+        role: RoleId,
+    },
+    /// The performance aborted (panic, close, or watchdog).
+    PerformanceAborted,
+    /// The watchdog found the performance quiescent past its deadline
+    /// (always followed by [`TelemetryPayload::PerformanceAborted`]).
+    PerformanceStalled {
+        /// The rendezvous-latency p99 the performance's estimator had
+        /// observed when the watchdog fired (`None` before any
+        /// rendezvous completed).
+        observed_p99: Option<Duration>,
+        /// The quiescence window the watchdog had armed — fixed or
+        /// adaptively derived (see [`WatchdogPolicy`](crate::WatchdogPolicy)).
+        window: Duration,
+    },
+    /// Every role of the performance terminated.
+    PerformanceCompleted {
+        /// Whether it completed by abort.
+        aborted: bool,
+    },
+    /// The instance was closed (instance-scoped).
+    InstanceClosed,
+    /// The chaos layer injected a fault into the performance's network,
+    /// pushed at injection time to whatever observer is installed then
+    /// ([`Instance::set_fault_plan`](crate::Instance::set_fault_plan)).
+    /// Faults of a plan the engine did not attach (a network factory's,
+    /// or a hub's own) are followed only if an observer was installed
+    /// when the performance opened.
+    Fault(FaultRecord<RoleId>),
+    /// A rendezvous completed on the performance's transport, observed
+    /// at delivery: the stream of these *is* the performance's
+    /// communication trace, the input a protocol conformance monitor
+    /// (`script_proto::monitor`) checks. Its label is set by a labeler
+    /// ([`Instance::set_message_labeler`](crate::Instance::set_message_labeler)).
+    Rendezvous(RendezvousRecord<RoleId>),
+    /// A session-aware transport reported a peer's link severed, resumed
+    /// within its lease, or lapsed (after which the peer degrades like a
+    /// crashed one). The in-process transport emits none.
+    Session(SessionEvent<RoleId>),
     /// A successful blocking operation's measured rendezvous latency,
     /// routed up from the performance's transport.
     Latency(LatencySample),
@@ -102,28 +167,6 @@ pub enum TelemetryPayload {
         /// How many events were dropped.
         count: u64,
     },
-    /// A session-aware transport reported `peer`'s connection severed;
-    /// its session — and the performances it animates — stays alive
-    /// until the lease expires. Only connection-oriented transports
-    /// emit this.
-    PeerDisconnected {
-        /// The role whose link dropped.
-        peer: RoleId,
-    },
-    /// A severed peer presented its session id within the lease and
-    /// resumed where it left off — queued operations replayed, event
-    /// stream gapless.
-    PeerResumed {
-        /// The role whose link came back.
-        peer: RoleId,
-    },
-    /// A severed peer's lease expired without a resume: from here it
-    /// degrades exactly like a crashed peer (`Terminated` errors,
-    /// watchdog `Stalled`).
-    LeaseExpired {
-        /// The role whose session lapsed.
-        peer: RoleId,
-    },
     /// A runtime conformance monitor (`script_proto::monitor`) found
     /// the performance's observed communication trace diverging from
     /// its protocol — the **first** divergence per performance is
@@ -138,8 +181,8 @@ pub enum TelemetryPayload {
         expected: String,
         /// The rendezvous actually observed (e.g. `C!ack`).
         observed: String,
-        /// `seq` of the [`ScriptEvent::Rendezvous`] telemetry event
-        /// that diverged — identifies the exact point in the
+        /// `seq` of the [`TelemetryPayload::Rendezvous`] telemetry
+        /// event that diverged — identifies the exact point in the
         /// performance's gapless stream, comparable across
         /// transports.
         at_seq: u64,
@@ -376,7 +419,7 @@ pub struct PerformanceMetrics {
     /// Telemetry events attributed to this performance.
     pub events: u64,
     /// Rendezvous completed on its network
-    /// ([`ScriptEvent::Rendezvous`]).
+    /// ([`TelemetryPayload::Rendezvous`]).
     pub rendezvous: u64,
     /// Protocol divergences a conformance monitor reported against it
     /// ([`TelemetryPayload::ProtocolViolation`]).
@@ -425,15 +468,15 @@ pub struct InstanceMetrics {
     /// ([`TelemetryPayload::Lost`]).
     pub events_lost: u64,
     /// Peer connections reported severed within a live session lease
-    /// ([`TelemetryPayload::PeerDisconnected`]).
+    /// ([`SessionEvent::PeerDisconnected`]).
     pub peer_disconnects: u64,
     /// Severed peers that resumed their session within the lease
-    /// ([`TelemetryPayload::PeerResumed`]).
+    /// ([`SessionEvent::PeerResumed`]).
     pub peer_resumes: u64,
     /// Severed peers whose lease expired without a resume
-    /// ([`TelemetryPayload::LeaseExpired`]).
+    /// ([`SessionEvent::LeaseExpired`]).
     pub lease_expiries: u64,
-    /// Rendezvous completed ([`ScriptEvent::Rendezvous`]).
+    /// Rendezvous completed ([`TelemetryPayload::Rendezvous`]).
     pub rendezvous: u64,
     /// Protocol divergences reported by a conformance monitor
     /// ([`TelemetryPayload::ProtocolViolation`]).
@@ -489,6 +532,7 @@ impl MetricsObserver {
 
 impl Observer for MetricsObserver {
     fn on_event(&self, event: TelemetryEvent) {
+        use TelemetryPayload as P;
         let mut st = self.state.lock();
         st.totals.events += 1;
         let perf = event
@@ -497,47 +541,39 @@ impl Observer for MetricsObserver {
         if let Some(p) = perf {
             p.events += 1;
             match &event.payload {
-                TelemetryPayload::Script(ScriptEvent::Rendezvous { .. }) => p.rendezvous += 1,
-                TelemetryPayload::ProtocolViolation { .. } => p.protocol_violations += 1,
-                TelemetryPayload::Script(ScriptEvent::FaultInjected { .. }) => {
-                    p.faults_injected += 1
-                }
-                TelemetryPayload::Script(ScriptEvent::PerformanceCompleted { aborted, .. }) => {
+                P::Rendezvous(_) => p.rendezvous += 1,
+                P::ProtocolViolation { .. } => p.protocol_violations += 1,
+                P::Fault(_) => p.faults_injected += 1,
+                P::PerformanceCompleted { aborted } => {
                     p.completed = true;
                     p.aborted |= aborted;
                 }
-                TelemetryPayload::Script(ScriptEvent::PerformanceAborted { .. }) => {
-                    p.aborted = true
-                }
-                TelemetryPayload::Script(ScriptEvent::PerformanceStalled { .. }) => {
-                    p.stalled = true
-                }
-                TelemetryPayload::Latency(sample) => p.latency.record(sample.elapsed),
+                P::PerformanceAborted => p.aborted = true,
+                P::PerformanceStalled { .. } => p.stalled = true,
+                P::Latency(sample) => p.latency.record(sample.elapsed),
                 _ => {}
             }
         }
         let totals = &mut st.totals;
         match event.payload {
-            TelemetryPayload::Script(ev) => match ev {
-                ScriptEvent::EnrollmentQueued { .. } => totals.enrollments_queued += 1,
-                ScriptEvent::PerformanceStarted { .. } => totals.performances_started += 1,
-                ScriptEvent::RoleAdmitted { .. } => totals.roles_admitted += 1,
-                ScriptEvent::CastFrozen { .. } => totals.casts_frozen += 1,
-                ScriptEvent::RoleFinished { .. } => totals.roles_finished += 1,
-                ScriptEvent::PerformanceAborted { .. } => totals.performances_aborted += 1,
-                ScriptEvent::PerformanceStalled { .. } => totals.performances_stalled += 1,
-                ScriptEvent::FaultInjected { .. } => totals.faults_injected += 1,
-                ScriptEvent::Rendezvous { .. } => totals.rendezvous += 1,
-                ScriptEvent::PerformanceCompleted { .. } => totals.performances_completed += 1,
-                ScriptEvent::InstanceClosed => {}
-            },
-            TelemetryPayload::Latency(sample) => totals.latency.record(sample.elapsed),
-            TelemetryPayload::WatchdogArmed { .. } => totals.watchdog_arms += 1,
-            TelemetryPayload::Lost { count } => totals.events_lost += count,
-            TelemetryPayload::PeerDisconnected { .. } => totals.peer_disconnects += 1,
-            TelemetryPayload::PeerResumed { .. } => totals.peer_resumes += 1,
-            TelemetryPayload::LeaseExpired { .. } => totals.lease_expiries += 1,
-            TelemetryPayload::ProtocolViolation { .. } => totals.protocol_violations += 1,
+            P::EnrollmentQueued { .. } => totals.enrollments_queued += 1,
+            P::PerformanceStarted => totals.performances_started += 1,
+            P::RoleAdmitted { .. } => totals.roles_admitted += 1,
+            P::CastFrozen => totals.casts_frozen += 1,
+            P::RoleFinished { .. } => totals.roles_finished += 1,
+            P::PerformanceAborted => totals.performances_aborted += 1,
+            P::PerformanceStalled { .. } => totals.performances_stalled += 1,
+            P::PerformanceCompleted { .. } => totals.performances_completed += 1,
+            P::InstanceClosed => {}
+            P::Fault(_) => totals.faults_injected += 1,
+            P::Rendezvous(_) => totals.rendezvous += 1,
+            P::Session(SessionEvent::PeerDisconnected(_)) => totals.peer_disconnects += 1,
+            P::Session(SessionEvent::PeerResumed(_)) => totals.peer_resumes += 1,
+            P::Session(SessionEvent::LeaseExpired(_)) => totals.lease_expiries += 1,
+            P::Latency(sample) => totals.latency.record(sample.elapsed),
+            P::WatchdogArmed { .. } => totals.watchdog_arms += 1,
+            P::Lost { count } => totals.events_lost += count,
+            P::ProtocolViolation { .. } => totals.protocol_violations += 1,
         }
     }
 }
@@ -566,13 +602,7 @@ mod tests {
     }
 
     fn started(seq: u64, perf: u64) -> TelemetryEvent {
-        ev(
-            seq,
-            perf,
-            TelemetryPayload::Script(ScriptEvent::PerformanceStarted {
-                performance: PerformanceId(perf),
-            }),
-        )
+        ev(seq, perf, TelemetryPayload::PerformanceStarted)
     }
 
     #[test]
@@ -626,10 +656,10 @@ mod tests {
             seq: 0,
             performance: None,
             timestamp: Duration::ZERO,
-            payload: TelemetryPayload::Script(ScriptEvent::EnrollmentQueued {
-                role: crate::RoleId::new("r"),
-                process: crate::ProcessId::new("p"),
-            }),
+            payload: TelemetryPayload::EnrollmentQueued {
+                role: RoleId::new("r"),
+                process: ProcessId::new("p"),
+            },
         });
         m.on_event(started(0, 3));
         m.on_event(ev(
@@ -643,10 +673,7 @@ mod tests {
         m.on_event(ev(
             2,
             3,
-            TelemetryPayload::Script(ScriptEvent::PerformanceCompleted {
-                performance: PerformanceId(3),
-                aborted: false,
-            }),
+            TelemetryPayload::PerformanceCompleted { aborted: false },
         ));
         m.on_event(TelemetryEvent {
             seq: 0,

@@ -16,17 +16,7 @@
 
 use std::time::Duration;
 
-use crate::ScriptError;
-
-/// SplitMix64 step: full-period 64-bit generator, one multiply chain
-/// per draw.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::{splitmix64, ScriptError};
 
 /// A bounded retry schedule: up to `max_attempts` tries separated by
 /// exponential backoff with decorrelated jitter.
@@ -164,7 +154,7 @@ impl Iterator for Backoffs {
         // Decorrelated jitter: uniform in [base, 3 * prev], capped.
         let lo = self.base.as_nanos() as u64;
         let hi = (self.prev.as_nanos() as u64).saturating_mul(3).max(lo + 1);
-        let pick = lo + splitmix(&mut self.state) % (hi - lo);
+        let pick = lo + splitmix64(&mut self.state) % (hi - lo);
         let d = Duration::from_nanos(pick).min(self.cap);
         self.prev = d;
         Some(d)

@@ -19,6 +19,10 @@
 //! swap in an HMAC without changing the wire layout, which reserves a
 //! full 8-byte tag field.
 
+use std::hash::Hasher;
+
+use script_chan::SeededFnv;
+
 use crate::wire::{Reader, Wire, WireError};
 
 /// One signed data-plane placement, minted by the fleet at initiation
@@ -84,19 +88,12 @@ impl PerfDescriptor {
     }
 }
 
-/// Keyed FNV-1a over `bytes` with a SplitMix avalanche finish — the
-/// same non-cryptographic construction the chaos layer uses for its
-/// decision hashes, keyed here instead of seeded.
+/// [`SeededFnv`] over `bytes`, keyed by `secret`: the hash the chaos
+/// layer draws its fault decisions from.
 fn mac(secret: u64, bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ secret.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // SplitMix finish so nearby inputs diverge in every output bit.
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+    let mut h = SeededFnv::new(secret);
+    h.write(bytes);
+    h.finish()
 }
 
 impl Wire for PerfDescriptor {

@@ -19,8 +19,8 @@
 //!   [`ProtoError::Violation`] on the first out-of-protocol action;
 //! * [`ConformanceMonitor`] (see [`monitor`]) — the same check from the
 //!   *outside*: an engine [`Observer`](script_core::Observer) that maps
-//!   live [`ScriptEvent::Rendezvous`](script_core::ScriptEvent) telemetry
-//!   onto per-role actions and reports each performance's first
+//!   live [`TelemetryPayload::Rendezvous`](script_core::TelemetryPayload::Rendezvous)
+//!   telemetry — the transport's own rendezvous records — onto per-role actions and reports each performance's first
 //!   divergence as a structured [`Verdict`] — no cooperation from role
 //!   bodies required, and identical verdicts whether the performance
 //!   runs in process or on a socket hub.
@@ -62,7 +62,7 @@ pub use script_core::RoleId;
 /// `labeler::<M>` to
 /// [`Instance::set_message_labeler`](script_core::Instance::set_message_labeler)
 /// (or a hub's `set_message_labeler`) and every
-/// [`ScriptEvent::Rendezvous`](script_core::ScriptEvent::Rendezvous)
+/// [`TelemetryPayload::Rendezvous`](script_core::TelemetryPayload::Rendezvous)
 /// telemetry event carries the message's protocol label for a
 /// [`ConformanceMonitor`] to check.
 pub fn labeler<M: Labeled>(message: &M) -> Option<String> {

@@ -4,8 +4,9 @@
 //! inside; this module checks a whole performance from the *outside*.
 //! A [`ConformanceMonitor`] is an [`Observer`]: subscribe it to an
 //! instance ([`Instance::set_observer`](script_core::Instance::set_observer))
-//! and it maps every [`ScriptEvent::Rendezvous`] telemetry event of
-//! every performance onto the [`Action`]s of the two roles involved,
+//! and it maps every [`TelemetryPayload::Rendezvous`] telemetry event —
+//! the transport's own rendezvous record, attributed to the event's
+//! performance — onto the [`Action`]s of the two roles involved,
 //! advancing one projected [`LocalMonitor`] per role. The first
 //! divergence per performance is captured as a [`Verdict`] — which
 //! role broke the protocol, what its local type expected, what was
@@ -55,7 +56,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use script_core::{Observer, PerformanceId, RoleId, ScriptEvent, TelemetryEvent, TelemetryPayload};
+use script_core::{Observer, PerformanceId, RoleId, TelemetryEvent, TelemetryPayload};
 
 use crate::local::{Action, LocalMonitor, LocalType};
 use crate::{GlobalType, ProtoError};
@@ -356,18 +357,13 @@ impl ConformanceMonitor {
 
 impl Observer for ConformanceMonitor {
     fn on_event(&self, event: TelemetryEvent) {
-        let verdict = match &event.payload {
-            TelemetryPayload::Script(ScriptEvent::Rendezvous {
-                performance,
-                from,
-                to,
-                label,
-                ..
-            }) => self.check_rendezvous(*performance, from, to, label.as_deref(), event.seq),
-            TelemetryPayload::Script(ScriptEvent::PerformanceCompleted {
-                performance,
-                aborted: false,
-            }) => self.check_completed(*performance, event.seq),
+        let verdict = match (event.performance, &event.payload) {
+            (Some(perf), TelemetryPayload::Rendezvous(rec)) => {
+                self.check_rendezvous(perf, &rec.from, &rec.to, rec.label.as_deref(), event.seq)
+            }
+            (Some(perf), TelemetryPayload::PerformanceCompleted { aborted: false }) => {
+                self.check_completed(perf, event.seq)
+            }
             _ => None,
         };
         if let Some(downstream) = &self.downstream {
@@ -397,6 +393,7 @@ impl fmt::Debug for ConformanceMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use script_core::RendezvousRecord;
     use std::time::Duration;
 
     fn r(name: &str) -> RoleId {
@@ -418,8 +415,7 @@ mod tests {
             seq,
             performance: Some(PerformanceId(perf)),
             timestamp: Duration::from_millis(seq),
-            payload: TelemetryPayload::Script(ScriptEvent::Rendezvous {
-                performance: PerformanceId(perf),
+            payload: TelemetryPayload::Rendezvous(RendezvousRecord {
                 from: r(from),
                 to: r(to),
                 label: Some(label.to_string()),
@@ -473,8 +469,7 @@ mod tests {
             seq: 0,
             performance: Some(PerformanceId(0)),
             timestamp: Duration::ZERO,
-            payload: TelemetryPayload::Script(ScriptEvent::Rendezvous {
-                performance: PerformanceId(0),
+            payload: TelemetryPayload::Rendezvous(RendezvousRecord {
                 from: r("a"),
                 to: r("b"),
                 label: None,
@@ -492,10 +487,7 @@ mod tests {
             seq: 1,
             performance: Some(PerformanceId(2)),
             timestamp: Duration::ZERO,
-            payload: TelemetryPayload::Script(ScriptEvent::PerformanceCompleted {
-                performance: PerformanceId(2),
-                aborted: false,
-            }),
+            payload: TelemetryPayload::PerformanceCompleted { aborted: false },
         });
         let v = m.verdict(PerformanceId(2)).unwrap();
         assert_eq!(v.observed, "performance completed");

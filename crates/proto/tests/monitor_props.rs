@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use script_core::{Observer, PerformanceId, ScriptEvent, TelemetryEvent, TelemetryPayload};
+use script_core::{Observer, PerformanceId, RendezvousRecord, TelemetryEvent, TelemetryPayload};
 use script_proto::{ConformanceMonitor, GlobalType, RoleId};
 
 const ROLES: [&str; 4] = ["a", "b", "c", "d"];
@@ -158,8 +158,7 @@ fn run_trace(m: &ConformanceMonitor, perf: u64, trace: &[Step], complete: bool) 
             seq: i as u64,
             performance: Some(PerformanceId(perf)),
             timestamp: Duration::from_millis(i as u64),
-            payload: TelemetryPayload::Script(ScriptEvent::Rendezvous {
-                performance: PerformanceId(perf),
+            payload: TelemetryPayload::Rendezvous(RendezvousRecord {
                 from: RoleId::new(s.from),
                 to: RoleId::new(s.to),
                 label: Some(s.label.clone()),
@@ -172,10 +171,7 @@ fn run_trace(m: &ConformanceMonitor, perf: u64, trace: &[Step], complete: bool) 
             seq: trace.len() as u64,
             performance: Some(PerformanceId(perf)),
             timestamp: Duration::from_millis(trace.len() as u64),
-            payload: TelemetryPayload::Script(ScriptEvent::PerformanceCompleted {
-                performance: PerformanceId(perf),
-                aborted: false,
-            }),
+            payload: TelemetryPayload::PerformanceCompleted { aborted: false },
         });
     }
 }

@@ -25,27 +25,17 @@
 use std::collections::BTreeSet;
 
 use script_core::{
-    CriticalSet, Event, FamilyHandle, Guard, Initiation, Instance, PerformanceId, RetryPolicy,
-    RoleHandle, RoleId, Script, ScriptError, Termination,
+    splitmix64, CriticalSet, Event, FamilyHandle, Guard, Initiation, Instance, PerformanceId,
+    RetryPolicy, RoleHandle, RoleId, Script, ScriptError, Termination,
 };
 
-/// One step of the SplitMix64 sequence: the same generator the engine
-/// uses to derive per-performance chaos seeds, so view schedules share
-/// the replay properties of fault schedules.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Stream key for one `(seed, round, member)` triple.
+/// Stream key for one `(seed, round, member)` triple, drawn from
+/// [`splitmix64`]: the generator the engine derives per-performance
+/// chaos seeds with, so view schedules share the replay properties of
+/// fault schedules.
 fn stream_key(seed: u64, round: u64, me: u64) -> u64 {
-    let mut s = seed;
-    let a = splitmix(&mut s).wrapping_add(round);
-    let mut s = a;
-    splitmix(&mut s).wrapping_add(me)
+    let a = splitmix64(&mut { seed }).wrapping_add(round);
+    splitmix64(&mut { a }).wrapping_add(me)
 }
 
 /// The sentinel "member" index the seeder samples with (it is not a
@@ -103,7 +93,7 @@ impl PeerView {
         let mut state = key;
         let take = k.min(pool.len());
         for i in 0..take {
-            let j = i + (splitmix(&mut state) as usize) % (pool.len() - i);
+            let j = i + (splitmix64(&mut state) as usize) % (pool.len() - i);
             pool.swap(i, j);
         }
         take

@@ -11,8 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use script::core::{
-    FaultPlan, RetryPolicy, RingObserver, ScriptError, ScriptEvent, TelemetryPayload,
-    WatchdogPolicy,
+    FaultPlan, RetryPolicy, RingObserver, ScriptError, TelemetryPayload, WatchdogPolicy,
 };
 use script::lib::broadcast::{self, Order};
 
@@ -56,11 +55,12 @@ fn main() -> Result<(), ScriptError> {
     // --- 3. Determinism: the injected fault schedule replays exactly. ---
     println!("fault schedule (seed 42):");
     for event in ring.drain() {
+        let Some(performance) = event.performance else {
+            continue;
+        };
         match event.payload {
-            TelemetryPayload::Script(ScriptEvent::FaultInjected { performance, fault }) => {
-                println!("  {performance:?}: {fault}");
-            }
-            TelemetryPayload::Script(ScriptEvent::PerformanceStalled { performance, .. }) => {
+            TelemetryPayload::Fault(fault) => println!("  {performance:?}: {fault}"),
+            TelemetryPayload::PerformanceStalled { .. } => {
                 println!("  {performance:?}: stalled, watchdog abort");
             }
             _ => {}

@@ -6,7 +6,7 @@
 //!   rendezvous is (by construction) more than 10× slower than the
 //!   in-process baseline, and
 //! * still aborts genuinely deadlocked performances on both transports,
-//!   with [`ScriptEvent::PerformanceStalled`] carrying the observed p99
+//!   with [`TelemetryPayload::PerformanceStalled`] carrying the observed p99
 //!   and the window the watchdog had armed.
 //!
 //! The slow transport is real: a TCP hub ([`TransportServer`]) with
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use script::chan::{FaultPlan, Network, ShardedTransport, Transport};
 use script::core::{
     AdaptiveWindow, Initiation, NetworkFactory, PerformanceNet, RingObserver, RoleId, Script,
-    ScriptError, ScriptEvent, TelemetryPayload, Termination, WatchdogPolicy,
+    ScriptError, TelemetryPayload, Termination, WatchdogPolicy,
 };
 use script::net::{SocketTransport, TransportServer};
 
@@ -143,11 +143,10 @@ fn adaptive_policy_handles_both_transports_untuned() {
         .drain()
         .into_iter()
         .filter_map(|e| match e.payload {
-            TelemetryPayload::Script(ScriptEvent::PerformanceStalled {
+            TelemetryPayload::PerformanceStalled {
                 observed_p99,
                 window,
-                ..
-            }) => Some((observed_p99, window)),
+            } => Some((observed_p99, window)),
             _ => None,
         })
         .collect();

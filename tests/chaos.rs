@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use script::core::{
     FaultPlan, Initiation, Instance, RetryPolicy, RingObserver, RoleId, Script, ScriptError,
-    ScriptEvent, TelemetryPayload, Termination, WatchdogPolicy,
+    TelemetryPayload, Termination, WatchdogPolicy,
 };
 
 /// Builds the request/reply script and a fully chaos-instrumented
@@ -99,18 +99,18 @@ fn chaos_log(seed: u64, rounds: u8) -> (Vec<String>, u32) {
     let log = ring
         .drain()
         .into_iter()
-        .filter_map(|e| match e.payload {
-            TelemetryPayload::Script(ScriptEvent::FaultInjected { performance, fault }) => {
-                Some(format!("{performance:?} fault {fault}"))
+        .filter_map(|e| {
+            let performance = e.performance?;
+            match e.payload {
+                TelemetryPayload::Fault(fault) => Some(format!("{performance:?} fault {fault}")),
+                TelemetryPayload::PerformanceStalled { .. } => {
+                    Some(format!("{performance:?} stalled"))
+                }
+                TelemetryPayload::PerformanceCompleted { aborted } => {
+                    Some(format!("{performance:?} completed aborted={aborted}"))
+                }
+                _ => None,
             }
-            TelemetryPayload::Script(ScriptEvent::PerformanceStalled { performance, .. }) => {
-                Some(format!("{performance:?} stalled"))
-            }
-            TelemetryPayload::Script(ScriptEvent::PerformanceCompleted {
-                performance,
-                aborted,
-            }) => Some(format!("{performance:?} completed aborted={aborted}")),
-            _ => None,
         })
         .collect();
     (log, failed_rounds)
@@ -231,4 +231,54 @@ fn enrollment_deadline_expires_mid_communication() {
         );
         h.join().unwrap().unwrap();
     });
+}
+
+/// Every seeded derivation in the workspace draws from the one
+/// `splitmix64` / `SeededFnv` pair, and each still yields the values it
+/// did before they were shared: a moved bit would move every chaos
+/// schedule, gossip view, backoff and descriptor signature.
+#[test]
+fn seeded_derivations_keep_their_golden_values() {
+    // Per-performance seeds, as a network factory is handed them.
+    let mut b = Script::<u8>::builder("golden");
+    let only = b.role("only", |_ctx, ()| Ok(()));
+    let inst = b.build().unwrap().instance();
+    inst.set_chaos_seed(0x5eed);
+    let seeds = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let seen = Arc::clone(&seeds);
+    inst.set_network_factory(Arc::new(move |perf: &script::core::PerformanceNet| {
+        seen.lock().unwrap().push(perf.seed);
+        script::chan::Network::new()
+    }));
+    inst.enroll(&only, ()).unwrap();
+    inst.enroll(&only, ()).unwrap();
+    assert_eq!(
+        *seeds.lock().unwrap(),
+        [Some(0x09f1_fd9d_03f0_a9b4), Some(0x5532_7416_1bbf_8475)]
+    );
+
+    // A gossip view: its ring successor, then two seeded draws.
+    let members: Vec<usize> = (0..16).collect();
+    let view = script::lib::gossip::PeerView::new(7, 3).view(2, 0, &members);
+    assert_eq!(view, [1, 11, 12]);
+
+    // A descriptor's MAC.
+    let descriptor =
+        script::net::PerfDescriptor::new(9, 2, Some(42), "127.0.0.1:7000".into()).sign(0xfeed);
+    assert_eq!(descriptor.sig, 0x239a_ad50_5ba3_e327);
+
+    // 64 drop decisions on one edge, one bit each.
+    let plan = FaultPlan::new(42).with_drop(0.5);
+    let (from, to) = (RoleId::new("sender"), RoleId::indexed("recipient", 1));
+    let drops = (0..64u64)
+        .filter(|&seq| plan.decide_drop(&from, &to, seq))
+        .fold(0u64, |bits, seq| bits | 1 << seq);
+    assert_eq!(drops, 0x36f4_629c_700d_560e);
+
+    // Retry jitter.
+    let policy = RetryPolicy::new(5)
+        .with_base(Duration::from_millis(1))
+        .with_seed(42);
+    let nanos: Vec<u128> = policy.backoffs().map(|d| d.as_nanos()).collect();
+    assert_eq!(nanos, [2_275_413, 5_973_569, 11_851_043, 10_011_603]);
 }

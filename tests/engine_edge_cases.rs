@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use script::core::{
     CriticalSet, Enrollment, FamilyHandle, Guard, Initiation, Observer, RoleHandle, RoleId, Script,
-    ScriptError, ScriptEvent, TelemetryEvent, TelemetryPayload, Termination,
+    ScriptError, TelemetryEvent, TelemetryPayload, Termination,
 };
 
 /// "No process may enroll in more than one role in one activation":
@@ -538,16 +538,13 @@ struct FinishOrder(Arc<Mutex<Vec<String>>>);
 
 impl Observer for FinishOrder {
     fn on_event(&self, event: TelemetryEvent) {
-        let TelemetryPayload::Script(event) = event.payload else {
-            return;
-        };
-        match event {
-            ScriptEvent::RoleFinished { role, .. } => self
+        match event.payload {
+            TelemetryPayload::RoleFinished { role } => self
                 .0
                 .lock()
                 .unwrap()
                 .push(format!("finished {}", role.name())),
-            ScriptEvent::PerformanceCompleted { .. } => {
+            TelemetryPayload::PerformanceCompleted { .. } => {
                 self.0.lock().unwrap().push("completed".to_string())
             }
             _ => {}

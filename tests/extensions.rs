@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use script::core::{
     Enrollment, Initiation, Instance, RingObserver, RoleHandle, RoleId, Script, ScriptError,
-    ScriptEvent, TelemetryPayload, Termination,
+    TelemetryPayload, Termination,
 };
 
 /// Subscribes a ring log of `capacity` events to `inst`.
@@ -17,15 +17,9 @@ fn ring_on<M: Send + Clone + 'static>(inst: &Instance<M>, capacity: usize) -> Ar
     ring
 }
 
-/// Drains `ring`, keeping the lifecycle events.
-fn script_events(ring: &RingObserver) -> Vec<ScriptEvent> {
-    ring.drain()
-        .into_iter()
-        .filter_map(|e| match e.payload {
-            TelemetryPayload::Script(ev) => Some(ev),
-            _ => None,
-        })
-        .collect()
+/// Drains `ring`, keeping the payloads.
+fn payloads(ring: &RingObserver) -> Vec<TelemetryPayload> {
+    ring.drain().into_iter().map(|e| e.payload).collect()
 }
 
 /// §II: "This distinction is crucial if script enrollment is to be
@@ -186,7 +180,7 @@ fn status_snapshots() {
     let idle = inst.status();
     assert_eq!(idle.completed_performances, 0);
     assert_eq!(idle.pending_enrollments, 0);
-    assert!(idle.current.is_none());
+    assert!(idle.performances.is_empty());
 
     std::thread::scope(|s| {
         let h = {
@@ -197,7 +191,7 @@ fn status_snapshots() {
         // Wait for the performance to exist with one running role.
         loop {
             let st = inst.status();
-            if let Some(perf) = st.current {
+            if let Some(perf) = st.performances.first() {
                 assert!(!perf.frozen, "cast still open for 'late'");
                 assert_eq!(perf.running, 1);
                 assert_eq!(perf.finished, 0);
@@ -212,7 +206,7 @@ fn status_snapshots() {
     });
     let done = inst.status();
     assert_eq!(done.completed_performances, 1);
-    assert!(done.current.is_none());
+    assert!(done.performances.is_empty());
 }
 
 /// The event log records the engine's decisions in order.
@@ -238,30 +232,31 @@ fn event_log_records_lifecycle() {
         h.join().unwrap().unwrap();
     });
 
-    let events = script_events(&ring);
-    let pos = |pred: &dyn Fn(&ScriptEvent) -> bool| events.iter().position(pred);
+    let events = payloads(&ring);
+    let pos = |pred: &dyn Fn(&TelemetryPayload) -> bool| events.iter().position(pred);
 
-    let queued =
-        pos(&|e| matches!(e, ScriptEvent::EnrollmentQueued { .. })).expect("enrollments queued");
+    let queued = pos(&|e| matches!(e, TelemetryPayload::EnrollmentQueued { .. }))
+        .expect("enrollments queued");
     let started =
-        pos(&|e| matches!(e, ScriptEvent::PerformanceStarted { .. })).expect("performance started");
+        pos(&|e| matches!(e, TelemetryPayload::PerformanceStarted)).expect("performance started");
     let frozen =
-        pos(&|e| matches!(e, ScriptEvent::CastFrozen { .. })).expect("cast frozen (delayed)");
-    let completed = pos(&|e| matches!(e, ScriptEvent::PerformanceCompleted { aborted: false, .. }))
-        .expect("performance completed");
+        pos(&|e| matches!(e, TelemetryPayload::CastFrozen)).expect("cast frozen (delayed)");
+    let completed =
+        pos(&|e| matches!(e, TelemetryPayload::PerformanceCompleted { aborted: false }))
+            .expect("performance completed");
     assert!(queued < started && started < completed);
     assert!(frozen < completed);
     assert_eq!(
         events
             .iter()
-            .filter(|e| matches!(e, ScriptEvent::RoleAdmitted { .. }))
+            .filter(|e| matches!(e, TelemetryPayload::RoleAdmitted { .. }))
             .count(),
         2
     );
     assert_eq!(
         events
             .iter()
-            .filter(|e| matches!(e, ScriptEvent::RoleFinished { .. }))
+            .filter(|e| matches!(e, TelemetryPayload::RoleFinished { .. }))
             .count(),
         2
     );
@@ -305,10 +300,9 @@ fn a_delayed_performance_admits_its_cast_in_a_fixed_order() {
     }
 
     let mut orders: Vec<Vec<RoleId>> = vec![Vec::new(); PERFORMANCES];
-    for event in script_events(&ring) {
-        if let ScriptEvent::RoleAdmitted {
-            performance, role, ..
-        } = event
+    for event in ring.drain() {
+        if let (Some(performance), TelemetryPayload::RoleAdmitted { role, .. }) =
+            (event.performance, event.payload)
         {
             orders[performance.0 as usize].push(role);
         }
@@ -334,7 +328,8 @@ fn event_log_is_bounded() {
     for _ in 0..10 {
         inst.enroll(&solo, ()).unwrap();
     }
-    let events = script_events(&ring);
+    let mut events = payloads(&ring);
+    assert!(matches!(events.remove(0), TelemetryPayload::Lost { .. }));
     assert_eq!(events.len(), 3, "capacity respected");
     assert!(ring.dropped() > 0, "what fell off the front is counted");
 }

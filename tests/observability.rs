@@ -11,8 +11,8 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use script::chan::{Network, ShardedTransport, Transport};
 use script::core::{
-    FaultPlan, Initiation, MultiObserver, NetworkFactory, Observer, PerformanceNet, RingObserver,
-    RoleId, Script, ScriptEvent, TelemetryEvent, TelemetryPayload, Termination, WatchdogPolicy,
+    FaultKind, FaultPlan, Initiation, MultiObserver, NetworkFactory, Observer, PerformanceNet,
+    RingObserver, RoleId, Script, TelemetryEvent, TelemetryPayload, Termination, WatchdogPolicy,
 };
 use script::net::{SocketTransport, TransportServer};
 
@@ -51,14 +51,14 @@ fn distributed_performance_yields_one_gapless_merged_stream() {
             ctx.send(&RoleId::new("pong"), k)?;
             assert_eq!(ctx.recv_from(&RoleId::new("pong"))?, k + 1);
         }
-        Ok(0u64)
+        Ok(ctx.performance())
     });
     let pong = b.role("pong", |ctx, ()| {
         for _ in 0..ROUNDS {
             let v = ctx.recv_from(&RoleId::new("ping"))?;
             ctx.send(&RoleId::new("ping"), v + 1)?;
         }
-        Ok(0u64)
+        Ok(ctx.performance())
     });
     b.initiation(Initiation::Delayed)
         .termination(Termination::Delayed);
@@ -81,14 +81,31 @@ fn distributed_performance_yields_one_gapless_merged_stream() {
         Arc::clone(&ring) as _,
     ])));
 
-    std::thread::scope(|s| {
+    let played = std::thread::scope(|s| {
         let h = s.spawn(|| inst.enroll(&pong, ()));
-        inst.enroll(&ping, ()).unwrap();
-        h.join().unwrap().unwrap();
+        let ping = inst.enroll(&ping, ()).unwrap();
+        assert_eq!(h.join().unwrap().unwrap(), ping, "one performance");
+        ping
     });
     assert_eq!(inst.completed_performances(), 1);
+    inst.close();
 
     let stream = collect.0.lock().unwrap().clone();
+
+    // Only the instance-scoped events (enrollment queueing, the close)
+    // carry no performance; every other event carries the id its roles
+    // read from their context.
+    for e in &stream {
+        let scoped = matches!(
+            e.payload,
+            TelemetryPayload::EnrollmentQueued { .. } | TelemetryPayload::InstanceClosed
+        );
+        let expected = (!scoped).then_some(played);
+        assert_eq!(e.performance, expected, "{e:?}");
+    }
+    assert!(stream
+        .iter()
+        .any(|e| e.payload == TelemetryPayload::InstanceClosed));
 
     // One merged stream: per-performance seqs are gapless and strictly
     // increasing in arrival order (the events of the one performance
@@ -130,10 +147,9 @@ fn distributed_performance_yields_one_gapless_merged_stream() {
     // Every layer reported in: engine lifecycle, transport latency,
     // watchdog arming, and the hub's chaos layer.
     assert!(
-        stream.iter().any(|e| matches!(
-            &e.payload,
-            TelemetryPayload::Script(ScriptEvent::PerformanceStarted { .. })
-        )),
+        stream
+            .iter()
+            .any(|e| matches!(&e.payload, TelemetryPayload::PerformanceStarted)),
         "lifecycle events must be on the plane"
     );
     assert!(
@@ -151,17 +167,16 @@ fn distributed_performance_yields_one_gapless_merged_stream() {
     assert!(
         stream.iter().any(|e| matches!(
             &e.payload,
-            TelemetryPayload::Script(ScriptEvent::FaultInjected { fault, .. }) if fault.contains("delay")
+            TelemetryPayload::Fault(fault) if fault.kind == FaultKind::Delay
         )),
         "hub-side fault injections must stream back into the merged plane: {stream:?}"
     );
 
     // The ring saw the same traffic (fan-out), through to completion.
     assert!(
-        stream.iter().any(|e| matches!(
-            &e.payload,
-            TelemetryPayload::Script(ScriptEvent::PerformanceCompleted { .. })
-        )),
+        stream
+            .iter()
+            .any(|e| matches!(&e.payload, TelemetryPayload::PerformanceCompleted { .. })),
         "the completion must be on the plane"
     );
     assert_eq!(ring.dropped(), 0);
@@ -220,31 +235,23 @@ fn late_observer_sees_faults_live(factory: Option<Arc<NetworkFactory<u64>>>) {
     });
 
     let stream = collect.0.lock().unwrap().clone();
-    let position = |want: &dyn Fn(&ScriptEvent) -> bool| {
-        stream
-            .iter()
-            .position(|e| matches!(&e.payload, TelemetryPayload::Script(ev) if want(ev)))
-    };
+    let position =
+        |want: &dyn Fn(&TelemetryPayload) -> bool| stream.iter().position(|e| want(&e.payload));
     let faults: Vec<usize> = (0..stream.len())
-        .filter(|&i| {
-            matches!(
-                &stream[i].payload,
-                TelemetryPayload::Script(ScriptEvent::FaultInjected { .. })
-            )
-        })
+        .filter(|&i| matches!(&stream[i].payload, TelemetryPayload::Fault(_)))
         .collect();
     assert_eq!(
         faults.len() as u64,
         2 * ROUNDS,
         "one delay record per send must reach the late observer: {stream:?}"
     );
-    let finished = position(&|ev| matches!(ev, ScriptEvent::RoleFinished { .. }))
+    let finished = position(&|ev| matches!(ev, TelemetryPayload::RoleFinished { .. }))
         .expect("the roles finish after the observer is installed");
     assert!(
         faults[0] < finished,
         "faults stream as they are injected, not once the roles are done: {stream:?}"
     );
-    let completed = position(&|ev| matches!(ev, ScriptEvent::PerformanceCompleted { .. }))
+    let completed = position(&|ev| matches!(ev, TelemetryPayload::PerformanceCompleted { .. }))
         .expect("the completion is on the plane");
     assert!(
         faults.iter().all(|&i| i < completed),

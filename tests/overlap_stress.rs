@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use script::core::{
-    Initiation, Instance, PerformanceId, RingObserver, RoleHandle, RoleId, Script, ScriptEvent,
+    splitmix64, Initiation, Instance, PerformanceId, RingObserver, RoleHandle, RoleId, Script,
     TelemetryPayload, Termination, WatchdogPolicy,
 };
 
@@ -21,14 +21,11 @@ const PERFS: usize = 8;
 /// communicating.
 type BarrierRole = RoleHandle<u8, Arc<Barrier>, ()>;
 
-/// Drains `ring`, keeping the lifecycle events.
-fn script_events(ring: &RingObserver) -> Vec<ScriptEvent> {
+/// Drains `ring`, keeping the events of a performance with its id.
+fn perf_events(ring: &RingObserver) -> Vec<(PerformanceId, TelemetryPayload)> {
     ring.drain()
         .into_iter()
-        .filter_map(|e| match e.payload {
-            TelemetryPayload::Script(ev) => Some(ev),
-            _ => None,
-        })
+        .filter_map(|e| Some((e.performance?, e.payload)))
         .collect()
 }
 
@@ -86,7 +83,7 @@ fn run_overlap(inst: &Instance<u8>, ping: &BarrierRole, pong: &BarrierRole, orde
 
 /// Checks the per-performance event ordering invariants and returns the
 /// set of distinct performance ids seen.
-fn assert_event_order(events: &[ScriptEvent]) -> Vec<PerformanceId> {
+fn assert_event_order(events: &[(PerformanceId, TelemetryPayload)]) -> Vec<PerformanceId> {
     use std::collections::BTreeMap;
     #[derive(Default)]
     struct Trace {
@@ -96,23 +93,15 @@ fn assert_event_order(events: &[ScriptEvent]) -> Vec<PerformanceId> {
         completed: Vec<usize>,
     }
     let mut traces: BTreeMap<PerformanceId, Trace> = BTreeMap::new();
-    for (i, e) in events.iter().enumerate() {
+    for (i, (performance, e)) in events.iter().enumerate() {
+        let trace = traces.entry(*performance).or_default();
         match e {
-            ScriptEvent::PerformanceStarted { performance } => {
-                traces.entry(*performance).or_default().started.push(i)
-            }
-            ScriptEvent::RoleAdmitted { performance, .. } => {
-                traces.entry(*performance).or_default().admitted.push(i)
-            }
-            ScriptEvent::RoleFinished { performance, .. } => {
-                traces.entry(*performance).or_default().finished.push(i)
-            }
-            ScriptEvent::PerformanceCompleted {
-                performance,
-                aborted,
-            } => {
+            TelemetryPayload::PerformanceStarted => trace.started.push(i),
+            TelemetryPayload::RoleAdmitted { .. } => trace.admitted.push(i),
+            TelemetryPayload::RoleFinished { .. } => trace.finished.push(i),
+            TelemetryPayload::PerformanceCompleted { aborted } => {
                 assert!(!aborted, "performance {performance:?} aborted");
-                traces.entry(*performance).or_default().completed.push(i)
+                trace.completed.push(i)
             }
             _ => {}
         }
@@ -147,17 +136,17 @@ fn eight_overlapping_performances_complete_in_order() {
     run_overlap(&inst, &ping, &pong, &order);
     assert_eq!(inst.completed_performances(), PERFS as u64);
 
-    let events = script_events(&ring);
+    let events = perf_events(&ring);
     let perfs = assert_event_order(&events);
     assert_eq!(perfs.len(), PERFS, "eight distinct performance ids");
 
     let last_start = events
         .iter()
-        .rposition(|e| matches!(e, ScriptEvent::PerformanceStarted { .. }))
+        .rposition(|(_, e)| matches!(e, TelemetryPayload::PerformanceStarted))
         .unwrap();
     let first_complete = events
         .iter()
-        .position(|e| matches!(e, ScriptEvent::PerformanceCompleted { .. }))
+        .position(|(_, e)| matches!(e, TelemetryPayload::PerformanceCompleted { .. }))
         .unwrap();
     assert!(
         last_start < first_complete,
@@ -176,7 +165,7 @@ fn overlap_stress_survives_seed_and_arrival_shuffle() {
         let order = shuffled(2 * PERFS, seed);
         run_overlap(&inst, &ping, &pong, &order);
         assert_eq!(inst.completed_performances(), PERFS as u64, "seed {seed}");
-        let perfs = assert_event_order(&script_events(&ring));
+        let perfs = assert_event_order(&perf_events(&ring));
         assert_eq!(perfs.len(), PERFS, "seed {seed}");
     }
 }
@@ -184,16 +173,9 @@ fn overlap_stress_survives_seed_and_arrival_shuffle() {
 /// Deterministic Fisher–Yates shuffle of `0..n` driven by SplitMix64.
 fn shuffled(n: usize, seed: u64) -> Vec<usize> {
     let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
     let mut v: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
+        let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
         v.swap(i, j);
     }
     v

@@ -8,7 +8,7 @@
 //! 1. a conforming distributed performance under chaos — including at
 //!    least one connection sever and session resume — yields **no**
 //!    verdict, and the resume replay introduces no duplicate or
-//!    reordered [`ScriptEvent::Rendezvous`] records (per-edge delivery
+//!    reordered [`TelemetryPayload::Rendezvous`] records (per-edge delivery
 //!    seqs stay gapless from 0);
 //! 2. a deliberately misbehaving role is flagged at the first
 //!    divergent rendezvous with the **same verdict** — role, expected,
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use script::chan::{Network, ShardedTransport, Transport};
 use script::core::{
-    FaultPlan, Initiation, NetworkFactory, Observer, PerformanceNet, RoleId, Script, ScriptEvent,
+    FaultKind, FaultPlan, Initiation, NetworkFactory, Observer, PerformanceNet, RoleId, Script,
     TelemetryEvent, TelemetryPayload, Termination,
 };
 use script::net::{SocketTransport, TransportServer};
@@ -133,10 +133,12 @@ fn monitored_chaos_performance_over_tcp_stays_conforming_across_resume() {
     // The chaos schedule actually exercised the resume path.
     let severs = stream
         .iter()
-        .filter(|e| matches!(
-            &e.payload,
-            TelemetryPayload::Script(ScriptEvent::FaultInjected { fault, .. }) if fault.contains("sever")
-        ))
+        .filter(|e| {
+            matches!(
+                &e.payload,
+                TelemetryPayload::Fault(fault) if fault.kind == FaultKind::Sever
+            )
+        })
         .count();
     assert!(severs >= 1, "the seeded plan must sever at least once");
 
@@ -145,12 +147,11 @@ fn monitored_chaos_performance_over_tcp_stays_conforming_across_resume() {
     // notwithstanding.
     let mut per_edge: BTreeMap<(String, String), Vec<u64>> = BTreeMap::new();
     for e in &stream {
-        if let TelemetryPayload::Script(ScriptEvent::Rendezvous { from, to, seq, .. }) = &e.payload
-        {
+        if let TelemetryPayload::Rendezvous(rec) = &e.payload {
             per_edge
-                .entry((from.to_string(), to.to_string()))
+                .entry((rec.from.to_string(), rec.to.to_string()))
                 .or_default()
-                .push(*seq);
+                .push(rec.seq);
         }
     }
     assert_eq!(per_edge.len(), 2, "two directed edges: {per_edge:?}");
@@ -256,10 +257,7 @@ fn misbehaving_role_yields_identical_verdict_in_process_and_over_tcp() {
         let ordinal = stream
             .iter()
             .filter(|e| {
-                matches!(
-                    e.payload,
-                    TelemetryPayload::Script(ScriptEvent::Rendezvous { .. })
-                ) && e.seq < local.at_seq
+                matches!(e.payload, TelemetryPayload::Rendezvous(_)) && e.seq < local.at_seq
             })
             .count();
         assert_eq!(ordinal, 3, "divergence at the fourth rendezvous");

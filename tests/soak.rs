@@ -10,12 +10,12 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use script::chan::{
-    Arm, FaultPlan, FaultRecord, Network, Observers, Outcome, ShardedTransport, Transport,
+    Arm, FaultPlan, FaultRecord, Network, Observers, Outcome, SessionEvent, ShardedTransport,
+    Transport,
 };
 use script::core::{
     Initiation, NetworkFactory, Observer, PerformanceNet, RetryPolicy, RingObserver, RoleId,
-    Script, ScriptError, ScriptEvent, TelemetryEvent, TelemetryPayload, Termination,
-    WatchdogPolicy,
+    Script, ScriptError, TelemetryEvent, TelemetryPayload, Termination, WatchdogPolicy,
 };
 use script::lib::broadcast::{self, Order};
 use script::lib::gossip::{self, Delivery};
@@ -124,12 +124,7 @@ fn adaptive_watchdog_regime_shift() {
     let stalls = ring
         .drain()
         .iter()
-        .filter(|e| {
-            matches!(
-                e.payload,
-                TelemetryPayload::Script(ScriptEvent::PerformanceStalled { .. })
-            )
-        })
+        .filter(|e| matches!(e.payload, TelemetryPayload::PerformanceStalled { .. }))
         .count();
     assert_eq!(
         stalls, 2,
@@ -239,12 +234,12 @@ fn reconnect_storm(performances: u64) {
     for e in events.iter() {
         streams.entry(e.performance).or_default().push(e.seq);
         match &e.payload {
-            TelemetryPayload::PeerDisconnected { .. } => disconnects += 1,
-            TelemetryPayload::PeerResumed { .. } => resumes += 1,
-            TelemetryPayload::LeaseExpired { peer } => {
+            TelemetryPayload::Session(SessionEvent::PeerDisconnected(_)) => disconnects += 1,
+            TelemetryPayload::Session(SessionEvent::PeerResumed(_)) => resumes += 1,
+            TelemetryPayload::Session(SessionEvent::LeaseExpired(peer)) => {
                 panic!("lease expired for {peer:?} — a resume was lost")
             }
-            TelemetryPayload::Script(ScriptEvent::PerformanceStalled { .. }) => {
+            TelemetryPayload::PerformanceStalled { .. } => {
                 panic!("spurious stall during the storm")
             }
             _ => {}
@@ -531,7 +526,7 @@ fn membership_churn(performances: u64, mode: ChurnMode, seed: u64) -> Vec<String
     let mut streams: BTreeMap<_, Vec<u64>> = BTreeMap::new();
     for e in events.iter() {
         streams.entry(e.performance).or_default().push(e.seq);
-        if let TelemetryPayload::LeaseExpired { peer } = &e.payload {
+        if let TelemetryPayload::Session(SessionEvent::LeaseExpired(peer)) = &e.payload {
             panic!("lease expired for {peer:?} — a resume was lost");
         }
     }
